@@ -14,10 +14,14 @@ server" (paper §1).  Layers, bottom-up:
 - :mod:`repro.orb.reference` — object references (IORs) carrying the
   endpoint set of an SPMD object.
 - :mod:`repro.orb.naming` — the naming domain used by ``_bind``.
-- :mod:`repro.orb.transfer` — the two distributed-argument transfer
-  methods evaluated in the paper (§3.2 centralized, §3.3 multi-port).
+- :mod:`repro.orb.transfer` — the client invocation engine and the
+  slots, codecs and collectors both transfer methods share.
+- :mod:`repro.orb.datapath` — where argument data flows: the two
+  transfer methods evaluated in the paper (§3.2 centralized, §3.3
+  multi-port) as two :class:`~repro.orb.datapath.DataPath` objects.
 - :mod:`repro.orb.adapter` — the server-side object adapter: servant
-  registration and the per-thread dispatch loop.
+  registration, the per-thread dispatch loop and the server
+  invocation engine.
 - :mod:`repro.orb.proxy` — the client side: ``_bind`` / ``_spmd_bind``
   and method invocation, blocking and future-returning.
 """
@@ -34,12 +38,10 @@ from typing import Any
 #: imports here would close that loop.
 _EXPORTS = {
     "BindMode": "repro.orb.proxy",
-    "CentralizedTransfer": "repro.orb.transfer",
     "Channel": "repro.orb.transport",
     "ClientProxy": "repro.orb.proxy",
     "Direction": "repro.orb.operation",
     "Endpoint": "repro.orb.transport",
-    "MultiPortTransfer": "repro.orb.transfer",
     "NamingError": "repro.orb.naming",
     "NamingService": "repro.orb.naming",
     "ObjectAdapter": "repro.orb.adapter",
@@ -52,7 +54,6 @@ _EXPORTS = {
     "RequestMessage": "repro.orb.request",
     "Servant": "repro.orb.adapter",
     "ServantGroup": "repro.orb.adapter",
-    "TransferEngine": "repro.orb.transfer",
     "TransportError": "repro.orb.transport",
     "UserException": "repro.orb.operation",
     "decode_reply": "repro.orb.request",

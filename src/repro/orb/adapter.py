@@ -5,8 +5,9 @@ one computing thread per rank, each running a servant instance and a
 dispatch loop.  Requests arrive on the group's single request port —
 waited on by the communicating thread (rank 0) — and are delivered "to
 all the computing threads" (the defining property of an SPMD object,
-§2) by an internal broadcast, after which the transfer engine matching
-the request's mode moves the distributed arguments in.
+§2) by an internal broadcast, after which the one server engine runs the
+invocation, moving the distributed arguments in and out along the
+:class:`~repro.orb.datapath.DataPath` the request's mode names.
 
 The group registers itself with the naming service on activation,
 publishing an object reference that carries the request port, the
@@ -20,19 +21,14 @@ import queue
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.cdr.typecodes import DSequenceTC
-from repro.dist import (
-    BlockTemplate,
-    DistributedSequence,
-    Layout,
-    transfer_schedule,
-)
+from repro.dist import DistributedSequence
 from repro.dist.template import DistTemplate
 from repro.orb import request as wire
+from repro.orb.datapath import DataPath, path_for
 from repro.orb.operation import (
     OperationSpec,
     RemoteError,
@@ -40,25 +36,16 @@ from repro.orb.operation import (
 )
 from repro.orb.reference import ObjectReference
 from repro.orb.request import ReplyMessage, RequestMessage
-from repro.cdr.accounting import copied
 from repro.orb.transfer import (
     ChunkCollector,
     Tracer,
-    assemble_chunks,
-    decode_full_body,
-    decode_plain_body,
     decompose,
     detach_plain_values,
     encode_system_exception,
     encode_user_exception,
-    full_body_encoder,
-    plain_body_encoder,
     produced_slots,
     reply_slots,
     request_slots,
-    send_chunks,
-    server_layout,
-    staging_array,
 )
 from repro.ft.dedup import ReplyCache
 from repro.orb.transport import (
@@ -69,6 +56,7 @@ from repro.orb.transport import (
     Port,
     TransportError,
 )
+from repro.rts import rts_for
 from repro.rts.executor import SpmdExecutor, SpmdHandle
 from repro.rts.interface import MessagePassingRTS
 from repro.rts.mpi import DeadlockError, GroupAbortedError, Intracomm
@@ -186,12 +174,6 @@ class Servant:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_spec(
-    servant: Servant, operation: str
-) -> OperationSpec | None:
-    return servant._operations.get(operation)
-
-
 def _call_servant(
     servant: Servant, spec: OperationSpec, args: list[Any]
 ) -> tuple[str, Any]:
@@ -265,6 +247,16 @@ def _agree_outcome(
             f"across threads",
         ),
     )
+
+
+def _engine_failure(exc: Exception) -> tuple[str, Any]:
+    """An engine-level exception as a votable ``'system'`` outcome."""
+    if isinstance(exc, RemoteError):
+        return ("system", (exc.category, str(exc)))
+    category = (
+        "COMM_FAILURE" if isinstance(exc, TransportError) else "MARSHAL"
+    )
+    return ("system", (category, f"{type(exc).__name__}: {exc}"))
 
 
 def _error_reply(
@@ -359,125 +351,100 @@ class _ServerEngine:
                     ),
                 )
 
-    def _server_layout_for(
-        self, operation: str, param: str, length: int
-    ) -> Layout:
-        return server_layout(
-            self.ctx.templates.get((operation, param)),
-            length,
-            self.ctx.size,
-        )
-
     def execute(self, request: RequestMessage) -> None:
         self._staging_seq += 1
-        spec = _resolve_spec(self.servant, request.operation)
-        if spec is None:
-            self._reply(
-                request,
-                ReplyMessage(
-                    request.request_id,
-                    wire.STATUS_SYSTEM_EXCEPTION,
-                    encode_system_exception(
-                        "BAD_OPERATION",
-                        f"interface {self.servant._interface!r} has no "
-                        f"operation {request.operation!r}",
-                    ),
-                ),
-            )
-            return
+        spec = self.servant._operations.get(request.operation)
         try:
-            if request.mode == wire.MODE_MULTIPORT:
-                self._execute_multiport(request, spec)
-            else:
-                self._execute_centralized(request, spec)
-        except (UserException, RemoteError, Exception) as exc:  # noqa: B014
+            if spec is None:
+                raise RemoteError(
+                    f"interface {self.servant._interface!r} has no "
+                    f"operation {request.operation!r}",
+                    category="BAD_OPERATION",
+                )
+            self._invoke(request, spec, path_for(request.mode))
+        except Exception as exc:  # noqa: BLE001 - reported to the client
             # Engine-level failure: report if this rank owns the reply
-            # channel.  Transport trouble (e.g. request chunks that
-            # never arrived) is COMM_FAILURE — retryable under a
-            # client fault-tolerance policy — while marshaling and
-            # schedule mismatches stay MARSHAL (retrying cannot help).
-            category = (
-                "COMM_FAILURE"
-                if isinstance(exc, TransportError)
-                else "MARSHAL"
-            )
+            # channel.  Transport trouble is COMM_FAILURE — retryable
+            # under a client fault-tolerance policy — while marshaling
+            # and schedule mismatches are MARSHAL (retrying cannot
+            # help).
             self._reply(
-                request,
-                ReplyMessage(
-                    request.request_id,
-                    wire.STATUS_SYSTEM_EXCEPTION,
-                    encode_system_exception(
-                        category, f"{type(exc).__name__}: {exc}"
-                    ),
-                ),
+                request, _error_reply(request, _engine_failure(exc))
             )
 
-    # -- centralized (§3.2) ------------------------------------------------
-
-    def _execute_centralized(
-        self, request: RequestMessage, spec: OperationSpec
+    def _invoke(
+        self, request: RequestMessage, spec: OperationSpec, path: DataPath
     ) -> None:
+        """The server side of an invocation, by either transfer method
+        — the one place its stage sequence is spelled: arguments in,
+        delivery agreement, servant call and outcome agreement,
+        post-invoke synchronization, results out.  Where the argument
+        data flows is ``path``'s business (:mod:`repro.orb.datapath`).
+        """
         ctx = self.ctx
+        root = ctx.rank == 0
         span_kw = dict(
             trace_id=request.trace_id, side="server", rank=ctx.rank
         )
         xfer_span = span_or_null(
-            ctx.trace, "transfer", op=spec.name,
-            engine=wire.MODE_CENTRALIZED, request_id=request.request_id,
-            **span_kw,
+            ctx.trace, "transfer", op=spec.name, engine=path.mode,
+            request_id=request.request_id, **span_kw,
         )
         slots = request_slots(spec)
-        if ctx.rank == 0:
-            values = decode_full_body(slots, request.body)
-            # Servants may mutate plain arguments; decoder views must
-            # not alias the receive buffer once they escape.
-            detach_plain_values(slots, values)
-            plain = {
-                s.name: values[s.name] for s in slots if not s.distributed
-            }
-        else:
-            values, plain = {}, None
-        plain = self._bcast(plain)
-
+        # Rank 0 decodes the header body.  Its *outcome* rides the
+        # broadcast that carries the plain arguments to the peers, so
+        # a malformed body is every rank's error exit at the same
+        # collective point — not rank 0's alone, with the peers left
+        # waiting to consume the next request's broadcast as this
+        # one's arguments.
+        decoded: dict[str, Any] = {}
+        delivery: tuple[str, Any] | None = None
+        if root:
+            try:
+                decoded = path.decode_body(slots, request.body)
+                # Servants may mutate plain arguments; decoder views
+                # must not alias the receive buffer once they escape.
+                detach_plain_values(slots, decoded)
+                delivery = ("ok", {
+                    s.name: decoded[s.name]
+                    for s in slots
+                    if not s.distributed
+                })
+            except Exception as exc:  # noqa: BLE001 - voted, sent to client
+                delivery = _engine_failure(exc)
+        delivery = self._bcast(delivery)
+        if delivery[0] == "ok":
+            plain = delivery[1]
+            try:
+                placed = path.receive_arguments(
+                    ctx, request, spec, slots, decoded
+                )
+            except Exception as exc:  # noqa: BLE001 - voted, sent to client
+                delivery = _engine_failure(exc)
+            if path.receipt_is_rank_local and ctx.comm is not None:
+                # Every rank received on its own data port, so a
+                # failure — request chunks that never arrived, a bad
+                # layout — is this rank's alone.  Agree that every
+                # rank assembled its arguments before anyone enters
+                # the servant, whose body may contain collectives that
+                # would wedge against a rank that is unwinding.
+                delivery = _agree_outcome(ctx, delivery)
+                if delivery[0] != "ok" and ctx.rts is not None:
+                    ctx.rts.synchronize()
+        if delivery[0] != "ok":
+            xfer_span.note(outcome=delivery[0]).end()
+            self._reply(request, _error_reply(request, delivery))
+            return
         args: list[Any] = []
         for slot in slots:
             if not slot.distributed:
                 args.append(plain[slot.name])
                 continue
             tc: DSequenceTC = slot.typecode  # type: ignore[assignment]
-            length = (
-                len(values[slot.name]) if ctx.rank == 0 else 0
-            )
-            length = self._bcast(length)
-            layout = self._server_layout_for(spec.name, slot.name, length)
-            local = np.zeros(
-                layout.local_length(ctx.rank), dtype=tc.element_dtype
-            )
-            if ctx.rts is None:
-                copied(local.nbytes)
-                local[:] = values[slot.name]
-            else:
-                steps = transfer_schedule(
-                    Layout(((0, length),)), layout
-                )
-                if ctx.tracer and ctx.rank == 0:
-                    for step in steps:
-                        if step.dst_rank != 0:
-                            ctx.tracer.emit(
-                                "rts-scatter", "server", 0, step.dst_rank,
-                                step.nelems,
-                            )
-                ctx.rts.scatter_chunks(
-                    np.asarray(values[slot.name])
-                    if ctx.rank == 0
-                    else None,
-                    steps,
-                    root=0,
-                    out=local,
-                )
+            layout, local = placed[slot.name]
             args.append(
                 DistributedSequence(
-                    length,
+                    layout.length,
                     dtype=tc.element_dtype,
                     comm=ctx.comm,
                     bound=tc.bound,
@@ -485,8 +452,8 @@ class _ServerEngine:
                     _local=local,
                 )
             )
-
         xfer_span.end()
+
         disp_span = span_or_null(
             ctx.trace, "dispatch", op=spec.name, **span_kw
         )
@@ -500,287 +467,52 @@ class _ServerEngine:
                 ctx.tracer.emit("sync", "server", "post-invoke")
             ctx.rts.synchronize()
         disp_span.note(outcome=outcome[0]).end()
+
         reply_span = span_or_null(ctx.trace, "reply", **span_kw)
         if outcome[0] != "ok":
             self._reply(request, _error_reply(request, outcome))
             reply_span.note(status=outcome[0]).end()
             return
-
-        produced = outcome[1]
-        produced_map = dict(
-            zip((s.name for s in produced_slots(spec)), produced)
+        rep_slots = reply_slots(spec)
+        results = dict(
+            zip((s.name for s in produced_slots(spec)), outcome[1])
         )
-        reply_values: dict[str, Any] = {}
-        for slot in reply_slots(spec):
-            if slot.name in produced_map:
-                value = produced_map[slot.name]
-            else:
-                # inout distributed sequence: the mutated argument.
-                index = [s.name for s in slots].index(slot.name)
-                value = args[index]
-            if not slot.distributed:
-                reply_values[slot.name] = value
-                continue
-            if not isinstance(value, DistributedSequence):
+        sent = dict(zip((s.name for s in slots), args))
+        for slot in rep_slots:
+            # Not produced = an inout distributed sequence: the
+            # (mutated in place) argument is the result.
+            value = results.setdefault(slot.name, sent.get(slot.name))
+            if slot.distributed and not isinstance(
+                value, DistributedSequence
+            ):
                 raise RemoteError(
                     f"servant produced {type(value).__name__} for "
                     f"distributed slot '{slot.name}'",
                     category="BAD_PARAM",
                 )
-            if ctx.rts is None:
-                reply_values[slot.name] = value.local_data()
-            else:
-                steps = transfer_schedule(
-                    value.layout, Layout(((0, value.length()),))
-                )
-                if ctx.tracer:
-                    for step in steps:
-                        if step.src_rank != 0:
-                            ctx.tracer.emit(
-                                "rts-gather", "server", step.src_rank, 0,
-                                step.nelems,
-                            )
-                full = ctx.rts.gather_chunks(
-                    value.local_data(),
-                    steps,
-                    root=0,
-                    out=(
-                        staging_array(
-                            self._staging_name(slot.name),
-                            value.length(),
-                            value.dtype,
-                        )
-                        if ctx.rank == 0
-                        else None
-                    ),
-                )
-                reply_values[slot.name] = full
-        if ctx.rank == 0:
-            body = full_body_encoder(reply_slots(spec), reply_values)
-            self._reply(
-                request,
-                ReplyMessage(request.request_id, wire.STATUS_OK, body),
-            )
-            reply_span.note(nbytes=len(body))
-        reply_span.end()
-
-    # -- multi-port (§3.3) ---------------------------------------------------
-
-    def _execute_multiport(
-        self, request: RequestMessage, spec: OperationSpec
-    ) -> None:
-        ctx = self.ctx
-        span_kw = dict(
-            trace_id=request.trace_id, side="server", rank=ctx.rank
+        values, dist_layouts = path.stage_results(
+            ctx, request, spec, results, self._staging_name
         )
-        xfer_span = span_or_null(
-            ctx.trace, "transfer", op=spec.name,
-            engine=wire.MODE_MULTIPORT, request_id=request.request_id,
-            **span_kw,
-        )
-        slots = request_slots(spec)
-        if ctx.rank == 0:
-            plain = decode_plain_body(slots, request.body)
-            detach_plain_values(slots, plain)
-        else:
-            plain = None
-        plain = self._bcast(plain)
-
-        client_layouts: dict[str, Layout] = {}
-        args: list[Any] = []
-        failure: tuple[str, Any] | None = None
-        # Argument assembly is all rank-local (each rank collects on
-        # its own data port), so a failure here — request chunks that
-        # never arrived, a bad layout — must not raise past the
-        # outcome vote below: the other ranks would enter the servant
-        # collectives while this one unwinds, wedging the group.  It
-        # becomes this rank's vote instead.
-        try:
-            for slot in slots:
-                if not slot.distributed:
-                    args.append(plain[slot.name])
-                    continue
-                tc: DSequenceTC = slot.typecode  # type: ignore[assignment]
-                lengths = request.layout_of(slot.name)
-                if lengths is None:
-                    raise RemoteError(
-                        f"request is missing the layout of '{slot.name}'",
-                        category="MARSHAL",
-                    )
-                client_layout = Layout.from_local_lengths(lengths)
-                client_layouts[slot.name] = client_layout
-                layout = self._server_layout_for(
-                    spec.name, slot.name, client_layout.length
-                )
-                steps = transfer_schedule(client_layout, layout)
-                expected = sum(
-                    1 for s in steps if s.dst_rank == ctx.rank
-                )
-                local = np.zeros(
-                    layout.local_length(ctx.rank), dtype=tc.element_dtype
-                )
-                chunks = ctx.collector.collect(
-                    request.request_id,
-                    slot.name,
-                    wire.PHASE_REQUEST,
-                    expected,
-                    timeout=ctx.timeout,
-                )
-                assemble_chunks(
-                    chunks, layout, ctx.rank, tc.element_dtype, local
-                )
-                args.append(
-                    DistributedSequence(
-                        client_layout.length,
-                        dtype=tc.element_dtype,
-                        comm=ctx.comm,
-                        bound=tc.bound,
-                        _layout=layout,
-                        _local=local,
-                    )
-                )
-        except TransportError as exc:
-            failure = (
-                "system",
-                ("COMM_FAILURE", f"{type(exc).__name__}: {exc}"),
-            )
-        except RemoteError as exc:
-            failure = ("system", (exc.category, str(exc)))
-        except Exception as exc:  # noqa: BLE001 - voted, sent to client
-            failure = (
-                "system", ("MARSHAL", f"{type(exc).__name__}: {exc}")
-            )
-
-        # Stage 1: agree that every rank assembled its arguments
-        # before anyone enters the servant (whose body may contain
-        # collectives that would wedge against a rank that is
-        # unwinding).  Stage 2 below agrees on the servant's outcome.
-        if ctx.comm is not None:
-            delivery = _agree_outcome(
-                ctx, failure if failure is not None else ("ok", None)
-            )
-            if delivery[0] != "ok":
-                if ctx.rts is not None:
-                    ctx.rts.synchronize()
-                xfer_span.note(outcome=delivery[0]).end()
-                self._reply(request, _error_reply(request, delivery))
-                return
-        elif failure is not None:
-            xfer_span.note(outcome=failure[0]).end()
-            self._reply(request, _error_reply(request, failure))
-            return
-        xfer_span.end()
-
-        disp_span = span_or_null(
-            ctx.trace, "dispatch", op=spec.name, **span_kw
-        )
-        outcome = _agree_outcome(
-            ctx, _call_servant(self.servant, spec, args)
-        )
-        if ctx.rts is not None:
-            if ctx.tracer:
-                ctx.tracer.emit("sync", "server", "post-invoke")
-            ctx.rts.synchronize()
-        disp_span.note(outcome=outcome[0]).end()
-        reply_span = span_or_null(ctx.trace, "reply", **span_kw)
-        if outcome[0] != "ok":
-            self._reply(request, _error_reply(request, outcome))
-            reply_span.note(status=outcome[0]).end()
-            return
-
-        produced = outcome[1]
-        produced_map = dict(
-            zip((s.name for s in produced_slots(spec)), produced)
-        )
-        # Work out, deterministically on every rank, where each
-        # returned distributed value lives server-side and lands
-        # client-side.
-        returns: list[tuple[Any, DistributedSequence, Layout]] = []
-        dist_layouts = []
-        for slot in reply_slots(spec):
-            if slot.name in produced_map:
-                value = produced_map[slot.name]
-            else:
-                index = [s.name for s in slots].index(slot.name)
-                value = args[index]
-            if not slot.distributed:
-                continue
-            if not isinstance(value, DistributedSequence):
-                raise RemoteError(
-                    f"servant produced {type(value).__name__} for "
-                    f"distributed slot '{slot.name}'",
-                    category="BAD_PARAM",
-                )
-            if slot.param is not None and slot.param.direction.sends:
-                # inout: the client keeps its layout, resized if the
-                # servant changed the length.
-                client_layout = client_layouts[slot.name].resized(
-                    value.length()
-                )
-            else:
-                # out/return: the template the caller preset in the
-                # request header, defaulting to blockwise (§2.2).
-                from repro.idl.runtime import template_from_spec
-
-                template = template_from_spec(
-                    request.out_template_of(slot.name)
-                )
-                client_layout = (template or BlockTemplate()).layout(
-                    value.length(), request.client_nthreads
-                )
-            returns.append((slot, value, client_layout))
-            dist_layouts.append(
-                (
-                    slot.name,
-                    client_layout.local_lengths(),
-                    value.layout.local_lengths(),
-                )
-            )
-
-        if ctx.rank == 0:
-            reply_values = {
-                s.name: produced_map.get(s.name)
-                for s in reply_slots(spec)
-                if not s.distributed
-            }
-            body = plain_body_encoder(reply_slots(spec), reply_values)
+        if root:
+            body = path.body_encoder(rep_slots, values)
             self._reply(
                 request,
                 ReplyMessage(
-                    request.request_id,
-                    wire.STATUS_OK,
-                    body,
-                    dist_layouts=tuple(dist_layouts),
+                    request.request_id, wire.STATUS_OK, body,
+                    dist_layouts=dist_layouts,
                 ),
             )
-        # Data flows straight from each computing thread to the
-        # client threads owning the overlap.  With a reply cache, each
-        # outgoing frame is recorded so a retried request can be
-        # answered by replaying it.
+            reply_span.note(nbytes=len(body))
+        # With a reply cache, each frame sent outside the reply is
+        # recorded so a retried request can be answered by replaying
+        # it — and the request is done on this rank: drop any late or
+        # re-delivered chunks for its id (a retry is answered from the
+        # cache, never re-collected).
         record = None
         if self.cache is not None:
-            record = (
-                lambda dst_rank, frame, _id=request.request_id:
-                self.cache.record_chunks(_id, dst_rank, frame)
-            )
-        for slot, value, client_layout in returns:
-            steps = transfer_schedule(value.layout, client_layout)
-            send_chunks(
-                ctx.data_port,
-                request.client_data_ports,
-                steps,
-                ctx.rank,
-                value.local_data(),
-                request.request_id,
-                slot.name,
-                wire.PHASE_REPLY,
-                ctx.tracer,
-                record=record,
-            )
+            record = partial(self.cache.record_chunks, request.request_id)
+        path.ship_results(ctx, request, results, dist_layouts, record)
         if self.cache is not None:
-            # The request is done on this rank: drop any late or
-            # re-delivered chunks for its id (a retry is answered from
-            # the cache, never re-collected).
             ctx.collector.discard(request.request_id)
         reply_span.end()
 
@@ -1291,15 +1023,13 @@ class ServantGroup:
         self.naming.bind(self.name, self._ref, host=self.host)
 
     def _rank_main(self, rank_ctx: Any) -> int:
-        comm = rank_ctx.comm if self.nthreads > 1 else rank_ctx.comm
-        from repro.orb.proxy import make_rts
-
+        comm = rank_ctx.comm
         ctx = ServantContext(
             rank=rank_ctx.rank,
             size=self.nthreads,
             comm=comm if self.nthreads > 1 else None,
             rts=(
-                make_rts(self.rts_style, comm)
+                rts_for(comm, self.rts_style)
                 if self.nthreads > 1
                 else None
             ),

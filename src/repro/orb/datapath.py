@@ -1,0 +1,549 @@
+"""The two data paths of an invocation (paper §3.2 and §3.3).
+
+Both transfer methods run the same invocation — synchronize, header
+through the communicating thread, servant call, synchronize, reply —
+and differ only in where argument data flows.  The stage sequence
+therefore exists once per side (:func:`repro.orb.transfer.invoke_begin`
+on the client, ``_ServerEngine._invoke`` in :mod:`repro.orb.adapter`
+on the server); this module holds what varies, as a :class:`DataPath`
+with exactly two implementations:
+
+**Through-root** (centralized, §3.2, Figure 2) — distributed arguments
+are *gathered* to the communicating thread (rank 0) over the RTS, the
+whole request crosses the network as **one frame**, and the receiving
+side's rank 0 *scatters* them over the RTS.
+
+**Direct** (multi-port, §3.3, Figure 3) — the header frame carries the
+plain values only; each thread computes, from the client-side and
+server-side layouts, which peer threads its local block overlaps and
+ships those chunks straight to the owning threads' data ports.
+
+A path answers the four data questions, each for both directions of
+the call, and nothing else:
+
+1. how arguments leave the client (:meth:`~DataPath.stage_arguments`
+   before the header frame, :meth:`~DataPath.ship_arguments` after it);
+2. how they reach the servant ranks
+   (:meth:`~DataPath.receive_arguments`);
+3. how results leave the servant (:meth:`~DataPath.stage_results` /
+   :meth:`~DataPath.ship_results`);
+4. how they reach the client ranks (:meth:`~DataPath.receive_results`).
+
+It also supplies the body codec of its header frames and one property,
+:attr:`~DataPath.receipt_is_rank_local`, from which the engines derive
+everything else that differs (the delivery vote, which ranks have work
+in a stage).  Paths are stateless; one shared instance each.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any, Callable
+
+import numpy as np
+
+from repro.cdr.accounting import copied
+from repro.dist import (
+    BlockTemplate,
+    DistributedSequence,
+    Layout,
+    transfer_schedule,
+)
+from repro.idl.runtime import template_from_spec
+from repro.orb import request as wire
+from repro.orb.operation import OperationSpec, RemoteError
+from repro.orb.request import ReplyMessage, RequestMessage
+from repro.orb.transfer import (
+    ChunkCollector,
+    Slot,
+    Tracer,
+    assemble_chunks,
+    decode_full_body,
+    decode_plain_body,
+    detach_plain_values,
+    full_body_encoder,
+    plain_body_encoder,
+    reply_slots,
+    send_chunks,
+    server_layout,
+    staging_array,
+)
+
+if TYPE_CHECKING:
+    from repro.orb.adapter import ServantContext
+    from repro.orb.transfer import ClientInvocation
+
+#: What a receive hands back per distributed slot: where the value
+#: lives on this side, and this rank's block of it.
+Placed = tuple[Layout, np.ndarray]
+
+
+def reply_layout(
+    slot: Slot,
+    length: int,
+    sent: Layout | None,
+    template_spec: tuple | None,
+    client_nthreads: int,
+) -> Layout:
+    """Where a returned distributed value lands on the client.
+
+    An inout keeps the layout it was ``sent`` with (resized if the
+    servant changed the length); an out or return value follows the
+    template the caller preset, defaulting to uniform blockwise (§2.2:
+    "an 'out' argument should be initialized by a distribution
+    template before calling the operation which returns it; otherwise
+    a uniform blockwise distribution will be assumed").
+
+    Evaluated by whichever side places the reply data: the client on
+    the through-root path, the servant ranks on the direct one.
+    """
+    if slot.param is not None and slot.param.direction.sends:
+        return sent.resized(length)
+    template = template_from_spec(template_spec) or BlockTemplate()
+    return template.layout(length, client_nthreads)
+
+
+def _element_dtype(slot: Slot) -> np.dtype:
+    return slot.typecode.element_dtype  # type: ignore[attr-defined]
+
+
+# ---------------------------------------------------------------------------
+# The RTS legs of the through-root path (either side)
+# ---------------------------------------------------------------------------
+
+
+def _gather(
+    rts: Any,
+    rank: int,
+    seq: DistributedSequence,
+    staging: str,
+    side: str,
+    tracer: Tracer | None,
+) -> np.ndarray | None:
+    """Assemble ``seq`` on the communicating thread (``None`` on the
+    others), landing in the reusable ``staging`` buffer."""
+    if rts is None:
+        return seq.local_data()
+    steps = transfer_schedule(seq.layout, Layout(((0, seq.length()),)))
+    if tracer:
+        for step in steps:
+            if step.src_rank != 0:
+                tracer.emit(
+                    "rts-gather", side, step.src_rank, 0, step.nelems
+                )
+    return rts.gather_chunks(
+        seq.local_data(),
+        steps,
+        root=0,
+        out=(
+            staging_array(staging, seq.length(), seq.dtype)
+            if rank == 0
+            else None
+        ),
+    )
+
+
+def _scatter(
+    rts: Any,
+    rank: int,
+    full: Any,
+    slot: Slot,
+    layout_for: Callable[[int], Layout],
+    side: str,
+    tracer: Tracer | None,
+) -> Placed:
+    """Spread the communicating thread's ``full`` array over the
+    group: its length is broadcast, every rank derives the layout from
+    it, and the blocks travel over the RTS."""
+    length = len(full) if rank == 0 else 0
+    if rts is not None:
+        length = rts.broadcast(length, root=0)
+    layout = layout_for(length)
+    local = np.zeros(layout.local_length(rank), dtype=_element_dtype(slot))
+    if rts is None:
+        copied(local.nbytes)
+        local[:] = full
+        return layout, local
+    steps = transfer_schedule(Layout(((0, length),)), layout)
+    if tracer and rank == 0:
+        for step in steps:
+            if step.dst_rank != 0:
+                tracer.emit(
+                    "rts-scatter", side, 0, step.dst_rank, step.nelems
+                )
+    rts.scatter_chunks(
+        np.asarray(full) if rank == 0 else None, steps, root=0, out=local
+    )
+    return layout, local
+
+
+# ---------------------------------------------------------------------------
+# The network leg of the direct path (either side)
+# ---------------------------------------------------------------------------
+
+
+def _collect(
+    collector: ChunkCollector,
+    request_id: int,
+    slot: Slot,
+    phase: int,
+    src_layout: Layout,
+    layout: Layout,
+    rank: int,
+    timeout: float,
+) -> Placed:
+    """Receive this rank's block of one parameter off its data port.
+
+    Both ends compute the same schedule from the same two layouts, so
+    the expected chunk count is exact."""
+    steps = transfer_schedule(src_layout, layout)
+    expected = sum(1 for s in steps if s.dst_rank == rank)
+    dtype = _element_dtype(slot)
+    local = np.zeros(layout.local_length(rank), dtype=dtype)
+    chunks = collector.collect(
+        request_id, slot.name, phase, expected, timeout=timeout
+    )
+    assemble_chunks(chunks, layout, rank, dtype, local)
+    return layout, local
+
+
+# ---------------------------------------------------------------------------
+# The paths
+# ---------------------------------------------------------------------------
+
+
+class DataPath:
+    """Where the distributed data of one invocation flows.
+
+    Client-side methods take the engine's
+    :class:`~repro.orb.transfer.ClientInvocation`; server-side ones the
+    rank's :class:`~repro.orb.adapter.ServantContext` plus the request.
+    Receives return ``{slot name: (layout, local block)}`` — the engine
+    wraps or installs the sequences.
+    """
+
+    #: The wire name of the method (``RequestMessage.mode``, the
+    #: ``engine=`` span tag, ``proxy.transfer_method``).
+    mode: str = ""
+    #: Does every rank receive its own block from the network?  Then a
+    #: receive failure is one rank's alone and the engines vote on
+    #: delivery; when rank 0 is the only receiver there is nothing to
+    #: vote on, and the vote (a collective per call) never runs.
+    receipt_is_rank_local: bool
+    #: The path an invocation degrades to when this one's data ports
+    #: are unreachable.
+    fallback: "DataPath | None" = None
+
+    #: Body codec of the header frames (request and reply alike):
+    #: ``body_encoder(slots, values)`` / ``decode_body(slots, body)``.
+    body_encoder: Callable[..., Any]
+    decode_body: Callable[..., dict[str, Any]]
+
+    # -- 1. arguments leave the client -----------------------------------
+
+    def stage_arguments(
+        self, inv: "ClientInvocation"
+    ) -> tuple[dict[str, Any], dict[str, Any]]:
+        """Before the header frame: ``(body values, header fields)``
+        (the body is encoded, and the fields used, on rank 0 only)."""
+        raise NotImplementedError
+
+    def ship_arguments(self, inv: "ClientInvocation") -> None:
+        """After the header frame: data that travels outside it.  A
+        :class:`~repro.orb.transport.TransportError` here means the
+        data never reached its owner (``"unreachable"``)."""
+
+    # -- 2. arguments reach the servant ranks ------------------------------
+
+    def receive_arguments(
+        self,
+        ctx: "ServantContext",
+        request: RequestMessage,
+        spec: OperationSpec,
+        slots: list[Slot],
+        decoded: dict[str, Any],
+    ) -> dict[str, Placed]:
+        """``decoded`` is rank 0's decoded header body (empty on the
+        other ranks)."""
+        raise NotImplementedError
+
+    # -- 3. results leave the servant --------------------------------------
+
+    def stage_results(
+        self,
+        ctx: "ServantContext",
+        request: RequestMessage,
+        spec: OperationSpec,
+        results: dict[str, Any],
+        staging: Callable[[str], str],
+    ) -> tuple[dict[str, Any], tuple]:
+        """Before the reply frame: ``(body values, reply dist_layouts)``."""
+        raise NotImplementedError
+
+    def ship_results(
+        self,
+        ctx: "ServantContext",
+        request: RequestMessage,
+        results: dict[str, Any],
+        dist_layouts: tuple,
+        record: Any,
+    ) -> None:
+        """After the reply frame: data that travels outside it
+        (``record`` as in :func:`~repro.orb.transfer.send_chunks`)."""
+
+    # -- 4. results reach the client ranks ---------------------------------
+
+    def receive_results(
+        self,
+        inv: "ClientInvocation",
+        reply: ReplyMessage | None,
+        header: tuple,
+    ) -> tuple[dict[str, Any], dict[str, Placed]]:
+        """``(plain values, placed distributed values)`` on every
+        rank.  ``reply`` is rank 0's reply message, ``header`` the
+        voted ``(status, body or None, dist_layouts)``."""
+        raise NotImplementedError
+
+
+class ThroughRootPath(DataPath):
+    """§3.2: gather → one network frame → scatter."""
+
+    mode = wire.MODE_CENTRALIZED
+    receipt_is_rank_local = False
+
+    body_encoder = staticmethod(full_body_encoder)
+    decode_body = staticmethod(decode_full_body)
+
+    def stage_arguments(self, inv):
+        rt = inv.runtime
+        values = dict(inv.args)
+        for slot in inv.slots:
+            if slot.distributed:
+                values[slot.name] = _gather(
+                    rt.rts, rt.rank, inv.args[slot.name], slot.name,
+                    "client", rt.tracer,
+                )
+        return values, {}
+
+    def receive_arguments(self, ctx, request, spec, slots, decoded):
+        return {
+            slot.name: _scatter(
+                ctx.rts, ctx.rank, decoded.get(slot.name), slot,
+                lambda length, name=slot.name: server_layout(
+                    ctx.templates.get((spec.name, name)), length, ctx.size
+                ),
+                "server", ctx.tracer,
+            )
+            for slot in slots
+            if slot.distributed
+        }
+
+    def stage_results(self, ctx, request, spec, results, staging):
+        values = dict(results)
+        for slot in reply_slots(spec):
+            if slot.distributed:
+                values[slot.name] = _gather(
+                    ctx.rts, ctx.rank, results[slot.name],
+                    staging(slot.name), "server", ctx.tracer,
+                )
+        return values, ()
+
+    def receive_results(self, inv, reply, header):
+        # The bulk reply body stays on rank 0 as a view into the
+        # receive buffer (views do not survive pickling); distributed
+        # values reach the peers by scatter, plain ones by broadcast.
+        rt = inv.runtime
+        slots = reply_slots(inv.spec)
+        values: dict[str, Any] = {}
+        if rt.rank == 0:
+            values = decode_full_body(slots, reply.body)
+            detach_plain_values(slots, values)
+        placed = {
+            slot.name: _scatter(
+                rt.rts, rt.rank, values.get(slot.name), slot,
+                lambda length, slot=slot: reply_layout(
+                    slot, length, inv.layouts.get(slot.name),
+                    inv.out_templates.get(slot.name), rt.size,
+                ),
+                "client", rt.tracer,
+            )
+            for slot in slots
+            if slot.distributed
+        }
+        plain = {s.name: values.get(s.name) for s in slots if not s.distributed}
+        if rt.rts is not None:
+            plain = rt.rts.broadcast(plain, root=0)
+        return plain, placed
+
+
+THROUGH_ROOT = ThroughRootPath()
+
+
+class DirectPath(DataPath):
+    """§3.3: plain-value header, data chunks rank to rank."""
+
+    mode = wire.MODE_MULTIPORT
+    receipt_is_rank_local = True
+    fallback = THROUGH_ROOT
+
+    body_encoder = staticmethod(plain_body_encoder)
+    decode_body = staticmethod(decode_plain_body)
+
+    def stage_arguments(self, inv):
+        # The header records the argument layouts and the preset
+        # out-templates, so the server computes the same schedules.
+        return inv.args, dict(
+            client_data_ports=inv.runtime.data_port_addresses,
+            dist_layouts=tuple(
+                (name, layout.local_lengths())
+                for name, layout in inv.layouts.items()
+            ),
+            out_templates=tuple(sorted(inv.out_templates.items())),
+        )
+
+    def ship_arguments(self, inv):
+        rt, ref = inv.runtime, inv.ref
+        for slot in inv.slots:
+            if not slot.distributed:
+                continue
+            seq: DistributedSequence = inv.args[slot.name]
+            dst_layout = server_layout(
+                ref.template_spec(inv.spec.name, slot.name),
+                seq.length(),
+                ref.nthreads,
+            )
+            send_chunks(
+                rt.data_port,
+                ref.data_ports,
+                transfer_schedule(seq.layout, dst_layout),
+                rt.rank,
+                seq.local_data(),
+                inv.request_id,
+                slot.name,
+                wire.PHASE_REQUEST,
+                rt.tracer,
+            )
+
+    def receive_arguments(self, ctx, request, spec, slots, decoded):
+        placed = {}
+        for slot in slots:
+            if not slot.distributed:
+                continue
+            lengths = request.layout_of(slot.name)
+            if lengths is None:
+                raise RemoteError(
+                    f"request is missing the layout of '{slot.name}'",
+                    category="MARSHAL",
+                )
+            client_layout = Layout.from_local_lengths(lengths)
+            placed[slot.name] = _collect(
+                ctx.collector, request.request_id, slot, wire.PHASE_REQUEST,
+                client_layout,
+                server_layout(
+                    ctx.templates.get((spec.name, slot.name)),
+                    client_layout.length,
+                    ctx.size,
+                ),
+                ctx.rank, ctx.timeout,
+            )
+        return placed
+
+    def stage_results(self, ctx, request, spec, results, staging):
+        # Worked out deterministically on every rank: where each
+        # returned distributed value lives server-side and lands
+        # client-side.
+        dist_layouts = []
+        for slot in reply_slots(spec):
+            if not slot.distributed:
+                continue
+            value: DistributedSequence = results[slot.name]
+            sent = request.layout_of(slot.name)
+            client_layout = reply_layout(
+                slot, value.length(),
+                None if sent is None else Layout.from_local_lengths(sent),
+                request.out_template_of(slot.name),
+                request.client_nthreads,
+            )
+            dist_layouts.append((
+                slot.name,
+                client_layout.local_lengths(),
+                value.layout.local_lengths(),
+            ))
+        return results, tuple(dist_layouts)
+
+    def ship_results(self, ctx, request, results, dist_layouts, record):
+        for name, client_lengths, _server_lengths in dist_layouts:
+            value: DistributedSequence = results[name]
+            send_chunks(
+                ctx.data_port,
+                request.client_data_ports,
+                transfer_schedule(
+                    value.layout, Layout.from_local_lengths(client_lengths)
+                ),
+                ctx.rank,
+                value.local_data(),
+                request.request_id,
+                name,
+                wire.PHASE_REPLY,
+                ctx.tracer,
+                record=record,
+            )
+
+    def receive_results(self, inv, reply, header):
+        # The reply body holds plain values only and rode the vote, so
+        # every rank decodes it; each collects its own chunks.
+        rt = inv.runtime
+        _status, body, reply_layouts = header
+        slots = reply_slots(inv.spec)
+        plain = decode_plain_body(slots, body)
+        detach_plain_values(slots, plain)
+        layouts = {name: pair for name, *pair in reply_layouts}
+        placed = {}
+        for slot in slots:
+            if not slot.distributed:
+                continue
+            if slot.name not in layouts:
+                raise RemoteError(
+                    f"reply is missing the layout of '{slot.name}'",
+                    category="MARSHAL",
+                )
+            layout, src_layout = map(
+                Layout.from_local_lengths, layouts[slot.name]
+            )
+            if layout.nranks != rt.size:
+                raise RemoteError(
+                    f"reply layout of '{slot.name}' spans "
+                    f"{layout.nranks} threads, client has {rt.size}",
+                    category="MARSHAL",
+                )
+            if src_layout.length != layout.length:
+                raise RemoteError(
+                    f"reply layouts of '{slot.name}' disagree on length",
+                    category="MARSHAL",
+                )
+            placed[slot.name] = _collect(
+                rt.collector, inv.request_id, slot, wire.PHASE_REPLY,
+                src_layout, layout, rt.rank,
+                inv.ctl.attempt_timeout() or 60.0,
+            )
+        return plain, placed
+
+
+DIRECT = DirectPath()
+
+_PATHS: dict[str, DataPath] = {p.mode: p for p in (THROUGH_ROOT, DIRECT)}
+
+
+def path_for(method: Any) -> DataPath:
+    """The data path of a transfer method — the one place a name is
+    mapped to a path.
+
+    Accepts a ``transfer=`` string, a :class:`repro.core.TransferMethod`
+    member or a request's ``mode`` (the three share one vocabulary).
+    """
+    try:
+        return _PATHS[getattr(method, "value", method)]
+    except KeyError:
+        raise ValueError(
+            f"unknown transfer method {method!r}; expected "
+            f"'centralized' or 'multiport'"
+        ) from None

@@ -17,7 +17,7 @@ duplicate of the application's, so ORB traffic can never interleave
 with application messages), and a single-threaded invocation worker.
 The worker gives non-blocking invocations (§2.1's futures) a total
 order per rank: because every rank enqueues invocations in the same
-program order, the collective operations inside the transfer engines
+program order, the collective operations inside the invocation engine
 match up across ranks even when the application fires several
 requests before touching any future.
 """
@@ -42,54 +42,24 @@ from repro.groups.failover import (
 from repro.groups.select import GroupView, SelectionError, policy_for
 from repro.orb.operation import OperationSpec, RemoteError
 from repro.orb.reference import GroupReference, ObjectReference
+from repro.orb.datapath import DataPath, path_for
 from repro.orb.transfer import (
-    CentralizedTransfer,
     ChunkCollector,
-    MultiPortTransfer,
     ReplyDemux,
     Tracer,
-    TransferEngine,
+    invoke,
+    invoke_begin,
 )
 from repro.orb.transport import Fabric
+from repro.rts import rts_for
 from repro.rts.futures import Future
 from repro.san import call_site as _san_call_site
 from repro.san import enabled as _san_enabled
 from repro.san.collective import CollectiveChecker
 from repro.san.futures import track as _san_track
 from repro.trace.span import replica_scope, span_or_null
-from repro.rts.interface import MessagePassingRTS, RuntimeSystem
+from repro.rts.interface import RuntimeSystem
 from repro.rts.mpi import Intracomm
-from repro.rts.onesided import OneSidedRTS
-
-
-def make_rts(style: str, comm: Intracomm) -> RuntimeSystem:
-    """Instantiate a run-time-system interface by name.
-
-    ``"message-passing"`` is the paper's implemented interface;
-    ``"one-sided"`` the alternative it plans (§2.3), built on RMA
-    windows.  Both satisfy the same contract, so the transfer engines
-    are oblivious to the choice.  A process-backend
-    :class:`~repro.rts.procs.ProcComm` always gets the shared-memory
-    :class:`~repro.rts.procs.ProcessRTS` data plane, whatever the
-    style — one-sided windows presume thread-shared address space.
-    """
-    from repro.rts.procs import ProcComm, ProcessRTS
-
-    if isinstance(comm, ProcComm):
-        if style not in ("message-passing", "one-sided"):
-            raise ValueError(
-                f"unknown RTS style {style!r}; expected "
-                f"'message-passing' or 'one-sided'"
-            )
-        return ProcessRTS(comm)
-    if style == "message-passing":
-        return MessagePassingRTS(comm)
-    if style == "one-sided":
-        return OneSidedRTS(comm)
-    raise ValueError(
-        f"unknown RTS style {style!r}; expected 'message-passing' or "
-        f"'one-sided'"
-    )
 
 
 class BindMode(enum.Enum):
@@ -97,28 +67,6 @@ class BindMode(enum.Enum):
 
     SERIAL = "bind"
     SPMD = "spmd_bind"
-
-
-_ENGINES: dict[str, TransferEngine] = {
-    "centralized": CentralizedTransfer(),
-    "multiport": MultiPortTransfer(),
-}
-
-
-def engine_for(method) -> TransferEngine:
-    """The shared engine instance for a transfer-method name.
-
-    Accepts either the string name or a
-    :class:`repro.core.TransferMethod` member.
-    """
-    key = getattr(method, "value", method)
-    try:
-        return _ENGINES[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown transfer method {method!r}; expected "
-            f"'centralized' or 'multiport'"
-        ) from None
 
 
 class ClientRuntime:
@@ -177,7 +125,7 @@ class ClientRuntime:
             self.rts: RuntimeSystem | None = None
         else:
             self.orb_comm = comm.dup(f"{label}:orb")
-            self.rts = make_rts(rts_style, self.orb_comm)
+            self.rts = rts_for(self.orb_comm, rts_style)
         #: ``repro.san``: ``sanitize=None`` defers to ``PARDIS_SAN``.
         self.sanitize = (
             _san_enabled() if sanitize is None else bool(sanitize)
@@ -461,7 +409,9 @@ class ClientProxy:
         self._runtime = runtime
         self._ref = ref
         self._mode = mode
-        self._engine = engine_for(transfer)
+        #: Where this binding's argument data flows (the
+        #: ``transfer=`` method, until a degradation swaps it).
+        self._path: DataPath = path_for(transfer)
         #: Per-proxy fault-tolerance policy; ``None`` defers to the
         #: runtime's (ORB-wide) policy.
         self._ft_policy = ft_policy
@@ -645,7 +595,7 @@ class ClientProxy:
     ) -> str:
         if transfer is not None:
             transfer = getattr(transfer, "value", transfer)
-            engine_for(transfer)  # validate early
+            path_for(transfer)  # validate early
             return transfer
         return "multiport" if ref.multiport_capable else "centralized"
 
@@ -666,7 +616,7 @@ class ClientProxy:
 
     @property
     def transfer_method(self) -> str:
-        return self._engine.mode
+        return self._path.mode
 
     def _spec(self, operation: str) -> OperationSpec:
         try:
@@ -759,7 +709,7 @@ class ClientProxy:
         spec = self._spec(operation)
         self._check_serial_args(spec, args)
         runtime = self._runtime
-        engine = self._engine
+        path = self._path
         ref = self._ref
         site = ""
         if runtime.sanitize:
@@ -780,11 +730,12 @@ class ClientProxy:
         if self._group is not None:
             launch = self._group_launch_fn(operation, spec, args, out_map)
         else:
-            launch = lambda: engine.invoke_begin(  # noqa: E731
+            launch = lambda: invoke_begin(  # noqa: E731
                 runtime,
                 ref,
                 spec,
                 args,
+                path,
                 out_templates=out_map,
                 ft_policy=self._ft_policy,
                 on_degrade=self._on_degrade,
@@ -844,7 +795,6 @@ class ClientProxy:
         binding = self._group
 
         def launch() -> tuple[str, Any]:
-            engine = self._engine
             replica_id = binding.current_replica()
             trace_id = (
                 runtime.next_request_id()
@@ -852,11 +802,12 @@ class ClientProxy:
                 else None
             )
             with replica_scope(replica_id):
-                state, payload = engine.invoke_begin(
+                state, payload = invoke_begin(
                     runtime,
                     binding.current_ref(),
                     spec,
                     args,
+                    self._path,
                     out_templates=out_map,
                     ft_policy=self._ft_policy,
                     on_degrade=self._on_degrade,
@@ -977,11 +928,12 @@ class ClientProxy:
                 ref = binding.current_ref()
             try:
                 with replica_scope(replica_id):
-                    return self._engine.invoke(
+                    return invoke(
                         runtime,
                         ref,
                         spec,
                         args,
+                        self._path,
                         out_templates=out_map,
                         ft_policy=self._ft_policy,
                         on_degrade=self._on_degrade,
@@ -991,11 +943,11 @@ class ClientProxy:
                 last = nexc
                 attempt_replica = replica_id
 
-    def _on_degrade(self) -> None:
+    def _on_degrade(self, fallback: DataPath) -> None:
         """Multi-port graceful degradation (engine callback, every
         rank): subsequent invocations go centralized directly instead
         of rediscovering the dead data path each time."""
-        self._engine = engine_for("centralized")
+        self._path = fallback
 
     def __repr__(self) -> str:
         if self._group is not None:
@@ -1003,9 +955,9 @@ class ClientProxy:
                 f"<proxy {self._interface} -> group "
                 f"'{self._group.group_name}' replica "
                 f"{self._group.current_replica()} "
-                f"[{self._mode.value}, {self._engine.mode}]>"
+                f"[{self._mode.value}, {self._path.mode}]>"
             )
         return (
             f"<proxy {self._interface} -> '{self._ref.object_key}' "
-            f"[{self._mode.value}, {self._engine.mode}]>"
+            f"[{self._mode.value}, {self._path.mode}]>"
         )

@@ -1,27 +1,24 @@
-"""The two distributed-argument transfer methods (paper §3).
+"""Distributed-argument transfer (paper §3): the client invocation
+engine and the machinery both transfer methods share.
 
-Both engines implement the same invocation contract over different
-message patterns:
+The two methods run one invocation contract.  Each side designates a
+*communicating thread* (rank 0); on invocation the client's threads
+synchronize, the invocation header travels between the communicating
+threads — "sending the invocation to every computing thread … could
+lead to contention between different invoking clients" (§3.3) — all
+server threads execute, synchronize, and one reply comes back.
+:func:`invoke_begin` spells that sequence once for the client
+(``_ServerEngine`` in :mod:`repro.orb.adapter` does for the server),
+parameterised by a :class:`~repro.orb.datapath.DataPath` that decides
+where the argument *data* flows: **centralized** (§3.2, Figure 2:
+gathered to rank 0, one network message, scattered) or **multi-port**
+(§3.3, Figure 3: chunks straight between the owning threads' ports).
 
-**Centralized** (§3.2, Figure 2) — each side designates a
-*communicating thread* (rank 0).  On invocation the client's threads
-synchronize, distributed arguments are *gathered* to the communicating
-thread over the RTS, and the whole request — header plus all argument
-data — crosses the network as **one message**.  The server's
-communicating thread unmarshals, *scatters* distributed arguments over
-the RTS, all threads execute, results are gathered back and returned
-in one reply message.
+This module also holds what both paths build on: value slots and the
+body codecs, chunk collection and reply demultiplexing, gather
+staging, and the per-invocation fault-tolerance control.
 
-**Multi-port** (§3.3, Figure 3) — every computing thread of the object
-opens its own network port (advertised in the object reference).  The
-invocation header still travels centralized — "sending the invocation
-to every computing thread … could lead to contention between different
-invoking clients" — but argument data flows directly thread-to-thread:
-each client thread computes, from the client-side and server-side
-distribution templates, exactly which server threads its local block
-overlaps, and ships those chunks straight to the owning threads.
-
-Servant/result convention shared by both engines
+Servant/result convention shared by both methods
 ------------------------------------------------
 
 A servant method receives one value per ``in``/``inout`` parameter, in
@@ -43,7 +40,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -51,12 +48,7 @@ from repro.cdr.accounting import copied
 from repro.cdr.decoder import CdrDecoder
 from repro.cdr.encoder import CdrEncoder
 from repro.cdr.typecodes import DSequenceTC, MarshalError, TypeCode, TC_VOID
-from repro.dist import (
-    BlockTemplate,
-    DistributedSequence,
-    Layout,
-    transfer_schedule,
-)
+from repro.dist import BlockTemplate, DistributedSequence, Layout
 from repro.dist.schedule import TransferStep
 from repro.ft.agreement import agree, agree_failure
 from repro.ft.policy import (
@@ -87,6 +79,10 @@ from repro.orb.transport import (
 )
 from repro.trace.span import span_or_null
 
+if TYPE_CHECKING:
+    from repro.orb.datapath import DataPath
+    from repro.orb.proxy import ClientRuntime
+
 _NATIVE_LITTLE = sys.byteorder == "little"
 
 #: Name used for a distributed return value in layouts and chunks.
@@ -96,8 +92,8 @@ RETURN_SLOT = "__return__"
 class Tracer:
     """Collects protocol events for the Figure 2/3 pattern tests.
 
-    Events are tuples ``(event, *detail)``; see the engines for the
-    vocabulary ('rts-gather', 'rts-scatter', 'net-request',
+    Events are tuples ``(event, *detail)``; see the engines and
+    :mod:`repro.orb.datapath` for the vocabulary ('rts-gather', 'rts-scatter', 'net-request',
     'net-reply', 'net-chunk', 'sync').
     """
 
@@ -116,10 +112,6 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self.events.clear()
-
-
-def _single_rank_layout(length: int) -> Layout:
-    return Layout(((0, length),))
 
 
 def server_layout(
@@ -601,15 +593,8 @@ def full_body_encoder(
     return enc
 
 
-def encode_full_body(
-    slots: list[Slot], values: dict[str, Any]
-) -> bytes:
-    """Flattened form of :func:`full_body_encoder`."""
-    return full_body_encoder(slots, values).getvalue()
-
-
 def decode_full_body(slots: list[Slot], body: Any) -> dict[str, Any]:
-    """Inverse of :func:`encode_full_body`.  Numeric sequences come
+    """Inverse of :func:`full_body_encoder`.  Numeric sequences come
     back as read-only views into ``body``'s buffer."""
     dec = CdrDecoder(body)
     return {slot.name: dec.read(slot.typecode) for slot in slots}
@@ -716,7 +701,7 @@ def staging_array(name: str, length: int, dtype: np.dtype) -> np.ndarray:
 
 
 class _FtInvocation:
-    """Per-invocation retry/deadline state shared by both engines.
+    """Per-invocation retry/deadline state of the client engine.
 
     Every decision here is a pure function of (canonical failure,
     attempt count, policy) — plus this rank's clock only for *filing*
@@ -727,7 +712,7 @@ class _FtInvocation:
 
     def __init__(
         self,
-        runtime: "ClientRuntimeLike",
+        runtime: "ClientRuntime",
         spec: OperationSpec,
         policy: Any,
         request_id: int,
@@ -743,7 +728,7 @@ class _FtInvocation:
         #: since all ranks share one request-id sequence — and is
         #: passed through explicitly when degradation re-issues the
         #: invocation under a fresh request id.
-        self.trace = getattr(runtime, "trace", None)
+        self.trace = runtime.trace
         if trace_id is None:
             trace_id = request_id if self.trace is not None else 0
         self.trace_id = trace_id
@@ -753,9 +738,8 @@ class _FtInvocation:
         # The invocation's position in the runtime's collective
         # sequence; drawn at launch, in program order, so it is
         # identical on every rank and stable across retries.
-        draw = getattr(runtime, "next_collective_index", None)
-        self.collective_index = draw() if draw is not None else 0
-        self.stats = getattr(runtime, "ft_stats", None)
+        self.collective_index = runtime.next_collective_index()
+        self.stats = runtime.ft_stats
 
     # -- local clock (pre-vote only) -------------------------------------
 
@@ -815,8 +799,7 @@ class _FtInvocation:
 
     def before_retry(self) -> None:
         self.attempts += 1
-        if self.stats is not None:
-            self.stats.bump("retries")
+        self.stats.bump("retries")
         delay = self.policy.backoff_seconds(
             self.attempts, self.request_id
         )
@@ -824,12 +807,11 @@ class _FtInvocation:
             time.sleep(delay)
 
     def note_agreement(self) -> None:
-        if self.stats is not None and self.runtime.rts is not None:
+        if self.runtime.rts is not None:
             self.stats.bump("agreements")
 
     def note_degraded(self) -> None:
-        if self.stats is not None:
-            self.stats.bump("degraded")
+        self.stats.bump("degraded")
 
     def raise_failure(self, failure: Failure) -> None:
         if self.policy is None:
@@ -841,12 +823,11 @@ class _FtInvocation:
             collective_index=self.collective_index,
             attempts=self.attempts,
         )
-        if self.stats is not None:
-            self.stats.bump(
-                "deadline_exceeded"
-                if isinstance(exc, DeadlineExceeded)
-                else "retries_exhausted"
-            )
+        self.stats.bump(
+            "deadline_exceeded"
+            if isinstance(exc, DeadlineExceeded)
+            else "retries_exhausted"
+        )
         raise exc
 
 
@@ -862,346 +843,277 @@ def _retryable_remote(
     return failure if policy.is_retryable(failure) else None
 
 
+
 # ---------------------------------------------------------------------------
-# Client-side engines
+# The client invocation engine
 # ---------------------------------------------------------------------------
 
 
-class TransferEngine:
-    """Common client-side machinery; subclasses set the mode and the
-    argument paths."""
+@dataclass
+class ClientInvocation:
+    """What the engine and its data path share about one invocation."""
 
-    mode: str = ""
+    runtime: "ClientRuntime"
+    ref: ObjectReference
+    spec: OperationSpec
+    #: The request slots, and the caller's arguments by slot name.
+    slots: list[Slot]
+    args: dict[str, Any]
+    #: Layouts the distributed arguments were launched with, by name.
+    layouts: dict[str, Layout]
+    #: Preset template specs of out/return values, by slot name.
+    out_templates: dict[str, tuple]
+    request_id: int
+    ctl: _FtInvocation
 
-    # -- helpers shared by both methods ----------------------------------
 
-    @staticmethod
-    def _check_dseq_arg(
-        slot: Slot, value: Any, runtime: "ClientRuntimeLike"
-    ) -> DistributedSequence:
-        if not isinstance(value, DistributedSequence):
-            raise TypeError(
-                f"parameter '{slot.name}' is a distributed sequence; "
-                f"pass a DistributedSequence, not {type(value).__name__}"
-            )
-        expected = runtime.size
-        actual = 1 if value.comm is None else value.comm.size
-        if actual != expected:
-            raise ValueError(
-                f"argument '{slot.name}' is distributed over {actual} "
-                f"threads but the client group has {expected}"
-            )
-        tc: DSequenceTC = slot.typecode  # type: ignore[assignment]
-        if tc.bound is not None and value.length() > tc.bound:
-            raise MarshalError(
-                f"argument '{slot.name}' has {value.length()} elements, "
-                f"over the IDL bound {tc.bound}"
-            )
-        if value.dtype != tc.element_dtype:
-            raise MarshalError(
-                f"argument '{slot.name}' has dtype {value.dtype}, the "
-                f"IDL element type is {tc.element_dtype}"
-            )
-        return value
+def _check_dseq_arg(
+    slot: Slot, value: Any, runtime: "ClientRuntime"
+) -> DistributedSequence:
+    if not isinstance(value, DistributedSequence):
+        raise TypeError(
+            f"parameter '{slot.name}' is a distributed sequence; "
+            f"pass a DistributedSequence, not {type(value).__name__}"
+        )
+    expected = runtime.size
+    actual = 1 if value.comm is None else value.comm.size
+    if actual != expected:
+        raise ValueError(
+            f"argument '{slot.name}' is distributed over {actual} "
+            f"threads but the client group has {expected}"
+        )
+    tc: DSequenceTC = slot.typecode  # type: ignore[assignment]
+    if tc.bound is not None and value.length() > tc.bound:
+        raise MarshalError(
+            f"argument '{slot.name}' has {value.length()} elements, "
+            f"over the IDL bound {tc.bound}"
+        )
+    if value.dtype != tc.element_dtype:
+        raise MarshalError(
+            f"argument '{slot.name}' has dtype {value.dtype}, the "
+            f"IDL element type is {tc.element_dtype}"
+        )
+    return value
 
-    @staticmethod
-    def _client_reply_layout(
-        slot: Slot,
-        new_length: int,
-        args_by_name: dict[str, Any],
-        runtime: "ClientRuntimeLike",
-        out_templates: dict[str, tuple],
-    ) -> Layout:
-        """Where a returned distributed value lands on the client.
 
-        An inout keeps its layout (resized if the server changed the
-        length); an out or return value follows the template the
-        caller preset, defaulting to uniform blockwise (§2.2: "an
-        'out' argument should be initialized by a distribution
-        template before calling the operation which returns it;
-        otherwise a uniform blockwise distribution will be assumed").
+def _install_reply_sequence(
+    slot: Slot,
+    layout: Layout,
+    local: np.ndarray,
+    inv: ClientInvocation,
+) -> DistributedSequence | None:
+    """In-place update for inout; fresh sequence for out/return."""
+    tc: DSequenceTC = slot.typecode  # type: ignore[assignment]
+    local = np.ascontiguousarray(local, dtype=tc.element_dtype)
+    if slot.param is not None and slot.param.direction.sends:
+        seq: DistributedSequence = inv.args[slot.name]
+        seq._layout = layout
+        seq._local = local
+        return None
+    return DistributedSequence(
+        layout.length,
+        dtype=tc.element_dtype,
+        comm=inv.runtime.app_comm,
+        _layout=layout,
+        _local=local,
+    )
+
+
+def invoke(
+    runtime: "ClientRuntime",
+    ref: ObjectReference,
+    spec: OperationSpec,
+    args: tuple,
+    path: "DataPath",
+    out_templates: dict[str, tuple] | None = None,
+    ft_policy: Any = None,
+    on_degrade: Any = None,
+    trace_id: int | None = None,
+) -> Any:
+    """One complete invocation: send, then wait for the reply."""
+    kind, payload = invoke_begin(
+        runtime, ref, spec, args, path, out_templates,
+        ft_policy=ft_policy, on_degrade=on_degrade, trace_id=trace_id,
+    )
+    return payload if kind == "done" else payload()
+
+
+def invoke_begin(
+    runtime: "ClientRuntime",
+    ref: ObjectReference,
+    spec: OperationSpec,
+    args: tuple,
+    path: "DataPath",
+    out_templates: dict[str, tuple] | None = None,
+    ft_policy: Any = None,
+    on_degrade: Any = None,
+    trace_id: int | None = None,
+) -> tuple[str, Any]:
+    """The client side of an invocation, by either transfer method:
+    put the request on the wire; defer the reply.
+
+    This function is the one place the client's stage sequence is
+    spelled — checks, pre-invoke synchronization, request id, send
+    phase, then (deferred) the retrying wait → vote → deliver loop and
+    the post-invoke synchronization.  Where the argument data flows is
+    ``path``'s business (:mod:`repro.orb.datapath`).
+
+    Returns ``("done", value)`` when the invocation finished outright
+    (oneway), else ``("pending", complete)`` where ``complete()``
+    receives the reply and composes the result.  The pipelined
+    invocation worker calls ``invoke_begin`` for request N+1 as soon
+    as request N's send phase returned, overlapping the network
+    round-trips; completions run in launch order, so the collective
+    phases inside ``complete`` stay in program order on every rank.
+
+    ``ft_policy`` overrides the runtime's fault-tolerance policy for
+    this invocation; ``on_degrade(fallback)`` is called (once, on every
+    rank) if the invocation falls back to another data path midway.
+    """
+    if path.receipt_is_rank_local and not ref.multiport_capable:
+        raise RemoteError(
+            f"object '{ref.object_key}' does not advertise data "
+            f"ports; multi-port transfer is unavailable",
+            category="NO_RESOURCES",
+        )
+    slots = request_slots(spec)
+    if len(args) != len(slots):
+        raise TypeError(
+            f"{spec.name}() takes {len(slots)} arguments, got {len(args)}"
+        )
+    by_name = dict(zip((s.name for s in slots), args))
+    layouts = {
+        s.name: _check_dseq_arg(s, by_name[s.name], runtime).layout
+        for s in slots
+        if s.distributed
+    }
+    tracer = runtime.tracer
+    rts = runtime.rts
+    root = runtime.rank == 0
+    # "On invocation, the computing threads of the client first
+    # synchronize, marshal arguments and then the request is sent to
+    # the server" (§3.2).
+    if rts is not None:
+        if tracer:
+            tracer.emit("sync", "client", "pre-invoke")
+        rts.synchronize()
+    request_id = runtime.next_request_id()
+    ctl = _FtInvocation(
+        runtime, spec, effective_policy(ft_policy, runtime), request_id,
+        trace_id=trace_id,
+    )
+    inv = ClientInvocation(
+        runtime, ref, spec, slots, by_name, layouts, out_templates or {},
+        request_id, ctl,
+    )
+    trace = ctl.trace
+    span_kw = dict(trace_id=ctl.trace_id, side="client", rank=runtime.rank)
+    inv_span = span_or_null(
+        trace, "invoke", op=spec.name, engine=path.mode,
+        request_id=request_id, **span_kw,
+    )
+    # A rank records a send stage only when it has work in it: every
+    # rank gathers on a path that funnels data through rank 0, every
+    # rank ships on one with rank-local receipt; rank 0 always encodes
+    # and sends the header (§3.3: "delivered using the centralized
+    # method").
+    direct = path.receipt_is_rank_local
+
+    def send_phase() -> Failure | None:
+        """One full send: the header frame plus whatever data the path
+        moves outside it.
+
+        Re-run verbatim on retry, under the same request id (the
+        server's reply cache dedups the header, its collectors dedup
+        re-delivered chunk ranges).  A send-side transport error is
+        *filed*, not raised — it surfaces at the agreement vote in
+        ``complete`` so all ranks handle it at the same collective
+        point.  Past the header frame a failure is ``"unreachable"``:
+        the data never reached the owning server thread, so the group
+        may degrade to the fallback path under a fresh id without
+        risking double execution.
         """
-        if slot.param is not None and slot.param.direction.sends:
-            original: DistributedSequence = args_by_name[slot.name]
-            return original.layout.resized(new_length)
-        template = template_from_spec(out_templates.get(slot.name))
-        return (template or BlockTemplate()).layout(
-            new_length, runtime.size
+        enc_span = span_or_null(
+            trace if root or not direct else None, "encode",
+            op=spec.name, **span_kw,
         )
-
-    @staticmethod
-    def _install_reply_sequence(
-        slot: Slot,
-        layout: Layout,
-        local: np.ndarray,
-        args_by_name: dict[str, Any],
-        runtime: "ClientRuntimeLike",
-    ) -> DistributedSequence | None:
-        """In-place update for inout; fresh sequence for out/return."""
-        tc: DSequenceTC = slot.typecode  # type: ignore[assignment]
-        if slot.param is not None and slot.param.direction.sends:
-            seq: DistributedSequence = args_by_name[slot.name]
-            seq._layout = layout
-            seq._local = np.ascontiguousarray(local, dtype=tc.element_dtype)
-            return None
-        return DistributedSequence(
-            layout.length,
-            dtype=tc.element_dtype,
-            comm=runtime.app_comm,
-            _layout=layout,
-            _local=np.ascontiguousarray(local, dtype=tc.element_dtype),
-        )
-
-    @staticmethod
-    def _raise_for_status(
-        spec: OperationSpec, status: int, body: bytes
-    ) -> None:
-        if status == wire.STATUS_OK:
-            return
-        if status == wire.STATUS_USER_EXCEPTION:
-            raise decode_user_exception(spec, body)
-        raise decode_system_exception(body)
-
-    def invoke(
-        self,
-        runtime: "ClientRuntimeLike",
-        ref: ObjectReference,
-        spec: OperationSpec,
-        args: tuple,
-        out_templates: dict[str, tuple] | None = None,
-        ft_policy: Any = None,
-        on_degrade: Any = None,
-        trace_id: int | None = None,
-    ) -> Any:
-        """One complete invocation: send, then wait for the reply."""
-        kind, payload = self.invoke_begin(
-            runtime,
-            ref,
-            spec,
-            args,
-            out_templates,
-            ft_policy=ft_policy,
-            on_degrade=on_degrade,
-            trace_id=trace_id,
-        )
-        if kind == "done":
-            return payload
-        return payload()
-
-    def invoke_begin(
-        self,
-        runtime: "ClientRuntimeLike",
-        ref: ObjectReference,
-        spec: OperationSpec,
-        args: tuple,
-        out_templates: dict[str, tuple] | None = None,
-        ft_policy: Any = None,
-        on_degrade: Any = None,
-        trace_id: int | None = None,
-    ) -> tuple[str, Any]:
-        """Put the request on the wire; defer the reply.
-
-        Returns ``("done", value)`` when the invocation finished
-        outright (oneway), else ``("pending", complete)`` where
-        ``complete()`` receives the reply and composes the result.
-        The pipelined invocation worker calls ``invoke_begin`` for
-        request N+1 as soon as request N's send phase returned,
-        overlapping the network round-trips; completions run in launch
-        order, so the collective phases inside ``complete`` stay in
-        program order on every rank.
-
-        ``ft_policy`` overrides the runtime's fault-tolerance policy
-        for this invocation; ``on_degrade`` is called (once, on every
-        rank) if the multi-port engine falls back to the centralized
-        method mid-invocation.
-        """
-        raise NotImplementedError
-
-
-class CentralizedTransfer(TransferEngine):
-    """§3.2: gather → one network message → scatter."""
-
-    mode = wire.MODE_CENTRALIZED
-
-    def invoke_begin(
-        self,
-        runtime: "ClientRuntimeLike",
-        ref: ObjectReference,
-        spec: OperationSpec,
-        args: tuple,
-        out_templates: dict[str, tuple] | None = None,
-        ft_policy: Any = None,
-        on_degrade: Any = None,
-        trace_id: int | None = None,
-    ) -> tuple[str, Any]:
-        tracer = runtime.tracer
-        req_slots = request_slots(spec)
-        if len(args) != len(req_slots):
-            raise TypeError(
-                f"{spec.name}() takes {len(req_slots)} arguments, got "
-                f"{len(args)}"
-            )
-        args_by_name = dict(zip((s.name for s in req_slots), args))
-        rts = runtime.rts
-        # "On invocation, the computing threads of the client first
-        # synchronize, marshal arguments and then the request is sent
-        # to the server as one message."
-        if rts is not None:
-            if tracer:
-                tracer.emit("sync", "client", "pre-invoke")
-            rts.synchronize()
-        request_id = runtime.next_request_id()
-        ctl = _FtInvocation(
-            runtime, spec, effective_policy(ft_policy, runtime), request_id,
-            trace_id=trace_id,
-        )
-        trace, trace_id = ctl.trace, ctl.trace_id
-        inv_span = span_or_null(
-            trace, "invoke", trace_id=trace_id, side="client",
-            rank=runtime.rank, op=spec.name, engine=self.mode,
-            request_id=request_id,
-        )
-
-        def send_phase() -> Failure | None:
-            """One full send: gathers plus the network message.
-
-            Re-run verbatim on retry (under the same request id).  A
-            send-side transport error is *filed*, not raised — it
-            surfaces at the agreement vote in ``complete`` so all
-            ranks handle it at the same collective point.
-            """
-            enc_span = span_or_null(
-                trace, "encode", trace_id=trace_id, side="client",
-                rank=runtime.rank, op=spec.name,
-            )
-            # Gather distributed arguments onto the communicating
-            # thread.
-            gathered: dict[str, np.ndarray | None] = {}
-            for slot in req_slots:
-                if not slot.distributed:
-                    continue
-                seq = self._check_dseq_arg(
-                    slot, args_by_name[slot.name], runtime
-                )
-                if rts is None:
-                    gathered[slot.name] = seq.local_data()
-                    continue
-                steps = transfer_schedule(
-                    seq.layout, _single_rank_layout(seq.length())
-                )
-                if tracer:
-                    for step in steps:
-                        if step.src_rank != 0:
-                            tracer.emit(
-                                "rts-gather", "client", step.src_rank, 0,
-                                step.nelems,
-                            )
-                gathered[slot.name] = rts.gather_chunks(
-                    seq.local_data(),
-                    steps,
-                    root=0,
-                    out=(
-                        staging_array(slot.name, seq.length(), seq.dtype)
-                        if runtime.rank == 0
-                        else None
-                    ),
-                )
-
-            if runtime.rank != 0:
-                enc_span.end()
-                return None
-            values = {
-                s.name: (
-                    gathered[s.name] if s.distributed
-                    else args_by_name[s.name]
-                )
-                for s in req_slots
-            }
-            body = full_body_encoder(req_slots, values)
-            enc_span.note(nbytes=len(body)).end()
+        values, header_fields = path.stage_arguments(inv)
+        if root:
+            body = path.body_encoder(slots, values)
             message = RequestMessage(
                 request_id=request_id,
-                trace_id=trace_id,
+                trace_id=ctl.trace_id,
                 object_key=ref.object_key,
                 operation=spec.name,
-                mode=self.mode,
+                mode=path.mode,
                 oneway=spec.oneway,
                 reply_port=(
                     None if spec.oneway else runtime.reply_port.address
                 ),
                 client_nthreads=runtime.size,
                 body=body,
+                **header_fields,
             )
-            if tracer:
-                tracer.emit("net-request", self.mode, spec.name, len(body))
-            xfer_span = span_or_null(
-                trace, "transfer", trace_id=trace_id, side="client",
-                rank=runtime.rank, nbytes=len(body),
-            )
-            try:
+            enc_span.note(nbytes=len(body))
+        enc_span.end()
+        xfer_span = span_or_null(
+            trace if root or direct else None, "transfer", **span_kw
+        )
+        kind = "transport"
+        try:
+            if root:
+                if tracer:
+                    tracer.emit(
+                        "net-request", path.mode, spec.name, len(body)
+                    )
+                xfer_span.note(nbytes=len(body))
                 runtime.reply_port.send(
                     ref.request_port,
                     message.encode_segments(),
                     KIND_REQUEST,
                 )
-            except TransportError as exc:
-                xfer_span.note(error=str(exc)).end()
-                if spec.oneway:
-                    raise
-                return Failure(
-                    "transport", "COMM_FAILURE", str(exc),
-                    rank=runtime.rank,
-                )
-            xfer_span.end()
-            return None
-
-        first_failure = send_phase()
-        if spec.oneway:
-            if rts is not None:
-                rts.synchronize()
-            inv_span.end()
-            return ("done", None)
-
-        def complete() -> Any:
-            try:
-                result = self._complete_ft(
-                    runtime, spec, request_id, args_by_name, tracer,
-                    out_templates or {}, ctl, first_failure, send_phase,
-                )
-            except BaseException as exc:
-                runtime.demux.discard(request_id)
-                inv_span.note(error=repr(exc)).end()
+            kind = "unreachable"
+            path.ship_arguments(inv)
+        except TransportError as exc:
+            xfer_span.note(error=str(exc)).end()
+            if spec.oneway:
                 raise
-            inv_span.note(attempts=ctl.attempts).end()
-            return result
+            return Failure(
+                kind, "COMM_FAILURE", str(exc), rank=runtime.rank
+            )
+        xfer_span.end()
+        return None
 
-        return ("pending", complete)
+    first_failure = send_phase()
+    if spec.oneway:
+        if rts is not None:
+            rts.synchronize()
+        inv_span.end()
+        return ("done", None)
 
-    def _complete_ft(
-        self,
-        runtime: "ClientRuntimeLike",
-        spec: OperationSpec,
-        request_id: int,
-        args_by_name: dict[str, Any],
-        tracer: Tracer | None,
-        out_templates: dict[str, tuple],
-        ctl: _FtInvocation,
-        first_failure: Failure | None,
-        send_phase: Any,
-    ) -> Any:
-        """The retrying reply loop: wait, vote, deliver or re-send."""
-        rts = runtime.rts
+    def retire() -> None:
+        """Late or duplicated frames for the id are dropped on arrival
+        from now on, instead of piling up."""
+        runtime.demux.discard(request_id)
+        runtime.collector.discard(request_id)
+
+    def attempt() -> Any:
+        """The retrying reply loop: wait, vote, deliver or re-send.
+
+        Stage 1 votes on the reply header (rank 0's receive).  With
+        rank-local receipt a stage 2 votes on delivery (every rank
+        received on its own data port); received data is only installed
+        into argument sequences after it succeeds, so a failed attempt
+        never leaves a rank's ``inout`` arguments half-updated.
+        """
         pending = first_failure
         while True:
-            local = pending
-            pending = None
-            reply = None
-            header = None
+            local, pending = pending, None
+            reply = header = None
             reply_span = span_or_null(
-                ctl.trace, "reply", trace_id=ctl.trace_id, side="client",
-                rank=runtime.rank, attempt=ctl.attempts,
+                trace, "reply", attempt=ctl.attempts, **span_kw
             )
-            if local is None and runtime.rank == 0:
+            if local is None and root:
                 try:
                     reply = runtime.demux.wait(
                         request_id, timeout=ctl.attempt_timeout()
@@ -1215,537 +1127,110 @@ class CentralizedTransfer(TransferEngine):
                 else:
                     if tracer:
                         tracer.emit(
-                            "net-reply", self.mode, len(reply.body)
+                            "net-reply", path.mode, len(reply.body)
                         )
-                    status = reply.status
-                    error_body = (
-                        None
-                        if status == wire.STATUS_OK
-                        else bytes(reply.body)
-                    )
+                    # The body rides the vote when every rank needs it:
+                    # an exception to raise, or (rank-local receipt) the
+                    # plain values, which are all it then holds — a
+                    # small bytes copy makes it voteable.
+                    body = None
+                    if direct or reply.status != wire.STATUS_OK:
+                        body = bytes(reply.body)
+                        copied(len(body))
                     local = _retryable_remote(
-                        ctl.policy, status, error_body
+                        ctl.policy, reply.status, body
                     )
                     if local is None:
-                        header = (status, error_body)
+                        header = (reply.status, body, reply.dist_layouts)
             # Agreement: the vote that carries rank 0's header on
             # success, and elects the canonical failure otherwise, so
             # all ranks leave this point with the same next move.
             failure, header = agree(rts, local, header)
             ctl.note_agreement()
             if failure is None:
-                result = self._deliver_reply(
-                    runtime, spec, reply, header, args_by_name, tracer,
-                    out_templates,
-                )
-                # Retire the id: a duplicated late reply frame must
-                # not pile up in the demux forever.
-                runtime.demux.discard(request_id)
-                reply_span.end()
-                return result
-            reply_span.note(failure=failure.kind).end()
-            if ctl.next_action(failure) == "retry":
-                with span_or_null(
-                    ctl.trace, "retry", trace_id=ctl.trace_id,
-                    side="client", rank=runtime.rank,
-                    attempt=ctl.attempts + 1, failure=failure.kind,
-                ):
-                    ctl.before_retry()
-                    pending = send_phase()
-                continue
-            ctl.raise_failure(failure)
-
-    def _deliver_reply(
-        self,
-        runtime: "ClientRuntimeLike",
-        spec: OperationSpec,
-        reply: ReplyMessage | None,
-        header: tuple[int, bytes | None],
-        args_by_name: dict[str, Any],
-        tracer: Tracer | None,
-        out_templates: dict[str, tuple],
-    ) -> Any:
-        rts = runtime.rts
-        rep_slots = reply_slots(spec)
-        # The communicating thread decodes; peers learned the status
-        # (and, on failure, the small exception body) from the
-        # agreement vote — the bulk reply body stays on rank 0 as a
-        # view into the receive buffer and reaches the peers by
-        # scatter; views do not survive pickling.
-        status, error_body = header
-        if status != wire.STATUS_OK:
-            self._raise_for_status(spec, status, error_body)
-        if runtime.rank == 0:
-            values = decode_full_body(rep_slots, reply.body)
-            detach_plain_values(rep_slots, values)
-        else:
-            values = {}
-
-        composed: list[Any] = []
-        for slot in rep_slots:
-            if not slot.distributed:
-                continue
-            full = values.get(slot.name)
-            length = len(full) if runtime.rank == 0 else 0
-            if rts is not None:
-                length = rts.broadcast(length, root=0)
-            layout = self._client_reply_layout(
-                slot, length, args_by_name, runtime, out_templates
-            )
-            local = np.zeros(
-                layout.local_length(runtime.rank),
-                dtype=slot.typecode.element_dtype,  # type: ignore[attr-defined]
-            )
-            if rts is None:
-                copied(local.nbytes)
-                local[:] = full
-            else:
-                steps = transfer_schedule(
-                    _single_rank_layout(length), layout
-                )
-                if tracer and runtime.rank == 0:
-                    for step in steps:
-                        if step.dst_rank != 0:
-                            tracer.emit(
-                                "rts-scatter", "client", 0, step.dst_rank,
-                                step.nelems,
-                            )
-                rts.scatter_chunks(
-                    np.asarray(full) if runtime.rank == 0 else None,
-                    steps,
-                    root=0,
-                    out=local,
-                )
-            values[slot.name] = self._install_reply_sequence(
-                slot, layout, local, args_by_name, runtime
-            )
-
-        if rts is not None:
-            plain = {
-                s.name: values.get(s.name)
-                for s in rep_slots
-                if not s.distributed
-            }
-            plain = rts.broadcast(plain, root=0)
-            values.update(plain)
-            if tracer:
-                tracer.emit("sync", "client", "post-invoke")
-            rts.synchronize()
-        return compose(
-            [values[s.name] for s in produced_slots(spec)]
-        )
-
-
-class MultiPortTransfer(TransferEngine):
-    """§3.3: centralized header, direct thread-to-thread data."""
-
-    mode = wire.MODE_MULTIPORT
-
-    def invoke_begin(
-        self,
-        runtime: "ClientRuntimeLike",
-        ref: ObjectReference,
-        spec: OperationSpec,
-        args: tuple,
-        out_templates: dict[str, tuple] | None = None,
-        ft_policy: Any = None,
-        on_degrade: Any = None,
-        trace_id: int | None = None,
-    ) -> tuple[str, Any]:
-        if not ref.multiport_capable:
-            raise RemoteError(
-                f"object '{ref.object_key}' does not advertise data "
-                f"ports; multi-port transfer is unavailable",
-                category="NO_RESOURCES",
-            )
-        tracer = runtime.tracer
-        req_slots = request_slots(spec)
-        if len(args) != len(req_slots):
-            raise TypeError(
-                f"{spec.name}() takes {len(req_slots)} arguments, got "
-                f"{len(args)}"
-            )
-        args_by_name = dict(zip((s.name for s in req_slots), args))
-        rts = runtime.rts
-        if rts is not None:
-            if tracer:
-                tracer.emit("sync", "client", "pre-invoke")
-            rts.synchronize()
-        request_id = runtime.next_request_id()
-        ctl = _FtInvocation(
-            runtime, spec, effective_policy(ft_policy, runtime), request_id,
-            trace_id=trace_id,
-        )
-        trace, trace_id = ctl.trace, ctl.trace_id
-        inv_span = span_or_null(
-            trace, "invoke", trace_id=trace_id, side="client",
-            rank=runtime.rank, op=spec.name, engine=self.mode,
-            request_id=request_id,
-        )
-
-        # Validate distributed arguments and record their layouts in
-        # the header, so the server can compute the same schedules.
-        dist_layouts = []
-        for slot in req_slots:
-            if not slot.distributed:
-                continue
-            seq = self._check_dseq_arg(slot, args_by_name[slot.name], runtime)
-            dist_layouts.append((slot.name, seq.layout.local_lengths()))
-
-        def send_phase() -> Failure | None:
-            """One full send: header plus this rank's chunks.
-
-            Re-run verbatim on retry (same request id — the server's
-            collector dedups re-delivered chunk ranges, its reply
-            cache dedups the header).  Failures are *filed* for the
-            agreement vote in ``complete``, with one distinction: a
-            chunk-send failure is ``"unreachable"`` — the data never
-            reached the owning server thread, so the group may degrade
-            to the centralized method under a fresh id without risking
-            double execution.
-            """
-            # The invocation header is delivered using the centralized
-            # method (§3.3): the communicating thread sends it.
-            message = None
-            if runtime.rank == 0:
-                enc_span = span_or_null(
-                    trace, "encode", trace_id=trace_id, side="client",
-                    rank=runtime.rank, op=spec.name,
-                )
-                body = plain_body_encoder(req_slots, args_by_name)
-                message = RequestMessage(
-                    request_id=request_id,
-                    trace_id=trace_id,
-                    object_key=ref.object_key,
-                    operation=spec.name,
-                    mode=self.mode,
-                    oneway=spec.oneway,
-                    reply_port=(
-                        None
-                        if spec.oneway
-                        else runtime.reply_port.address
-                    ),
-                    client_nthreads=runtime.size,
-                    client_data_ports=runtime.data_port_addresses,
-                    dist_layouts=tuple(dist_layouts),
-                    out_templates=tuple(
-                        sorted((out_templates or {}).items())
-                    ),
-                    body=body,
-                )
-                enc_span.note(nbytes=len(body)).end()
-            xfer_span = span_or_null(
-                trace, "transfer", trace_id=trace_id, side="client",
-                rank=runtime.rank,
-            )
-            if runtime.rank == 0:
-                if tracer:
-                    tracer.emit(
-                        "net-request", self.mode, spec.name,
-                        len(message.body),
-                    )
-                try:
-                    runtime.reply_port.send(
-                        ref.request_port,
-                        message.encode_segments(),
-                        KIND_REQUEST,
-                    )
-                except TransportError as exc:
-                    xfer_span.note(error=str(exc)).end()
-                    if spec.oneway:
-                        raise
-                    return Failure(
-                        "transport", "COMM_FAILURE", str(exc), rank=0
-                    )
-
-            # Each thread ships its own chunks straight to the owning
-            # server threads.
-            try:
-                for slot in req_slots:
-                    if not slot.distributed:
-                        continue
-                    seq: DistributedSequence = args_by_name[slot.name]
-                    dst_layout = server_layout(
-                        ref.template_spec(spec.name, slot.name),
-                        seq.length(),
-                        ref.nthreads,
-                    )
-                    steps = transfer_schedule(seq.layout, dst_layout)
-                    send_chunks(
-                        runtime.data_port,
-                        ref.data_ports,
-                        steps,
-                        runtime.rank,
-                        seq.local_data(),
-                        request_id,
-                        slot.name,
-                        wire.PHASE_REQUEST,
-                        tracer,
-                    )
-            except TransportError as exc:
-                xfer_span.note(error=str(exc)).end()
-                if spec.oneway:
-                    raise
-                return Failure(
-                    "unreachable", "COMM_FAILURE", str(exc),
-                    rank=runtime.rank,
-                )
-            xfer_span.end()
-            return None
-
-        first_failure = send_phase()
-        if spec.oneway:
-            if rts is not None:
-                rts.synchronize()
-            inv_span.end()
-            return ("done", None)
-
-        def complete() -> Any:
-            try:
-                result = self._complete_ft(
-                    runtime, ref, spec, args, request_id, args_by_name,
-                    tracer, out_templates or {}, ctl, first_failure,
-                    send_phase, on_degrade,
-                )
-            except BaseException as exc:
-                # Abandoned request: evict its chunks and drop any
-                # late reply so nothing accumulates.
-                runtime.demux.discard(request_id)
-                runtime.collector.discard(request_id)
-                inv_span.note(error=repr(exc)).end()
-                raise
-            inv_span.note(attempts=ctl.attempts).end()
-            return result
-
-        return ("pending", complete)
-
-    def _complete_ft(
-        self,
-        runtime: "ClientRuntimeLike",
-        ref: ObjectReference,
-        spec: OperationSpec,
-        args: tuple,
-        request_id: int,
-        args_by_name: dict[str, Any],
-        tracer: Tracer | None,
-        out_templates: dict[str, tuple],
-        ctl: _FtInvocation,
-        first_failure: Failure | None,
-        send_phase: Any,
-        on_degrade: Any,
-    ) -> Any:
-        """The retrying reply loop: two agreement stages per attempt.
-
-        Stage 1 votes on the reply header (rank 0's receive), stage 2
-        on chunk collection (every rank receives on its own data
-        port).  Received chunk data is staged and only installed into
-        argument sequences after stage 2 succeeds, so a failed attempt
-        never leaves a rank's ``inout`` arguments half-updated.
-        """
-        rts = runtime.rts
-        rep_slots = reply_slots(spec)
-        pending = first_failure
-        while True:
-            local = pending
-            pending = None
-            reply = None
-            header_payload = None
-            reply_span = span_or_null(
-                ctl.trace, "reply", trace_id=ctl.trace_id, side="client",
-                rank=runtime.rank, attempt=ctl.attempts,
-            )
-            if local is None and runtime.rank == 0:
-                try:
-                    reply = runtime.demux.wait(
-                        request_id, timeout=ctl.attempt_timeout()
-                    )
-                except TransportTimeout as exc:
-                    local = ctl.timeout_failure(exc)
-                except TransportError as exc:
-                    local = Failure(
-                        "transport", "COMM_FAILURE", str(exc), rank=0
-                    )
-                else:
-                    if tracer:
-                        tracer.emit(
-                            "net-reply", self.mode, len(reply.body)
-                        )
-                    # The multi-port reply body holds plain values
-                    # only (bulk data travels as chunks); a small
-                    # bytes copy makes it voteable to the peer ranks.
-                    body = bytes(reply.body)
-                    copied(len(body))
-                    local = _retryable_remote(
-                        ctl.policy, reply.status, body
-                    )
-                    if local is None:
-                        header_payload = (
-                            reply.status, body, reply.dist_layouts
-                        )
-            failure, header = agree(rts, local, header_payload)
-            ctl.note_agreement()
-            if failure is None:
-                status, body, reply_layouts = header
+                status, body, _layouts = header
+                if status == wire.STATUS_USER_EXCEPTION:
+                    raise decode_user_exception(spec, body)
                 if status != wire.STATUS_OK:
-                    self._raise_for_status(spec, status, body)
-                values = decode_plain_body(rep_slots, body)
-                detach_plain_values(rep_slots, values)
-                reply_layout_map = {
-                    name: (client_lengths, server_lengths)
-                    for name, client_lengths, server_lengths
-                    in reply_layouts
-                }
-                # Stage 2: collect this rank's chunks into staged
-                # buffers (installed only after the vote below).
-                staged: list[tuple[Slot, Layout, np.ndarray]] = []
-                local2: Failure | None = None
+                    raise decode_system_exception(body)
+                local = None
                 try:
-                    for slot in rep_slots:
-                        if not slot.distributed:
-                            continue
-                        lengths = reply_layout_map.get(slot.name)
-                        if lengths is None:
-                            raise RemoteError(
-                                f"reply is missing the layout of "
-                                f"'{slot.name}'",
-                                category="MARSHAL",
-                            )
-                        client_lengths, server_lengths = lengths
-                        layout = Layout.from_local_lengths(client_lengths)
-                        src_layout = Layout.from_local_lengths(
-                            server_lengths
-                        )
-                        if layout.nranks != runtime.size:
-                            raise RemoteError(
-                                f"reply layout of '{slot.name}' spans "
-                                f"{layout.nranks} threads, client has "
-                                f"{runtime.size}",
-                                category="MARSHAL",
-                            )
-                        if src_layout.length != layout.length:
-                            raise RemoteError(
-                                f"reply layouts of '{slot.name}' "
-                                f"disagree on length",
-                                category="MARSHAL",
-                            )
-                        dtype = slot.typecode.element_dtype  # type: ignore[attr-defined]
-                        local_arr = np.zeros(
-                            layout.local_length(runtime.rank), dtype=dtype
-                        )
-                        # Both sides compute the same reply schedule
-                        # (the server's final layout → the client
-                        # layout in the reply), so the expected chunk
-                        # count is exact.
-                        steps = transfer_schedule(src_layout, layout)
-                        expected = sum(
-                            1 for s in steps
-                            if s.dst_rank == runtime.rank
-                        )
-                        chunks = runtime.collector.collect(
-                            request_id,
-                            slot.name,
-                            wire.PHASE_REPLY,
-                            expected,
-                            timeout=ctl.attempt_timeout() or 60.0,
-                        )
-                        assemble_chunks(
-                            chunks, layout, runtime.rank, dtype,
-                            local_arr,
-                        )
-                        staged.append((slot, layout, local_arr))
-                except TransportTimeout as exc:
-                    local2 = ctl.timeout_failure(exc)
+                    values, placed = path.receive_results(
+                        inv, reply, header
+                    )
                 except (TransportError, MarshalError) as exc:
-                    local2 = Failure(
-                        "transport", "COMM_FAILURE", str(exc),
-                        rank=runtime.rank,
-                    )
-                failure = agree_failure(rts, local2)
-                ctl.note_agreement()
-                if failure is None:
-                    for slot, layout, local_arr in staged:
-                        values[slot.name] = self._install_reply_sequence(
-                            slot, layout, local_arr, args_by_name,
-                            runtime,
+                    if not direct:
+                        raise
+                    local = (
+                        ctl.timeout_failure(exc)
+                        if isinstance(exc, TransportTimeout)
+                        else Failure(
+                            "transport", "COMM_FAILURE", str(exc),
+                            rank=runtime.rank,
                         )
-                    if rts is not None:
-                        if tracer:
-                            tracer.emit("sync", "client", "post-invoke")
-                        rts.synchronize()
-                    # Retire the id: late/duplicated frames for it are
-                    # dropped on arrival from now on.
-                    runtime.demux.discard(request_id)
-                    runtime.collector.discard(request_id)
-                    reply_span.end()
-                    return compose(
-                        [values[s.name] for s in produced_slots(spec)]
                     )
+                if direct:
+                    failure = agree_failure(rts, local)
+                    ctl.note_agreement()
+            if failure is None:
+                for slot in reply_slots(spec):
+                    if slot.distributed:
+                        values[slot.name] = _install_reply_sequence(
+                            slot, *placed[slot.name], inv
+                        )
+                if rts is not None:
+                    if tracer:
+                        tracer.emit("sync", "client", "post-invoke")
+                    rts.synchronize()
+                retire()
+                reply_span.end()
+                return compose(
+                    [values[s.name] for s in produced_slots(spec)]
+                )
             reply_span.note(failure=failure.kind).end()
             action = ctl.next_action(failure)
             if action == "retry":
                 with span_or_null(
-                    ctl.trace, "retry", trace_id=ctl.trace_id,
-                    side="client", rank=runtime.rank,
-                    attempt=ctl.attempts + 1, failure=failure.kind,
+                    trace, "retry", attempt=ctl.attempts + 1,
+                    failure=failure.kind, **span_kw,
                 ):
                     ctl.before_retry()
                     pending = send_phase()
                 continue
             if action == "degrade":
                 # The data path to some server thread is gone but the
-                # header path works: collectively fall back to the
-                # centralized method.  The failed attempt's data never
-                # reached the owning thread, so the server cannot have
-                # executed it — a fresh-id centralized invocation is
-                # exactly-once safe.  The original trace id rides into
-                # the fallback, so the degraded attempt's spans stay in
-                # the same logical trace.
+                # header path works: collectively swap the invocation
+                # onto the fallback path and run it again.  The failed
+                # attempt's data never reached the owning thread, so
+                # the server cannot have executed it — a fresh-id
+                # invocation is exactly-once safe.  The original trace
+                # id rides along, so the degraded attempt's spans stay
+                # in the same logical trace.
                 ctl.note_degraded()
-                runtime.demux.discard(request_id)
-                runtime.collector.discard(request_id)
+                retire()
                 if on_degrade is not None:
-                    on_degrade()
+                    on_degrade(path.fallback)
                 with span_or_null(
-                    ctl.trace, "degrade", trace_id=ctl.trace_id,
-                    side="client", rank=runtime.rank,
-                    from_engine=wire.MODE_MULTIPORT,
-                    to_engine=wire.MODE_CENTRALIZED,
+                    trace, "degrade", from_engine=path.mode,
+                    to_engine=path.fallback.mode, **span_kw,
                 ):
-                    return CentralizedTransfer().invoke(
-                        runtime, ref, spec, args, out_templates,
-                        ft_policy=ctl.policy,
+                    return invoke(
+                        runtime, ref, spec, args, path.fallback,
+                        out_templates, ft_policy=ctl.policy,
                         trace_id=ctl.trace_id,
                     )
             ctl.raise_failure(failure)
 
-class ClientRuntimeLike:
-    """Structural documentation of what engines need from a runtime.
+    def complete() -> Any:
+        try:
+            result = attempt()
+        except BaseException as exc:
+            # Abandoned request: evict its chunks and drop any late
+            # reply so nothing accumulates.
+            retire()
+            inv_span.note(error=repr(exc)).end()
+            raise
+        inv_span.note(attempts=ctl.attempts).end()
+        return result
 
-    The real implementation is :class:`repro.orb.proxy.ClientRuntime`;
-    this stub exists so the engine signatures are self-describing.
-    """
-
-    rank: int
-    size: int
-    rts: Any
-    app_comm: Any
-    reply_port: Port
-    data_port: Port
-    data_port_addresses: tuple
-    collector: ChunkCollector
-    demux: ReplyDemux
-    tracer: Tracer | None
-    #: ``repro.trace`` recorder (None = tracing off, the default).
-    trace: Any = None
-    timeout: float
-    #: Optional fault-tolerance surface (engines fall back gracefully
-    #: when a runtime stub lacks these): the ORB-wide FtPolicy, the
-    #: per-runtime FtStats, and the collective-sequence counter.
-    ft_policy: Any = None
-    ft_stats: Any = None
-
-    def next_request_id(self) -> int:
-        raise NotImplementedError
-
-    def next_collective_index(self) -> int:
-        raise NotImplementedError
+    return ("pending", complete)

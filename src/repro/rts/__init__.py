@@ -71,6 +71,11 @@ def rts_for(comm, style: str = "message-passing") -> RuntimeSystem:
     realization (``"message-passing"`` or ``"one-sided"``, the same
     vocabulary as ``ORB.init(rts_style=...)``).
     """
+    if style not in ("message-passing", "one-sided"):
+        raise ValueError(
+            f"unknown RTS style {style!r}; expected 'message-passing' "
+            f"or 'one-sided'"
+        )
     if isinstance(comm, ProcComm):
         if style == "one-sided":
             raise ValueError(
@@ -81,11 +86,6 @@ def rts_for(comm, style: str = "message-passing") -> RuntimeSystem:
         return ProcessRTS(comm)
     if style == "one-sided":
         return OneSidedRTS(comm)
-    if style != "message-passing":
-        raise ValueError(
-            f"unknown RTS style {style!r}; expected 'message-passing' "
-            f"or 'one-sided'"
-        )
     return MessagePassingRTS(comm)
 
 

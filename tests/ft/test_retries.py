@@ -9,7 +9,6 @@ import pytest
 from repro import ORB, FtPolicy, compile_idl
 from repro.ft.faults import FaultyFabric
 from repro.ft.policy import DeadlineExceeded
-from repro.orb.transfer import CentralizedTransfer
 from repro.orb.transport import Fabric
 
 RETRY_IDL = """
@@ -193,7 +192,7 @@ class TestDegradation:
                 valve.armed = True
                 result = proxy.echo(data)
                 assert result.length() == 3
-                assert isinstance(proxy._engine, CentralizedTransfer)
+                assert proxy.transfer_method == "centralized"
                 # Later invocations go centralized directly.
                 assert proxy.echo(data).length() == 3
             finally:

@@ -228,3 +228,62 @@ class TestClientMisuse:
             return excinfo.value.category
 
         assert orb.run_spmd_client(1, client) == ["BAD_OPERATION"]
+
+
+@pytest.mark.parametrize("transfer", TRANSFERS)
+class TestMalformedRequestBody:
+    def test_bad_body_is_every_ranks_error_exit(
+        self, orb, idl, servant_class, transfer
+    ):
+        """A request whose body does not decode gets a MARSHAL reply
+        and costs the group nothing: rank 0 broadcasts the decode
+        outcome, so the peers take the error exit with it instead of
+        consuming the next request's broadcast as this one's
+        arguments."""
+        from repro.orb.request import RequestMessage, decode_reply
+        from repro.orb.transfer import decode_system_exception
+        from repro.orb.transport import KIND_REPLY, KIND_REQUEST
+
+        seen = []
+
+        class Logging(servant_class):
+            def diffusion(self, timestep, data):
+                seen.append((self.rank, "diffusion", timestep))
+                super().diffusion(timestep, data)
+
+            def scaled(self, factor, counter):
+                seen.append((self.rank, "scaled", factor))
+                return super().scaled(factor, counter)
+
+        group = orb.serve("example", lambda ctx: Logging(), 2)
+        port = orb.fabric.open_port("raw-client")
+        try:
+            port.send(
+                group.reference.request_port,
+                RequestMessage(
+                    request_id=(7 << 32) | 1,
+                    object_key="example",
+                    operation="scaled",
+                    mode=transfer,
+                    reply_port=port.address,
+                    body=b"\x01",
+                ).encode_segments(),
+                KIND_REQUEST,
+            )
+            _src, _kind, payload = port.recv(kind=KIND_REPLY, timeout=10.0)
+        finally:
+            port.close()
+        error = decode_system_exception(bytes(decode_reply(payload).body))
+        assert error.category == "MARSHAL"
+
+        def client(c):
+            diff = idl.diff_object._spmd_bind(
+                "example", c.runtime, transfer=transfer
+            )
+            seq = idl.darray.from_global(np.zeros(10), comm=c.comm)
+            diff.diffusion(3, seq)
+            return seq.allgather()
+
+        for result in orb.run_spmd_client(2, client, timeout=30.0):
+            np.testing.assert_array_equal(result, np.full(10, 3.0))
+        assert sorted(seen) == [(0, "diffusion", 3), (1, "diffusion", 3)]

@@ -4,6 +4,8 @@ message-passing interface and the planned one-sided alternative."""
 import numpy as np
 import pytest
 
+from repro.rts import process_backend_supported, rts_for, spawn_spmd
+
 STYLES = ["message-passing", "one-sided"]
 
 
@@ -60,3 +62,37 @@ def test_unknown_rts_style_rejected(orb):
 
         comms = create_group(1)
         orb.client_runtime(comms[0], rts_style="telepathic")
+
+
+@pytest.mark.skipif(
+    not process_backend_supported(),
+    reason="process RTS backend needs fork + POSIX shm",
+)
+def test_one_sided_on_the_process_backend_rejected():
+    """One-sided windows presume a thread-shared address space; asking
+    for them on a process-backend communicator is an error, not a
+    silent switch to the shm data plane."""
+
+    def body(ctx):
+        errors = []
+        for style in ("one-sided", "telepathic"):
+            try:
+                rts_for(ctx.comm, style)
+            except ValueError as exc:
+                errors.append(str(exc))
+        return errors
+
+    for errors in spawn_spmd(body, 2, backend="process").join(timeout=30):
+        assert len(errors) == 2
+        assert "thread-backend only" in errors[0]
+        assert "unknown RTS style" in errors[1]
+
+
+def test_unknown_rts_style_rejected_by_serve(orb, servant_class):
+    """Client runtimes and servant groups share one RTS factory, so
+    the server side rejects what the client side rejects."""
+    with pytest.raises(Exception, match="unknown RTS style"):
+        orb.serve(
+            "styled", lambda ctx: servant_class(), 2,
+            rts_style="telepathic",
+        )
