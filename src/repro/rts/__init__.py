@@ -8,22 +8,24 @@ message-passing libraries."
 
 This subpackage provides:
 
-- :mod:`repro.rts.mpi` — a deterministic, thread-based message-passing
-  library with the mpi4py surface (lowercase pickling methods and
-  uppercase buffer methods, tag matching, full collective set).  It
-  plays the role MPICH played in the paper's testbed.
+- :mod:`repro.rts.mpi` — the message-passing library with the mpi4py
+  surface (lowercase pickling methods and uppercase buffer methods,
+  tag matching, full collective set): one ``Intracomm``, written
+  against a small kernel, and the thread kernel.  It plays the role
+  MPICH played in the paper's testbed.
 - :mod:`repro.rts.executor` — SPMD execution: run a function over
   ``n`` ranks, one thread per rank, fork-join or detached.
 - :mod:`repro.rts.futures` — ABC++-style futures returned by the
   non-blocking stub methods.
-- :mod:`repro.rts.interface` — the abstract RTS interface the ORB and
-  generated stubs program against, and its message-passing realization.
+- :mod:`repro.rts.interface` — the RTS interface the ORB and generated
+  stubs program against, and its message-passing realization.
 - :mod:`repro.rts.onesided` — the one-sided (put/get window) RTS
   interface the paper lists as future work.
 - :mod:`repro.rts.backends` — backend selection (``PARDIS_RTS``) and
   per-rank execution-context tracking.
-- :mod:`repro.rts.procs` — the true-parallel backend: ranks as forked
-  processes, large payloads through pooled shared-memory segments.
+- :mod:`repro.rts.procs` — the true-parallel backend: the process
+  kernel (ranks as forked processes over a pipe mesh), large payloads
+  through pooled shared-memory segments.
 - :mod:`repro.rts.shm` — the pooled, refcounted shared-memory
   segments underneath the process backend's data plane.
 """
@@ -54,7 +56,6 @@ from repro.rts.futures import Future, FutureError
 from repro.rts.interface import MessagePassingRTS, RuntimeSystem
 from repro.rts.onesided import OneSidedRTS, Window, WindowError
 from repro.rts.procs import (
-    ProcComm,
     ProcessRTS,
     ProcHandle,
     process_backend_supported,
@@ -65,18 +66,18 @@ from repro.rts.procs import (
 def rts_for(comm, style: str = "message-passing") -> RuntimeSystem:
     """The right :class:`RuntimeSystem` for ``comm``, whatever backend.
 
-    A :class:`~repro.rts.procs.ProcComm` gets the shared-memory
-    :class:`~repro.rts.procs.ProcessRTS`; a thread
-    :class:`~repro.rts.mpi.Intracomm` gets the ``style``-selected
-    realization (``"message-passing"`` or ``"one-sided"``, the same
-    vocabulary as ``ORB.init(rts_style=...)``).
+    A process-backend communicator gets the shared-memory
+    :class:`~repro.rts.procs.ProcessRTS`; a thread-backend one gets
+    the ``style``-selected realization (``"message-passing"`` or
+    ``"one-sided"``, the same vocabulary as
+    ``ORB.init(rts_style=...)``).
     """
     if style not in ("message-passing", "one-sided"):
         raise ValueError(
             f"unknown RTS style {style!r}; expected 'message-passing' "
             f"or 'one-sided'"
         )
-    if isinstance(comm, ProcComm):
+    if comm.backend == backends.PROCESS:
         if style == "one-sided":
             raise ValueError(
                 "the one-sided RTS is thread-backend only; the process "
@@ -103,7 +104,6 @@ __all__ = [
     "MessagePassingRTS",
     "OneSidedRTS",
     "PROD",
-    "ProcComm",
     "ProcHandle",
     "ProcessRTS",
     "RankContext",

@@ -55,6 +55,22 @@ class SpmdError(RuntimeError):
         self.failures = failures
 
 
+def raise_rank_failures(
+    name: str, failures: dict[int, BaseException]
+) -> None:
+    """Raise :class:`SpmdError` for a joined group's ``failures``, if
+    any.  Peer aborts (:class:`GroupAbortedError`) are echoes of the
+    rank that raised first, so they are reported only when nothing
+    else is."""
+    primary = {
+        r: e
+        for r, e in failures.items()
+        if not isinstance(e, GroupAbortedError)
+    }
+    if failures:
+        raise SpmdError(name, primary or dict(failures))
+
+
 class SpmdHandle:
     """A running (possibly detached) SPMD group."""
 
@@ -93,16 +109,7 @@ class SpmdHandle:
                     f"SPMD group '{self._name}' did not finish within "
                     f"{timeout} seconds"
                 )
-        primary = {
-            r: e
-            for r, e in self._failures.items()
-            if not isinstance(e, GroupAbortedError)
-        }
-        if primary:
-            raise SpmdError(self._name, primary)
-        if self._failures:
-            # Only abort echoes — surface them as-is.
-            raise SpmdError(self._name, dict(self._failures))
+        raise_rank_failures(self._name, self._failures)
         return list(self._results)
 
     def abort(self, reason: str = "aborted by caller") -> None:

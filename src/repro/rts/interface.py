@@ -8,11 +8,14 @@ be used by the compiler-generated stubs."
 
 :class:`RuntimeSystem` is that interface: the small set of operations
 the ORB and generated stubs need from whatever parallel package the
-application is built on.  :class:`MessagePassingRTS` realizes it over
-the message-passing library (the paper's only specified interface,
-"tested using applications based on MPI and the Tulip run-time
-system"); :mod:`repro.rts.onesided` adds the one-sided realization the
-paper lists as future work.
+application is built on.  The control plane — identity, barrier,
+broadcast, allgather — is the communicator's and is written here once;
+a realization supplies the data plane, ``gather_chunks`` and
+``scatter_chunks``.  :class:`MessagePassingRTS` moves the chunks by
+send and receive (the paper's only specified interface, "tested using
+applications based on MPI and the Tulip run-time system");
+:mod:`repro.rts.onesided` adds the one-sided realization the paper
+lists as future work, :mod:`repro.rts.procs` the shared-memory one.
 """
 
 from __future__ import annotations
@@ -33,27 +36,42 @@ _TAG_RTS = 1 << 21
 class RuntimeSystem(ABC):
     """What PARDIS needs from the application's run-time system."""
 
-    #: Which execution substrate carries this RTS's ranks
-    #: (``"thread"`` or ``"process"``); the process backend overrides.
-    backend = "thread"
+    def __init__(self, comm: Intracomm) -> None:
+        self._comm = comm
 
     @property
-    @abstractmethod
+    def comm(self) -> Intracomm:
+        """The application's communicator."""
+        return self._comm
+
+    @property
+    def backend(self) -> str:
+        """Which execution substrate carries this RTS's ranks
+        (``"thread"`` or ``"process"``)."""
+        return self._comm.backend
+
+    @property
     def rank(self) -> int:
         """This computing thread's rank within the application."""
+        return self._comm.rank
 
     @property
-    @abstractmethod
     def size(self) -> int:
         """Number of computing threads of the application."""
+        return self._comm.size
 
-    @abstractmethod
     def synchronize(self) -> None:
         """Group-wide barrier (pre/post-invocation synchronization)."""
+        self._comm.barrier()
 
-    @abstractmethod
     def broadcast(self, obj: Any, root: int) -> Any:
         """Deliver ``obj`` from ``root`` to every computing thread."""
+        return self._comm.bcast(obj, root=root)
+
+    def allgather(self, obj: Any) -> list[Any]:
+        """Every thread's ``obj``, by rank, on every thread.  The
+        fault-tolerance agreement protocol votes through this call."""
+        return self._comm.allgather(obj)
 
     @abstractmethod
     def gather_chunks(
@@ -82,19 +100,6 @@ class RuntimeSystem(ABC):
         """Scatter from an assembled array on ``root`` into per-rank
         ``out`` blocks, following a single-source schedule."""
 
-    def allgather(self, obj: Any) -> list[Any]:
-        """Every thread's ``obj``, by rank, on every thread.
-
-        The fault-tolerance agreement protocol votes through this
-        call.  The default realizes it as ``size`` broadcasts, which
-        any RTS supports; concrete systems override with their native
-        collective.
-        """
-        return [
-            self.broadcast(obj if self.rank == root else None, root)
-            for root in range(self.size)
-        ]
-
 
 class MessagePassingRTS(RuntimeSystem):
     """Message-passing realization over :class:`Intracomm`.
@@ -104,30 +109,6 @@ class MessagePassingRTS(RuntimeSystem):
     these calls, exactly as the paper's communicating thread drives
     MPICH.
     """
-
-    def __init__(self, comm: Intracomm) -> None:
-        self._comm = comm
-
-    @property
-    def comm(self) -> Intracomm:
-        return self._comm
-
-    @property
-    def rank(self) -> int:
-        return self._comm.rank
-
-    @property
-    def size(self) -> int:
-        return self._comm.size
-
-    def synchronize(self) -> None:
-        self._comm.barrier()
-
-    def broadcast(self, obj: Any, root: int) -> Any:
-        return self._comm.bcast(obj, root=root)
-
-    def allgather(self, obj: Any) -> list[Any]:
-        return self._comm.allgather(obj)
 
     def gather_chunks(
         self,
@@ -153,9 +134,7 @@ class MessagePassingRTS(RuntimeSystem):
                 out[step.global_lo : step.global_hi] = chunk
             return out
         for step in mine:
-            self._comm.send(
-                local[step.src_slice].copy(), dest=root, tag=_TAG_RTS
-            )
+            self._comm.send(local[step.src_slice], dest=root, tag=_TAG_RTS)
         return None
 
     def scatter_chunks(
@@ -173,9 +152,7 @@ class MessagePassingRTS(RuntimeSystem):
                 if step.dst_rank == me:
                     out[step.dst_slice] = chunk
                 else:
-                    self._comm.send(
-                        chunk.copy(), dest=step.dst_rank, tag=_TAG_RTS
-                    )
+                    self._comm.send(chunk, dest=step.dst_rank, tag=_TAG_RTS)
             return
         mine = sorted(
             (s for s in steps if s.dst_rank == me),

@@ -1,14 +1,20 @@
-"""A thread-based MPI-like message-passing library.
+"""The MPI-like message-passing library, and its thread kernel.
 
 This is the reproduction's stand-in for MPICH: the paper's SPMD
 applications communicate internally through "the PARDIS interface to
 the run-time system underlying the object implementation", which for
-the evaluation was MPI.  Here each rank is a Python thread; messages
-are tag-matched, and payloads are isolated on send (NumPy arrays are
-copied, everything else goes through pickle) so the distributed-memory
-semantics of real MPI hold — a receiver can never observe later
-mutations by the sender, and unpicklable payloads fail loudly exactly
-as they would under mpi4py.
+the evaluation was MPI.  :class:`Intracomm` is the one communicator:
+tag matching, wildcards, requests, the buffer pair and every
+collective are written here once, against a small kernel that moves
+the bytes.  This module holds the thread kernel (each rank a Python
+thread, :class:`_ThreadKernel` over a shared :class:`_Group`);
+:mod:`repro.rts.procs` holds the process kernel.
+
+Payloads are isolated by the kernel (here NumPy arrays are copied and
+everything else goes through pickle; between processes the pipe does
+it) so the distributed-memory semantics of real MPI hold — a receiver
+can never observe later mutations by the sender, and unpicklable
+payloads fail loudly exactly as they would under mpi4py.
 
 Following the mpi4py convention from the guides, lowercase methods
 (``send``/``recv``/``bcast``/…) accept arbitrary Python objects, while
@@ -81,11 +87,31 @@ def _isolate(payload: Any) -> Any:
     return pickle.loads(pickle.dumps(payload))
 
 
+def _isolate_each(payload: Any) -> Any:
+    """Isolate a collective's contribution or result.  A list there
+    holds one entry per rank; isolating each on its own keeps arrays
+    on the copy path instead of a pickle round trip."""
+    if type(payload) is list:
+        return [_isolate(item) for item in payload]
+    return _isolate(payload)
+
+
 @dataclass
 class _Message:
     src: int
     tag: int
     payload: Any
+
+
+def _first_match(box: Sequence[Any], source: int, tag: int) -> int | None:
+    """Index of the first entry of ``box`` that ``source`` and ``tag``
+    (or their wildcards) match."""
+    for index, message in enumerate(box):
+        if source in (ANY_SOURCE, message.src) and tag in (
+            ANY_TAG, message.tag
+        ):
+            return index
+    return None
 
 
 class Request:
@@ -128,7 +154,8 @@ class Request:
 
 
 class _Group:
-    """Shared state of one communicator group."""
+    """Shared state of one thread group: the locked mailboxes and the
+    board of the phased rendezvous."""
 
     def __init__(self, size: int, name: str) -> None:
         if size <= 0:
@@ -140,7 +167,7 @@ class _Group:
         self.mailboxes: list[list[_Message]] = [[] for _ in range(size)]
         self.aborted = False
         self.abort_reason: str | None = None
-        # Collective rendezvous state (phased; see _Collective).
+        # Collective rendezvous state (phased; see _ThreadKernel._exchange).
         self.coll_lock = threading.Lock()
         self.coll_cond = threading.Condition(self.coll_lock)
         self.coll_generation = 0
@@ -167,21 +194,173 @@ class _Group:
             )
 
 
+class _ThreadKernel:
+    """One rank's hold on a thread group — the kernel under
+    :class:`Intracomm` when ranks are threads.
+
+    A kernel supplies a mailbox (:meth:`post`, :meth:`take`,
+    :meth:`peek`), a :meth:`rendezvous`, :meth:`fork_context` and the
+    ``abort``/``check_alive`` pair, and owns payload isolation: what a
+    rank posts or contributes is copied on deposit, and what it reads
+    off the shared board is copied again, so no two ranks ever hold the
+    same mutable object.  :meth:`share` is the one deliberate
+    exception.
+    """
+
+    backend = "thread"
+
+    def __init__(self, group: _Group, rank: int) -> None:
+        if not 0 <= rank < group.size:
+            raise ValueError(f"rank {rank} outside group of {group.size}")
+        self.group = group
+        self.rank = rank
+        self.size = group.size
+        self.name = group.name
+        self.abort = group.abort
+        self.check_alive = group.check_alive
+
+    # -- mailbox ---------------------------------------------------------
+
+    def post(self, dest: int, tag: int, obj: Any) -> None:
+        """Deposit an isolated copy of ``obj`` in ``dest``'s mailbox."""
+        message = _Message(self.rank, tag, _isolate(obj))
+        group = self.group
+        with group.cond:
+            group.check_alive()
+            group.mailboxes[dest].append(message)
+            group.cond.notify_all()
+
+    def take(self, source: int, tag: int, timeout: float) -> _Message | None:
+        """Remove and return the first matching message, waiting up to
+        ``timeout`` seconds for one; None when none arrived."""
+        deadline = time.monotonic() + timeout
+        group = self.group
+        box = group.mailboxes[self.rank]
+        with group.cond:
+            while True:
+                group.check_alive()
+                index = _first_match(box, source, tag)
+                if index is not None:
+                    return box.pop(index)
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                group.cond.wait(remaining)
+
+    def peek(self, source: int, tag: int) -> bool:
+        """Is a matching message pending?"""
+        group = self.group
+        with group.cond:
+            group.check_alive()
+            box = group.mailboxes[self.rank]
+            return _first_match(box, source, tag) is not None
+
+    # -- rendezvous --------------------------------------------------------
+
+    def rendezvous(
+        self,
+        opname: str,
+        contribution: Any,
+        project: Callable[[int, dict[int, Any]], Any],
+    ) -> Any:
+        """Every rank contributes; each returns ``project(rank,
+        board)``, where ``board`` maps rank to contribution.  Ranks
+        that entered under different ``opname`` raise
+        :class:`CollectiveMismatchError`."""
+        # None needs no copy, and it is what a barrier and every
+        # non-root rank of a rooted collective pass through here.
+        if contribution is not None:
+            contribution = _isolate_each(contribution)
+        result = project(self.rank, self._exchange(opname, contribution))
+        return result if result is None else _isolate_each(result)
+
+    def share(self, opname: str, obj: Any) -> Any:
+        """Collective.  Rank 0's ``obj`` itself — the same object, not
+        a copy — on every rank: how the threads of a group come to
+        hold one fresh group or one window state."""
+        return self._exchange(opname, obj)[0]
+
+    def _exchange(self, opname: str, contribute: Any) -> dict[int, Any]:
+        """The phased rendezvous.
+
+        Every rank deposits ``contribute`` on the board, everyone waits
+        until the group is complete, reads the full board, and the last
+        reader opens the next generation.  Mismatched collective names
+        across ranks raise :class:`CollectiveMismatchError` on every
+        rank, which is the failure mode the tests inject.
+        """
+        group = self.group
+        deadline = time.monotonic() + DEFAULT_TIMEOUT
+        with group.coll_cond:
+            group.check_alive()
+            generation = group.coll_generation
+            if group.coll_arrived == 0:
+                group.coll_opname = opname
+                group.coll_board = {}
+            elif group.coll_opname != opname:
+                mismatch = (
+                    f"rank {self.rank} entered collective '{opname}' "
+                    f"while the group is executing "
+                    f"'{group.coll_opname}'"
+                )
+                group.aborted = True
+                group.abort_reason = mismatch
+                group.coll_cond.notify_all()
+                raise CollectiveMismatchError(mismatch)
+            group.coll_board[self.rank] = contribute
+            group.coll_arrived += 1
+            if group.coll_arrived == group.size:
+                # Rendezvous complete: publish for the waiters, reset
+                # the rendezvous slots for the next collective.
+                board = dict(group.coll_board)
+                if group.size > 1:
+                    group.coll_published[generation] = [
+                        board, group.size - 1
+                    ]
+                group.coll_generation += 1
+                group.coll_arrived = 0
+                group.coll_board = {}
+                group.coll_opname = None
+                group.coll_cond.notify_all()
+                return board
+            while group.coll_generation == generation:
+                group.check_alive()
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise DeadlockError(
+                        f"rank {self.rank} of '{group.name}': collective "
+                        f"'{opname}' timed out waiting for peers"
+                    )
+                group.coll_cond.wait(remaining)
+            entry = group.coll_published[generation]
+            entry[1] -= 1
+            if entry[1] == 0:
+                del group.coll_published[generation]
+            return entry[0]
+
+    def fork_context(self, name: str) -> "_ThreadKernel":
+        """Collective.  A kernel over the same ranks with independent
+        mailboxes and rendezvous state: one fresh group, shared."""
+        fresh = _Group(self.size, name) if self.rank == 0 else None
+        return _ThreadKernel(self.share("dup", fresh), self.rank)
+
+
 class Intracomm:
-    """Communicator over a thread group, one instance per rank.
+    """The communicator, one instance per rank, over either kernel.
 
     API mirrors mpi4py's ``Intracomm`` for the subset PARDIS needs:
     point-to-point with tags and wildcards, non-blocking variants, the
     buffer-based ``Send``/``Recv`` fast path, and the collective set
     ``barrier``, ``bcast``, ``scatter``, ``gather``, ``allgather``,
-    ``alltoall``, ``reduce``, ``allreduce``.
+    ``alltoall``, ``reduce``, ``allreduce``.  Every collective is a
+    name, a contribution and a projection of the board handed to the
+    kernel's rendezvous; ``backend`` (``"thread"`` or ``"process"``)
+    says which kernel carries the ranks.
     """
 
-    def __init__(self, group: _Group, rank: int) -> None:
-        if not 0 <= rank < group.size:
-            raise ValueError(f"rank {rank} outside group of {group.size}")
-        self._group = group
-        self._rank = rank
+    def __init__(self, kernel: Any) -> None:
+        self._kernel = kernel
+        self._rank: int = kernel.rank
 
     # -- introspection --------------------------------------------------
 
@@ -191,50 +370,36 @@ class Intracomm:
 
     @property
     def size(self) -> int:
-        return self._group.size
+        return self._kernel.size
 
     @property
     def name(self) -> str:
-        return self._group.name
+        return self._kernel.name
+
+    @property
+    def backend(self) -> str:
+        return self._kernel.backend
 
     def __repr__(self) -> str:
         return (
-            f"<Intracomm '{self._group.name}' rank {self._rank} of "
-            f"{self._group.size}>"
+            f"<Intracomm '{self.name}' rank {self._rank} of {self.size}>"
         )
 
     # -- point-to-point --------------------------------------------------
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Buffered send: isolates ``obj`` and deposits it, never blocks."""
+        """Buffered send: the kernel isolates ``obj`` and deposits it;
+        never blocks."""
         if not 0 <= dest < self.size:
             raise ValueError(f"destination rank {dest} outside group")
         if tag < 0:
             raise ValueError("send tag must be non-negative")
-        message = _Message(self._rank, tag, _isolate(obj))
-        group = self._group
-        with group.cond:
-            group.check_alive()
-            group.mailboxes[dest].append(message)
-            group.cond.notify_all()
+        self._kernel.post(dest, tag, obj)
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send; buffered, so complete at once."""
         self.send(obj, dest, tag)
         return Request(completed=True)
-
-    def _match(
-        self, source: int, tag: int
-    ) -> _Message | None:
-        """Pop the first matching message.  Caller holds the lock."""
-        box = self._group.mailboxes[self._rank]
-        for i, message in enumerate(box):
-            if source not in (ANY_SOURCE, message.src):
-                continue
-            if tag not in (ANY_TAG, message.tag):
-                continue
-            return box.pop(i)
-        return None
 
     def recv(
         self,
@@ -248,26 +413,18 @@ class Intracomm:
         ``status``, when given, is filled with the matched ``source``
         and ``tag`` (a light-weight MPI_Status).
         """
-        deadline = time.monotonic() + (
-            DEFAULT_TIMEOUT if timeout is None else timeout
+        message = self._kernel.take(
+            source, tag, DEFAULT_TIMEOUT if timeout is None else timeout
         )
-        group = self._group
-        with group.cond:
-            while True:
-                group.check_alive()
-                message = self._match(source, tag)
-                if message is not None:
-                    if status is not None:
-                        status["source"] = message.src
-                        status["tag"] = message.tag
-                    return message.payload
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlockError(
-                        f"rank {self._rank} of '{group.name}': recv("
-                        f"source={source}, tag={tag}) timed out"
-                    )
-                group.cond.wait(remaining)
+        if message is None:
+            raise DeadlockError(
+                f"rank {self._rank} of '{self.name}': recv("
+                f"source={source}, tag={tag}) timed out"
+            )
+        if status is not None:
+            status["source"] = message.src
+            status["tag"] = message.tag
+        return message.payload
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking receive returning a :class:`Request`."""
@@ -276,9 +433,7 @@ class Intracomm:
             return self.recv(source, tag, timeout=timeout)
 
         def try_poll() -> tuple[bool, Any]:
-            with self._group.cond:
-                self._group.check_alive()
-                message = self._match(source, tag)
+            message = self._kernel.take(source, tag, 0)
             if message is None:
                 return False, None
             return True, message.payload
@@ -287,16 +442,7 @@ class Intracomm:
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Non-blocking: is a matching message pending?"""
-        group = self._group
-        with group.cond:
-            group.check_alive()
-            for message in group.mailboxes[self._rank]:
-                if source not in (ANY_SOURCE, message.src):
-                    continue
-                if tag not in (ANY_TAG, message.tag):
-                    continue
-                return True
-        return False
+        return self._kernel.peek(source, tag)
 
     def sendrecv(
         self,
@@ -316,8 +462,7 @@ class Intracomm:
 
     def Send(self, array: np.ndarray, dest: int, tag: int = 0) -> None:
         """Buffer send of a NumPy array (uppercase mpi4py convention)."""
-        array = np.asarray(array)
-        self.send(array, dest, tag)
+        self.send(np.asarray(array), dest, tag)
 
     def Recv(
         self,
@@ -327,8 +472,7 @@ class Intracomm:
         timeout: float | None = None,
     ) -> None:
         """Receive directly into ``buffer`` (must be large enough)."""
-        payload = self.recv(source, tag, timeout=timeout)
-        payload = np.asarray(payload)
+        payload = np.asarray(self.recv(source, tag, timeout=timeout))
         if payload.size > buffer.size:
             raise ValueError(
                 f"receive buffer holds {buffer.size} elements but the "
@@ -339,143 +483,100 @@ class Intracomm:
 
     # -- collectives -------------------------------------------------------
 
-    def _collective(self, opname: str, contribute: Any) -> dict[int, Any]:
-        """Phased rendezvous shared by all collectives.
-
-        Every rank deposits ``contribute`` on the board, everyone waits
-        until the group is complete, reads the full board, and the last
-        reader opens the next generation.  Mismatched collective names
-        across ranks raise :class:`CollectiveMismatchError` on every
-        rank, which is the failure mode the tests inject.
-        """
-        group = self._group
-        deadline = time.monotonic() + DEFAULT_TIMEOUT
-        with group.coll_cond:
-            if group.aborted:
-                raise GroupAbortedError(
-                    f"group '{group.name}' aborted: {group.abort_reason}"
-                )
-            generation = group.coll_generation
-            if group.coll_arrived == 0:
-                group.coll_opname = opname
-                group.coll_board = {}
-            elif group.coll_opname != opname:
-                mismatch = (
-                    f"rank {self._rank} entered collective '{opname}' "
-                    f"while the group is executing "
-                    f"'{group.coll_opname}'"
-                )
-                group.aborted = True
-                group.abort_reason = mismatch
-                group.coll_cond.notify_all()
-                raise CollectiveMismatchError(mismatch)
-            group.coll_board[self._rank] = contribute
-            group.coll_arrived += 1
-            if group.coll_arrived == group.size:
-                # Rendezvous complete: publish for the waiters, reset
-                # the rendezvous slots for the next collective.
-                board = dict(group.coll_board)
-                if group.size > 1:
-                    group.coll_published[generation] = [
-                        board, group.size - 1
-                    ]
-                group.coll_generation += 1
-                group.coll_arrived = 0
-                group.coll_board = {}
-                group.coll_opname = None
-                group.coll_cond.notify_all()
-                return board
-            while group.coll_generation == generation:
-                if group.aborted:
-                    raise GroupAbortedError(
-                        f"group '{group.name}' aborted: "
-                        f"{group.abort_reason}"
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlockError(
-                        f"rank {self._rank} of '{group.name}': collective "
-                        f"'{opname}' timed out waiting for peers"
-                    )
-                group.coll_cond.wait(remaining)
-            entry = group.coll_published[generation]
-            entry[1] -= 1
-            if entry[1] == 0:
-                del group.coll_published[generation]
-            return entry[0]
-
     def barrier(self) -> None:
         """Block until all ranks arrive."""
-        self._collective("barrier", None)
+        self._kernel.rendezvous("barrier", None, lambda dst, board: None)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast from ``root``; all ranks return the value."""
         self._check_root(root)
-        board = self._collective(
-            f"bcast@{root}", _isolate(obj) if self._rank == root else None
+        return self._kernel.rendezvous(
+            f"bcast@{root}",
+            obj if self._rank == root else None,
+            lambda dst, board: board[root],
         )
-        # Isolate on every rank: the board entry is shared with the
-        # other readers, so handing it out directly would alias them.
-        return _isolate(board[root])
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Root supplies one object per rank; each rank gets its own."""
         self._check_root(root)
-        if self._rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError(
-                    f"scatter root must supply exactly {self.size} items"
-                )
-            contribution: Any = [_isolate(o) for o in objs]
-        else:
-            contribution = None
-        board = self._collective(f"scatter@{root}", contribution)
-        return _isolate(board[root][self._rank])
+        if self._rank == root and (objs is None or len(objs) != self.size):
+            raise ValueError(
+                f"scatter root must supply exactly {self.size} items"
+            )
+        return self._kernel.rendezvous(
+            f"scatter@{root}",
+            list(objs) if self._rank == root else None,
+            lambda dst, board: board[root][dst],
+        )
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Root returns the list of contributions in rank order."""
         self._check_root(root)
-        board = self._collective(f"gather@{root}", _isolate(obj))
-        if self._rank != root:
-            return None
-        return [board[r] for r in range(self.size)]
+        size = self.size
+        return self._kernel.rendezvous(
+            f"gather@{root}",
+            obj,
+            lambda dst, board: (
+                [board[r] for r in range(size)] if dst == root else None
+            ),
+        )
 
     def allgather(self, obj: Any) -> list[Any]:
         """Every rank returns all contributions in rank order."""
-        board = self._collective("allgather", _isolate(obj))
-        return [_isolate(board[r]) for r in range(self.size)]
+        size = self.size
+        return self._kernel.rendezvous(
+            "allgather",
+            obj,
+            lambda dst, board: [board[r] for r in range(size)],
+        )
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         """Rank i's element j goes to rank j's slot i."""
-        if len(objs) != self.size:
+        size = self.size
+        if len(objs) != size:
             raise ValueError(
-                f"alltoall requires exactly {self.size} items per rank"
+                f"alltoall requires exactly {size} items per rank"
             )
-        board = self._collective(
-            "alltoall", [_isolate(o) for o in objs]
+        return self._kernel.rendezvous(
+            "alltoall",
+            list(objs),
+            lambda dst, board: [board[r][dst] for r in range(size)],
         )
-        return [_isolate(board[r][self._rank]) for r in range(self.size)]
 
     def reduce(
         self, obj: Any, op: _ReduceOp = SUM, root: int = 0
     ) -> Any | None:
         """Reduce contributions with ``op``; only root gets the result."""
         self._check_root(root)
-        board = self._collective(f"reduce@{root}:{op.name}", _isolate(obj))
-        if self._rank != root:
-            return None
-        return self._fold(board, op)
+        return self._kernel.rendezvous(
+            f"reduce@{root}:{op.name}", obj, self._fold(op, root)
+        )
 
     def allreduce(self, obj: Any, op: _ReduceOp = SUM) -> Any:
         """Reduce and broadcast the result to every rank."""
-        board = self._collective(f"allreduce:{op.name}", _isolate(obj))
-        return self._fold(board, op)
+        return self._kernel.rendezvous(
+            f"allreduce:{op.name}", obj, self._fold(op)
+        )
 
-    def _fold(self, board: dict[int, Any], op: _ReduceOp) -> Any:
-        result = board[0]
-        for r in range(1, self.size):
-            result = op(result, board[r])
-        return _isolate(result)
+    def _fold(
+        self, op: _ReduceOp, root: int | None = None
+    ) -> Callable[[int, dict[int, Any]], Any]:
+        """A reduction's projection: the board folded in rank order for
+        ``root`` (for every rank when None).  A kernel that projects
+        for several ranks in one place folds once."""
+        folded: list[Any] = []
+
+        def project(dst: int, board: dict[int, Any]) -> Any:
+            if root is not None and dst != root:
+                return None
+            if not folded:
+                result = board[0]
+                for r in range(1, self.size):
+                    result = op(result, board[r])
+                folded.append(result)
+            return folded[0]
+
+        return project
 
     def _check_root(self, root: int) -> None:
         if not 0 <= root < self.size:
@@ -485,25 +586,20 @@ class Intracomm:
         """Collective.  A new communicator over the same ranks with
         independent mailboxes and collective state (MPI_Comm_dup) —
         traffic on the duplicate can never match traffic here."""
-        fresh = (
-            _Group(self.size, name or f"{self._group.name}:dup")
-            if self._rank == 0
-            else None
+        return Intracomm(
+            self._kernel.fork_context(name or f"{self.name}:dup")
         )
-        board = self._collective("dup", fresh)
-        shared = board[0]
-        assert isinstance(shared, _Group)
-        return Intracomm(shared, self._rank)
 
     # -- control -----------------------------------------------------------
 
     def abort(self, reason: str = "application abort") -> None:
         """Abort the whole group: every blocked peer raises
         :class:`GroupAbortedError`."""
-        self._group.abort(reason)
+        self._kernel.abort(reason)
 
 
 def create_group(size: int, name: str = "group") -> list[Intracomm]:
-    """Create a fresh group and return one communicator per rank."""
+    """Create a fresh thread group and return one communicator per
+    rank."""
     group = _Group(size, name)
-    return [Intracomm(group, r) for r in range(size)]
+    return [Intracomm(_ThreadKernel(group, r)) for r in range(size)]

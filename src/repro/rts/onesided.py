@@ -65,13 +65,10 @@ class Window:
         local = np.asarray(local)
         if local.ndim != 1:
             raise WindowError("windows expose one-dimensional buffers")
-        # Rank 0 allocates the shared state; everyone learns it via
-        # the collective board (same mechanism as Intracomm.dup).
-        state = (
-            _WindowState(comm.size) if comm.rank == 0 else None
-        )
-        board = comm._collective("window-create", state)
-        shared: _WindowState = board[0]
+        # Rank 0 allocates the shared state; every rank must hold that
+        # very object, which is what the thread kernel's share is for.
+        state = _WindowState(comm.size) if comm.rank == 0 else None
+        shared: _WindowState = comm._kernel.share("window-create", state)
         shared.buffers[comm.rank] = local
         shared.attached.wait()
         return cls(shared, comm.rank, comm)
@@ -151,30 +148,6 @@ class OneSidedRTS(RuntimeSystem):
     swap this in wherever :class:`MessagePassingRTS` is used; both are
     tested against the same contract suite.
     """
-
-    def __init__(self, comm: Intracomm) -> None:
-        self._comm = comm
-
-    @property
-    def comm(self) -> Intracomm:
-        return self._comm
-
-    @property
-    def rank(self) -> int:
-        return self._comm.rank
-
-    @property
-    def size(self) -> int:
-        return self._comm.size
-
-    def synchronize(self) -> None:
-        self._comm.barrier()
-
-    def broadcast(self, obj: Any, root: int) -> Any:
-        return self._comm.bcast(obj, root=root)
-
-    def allgather(self, obj: Any) -> list[Any]:
-        return self._comm.allgather(obj)
 
     def gather_chunks(
         self,

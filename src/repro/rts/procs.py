@@ -10,9 +10,10 @@ testbed.
 Three planes:
 
 - **Control** — a full mesh of OS pipes carries tagged, pickled
-  messages (:class:`ProcComm`, the mpi4py-style communicator).
-  Collectives rendezvous through rank 0, which detects mismatched
-  collective names exactly like the thread backend.
+  messages: :class:`_RankState` is the process kernel under the one
+  communicator, :class:`repro.rts.mpi.Intracomm`.  Collectives
+  rendezvous through rank 0, which detects mismatched collective
+  names exactly like the thread kernel.
 - **Data** — payloads at or above :data:`repro.rts.shm.SHM_THRESHOLD`
   never cross a pipe: the sender writes them into a shared-memory
   segment and ships a descriptor; :class:`ProcessRTS` goes further
@@ -32,6 +33,8 @@ travel back to the parent over a pipe.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -42,18 +45,18 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.rts import backends, shm
+from repro.rts.executor import RankContext, raise_rank_failures
 from repro.rts.interface import RuntimeSystem
 from repro.rts.mpi import (
-    ANY_SOURCE,
     ANY_TAG,
     DEFAULT_TIMEOUT,
-    SUM,
     CollectiveMismatchError,
     DeadlockError,
     GroupAbortedError,
-    Request,
+    Intracomm,
+    _first_match,
     _isolate,
-    _ReduceOp,
+    _Message,
 )
 
 #: How often blocked operations re-check the abort flag (seconds).
@@ -91,7 +94,20 @@ class _Pending:
 
 
 class _RankState:
-    """Everything one rank process knows about its group."""
+    """Everything one rank process knows about its group — the kernel
+    under :class:`~repro.rts.mpi.Intracomm` when ranks are processes.
+
+    It supplies the same contract as the thread kernel (``post``,
+    ``take``, ``peek``, ``rendezvous``, ``fork_context``, ``abort``,
+    ``check_alive``).  Isolation is the pipe's doing: whatever crosses
+    one arrives as a private copy, so only a rank's deposits to itself
+    are copied by hand.  A duplicated communicator is a shallow copy
+    of this state under a fresh context id ``ctx``, multiplexed onto
+    the same pipe mesh, since new pipes cannot be created between
+    already-running processes.
+    """
+
+    backend = backends.PROCESS
 
     def __init__(
         self,
@@ -110,10 +126,12 @@ class _RankState:
         self.writers = writers
         self.up = up
         self.abort_event = abort_event
-        #: Buffered messages keyed by (ctx, channel).
+        #: Context id of the communicator this state carries: 0 is the
+        #: base comm; rank 0 allocates the rest, for dup.
+        self.ctx = 0
+        self.contexts = itertools.count(1)
+        #: Buffered messages keyed by (ctx, channel), all contexts'.
         self.pending: dict[tuple[int, int], list[_Pending]] = {}
-        #: Context ids: 0 is the base comm; rank 0 allocates for dup.
-        self.next_ctx = 1
         self.pool = shm.ShmPool(
             on_register=lambda n: self._up_send(("reg", n)),
             on_unregister=lambda n: self._up_send(("unreg", n)),
@@ -206,17 +224,20 @@ class _RankState:
         if self.abort_event.is_set():
             raise GroupAbortedError(f"group '{self.name}' aborted")
 
-    def send_raw(
-        self, dst: int, ctx: int, channel: int, tag: int, payload: Any
-    ) -> None:
+    def abort(self, reason: str) -> None:
+        self.abort_event.set()
+
+    def _ship(self, dst: int, channel: int, tag: int, payload: Any) -> None:
         self.check_alive()
         if dst == self.rank:
             entry = _Pending(self.rank, tag, "isolated", _isolate(payload))
-            self.pending.setdefault((ctx, channel), []).append(entry)
+            self.pending.setdefault((self.ctx, channel), []).append(entry)
             return
         kind, data = self.encode(payload)
         try:
-            self.writers[dst].send((ctx, channel, tag, self.rank, kind, data))
+            self.writers[dst].send(
+                (self.ctx, channel, tag, self.rank, kind, data)
+            )
         except (BrokenPipeError, OSError) as exc:
             raise GroupAbortedError(
                 f"group '{self.name}': rank {dst} is gone ({exc})"
@@ -240,43 +261,105 @@ class _RankState:
                 _Pending(src, tag, kind, data)
             )
 
-    def match(
-        self, ctx: int, channel: int, source: int, tag: int
-    ) -> _Pending | None:
-        box = self.pending.get((ctx, channel))
-        if not box:
-            return None
-        for i, entry in enumerate(box):
-            if source not in (ANY_SOURCE, entry.src):
-                continue
-            if tag not in (ANY_TAG, entry.tag):
-                continue
-            return box.pop(i)
-        return None
-
-    def recv_match(
-        self,
-        ctx: int,
-        channel: int,
-        source: int,
-        tag: int,
-        timeout: float | None,
-        what: str,
-    ) -> _Pending:
-        deadline = time.monotonic() + (
-            DEFAULT_TIMEOUT if timeout is None else timeout
-        )
+    def _receive(
+        self, channel: int, source: int, tag: int, timeout: float
+    ) -> _Message | None:
+        """The first matching message of ``channel``, decoded, waiting
+        up to ``timeout`` seconds for it; None when none arrived."""
+        deadline = time.monotonic() + timeout
+        box = self.pending.setdefault((self.ctx, channel), [])
+        # The first pass only collects what already sits in the pipes.
+        remaining = 0.0
         while True:
             self.check_alive()
-            entry = self.match(ctx, channel, source, tag)
-            if entry is not None:
-                return entry
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise DeadlockError(
-                    f"rank {self.rank} of '{self.name}': {what} timed out"
+            index = _first_match(box, source, tag)
+            if index is not None:
+                entry = box.pop(index)
+                return _Message(
+                    entry.src, entry.tag, self.decode(entry.kind, entry.data)
                 )
+            if remaining < 0:
+                return None
             self.drain(min(_POLL, remaining))
+            remaining = deadline - time.monotonic()
+
+    def post(self, dest: int, tag: int, obj: Any) -> None:
+        """Ship ``obj`` to ``dest``'s mailbox."""
+        self._ship(dest, _CH_P2P, tag, obj)
+
+    def take(self, source: int, tag: int, timeout: float) -> _Message | None:
+        """Remove and return the first matching message, waiting up to
+        ``timeout`` seconds for one; None when none arrived."""
+        return self._receive(_CH_P2P, source, tag, timeout)
+
+    def peek(self, source: int, tag: int) -> bool:
+        """Is a matching message pending?"""
+        self.check_alive()
+        self.drain(0)
+        box = self.pending.get((self.ctx, _CH_P2P), ())
+        return _first_match(box, source, tag) is not None
+
+    # -- rendezvous --------------------------------------------------------
+
+    def _collect(self, channel: int, source: int, opname: str) -> Any:
+        message = self._receive(channel, source, ANY_TAG, DEFAULT_TIMEOUT)
+        if message is None:
+            raise DeadlockError(
+                f"rank {self.rank} of '{self.name}': collective "
+                f"'{opname}' timed out waiting for rank {source}"
+            )
+        return message.payload
+
+    def rendezvous(
+        self,
+        opname: str,
+        contribution: Any,
+        project: Callable[[int, dict[int, Any]], Any],
+    ) -> Any:
+        """Rendezvous through rank 0.
+
+        Every rank ships ``(opname, contribution)`` to rank 0, which
+        waits for the full group, verifies all ranks entered the
+        *same* collective, and answers each rank with
+        ``project(rank, board)``.  Mismatched opnames abort the group
+        and raise :class:`CollectiveMismatchError`, mirroring the
+        thread kernel's phased rendezvous.
+        """
+        if self.rank != 0:
+            self._ship(0, _CH_COLL, 0, (opname, contribution))
+            status, result = self._collect(_CH_COLLRES, 0, opname)
+            if status == "mismatch":
+                raise CollectiveMismatchError(result)
+            return result
+        # Rank 0: coordinator and participant.
+        opnames = {0: opname}
+        board: dict[int, Any] = {0: _isolate(contribution)}
+        for src in range(1, self.size):
+            opnames[src], board[src] = self._collect(_CH_COLL, src, opname)
+        if len(set(opnames.values())) > 1:
+            detail = ", ".join(
+                f"rank {r}: '{opnames[r]}'" for r in sorted(opnames)
+            )
+            mismatch = (
+                f"group '{self.name}' ranks entered different "
+                f"collectives — {detail}"
+            )
+            for dst in range(1, self.size):
+                self._ship(dst, _CH_COLLRES, 0, ("mismatch", mismatch))
+            self.abort_event.set()
+            raise CollectiveMismatchError(mismatch)
+        for dst in range(1, self.size):
+            self._ship(dst, _CH_COLLRES, 0, ("ok", project(dst, board)))
+        return project(0, board)
+
+    def fork_context(self, name: str) -> "_RankState":
+        """Collective.  This state under a fresh context id, so traffic
+        on the fork can never match traffic here."""
+        fresh = next(self.contexts) if self.rank == 0 else None
+        forked = copy.copy(self)
+        forked.name = name
+        forked.ctx = self.rendezvous("dup", fresh, lambda dst, board: board[0])
+        return forked
 
     # -- shm attachments ---------------------------------------------------
 
@@ -305,311 +388,6 @@ class _RankState:
 
 
 # ---------------------------------------------------------------------------
-# The communicator
-# ---------------------------------------------------------------------------
-
-
-class ProcComm:
-    """mpi4py-style communicator over a process group.
-
-    The surface mirrors :class:`repro.rts.mpi.Intracomm` — tagged
-    point-to-point with wildcards, non-blocking variants, the NumPy
-    ``Send``/``Recv`` pair, the collective set, and ``dup`` — so the
-    ORB, distributed sequences, and applications written against the
-    thread backend run unmodified.  ``dup`` multiplexes a fresh
-    context id onto the same pipe mesh (traffic on the duplicate can
-    never match traffic here), since new pipes cannot be created
-    between already-running processes.
-    """
-
-    def __init__(
-        self, state: _RankState, ctx: int = 0, name: str | None = None
-    ) -> None:
-        self._state = state
-        self._ctx = ctx
-        self._name = name or (
-            state.name if ctx == 0 else f"{state.name}:ctx{ctx}"
-        )
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        return self._state.rank
-
-    @property
-    def size(self) -> int:
-        return self._state.size
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    def __repr__(self) -> str:
-        return (
-            f"<ProcComm '{self._name}' rank {self.rank} of {self.size}>"
-        )
-
-    # -- point-to-point ----------------------------------------------------
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if not 0 <= dest < self.size:
-            raise ValueError(f"destination rank {dest} outside group")
-        if tag < 0:
-            raise ValueError("send tag must be non-negative")
-        self._state.send_raw(dest, self._ctx, _CH_P2P, tag, obj)
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        self.send(obj, dest, tag)
-        return Request(completed=True)
-
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: float | None = None,
-        status: dict | None = None,
-    ) -> Any:
-        entry = self._state.recv_match(
-            self._ctx,
-            _CH_P2P,
-            source,
-            tag,
-            timeout,
-            f"recv(source={source}, tag={tag})",
-        )
-        if status is not None:
-            status["source"] = entry.src
-            status["tag"] = entry.tag
-        return self._state.decode(entry.kind, entry.data)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        def poll(timeout: float | None) -> Any:
-            return self.recv(source, tag, timeout=timeout)
-
-        def try_poll() -> tuple[bool, Any]:
-            self._state.drain(0)
-            entry = self._state.match(self._ctx, _CH_P2P, source, tag)
-            if entry is None:
-                return False, None
-            return True, self._state.decode(entry.kind, entry.data)
-
-        return Request(completed=False, poll=poll, try_poll=try_poll)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        self._state.check_alive()
-        self._state.drain(0)
-        box = self._state.pending.get((self._ctx, _CH_P2P), [])
-        return any(
-            source in (ANY_SOURCE, e.src) and tag in (ANY_TAG, e.tag)
-            for e in box
-        )
-
-    def sendrecv(
-        self,
-        obj: Any,
-        dest: int,
-        sendtag: int = 0,
-        source: int = ANY_SOURCE,
-        recvtag: int = ANY_TAG,
-        timeout: float | None = None,
-    ) -> Any:
-        self.send(obj, dest, sendtag)
-        return self.recv(source, recvtag, timeout=timeout)
-
-    # -- NumPy buffer fast path -------------------------------------------
-
-    def Send(self, array: np.ndarray, dest: int, tag: int = 0) -> None:
-        self.send(np.asarray(array), dest, tag)
-
-    def Recv(
-        self,
-        buffer: np.ndarray,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: float | None = None,
-    ) -> None:
-        payload = np.asarray(self.recv(source, tag, timeout=timeout))
-        if payload.size > buffer.size:
-            raise ValueError(
-                f"receive buffer holds {buffer.size} elements but the "
-                f"message carries {payload.size}"
-            )
-        flat = buffer.reshape(-1)
-        flat[: payload.size] = payload.reshape(-1)
-
-    # -- collectives -------------------------------------------------------
-
-    def _collective(
-        self,
-        opname: str,
-        contribute: Any,
-        project: Callable[[int, dict[int, Any]], Any] | None = None,
-    ) -> Any:
-        """Rendezvous through rank 0.
-
-        Every rank ships ``(opname, contribution)`` to rank 0, which
-        waits for the full group, verifies all ranks entered the
-        *same* collective, and answers each rank with
-        ``project(rank, board)`` (the full board when ``project`` is
-        None).  Mismatched opnames abort the group and raise
-        :class:`CollectiveMismatchError`, mirroring the thread
-        backend's phased rendezvous.
-        """
-        state = self._state
-        if self.size == 1:
-            board = {0: _isolate(contribute)}
-            return project(0, board) if project else board
-        if state.rank != 0:
-            state.send_raw(
-                0, self._ctx, _CH_COLL, 0, (opname, contribute)
-            )
-            entry = state.recv_match(
-                self._ctx, _CH_COLLRES, 0, ANY_TAG, None,
-                f"collective '{opname}'",
-            )
-            status, result = state.decode(entry.kind, entry.data)
-            if status == "mismatch":
-                raise CollectiveMismatchError(result)
-            return result
-        # Rank 0: coordinator and participant.
-        opnames = {0: opname}
-        board: dict[int, Any] = {0: _isolate(contribute)}
-        for src in range(1, self.size):
-            entry = state.recv_match(
-                self._ctx, _CH_COLL, src, ANY_TAG, None,
-                f"collective '{opname}' waiting for rank {src}",
-            )
-            peer_op, contribution = state.decode(entry.kind, entry.data)
-            opnames[src] = peer_op
-            board[src] = contribution
-        if len(set(opnames.values())) > 1:
-            detail = ", ".join(
-                f"rank {r}: '{opnames[r]}'" for r in sorted(opnames)
-            )
-            mismatch = (
-                f"group '{state.name}' ranks entered different "
-                f"collectives — {detail}"
-            )
-            for dst in range(1, self.size):
-                state.send_raw(
-                    dst, self._ctx, _CH_COLLRES, 0, ("mismatch", mismatch)
-                )
-            state.abort_event.set()
-            raise CollectiveMismatchError(mismatch)
-        for dst in range(1, self.size):
-            result = project(dst, board) if project else board
-            state.send_raw(
-                dst, self._ctx, _CH_COLLRES, 0, ("ok", result)
-            )
-        return project(0, board) if project else board
-
-    def barrier(self) -> None:
-        self._collective("barrier", None, project=lambda d, b: None)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        self._check_root(root)
-        return self._collective(
-            f"bcast@{root}",
-            obj if self.rank == root else None,
-            project=lambda d, b: b[root],
-        )
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        self._check_root(root)
-        if self.rank == root and (objs is None or len(objs) != self.size):
-            raise ValueError(
-                f"scatter root must supply exactly {self.size} items"
-            )
-        return self._collective(
-            f"scatter@{root}",
-            list(objs) if self.rank == root else None,
-            project=lambda d, b: b[root][d],
-        )
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        self._check_root(root)
-        size = self.size
-        return self._collective(
-            f"gather@{root}",
-            obj,
-            project=lambda d, b: (
-                [b[r] for r in range(size)] if d == root else None
-            ),
-        )
-
-    def allgather(self, obj: Any) -> list[Any]:
-        size = self.size
-        return self._collective(
-            "allgather",
-            obj,
-            project=lambda d, b: [b[r] for r in range(size)],
-        )
-
-    def alltoall(self, objs: Sequence[Any]) -> list[Any]:
-        if len(objs) != self.size:
-            raise ValueError(
-                f"alltoall requires exactly {self.size} items per rank"
-            )
-        size = self.size
-        return self._collective(
-            "alltoall",
-            list(objs),
-            project=lambda d, b: [b[r][d] for r in range(size)],
-        )
-
-    def reduce(
-        self, obj: Any, op: _ReduceOp = SUM, root: int = 0
-    ) -> Any | None:
-        self._check_root(root)
-        memo: list[Any] = []
-
-        def project(dst: int, board: dict[int, Any]) -> Any:
-            if dst != root:
-                return None
-            if not memo:
-                memo.append(self._fold(board, op))
-            return memo[0]
-
-        return self._collective(f"reduce@{root}:{op.name}", obj, project)
-
-    def allreduce(self, obj: Any, op: _ReduceOp = SUM) -> Any:
-        memo: list[Any] = []
-
-        def project(dst: int, board: dict[int, Any]) -> Any:
-            if not memo:
-                memo.append(self._fold(board, op))
-            return memo[0]
-
-        return self._collective(f"allreduce:{op.name}", obj, project)
-
-    def _fold(self, board: dict[int, Any], op: _ReduceOp) -> Any:
-        result = board[0]
-        for r in range(1, self.size):
-            result = op(result, board[r])
-        return result
-
-    def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.size:
-            raise ValueError(f"root rank {root} outside group")
-
-    def dup(self, name: str | None = None) -> "ProcComm":
-        """Collective: a fresh context over the same ranks."""
-        state = self._state
-        fresh = None
-        if state.rank == 0:
-            fresh = state.next_ctx
-            state.next_ctx += 1
-        ctx = self._collective("dup", fresh, project=lambda d, b: b[0])
-        return ProcComm(state, ctx, name or f"{self._name}:dup")
-
-    # -- control -----------------------------------------------------------
-
-    def abort(self, reason: str = "application abort") -> None:
-        self._state.abort_event.set()
-
-
-# ---------------------------------------------------------------------------
 # The shared-memory RTS data plane
 # ---------------------------------------------------------------------------
 
@@ -625,31 +403,13 @@ class ProcessRTS(RuntimeSystem):
     leased view of the segment itself.
     """
 
-    backend = backends.PROCESS
-
-    def __init__(self, comm: ProcComm) -> None:
-        if not isinstance(comm, ProcComm):
-            raise TypeError("ProcessRTS requires a ProcComm")
-        self._comm = comm
-        self._state = comm._state
-
-    @property
-    def comm(self) -> ProcComm:
-        return self._comm
-
-    @property
-    def rank(self) -> int:
-        return self._comm.rank
-
-    @property
-    def size(self) -> int:
-        return self._comm.size
-
-    def synchronize(self) -> None:
-        self._comm.barrier()
-
-    def allgather(self, obj: Any) -> list[Any]:
-        return self._comm.allgather(obj)
+    def __init__(self, comm: Intracomm) -> None:
+        if comm.backend != backends.PROCESS:
+            raise TypeError(
+                "ProcessRTS requires a process-backend communicator"
+            )
+        super().__init__(comm)
+        self._state: _RankState = comm._kernel
 
     def broadcast(self, obj: Any, root: int) -> Any:
         """Large ndarrays fan out through one segment, read in
@@ -809,9 +569,7 @@ def _child_main(
     state = _RankState(
         name, rank, size, readers, writers, up, abort_event
     )
-    from repro.rts.executor import RankContext
-
-    comm = ProcComm(state, 0, name)
+    comm = Intracomm(state)
     status: tuple
     try:
         result = fn(
@@ -965,17 +723,7 @@ class ProcHandle:
                         f"within {timeout} seconds"
                     )
         self._finish()
-        from repro.rts.executor import SpmdError
-
-        primary = {
-            r: e
-            for r, e in self._failures.items()
-            if not isinstance(e, GroupAbortedError)
-        }
-        if primary:
-            raise SpmdError(self._name, primary)
-        if self._failures:
-            raise SpmdError(self._name, dict(self._failures))
+        raise_rank_failures(self._name, self._failures)
         return [self._results[r] for r in range(self.size)]
 
     def _finish(self) -> None:

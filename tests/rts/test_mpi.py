@@ -1,6 +1,13 @@
-"""Unit tests for the thread-based message-passing library."""
+"""Unit tests for the message-passing library.
+
+The point-to-point and buffer cases drive a thread group by hand
+(``create_group``); the collective and failure-mode cases go through a
+launcher, so the ``...OnProcesses`` subclasses at the end run the same
+contract with every rank a process.
+"""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -164,7 +171,8 @@ class TestCollectives:
             ctx.comm.barrier()
             return len(counter)
 
-        results = run(4, body)
+        # Only threads share the list, whatever PARDIS_RTS says.
+        results = run(4, body, backend="thread")
         # After the barrier every rank saw all arrivals.
         assert all(r == 4 for r in results)
 
@@ -316,8 +324,37 @@ class TestFailureModes:
             run(2, body)
         assert "rank zero exploded" in str(excinfo.value)
 
+    def test_polling_request_sees_abort(self):
+        def body(ctx):
+            if ctx.rank == 0:
+                ctx.comm.abort("injected failure")
+                return "aborted"
+            request = ctx.comm.irecv(source=0)
+            deadline = time.monotonic() + 2
+            with pytest.raises(GroupAbortedError):
+                while time.monotonic() < deadline:
+                    request.test()
+                    time.sleep(0.005)
+            return "released"
+
+        assert run(2, body) == ["aborted", "released"]
+
     def test_send_after_abort_raises(self):
         a, b = create_group(2)
         a.abort("gone")
         with pytest.raises(GroupAbortedError):
             b.send(1, dest=0)
+
+
+@pytest.mark.parametrize("rts_backend", ["process"], indirect=True)
+class TestCollectivesOnProcesses(TestCollectives):
+    """The same contract on the process kernel."""
+
+    test_barrier_all_arrive = None  # its shared list needs threads
+
+
+@pytest.mark.parametrize("rts_backend", ["process"], indirect=True)
+class TestFailureModesOnProcesses(TestFailureModes):
+    """The same contract on the process kernel."""
+
+    test_send_after_abort_raises = None  # drives a thread group by hand

@@ -7,7 +7,6 @@ import pytest
 
 from repro.dist import BlockTemplate, Layout, transfer_schedule
 from repro.rts import (
-    CollectiveMismatchError,
     DeadlockError,
     ProcessRTS,
     SpmdExecutor,
@@ -18,7 +17,6 @@ from repro.rts import (
 )
 from repro.rts.backends import ENV_VAR
 from repro.rts.executor import SpmdError
-from repro.rts.mpi import MAX
 from repro.rts.procs import RankDiedError
 from repro.rts.shm import SHM_THRESHOLD, ShmArray
 
@@ -105,7 +103,11 @@ class TestLauncher:
         assert "13" in str(excinfo.value.failures[1])
 
 
-class TestProcComm:
+class TestProcessKernel:
+    """What only the process kernel does: shm shipping, isolation by
+    the pipe, contexts for ``dup``.  The communicator contract proper
+    runs on both kernels from ``test_mpi``."""
+
     def test_tagged_p2p_with_wildcards(self):
         def body(ctx):
             if ctx.rank == 0:
@@ -169,46 +171,6 @@ class TestProcComm:
             return int(buf.sum())
 
         assert prun(2, body)[1] == 28
-
-    def test_collectives(self):
-        def body(ctx):
-            r = ctx.rank
-            out = {}
-            out["bcast"] = ctx.comm.bcast("hdr" if r == 1 else None, root=1)
-            out["gather"] = ctx.comm.gather(r * r, root=0)
-            out["allgather"] = ctx.comm.allgather(r)
-            out["scatter"] = ctx.comm.scatter(
-                [10, 20, 30] if r == 0 else None, root=0
-            )
-            out["alltoall"] = ctx.comm.alltoall([r * 10 + c for c in range(3)])
-            out["reduce"] = ctx.comm.reduce(r + 1, root=2)
-            out["allreduce"] = ctx.comm.allreduce(np.int64(r), op=MAX)
-            return out
-
-        results = prun(3, body)
-        assert [r["bcast"] for r in results] == ["hdr"] * 3
-        assert results[0]["gather"] == [0, 1, 4]
-        assert results[1]["gather"] is None
-        assert all(r["allgather"] == [0, 1, 2] for r in results)
-        assert [r["scatter"] for r in results] == [10, 20, 30]
-        assert results[1]["alltoall"] == [1, 11, 21]
-        assert results[2]["reduce"] == 6
-        assert results[0]["reduce"] is None
-        assert all(r["allreduce"] == 2 for r in results)
-
-    def test_collective_mismatch_detected(self):
-        def body(ctx):
-            if ctx.rank == 0:
-                ctx.comm.bcast("x", root=0)
-            else:
-                ctx.comm.barrier()
-
-        with pytest.raises(SpmdError) as excinfo:
-            prun(2, body)
-        assert any(
-            isinstance(e, CollectiveMismatchError)
-            for e in excinfo.value.failures.values()
-        )
 
     def test_dup_separates_traffic(self):
         def body(ctx):

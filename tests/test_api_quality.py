@@ -1,13 +1,16 @@
 """Meta tests on the library's public surface: documentation coverage
 and import hygiene."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
 
 import repro
+import repro.rts
 
 SUBPACKAGES = [
     "repro.cdr",
@@ -82,3 +85,38 @@ class TestExports:
             module = importlib.import_module(name)
             for export in getattr(module, "__all__", []):
                 assert hasattr(module, export), f"{name}.{export}"
+
+
+#: The mpi4py surface and the RTS control plane: each is written once.
+COMMUNICATOR_METHODS = {
+    "send", "recv", "isend", "irecv", "probe", "sendrecv", "Send", "Recv",
+    "barrier", "bcast", "scatter", "gather", "allgather", "alltoall",
+    "reduce", "allreduce", "dup", "_fold", "_check_root",
+}
+RTS_CONTROL_METHODS = {"rank", "size", "synchronize", "allgather"}
+
+
+class TestOneCommunicator:
+    def test_no_method_of_the_surface_is_defined_twice(self):
+        """A second communicator (or a realization re-typing the RTS
+        control plane) cannot grow back under ``repro.rts`` unnoticed:
+        a backend supplies a kernel, not a copy of the surface."""
+        owners = {}
+        for path in pathlib.Path(repro.rts.__path__[0]).glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                is_rts = node.name == "RuntimeSystem" or any(
+                    isinstance(b, ast.Name) and b.id == "RuntimeSystem"
+                    for b in node.bases
+                )
+                watched = RTS_CONTROL_METHODS if is_rts else COMMUNICATOR_METHODS
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in watched:
+                        owners.setdefault((is_rts, item.name), []).append(
+                            node.name
+                        )
+        assert {k: v for k, v in owners.items() if len(v) != 1} == {}
+        assert {name for _, name in owners} == (
+            COMMUNICATOR_METHODS | RTS_CONTROL_METHODS
+        )
