@@ -29,6 +29,17 @@ from repro.cdr.typecodes import MarshalError, TypeCode
 
 _NATIVE_LITTLE = sys.byteorder == "little"
 
+#: One compiled ``struct.Struct`` per (byte order, primitive format):
+#: the byte-order flag picks a table once per stream, a primitive read
+#: is then a dict hit and an ``unpack_from`` at the aligned offset.
+_STRUCTS = {
+    little: {
+        fmt: struct.Struct(("<" if little else ">") + fmt)
+        for fmt in "BhHiIqQfd"
+    }
+    for little in (False, True)
+}
+
 
 class CdrDecoder:
     """A read-once CDR stream over ``data`` (bytes-like).
@@ -44,43 +55,54 @@ class CdrDecoder:
         if view.format != "B" or view.ndim != 1:
             view = view.cast("B")
         self._data = view.toreadonly()
-        if len(self._data) == 0:
+        self._len = len(self._data)
+        if self._len == 0:
             raise MarshalError("empty CDR stream")
         self._pos = 1
         self.copy_arrays = copy_arrays
         self.little_endian = bool(self._data[0])
-        self._endian_char = "<" if self.little_endian else ">"
+        self._structs = _STRUCTS[self.little_endian]
+        self._unpack_ulong = self._structs["I"].unpack_from
 
     @property
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self._len - self._pos
 
     def at_end(self) -> bool:
-        return self._pos >= len(self._data)
+        return self._pos >= self._len
 
     # -- primitives --------------------------------------------------------
 
     def align(self, n: int) -> None:
         self._pos += (-self._pos) % n
 
-    def read_octets(self, n: int) -> memoryview:
-        """The next ``n`` octets as a read-only view (no copy)."""
-        if self._pos + n > len(self._data):
+    def _take(self, n: int) -> int:
+        """Bounds-check the next ``n`` octets and step over them;
+        returns the offset they start at."""
+        pos = self._pos
+        end = pos + n
+        if end > self._len:
             raise MarshalError(
                 f"CDR stream truncated: need {n} octets at offset "
-                f"{self._pos}, have {self.remaining}"
+                f"{pos}, have {self._len - pos}"
             )
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
+        self._pos = end
+        return pos
+
+    def read_octets(self, n: int) -> memoryview:
+        """The next ``n`` octets as a read-only view (no copy)."""
+        pos = self._take(n)
+        return self._data[pos : pos + n]
 
     def _unpack(self, fmt: str, size: int) -> Any:
-        self.align(size)
-        raw = self.read_octets(size)
-        return struct.unpack(self._endian_char + fmt, raw)[0]
+        self._pos += (-self._pos) % size
+        return self._structs[fmt].unpack_from(
+            self._data, self._take(size)
+        )[0]
 
     def read_ulong(self) -> int:
-        return self._unpack("I", 4)
+        self._pos += (-self._pos) % 4
+        return self._unpack_ulong(self._data, self._take(4))[0]
 
     def read_long(self) -> int:
         return self._unpack("i", 4)
@@ -89,14 +111,15 @@ class CdrDecoder:
         n = self.read_ulong()
         if n == 0:
             raise MarshalError("string length prefix of 0 is malformed")
-        raw = self.read_octets(n)
-        if raw[-1] != 0:
+        pos = self._take(n)
+        last = pos + n - 1
+        if self._data[last] != 0:
             raise MarshalError("string is not NUL-terminated")
         copied(n - 1)
-        return bytes(raw[:-1]).decode("utf-8")
+        return str(self._data[pos:last], "utf-8")
 
     def read_boolean(self) -> bool:
-        return self.read_octets(1) != b"\0"
+        return self._data[self._take(1)] != 0
 
     # -- typed values --------------------------------------------------------
 
@@ -167,7 +190,7 @@ class CdrDecoder:
         if typecode.kind == "boolean":
             return self.read_boolean()
         if typecode.kind == "char":
-            return bytes(self.read_octets(1)).decode("latin-1")
+            return chr(self._data[self._take(1)])
         return self._unpack(typecode.fmt, typecode.size)
 
     def _read_elements(self, element: TypeCode, count: int) -> Any:

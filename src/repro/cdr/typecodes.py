@@ -51,6 +51,18 @@ class BasicTC(TypeCode):
     np_dtype: str | None = None
     signed: bool | None = None
 
+    def __post_init__(self) -> None:
+        # The exact Python type and closed range that need neither
+        # conversion nor rejection (not fields: the code's identity,
+        # repr and constructor are unchanged).
+        if self.signed is None:
+            exact = (float, float("-inf"), float("inf"))
+        else:
+            bits = self.size * 8
+            lo = -(1 << (bits - 1)) if self.signed else 0
+            exact = (int, lo, lo + (1 << bits) - 1)
+        object.__setattr__(self, "_exact", exact)
+
     @property
     def alignment(self) -> int:
         return self.size
@@ -58,6 +70,15 @@ class BasicTC(TypeCode):
     @property
     def dtype(self) -> np.dtype | None:  # type: ignore[override]
         return np.dtype(self.np_dtype) if self.np_dtype else None
+
+    def accepts(self, value: Any) -> bool:
+        """The fast path in front of :meth:`validate`: ``value`` is
+        exactly the Python type this code packs and in range, so
+        ``validate`` would neither reject nor convert it.  ``False``
+        decides nothing — ``bool``, NumPy scalars, out-of-range and
+        wrong-type values all go to ``validate`` for the verdict."""
+        kind, lo, hi = self._exact  # type: ignore[attr-defined]
+        return type(value) is kind and lo <= value <= hi
 
     def validate(self, value: Any) -> None:
         if self.signed is None:

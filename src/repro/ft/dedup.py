@@ -6,8 +6,8 @@ once delivery must become effectively-once execution.  Request ids are
 already unique and retry-stable (the client re-sends under the same
 64-bit id), which makes dedup a cache problem:
 
-- The prefetcher asks :meth:`ReplyCache.admit` before enqueueing a
-  decoded request.  ``"new"`` proceeds to execution; ``"in-progress"``
+- The request intake asks :meth:`ReplyCache.admit` before enqueueing
+  a decoded request.  ``"new"`` proceeds to execution; ``"in-progress"``
   means the original attempt is still executing (its reply will answer
   the retry too, so the duplicate is dropped); ``"replay"`` means the
   request already executed and its recorded reply — status frame plus
@@ -59,7 +59,7 @@ class ReplyCache:
             "forgotten": 0,
         }
 
-    # -- admission (prefetcher thread) -----------------------------------
+    # -- admission (request intake) --------------------------------------
 
     def admit(self, request_id: int) -> str:
         """Classify an arriving request id.

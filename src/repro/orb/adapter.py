@@ -7,7 +7,10 @@ waited on by the communicating thread (rank 0) — and are delivered "to
 all the computing threads" (the defining property of an SPMD object,
 §2) by an internal broadcast, after which the one server engine runs the
 invocation, moving the distributed arguments in and out along the
-:class:`~repro.orb.datapath.DataPath` the request's mode names.
+:class:`~repro.orb.datapath.DataPath` the request's mode names.  A
+*serial* group (one thread) has nobody to broadcast to: its request
+port hands each frame, on the thread that delivers it, to a pool of
+dispatch workers.
 
 The group registers itself with the naming service on activation,
 publishing an object reference that carries the request port, the
@@ -43,9 +46,6 @@ from repro.orb.transfer import (
     detach_plain_values,
     encode_system_exception,
     encode_user_exception,
-    produced_slots,
-    reply_slots,
-    request_slots,
 )
 from repro.ft.dedup import ReplyCache
 from repro.orb.transport import (
@@ -196,7 +196,7 @@ def _call_servant(
     try:
         result = method(*args)
         produced = decompose(
-            result, len(produced_slots(spec)), f"servant '{spec.name}'"
+            result, len(spec.produced_slots), f"servant '{spec.name}'"
         )
         return ("ok", produced)
     except UserException as exc:
@@ -295,6 +295,10 @@ class _ServerEngine:
         #: Set on rank 0 of collective groups: replies leave through a
         #: dedicated sender thread instead of the dispatch loop.
         self.reply_sender: _ReplySender | None = None
+        #: Set on rank 0 (the communicating thread, so each request is
+        #: released exactly once): the fabric's server governor, whose
+        #: admission slot a request gives back as it leaves here.
+        self.governor: Any = None
         self._staging_seq = 0
 
     # -- shared ----------------------------------------------------------
@@ -371,6 +375,9 @@ class _ServerEngine:
             self._reply(
                 request, _error_reply(request, _engine_failure(exc))
             )
+        finally:
+            if self.governor is not None:
+                self.governor.request_done(request.request_id)
 
     def _invoke(
         self, request: RequestMessage, spec: OperationSpec, path: DataPath
@@ -390,7 +397,7 @@ class _ServerEngine:
             ctx.trace, "transfer", op=spec.name, engine=path.mode,
             request_id=request.request_id, **span_kw,
         )
-        slots = request_slots(spec)
+        slots = spec.request_slots
         # Rank 0 decodes the header body.  Its *outcome* rides the
         # broadcast that carries the plain arguments to the peers, so
         # a malformed body is every rank's error exit at the same
@@ -473,9 +480,9 @@ class _ServerEngine:
             self._reply(request, _error_reply(request, outcome))
             reply_span.note(status=outcome[0]).end()
             return
-        rep_slots = reply_slots(spec)
+        rep_slots = spec.reply_slots
         results = dict(
-            zip((s.name for s in produced_slots(spec)), outcome[1])
+            zip((s.name for s in spec.produced_slots), outcome[1])
         )
         sent = dict(zip((s.name for s in slots), args))
         for slot in rep_slots:
@@ -518,20 +525,113 @@ class _ServerEngine:
 
 
 # ---------------------------------------------------------------------------
-# Pipelined dispatch: prefetch, deferred replies, serial worker pool
+# Dispatch: request intake, prefetch, deferred replies, serial worker pool
 # ---------------------------------------------------------------------------
 
 
-class _RequestPrefetcher:
-    """Rank 0's receive/decode stage, overlapped with execution.
+@dataclass
+class _RequestIntake:
+    """What a request frame goes through between the request port and
+    execution: decode, reply-cache admission, and the release of the
+    admission slot of every frame that goes no further.
 
-    A dedicated thread blocks on the request port, decodes each frame,
-    relays the header to the peer ranks (buffered point-to-point on
-    the group communicator, so the header of request N+1 is already
-    delivered while every rank still executes N) and queues the full
-    message for the dispatch loop.  The queue is bounded: when the
-    group falls behind, frames back up undecoded in the port rather
-    than as decoded messages here.
+    Written once for both kinds of group.  A serial group runs it as
+    the request port's upcall — on the delivering thread, the socket
+    fabric's event loop or a local sender — and hands what survives to
+    the dispatch pool; a collective group runs it on its
+    :class:`_RequestPrefetcher` thread.  Nothing here blocks or calls
+    servant code, which is what lets an event loop run it.
+    """
+
+    port: Port
+    cache: ReplyCache | None
+    governor: Any
+
+    def release(self, request_id: int) -> None:
+        if self.governor is not None:
+            self.governor.request_done(request_id)
+
+    def admit(
+        self, payload: Any, head: Any = None, replay: Any = None
+    ) -> RequestMessage | None:
+        """The request to execute, or ``None`` for a frame that ends
+        here: garbage, a duplicate of a request still executing, or a
+        retry the cache answers.  ``head`` is the delivering loop's
+        admission peek, when it took one.  ``replay(message)`` answers
+        a retry — :meth:`replay` unless given: a thread that must not
+        block on a send passes what queues it for one that may."""
+        try:
+            message = wire.decode_request(payload, head)
+        except Exception:
+            # Garbage on the wire must not kill the object: drop the
+            # datagram and keep serving — but release its admission
+            # slot if the header was sound enough for the event loop
+            # to have counted it.
+            head = head or wire.peek_request(payload)
+            if head is not None:
+                self.release(head.request_id)
+            return None
+        if self.cache is not None:
+            verdict = self.cache.admit(message.request_id)
+            if verdict == "replay":
+                # Already executed: answered from the cache without
+                # touching the servant (effectively-once).
+                (replay or self.replay)(message)
+                return None
+            if verdict == "in-progress":
+                # The original attempt is still executing; its reply
+                # will answer the retry too.  The retry's own
+                # admission slot is released here.
+                self.release(message.request_id)
+                return None
+        return message
+
+    def replay(self, message: RequestMessage) -> None:
+        """Re-send a recorded reply for a retried request.
+
+        Result chunks are replayed first (a multiport client collects
+        them against the same request id), then the reply frame.  A
+        reply-expecting retry whose frame is not recorded yet — the
+        entry was evicted, or chunk recording raced ahead of the reply
+        on a collective group — is silently dropped: the client's next
+        retry will find either a complete entry or a fresh execution.
+        Either way the retry's admission slot is released here.
+        """
+        reply, chunks = self.cache.replay(message.request_id)
+        try:
+            if message.reply_port is not None and reply is None:
+                return
+            for dst_rank, frames in chunks.items():
+                if dst_rank >= len(message.client_data_ports):
+                    continue
+                dest = message.client_data_ports[dst_rank]
+                for frame in frames:
+                    self.port.send(dest, frame, KIND_DATA)
+            if message.reply_port is not None:
+                self.port.send(message.reply_port, reply, KIND_REPLY)
+        except TransportError:
+            # The retrying client vanished mid-replay; the cache entry
+            # stays for the next attempt.
+            pass
+        finally:
+            self.release(message.request_id)
+
+
+class _RequestPrefetcher:
+    """A collective group's receive/decode stage on rank 0, overlapped
+    with execution.
+
+    A dedicated thread blocks on the request port, takes each frame
+    through the :class:`_RequestIntake`, relays the header to the peer
+    ranks (buffered point-to-point on the group communicator, so the
+    header of request N+1 is already delivered while every rank still
+    executes N) and queues the full message for the dispatch loop.
+    The queue is bounded: when the group falls behind, frames back up
+    undecoded in the port rather than as decoded messages here — a
+    blocking put, which is why this stage has a thread of its own
+    (the group's data chunks arrive through the same event loop, so
+    the loop must never wait on the group).  Serial groups have
+    neither peers nor a bound to enforce and take no part in this.
 
     Relay strictly precedes the local enqueue, so whenever rank 0
     holds a message its header is already buffered at every peer —
@@ -542,27 +642,17 @@ class _RequestPrefetcher:
     _STOP = object()
 
     def __init__(
-        self,
-        port: Port,
-        comm: Intracomm | None,
-        name: str,
-        depth: int = _PREFETCH_DEPTH,
-        cache: ReplyCache | None = None,
-        governor: Any = None,
+        self, intake: _RequestIntake, comm: Intracomm, name: str
     ) -> None:
-        self._port = port
+        self._intake = intake
         self._comm = comm
-        self._cache = cache
-        self._governor = governor
-        self._queue: queue.Queue[Any] = queue.Queue(maxsize=depth)
+        self._queue: queue.Queue[Any] = queue.Queue(_PREFETCH_DEPTH)
         self._thread = threading.Thread(
             target=self._run, name=f"{name}:prefetch", daemon=True
         )
         self._thread.start()
 
     def _relay(self, header: RequestMessage | None) -> None:
-        if self._comm is None:
-            return
         try:
             for peer in range(1, self._comm.size):
                 self._comm.send(header, peer, tag=_TAG_HEADER)
@@ -570,86 +660,27 @@ class _RequestPrefetcher:
             # Aborted group: the dispatch loops are unwinding anyway.
             pass
 
-    def _replay(self, message: RequestMessage) -> None:
-        """Re-send a recorded reply for a retried request.
-
-        Result chunks are replayed first (a multiport client collects
-        them against the same request id), then the reply frame.  A
-        reply-expecting retry whose frame is not recorded yet — the
-        entry was evicted, or chunk recording raced ahead of the reply
-        on a collective group — is silently dropped: the client's next
-        retry will find either a complete entry or a fresh execution.
-        """
-        reply, chunks = self._cache.replay(message.request_id)
-        if message.reply_port is not None and reply is None:
-            return
-        try:
-            for dst_rank, frames in chunks.items():
-                if dst_rank >= len(message.client_data_ports):
-                    continue
-                dest = message.client_data_ports[dst_rank]
-                for frame in frames:
-                    self._port.send(dest, frame, KIND_DATA)
-            if message.reply_port is not None:
-                self._port.send(message.reply_port, reply, KIND_REPLY)
-        except TransportError:
-            # The retrying client vanished mid-replay; the cache entry
-            # stays for the next attempt.
-            pass
-
     def _run(self) -> None:
         while True:
             try:
-                _src, kind, payload = self._port.recv(timeout=None)
+                _src, kind, payload = self._intake.port.recv(timeout=None)
             except Exception:
                 break  # port closed: shut the group down
             if kind == KIND_CONTROL and payload == CONTROL_SHUTDOWN:
                 break
-            try:
-                message = wire.decode_request(payload)
-            except Exception:
-                # Garbage on the wire must not kill the object: drop
-                # the datagram and keep serving — but release its
-                # admission slot if the header was sound enough for
-                # the event loop to have counted it.
-                if self._governor is not None:
-                    routing = wire.peek_request(payload)
-                    if routing is not None:
-                        self._governor.request_done(routing.request_id)
-                continue
-            if self._cache is not None:
-                verdict = self._cache.admit(message.request_id)
-                if verdict == "replay":
-                    # Already executed: answer from the cache without
-                    # touching the servant (effectively-once).
-                    self._replay(message)
-                    if self._governor is not None:
-                        self._governor.request_done(message.request_id)
-                    continue
-                if verdict == "in-progress":
-                    # The original attempt is still executing; its
-                    # reply will answer the retry too.  The retry's
-                    # own admission slot is released here.
-                    if self._governor is not None:
-                        self._governor.request_done(message.request_id)
-                    continue
-            self._relay(message.without_body())
-            self._queue.put(message)
+            message = self._intake.admit(payload)
+            if message is not None:
+                self._relay(message.without_body())
+                self._queue.put(message)
         self._relay(None)
         self._queue.put(self._STOP)
 
-    def get(self) -> RequestMessage | None:
-        """Next pre-read request; ``None`` once shut down (sticky)."""
-        item = self._queue.get()
-        if item is self._STOP:
-            self._queue.put(self._STOP)
-            return None
-        return item
-
-    def try_get(self) -> RequestMessage | None:
-        """Non-blocking :meth:`get` for ``service_pending``."""
+    def get(self, block: bool = True) -> RequestMessage | None:
+        """Next pre-read request; ``None`` once shut down (sticky) —
+        or, with ``block=False`` (``service_pending``), when none is
+        queued right now."""
         try:
-            item = self._queue.get_nowait()
+            item = self._queue.get(block)
         except queue.Empty:
             return None
         if item is self._STOP:
@@ -699,28 +730,33 @@ class _ReplySender:
 
 
 class _DispatchPool:
-    """Concurrent dispatch for serial (single-thread) groups.
+    """Where a serial (single-thread) group's requests execute: a
+    pool of ``dispatch_workers`` threads (a pool of one is strictly
+    serial dispatch).
 
-    Two policies, selected per object:
+    Work is queued per *key* and a key is never on two threads at
+    once; a ready-ring round-robins the threads across keys.  The two
+    policies, selected per object, differ only in the key:
 
-    - ``"client-fifo"`` (the default): per-client fair queues keyed by
-      the client identity in the request id's high bits.  One client's
-      requests execute in send order (an identity is never on two
-      workers at once), and a ready-ring round-robins workers across
-      identities — a client with a thousand queued requests cannot
+    - ``"client-fifo"`` (the default): the client identity in the
+      request id's high bits.  One client's requests execute in send
+      order, and a client with a thousand queued requests cannot
       starve a client with one.  Any worker may pick up any client, so
       ``dispatch_workers`` bounds concurrency, not placement (the old
       hash-onto-a-worker scheme pinned clients to workers, which under
       fan-in left workers idle while a busy worker's queue grew).
-    - ``"concurrent"``: all workers drain one shared queue, so even a
-      single pipelined client's requests execute concurrently, like a
-      CORBA ORB-controlled-threads POA.  No cross-request ordering is
+    - ``"concurrent"``: a key of its own per request, so even a single
+      pipelined client's requests execute concurrently, like a CORBA
+      ORB-controlled-threads POA.  No cross-request ordering is
       guaranteed; meant for stateless or internally synchronized
       servants.
 
-    When a :class:`~repro.orb.server.ServerGovernor` is attached,
-    every request's exit from a worker releases its admission slot —
-    the hook backpressure relies on to resume paused clients.
+    :meth:`dispatch` never blocks — it runs on the delivering thread,
+    which may be an event loop; what bounds the queues is the
+    governor's backpressure, upstream of it.  Parked workers form a
+    stack: new work wakes the *most recently idled* one, and exactly
+    one, so a single client's stream stays on one thread (and on that
+    thread's staging buffers) while the others sleep undisturbed.
 
     Collective groups never use the pool; their engine runs
     collectives that need every rank in lockstep.
@@ -732,22 +768,18 @@ class _DispatchPool:
         nworkers: int,
         name: str,
         policy: str = "client-fifo",
-        governor: Any = None,
     ) -> None:
         self._engine = engine
-        self._policy = policy
-        self._governor = governor
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._stopping = False
-        #: client-fifo state: identity -> queued requests, ready-ring
-        #: of identities with runnable work, identities currently on a
-        #: worker, identities already in the ring (membership mirror).
-        self._queues: dict[int, deque[RequestMessage]] = {}
+        self._per_client = policy != "concurrent"
+        #: key -> queued work; the ring of keys with runnable work
+        #: (queued, not on a thread); keys on a thread right now.
+        self._queues: dict[int, deque[tuple]] = {}
         self._ready: deque[int] = deque()
-        self._ringed: set[int] = set()
         self._active: set[int] = set()
-        #: concurrent-policy state: one shared run queue.
-        self._shared: deque[RequestMessage] = deque()
+        #: The wake locks of parked workers, most recently idled last.
+        self._idle: list[Any] = []
         self._threads = [
             threading.Thread(
                 target=self._run,
@@ -759,77 +791,109 @@ class _DispatchPool:
         for thread in self._threads:
             thread.start()
 
-    def dispatch(self, request: RequestMessage) -> None:
-        with self._cond:
-            if self._policy == "concurrent":
-                self._shared.append(request)
-            else:
-                identity = request.request_id >> 32
-                self._queues.setdefault(identity, deque()).append(
-                    request
-                )
-                if (
-                    identity not in self._active
-                    and identity not in self._ringed
-                ):
-                    self._ready.append(identity)
-                    self._ringed.add(identity)
-            self._cond.notify()
+    def dispatch(self, request: RequestMessage, run: Any = None) -> None:
+        """Queue ``run(request)`` — the engine's ``execute`` unless
+        given — under the request's key."""
+        work = (run or self._engine.execute, request)
+        with self._lock:
+            # Unique while the request is queued or running, which is
+            # as long as the key is.
+            key = request.request_id >> 32 if self._per_client else id(work)
+            queued = self._queues.get(key)
+            if queued is not None:
+                queued.append(work)  # behind work already in the ring
+                return
+            self._queues[key] = deque((work,))
+            if key in self._active:
+                return  # runnable once its predecessor is done
+            self._ready.append(key)
+            if self._idle:
+                self._idle.pop().release()
 
-    def _take(self) -> tuple[int | None, RequestMessage] | None:
-        """Next runnable request, or ``None`` to exit (stopping and
-        fully drained)."""
-        with self._cond:
-            while True:
-                if self._shared:
-                    return None, self._shared.popleft()
-                if self._ready:
-                    identity = self._ready.popleft()
-                    self._ringed.discard(identity)
-                    q = self._queues[identity]
-                    request = q.popleft()
-                    if not q:
-                        del self._queues[identity]
-                    self._active.add(identity)
-                    return identity, request
-                if self._stopping and not self._queues:
-                    return None
-                self._cond.wait()
+    def _next(self) -> tuple[int, tuple] | None:
+        """The next runnable work, if any (lock held)."""
+        if not self._ready:
+            return None
+        key = self._ready.popleft()
+        queued = self._queues[key]
+        work = queued.popleft()
+        if not queued:
+            del self._queues[key]
+        self._active.add(key)
+        return key, work
 
-    def _done(self, identity: int) -> None:
-        """An identity's request finished; if it has more queued work,
-        it rejoins the *back* of the ready ring (round-robin)."""
-        with self._cond:
-            self._active.discard(identity)
-            if identity in self._queues and identity not in self._ringed:
-                self._ready.append(identity)
-                self._ringed.add(identity)
-            self._cond.notify_all()
+    def _execute(self, key: int, work: tuple) -> None:
+        run, request = work
+        try:
+            run(request)
+        except Exception:
+            # Even the error reply failed to send (client gone):
+            # there is nobody left to report to.
+            pass
+        finally:
+            # More queued under this key: it rejoins the *back* of the
+            # ready ring (round-robin), and one parked worker is woken
+            # for it — the thread running this may be a servant in
+            # ``service_pending``, not a worker on its way to the ring.
+            with self._lock:
+                self._active.discard(key)
+                if key in self._queues:
+                    self._ready.append(key)
+                    if self._idle:
+                        self._idle.pop().release()
+
+    def _take(self, wake: Any) -> tuple[int, tuple] | None:
+        """Block until work is runnable; ``None`` once the pool is
+        stopping and drained as far as this worker can tell (what is
+        still queued then belongs to keys running on other workers,
+        which re-ring and run it)."""
+        while True:
+            with self._lock:
+                taken = self._next()
+                if taken is not None or self._stopping:
+                    return taken
+                self._idle.append(wake)
+            wake.acquire()  # parked until dispatch() or stop()
 
     def _run(self) -> None:
+        wake = threading.Lock()
+        wake.acquire()
         while True:
-            item = self._take()
-            if item is None:
+            # ``taken`` keeps the last request, and the receive buffer
+            # under it, alive while the worker is parked in ``_take``.
+            # Dropping it first makes that buffer's free race the
+            # event loop's next allocation, and the process's peak RSS
+            # timing-dependent (8 MiB echoes: 98-114 MB run to run
+            # instead of a steady 106).
+            taken = self._take(wake)
+            if taken is None:
                 return
-            identity, request = item
-            try:
-                self._engine.execute(request)
-            except Exception:
-                # Even the error reply failed to send (client gone):
-                # there is nobody left to report to.
-                pass
-            finally:
-                if self._governor is not None:
-                    self._governor.request_done(request.request_id)
-                if identity is not None:
-                    self._done(identity)
+            self._execute(*taken)
+
+    def service(self, max_requests: int) -> int:
+        """``service_pending`` for a serial object: run up to
+        ``max_requests`` already-runnable requests on the calling
+        servant's thread, never waiting for one.  Runnable is what an
+        idle worker could take: under ``"client-fifo"`` other clients'
+        requests (the caller's own client's later ones stay behind
+        the one executing)."""
+        processed = 0
+        while processed < max_requests:
+            with self._lock:
+                taken = self._next()
+            if taken is None:
+                break
+            self._execute(*taken)
+            processed += 1
+        return processed
 
     def stop(self, timeout: float = 10.0) -> None:
         """Graceful drain: workers finish every queued request, then
         exit."""
-        with self._cond:
+        with self._lock:
             self._stopping = True
-            self._cond.notify_all()
+            while self._idle:
+                self._idle.pop().release()
         for thread in self._threads:
             thread.join(timeout)
 
@@ -932,8 +996,8 @@ class ServantGroup:
         #: execute in send order while different clients overlap;
         #: ``"concurrent"`` drops the per-client ordering so even one
         #: pipelined client's requests overlap.  ``dispatch_workers=1``
-        #: restores strictly serial dispatch.  Ignored by collective
-        #: groups.
+        #: is a pool of one: strictly serial dispatch.  Ignored by
+        #: collective groups.
         self._dispatch_workers = dispatch_workers
         self._dispatch_policy = dispatch_policy
         self.fabric = fabric
@@ -1022,7 +1086,7 @@ class ServantGroup:
         )
         self.naming.bind(self.name, self._ref, host=self.host)
 
-    def _rank_main(self, rank_ctx: Any) -> int:
+    def _rank_main(self, rank_ctx: Any) -> None:
         comm = rank_ctx.comm
         ctx = ServantContext(
             rank=rank_ctx.rank,
@@ -1051,109 +1115,109 @@ class ServantGroup:
                 f"not a Servant"
             )
         servant._pardis_ctx = ctx
-        if rank_ctx.rank == 0:
-            self._repo_id = servant._repo_id
-            self._started.set()
         engine = _ServerEngine(ctx, servant, cache=self.reply_cache)
         prefetcher: _RequestPrefetcher | None = None
-        pool: _DispatchPool | None = None
-        # Admission/backpressure accounting lives on the fabric's
-        # server governor; only rank 0 (the communicating thread)
-        # reports completions, so each request is released exactly
-        # once.
-        governor = (
-            getattr(self.fabric, "governor", None)
-            if rank_ctx.rank == 0
-            else None
-        )
         if rank_ctx.rank == 0:
-            assert self._request_port is not None
-            prefetcher = _RequestPrefetcher(
-                self._request_port,
-                ctx.comm,
-                f"server:{self.name}",
-                cache=self.reply_cache,
-                governor=governor,
+            self._repo_id = servant._repo_id
+            engine.governor = getattr(self.fabric, "governor", None)
+            intake = _RequestIntake(
+                self._request_port, self.reply_cache, engine.governor
             )
-            if ctx.rts is not None:
-                # Collective group: reply transmission moves off the
-                # dispatch loop's (and thus the servant's) critical
-                # path.
-                engine.reply_sender = _ReplySender(f"server:{self.name}")
-            elif self._dispatch_workers > 1:
-                # Serial group: no collectives constrain execution
-                # order, so independent clients' requests overlap on a
-                # small pool.
-                pool = _DispatchPool(
-                    engine,
-                    self._dispatch_workers,
-                    f"server:{self.name}",
-                    policy=self._dispatch_policy,
-                    governor=governor,
-                )
+            if ctx.rts is None:
+                self._serve_serial(engine, intake)
+                return
+            # Collective group: rank 0's prefetcher feeds every rank
+            # the headers, and reply transmission moves off the
+            # dispatch loop's (and thus the servant's) critical path.
+            prefetcher = _RequestPrefetcher(
+                intake, ctx.comm, f"server:{self.name}"
+            )
+            engine.reply_sender = _ReplySender(f"server:{self.name}")
+            self._started.set()
 
         def service_pending(max_requests: int) -> int:
             """Drain already-queued requests mid-computation (§2.1)."""
             processed = 0
             while processed < max_requests:
-                if ctx.rank == 0:
-                    assert prefetcher is not None
-                    message = prefetcher.try_get()
-                else:
-                    message = None
-                if ctx.rts is not None:
-                    # Peers need the header only; rank 0 keeps the
-                    # original (its body may be a buffer view, which
-                    # the pickling broadcast cannot carry).
-                    outgoing = (
-                        message.without_body()
-                        if message is not None
-                        else None
-                    )
-                    received = ctx.rts.broadcast(outgoing, root=0)
-                    if ctx.rank != 0:
-                        message = received
-                        if message is not None:
-                            # Pop (and discard) the copy the
-                            # prefetcher relayed for this request,
-                            # keeping the header stream aligned with
-                            # the dispatch loop.  Guaranteed buffered:
-                            # relay precedes rank 0's enqueue.
-                            ctx.comm.recv(source=0, tag=_TAG_HEADER)
+                message = prefetcher.get(block=False) if prefetcher else None
+                # Peers need the header only; rank 0 keeps the
+                # original (its body may be a buffer view, which the
+                # pickling broadcast cannot carry).
+                received = ctx.rts.broadcast(
+                    message.without_body() if message is not None else None,
+                    root=0,
+                )
+                if ctx.rank != 0:
+                    message = received
+                    if message is not None:
+                        # Pop (and discard) the copy the prefetcher
+                        # relayed for this request, keeping the header
+                        # stream aligned with the dispatch loop.
+                        # Guaranteed buffered: relay precedes rank 0's
+                        # enqueue.
+                        ctx.comm.recv(source=0, tag=_TAG_HEADER)
                 if message is None:
                     break
-                try:
-                    engine.execute(message)
-                finally:
-                    if governor is not None:
-                        governor.request_done(message.request_id)
+                engine.execute(message)
                 processed += 1
             return processed
 
         ctx.service_fn = service_pending
-        served = 0
         try:
             while True:
                 request = self._next_request(ctx, prefetcher)
                 if request is None:
                     break
-                if pool is not None:
-                    pool.dispatch(request)
-                else:
-                    try:
-                        engine.execute(request)
-                    finally:
-                        if governor is not None:
-                            governor.request_done(request.request_id)
-                served += 1
+                engine.execute(request)
         finally:
-            if pool is not None:
-                pool.stop()
-            if engine.reply_sender is not None:
-                engine.reply_sender.stop()
             if prefetcher is not None:
+                engine.reply_sender.stop()
                 prefetcher.join()
-        return served
+
+    def _serve_serial(
+        self, engine: _ServerEngine, intake: _RequestIntake
+    ) -> None:
+        """A serial group has no collectives to keep in lockstep, so a
+        request goes from the thread that delivers it straight to the
+        dispatch pool: the request port's upcall decodes and admits it
+        and queues it under its client — all that runs on the
+        delivering thread, never servant code, never a blocking put.
+        This thread only waits for the object's end: the shutdown
+        control frame, or the port closing under it (``kill``)."""
+        port = intake.port
+        pool = _DispatchPool(
+            engine,
+            self._dispatch_workers,
+            f"server:{self.name}",
+            self._dispatch_policy,
+        )
+
+        # A replay sends, so it runs on a worker — in its client's turn.
+        replay = partial(pool.dispatch, run=intake.replay)
+
+        def upcall(delivery: Any) -> bool:
+            if delivery.kind == KIND_CONTROL:
+                return False  # queued: wakes the recv below
+            message = intake.admit(delivery.payload, delivery.head, replay)
+            if message is not None:
+                pool.dispatch(message)
+            return True
+
+        engine.ctx.service_fn = pool.service
+        # Installed before the object is advertised: a request that
+        # found the port without it would sit in a queue nobody reads.
+        port.upcall = upcall
+        self._started.set()
+        try:
+            while True:
+                _src, kind, payload = port.recv(timeout=None)
+                if kind == KIND_CONTROL and payload == CONTROL_SHUTDOWN:
+                    break
+        except TransportError:
+            pass  # port closed: shut the group down
+        finally:
+            port.upcall = None
+            pool.stop()
 
     def _next_request(
         self,
@@ -1190,7 +1254,9 @@ class ServantGroup:
         crash — sends to the closed ports raise
         :class:`~repro.orb.transport.TransportError`, pending receives
         never complete.  The dispatch threads themselves wind down
-        (the prefetcher exits on the port close), so a killed group
+        (whoever waits on the request port — a serial group's rank
+        thread, a collective group's prefetcher — exits on the close,
+        and what was already queued still runs), so a killed group
         leaks no threads.  Idempotent; ``shutdown`` afterwards is safe
         and only removes the naming entry.
         """

@@ -37,7 +37,7 @@ in a stage).  Paths are stateless; one shared instance each.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from repro.orb.transfer import (
     detach_plain_values,
     full_body_encoder,
     plain_body_encoder,
-    reply_slots,
     send_chunks,
     server_layout,
     staging_array,
@@ -259,7 +258,7 @@ class DataPath:
         ctx: "ServantContext",
         request: RequestMessage,
         spec: OperationSpec,
-        slots: list[Slot],
+        slots: Sequence[Slot],
         decoded: dict[str, Any],
     ) -> dict[str, Placed]:
         """``decoded`` is rank 0's decoded header body (empty on the
@@ -339,7 +338,7 @@ class ThroughRootPath(DataPath):
 
     def stage_results(self, ctx, request, spec, results, staging):
         values = dict(results)
-        for slot in reply_slots(spec):
+        for slot in spec.reply_slots:
             if slot.distributed:
                 values[slot.name] = _gather(
                     ctx.rts, ctx.rank, results[slot.name],
@@ -352,7 +351,7 @@ class ThroughRootPath(DataPath):
         # receive buffer (views do not survive pickling); distributed
         # values reach the peers by scatter, plain ones by broadcast.
         rt = inv.runtime
-        slots = reply_slots(inv.spec)
+        slots = inv.spec.reply_slots
         values: dict[str, Any] = {}
         if rt.rank == 0:
             values = decode_full_body(slots, reply.body)
@@ -452,7 +451,7 @@ class DirectPath(DataPath):
         # returned distributed value lives server-side and lands
         # client-side.
         dist_layouts = []
-        for slot in reply_slots(spec):
+        for slot in spec.reply_slots:
             if not slot.distributed:
                 continue
             value: DistributedSequence = results[slot.name]
@@ -493,7 +492,7 @@ class DirectPath(DataPath):
         # every rank decodes it; each collects its own chunks.
         rt = inv.runtime
         _status, body, reply_layouts = header
-        slots = reply_slots(inv.spec)
+        slots = inv.spec.reply_slots
         plain = decode_plain_body(slots, body)
         detach_plain_values(slots, plain)
         layouts = {name: pair for name, *pair in reply_layouts}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from repro.cdr.typecodes import (
@@ -51,9 +52,32 @@ class ParamSpec:
         return isinstance(self.typecode, DSequenceTC)
 
 
+#: Name used for a distributed return value in layouts and chunks.
+RETURN_SLOT = "__return__"
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One value position in a request or reply."""
+
+    name: str
+    typecode: TypeCode
+    param: ParamSpec | None  # None for the return value
+
+    @property
+    def distributed(self) -> bool:
+        return isinstance(self.typecode, DSequenceTC)
+
+
 @dataclass(frozen=True)
 class OperationSpec:
-    """Everything the ORB needs to know about one IDL operation."""
+    """Everything the ORB needs to know about one IDL operation.
+
+    The derived views below are computed once per spec
+    (``cached_property`` stores into the instance ``__dict__``, which
+    a frozen dataclass leaves open) and handed out as tuples: the
+    engines ask for them several times per invocation.
+    """
 
     name: str
     params: tuple[ParamSpec, ...] = ()
@@ -83,13 +107,42 @@ class OperationSpec:
                 f"operation '{self.name}' has duplicate parameter names"
             )
 
-    @property
+    @cached_property
     def sent_params(self) -> tuple[ParamSpec, ...]:
         return tuple(p for p in self.params if p.direction.sends)
 
-    @property
+    @cached_property
     def returned_params(self) -> tuple[ParamSpec, ...]:
         return tuple(p for p in self.params if p.direction.returns)
+
+    @cached_property
+    def request_slots(self) -> tuple[Slot, ...]:
+        """Client→server values, in declaration order."""
+        return tuple(Slot(p.name, p.typecode, p) for p in self.sent_params)
+
+    @cached_property
+    def reply_slots(self) -> tuple[Slot, ...]:
+        """Server→client values: return first, then out/inout params."""
+        returned = tuple(
+            Slot(p.name, p.typecode, p) for p in self.returned_params
+        )
+        if self.return_tc is TC_VOID:
+            return returned
+        return (Slot(RETURN_SLOT, self.return_tc, None), *returned)
+
+    @cached_property
+    def produced_slots(self) -> tuple[Slot, ...]:
+        """Reply slots a servant must *produce* (inout distributed
+        sequences are mutated in place instead)."""
+        return tuple(
+            slot
+            for slot in self.reply_slots
+            if not (
+                slot.distributed
+                and slot.param is not None
+                and slot.param.direction.sends
+            )
+        )
 
     @property
     def distributed_params(self) -> tuple[ParamSpec, ...]:

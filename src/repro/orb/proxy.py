@@ -19,7 +19,9 @@ The worker gives non-blocking invocations (§2.1's futures) a total
 order per rank: because every rank enqueues invocations in the same
 program order, the collective operations inside the invocation engine
 match up across ranks even when the application fires several
-requests before touching any future.
+requests before touching any future.  A blocking invocation with
+nothing outstanding to be ordered against skips the worker and runs
+on the calling thread (:meth:`_InvocationWorker.run_inline`).
 """
 
 from __future__ import annotations
@@ -163,7 +165,15 @@ class ClientRuntime:
                 root=0,
             )
         self._request_ids = itertools.count(base + 1)
-        self._worker: _InvocationWorker | None = None
+        #: Shared with this runtime's serial views, so invocation
+        #: order is global per thread; its thread starts with the
+        #: first submission — a runtime that only ever makes blocking
+        #: calls on settled state never needs one.
+        self.worker = _InvocationWorker(
+            f"pardis-worker-{self.rank}",
+            depth=pipeline_depth,
+            metrics=trace.metrics if trace is not None else None,
+        )
         self._closed = False
 
     def next_request_id(self) -> int:
@@ -214,20 +224,8 @@ class ClientRuntime:
         view.sanitize = self.sanitize
         view.san = None
         # Share the worker so invocation order is global per thread.
-        view._worker = self.worker
+        view.worker = self.worker
         return view
-
-    @property
-    def worker(self) -> "_InvocationWorker":
-        if self._worker is None:
-            self._worker = _InvocationWorker(
-                f"pardis-worker-{self.rank}",
-                depth=self.pipeline_depth,
-                metrics=(
-                    self.trace.metrics if self.trace is not None else None
-                ),
-            )
-        return self._worker
 
     def close(self) -> None:
         """Release ports and stop the worker (idempotent).
@@ -239,8 +237,7 @@ class ClientRuntime:
         if self._closed:
             return
         self._closed = True
-        if self._worker is not None:
-            self._worker.stop()
+        self.worker.stop()
         self.reply_port.close()
         self.data_port.close()
 
@@ -254,22 +251,30 @@ class ClientRuntime:
 class _InvocationWorker:
     """A per-rank pipelined executor for invocations.
 
-    All invocations — blocking and non-blocking — are *launched* here
-    in enqueue order, which is program order, which under the SPMD
-    assumption is identical on every rank.  A launch runs only the
-    engine's send phase (``invoke_begin``); up to ``depth`` requests
-    may then be in flight, their deferred completions (reply receive,
-    reply-side collectives, result composition) queued on a pending
-    deque.  Completions drain strictly in launch order, triggered by
-    exactly three queue-driven events: the pipeline is full, a reader
-    touched a future (the flush marker the future's demand hook
-    enqueues), or the worker is stopping.
+    Non-blocking invocations — and blocking ones issued behind an
+    unsettled submission — are *launched* here in enqueue order, which
+    is program order, which under the SPMD assumption is identical on
+    every rank.  A launch runs only the engine's send phase
+    (``invoke_begin``); up to ``depth`` requests may then be in
+    flight, their deferred completions (reply receive, reply-side
+    collectives, result composition) queued on a pending deque.
+    Completions drain strictly in launch order, triggered by exactly
+    three queue-driven events: the pipeline is full, a reader touched
+    a future (the flush marker the future's demand hook enqueues), or
+    the worker is stopping.
 
     Both the launch order and the drain policy are functions of the
     queue contents alone — never of timing — so the per-rank sequence
     of engine collectives is identical on every rank and collective
     operations of different outstanding requests can never
     cross-match.
+
+    A blocking invocation that finds every earlier submission settled
+    has nothing to be ordered against: :meth:`run_inline` runs its
+    launch and completion back to back on the caller's thread — the
+    same engine calls, in the same order, as the worker would have
+    made — and saves the two thread hand-offs.  The worker thread
+    itself starts with the first queued submission.
     """
 
     def __init__(self, name: str, depth: int = 8, metrics: Any = None) -> None:
@@ -284,27 +289,47 @@ class _InvocationWorker:
         self._stopped = False
         #: Launched-but-uncompleted requests: (complete, future).
         self._pending: deque[tuple[Callable[[], Any], Future]] = deque()
-        self._thread = threading.Thread(
-            target=self._run, name=name, daemon=True
-        )
-        self._thread.start()
+        self._lock = threading.Lock()
+        #: Submissions (queued or inline) not yet resolved.
+        self._unsettled = 0
+        #: Held by whichever thread is inside the engine — the worker
+        #: per queue item, an inline caller per call — so a runtime
+        #: shared between threads still has one reply-port consumer.
+        self._turn = threading.Lock()
+        self._name = name
+        self._thread: threading.Thread | None = None
 
     def in_flight(self) -> int:
         """How many launched requests await completion (worker-thread
         accurate; advisory elsewhere)."""
         return len(self._pending)
 
+    def _count(self, outcome: str) -> None:
+        if self._metrics is not None:
+            self._metrics.counter(f"invocations.{outcome}").inc()
+
+    def _settle(
+        self, future: Future, value: Any, exc: BaseException | None
+    ) -> None:
+        # Settled before resolved: a reader woken by the future must
+        # already find the runtime idle.
+        with self._lock:
+            self._unsettled -= 1
+        if exc is None:
+            future.set_result(value)
+        else:
+            future.set_exception(exc)
+
     def _drain_one(self) -> None:
         complete, future = self._pending.popleft()
         try:
-            future.set_result(complete())
+            value = complete()
         except BaseException as exc:  # noqa: BLE001 - to the future
-            future.set_exception(exc)
-            if self._metrics is not None:
-                self._metrics.counter("invocations.failed").inc()
+            self._settle(future, None, exc)
+            self._count("failed")
         else:
-            if self._metrics is not None:
-                self._metrics.counter("invocations.completed").inc()
+            self._settle(future, value, None)
+            self._count("completed")
 
     def _drain_through(self, target: Future) -> None:
         """Complete pending requests up to and including ``target``.
@@ -327,7 +352,8 @@ class _InvocationWorker:
             item = self._queue.get()
             if item is None:
                 break
-            self._handle(item)
+            with self._turn:
+                self._handle(item)
             # A lingering loop variable would pin the last future
             # across the blocking get(), hiding abandoned futures
             # from the lifecycle sanitizer until shutdown.
@@ -347,27 +373,63 @@ class _InvocationWorker:
         try:
             state, payload = fn()
         except BaseException as exc:  # noqa: BLE001 - to the future
-            future.set_exception(exc)
+            self._settle(future, None, exc)
             return
         if state == "done":
-            future.set_result(payload)
+            self._settle(future, payload, None)
         else:
             self._pending.append((payload, future))
 
     def submit(self, fn: Callable[[], Any], label: str) -> Future:
         """Enqueue a launch; ``fn()`` must return the engine's
         ``("done", value)`` / ``("pending", complete)`` pair."""
-        if self._stopped:
-            raise RuntimeError(
-                "client runtime is closed; no further invocations"
-            )
         future = Future(label)
         future._pre_wait = self._request_flush
         if self._metrics is not None:
-            self._metrics.counter("invocations.submitted").inc()
             future._trace_metrics = self._metrics
-        self._queue.put(("invoke", fn, future))
+        with self._lock:
+            if self._stopped:
+                raise RuntimeError(
+                    "client runtime is closed; no further invocations"
+                )
+            self._unsettled += 1
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name=self._name, daemon=True
+                )
+                self._thread.start()
+            # Under the lock, so that ``stop``'s sentinel cannot slip
+            # in ahead of an admitted submission.
+            self._queue.put(("invoke", fn, future))
+        self._count("submitted")
         return future
+
+    def run_inline(self, fn: Callable[[], Any]) -> tuple[bool, Any]:
+        """Run a blocking invocation on the calling thread if every
+        earlier submission has settled: ``(True, result)``, or the
+        invocation's own exception.  ``(False, None)`` — something is
+        still queued, launched or pending, so ordering needs the
+        worker — leaves ``fn`` uncalled for :meth:`submit`."""
+        with self._lock:
+            if self._unsettled or self._stopped:
+                return False, None
+            self._unsettled += 1
+        self._count("submitted")
+        try:
+            with self._turn:
+                state, payload = fn()
+                if state == "done":
+                    return True, payload
+                try:
+                    result = payload()
+                except BaseException:
+                    self._count("failed")
+                    raise
+            self._count("completed")
+            return True, result
+        finally:
+            with self._lock:
+                self._unsettled -= 1
 
     def _request_flush(self, future: Future) -> None:
         """Demand hook: a reader is about to block on ``future``."""
@@ -376,13 +438,17 @@ class _InvocationWorker:
         self._queue.put(("flush", future))
 
     def stop(self, join_timeout: float | None = 10.0) -> None:
-        self._stopped = True
-        self._queue.put(None)
+        with self._lock:
+            self._stopped = True
+            thread = self._thread
+            if thread is not None:
+                self._queue.put(None)
         if (
-            join_timeout is not None
-            and threading.current_thread() is not self._thread
+            thread is not None
+            and join_timeout is not None
+            and threading.current_thread() is not thread
         ):
-            self._thread.join(join_timeout)
+            thread.join(join_timeout)
 
 
 class ClientProxy:
@@ -653,11 +719,10 @@ class ClientProxy:
         return value.
         """
         from repro.idl.runtime import template_to_spec
-        from repro.orb.transfer import reply_slots
 
         spec = self._spec(operation)
         slot = next(
-            (s for s in reply_slots(spec) if s.name == param), None
+            (s for s in spec.reply_slots if s.name == param), None
         )
         if slot is None or not slot.distributed:
             raise ValueError(
@@ -680,22 +745,28 @@ class ClientProxy:
         )
 
     def _invoke(self, operation: str, args: tuple) -> Any:
-        """Blocking invocation (runs on the rank's worker for ordering
-        against outstanding non-blocking calls)."""
-        policy = effective_policy(self._ft_policy, self._runtime)
+        """Blocking invocation: on the caller's thread when every
+        earlier submission on the runtime has settled, else on the
+        rank's worker, ordered behind the outstanding ones.  Either
+        way the same engine calls run in the same order."""
+        launch, label, site = self._prepare(operation, args)
+        runtime = self._runtime
+        ran, result = runtime.worker.run_inline(launch)
+        if ran:
+            return result
+        policy = effective_policy(self._ft_policy, runtime)
         if policy is not None:
             # The engine owns the deadline; the blocking caller just
             # needs a safety margin over the worst-case retry budget.
-            timeout = policy.wait_budget(self._runtime.timeout)
+            timeout = policy.wait_budget(runtime.timeout)
             if timeout is not None and self._group is not None:
                 # Each failover replays the full per-replica budget.
                 timeout *= 1 + self._group.budget(policy)
         else:
             timeout = (
-                None if self._runtime.timeout is None
-                else self._runtime.timeout * 2
+                None if runtime.timeout is None else runtime.timeout * 2
             )
-        return self._invoke_nb(operation, args).value(timeout=timeout)
+        return self._submit(launch, label, site).value(timeout=timeout)
 
     def _invoke_nb(self, operation: str, args: tuple) -> Future:
         """Non-blocking invocation returning a future (§2.1).
@@ -706,22 +777,38 @@ class ClientProxy:
         completes it when the future is touched, the pipeline fills,
         or the runtime closes.
         """
+        return self._submit(*self._prepare(operation, args))
+
+    def _submit(
+        self, launch: Callable[[], tuple[str, Any]], label: str, site: str
+    ) -> Future:
+        future = self._runtime.worker.submit(launch, label=label)
+        if self._runtime.sanitize:
+            _san_track(future, label, site)
+        return future
+
+    def _prepare(
+        self, operation: str, args: tuple
+    ) -> tuple[Callable[[], tuple[str, Any]], str, str]:
+        """What every invocation does on the application thread, in
+        program order, before its launch runs anywhere: the argument
+        checks, the sanitizer's alignment check, and the launch
+        closure itself.  Returns ``(launch, label, call site)``."""
         spec = self._spec(operation)
         self._check_serial_args(spec, args)
         runtime = self._runtime
         path = self._path
         ref = self._ref
+        label = f"{self._interface}.{operation}"
         site = ""
         if runtime.sanitize:
             site = _san_call_site()
             if self._mode is BindMode.SPMD and runtime.san is not None:
                 # Alignment check on the application thread, in
-                # program order, *before* the launch enters the
-                # worker: a divergent rank aborts here with the call
-                # site, instead of cross-matching engine collectives.
-                runtime.san.check(
-                    f"{self._interface}.{operation}", site
-                )
+                # program order, *before* the launch runs: a divergent
+                # rank aborts here with the call site, instead of
+                # cross-matching engine collectives.
+                runtime.san.check(label, site)
         out_map = {
             param: template_spec
             for (op, param), template_spec in self._out_templates.items()
@@ -740,15 +827,7 @@ class ClientProxy:
                 ft_policy=self._ft_policy,
                 on_degrade=self._on_degrade,
             )
-        future = runtime.worker.submit(
-            launch,
-            label=f"{self._interface}.{operation}",
-        )
-        if runtime.sanitize:
-            _san_track(
-                future, f"{self._interface}.{operation}", site
-            )
-        return future
+        return launch, label, site
 
     def invoke_all(self, operation: str, args: tuple = ()) -> Any:
         """Collective invocation by name (the paper's vocabulary).

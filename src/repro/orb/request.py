@@ -170,11 +170,42 @@ class RequestRouting:
     operation: str
     oneway: bool
     reply_port: PortAddress | None
+    #: The rest of what the head holds, and the stream offset it ends
+    #: at: :func:`decode_request` handed a routing resumes there
+    #: instead of decoding the head a second time.
+    object_key: str = ""
+    mode: str = MODE_CENTRALIZED
+    resume_at: int = 0
 
     @property
     def client_identity(self) -> int:
         """The 64-bit id's high half: the sending client runtime."""
         return self.request_id >> 32
+
+
+def _read_head(dec: CdrDecoder) -> RequestRouting:
+    """Decode a request frame through its reply port (``dec`` fresh:
+    only the flag octet read)."""
+    size = dec.remaining + 1
+    request_id = int(dec.read(_TC_ULONGLONG))
+    trace_id = int(dec.read(_TC_ULONGLONG))
+    object_key = dec.read_string()
+    operation = dec.read_string()
+    mode = dec.read_string()
+    if mode not in (MODE_CENTRALIZED, MODE_MULTIPORT):
+        raise MarshalError(f"unknown transfer mode {mode!r}")
+    oneway = dec.read_boolean()
+    reply_port = _read_port(dec)
+    return RequestRouting(
+        request_id=request_id,
+        trace_id=trace_id,
+        operation=operation,
+        oneway=oneway,
+        reply_port=reply_port,
+        object_key=object_key,
+        mode=mode,
+        resume_at=size - dec.remaining,
+    )
 
 
 def peek_request(data: Any) -> RequestRouting | None:
@@ -188,39 +219,25 @@ def peek_request(data: Any) -> RequestRouting | None:
     and dropped downstream like any other garbage.
     """
     try:
-        dec = CdrDecoder(data)
-        request_id = int(dec.read(_TC_ULONGLONG))
-        trace_id = int(dec.read(_TC_ULONGLONG))
-        dec.read_string()  # object_key
-        operation = dec.read_string()
-        mode = dec.read_string()
-        if mode not in (MODE_CENTRALIZED, MODE_MULTIPORT):
-            return None
-        oneway = dec.read_boolean()
-        reply_port = _read_port(dec)
+        return _read_head(CdrDecoder(data))
     except Exception:
         return None
-    return RequestRouting(
-        request_id=request_id,
-        trace_id=trace_id,
-        operation=operation,
-        oneway=oneway,
-        reply_port=reply_port,
-    )
 
 
-def decode_request(data: bytes) -> RequestMessage:
-    """Parse a request message off the wire."""
+def decode_request(
+    data: bytes, head: RequestRouting | None = None
+) -> RequestMessage:
+    """Parse a request message off the wire.
+
+    ``head`` is what :func:`peek_request` already read off this very
+    frame (or a byte-for-byte copy of it): the decode then starts
+    where the peek stopped.
+    """
     dec = CdrDecoder(data)
-    request_id = int(dec.read(_TC_ULONGLONG))
-    trace_id = int(dec.read(_TC_ULONGLONG))
-    object_key = dec.read_string()
-    operation = dec.read_string()
-    mode = dec.read_string()
-    if mode not in (MODE_CENTRALIZED, MODE_MULTIPORT):
-        raise MarshalError(f"unknown transfer mode {mode!r}")
-    oneway = dec.read_boolean()
-    reply_port = _read_port(dec)
+    if head is None:
+        head = _read_head(dec)
+    else:
+        dec.read_octets(head.resume_at - 1)  # flag octet already read
     client_nthreads = dec.read_ulong()
     nports = dec.read_ulong()
     ports = []
@@ -249,13 +266,13 @@ def decode_request(data: bytes) -> RequestMessage:
     body_len = dec.read_ulong()
     body = dec.read_octets(body_len)
     return RequestMessage(
-        request_id=request_id,
-        trace_id=trace_id,
-        object_key=object_key,
-        operation=operation,
-        mode=mode,
-        oneway=oneway,
-        reply_port=reply_port,
+        request_id=head.request_id,
+        trace_id=head.trace_id,
+        object_key=head.object_key,
+        operation=head.operation,
+        mode=head.mode,
+        oneway=head.oneway,
+        reply_port=head.reply_port,
         client_nthreads=client_nthreads,
         client_data_ports=tuple(ports),
         dist_layouts=tuple(layouts),

@@ -364,6 +364,7 @@ class SocketFabric:
         src: SocketPortAddress,
         kind: str,
         payload: Any,
+        head: Any = None,
     ) -> None:
         with self._lock:
             port = self._ports.get(dest_port_id)
@@ -371,7 +372,7 @@ class SocketFabric:
             raise TransportError(
                 f"no port {dest_port_id} at {self.host}:{self.tcp_port}"
             )
-        port._deposit(_Delivery(src, kind, payload))
+        port._deposit(_Delivery(src, kind, payload, head))
 
     def _send_remote(
         self, endpoint: tuple[str, int], buffers: list[Any]
@@ -823,6 +824,7 @@ class _ServerLoop:
         kind = dec.read_string()
         payload: Any = dec.read_octets(dec.read_ulong())
         governor = self._governor
+        routing = None
         if (
             kind == KIND_REQUEST
             and governor is not None
@@ -842,7 +844,9 @@ class _ServerLoop:
         if conn.pooled:
             copied(len(payload))
             payload = bytes(payload)
-        fabric._deliver_local(dest_port_id, src, kind, payload)
+        # The peeked head rides along (its resume offset holds for the
+        # copy): a receiver that decodes on this thread starts there.
+        fabric._deliver_local(dest_port_id, src, kind, payload, routing)
 
     def _note_identity(
         self, conn: _ServerConnection, identity: int

@@ -40,14 +40,14 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from repro.cdr.accounting import copied
 from repro.cdr.decoder import CdrDecoder
 from repro.cdr.encoder import CdrEncoder
-from repro.cdr.typecodes import DSequenceTC, MarshalError, TypeCode, TC_VOID
+from repro.cdr.typecodes import DSequenceTC, MarshalError
 from repro.dist import BlockTemplate, DistributedSequence, Layout
 from repro.dist.schedule import TransferStep
 from repro.ft.agreement import agree, agree_failure
@@ -61,9 +61,10 @@ from repro.ft.policy import (
 from repro.idl.runtime import template_from_spec
 from repro.orb import request as wire
 from repro.orb.operation import (
+    RETURN_SLOT,
     OperationSpec,
-    ParamSpec,
     RemoteError,
+    Slot,
     UserException,
     find_exception_class,
 )
@@ -84,9 +85,6 @@ if TYPE_CHECKING:
     from repro.orb.proxy import ClientRuntime
 
 _NATIVE_LITTLE = sys.byteorder == "little"
-
-#: Name used for a distributed return value in layouts and chunks.
-RETURN_SLOT = "__return__"
 
 
 class Tracer:
@@ -128,47 +126,24 @@ def server_layout(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Slot:
-    """One value position in a request or reply."""
-
-    name: str
-    typecode: TypeCode
-    param: ParamSpec | None  # None for the return value
-
-    @property
-    def distributed(self) -> bool:
-        return isinstance(self.typecode, DSequenceTC)
+# The slot views live on the spec, built once; these spellings remain
+# for callers outside the engines.
 
 
-def request_slots(spec: OperationSpec) -> list[Slot]:
+def request_slots(spec: OperationSpec) -> tuple[Slot, ...]:
     """Client→server values, in declaration order."""
-    return [Slot(p.name, p.typecode, p) for p in spec.sent_params]
+    return spec.request_slots
 
 
-def reply_slots(spec: OperationSpec) -> list[Slot]:
+def reply_slots(spec: OperationSpec) -> tuple[Slot, ...]:
     """Server→client values: return first, then out/inout params."""
-    slots = []
-    if spec.return_tc is not TC_VOID:
-        slots.append(Slot(RETURN_SLOT, spec.return_tc, None))
-    for p in spec.returned_params:
-        slots.append(Slot(p.name, p.typecode, p))
-    return slots
+    return spec.reply_slots
 
 
-def produced_slots(spec: OperationSpec) -> list[Slot]:
+def produced_slots(spec: OperationSpec) -> tuple[Slot, ...]:
     """Reply slots a servant must *produce* (inout distributed
     sequences are mutated in place instead)."""
-    produced = []
-    for slot in reply_slots(spec):
-        if (
-            slot.distributed
-            and slot.param is not None
-            and slot.param.direction.sends
-        ):
-            continue  # inout dsequence: in-place
-        produced.append(slot)
-    return produced
+    return spec.produced_slots
 
 
 def compose(values: list[Any]) -> Any:
@@ -548,7 +523,7 @@ def send_chunks(
 
 
 def plain_body_encoder(
-    slots: list[Slot], values: dict[str, Any]
+    slots: Sequence[Slot], values: dict[str, Any]
 ) -> CdrEncoder:
     """Marshal the non-distributed slots of a message body.
 
@@ -562,12 +537,14 @@ def plain_body_encoder(
     return enc
 
 
-def encode_plain_body(slots: list[Slot], values: dict[str, Any]) -> bytes:
+def encode_plain_body(
+    slots: Sequence[Slot], values: dict[str, Any]
+) -> bytes:
     """Flattened form of :func:`plain_body_encoder`."""
     return plain_body_encoder(slots, values).getvalue()
 
 
-def decode_plain_body(slots: list[Slot], body: Any) -> dict[str, Any]:
+def decode_plain_body(slots: Sequence[Slot], body: Any) -> dict[str, Any]:
     """Inverse of :func:`encode_plain_body`."""
     dec = CdrDecoder(body)
     values: dict[str, Any] = {}
@@ -579,7 +556,7 @@ def decode_plain_body(slots: list[Slot], body: Any) -> dict[str, Any]:
 
 
 def full_body_encoder(
-    slots: list[Slot], values: dict[str, Any]
+    slots: Sequence[Slot], values: dict[str, Any]
 ) -> CdrEncoder:
     """Centralized method: everything inline, distributed sequences as
     materialized arrays (appended by reference — the encoder borrows
@@ -593,7 +570,7 @@ def full_body_encoder(
     return enc
 
 
-def decode_full_body(slots: list[Slot], body: Any) -> dict[str, Any]:
+def decode_full_body(slots: Sequence[Slot], body: Any) -> dict[str, Any]:
     """Inverse of :func:`full_body_encoder`.  Numeric sequences come
     back as read-only views into ``body``'s buffer."""
     dec = CdrDecoder(body)
@@ -601,7 +578,7 @@ def decode_full_body(slots: list[Slot], body: Any) -> dict[str, Any]:
 
 
 def detach_plain_values(
-    slots: list[Slot], values: dict[str, Any]
+    slots: Sequence[Slot], values: dict[str, Any]
 ) -> None:
     """Replace read-only decoder-view arrays in the plain slots with
     writable copies.
@@ -857,7 +834,7 @@ class ClientInvocation:
     ref: ObjectReference
     spec: OperationSpec
     #: The request slots, and the caller's arguments by slot name.
-    slots: list[Slot]
+    slots: Sequence[Slot]
     args: dict[str, Any]
     #: Layouts the distributed arguments were launched with, by name.
     layouts: dict[str, Layout]
@@ -976,7 +953,7 @@ def invoke_begin(
             f"ports; multi-port transfer is unavailable",
             category="NO_RESOURCES",
         )
-    slots = request_slots(spec)
+    slots = spec.request_slots
     if len(args) != len(slots):
         raise TypeError(
             f"{spec.name}() takes {len(slots)} arguments, got {len(args)}"
@@ -1173,7 +1150,7 @@ def invoke_begin(
                     failure = agree_failure(rts, local)
                     ctl.note_agreement()
             if failure is None:
-                for slot in reply_slots(spec):
+                for slot in spec.reply_slots:
                     if slot.distributed:
                         values[slot.name] = _install_reply_sequence(
                             slot, *placed[slot.name], inv
@@ -1185,7 +1162,7 @@ def invoke_begin(
                 retire()
                 reply_span.end()
                 return compose(
-                    [values[s.name] for s in produced_slots(spec)]
+                    [values[s.name] for s in spec.produced_slots]
                 )
             reply_span.note(failure=failure.kind).end()
             action = ctl.next_action(failure)

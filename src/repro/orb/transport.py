@@ -98,10 +98,16 @@ class _Delivery:
     src: PortAddress
     kind: str
     payload: Any  # one contiguous bytes-like buffer
+    #: What the delivering fabric already decoded of the payload (the
+    #: event loop's admission peek of a request frame), so the
+    #: receiver need not decode it again; ``None`` = nothing.
+    head: Any = None
 
 
 class Port:
-    """A receiving endpoint.  Owned (received from) by one thread."""
+    """A receiving endpoint.  Owned (received from) by one thread —
+    or, with an :attr:`upcall` installed, by whichever thread
+    delivers."""
 
     def __init__(self, fabric: "Fabric", address: PortAddress) -> None:
         self._fabric = fabric
@@ -110,8 +116,18 @@ class Port:
         self._cond = threading.Condition(self._lock)
         self._queue: list[_Delivery] = []
         self._closed = False
+        #: ``upcall(delivery) -> bool``, run on the *delivering* thread
+        #: (a socket fabric's event loop, or a local sender): ``True``
+        #: consumes the message, ``False`` queues it for :meth:`recv`
+        #: as if no upcall were set.  It must return promptly, never
+        #: block and never raise — an event loop's other sockets wait
+        #: on it, and the loop does not survive a stray exception.
+        self.upcall: Callable[[_Delivery], bool] | None = None
 
     def _deposit(self, delivery: _Delivery) -> None:
+        upcall = self.upcall
+        if upcall is not None and not self._closed and upcall(delivery):
+            return
         with self._cond:
             if self._closed:
                 raise TransportError(

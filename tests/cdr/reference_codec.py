@@ -1,21 +1,8 @@
-"""CDR encoder: TypeCode-driven marshaling into a byte buffer.
-
-Layout rules follow CDR: primitives are aligned to their size relative
-to the start of the stream, strings carry a ulong length including the
-terminating NUL, sequences a ulong element count, enums travel as
-ulong ordinals, arrays are bare element runs, structs are member
-concatenations.  The stream's first octet is the byte-order flag
-(0 = big endian, 1 = little endian); this encoder always writes the
-native order and records which.
-
-The stream is *segment-aware*: small writes accumulate in a bytearray
-tail, while large payloads (ndarray element runs, message bodies) are
-appended **by reference** as additional segments — no copy is made and
-``getvalue()``'s flatten can be skipped entirely by handing
-:meth:`CdrEncoder.segments` to a vectored writer
-(``socket.sendmsg``).  The zero-copy contract: a buffer appended by
-reference must not be mutated until the stream has been sent or
-flattened (see ``docs/performance.md``).
+"""The CDR codec as it stood before the primitives were compiled
+(ISSUE 15) — kept verbatim as the reference
+``test_primitive_equivalence.py`` compares the shipped codec against:
+same bytes, same values, same ``MarshalError`` messages, same
+copy-account totals.  Test-only; nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -36,18 +23,8 @@ _NATIVE_LITTLE = sys.byteorder == "little"
 #: than to carry as separate segments through a vectored write.
 SEGMENT_THRESHOLD = 2048
 
-#: One compiled packer per (byte order, primitive format), the
-#: encoder-side twin of the decoder's table.
-_PACKERS = {
-    little: {
-        fmt: struct.Struct(("<" if little else ">") + fmt).pack
-        for fmt in "BhHiIqQfd"
-    }
-    for little in (False, True)
-}
 
-
-class CdrEncoder:
+class ReferenceEncoder:
     """An append-only CDR stream.
 
     The byte-order flag octet is written by :meth:`__init__`, so
@@ -59,7 +36,7 @@ class CdrEncoder:
         self.little_endian = (
             _NATIVE_LITTLE if little_endian is None else little_endian
         )
-        self._packers = _PACKERS[self.little_endian]
+        self._endian_char = "<" if self.little_endian else ">"
         #: Sealed buffers (bytes / memoryview / bytearray) + open tail.
         self._segments: list[Any] = []
         self._tail = bytearray()
@@ -123,7 +100,7 @@ class CdrEncoder:
         self._segments.append(data)
         self._sealed_len += len(data)
 
-    def append_encoder(self, other: "CdrEncoder") -> None:
+    def append_encoder(self, other: "ReferenceEncoder") -> None:
         """Append another encoder's whole stream (flag octet included)
         by reference — the segment-aware replacement for
         ``write_octets(other.getvalue())``."""
@@ -131,41 +108,27 @@ class CdrEncoder:
             self.write_octets_view(segment)
 
     def _pack(self, fmt: str, size: int, value: Any) -> None:
-        tail = self._tail  # align(size), inlined
-        pad = (-(self._sealed_len + len(tail))) % size
-        if pad:
-            tail += b"\0" * pad
+        self.align(size)
         try:
-            tail += self._packers[fmt](value)
+            self._tail.extend(struct.pack(self._endian_char + fmt, value))
         except (struct.error, TypeError) as exc:
             raise MarshalError(
                 f"cannot marshal {value!r} as '{fmt}': {exc}"
             ) from None
 
     def write_ulong(self, value: int) -> None:
-        if type(value) is not int or not 0 <= value <= 0xFFFFFFFF:
-            tc.TC_ULONG.validate(value)
+        tc.TC_ULONG.validate(value)
         self._pack("I", 4, value)
 
     def write_long(self, value: int) -> None:
-        if type(value) is not int or not (
-            -0x80000000 <= value <= 0x7FFFFFFF
-        ):
-            tc.TC_LONG.validate(value)
+        tc.TC_LONG.validate(value)
         self._pack("i", 4, value)
 
     def write_string(self, value: str, bound: int | None = None) -> None:
-        if type(value) is not str or (
-            bound is not None and len(value) > bound
-        ):
-            tc.StringTC(bound).validate(value)
+        tc.StringTC(bound).validate(value)
         raw = value.encode("utf-8")
-        n = len(raw) + 1
-        self.write_ulong(n)
-        copied(n)
-        tail = self._tail
-        tail += raw
-        tail.append(0)
+        self.write_ulong(len(raw) + 1)
+        self.write_octets(raw + b"\0")
 
     def write_boolean(self, value: Any) -> None:
         if isinstance(value, (bool, np.bool_)):
@@ -225,10 +188,9 @@ class CdrEncoder:
                 raise MarshalError(f"char expects one character, got {value!r}")
             self._tail.extend(value)
             return
-        if not typecode.accepts(value):
-            typecode.validate(value)
-            if isinstance(value, (np.integer, np.floating)):
-                value = value.item()
+        typecode.validate(value)
+        if isinstance(value, (np.integer, np.floating)):
+            value = value.item()
         self._pack(typecode.fmt, typecode.size, value)
 
     def _write_elements(
@@ -302,8 +264,163 @@ class CdrEncoder:
             self.write(ftc, mapping[name])
 
 
-def encode_value(typecode: TypeCode, value: Any) -> bytes:
-    """One-shot helper: a fresh stream holding just ``value``."""
-    encoder = CdrEncoder()
-    encoder.write(typecode, value)
-    return encoder.getvalue()
+class ReferenceDecoder:
+    """A read-once CDR stream over ``data`` (bytes-like).
+
+    ``copy_arrays=True`` returns freshly-copied (writable) arrays for
+    numeric element runs instead of read-only views — use it when the
+    decoded value must outlive the stream's buffer or be mutated in
+    place.
+    """
+
+    def __init__(self, data: Any, *, copy_arrays: bool = False) -> None:
+        view = memoryview(data)
+        if view.format != "B" or view.ndim != 1:
+            view = view.cast("B")
+        self._data = view.toreadonly()
+        if len(self._data) == 0:
+            raise MarshalError("empty CDR stream")
+        self._pos = 1
+        self.copy_arrays = copy_arrays
+        self.little_endian = bool(self._data[0])
+        self._endian_char = "<" if self.little_endian else ">"
+
+    @property
+    def remaining(self) -> int:
+        return len(self._data) - self._pos
+
+    def at_end(self) -> bool:
+        return self._pos >= len(self._data)
+
+    # -- primitives --------------------------------------------------------
+
+    def align(self, n: int) -> None:
+        self._pos += (-self._pos) % n
+
+    def read_octets(self, n: int) -> memoryview:
+        """The next ``n`` octets as a read-only view (no copy)."""
+        if self._pos + n > len(self._data):
+            raise MarshalError(
+                f"CDR stream truncated: need {n} octets at offset "
+                f"{self._pos}, have {self.remaining}"
+            )
+        chunk = self._data[self._pos : self._pos + n]
+        self._pos += n
+        return chunk
+
+    def _unpack(self, fmt: str, size: int) -> Any:
+        self.align(size)
+        raw = self.read_octets(size)
+        return struct.unpack(self._endian_char + fmt, raw)[0]
+
+    def read_ulong(self) -> int:
+        return self._unpack("I", 4)
+
+    def read_long(self) -> int:
+        return self._unpack("i", 4)
+
+    def read_string(self) -> str:
+        n = self.read_ulong()
+        if n == 0:
+            raise MarshalError("string length prefix of 0 is malformed")
+        raw = self.read_octets(n)
+        if raw[-1] != 0:
+            raise MarshalError("string is not NUL-terminated")
+        copied(n - 1)
+        return bytes(raw[:-1]).decode("utf-8")
+
+    def read_boolean(self) -> bool:
+        return self.read_octets(1) != b"\0"
+
+    # -- typed values --------------------------------------------------------
+
+    def read(self, typecode: TypeCode) -> Any:
+        kind = typecode.kind
+        if isinstance(typecode, tc.BasicTC):
+            return self._read_basic(typecode)
+        if kind == "void":
+            return None
+        if kind == "string":
+            value = self.read_string()
+            typecode.validate(value)
+            return value
+        if kind == "enum":
+            ordinal = self.read_ulong()
+            members = typecode.members  # type: ignore[attr-defined]
+            if ordinal >= len(members):
+                raise MarshalError(
+                    f"enum ordinal {ordinal} out of range for "
+                    f"{typecode.name}"  # type: ignore[attr-defined]
+                )
+            return members[ordinal]
+        if kind == "struct":
+            return {
+                name: self.read(ftc)
+                for name, ftc in typecode.fields  # type: ignore[attr-defined]
+            }
+        if kind == "sequence":
+            n = self.read_ulong()
+            bound = typecode.bound  # type: ignore[attr-defined]
+            if bound is not None and n > bound:
+                raise MarshalError(
+                    f"sequence of length {n} exceeds bound {bound}"
+                )
+            return self._read_elements(typecode.element, n)  # type: ignore[attr-defined]
+        if kind == "array":
+            return self._read_elements(
+                typecode.element, typecode.length  # type: ignore[attr-defined]
+            )
+        if kind == "dsequence":
+            n = self.read_ulong()
+            if typecode.bound is not None and n > typecode.bound:  # type: ignore[attr-defined]
+                raise MarshalError(
+                    f"dsequence of length {n} exceeds bound "
+                    f"{typecode.bound}"  # type: ignore[attr-defined]
+                )
+            return self._read_elements(typecode.element, n)  # type: ignore[attr-defined]
+        if kind == "union":
+            discriminator = self.read(typecode.discriminator)  # type: ignore[attr-defined]
+            _member, member_tc = typecode.arm_for(discriminator)  # type: ignore[attr-defined]
+            return {"d": discriminator, "v": self.read(member_tc)}
+        if kind == "objref":
+            return self.read_string()
+        if kind == "exception":
+            repo_id = self.read_string()
+            if repo_id != typecode.repo_id:  # type: ignore[attr-defined]
+                raise MarshalError(
+                    f"exception id mismatch: stream carries {repo_id!r}, "
+                    f"expected {typecode.repo_id!r}"  # type: ignore[attr-defined]
+                )
+            return {
+                name: self.read(ftc)
+                for name, ftc in typecode.fields  # type: ignore[attr-defined]
+            }
+        raise MarshalError(f"cannot unmarshal typecode {typecode!r}")
+
+    def _read_basic(self, typecode: tc.BasicTC) -> Any:
+        if typecode.kind == "boolean":
+            return self.read_boolean()
+        if typecode.kind == "char":
+            return bytes(self.read_octets(1)).decode("latin-1")
+        return self._unpack(typecode.fmt, typecode.size)
+
+    def _read_elements(self, element: TypeCode, count: int) -> Any:
+        dtype = element.dtype
+        if dtype is not None:
+            if element.kind != "boolean":
+                self.align(element.size)  # type: ignore[attr-defined]
+            raw = self.read_octets(count * dtype.itemsize)
+            arr = np.frombuffer(raw, dtype=dtype)
+            if self.little_endian != _NATIVE_LITTLE:
+                # Cross-endian: the one unavoidable copy.
+                arr = arr.byteswap()
+                copied(arr.nbytes)
+            elif self.copy_arrays:
+                # Mutable-escape path: the caller asked for a copy it
+                # may write to and keep past the buffer's lifetime.
+                arr = arr.copy()
+                copied(arr.nbytes)
+            if element.kind == "boolean" and arr.dtype != np.bool_:
+                return arr.astype(bool)
+            return arr
+        return [self.read(element) for _ in range(count)]

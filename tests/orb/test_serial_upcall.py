@@ -1,0 +1,532 @@
+"""A serial group's request path under upcall delivery (ISSUE 15).
+
+The request port of a serial (one-thread) object hands each frame to
+the dispatch pool on the thread that delivers it — a socket fabric's
+event loop, or the sender itself in-process — with no prefetch thread
+in between.  What the prefetcher used to guarantee must still hold:
+per-client FIFO, every admission slot released exactly once whatever
+becomes of the frame, ``kill()`` visible to senders, shutdown draining
+what is queued; and it must hold on every fabric.
+"""
+
+import threading
+
+import pytest
+
+from repro import ORB, compile_idl
+from repro.ft.faults import FaultSchedule, FaultyFabric
+from repro.orb import request as wire
+from repro.orb.naming import NamingService
+from repro.orb.request import RequestMessage
+from repro.orb.server import ServerConfig
+from repro.orb.socketnet import SocketFabric
+from repro.orb.transfer import plain_body_encoder, request_slots
+from repro.orb.transport import (
+    KIND_REPLY,
+    KIND_REQUEST,
+    Fabric,
+    TransportError,
+)
+
+from tests.orb.test_server_fanin import _wait_for
+
+IDL = """
+interface ledger {
+    long post(in long x);
+    long held(in long x);
+    oneway void note(in long x);
+};
+"""
+
+
+@pytest.fixture(scope="module")
+def idl():
+    return compile_idl(IDL, module_name="serial_upcall_idl")
+
+
+class _Book:
+    """What the servant saw: arguments in execution order, and the
+    thread each ran on."""
+
+    def __init__(self):
+        self.posted = []
+        self.threads = set()
+        self.gate = threading.Event()
+
+
+def _factory(idl, book):
+    class Ledger(idl.ledger_skel):
+        def post(self, x):
+            book.threads.add(threading.current_thread().name)
+            book.posted.append(int(x))
+            return int(x)
+
+        def held(self, x):
+            book.gate.wait(timeout=20)
+            book.posted.append(int(x))
+            return int(x)
+
+        def note(self, x):
+            book.gate.wait(timeout=20)
+            book.posted.append(int(x))
+
+    return lambda ctx: Ledger()
+
+
+def _thread_names():
+    return [t.name for t in threading.enumerate()]
+
+
+def _frame(idl, operation, request_id, value, reply_port, oneway=False):
+    """One request frame for ``ledger``, flattened."""
+    slots = request_slots(idl.ledger._operations[operation])
+    message = RequestMessage(
+        request_id=request_id,
+        object_key="ledger",
+        operation=operation,
+        oneway=oneway,
+        reply_port=None if oneway else reply_port,
+        body=plain_body_encoder(slots, {"x": value}),
+    )
+    return message.encode()
+
+
+def _spy_decode_threads(monkeypatch):
+    """Which thread runs the request decode (the upcall's first step)."""
+    seen = []
+    decode = wire.decode_request
+
+    def spy(data, head=None):
+        seen.append(threading.current_thread().name)
+        return decode(data, head)
+
+    monkeypatch.setattr(wire, "decode_request", spy)
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# Thread shape
+# ---------------------------------------------------------------------------
+
+
+def test_serial_group_has_no_prefetch_thread(idl):
+    book = _Book()
+    with ORB("shape", timeout=10.0) as orb:
+        orb.serve("ledger", _factory(idl, book), nthreads=1)
+        names = _thread_names()
+        assert not [n for n in names if n.endswith(":prefetch")]
+        assert not [n for n in names if n.endswith(":reply")]
+        assert len([n for n in names if ":dispatch" in n]) == 4
+        # A collective group keeps both (its header relay and bounded
+        # read-ahead need the thread).
+        orb.serve("pair", _factory(idl, _Book()), nthreads=2)
+        names = _thread_names()
+        assert "server:pair:prefetch" in names
+        assert "server:pair:reply" in names
+        assert "server:ledger:prefetch" not in names
+
+
+def test_pool_of_one_is_strictly_serial_and_still_a_pool(idl):
+    book = _Book()
+    with ORB("one", timeout=10.0) as orb:
+        orb.serve(
+            "ledger", _factory(idl, book), nthreads=1, dispatch_workers=1
+        )
+        runtime = orb.client_runtime(label="one")
+        proxy = idl.ledger._bind("ledger", runtime)
+        futures = [proxy.post_nb(i) for i in range(20)]
+        assert [f.value(timeout=10) for f in futures] == list(range(20))
+        assert book.posted == list(range(20))
+        # Servant code ran on the one dispatch worker, not on the
+        # group's rank thread and not on the caller's.
+        assert book.threads == {"server:ledger:dispatch0"}
+        runtime.close()
+
+
+# ---------------------------------------------------------------------------
+# The delivering thread runs the upcall
+# ---------------------------------------------------------------------------
+
+
+def test_local_sender_runs_the_upcall_on_its_own_thread(idl, monkeypatch):
+    seen = _spy_decode_threads(monkeypatch)
+    book = _Book()
+    with ORB("local", timeout=10.0) as orb:
+        orb.serve("ledger", _factory(idl, book), nthreads=1)
+        runtime = orb.client_runtime(label="local")
+        proxy = idl.ledger._bind("ledger", runtime)
+        me = threading.current_thread().name
+        assert proxy.post(1) == 1
+        # Inline invocation + in-process fabric: the application
+        # thread itself decoded and queued its request...
+        assert seen == [me]
+        # ...and a dispatch worker, never the sender, ran the servant.
+        assert all(":dispatch" in name for name in book.threads)
+        runtime.close()
+
+
+def test_socket_loop_runs_the_upcall(idl, monkeypatch):
+    seen = _spy_decode_threads(monkeypatch)
+    book = _Book()
+    naming = NamingService()
+    with SocketFabric("upcall-server") as sf, SocketFabric("upcall-client") as cf:
+        server = ORB("s", fabric=sf, naming=naming, timeout=10.0)
+        client = ORB("c", fabric=cf, naming=naming, timeout=10.0)
+        with server, client:
+            server.serve("ledger", _factory(idl, book), nthreads=1)
+            runtime = client.client_runtime(label="remote")
+            proxy = idl.ledger._bind("ledger", runtime)
+            assert [proxy.post(i) for i in range(5)] == list(range(5))
+            assert set(seen) == {"upcall-server-loop"}
+            assert all(":dispatch" in name for name in book.threads)
+            runtime.close()
+
+
+# ---------------------------------------------------------------------------
+# Per-client FIFO
+# ---------------------------------------------------------------------------
+
+
+def _fabric_pairs():
+    """(label, server fabric factory, client fabric factory): the
+    client is the server's fabric itself where ``None``."""
+    return [
+        ("inproc", lambda: Fabric("inproc"), None),
+        (
+            "faulty-inproc",
+            # Every tenth frame late, off a timer thread: delivery by
+            # yet another thread, and reordering pressure.
+            lambda: FaultyFabric(
+                Fabric("faulty"),
+                FaultSchedule(seed=7, delay=0.1, delay_ms=1.0,
+                              kinds=("reply",)),
+            ),
+            None,
+        ),
+        ("socket", lambda: SocketFabric("fifo-server"),
+         lambda: SocketFabric("fifo-client")),
+    ]
+
+
+@pytest.mark.parametrize(
+    "label,make_server,make_client",
+    _fabric_pairs(),
+    ids=[pair[0] for pair in _fabric_pairs()],
+)
+def test_per_client_fifo_on_every_fabric(
+    idl, label, make_server, make_client
+):
+    book = _Book()
+    naming = NamingService()
+    server_fabric = make_server()
+    client_fabric = make_client() if make_client else server_fabric
+    server = ORB("fifo-s", fabric=server_fabric, naming=naming, timeout=10.0)
+    client = (
+        ORB("fifo-c", fabric=client_fabric, naming=naming, timeout=10.0)
+        if make_client
+        else server
+    )
+    try:
+        server.serve("ledger", _factory(idl, book), nthreads=1)
+        results = {}
+
+        def stream(base):
+            runtime = client.client_runtime(
+                label=f"c{base}", pipeline_depth=8
+            )
+            proxy = idl.ledger._bind("ledger", runtime)
+            futures = [proxy.post_nb(base + i) for i in range(60)]
+            results[base] = [f.value(timeout=20) for f in futures]
+            runtime.close()
+
+        threads = [
+            threading.Thread(target=stream, args=(base,))
+            for base in (1000, 2000, 3000)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        for base in (1000, 2000, 3000):
+            expected = [base + i for i in range(60)]
+            assert results[base] == expected
+            # Executed in send order, whatever the interleaving with
+            # the other clients.
+            mine = [x for x in book.posted if base <= x < base + 1000]
+            assert mine == expected
+        assert not [n for n in _thread_names() if n.endswith(":prefetch")]
+    finally:
+        client.shutdown()
+        server.shutdown()
+        for fabric in {id(client_fabric): client_fabric,
+                       id(server_fabric): server_fabric}.values():
+            close = getattr(fabric, "close", None)
+            if close is not None:
+                close()
+
+
+# ---------------------------------------------------------------------------
+# Admission slots: released exactly once, whatever becomes of the frame
+# ---------------------------------------------------------------------------
+
+
+class _RawClient:
+    """A port on a client fabric that speaks request frames by hand,
+    under one client identity."""
+
+    def __init__(self, fabric, target, identity=0x5151):
+        self.port = fabric.open_port("raw")
+        self.target = target
+        self.identity = identity
+
+    def request_id(self, seq):
+        return (self.identity << 32) | seq
+
+    def send(self, frame):
+        self.port.send(self.target, frame, KIND_REQUEST)
+
+    def reply(self, timeout=10.0):
+        _src, _kind, payload = self.port.recv(
+            kind=KIND_REPLY, timeout=timeout
+        )
+        return wire.decode_reply(payload)
+
+
+def _settled(governor):
+    requests = governor.snapshot()["requests"]
+    return requests["inflight"] == 0 and (
+        requests["admitted"] == requests["completed"]
+    )
+
+
+def test_every_admission_slot_is_released_exactly_once(idl):
+    book = _Book()
+    naming = NamingService()
+    config = ServerConfig(client_queue_limit=64)
+    with SocketFabric("slots-server", server=config) as sf, \
+            SocketFabric("slots-client") as cf:
+        server = ORB("slots", fabric=sf, naming=naming, timeout=10.0)
+        with server:
+            group = server.serve(
+                "ledger", _factory(idl, book), nthreads=1,
+                reply_cache_bytes=1 << 20,
+            )
+            raw = _RawClient(cf, group.reference.request_port)
+            reply_to = raw.port.address
+            governor = sf.governor
+
+            def admitted():
+                return governor.snapshot()["requests"]["admitted"]
+
+            # 1. A normal request.
+            raw.send(_frame(idl, "post", raw.request_id(1), 11, reply_to))
+            assert raw.reply().request_id == raw.request_id(1)
+            assert _wait_for(lambda: _settled(governor))
+            assert admitted() == 1
+
+            # 2. A sound head with a garbage tail: admitted by the
+            # loop, dropped by the decode, its slot released — once.
+            good = _frame(idl, "post", raw.request_id(2), 22, reply_to)
+            head = wire.peek_request(good)
+            raw.send(good[: head.resume_at + 2])
+            assert _wait_for(lambda: admitted() == 2)
+            assert _wait_for(lambda: _settled(governor))
+            assert book.posted == [11]
+
+            # 3. A retry of an executed request: replayed from the
+            # cache (same reply again), servant untouched.
+            raw.send(_frame(idl, "post", raw.request_id(1), 11, reply_to))
+            assert raw.reply().request_id == raw.request_id(1)
+            assert _wait_for(lambda: admitted() == 3)
+            assert _wait_for(lambda: _settled(governor))
+            assert book.posted == [11]
+            assert server.stats()["reply_caches"]["ledger"]["replays"] == 1
+
+            # 4. A duplicate of a request still executing: dropped,
+            # its own slot released at once; the original's reply
+            # answers both.
+            held = _frame(idl, "held", raw.request_id(4), 44, reply_to)
+            raw.send(held)
+            assert _wait_for(lambda: admitted() == 4)
+            raw.send(held)
+            assert _wait_for(lambda: admitted() == 5)
+            assert _wait_for(
+                lambda: governor.snapshot()["requests"]["inflight"] == 1
+            )
+            book.gate.set()
+            assert raw.reply().request_id == raw.request_id(4)
+            assert _wait_for(lambda: _settled(governor))
+            assert book.posted == [11, 44]
+            cache = server.stats()["reply_caches"]["ledger"]
+            assert cache["duplicates_dropped"] == 1
+            requests = governor.snapshot()["requests"]
+            assert requests["admitted"] == requests["completed"] == 5
+            raw.port.close()
+
+
+def test_garbage_with_an_unsound_head_costs_no_slot(idl):
+    book = _Book()
+    naming = NamingService()
+    with SocketFabric("junk-server") as sf, SocketFabric("junk-client") as cf:
+        server = ORB("junk", fabric=sf, naming=naming, timeout=10.0)
+        with server:
+            group = server.serve("ledger", _factory(idl, book), nthreads=1)
+            raw = _RawClient(cf, group.reference.request_port)
+            for junk in (b"\x00", b"\x01garbage" * 10, b"\xff" * 64):
+                raw.send(junk)
+            raw.send(
+                _frame(idl, "post", raw.request_id(9), 9, raw.port.address)
+            )
+            assert raw.reply().request_id == raw.request_id(9)
+            assert _wait_for(lambda: _settled(sf.governor))
+            assert sf.governor.snapshot()["requests"]["admitted"] == 1
+            raw.port.close()
+
+
+# ---------------------------------------------------------------------------
+# kill() and shutdown()
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fabric_kind", ["inproc", "socket-local"])
+def test_kill_makes_senders_see_transport_error(idl, fabric_kind):
+    book = _Book()
+    fabric = (
+        Fabric("kill") if fabric_kind == "inproc"
+        else SocketFabric("kill-socket")
+    )
+    try:
+        with ORB("kill", fabric=fabric, timeout=10.0) as orb:
+            group = orb.serve("ledger", _factory(idl, book), nthreads=1)
+            target = group.reference.request_port
+            sender = fabric.open_port("sender")
+            sender.send(
+                target,
+                _frame(idl, "note", 7 << 32, 1, None, oneway=True),
+                KIND_REQUEST,
+            )
+            threading.Timer(0.2, book.gate.set).start()
+            group.kill()
+            with pytest.raises(TransportError):
+                sender.send(
+                    target,
+                    _frame(idl, "note", (7 << 32) | 1, 2, None,
+                           oneway=True),
+                    KIND_REQUEST,
+                )
+            # No thread of the killed object survives it, and what it
+            # had already queued still ran.
+            assert _wait_for(
+                lambda: not [
+                    n for n in _thread_names()
+                    if n.startswith("server:ledger")
+                ]
+            )
+            assert book.posted == [1]
+            sender.close()
+    finally:
+        close = getattr(fabric, "close", None)
+        if close is not None:
+            close()
+
+
+def test_kill_over_tcp_is_a_drop_not_a_dead_loop(idl):
+    """A remote sender cannot be told synchronously; what matters is
+    that the event loop survives delivering to a port that closed
+    under it and keeps serving the fabric's other objects."""
+    book, other = _Book(), _Book()
+    naming = NamingService()
+    with SocketFabric("killtcp-server") as sf, \
+            SocketFabric("killtcp-client") as cf:
+        server = ORB("ks", fabric=sf, naming=naming, timeout=5.0)
+        client = ORB("kc", fabric=cf, naming=naming, timeout=5.0)
+        with server, client:
+            doomed = server.serve("ledger", _factory(idl, book), nthreads=1)
+            server.serve("other", _factory(idl, other), nthreads=1)
+            runtime = client.client_runtime(label="k")
+            victim = idl.ledger._bind("ledger", runtime)
+            survivor = idl.ledger._bind("other", runtime)
+            assert victim.post(1) == 1
+            doomed.kill()
+            dropped = sf.dropped_frames
+            raw = _RawClient(cf, doomed.reference.request_port)
+            raw.send(_frame(idl, "post", raw.request_id(1), 5,
+                            raw.port.address))
+            assert _wait_for(lambda: sf.dropped_frames == dropped + 1)
+            assert survivor.post(2) == 2
+            raw.port.close()
+            runtime.close()
+
+
+def test_shutdown_drains_queued_requests(idl):
+    book = _Book()
+    orb = ORB("drain", timeout=10.0)
+    try:
+        group = orb.serve(
+            "ledger", _factory(idl, book), nthreads=1, dispatch_workers=2
+        )
+        sender = orb.fabric.open_port("sender")
+        # One client's stream: the first blocks a worker on the gate,
+        # the rest queue behind it (client-fifo).
+        for seq in range(6):
+            sender.send(
+                group.reference.request_port,
+                _frame(idl, "note", (3 << 32) | seq, seq, None,
+                       oneway=True),
+                KIND_REQUEST,
+            )
+        threading.Timer(0.2, book.gate.set).start()
+        orb.shutdown()  # joins the group: returns once drained
+        assert book.posted == list(range(6))
+        assert not [
+            n for n in _thread_names() if n.startswith("server:ledger")
+        ]
+        sender.close()
+    finally:
+        orb.shutdown()
+
+
+def test_service_pending_serves_other_clients_on_a_serial_object(idl):
+    """The §2.1 contract on a serial group: serves what is already
+    queued, never blocks, 0 when idle."""
+    served = []
+    entered = threading.Event()
+    release = threading.Event()
+
+    class Busy(idl.ledger_skel):
+        def held(self, x):
+            served.append(("idle", self.service_pending(4)))
+            entered.set()
+            release.wait(timeout=20)
+            served.append(("queued", self.service_pending(4)))
+            return int(x)
+
+        def post(self, x):
+            served.append(("post", int(x)))
+            return int(x)
+
+    with ORB("svc", timeout=10.0) as orb:
+        group = orb.serve(
+            "ledger", lambda ctx: Busy(), nthreads=1, dispatch_workers=1
+        )
+        first = orb.client_runtime(label="first")
+        long_call = idl.ledger._bind("ledger", first).held_nb(1)
+        assert entered.wait(timeout=10)
+        # The one worker is inside ``held``; another client's two
+        # requests queue behind it (a local send returns once the
+        # upcall has queued the request).
+        raw = _RawClient(orb.fabric, group.reference.request_port)
+        for seq, value in enumerate((7, 8)):
+            raw.send(_frame(idl, "post", raw.request_id(seq), value,
+                            raw.port.address))
+        release.set()
+        assert long_call.value(timeout=10) == 1
+        assert sorted(raw.reply().request_id for _ in range(2)) == [
+            raw.request_id(0), raw.request_id(1),
+        ]
+        assert served == [
+            ("idle", 0), ("post", 7), ("post", 8), ("queued", 2),
+        ]
+        raw.port.close()
+        first.close()
