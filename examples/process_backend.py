@@ -74,21 +74,15 @@ def main():
     print(f"3 ranks on 3 processes: pids {sorted(pids)}")
 
     # 2. An ORB client as a process rank: server in this process,
-    #    client forked, joined by the TCP fabric + naming server.
-    from repro.orb.socketnet import (
-        NamingServer,
-        RemoteNamingClient,
-        SocketFabric,
-    )
+    #    client forked, joined by the TCP fabric; the server's naming
+    #    domain is itself an object the client reaches by its IOR.
+    from repro.orb.nameservice import NamingClient, serve_naming
+    from repro.orb.socketnet import SocketFabric
 
-    with NamingServer() as names, SocketFabric("server") as fabric:
-        host, port = names.host, names.tcp_port
-        orb = ORB(
-            "server",
-            fabric=fabric,
-            naming=RemoteNamingClient(host, port),
-        )
+    with SocketFabric("server") as fabric:
+        orb = ORB("server", fabric=fabric)
         with orb:
+            naming_ior = serve_naming(orb)
             orb.serve("summer", lambda ctx: SummerServant(), nthreads=1)
 
             def client_body(ctx):
@@ -96,7 +90,7 @@ def main():
                     client_orb = ORB(
                         "client",
                         fabric=client_fabric,
-                        naming=RemoteNamingClient(host, port),
+                        naming=NamingClient(client_fabric, naming_ior),
                     )
                     with client_orb:
                         runtime = client_orb.client_runtime()

@@ -14,15 +14,33 @@ errors.
 selections, the failover, and the router's health epoch bumping when
 the dead replica is reported down.
 
-Run:  python examples/replicated_group.py
+With ``--two-process`` the same story runs across two OS processes:
+a child hosts the three replicas and serves its ``ShardedNaming`` —
+flat names *and* group directory — as an ordinary object; this
+process bootstraps a :class:`NamingClient` from the printed IOR, binds
+the group through it, and asks the child (through one more ordinary
+object) to crash the replica it is bound to.
+
+Run:  python examples/replicated_group.py [--two-process]
 """
+
+import subprocess
+import sys
+import threading
 
 from repro import ORB, FtPolicy, compile_idl
 from repro.groups import ShardedNaming
+from repro.orb.nameservice import NamingClient, serve_naming
+from repro.orb.socketnet import SocketFabric
 
 IDL = """
 interface counter {
     double add(in double x);
+};
+
+interface operator_console {
+    void kill(in unsigned long replica_id);
+    oneway void quit();
 };
 """
 
@@ -46,62 +64,149 @@ class CounterServant(idl.counter_skel):
         return self.total
 
 
+def serve_counter(orb):
+    # Three replicas behind the logical name 'counter', each with a
+    # reply cache so post-failover replays dedup instead of
+    # re-executing on the new target.
+    return orb.serve_replicated(
+        "counter",
+        lambda ctx: CounterServant(),
+        replicas=3,
+        reply_cache_bytes=1 << 20,
+    )
+
+
+def drive_client(orb, kill):
+    """Bind the group, invoke in bursts, ``kill(replica_id)`` the bound
+    replica mid-run; returns the client-side group counters."""
+    runtime = orb.client_runtime(label="demo")
+    try:
+        proxy = idl.counter._group_bind(
+            "counter", runtime, ft_policy=POLICY
+        )
+        bound_to = proxy._group.current_replica()
+        print(f"bound to group 'counter', replica {bound_to}")
+
+        results = []
+        for burst in range(BURSTS):
+            futures = [proxy.add_nb(1.0) for _ in range(PER_BURST)]
+            if burst == 1:
+                # Crash the bound replica while the burst is in
+                # flight: no unbind, no goodbye — its ports just
+                # close.
+                print(f"killing replica {bound_to} mid-burst")
+                kill(bound_to)
+            results.extend(f.value(timeout=30.0) for f in futures)
+
+        now = proxy._group.current_replica()
+        assert len(results) == BURSTS * PER_BURST
+        assert now != bound_to, "the binding never failed over"
+        assert proxy._group.history, "no failover recorded"
+        print(f"all {len(results)} invocations completed")
+        print(f"failed over {bound_to} -> {now}: "
+              f"history {proxy._group.history}")
+        stats = orb.stats()["groups"]
+        assert stats["failovers"] == 1
+        return stats
+    finally:
+        runtime.close()
+
+
+def report_directory(stats):
+    """The router's side of the story (the process that keeps the
+    directory counts the down-marks and epochs)."""
+    print(f"marked_down={stats['marked_down']} router epoch for "
+          f"'counter': {stats['groups']['counter']['epoch']}")
+    assert stats["marked_down"] == 1
+    assert stats["groups"]["counter"]["epoch"] == 1
+
+
 def main():
     # The sharded router partitions plain names *and* group
     # directories across shards by consistent hashing; clients see
     # one flat naming surface.
     naming = ShardedNaming(shards=4)
     with ORB("groups-demo", naming=naming, timeout=0.3) as orb:
-        # Three replicas behind the logical name 'counter', each
-        # with a reply cache so post-failover replays dedup instead
-        # of re-executing on the new target.
-        group = orb.serve_replicated(
-            "counter",
-            lambda ctx: CounterServant(),
-            replicas=3,
-            reply_cache_bytes=1 << 20,
-        )
-        runtime = orb.client_runtime(label="demo")
+        group = serve_counter(orb)
         try:
-            proxy = idl.counter._group_bind(
-                "counter", runtime, ft_policy=POLICY
-            )
-            bound_to = proxy._group.current_replica()
-            print(f"bound to group 'counter', replica {bound_to}")
-
-            results = []
-            for burst in range(BURSTS):
-                futures = [
-                    proxy.add_nb(1.0) for _ in range(PER_BURST)
-                ]
-                if burst == 1:
-                    # Crash the bound replica while the burst is in
-                    # flight: no unbind, no goodbye — its ports just
-                    # close.
-                    print(f"killing replica {bound_to} mid-burst")
-                    group.kill(bound_to)
-                results.extend(f.value(timeout=30.0) for f in futures)
-
-            now = proxy._group.current_replica()
-            assert len(results) == BURSTS * PER_BURST
-            assert now != bound_to, "the binding never failed over"
-            assert proxy._group.history, "no failover recorded"
-            print(f"all {len(results)} invocations completed")
-            print(f"failed over {bound_to} -> {now}: "
-                  f"history {proxy._group.history}")
-
-            stats = orb.stats()["groups"]
+            stats = drive_client(orb, group.kill)
             print(f"group stats: binds={stats['binds']} "
-                  f"failovers={stats['failovers']} "
-                  f"marked_down={stats['marked_down']}")
-            print(f"router epoch for 'counter': "
-                  f"{stats['groups']['counter']['epoch']}")
-            assert stats["failovers"] == 1
+                  f"failovers={stats['failovers']}")
+            report_directory(stats)
             print("OK")
         finally:
-            runtime.close()
             group.shutdown()
 
 
+def run_server():
+    """Child of ``--two-process``: the replicas, the served directory
+    and the operator console, until told to quit."""
+    done = threading.Event()
+    with SocketFabric("groups-server") as fabric, ORB(
+        "groups-server", fabric=fabric, naming=ShardedNaming(shards=4)
+    ) as orb:
+        group = serve_counter(orb)
+
+        class Console(idl.operator_console_skel):
+            def kill(self, replica_id):
+                group.kill(replica_id)
+
+            def quit(self):
+                done.set()
+
+        # The client retries console calls too, so they dedup too.
+        orb.serve(
+            "console", lambda ctx: Console(), reply_cache_bytes=1 << 16
+        )
+        # First line of output: the bootstrap reference.
+        print(serve_naming(orb), flush=True)
+        done.wait(timeout=120)
+        report_directory(orb.stats()["groups"])
+        group.shutdown()
+    print("server OK", flush=True)
+
+
+def main_two_process():
+    child = subprocess.Popen(
+        [sys.executable, __file__, "--server"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        naming_ior = child.stdout.readline().strip()
+        assert naming_ior.startswith("IOR:"), naming_ior
+        with SocketFabric("groups-client") as fabric, ORB(
+            "groups-client",
+            fabric=fabric,
+            naming=NamingClient(fabric, naming_ior),
+            timeout=0.3,
+        ) as orb:
+            # The operator console gets a runtime of its own: a
+            # blocking call on the demo runtime would queue behind the
+            # burst it is meant to interrupt.
+            operator = orb.client_runtime(label="operator")
+            console = idl.operator_console._bind(
+                "console", operator, ft_policy=POLICY
+            )
+            stats = drive_client(orb, console.kill)
+            print(f"client stats: binds={stats['binds']} "
+                  f"failovers={stats['failovers']}")
+            console.quit()
+    except BaseException:
+        child.kill()  # nobody is left to tell it to quit
+        raise
+    finally:
+        child.wait(timeout=60)
+        print(child.stdout.read().rstrip())
+    assert child.returncode == 0, "server process failed"
+    print("OK")
+
+
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:] == ["--server"]:
+        run_server()
+    elif sys.argv[1:] == ["--two-process"]:
+        main_two_process()
+    else:
+        main()

@@ -4,8 +4,10 @@ The in-process examples put client and server in one interpreter; this
 one splits them the way the paper's testbed did (two machines, one
 link): a child process hosts the SPMD object behind a
 :class:`SocketFabric`, the parent process runs the parallel client,
-and a tiny TCP naming server (the PARDIS naming domain) introduces
-them.  IORs minted in the child resolve and route correctly in the
+and the child's naming domain — itself an ordinary object, served on
+the same event loop — introduces them: the child prints that object's
+stringified IOR, the parent bootstraps a :class:`NamingClient` from
+it.  IORs minted in the child resolve and route correctly in the
 parent because socket addresses are fully routable.
 
 Run:  python examples/two_process_demo.py
@@ -17,11 +19,8 @@ import sys
 import numpy as np
 
 from repro import ORB, compile_idl
-from repro.orb.socketnet import (
-    NamingServer,
-    RemoteNamingClient,
-    SocketFabric,
-)
+from repro.orb.nameservice import NamingClient, serve_naming
+from repro.orb.socketnet import SocketFabric
 
 IDL = """
 typedef dsequence<double, 16384> samples;
@@ -36,8 +35,9 @@ interface statistics {
 idl = compile_idl(IDL, module_name="two_process_idl")
 
 
-def run_server(naming_host: str, naming_port: int) -> None:
-    """Child process: host the SPMD object until told to quit."""
+def run_server() -> None:
+    """Child process: host the SPMD object — and the naming object
+    that introduces it — until told to quit."""
     import threading
 
     done = threading.Event()
@@ -70,12 +70,10 @@ def run_server(naming_host: str, naming_port: int) -> None:
             done.set()
 
     fabric = SocketFabric("stats-server")
-    orb = ORB(
-        "stats-server",
-        fabric=fabric,
-        naming=RemoteNamingClient(naming_host, naming_port),
-    )
+    orb = ORB("stats-server", fabric=fabric)
     orb.serve("statistics", lambda ctx: StatsServant(), nthreads=4)
+    # First line of output: the bootstrap reference.
+    print(serve_naming(orb), flush=True)
     print(
         f"server: object 'statistics' up on "
         f"{fabric.host}:{fabric.tcp_port} (4 threads)",
@@ -87,13 +85,13 @@ def run_server(naming_host: str, naming_port: int) -> None:
     print("server: shut down cleanly", flush=True)
 
 
-def run_client(naming_host: str, naming_port: int) -> None:
+def run_client(naming_ior: str) -> None:
     """Parent process: a 2-thread parallel client."""
     fabric = SocketFabric("stats-client")
     orb = ORB(
         "stats-client",
         fabric=fabric,
-        naming=RemoteNamingClient(naming_host, naming_port),
+        naming=NamingClient(fabric, naming_ior),
     )
 
     def client(c):
@@ -118,41 +116,27 @@ def run_client(naming_host: str, naming_port: int) -> None:
 
 
 def main() -> None:
-    with NamingServer() as names:
-        child = subprocess.Popen(
-            [
-                sys.executable,
-                __file__,
-                "--server",
-                names.host,
-                str(names.tcp_port),
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            # Wait for the child to register before binding.
-            import time
-
-            for _ in range(200):
-                try:
-                    RemoteNamingClient(
-                        names.host, names.tcp_port
-                    ).resolve("statistics")
-                    break
-                except Exception:
-                    time.sleep(0.05)
-            run_client(names.host, names.tcp_port)
-        finally:
-            output, _ = child.communicate(timeout=30)
-            print(output.rstrip())
-        assert child.returncode == 0, "server process failed"
+    child = subprocess.Popen(
+        [sys.executable, __file__, "--server"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        # The child serves 'statistics' before it prints the naming
+        # object's IOR, so there is nothing to poll for.
+        naming_ior = child.stdout.readline().strip()
+        assert naming_ior.startswith("IOR:"), naming_ior
+        run_client(naming_ior)
+    finally:
+        child.wait(timeout=30)
+        print(child.stdout.read().rstrip())
+    assert child.returncode == 0, "server process failed"
     print("two-process demo OK")
 
 
 if __name__ == "__main__":
-    if len(sys.argv) >= 4 and sys.argv[1] == "--server":
-        run_server(sys.argv[2], int(sys.argv[3]))
+    if sys.argv[1:] == ["--server"]:
+        run_server()
     else:
         main()

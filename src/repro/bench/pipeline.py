@@ -300,23 +300,16 @@ def _run_pipeline_process(
 ) -> list[PipelinePoint]:
     """Socket depth sweep with the client in a forked process rank."""
     from repro import ORB
-    from repro.orb.socketnet import (
-        NamingServer,
-        RemoteNamingClient,
-        SocketFabric,
-    )
+    from repro.orb.nameservice import NamingClient, serve_naming
+    from repro.orb.socketnet import SocketFabric
     from repro.rts import spawn_spmd
 
-    with NamingServer() as names, \
-            SocketFabric("pipeline-server") as server_fabric:
-        host, port = names.host, names.tcp_port
+    with SocketFabric("pipeline-server") as server_fabric:
         server_orb = ORB(
-            "pipeline-server",
-            fabric=server_fabric,
-            naming=RemoteNamingClient(host, port),
-            trace=trace,
+            "pipeline-server", fabric=server_fabric, trace=trace
         )
         with server_orb:
+            naming_ior = serve_naming(server_orb)
             server_orb.serve(
                 "pipeecho",
                 _make_servant_factory(idl, service_ms / 1e3),
@@ -329,7 +322,7 @@ def _run_pipeline_process(
                     client_orb = ORB(
                         "pipeline-client",
                         fabric=client_fabric,
-                        naming=RemoteNamingClient(host, port),
+                        naming=NamingClient(client_fabric, naming_ior),
                         trace=trace,
                     )
                     with client_orb:

@@ -8,7 +8,9 @@ place the data plane physically copies payload bytes — a
 reports the copy here.  A benchmark then wraps a request in
 :func:`copy_audit` and divides the observed total by the payload size:
 *bytes copied per payload byte* is the wire path's figure of merit
-(see ``docs/performance.md`` and ``tools/bench_wirepath.py``).
+(see ``docs/performance.md``; measured as the
+``cdr.copies_per_payload_byte`` rows under ``bench/results/`` and
+budgeted by ``tests/orb/test_socketnet_zero_copy.py``).
 
 Accounting is off by default and costs one truthiness test per
 instrumented site; an active audit costs one lock per event, which is

@@ -64,10 +64,14 @@ class ORB:
         sanitize: bool | None = None,
     ) -> None:
         """``fabric``/``naming`` default to the in-process transport
-        and registry; pass a :class:`~repro.orb.socketnet.SocketFabric`
-        and :class:`~repro.orb.socketnet.RemoteNamingClient` to join a
-        multi-process deployment over TCP.  ``ft_policy`` is the
-        ORB-wide default :class:`~repro.ft.policy.FtPolicy` applied by
+        and registry.  ``naming`` is any object with the naming
+        surface (:mod:`repro.orb.naming`): to join a multi-process
+        deployment over TCP pass a
+        :class:`~repro.orb.socketnet.SocketFabric` and a
+        :class:`~repro.orb.nameservice.NamingClient` bootstrapped from
+        the IOR of the process that serves the naming object
+        (:func:`~repro.orb.nameservice.serve_naming`).  ``ft_policy``
+        is the ORB-wide default :class:`~repro.ft.policy.FtPolicy` applied by
         every client runtime this ORB mints (per-runtime and per-proxy
         policies override it).  ``trace`` turns on collective-aware
         tracing (:mod:`repro.trace`): pass ``True`` for a fresh
@@ -108,20 +112,18 @@ class ORB:
         self._copy_account = CopyAccount()
         register_account(self._copy_account)
         self._fabric_meter: Any = None
-        governor = getattr(self.fabric, "governor", None)
-        if governor is not None and self.trace is not None:
-            governor.attach_metrics(self.trace.metrics)
-            governor.attach_trace(self.trace)
         if self.trace is not None:
+            governor = self.fabric.governor
+            if governor is not None:
+                governor.attach_metrics(self.trace.metrics)
+                governor.attach_trace(self.trace)
             # Fold the ORB's own snapshot into the registry so
             # ``orb.trace.metrics.snapshot()`` is the one-stop view;
             # ``stats()`` asks for counters/histograms only
             # (include_sources=False), so the two never recurse.
             self.trace.metrics.register_source(f"orb.{name}", self.stats)
-            add_meter = getattr(self.fabric, "add_meter", None)
-            if callable(add_meter):
-                self._fabric_meter = self.trace.fabric_meter()
-                add_meter(self._fabric_meter)
+            self._fabric_meter = self.trace.fabric_meter()
+            self.fabric.add_meter(self._fabric_meter)
 
     # -- server side ---------------------------------------------------------
 
@@ -202,8 +204,9 @@ class ORB:
     ) -> Any:
         """Activate a *replicated object group*: ``replicas``
         independent activations of one servant behind one group name,
-        registered with the group directory of this ORB's
-        :class:`~repro.groups.shard.ShardedNaming` (required; see
+        registered with the group directory of this ORB's naming
+        object (a :class:`~repro.groups.shard.ShardedNaming`, local or
+        served; see
         :func:`repro.groups.serve.serve_replicated` for details and
         the returned :class:`~repro.groups.serve.ReplicatedGroup`
         handle).  Clients bind with ``Proxy._group_bind`` and fail
@@ -300,8 +303,9 @@ class ORB:
     def stats(self) -> dict[str, Any]:
         """One observability snapshot of the ORB's moving parts.
 
-        Keys: ``fabric`` (transport counters — socket fabrics report
-        ``dropped_frames``; a fault-injecting fabric adds its
+        Keys: ``fabric`` (the fabric's own :meth:`Fabric.stats
+        <repro.orb.transport.Fabric.stats>` section — socket fabrics
+        report ``dropped_frames``; a fault-injecting fabric adds its
         ``faults`` tally), ``transfer_schedule_cache`` (LRU hit/miss
         for §3.3 chunk schedules), ``cdr_copies`` (lifetime wire-path
         copy accounting), ``ft`` (client fault-tolerance counters
@@ -325,30 +329,20 @@ class ORB:
         activity) without perturbing live state, and live state never
         mutates an already-returned snapshot.
         """
-        fabric: dict[str, Any] = {}
-        dropped = getattr(self.fabric, "dropped_frames", None)
-        if dropped is not None:
-            fabric["dropped_frames"] = dropped
-        fault_stats = getattr(self.fabric, "fault_stats", None)
-        if callable(fault_stats):
-            fabric["faults"] = fault_stats()
         ft: dict[str, int] = {}
         with self._lock:
             runtimes = list(self._runtimes)
         for runtime in runtimes:
-            ft_stats = getattr(runtime, "ft_stats", None)
-            if ft_stats is None:
-                continue
-            for key, value in ft_stats.snapshot().items():
+            for key, value in runtime.ft_stats.snapshot().items():
                 ft[key] = ft.get(key, 0) + value
         reply_caches = {
             group.name: group.reply_cache.stats()
             for group in self._adapter._groups
-            if getattr(group, "reply_cache", None) is not None
+            if group.reply_cache is not None
         }
         copied_bytes, copy_events = self._copy_account.snapshot()
         snapshot: dict[str, Any] = {
-            "fabric": fabric,
+            "fabric": self.fabric.stats(),
             "transfer_schedule_cache": schedule_cache_stats(),
             "cdr_copies": {"bytes": copied_bytes, "events": copy_events},
             "ft": ft,
@@ -365,12 +359,12 @@ class ORB:
             # and the per-group membership board.
             "groups": groups_stats.stats(),
         }
-        server_stats = getattr(self.fabric, "server_stats", None)
-        if callable(server_stats):
+        governor = self.fabric.governor
+        if governor is not None:
             # Socket-fabric servers: event-loop admission/backpressure
             # counters (connections, in-flight requests, paused
             # clients).  See docs/scaling.md.
-            snapshot["server"] = server_stats()
+            snapshot["server"] = governor.snapshot()
         if self.trace is not None:
             snapshot["trace"] = {
                 "recorder": self.trace.stats(),
@@ -394,9 +388,7 @@ class ORB:
         if self.trace is not None:
             self.trace.metrics.unregister_source(f"orb.{self.name}")
         if self._fabric_meter is not None:
-            remove_meter = getattr(self.fabric, "remove_meter", None)
-            if callable(remove_meter):
-                remove_meter(self._fabric_meter)
+            self.fabric.remove_meter(self._fabric_meter)
             self._fabric_meter = None
         self._adapter.shutdown()
         with self._lock:

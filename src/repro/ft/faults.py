@@ -112,11 +112,12 @@ class FaultSchedule:
 class FaultyFabric:
     """A fabric wrapper injecting faults from a :class:`FaultSchedule`.
 
-    Satisfies the full fabric contract (``open_port`` / ``send`` /
-    meters / ``open_port_count``), delegating everything else — socket
-    fabric attributes like ``host`` — to the wrapped fabric, so it can
-    stand in anywhere a fabric is accepted, including
-    ``ORB(fabric=...)``.
+    Implements the declared fabric surface
+    (:class:`~repro.orb.transport.Fabric`: ``open_port`` / ``send`` /
+    meters / ``open_port_count`` / ``governor`` / ``stats``)
+    explicitly, delegating only what is particular to the wrapped
+    fabric — socket attributes like ``host`` — so it can stand in
+    anywhere a fabric is accepted, including ``ORB(fabric=...)``.
     """
 
     def __init__(self, inner: Any, schedule: FaultSchedule) -> None:
@@ -183,6 +184,14 @@ class FaultyFabric:
 
     def open_port_count(self) -> int:
         return self.inner.open_port_count()
+
+    @property
+    def governor(self) -> Any:
+        return self.inner.governor
+
+    def stats(self) -> dict[str, Any]:
+        """The wrapped fabric's section plus the ``faults`` tally."""
+        return {**self.inner.stats(), "faults": self.fault_stats()}
 
     # -- fault bookkeeping -----------------------------------------------
 

@@ -4,7 +4,9 @@
 :meth:`repro.core.orb.ORB.serve`: it activates ``replicas``
 independent servant groups — each a full SPMD object served as
 ``name#<rid>`` — and registers the membership with the group
-directory of a :class:`~repro.groups.shard.ShardedNaming`.  The
+directory of the ORB's naming object (a
+:class:`~repro.groups.shard.ShardedNaming`, in this process or served
+from another one).  The
 returned :class:`ReplicatedGroup` is the operator's handle: kill a
 replica (crash semantics, for tests and benchmarks), retire one
 gracefully, push health readings, shut the whole group down.
@@ -21,8 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.groups import stats as groups_stats
-from repro.groups.shard import ShardedNaming
 from repro.orb.naming import NamingError
 
 
@@ -34,9 +34,7 @@ def replica_name(name: str, replica_id: int) -> str:
 class ReplicatedGroup:
     """An activated replicated object group (server-side handle)."""
 
-    def __init__(
-        self, orb: Any, name: str, naming: ShardedNaming
-    ) -> None:
+    def __init__(self, orb: Any, name: str, naming: Any) -> None:
         self.orb = orb
         self.name = name
         self.naming = naming
@@ -81,7 +79,7 @@ class ReplicatedGroup:
         if loads is None:
             loads = {}
             for rid, group in self.members.items():
-                cache = getattr(group, "reply_cache", None)
+                cache = group.reply_cache
                 stats = cache.stats() if cache is not None else {}
                 loads[rid] = float(stats.get("entries", 0))
         for rid, load in loads.items():
@@ -114,21 +112,18 @@ def serve_replicated(
     """Activate ``replicas`` servants of one object behind one group
     name and register the group with the sharded naming directory.
 
-    ``orb.naming`` must be a :class:`~repro.groups.shard.ShardedNaming`
-    (only the router keeps group membership and health epochs; the
-    flat :class:`~repro.orb.naming.NamingService` has no directory to
-    put them in).  Each replica is a normal ``orb.serve`` activation
+    ``orb.naming`` must keep a group directory — a
+    :class:`~repro.groups.shard.ShardedNaming`, or a
+    :class:`~repro.orb.nameservice.NamingClient` of one served
+    elsewhere (only the router keeps group membership and health
+    epochs; the flat :class:`~repro.orb.naming.NamingService` answers
+    ``bind_group`` with a :class:`~repro.orb.naming.NamingError`).
+    Each replica is a normal ``orb.serve`` activation
     under ``name#<rid>`` — visible in the flat namespace too — and the
     reply cache defaults *on* (1 MiB per replica): failover replays
     requests, and a cache-less replica would re-execute them.
     """
     naming = orb.naming
-    if not isinstance(naming, ShardedNaming):
-        raise TypeError(
-            "serve_replicated needs an ORB whose naming is a "
-            f"ShardedNaming router, not {type(naming).__name__}; "
-            "pass naming=ShardedNaming(...) when creating the ORB"
-        )
     if replicas < 1:
         raise ValueError("a replicated group needs at least one replica")
     handle = ReplicatedGroup(orb, name, naming)

@@ -14,6 +14,9 @@ server" (paper §1).  Layers, bottom-up:
 - :mod:`repro.orb.reference` — object references (IORs) carrying the
   endpoint set of an SPMD object.
 - :mod:`repro.orb.naming` — the naming domain used by ``_bind``.
+- :mod:`repro.orb.nameservice` — that domain as an ordinary IDL
+  object: the servant that serves it and the client façade that
+  reaches it from another process.
 - :mod:`repro.orb.transfer` — the client invocation engine and the
   slots, codecs and collectors both transfer methods share.
 - :mod:`repro.orb.datapath` — where argument data flows: the two
@@ -42,7 +45,9 @@ _EXPORTS = {
     "ClientProxy": "repro.orb.proxy",
     "Direction": "repro.orb.operation",
     "Endpoint": "repro.orb.transport",
+    "NamingClient": "repro.orb.nameservice",
     "NamingError": "repro.orb.naming",
+    "NamingServant": "repro.orb.nameservice",
     "NamingService": "repro.orb.naming",
     "ObjectAdapter": "repro.orb.adapter",
     "ObjectReference": "repro.orb.reference",
@@ -58,6 +63,7 @@ _EXPORTS = {
     "UserException": "repro.orb.operation",
     "decode_reply": "repro.orb.request",
     "decode_request": "repro.orb.request",
+    "serve_naming": "repro.orb.nameservice",
 }
 
 __all__ = sorted(_EXPORTS)

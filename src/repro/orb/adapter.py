@@ -1084,7 +1084,15 @@ class ServantGroup:
             data_ports=data_addresses,
             param_templates=tuple(sorted(self._templates.items())),
         )
-        self.naming.bind(self.name, self._ref, host=self.host)
+        try:
+            self.naming.bind(self.name, self._ref, host=self.host)
+        except BaseException:
+            # Not advertised (a duplicate name, an unreachable naming
+            # object): the activated ranks and ports must not outlive
+            # the failed call — nobody holds the group to shut it down.
+            self._ref = None
+            self._stop()
+            raise
 
     def _rank_main(self, rank_ctx: Any) -> None:
         comm = rank_ctx.comm
@@ -1119,7 +1127,7 @@ class ServantGroup:
         prefetcher: _RequestPrefetcher | None = None
         if rank_ctx.rank == 0:
             self._repo_id = servant._repo_id
-            engine.governor = getattr(self.fabric, "governor", None)
+            engine.governor = self.fabric.governor
             intake = _RequestIntake(
                 self._request_port, self.reply_cache, engine.governor
             )
@@ -1272,13 +1280,10 @@ class ServantGroup:
             # The ranks died of the port close — that is the point.
             pass
 
-    def shutdown(self, timeout: float = 30.0) -> None:
-        """Stop the dispatch loops and unregister."""
+    def _stop(self, timeout: float = 30.0) -> None:
+        """Stop the dispatch loops and close the ports (a no-op on a
+        group already stopped or killed)."""
         if self._handle is None:
-            try:
-                self.naming.unbind(self.name, host=self.host)
-            except Exception:
-                pass
             return
         if self._request_port is not None and not self._request_port.closed:
             self.fabric.send(
@@ -1296,6 +1301,12 @@ class ServantGroup:
             for port in [self._request_port, *self._data_ports]:
                 if port is not None and not port.closed:
                     port.close()
+
+    def shutdown(self, timeout: float = 30.0) -> None:
+        """Stop the dispatch loops and unregister."""
+        try:
+            self._stop(timeout)
+        finally:
             try:
                 self.naming.unbind(self.name, host=self.host)
             except Exception:

@@ -9,6 +9,14 @@ the object reachable both by bare name and by ``name@host``; resolving
 with ``host=None`` returns the sole registration of that name (an
 error if the name is ambiguous across hosts, since the client then has
 to say which object it wants).
+
+The *naming surface* is what the ORB calls on whatever it was given as
+``naming=``: the five flat calls below plus the group-directory calls
+of a :class:`~repro.groups.shard.ShardedNaming` router.  The flat
+registry declares the directory calls too and answers them with a
+:class:`NamingError`, so callers invoke the surface instead of probing
+for it; :mod:`repro.orb.nameservice` serves the whole surface as an
+IDL object.
 """
 
 from __future__ import annotations
@@ -93,3 +101,16 @@ class NamingService:
         """All (name, host) registrations, sorted."""
         with self._lock:
             return sorted(self._entries)
+
+    def _no_directory(self, name: str, *args: object) -> None:
+        """The group-directory half of the naming surface: a flat
+        registry has nowhere to keep memberships and health epochs."""
+        raise NamingError(
+            f"this naming service keeps no group directory for "
+            f"'{name}'; replicated groups need a "
+            f"repro.groups.ShardedNaming router"
+        )
+
+    bind_group = unbind_group = resolve_group = _no_directory
+    add_member = remove_member = mark_down = _no_directory
+    report_health = epoch = next_bind_token = _no_directory

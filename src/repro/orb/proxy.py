@@ -508,7 +508,7 @@ class ClientProxy:
         sequence arguments must be serial (``comm=None``).
         """
         with span_or_null(
-            getattr(runtime, "trace", None), "bind", side="client",
+            runtime.trace, "bind", side="client",
             rank=runtime.rank, object=obj_name, mode=BindMode.SERIAL.value,
         ):
             ref = runtime.naming.resolve(obj_name, host_name)
@@ -545,7 +545,7 @@ class ClientProxy:
                 ft_policy=ft_policy,
             )
         with span_or_null(
-            getattr(runtime, "trace", None), "bind", side="client",
+            runtime.trace, "bind", side="client",
             rank=runtime.rank, object=obj_name, mode=BindMode.SPMD.value,
         ):
             if runtime.rank == 0:
@@ -594,20 +594,17 @@ class ClientProxy:
         (lint rule PD213 flags that configuration).
         """
         policy = policy_for(selection)
-        trace = getattr(runtime, "trace", None)
         with span_or_null(
-            trace, "bind", side="client", rank=runtime.rank,
+            runtime.trace, "bind", side="client", rank=runtime.rank,
             object=group_name, mode="group_bind",
         ):
             if runtime.app_comm is None:
-                gref = cls._resolve_group(runtime.naming, group_name)
+                gref = runtime.naming.resolve_group(group_name)
                 token = runtime.naming.next_bind_token(group_name)
                 bind_runtime = runtime.serial_view()
             else:
                 if runtime.rank == 0:
-                    gref0 = cls._resolve_group(
-                        runtime.naming, group_name
-                    )
+                    gref0 = runtime.naming.resolve_group(group_name)
                     payload = (
                         gref0.ior(),
                         runtime.naming.next_bind_token(group_name),
@@ -642,18 +639,6 @@ class ClientProxy:
                 ft_policy=ft_policy,
                 group=binding,
             )
-
-    @staticmethod
-    def _resolve_group(naming: Any, group_name: str) -> GroupReference:
-        resolve_group = getattr(naming, "resolve_group", None)
-        if resolve_group is None:
-            raise RemoteError(
-                f"naming service {type(naming).__name__} has no group "
-                f"directory; replicated groups need a "
-                f"repro.groups.ShardedNaming router",
-                category="INV_OBJREF",
-            )
-        return resolve_group(group_name)
 
     @classmethod
     def _default_transfer(
@@ -985,16 +970,12 @@ class ClientProxy:
                     # bumps and later binds exclude the dead replica.
                     # Best-effort — a vanished router must not turn a
                     # successful failover into a client-visible error.
-                    mark_down = getattr(
-                        runtime.naming, "mark_down", None
-                    )
-                    if mark_down is not None:
-                        try:
-                            mark_down(
-                                binding.group_name, attempt_replica
-                            )
-                        except Exception:
-                            pass
+                    try:
+                        runtime.naming.mark_down(
+                            binding.group_name, attempt_replica
+                        )
+                    except Exception:
+                        pass
                 runtime.ft_stats.bump("failovers")
                 if runtime.trace is not None:
                     runtime.trace.metrics.counter(

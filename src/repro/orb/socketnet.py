@@ -17,17 +17,15 @@ connection and request admission control, and per-client backpressure
 (the loop stops reading a client's socket while its dispatch queue is
 over budget) — see ``docs/scaling.md``.
 
-A companion naming protocol (:class:`NamingServer`,
-:class:`RemoteNamingClient`) exposes one process's
-:class:`~repro.orb.naming.NamingService` to the others, completing the
-minimum needed for a true multi-process deployment — see
+That loop is the only server in a process: the naming domain is an
+ordinary object served through it (:mod:`repro.orb.nameservice`), which
+completes a true multi-process deployment — see
 ``examples/two_process_demo.py``.
 
 Wire framing (per message, after a 4-byte big-endian length prefix) is
 a CDR stream: destination port id, source address (host, tcp port,
-port id, label), kind, payload octets.  Naming requests/replies use
-the same framing with a small op/string vocabulary.  Nothing here is
-pickled off the wire, so a hostile peer can at worst produce a
+port id, label), kind, payload octets.  Nothing here is pickled off
+the wire, so a hostile peer can at worst produce a
 :class:`~repro.cdr.typecodes.MarshalError`.
 """
 
@@ -47,13 +45,11 @@ from repro.cdr.decoder import CdrDecoder
 from repro.cdr.encoder import CdrEncoder
 from repro.cdr.typecodes import MarshalError
 from repro.orb import request as wire
-from repro.orb.naming import NamingError, NamingService
-from repro.orb.reference import ObjectReference
 from repro.orb.server import KIND_BUSY, ServerConfig, ServerGovernor
 from repro.san import enabled as _san_enabled
 from repro.orb.transport import (
     KIND_REQUEST,
-    Meter,
+    Fabric,
     Port,
     TransportError,
     _Delivery,
@@ -92,16 +88,6 @@ DROP_ADDRESS = SocketPortAddress("", 0, 0, "dropped-frame")
 _POOL_BUFFER_SIZE = 1 << 16
 
 
-class _FrameTooLarge(MarshalError):
-    """An incoming frame declares a length above :data:`_MAX_FRAME`."""
-
-    def __init__(self, length: int) -> None:
-        super().__init__(
-            f"frame of {length} bytes exceeds the bound"
-        )
-        self.length = length
-
-
 def _tune_socket(sock: socket.socket) -> None:
     """Disable Nagle: frames mix small headers with large payloads,
     and a delayed-ACK/Nagle interaction stalls a pipelined stream for
@@ -110,20 +96,6 @@ def _tune_socket(sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:
         pass  # not a TCP socket (tests may hand in a pipe/mock)
-
-
-def _recv_exact_into(sock: socket.socket, view: memoryview) -> None:
-    """Fill ``view`` completely from the socket (one buffer, no
-    chunk-list or join — the single kernel→user copy of the receive
-    path)."""
-    filled = 0
-    total = len(view)
-    while filled < total:
-        n = sock.recv_into(view[filled:])
-        if n == 0:
-            raise ConnectionError("peer closed the connection")
-        filled += n
-    copied(total)
 
 
 class _ConnBuffers:
@@ -169,43 +141,6 @@ class _ConnBuffers:
             self._free.append(buf)
 
 
-def _read_frame_length(
-    sock: socket.socket, header: bytearray
-) -> int:
-    _recv_exact_into(sock, memoryview(header))
-    (length,) = _LENGTH.unpack(header)
-    return length
-
-
-def _drain(sock: socket.socket, n: int) -> None:
-    """Discard ``n`` bytes so the stream stays framed after a frame we
-    refuse to buffer."""
-    scratch = bytearray(min(n, 1 << 16))
-    view = memoryview(scratch)
-    while n:
-        got = sock.recv_into(view[: min(n, len(scratch))])
-        if got == 0:
-            raise ConnectionError("peer closed the connection")
-        n -= got
-
-
-def _read_frame(sock: socket.socket) -> memoryview:
-    """One frame into a fresh buffer, as a read-only view.
-
-    Used by the naming protocol's strictly request/reply connections;
-    the fabric reader loop uses the pooled fast path instead.
-    """
-    header = bytearray(_LENGTH.size)
-    length = _read_frame_length(sock, header)
-    if length == 0:
-        raise MarshalError("zero-length frame is malformed")
-    if length > _MAX_FRAME:
-        raise _FrameTooLarge(length)
-    buf = bytearray(length)
-    _recv_exact_into(sock, memoryview(buf))
-    return memoryview(buf).toreadonly()
-
-
 def _write_frame(sock: socket.socket, *buffers: Any) -> None:
     """Vectored frame write: length prefix + buffers via ``sendmsg``,
     never joined into one allocation."""
@@ -230,8 +165,8 @@ def _write_frame(sock: socket.socket, *buffers: Any) -> None:
                 sent = 0
 
 
-class SocketFabric:
-    """Drop-in Fabric whose sends travel over TCP.
+class SocketFabric(Fabric):
+    """The Fabric whose sends travel over TCP.
 
     One instance per process; ``bind_host``/``bind_port`` choose the
     listening endpoint (port 0 lets the OS pick).  Ports opened here
@@ -250,11 +185,7 @@ class SocketFabric:
         """``server`` tunes fan-in admission control and backpressure
         (:class:`~repro.orb.server.ServerConfig`); the default admits
         everything but keeps per-client backpressure on."""
-        self.name = name
-        self._lock = threading.Lock()
-        self._ports: dict[int, Port] = {}
-        self._next_port_id = 1
-        self._meters: list[Meter] = []
+        super().__init__(name)
         self._connections: dict[tuple[str, int], socket.socket] = {}
         self._conn_locks: dict[tuple[str, int], threading.Lock] = {}
         #: Incoming frames refused by the receive path (zero-length or
@@ -266,8 +197,6 @@ class SocketFabric:
             (bind_host, bind_port), reuse_port=False
         )
         self.host, self.tcp_port = self._server.getsockname()[:2]
-        #: Fan-in governance (admission + backpressure); the dispatch
-        #: layer discovers it via ``getattr(fabric, "governor", None)``.
         self.governor = ServerGovernor(
             server if server is not None else ServerConfig(), name=name
         )
@@ -275,9 +204,8 @@ class SocketFabric:
         self._loop = _ServerLoop(self, self._server, self.governor, name)
         self.governor.attach_loop(self._loop)
 
-    def server_stats(self) -> dict[str, Any]:
-        """The governor's counters — ``orb.stats()["server"]``."""
-        return self.governor.snapshot()
+    def stats(self) -> dict[str, Any]:
+        return {"dropped_frames": self.dropped_frames}
 
     # -- fabric contract ---------------------------------------------------
 
@@ -285,8 +213,7 @@ class SocketFabric:
         with self._lock:
             if self._closed:
                 raise TransportError("fabric is closed")
-            port_id = self._next_port_id
-            self._next_port_id += 1
+            port_id = next(self._ids)
             address = SocketPortAddress(
                 self.host, self.tcp_port, port_id, label
             )
@@ -313,23 +240,6 @@ class SocketFabric:
             return
         segments = self._encode_frame(src, dest, kind, payload, nbytes)
         self._send_remote((dest.host, dest.tcp_port), segments)
-
-    def add_meter(self, meter: Meter) -> None:
-        """Observe every outgoing message (same hook as Fabric)."""
-        with self._lock:
-            self._meters.append(meter)
-
-    def remove_meter(self, meter: Meter) -> None:
-        with self._lock:
-            self._meters.remove(meter)
-
-    def _unregister(self, address: Any) -> None:
-        with self._lock:
-            self._ports.pop(address.port_id, None)
-
-    def open_port_count(self) -> int:
-        with self._lock:
-            return len(self._ports)
 
     # -- wiring ------------------------------------------------------------
 
@@ -417,28 +327,6 @@ class SocketFabric:
             meters = list(self._meters)
         for meter in meters:
             meter(DROP_ADDRESS, DROP_ADDRESS, "drop", length)
-
-    def _dispatch_frame(
-        self, frame: memoryview, copy_payload: bool = True
-    ) -> None:
-        """Route one frame.  ``copy_payload`` detaches the payload
-        from pooled receive buffers about to be reused; large frames
-        pass ``False`` — their buffer's lifetime is handed to the
-        deposited view."""
-        dec = CdrDecoder(frame)
-        dest_port_id = dec.read_ulong()
-        src = SocketPortAddress(
-            host=dec.read_string(),
-            tcp_port=dec.read_ulong(),
-            port_id=dec.read_ulong(),
-            label=dec.read_string(),
-        )
-        kind = dec.read_string()
-        payload: Any = dec.read_octets(dec.read_ulong())
-        if copy_payload:
-            copied(len(payload))
-            payload = bytes(payload)
-        self._deliver_local(dest_port_id, src, kind, payload)
 
     def close(self) -> None:
         """Stop the event loop, close all connections and local ports."""
@@ -808,8 +696,7 @@ class _ServerLoop:
     def _deliver(
         self, conn: _ServerConnection, frame: memoryview
     ) -> None:
-        """Decode the frame envelope and route it — the event-loop
-        twin of :meth:`SocketFabric._dispatch_frame`, with the
+        """Decode the frame envelope and route it — with the
         governor's request admission spliced between decode and
         delivery."""
         fabric = self._fabric
@@ -927,209 +814,3 @@ class _ServerLoop:
                 sock.close()
             except OSError:
                 pass
-
-
-# ---------------------------------------------------------------------------
-# Remote naming
-# ---------------------------------------------------------------------------
-
-_OP_BIND = "bind"
-_OP_REBIND = "rebind"
-_OP_RESOLVE = "resolve"
-_OP_UNBIND = "unbind"
-_OP_NAMES = "names"
-
-
-class NamingServer:
-    """Serves a :class:`NamingService` over TCP.
-
-    One per deployment, typically in the same process as the first
-    server.  Each request is one frame; the reply is one frame.
-    """
-
-    def __init__(
-        self,
-        naming: NamingService | None = None,
-        bind_host: str = "127.0.0.1",
-        bind_port: int = 0,
-    ) -> None:
-        self.naming = naming or NamingService()
-        self._server = socket.create_server((bind_host, bind_port))
-        self.host, self.tcp_port = self._server.getsockname()[:2]
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._serve, name="naming-server", daemon=True
-        )
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while not self._closed:
-            try:
-                conn, _peer = self._server.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._handle,
-                args=(conn,),
-                daemon=True,
-            ).start()
-
-    def _handle(self, conn: socket.socket) -> None:
-        try:
-            while True:
-                request = _read_frame(conn)
-                _write_frame(conn, self._answer(request))
-        except (ConnectionError, OSError, MarshalError):
-            pass
-        finally:
-            conn.close()
-
-    def _answer(self, request: bytes) -> bytes:
-        enc = CdrEncoder()
-        try:
-            dec = CdrDecoder(request)
-            op = dec.read_string()
-            if op in (_OP_BIND, _OP_REBIND):
-                name = dec.read_string()
-                host = dec.read_string()
-                ref = ObjectReference.from_ior(dec.read_string())
-                method = (
-                    self.naming.bind if op == _OP_BIND
-                    else self.naming.rebind
-                )
-                method(name, ref, host=host)
-                enc.write_boolean(True)
-                enc.write_string("ok")
-            elif op == _OP_RESOLVE:
-                name = dec.read_string()
-                host = dec.read_string()
-                ref = self.naming.resolve(name, host or None)
-                enc.write_boolean(True)
-                enc.write_string(ref.ior())
-            elif op == _OP_UNBIND:
-                name = dec.read_string()
-                host = dec.read_string()
-                self.naming.unbind(name, host=host)
-                enc.write_boolean(True)
-                enc.write_string("ok")
-            elif op == _OP_NAMES:
-                entries = self.naming.names()
-                enc.write_boolean(True)
-                enc.write_ulong(len(entries))
-                for name, host in entries:
-                    enc.write_string(name)
-                    enc.write_string(host)
-            else:
-                raise NamingError(f"unknown naming operation {op!r}")
-        except Exception as exc:  # noqa: BLE001 - reported to the peer
-            enc = CdrEncoder()
-            enc.write_boolean(False)
-            enc.write_string(f"{type(exc).__name__}: {exc}")
-        return enc.getvalue()
-
-    def close(self) -> None:
-        self._closed = True
-        self._server.close()
-
-    def __enter__(self) -> "NamingServer":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-class RemoteNamingClient:
-    """A NamingService façade forwarding to a :class:`NamingServer`.
-
-    Implements the subset the ORB uses (bind/rebind/resolve/unbind/
-    names) with one round trip per call.
-    """
-
-    def __init__(self, host: str, tcp_port: int) -> None:
-        self.host = host
-        self.tcp_port = tcp_port
-        self._lock = threading.Lock()
-        self._sock: socket.socket | None = None
-
-    def _roundtrip(self, frame: bytes) -> CdrDecoder:
-        with self._lock:
-            if self._sock is None:
-                try:
-                    self._sock = socket.create_connection(
-                        (self.host, self.tcp_port), timeout=10
-                    )
-                except OSError as exc:
-                    raise NamingError(
-                        f"naming server {self.host}:{self.tcp_port} "
-                        f"unreachable: {exc}"
-                    ) from None
-            try:
-                _write_frame(self._sock, frame)
-                reply = _read_frame(self._sock)
-            except (OSError, ConnectionError) as exc:
-                self._sock.close()
-                self._sock = None
-                raise NamingError(
-                    f"naming round trip failed: {exc}"
-                ) from None
-        dec = CdrDecoder(reply)
-        if not dec.read_boolean():
-            raise NamingError(dec.read_string())
-        return dec
-
-    def bind(
-        self, name: str, ref: ObjectReference, host: str = ""
-    ) -> None:
-        """Register a reference with the remote naming domain."""
-        self._request_with_ref(_OP_BIND, name, host, ref)
-
-    def rebind(
-        self, name: str, ref: ObjectReference, host: str = ""
-    ) -> None:
-        """Register, replacing any existing registration."""
-        self._request_with_ref(_OP_REBIND, name, host, ref)
-
-    def _request_with_ref(
-        self, op: str, name: str, host: str, ref: ObjectReference
-    ) -> None:
-        enc = CdrEncoder()
-        enc.write_string(op)
-        enc.write_string(name)
-        enc.write_string(host)
-        enc.write_string(ref.ior())
-        self._roundtrip(enc.getvalue())
-
-    def resolve(
-        self, name: str, host: str | None = None
-    ) -> ObjectReference:
-        """Look a name up in the remote naming domain."""
-        enc = CdrEncoder()
-        enc.write_string(_OP_RESOLVE)
-        enc.write_string(name)
-        enc.write_string(host or "")
-        dec = self._roundtrip(enc.getvalue())
-        return ObjectReference.from_ior(dec.read_string())
-
-    def unbind(self, name: str, host: str = "") -> None:
-        """Remove a registration from the remote naming domain."""
-        enc = CdrEncoder()
-        enc.write_string(_OP_UNBIND)
-        enc.write_string(name)
-        enc.write_string(host)
-        self._roundtrip(enc.getvalue())
-
-    def names(self) -> list[tuple[str, str]]:
-        """All (name, host) registrations, sorted."""
-        enc = CdrEncoder()
-        enc.write_string(_OP_NAMES)
-        dec = self._roundtrip(enc.getvalue())
-        count = dec.read_ulong()
-        return [
-            (dec.read_string(), dec.read_string()) for _ in range(count)
-        ]
-
-    def close(self) -> None:
-        with self._lock:
-            if self._sock is not None:
-                self._sock.close()
-                self._sock = None

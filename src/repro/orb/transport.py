@@ -229,7 +229,19 @@ class Channel:
 
 
 class Fabric:
-    """The in-process network: a registry of ports plus routing."""
+    """The in-process network: a registry of ports plus routing.
+
+    Also the declared surface of every fabric (the TCP
+    :class:`~repro.orb.socketnet.SocketFabric` subclasses it, the
+    fault-injecting wrapper mirrors it): ports, ``send``, meters,
+    :attr:`governor` and :meth:`stats` — the ORB reads these, never
+    probes for them.
+    """
+
+    #: Fan-in governance (:class:`~repro.orb.server.ServerGovernor`:
+    #: admission control + backpressure) of a fabric that accepts
+    #: connections; ``None`` on one that does not.
+    governor: Any = None
 
     def __init__(self, name: str = "fabric") -> None:
         self.name = name
@@ -281,6 +293,11 @@ class Fabric:
     def open_port_count(self) -> int:
         with self._lock:
             return len(self._ports)
+
+    def stats(self) -> dict[str, Any]:
+        """This fabric's section of ``orb.stats()["fabric"]`` (the
+        in-process network has nothing to lose, so nothing to count)."""
+        return {}
 
 
 #: Endpoint is the (fabric, port) pair a thread uses to talk; kept as

@@ -28,3 +28,23 @@ def test_example_runs_clean(script):
         f"{script} failed:\n{result.stdout}\n{result.stderr}"
     )
     assert "OK" in result.stdout or "note:" in result.stdout
+
+
+def test_replicated_group_fails_over_between_two_os_processes():
+    """The {socket} × {groups} cell: replicas and the served group
+    directory in a child process, the failing-over client here."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(EXAMPLES_DIR / "replicated_group.py"),
+            "--two-process",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=180,
+    )
+    assert result.returncode == 0, (
+        f"two-process mode failed:\n{result.stdout}\n{result.stderr}"
+    )
+    assert "server OK" in result.stdout
+    assert result.stdout.rstrip().endswith("OK")

@@ -18,8 +18,12 @@ from repro.groups import (
     serve_replicated,
 )
 from repro.groups import stats as groups_stats
+from repro.orb.nameservice import NamingClient
+from repro.orb.naming import NamingError
 from repro.orb.operation import RemoteError
+from repro.orb.socketnet import SocketFabric
 from repro.orb.transport import TransportError
+from tests.naming_transports import served_naming
 
 GROUP_IDL = """
 interface counter {
@@ -59,6 +63,29 @@ def orb():
         yield orb
 
 
+@pytest.fixture(params=["inproc", "socket"])
+def deployment(request):
+    """``(server_orb, client_orb)``: one in-process ORB playing both
+    roles, or servers and client on separate ``SocketFabric``s sharing
+    the server's ``ShardedNaming`` through the served naming object."""
+    if request.param == "inproc":
+        with ORB(
+            "groups-test", naming=ShardedNaming(shards=2), timeout=0.3
+        ) as orb:
+            yield orb, orb
+        return
+    with served_naming(
+        naming=ShardedNaming(shards=2), timeout=0.3
+    ) as (server_orb, ior), SocketFabric("groups-client") as client_fabric:
+        with ORB(
+            "groups-client",
+            fabric=client_fabric,
+            naming=NamingClient(client_fabric, ior),
+            timeout=0.3,
+        ) as client_orb:
+            yield server_orb, client_orb
+
+
 class TestFailoverWorthy:
     def test_no_policy_means_fail_fast(self):
         exc = InvocationRetriesExhausted("add", attempts=2)
@@ -93,8 +120,13 @@ class TestFailoverWorthy:
 class TestServeReplicated:
     def test_requires_a_sharded_naming(self, idl):
         with ORB("flat-naming") as orb:
-            with pytest.raises(TypeError, match="ShardedNaming"):
+            threads = threading.active_count()
+            with pytest.raises(NamingError, match="ShardedNaming"):
                 serve_replicated(orb, "ctr", _factory(idl))
+            # The replicas activated before the directory refused the
+            # group are gone again, names and threads.
+            assert orb.naming.names() == []
+            assert threading.active_count() == threads
 
     def test_requires_at_least_one_replica(self, orb, idl):
         with pytest.raises(ValueError, match="at least one replica"):
@@ -141,8 +173,11 @@ class TestServeReplicated:
 
 
 class TestSerialFailover:
-    def test_failover_after_kill_is_transparent(self, orb, idl):
-        group = orb.serve_replicated("ctr", _factory(idl), replicas=3)
+    def test_failover_after_kill_is_transparent(self, deployment, idl):
+        server_orb, orb = deployment
+        group = server_orb.serve_replicated(
+            "ctr", _factory(idl), replicas=3
+        )
         runtime = orb.client_runtime()
         try:
             proxy = idl.counter._group_bind(

@@ -1,5 +1,7 @@
 """The sharded naming router: flat surface routing, the group
-directory, health epochs, and bind tokens."""
+directory, health epochs, and bind tokens — on the in-memory router
+(``backing``) and on the same router reached through the served
+façade (``naming``; see ``tests/naming_transports.py``)."""
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.groups import stats as groups_stats
 from repro.orb.naming import NamingError
 from repro.orb.reference import ObjectReference
 from repro.orb.transport import PortAddress
+from tests.naming_transports import TRANSPORTS, reach
 
 
 def make_ref(key):
@@ -21,17 +24,23 @@ def make_ref(key):
 
 
 @pytest.fixture
-def naming():
+def backing():
     return ShardedNaming(shards=4)
 
 
+@pytest.fixture(params=TRANSPORTS)
+def naming(backing, request):
+    with reach(backing, request.param) as naming:
+        yield naming
+
+
 class TestFlatSurface:
-    def test_bind_resolve_across_shards(self, naming):
+    def test_bind_resolve_across_shards(self, naming, backing):
         names = [f"svc-{i}" for i in range(20)]
         for name in names:
             naming.bind(name, make_ref(name))
         # The 20 names actually spread over multiple shards...
-        assert len({naming.shard_for(n) for n in names}) > 1
+        assert len({backing.shard_for(n) for n in names}) > 1
         # ...but resolve as one flat namespace.
         for name in names:
             assert naming.resolve(name).object_key == name
@@ -74,13 +83,15 @@ class TestGroupDirectory:
             {rid: make_ref(f"{name}#{rid}") for rid in rids},
         )
 
-    def test_bind_resolve_group(self, naming):
+    def test_bind_resolve_group(self, naming, backing):
         self._bind_group(naming)
         group = naming.resolve_group("grp")
         assert group.replica_ids == (0, 1, 2)
+        assert group.repo_id == "IDL:svc:1.0"
+        assert group.member(1) == make_ref("grp#1")
         assert group.epoch == 0
-        assert naming.is_group("grp")
-        assert naming.group_names() == ["grp"]
+        assert backing.is_group("grp")
+        assert backing.group_names() == ["grp"]
 
     def test_duplicate_group_rejected(self, naming):
         self._bind_group(naming)
@@ -93,20 +104,22 @@ class TestGroupDirectory:
         with pytest.raises(NamingError, match="at least one replica"):
             naming.bind_group("grp", "IDL:svc:1.0", {})
 
-    def test_unbind_group(self, naming):
+    def test_unbind_group(self, naming, backing):
         self._bind_group(naming)
         naming.unbind_group("grp")
-        assert not naming.is_group("grp")
+        assert not backing.is_group("grp")
         with pytest.raises(NamingError, match="no group bound"):
             naming.resolve_group("grp")
         with pytest.raises(NamingError, match="no group bound"):
             naming.unbind_group("grp")
 
-    def test_groups_and_flat_names_share_the_namespace(self, naming):
+    def test_groups_and_flat_names_share_the_namespace(
+        self, naming, backing
+    ):
         self._bind_group(naming)
         naming.bind("grp#0", make_ref("grp#0"))
         assert naming.resolve("grp#0").object_key == "grp#0"
-        assert naming.is_group("grp")
+        assert backing.is_group("grp")
 
     def test_add_and_remove_member(self, naming):
         self._bind_group(naming, rids=(0, 1))

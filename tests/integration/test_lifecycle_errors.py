@@ -69,3 +69,31 @@ class TestStaleReferences:
         runtime.close()
         with pytest.raises(Exception):
             proxy.scaled(1, 1)
+
+
+class TestFailedActivation:
+    @pytest.mark.parametrize("nthreads", [1, 3])
+    def test_a_duplicate_name_leaks_no_threads_or_ports(
+        self, orb, idl, servant_class, nthreads
+    ):
+        """``naming.bind`` is the last step of activation; when it
+        refuses, the ranks and ports opened before it are torn down —
+        nobody holds the group, so nobody else could."""
+        import threading
+
+        from repro.orb.naming import NamingError
+
+        orb.serve("taken", lambda ctx: servant_class(), 1)
+        threads = threading.active_count()
+        ports = orb.fabric.open_port_count()
+        with pytest.raises(NamingError, match="already bound as 'taken'"):
+            orb.serve("taken", lambda ctx: servant_class(), nthreads)
+        assert threading.active_count() == threads
+        assert orb.fabric.open_port_count() == ports
+        # The object that owns the name is untouched by the failure.
+        runtime = orb.client_runtime()
+        try:
+            proxy = idl.diff_object._bind("taken", runtime)
+            assert proxy.scaled(2, 1) == (2, 2)
+        finally:
+            runtime.close()

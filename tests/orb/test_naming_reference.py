@@ -5,6 +5,7 @@ import pytest
 from repro.orb.naming import NamingError, NamingService
 from repro.orb.reference import ObjectReference
 from repro.orb.transport import PortAddress
+from tests.naming_transports import TRANSPORTS, reach
 
 
 def make_ref(key="obj", nports=0):
@@ -69,58 +70,67 @@ class TestObjectReference:
         assert blob[0] in (0, 1)
 
 
+@pytest.fixture(params=TRANSPORTS)
+def naming(request):
+    with reach(NamingService(), request.param) as naming:
+        yield naming
+
+
 class TestNaming:
-    def test_bind_resolve(self):
-        naming = NamingService()
+    def test_bind_resolve(self, naming):
         ref = make_ref()
         naming.bind("example", ref)
-        assert naming.resolve("example") is ref
+        assert naming.resolve("example") == ref
 
-    def test_duplicate_bind_rejected(self):
-        naming = NamingService()
+    def test_duplicate_bind_rejected(self, naming):
         naming.bind("example", make_ref())
         with pytest.raises(NamingError, match="already bound"):
             naming.bind("example", make_ref())
 
-    def test_rebind_replaces(self):
-        naming = NamingService()
+    def test_rebind_replaces(self, naming):
         naming.bind("example", make_ref("a"))
         newer = make_ref("b")
         naming.rebind("example", newer)
-        assert naming.resolve("example") is newer
+        assert naming.resolve("example") == newer
 
-    def test_unknown_name(self):
+    def test_unknown_name(self, naming):
         with pytest.raises(NamingError, match="no object"):
-            NamingService().resolve("ghost")
+            naming.resolve("ghost")
 
-    def test_host_scoping(self):
-        naming = NamingService()
+    def test_host_scoping(self, naming):
         ref1, ref2 = make_ref("a"), make_ref("b")
         naming.bind("example", ref1, host="host1")
         naming.bind("example", ref2, host="host2")
-        assert naming.resolve("example", "host1") is ref1
-        assert naming.resolve("example", "host2") is ref2
+        assert naming.resolve("example", "host1") == ref1
+        assert naming.resolve("example", "host2") == ref2
 
-    def test_ambiguous_without_host(self):
-        naming = NamingService()
+    def test_ambiguous_without_host(self, naming):
         naming.bind("example", make_ref("a"), host="host1")
         naming.bind("example", make_ref("b"), host="host2")
         with pytest.raises(NamingError, match="several hosts"):
             naming.resolve("example")
 
-    def test_single_registration_resolves_without_host(self):
-        naming = NamingService()
+    def test_single_registration_resolves_without_host(self, naming):
         naming.bind("example", make_ref(), host="host1")
         assert naming.resolve("example") is not None
 
-    def test_unknown_host(self):
-        naming = NamingService()
+    def test_the_empty_host_is_a_host(self, naming):
+        """``host=""`` names the registration made without a host;
+        only ``host=None`` means "whichever host has it"."""
+        naming.bind("example", make_ref(), host="host1")
+        with pytest.raises(
+            NamingError, match="no object 'example' on host ''"
+        ):
+            naming.resolve("example", "")
+        naming.bind("example", make_ref("bare"))
+        assert naming.resolve("example", "").object_key == "bare"
+
+    def test_unknown_host(self, naming):
         naming.bind("example", make_ref(), host="host1")
         with pytest.raises(NamingError, match="host"):
             naming.resolve("example", "other")
 
-    def test_unbind(self):
-        naming = NamingService()
+    def test_unbind(self, naming):
         naming.bind("example", make_ref())
         naming.unbind("example")
         with pytest.raises(NamingError):
@@ -128,8 +138,7 @@ class TestNaming:
         with pytest.raises(NamingError):
             naming.unbind("example")
 
-    def test_unbind_is_host_scoped(self):
-        naming = NamingService()
+    def test_unbind_is_host_scoped(self, naming):
         naming.bind("example", make_ref("a"), host="host1")
         naming.bind("example", make_ref("b"), host="host2")
         naming.unbind("example", host="host1")
@@ -143,16 +152,15 @@ class TestNaming:
         ):
             naming.unbind("example", host="host1")
 
-    def test_unbind_error_without_host_omits_the_host_clause(self):
+    def test_unbind_error_without_host_omits_the_host_clause(self, naming):
         with pytest.raises(
             NamingError, match="no object bound as 'ghost'$"
         ):
-            NamingService().unbind("ghost")
+            naming.unbind("ghost")
 
-    def test_resolve_after_unbind_equals_never_bound(self):
+    def test_resolve_after_unbind_equals_never_bound(self, naming):
         # No tombstones: an unbound name fails exactly like a name
         # that never existed, and is immediately rebindable.
-        naming = NamingService()
         naming.bind("example", make_ref("old"))
         naming.unbind("example")
         with pytest.raises(NamingError) as unbound_err:
@@ -165,15 +173,13 @@ class TestNaming:
         naming.bind("example", make_ref("new"))
         assert naming.resolve("example").object_key == "new"
 
-    def test_rebind_binds_fresh_names_too(self):
+    def test_rebind_binds_fresh_names_too(self, naming):
         # rebind is bind-or-replace: it does not require an existing
         # registration.
-        naming = NamingService()
         naming.rebind("example", make_ref("a"))
         assert naming.resolve("example").object_key == "a"
 
-    def test_ambiguity_clears_when_one_host_unbinds(self):
-        naming = NamingService()
+    def test_ambiguity_clears_when_one_host_unbinds(self, naming):
         naming.bind("example", make_ref("a"), host="host1")
         naming.bind("example", make_ref("b"), host="host2")
         with pytest.raises(NamingError, match="several hosts"):
@@ -181,12 +187,35 @@ class TestNaming:
         naming.unbind("example", host="host2")
         assert naming.resolve("example").object_key == "a"
 
-    def test_empty_name_rejected(self):
+    def test_empty_name_rejected(self, naming):
         with pytest.raises(NamingError, match="empty"):
-            NamingService().bind("", make_ref())
+            naming.bind("", make_ref())
+        with pytest.raises(NamingError, match="empty"):
+            naming.rebind("", make_ref())
 
-    def test_names_listing(self):
-        naming = NamingService()
+    def test_names_listing(self, naming):
         naming.bind("b", make_ref())
         naming.bind("a", make_ref(), host="h")
         assert naming.names() == [("a", "h"), ("b", "")]
+
+    def test_a_flat_registry_answers_group_calls_with_naming_error(
+        self, naming
+    ):
+        """The directory half of the naming surface is declared, not
+        probed for: a registry without one says so."""
+        calls = [
+            ("bind_group", ("grp", "IDL:svc:1.0", {0: make_ref()})),
+            ("unbind_group", ("grp",)),
+            ("resolve_group", ("grp",)),
+            ("add_member", ("grp", 1, make_ref())),
+            ("remove_member", ("grp", 1)),
+            ("mark_down", ("grp", 1)),
+            ("report_health", ("grp", 1, 0.5)),
+            ("epoch", ("grp",)),
+            ("next_bind_token", ("grp",)),
+        ]
+        for op, args in calls:
+            with pytest.raises(
+                NamingError, match="no group directory for 'grp'.*ShardedNaming"
+            ):
+                getattr(naming, op)(*args)

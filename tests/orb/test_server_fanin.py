@@ -267,7 +267,7 @@ def test_connect_storm_past_max_connections_gets_busy():
                 keep.append(sock)
             # Both admitted by the loop before the storm starts.
             assert _wait_for(
-                lambda: fabric.server_stats()["connections"][
+                lambda: fabric.governor.snapshot()["connections"][
                     "accepted"
                 ]
                 == 2
@@ -283,7 +283,7 @@ def test_connect_storm_past_max_connections_gets_busy():
                     assert extra.recv(1) == b""
                 finally:
                     extra.close()
-            stats = fabric.server_stats()["connections"]
+            stats = fabric.governor.snapshot()["connections"]
             assert stats["rejected"] == 5
             assert stats["active"] == 2
         finally:
@@ -291,7 +291,7 @@ def test_connect_storm_past_max_connections_gets_busy():
                 sock.close()
         # Closed connections release their admission slots.
         assert _wait_for(
-            lambda: fabric.server_stats()["connections"]["active"]
+            lambda: fabric.governor.snapshot()["connections"]["active"]
             == 0
         )
         final = socket.create_connection(
@@ -299,7 +299,7 @@ def test_connect_storm_past_max_connections_gets_busy():
         )
         final.close()
         assert _wait_for(
-            lambda: fabric.server_stats()["connections"]["accepted"]
+            lambda: fabric.governor.snapshot()["connections"]["accepted"]
             == 3
         )
 

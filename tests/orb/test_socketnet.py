@@ -1,21 +1,29 @@
-"""TCP transport and remote naming tests.
+"""TCP transport and served-naming tests.
 
 In-process these exercise real sockets over loopback; the
-cross-process path is covered by tests/integration/test_multiprocess.py.
+cross-process path is covered by examples/two_process_demo.py and
+examples/replicated_group.py --two-process (tests/examples).
 """
+
+import threading
 
 import numpy as np
 import pytest
 
+from repro import ORB
+from repro.orb import nameservice
+from repro.orb.nameservice import NAMING_OBJECT, NamingClient, serve_naming
 from repro.orb.naming import NamingError
 from repro.orb.reference import ObjectReference
-from repro.orb.socketnet import (
-    NamingServer,
-    RemoteNamingClient,
-    SocketFabric,
-    SocketPortAddress,
+from repro.orb.socketnet import SocketFabric, SocketPortAddress
+from repro.orb.transport import (
+    KIND_DATA,
+    KIND_REPLY,
+    KIND_REQUEST,
+    TransportError,
 )
-from repro.orb.transport import KIND_DATA, KIND_REQUEST, TransportError
+from tests.naming_transports import served_naming
+from tests.orb.test_server_fanin import _wait_for
 
 
 @pytest.fixture()
@@ -122,8 +130,8 @@ def make_ref(fabric, key="obj"):
 
 class TestRemoteNaming:
     def test_bind_resolve_roundtrip(self, fabric):
-        with NamingServer() as server:
-            client = RemoteNamingClient(server.host, server.tcp_port)
+        with served_naming() as (_orb, ior):
+            client = NamingClient(fabric, ior)
             ref = make_ref(fabric)
             client.bind("example", ref)
             resolved = client.resolve("example")
@@ -131,8 +139,8 @@ class TestRemoteNaming:
             client.close()
 
     def test_resolve_by_host(self, fabric):
-        with NamingServer() as server:
-            client = RemoteNamingClient(server.host, server.tcp_port)
+        with served_naming() as (_orb, ior):
+            client = NamingClient(fabric, ior)
             client.bind("obj", make_ref(fabric, "a"), host="h1")
             client.bind("obj", make_ref(fabric, "b"), host="h2")
             assert client.resolve("obj", "h2").object_key == "b"
@@ -141,8 +149,8 @@ class TestRemoteNaming:
             client.close()
 
     def test_duplicate_bind_error_propagates(self, fabric):
-        with NamingServer() as server:
-            client = RemoteNamingClient(server.host, server.tcp_port)
+        with served_naming() as (_orb, ior):
+            client = NamingClient(fabric, ior)
             client.bind("x", make_ref(fabric))
             with pytest.raises(NamingError, match="already bound"):
                 client.bind("x", make_ref(fabric))
@@ -151,37 +159,194 @@ class TestRemoteNaming:
             client.close()
 
     def test_unbind_and_names(self, fabric):
-        with NamingServer() as server:
-            client = RemoteNamingClient(server.host, server.tcp_port)
+        with served_naming() as (_orb, ior):
+            client = NamingClient(fabric, ior)
             client.bind("a", make_ref(fabric))
             client.bind("b", make_ref(fabric), host="h")
-            assert client.names() == [("a", ""), ("b", "h")]
+            # The naming object is an ordinary object: it is listed
+            # in the domain it serves, and resolves to its own IOR.
+            assert client.names() == [
+                (NAMING_OBJECT, ""), ("a", ""), ("b", "h")
+            ]
+            assert client.resolve(NAMING_OBJECT).ior() == ior
             client.unbind("a")
-            assert client.names() == [("b", "h")]
+            assert client.names() == [(NAMING_OBJECT, ""), ("b", "h")]
             with pytest.raises(NamingError):
                 client.resolve("a")
             client.close()
 
-    def test_unreachable_server(self):
-        client = RemoteNamingClient("127.0.0.1", 1)
+    def test_unreachable_server(self, fabric):
+        nowhere = ObjectReference(
+            object_key=NAMING_OBJECT,
+            repo_id="IDL:NamingContext:1.0",
+            request_port=SocketPortAddress("127.0.0.1", 1, 1),
+        )
+        client = NamingClient(fabric, nowhere.ior())
         with pytest.raises(NamingError, match="unreachable"):
             client.resolve("anything")
+        client.close()
+
+    def test_a_server_that_went_away_is_a_naming_error(
+        self, fabric, monkeypatch
+    ):
+        monkeypatch.setattr(nameservice, "CALL_TIMEOUT", 0.5)
+        with served_naming() as (_orb, ior):
+            client = NamingClient(fabric, ior)
+            client.bind("x", make_ref(fabric))
+        with pytest.raises(NamingError, match="unreachable"):
+            client.resolve("x")
+        client.close()
 
     def test_two_clients_share_registry(self, fabric):
-        with NamingServer() as server:
-            c1 = RemoteNamingClient(server.host, server.tcp_port)
-            c2 = RemoteNamingClient(server.host, server.tcp_port)
+        with served_naming() as (orb, ior), SocketFabric("peer") as peer:
+            c1 = NamingClient(fabric, ior)
+            c2 = NamingClient(peer, ior)
             c1.bind("shared", make_ref(fabric))
             assert c2.resolve("shared").object_key == "obj"
+            # ... and it is the serving ORB's own registry they share.
+            assert orb.naming.resolve("shared").object_key == "obj"
             c1.close()
             c2.close()
+
+    def test_concurrent_callers_take_turns(self, fabric):
+        """Several threads of one process resolve through one client
+        (an SPMD client's ranks binding at once)."""
+        with served_naming() as (_orb, ior):
+            client = NamingClient(fabric, ior)
+            client.bind("obj", make_ref(fabric))
+            keys, errors = [], []
+
+            def resolve_many():
+                try:
+                    for _ in range(25):
+                        keys.append(client.resolve("obj").object_key)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=resolve_many) for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not errors
+            assert keys == ["obj"] * 100
+            client.close()
+
+
+class TestNamingOnTheOrdinaryPath:
+    """What the second server never had: the event loop's admission
+    control, drop accounting and stats reach naming requests."""
+
+    def test_requests_are_counted_by_the_governor(self, fabric):
+        with served_naming() as (orb, ior):
+            client = NamingClient(fabric, ior)
+            client.bind("obj", make_ref(fabric))
+
+            def admitted():
+                return orb.stats()["server"]["requests"]["admitted"]
+
+            before = admitted()
+            for i in range(1, 4):
+                client.resolve("obj")
+                assert admitted() == before + i
+            client.close()
+
+    def test_a_garbage_frame_is_dropped_and_naming_survives(self, fabric):
+        with served_naming() as (orb, ior):
+            client = NamingClient(fabric, ior)
+            client.bind("obj", make_ref(fabric))
+            target = ObjectReference.from_ior(ior).request_port
+            junk = fabric.open_port("junk")
+            for payload in (b"\x00", b"\x01garbage" * 10, b"\xff" * 64):
+                junk.send(target, payload, KIND_REQUEST)
+            assert client.resolve("obj").object_key == "obj"
+            # ... and no junk frame holds an admission slot.
+            assert _wait_for(
+                lambda: not orb.stats()["server"]["requests"]["inflight"]
+            )
+            junk.close()
+            client.close()
+
+    def test_no_naming_server_thread_exists(self, fabric):
+        with served_naming() as (_orb, ior):
+            client = NamingClient(fabric, ior)
+            client.bind("obj", make_ref(fabric))
+            client.resolve("obj")
+            names = [t.name for t in threading.enumerate()]
+            assert not [n for n in names if n.startswith("naming-server")]
+            # The naming object is a serial group like any other: its
+            # rank thread plus the one dispatch worker asked for.
+            assert sorted(
+                n for n in names if n.startswith(f"server:{NAMING_OBJECT}")
+            ) == [
+                f"server:{NAMING_OBJECT}-0",
+                f"server:{NAMING_OBJECT}:dispatch0",
+            ]
+            client.close()
+
+    def test_tracing_reaches_naming(self, fabric):
+        """The serving ORB's recorder sees naming upcalls like any
+        other object's."""
+        from repro import TraceRecorder
+
+        recorder = TraceRecorder()
+        with served_naming(trace=recorder) as (_orb, ior):
+            client = NamingClient(fabric, ior)
+            client.names()
+            client.close()
+        assert ("dispatch", "server") in {
+            (span.name, span.side) for span in recorder.spans()
+        }
+
+    def test_a_retried_bind_is_replayed_not_re_executed(self, fabric):
+        """``bind`` is not idempotent.  The naming object is served
+        with a reply cache, so when the reply to a ``bind`` is lost and
+        a client's ft policy sends the request again, the recorded
+        reply comes back — not "already bound"."""
+        from repro import FaultSchedule, FaultyFabric, FtPolicy
+
+        class DropNextReply(FaultSchedule):
+            armed = False
+
+            def decide(self, kind):
+                if kind == KIND_REPLY and self.armed:
+                    self.armed = False
+                    return ("drop",)
+                return ()
+
+        # The module's own compiled stub: compiling NAMING_IDL again
+        # would re-register its exception class process-wide.
+        idl = nameservice._idl
+        schedule = DropNextReply()
+        with SocketFabric("naming-host") as inner, ORB(
+            "naming-host", fabric=FaultyFabric(inner, schedule)
+        ) as host:
+            naming = NamingClient(fabric, serve_naming(host))
+            with ORB(
+                "retrying", fabric=fabric, naming=naming, timeout=0.3
+            ) as client_orb:
+                runtime = client_orb.client_runtime(
+                    ft_policy=FtPolicy(max_retries=2, backoff_base_ms=1.0)
+                )
+                stub = idl.NamingContext._bind(NAMING_OBJECT, runtime)
+                schedule.armed = True
+                stub.bind("obj", make_ref(fabric).ior(), "")
+                runtime.close()
+            naming.close()
+            assert host.fabric.fault_stats()["drop"] == 1
+            assert host.naming.resolve("obj").object_key == "obj"
+            cache = host.stats()["reply_caches"][NAMING_OBJECT]
+            assert cache["replays"] == 1
 
 
 class TestOrbOverSockets:
     def test_full_invocation_over_tcp_fabrics(self):
-        """Two ORBs in one process, joined only by TCP + the naming
-        server — the in-process fabric is not involved at all."""
-        from repro import ORB, compile_idl
+        """Two ORBs in one process, joined only by TCP — the served
+        naming object included; the in-process fabric is not involved
+        at all."""
+        from repro import compile_idl
 
         idl = compile_idl(
             """
@@ -200,18 +365,12 @@ class TestOrbOverSockets:
                     value = self.comm.allreduce(value, op=SUM)
                 return value
 
-        with NamingServer() as names:
-            server_fabric = SocketFabric("server-side")
+        with served_naming() as (server_orb, ior):
             client_fabric = SocketFabric("client-side")
-            server_orb = ORB(
-                "server",
-                fabric=server_fabric,
-                naming=RemoteNamingClient(names.host, names.tcp_port),
-            )
             client_orb = ORB(
                 "client",
                 fabric=client_fabric,
-                naming=RemoteNamingClient(names.host, names.tcp_port),
+                naming=NamingClient(client_fabric, ior),
             )
             try:
                 server_orb.serve("adder", lambda ctx: Impl(), 3)
@@ -227,6 +386,41 @@ class TestOrbOverSockets:
                 assert results == [4950.0, 4950.0]
             finally:
                 client_orb.shutdown()
-                server_orb.shutdown()
-                server_fabric.close()
                 client_fabric.close()
+
+    def test_a_second_server_process_binds_through_the_client(self):
+        """An ORB whose naming *is* the client serves an object: its
+        reference travels to the directory as an IOR, and a duplicate
+        name comes back as the directory's own NamingError — with the
+        activated group torn down, not leaked."""
+        from repro import compile_idl
+
+        idl = compile_idl(
+            "interface pinger { long ping(in long x); };",
+            module_name="socket_ping_idl",
+        )
+
+        class Impl(idl.pinger_skel):
+            def ping(self, x):
+                return x + 1
+
+        with served_naming() as (host_orb, ior), SocketFabric(
+            "second"
+        ) as second_fabric:
+            second = ORB(
+                "second",
+                fabric=second_fabric,
+                naming=NamingClient(second_fabric, ior),
+            )
+            with second:
+                second.serve("pinger", lambda ctx: Impl())
+                runtime = host_orb.client_runtime()
+                assert idl.pinger._bind("pinger", runtime).ping(1) == 2
+                runtime.close()
+                threads = threading.active_count()
+                ports = second_fabric.open_port_count()
+                with pytest.raises(NamingError, match="already bound"):
+                    second.serve("pinger", lambda ctx: Impl())
+                assert threading.active_count() == threads
+                assert second_fabric.open_port_count() == ports
+            assert host_orb.naming.names() == [(NAMING_OBJECT, "")]

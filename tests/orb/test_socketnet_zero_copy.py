@@ -6,6 +6,7 @@ dedicated receive-buffer split, vectored multi-segment writes, and the
 connect-outside-the-lock race in ``_send_remote``.
 """
 
+import contextlib
 import socket
 import struct
 import threading
@@ -14,6 +15,9 @@ import time
 import numpy as np
 import pytest
 
+from repro import ORB, compile_idl
+from repro.cdr.accounting import copy_audit
+from repro.orb.naming import NamingService
 from repro.orb.socketnet import (
     DROP_ADDRESS,
     _MAX_FRAME,
@@ -211,3 +215,81 @@ class TestConcurrentConnect:
             assert got == sorted(bytes([i]) * 32 for i in range(8))
             endpoint = (fabric.host, fabric.tcp_port)
             assert list(peer._connections) == [endpoint]
+
+
+class TestCopyBudget:
+    """The wire path's figure of merit, end to end: bytes physically
+    copied per payload byte for a serial echo through the whole stack
+    (CDR → message → fabric → decode, both directions).  Payload-
+    dominated sizes must stay near one copy per direction; below
+    64 KiB the fixed header/pool copies weigh more.  The measured
+    curve is the ``cdr.copies_per_payload_byte`` row of
+    ``bench/results/`` (2.0 at 8 MiB)."""
+
+    _SMALL_LIMIT = 64 * 1024
+    _BUDGET = {"small": 8.0, "large": 3.0}
+    _ITERATIONS = 3
+
+    @pytest.fixture(scope="class")
+    def idl(self):
+        return compile_idl(
+            """
+            typedef dsequence<double, 2097152> payload;
+            interface wireecho { payload roundtrip(in payload data); };
+            """,
+            module_name="copy_budget_idl",
+        )
+
+    @pytest.mark.parametrize("fabric_kind", ["inproc", "socket"])
+    @pytest.mark.parametrize(
+        "size_bytes", [1 << 10, 1 << 14, 1 << 16, 1 << 18]
+    )
+    def test_echo_stays_within_the_copy_budget(
+        self, idl, fabric_kind, size_bytes
+    ):
+        class Echo(idl.wireecho_skel):
+            def roundtrip(self, data):
+                return data
+
+        with contextlib.ExitStack() as stack:
+            if fabric_kind == "socket":
+                naming = NamingService()
+                server = stack.enter_context(
+                    ORB(
+                        "copy-server",
+                        naming=naming,
+                        fabric=stack.enter_context(SocketFabric("cs")),
+                    )
+                )
+                client = stack.enter_context(
+                    ORB(
+                        "copy-client",
+                        naming=naming,
+                        fabric=stack.enter_context(SocketFabric("cc")),
+                    )
+                )
+            else:
+                server = client = stack.enter_context(ORB("copy"))
+            server.serve("wireecho", lambda ctx: Echo(), nthreads=1)
+            runtime = client.client_runtime(label="copy-client")
+            proxy = idl.wireecho._bind("wireecho", runtime)
+            n = size_bytes // 8
+            data = idl.payload.from_global(
+                np.arange(n, dtype=np.float64)
+            )
+            assert proxy.roundtrip(data).length() == n  # warm-up
+            with copy_audit() as account:
+                for _ in range(self._ITERATIONS):
+                    proxy.roundtrip(data)
+            runtime.close()
+        copied_bytes, _events = account.snapshot()
+        per_payload_byte = copied_bytes / (
+            2 * size_bytes * self._ITERATIONS
+        )
+        limit = self._BUDGET[
+            "small" if size_bytes < self._SMALL_LIMIT else "large"
+        ]
+        assert per_payload_byte <= limit, (
+            f"{fabric_kind} @ {size_bytes}B copies "
+            f"{per_payload_byte:.2f} bytes/payload byte, budget {limit}"
+        )

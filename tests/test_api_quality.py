@@ -120,3 +120,51 @@ class TestOneCommunicator:
         assert {name for _, name in owners} == (
             COMMUNICATOR_METHODS | RTS_CONTROL_METHODS
         )
+
+
+#: ``getattr(x, name, None)`` asks "do you happen to have this?" —
+#: the question fabrics, naming objects, client runtimes and servant
+#: groups answer by *declaring* their surface
+#: (``transport.Fabric``, ``naming.NamingService``,
+#: ``proxy.ClientRuntime``, ``adapter.ServantGroup``).  What is left
+#: asks it of something else; each entry is
+#: ``(file under src/repro, receiver, attribute)`` with its reason.
+ALLOWED_NONE_PROBES = {
+    ("orb/transfer.py", "_staging_pool", "'buffers'"):
+        "a threading.local: the attribute exists per thread, on first use",
+    ("orb/proxy.py", "value", "'comm'"):
+        "a user-supplied argument: distributed sequence or plain value",
+    ("orb/proxy.py", "template", "'nranks'"):
+        "a user-supplied template: spec tuples carry no rank count",
+    ("orb/adapter.py", "servant", "spec.name"):
+        "dynamic dispatch: the operation named by the request",
+}
+
+
+class TestNoCapabilityProbes:
+    def test_core_and_orb_ask_none_default_getattr_only_where_allowed(self):
+        """A capability probe cannot grow back under ``repro.core`` or
+        ``repro.orb`` unnoticed: a new optional feature of a fabric,
+        naming object, runtime or group is a declared attribute with
+        a default, not a ``getattr(..., None)`` at each reader."""
+        root = pathlib.Path(repro.__path__[0])
+        found = set()
+        for package in ("core", "orb"):
+            for path in sorted((root / package).glob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "getattr"
+                        and len(node.args) == 3
+                        and isinstance(node.args[2], ast.Constant)
+                        and node.args[2].value is None
+                    ):
+                        found.add(
+                            (
+                                str(path.relative_to(root)),
+                                ast.unparse(node.args[0]),
+                                ast.unparse(node.args[1]),
+                            )
+                        )
+        assert found == set(ALLOWED_NONE_PROBES)
