@@ -66,7 +66,6 @@ _EXPORTS = {
     "spmd_run": ("repro.rts", "spmd_run"),
     "ORB": ("repro.core", "ORB"),
     "SpmdClientGroup": ("repro.core", "SpmdClientGroup"),
-    "SpmdServerGroup": ("repro.core", "SpmdServerGroup"),
     "TransferMethod": ("repro.core", "TransferMethod"),
     "compile_idl": ("repro.idl", "compile_idl"),
     "compile_idl_module": ("repro.idl", "compile_idl_module"),

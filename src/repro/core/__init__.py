@@ -31,12 +31,11 @@ Typical use::
 """
 
 from repro.core.orb import ORB, ClientContext, SpmdClientGroup
-from repro.core.spmd import SpmdServerGroup, TransferMethod
+from repro.core.spmd import TransferMethod
 
 __all__ = [
     "ClientContext",
     "ORB",
     "SpmdClientGroup",
-    "SpmdServerGroup",
     "TransferMethod",
 ]

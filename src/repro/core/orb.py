@@ -1,4 +1,4 @@
-"""The ORB facade: one object wiring fabric, naming, adapter, clients.
+"""The ORB facade: one object wiring fabric, naming, servers, clients.
 
 The paper's Figure 1 shows the PARDIS ORB between the client's and the
 server's stub+package stacks, flanked by the two RTS interfaces.  This
@@ -21,12 +21,10 @@ from repro.cdr.accounting import (
 )
 import repro.groups.stats as groups_stats
 import repro.san as san
-from repro.core.spmd import SpmdServerGroup
 from repro.dist.schedule import schedule_cache_stats
-from repro.orb.adapter import ObjectAdapter, Servant, ServantContext
+from repro.orb.adapter import Servant, ServantContext, ServantGroup
 from repro.orb.naming import NamingService
 from repro.orb.proxy import ClientRuntime
-from repro.orb.transfer import Tracer
 from repro.orb.transport import Fabric
 from repro.rts import backends as rts_backends
 from repro.rts.executor import SpmdExecutor
@@ -55,7 +53,6 @@ class ORB:
         self,
         name: str = "pardis",
         *,
-        tracer: Tracer | None = None,
         timeout: float = 60.0,
         fabric: Any = None,
         naming: Any = None,
@@ -86,7 +83,6 @@ class ORB:
         self.name = name
         self.fabric = fabric if fabric is not None else Fabric(name)
         self.naming = naming if naming is not None else NamingService()
-        self.tracer = tracer
         self.timeout = timeout
         self.ft_policy = ft_policy
         #: Runtime-sanitizer switch (None defers to ``PARDIS_SAN``);
@@ -104,7 +100,7 @@ class ORB:
             self.trace = None
         else:
             self.trace = trace
-        self._adapter = ObjectAdapter(self.fabric, self.naming)
+        self._groups: list[ServantGroup] = []
         self._runtimes: list[ClientRuntime] = []
         self._lock = threading.Lock()
         self._shut = False
@@ -136,12 +132,11 @@ class ORB:
         host: str = "",
         multiport: bool = True,
         templates: dict[tuple[str, str], Any] | None = None,
-        rts_style: str = "message-passing",
         dispatch_workers: int = 4,
         dispatch_policy: str = "client-fifo",
         reply_cache_bytes: int = 0,
         request_timeout: float | None = None,
-    ) -> SpmdServerGroup:
+    ) -> ServantGroup:
         """Activate an SPMD object and register it with naming.
 
         ``servant_factory(ctx)`` runs once on every computing thread
@@ -169,8 +164,11 @@ class ORB:
         dispatched request's server-side waits (chunk collection from
         a client whose data path died); ``None`` inherits the ORB
         timeout, so a short-deadline ORB also fails fast server-side.
+        A collective object's RTS follows its ranks' kernel
+        (:func:`repro.rts.rts_for`); a factory that wants another
+        realization assigns it (``ctx.rts = OneSidedRTS(ctx.comm)``).
         """
-        group = SpmdServerGroup(
+        group = ServantGroup(
             self.fabric,
             self.naming,
             name,
@@ -179,9 +177,7 @@ class ORB:
             host=host,
             multiport=multiport,
             templates=templates,
-            tracer=self.tracer,
             trace=self.trace,
-            rts_style=rts_style,
             dispatch_workers=dispatch_workers,
             dispatch_policy=dispatch_policy,
             reply_cache_bytes=reply_cache_bytes,
@@ -190,7 +186,7 @@ class ORB:
             ),
         )
         group.start()
-        self._adapter._groups.append(group)
+        self._groups.append(group)
         return group
 
     def serve_replicated(
@@ -230,30 +226,27 @@ class ORB:
         comm: Intracomm | None = None,
         *,
         label: str = "client",
-        rts_style: str = "message-passing",
         pipeline_depth: int = 8,
         ft_policy: Any = None,
     ) -> ClientRuntime:
         """Create the per-thread client runtime (collective when
         ``comm`` is a group communicator; serial when ``None``).
 
-        ``rts_style`` selects the run-time-system interface the ORB
-        uses for gathers/scatters: the paper's ``"message-passing"``
-        or its planned ``"one-sided"`` alternative.  ``pipeline_depth``
-        caps how many non-blocking invocations this runtime keeps in
-        flight at once (1 restores strictly serial round-trips).
-        ``ft_policy`` overrides the ORB-wide fault-tolerance policy
-        for this runtime (``None`` inherits it).
+        ``pipeline_depth`` caps how many non-blocking invocations
+        this runtime keeps in flight at once (1 restores strictly
+        serial round-trips).  ``ft_policy`` overrides the ORB-wide
+        fault-tolerance policy for this runtime (``None`` inherits
+        it).  The runtime's RTS follows ``comm``'s kernel
+        (:func:`repro.rts.rts_for`); ``runtime.rts`` is assignable for
+        a caller that wants another realization of the contract.
         """
         runtime = ClientRuntime(
             self.fabric,
             self.naming,
             comm,
-            tracer=self.tracer,
             trace=self.trace,
             timeout=self.timeout,
             label=label,
-            rts_style=rts_style,
             pipeline_depth=pipeline_depth,
             ft_policy=ft_policy if ft_policy is not None else self.ft_policy,
             sanitize=self.sanitize,
@@ -278,24 +271,8 @@ class ORB:
         and invokes it collectively.
         """
 
-        def body(rank_ctx: Any) -> Any:
-            comm = rank_ctx.comm if nthreads > 1 else None
-            runtime = self.client_runtime(comm, label=name)
-            try:
-                return fn(
-                    ClientContext(
-                        rank=rank_ctx.rank,
-                        size=nthreads,
-                        comm=comm,
-                        runtime=runtime,
-                    ),
-                    *args,
-                )
-            finally:
-                runtime.close()
-
-        return SpmdExecutor(nthreads, name=name, backend="thread").run(
-            body, timeout=timeout
+        return SpmdClientGroup(self, nthreads, name).run(
+            fn, *args, timeout=timeout
         )
 
     # -- introspection -------------------------------------------------------
@@ -337,7 +314,7 @@ class ORB:
                 ft[key] = ft.get(key, 0) + value
         reply_caches = {
             group.name: group.reply_cache.stats()
-            for group in self._adapter._groups
+            for group in self._groups
             if group.reply_cache is not None
         }
         copied_bytes, copy_events = self._copy_account.snapshot()
@@ -380,7 +357,12 @@ class ORB:
     # -- lifecycle ----------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Deactivate all objects and release client resources."""
+        """Deactivate all objects and release client resources.
+
+        Every group and every runtime is shut down whatever the
+        others do; the first error (say the
+        :class:`~repro.rts.executor.SpmdError` of a group whose ranks
+        died) is re-raised once nothing is left running."""
         if self._shut:
             return
         self._shut = True
@@ -390,11 +372,19 @@ class ORB:
         if self._fabric_meter is not None:
             self.fabric.remove_meter(self._fabric_meter)
             self._fabric_meter = None
-        self._adapter.shutdown()
         with self._lock:
             runtimes, self._runtimes = self._runtimes, []
-        for runtime in runtimes:
-            runtime.close()
+        groups, self._groups = self._groups, []
+        first_error: Exception | None = None
+        for stop in [g.shutdown for g in groups] + [
+            r.close for r in runtimes
+        ]:
+            try:
+                stop()
+            except Exception as exc:
+                first_error = first_error or exc
+        if first_error is not None:
+            raise first_error
 
     def __enter__(self) -> "ORB":
         return self

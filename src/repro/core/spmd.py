@@ -1,10 +1,8 @@
-"""SPMD object model surface: server groups and transfer methods."""
+"""SPMD object model surface: the transfer-method vocabulary."""
 
 from __future__ import annotations
 
 import enum
-
-from repro.orb.adapter import ServantGroup
 
 
 class TransferMethod(enum.Enum):
@@ -25,14 +23,3 @@ class TransferMethod(enum.Enum):
         home.
         """
         return frozenset(member.value for member in cls)
-
-
-class SpmdServerGroup(ServantGroup):
-    """An activated SPMD object (paper §2).
-
-    A set of computing threads visible to the request broker; a
-    request is satisfied if and only if it is delivered to all of
-    them.  Construction and lifecycle live in
-    :class:`repro.orb.adapter.ServantGroup`; this subclass names the
-    concept at the public-API level.
-    """

@@ -49,7 +49,6 @@ _EXPORTS = {
     "NamingError": "repro.orb.naming",
     "NamingServant": "repro.orb.nameservice",
     "NamingService": "repro.orb.naming",
-    "ObjectAdapter": "repro.orb.adapter",
     "ObjectReference": "repro.orb.reference",
     "OperationSpec": "repro.orb.operation",
     "ParamSpec": "repro.orb.operation",

@@ -41,7 +41,6 @@ from repro.orb.reference import ObjectReference
 from repro.orb.request import ReplyMessage, RequestMessage
 from repro.orb.transfer import (
     ChunkCollector,
-    Tracer,
     decompose,
     detach_plain_values,
     encode_system_exception,
@@ -58,7 +57,7 @@ from repro.orb.transport import (
 )
 from repro.rts import rts_for
 from repro.rts.executor import SpmdExecutor, SpmdHandle
-from repro.rts.interface import MessagePassingRTS
+from repro.rts.interface import RuntimeSystem
 from repro.rts.mpi import DeadlockError, GroupAbortedError, Intracomm
 from repro.trace.span import span_or_null
 
@@ -91,13 +90,12 @@ class ServantContext:
     rank: int
     size: int
     comm: Intracomm | None
-    rts: MessagePassingRTS | None
+    rts: RuntimeSystem | None
     request_port: Port | None  # rank 0 only
     data_port: Port
     collector: ChunkCollector
     fabric: Fabric
     templates: dict[tuple[str, str], tuple]
-    tracer: Tracer | None = None
     #: ``repro.trace`` recorder (None = tracing off): the engine opens
     #: rank-tagged server-side spans under the request header's trace
     #: id, correlating them with the client's spans.
@@ -330,10 +328,6 @@ class _ServerEngine:
                 self.cache.record_reply(request.request_id, None)
             return
         port = self.ctx.request_port or self.ctx.data_port
-        if self.ctx.tracer:
-            self.ctx.tracer.emit(
-                "net-reply", request.mode, len(reply.body)
-            )
         if self.reply_sender is not None:
             self.reply_sender.submit(
                 port, request.reply_port, reply.encode_segments()
@@ -470,8 +464,6 @@ class _ServerEngine:
         # "After the invocation the server's computing threads
         # synchronize and the communicating thread informs the client."
         if ctx.rts is not None:
-            if ctx.tracer:
-                ctx.tracer.emit("sync", "server", "post-invoke")
             ctx.rts.synchronize()
         disp_span.note(outcome=outcome[0]).end()
 
@@ -903,61 +895,6 @@ class _DispatchPool:
 # ---------------------------------------------------------------------------
 
 
-class ObjectAdapter:
-    """Factory/registry for servant groups on one fabric + naming pair.
-
-    The :class:`repro.core.ORB` owns one of these.
-    """
-
-    def __init__(self, fabric: Fabric, naming: Any) -> None:
-        self.fabric = fabric
-        self.naming = naming
-        self._groups: list[ServantGroup] = []
-
-    def activate(
-        self,
-        name: str,
-        servant_factory: Callable[[ServantContext], Servant],
-        nthreads: int = 1,
-        *,
-        host: str = "",
-        multiport: bool = True,
-        templates: dict[tuple[str, str], Any] | None = None,
-        tracer: Tracer | None = None,
-        rts_style: str = "message-passing",
-        dispatch_workers: int = 4,
-        dispatch_policy: str = "client-fifo",
-        reply_cache_bytes: int = 0,
-        request_timeout: float = 60.0,
-        trace: Any = None,
-    ) -> "ServantGroup":
-        group = ServantGroup(
-            self.fabric,
-            self.naming,
-            name,
-            servant_factory,
-            nthreads,
-            host=host,
-            multiport=multiport,
-            templates=templates,
-            tracer=tracer,
-            trace=trace,
-            rts_style=rts_style,
-            dispatch_workers=dispatch_workers,
-            dispatch_policy=dispatch_policy,
-            reply_cache_bytes=reply_cache_bytes,
-            request_timeout=request_timeout,
-        )
-        group.start()
-        self._groups.append(group)
-        return group
-
-    def shutdown(self) -> None:
-        for group in self._groups:
-            group.shutdown()
-        self._groups.clear()
-
-
 class ServantGroup:
     """One activated SPMD object: threads, ports, naming entry."""
 
@@ -972,8 +909,6 @@ class ServantGroup:
         host: str = "",
         multiport: bool = True,
         templates: dict[tuple[str, str], Any] | None = None,
-        tracer: Tracer | None = None,
-        rts_style: str = "message-passing",
         dispatch_workers: int = 4,
         dispatch_policy: str = "client-fifo",
         reply_cache_bytes: int = 0,
@@ -990,7 +925,6 @@ class ServantGroup:
             raise ValueError(
                 "dispatch_policy must be 'client-fifo' or 'concurrent'"
             )
-        self.rts_style = rts_style
         #: Worker threads for serial groups (``nthreads == 1``): with
         #: the default ``"client-fifo"`` policy one client's requests
         #: execute in send order while different clients overlap;
@@ -1006,7 +940,6 @@ class ServantGroup:
         self.host = host
         self.nthreads = nthreads
         self.multiport = multiport
-        self.tracer = tracer
         self.trace = trace
         from repro.idl.runtime import template_to_spec
 
@@ -1100,11 +1033,7 @@ class ServantGroup:
             rank=rank_ctx.rank,
             size=self.nthreads,
             comm=comm if self.nthreads > 1 else None,
-            rts=(
-                rts_for(comm, self.rts_style)
-                if self.nthreads > 1
-                else None
-            ),
+            rts=rts_for(comm) if self.nthreads > 1 else None,
             request_port=(
                 self._request_port if rank_ctx.rank == 0 else None
             ),
@@ -1112,7 +1041,6 @@ class ServantGroup:
             collector=ChunkCollector(self._data_ports[rank_ctx.rank]),
             fabric=self.fabric,
             templates=self._templates,
-            tracer=self.tracer,
             trace=self.trace,
             timeout=self.request_timeout,
         )

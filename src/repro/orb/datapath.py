@@ -55,7 +55,6 @@ from repro.orb.request import ReplyMessage, RequestMessage
 from repro.orb.transfer import (
     ChunkCollector,
     Slot,
-    Tracer,
     assemble_chunks,
     decode_full_body,
     decode_plain_body,
@@ -115,20 +114,12 @@ def _gather(
     rank: int,
     seq: DistributedSequence,
     staging: str,
-    side: str,
-    tracer: Tracer | None,
 ) -> np.ndarray | None:
     """Assemble ``seq`` on the communicating thread (``None`` on the
     others), landing in the reusable ``staging`` buffer."""
     if rts is None:
         return seq.local_data()
     steps = transfer_schedule(seq.layout, Layout(((0, seq.length()),)))
-    if tracer:
-        for step in steps:
-            if step.src_rank != 0:
-                tracer.emit(
-                    "rts-gather", side, step.src_rank, 0, step.nelems
-                )
     return rts.gather_chunks(
         seq.local_data(),
         steps,
@@ -147,8 +138,6 @@ def _scatter(
     full: Any,
     slot: Slot,
     layout_for: Callable[[int], Layout],
-    side: str,
-    tracer: Tracer | None,
 ) -> Placed:
     """Spread the communicating thread's ``full`` array over the
     group: its length is broadcast, every rank derives the layout from
@@ -163,12 +152,6 @@ def _scatter(
         local[:] = full
         return layout, local
     steps = transfer_schedule(Layout(((0, length),)), layout)
-    if tracer and rank == 0:
-        for step in steps:
-            if step.dst_rank != 0:
-                tracer.emit(
-                    "rts-scatter", side, 0, step.dst_rank, step.nelems
-                )
     rts.scatter_chunks(
         np.asarray(full) if rank == 0 else None, steps, root=0, out=local
     )
@@ -319,7 +302,6 @@ class ThroughRootPath(DataPath):
             if slot.distributed:
                 values[slot.name] = _gather(
                     rt.rts, rt.rank, inv.args[slot.name], slot.name,
-                    "client", rt.tracer,
                 )
         return values, {}
 
@@ -330,7 +312,6 @@ class ThroughRootPath(DataPath):
                 lambda length, name=slot.name: server_layout(
                     ctx.templates.get((spec.name, name)), length, ctx.size
                 ),
-                "server", ctx.tracer,
             )
             for slot in slots
             if slot.distributed
@@ -342,7 +323,7 @@ class ThroughRootPath(DataPath):
             if slot.distributed:
                 values[slot.name] = _gather(
                     ctx.rts, ctx.rank, results[slot.name],
-                    staging(slot.name), "server", ctx.tracer,
+                    staging(slot.name),
                 )
         return values, ()
 
@@ -363,7 +344,6 @@ class ThroughRootPath(DataPath):
                     slot, length, inv.layouts.get(slot.name),
                     inv.out_templates.get(slot.name), rt.size,
                 ),
-                "client", rt.tracer,
             )
             for slot in slots
             if slot.distributed
@@ -419,7 +399,6 @@ class DirectPath(DataPath):
                 inv.request_id,
                 slot.name,
                 wire.PHASE_REQUEST,
-                rt.tracer,
             )
 
     def receive_arguments(self, ctx, request, spec, slots, decoded):
@@ -483,7 +462,6 @@ class DirectPath(DataPath):
                 request.request_id,
                 name,
                 wire.PHASE_REPLY,
-                ctx.tracer,
                 record=record,
             )
 

@@ -48,7 +48,6 @@ from repro.orb.datapath import DataPath, path_for
 from repro.orb.transfer import (
     ChunkCollector,
     ReplyDemux,
-    Tracer,
     invoke,
     invoke_begin,
 )
@@ -85,10 +84,8 @@ class ClientRuntime:
         naming: Any,
         comm: Intracomm | None = None,
         *,
-        tracer: Tracer | None = None,
         timeout: float = 60.0,
         label: str = "client",
-        rts_style: str = "message-passing",
         pipeline_depth: int = 8,
         ft_policy: Any = None,
         trace: Any = None,
@@ -99,7 +96,6 @@ class ClientRuntime:
         self.fabric = fabric
         self.naming = naming
         self.app_comm = comm
-        self.tracer = tracer
         #: ``repro.trace`` recorder shared across the ORB's runtimes
         #: (None = tracing off; the engines guard every span site on
         #: this being set, keeping the disabled path free).
@@ -127,7 +123,7 @@ class ClientRuntime:
             self.rts: RuntimeSystem | None = None
         else:
             self.orb_comm = comm.dup(f"{label}:orb")
-            self.rts = rts_for(self.orb_comm, rts_style)
+            self.rts = rts_for(self.orb_comm)
         #: ``repro.san``: ``sanitize=None`` defers to ``PARDIS_SAN``.
         self.sanitize = (
             _san_enabled() if sanitize is None else bool(sanitize)
@@ -198,7 +194,6 @@ class ClientRuntime:
         view.fabric = self.fabric
         view.naming = self.naming
         view.app_comm = None
-        view.tracer = self.tracer
         view.trace = self.trace
         view.timeout = self.timeout
         view.pipeline_depth = self.pipeline_depth

@@ -87,31 +87,6 @@ if TYPE_CHECKING:
 _NATIVE_LITTLE = sys.byteorder == "little"
 
 
-class Tracer:
-    """Collects protocol events for the Figure 2/3 pattern tests.
-
-    Events are tuples ``(event, *detail)``; see the engines and
-    :mod:`repro.orb.datapath` for the vocabulary ('rts-gather', 'rts-scatter', 'net-request',
-    'net-reply', 'net-chunk', 'sync').
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.events: list[tuple] = []
-
-    def emit(self, *event: Any) -> None:
-        with self._lock:
-            self.events.append(tuple(event))
-
-    def of_kind(self, kind: str) -> list[tuple]:
-        with self._lock:
-            return [e for e in self.events if e[0] == kind]
-
-    def clear(self) -> None:
-        with self._lock:
-            self.events.clear()
-
-
 def server_layout(
     spec_tuple: tuple | None, length: int, nthreads: int
 ) -> Layout:
@@ -462,7 +437,6 @@ def send_chunks(
     request_id: int,
     param: str,
     phase: int,
-    tracer: Tracer | None = None,
     record: Any = None,
 ) -> None:
     """Ship this rank's outgoing chunks of one parameter.
@@ -494,15 +468,6 @@ def send_chunks(
             global_hi=step.global_hi,
             payload=payload,
         )
-        if tracer is not None:
-            tracer.emit(
-                "net-chunk",
-                phase,
-                param,
-                step.src_rank,
-                step.dst_rank,
-                step.nelems,
-            )
         if record is not None:
             frame = b"".join(
                 bytes(s) for s in chunk.encode_segments()
@@ -964,15 +929,12 @@ def invoke_begin(
         for s in slots
         if s.distributed
     }
-    tracer = runtime.tracer
     rts = runtime.rts
     root = runtime.rank == 0
     # "On invocation, the computing threads of the client first
     # synchronize, marshal arguments and then the request is sent to
     # the server" (§3.2).
     if rts is not None:
-        if tracer:
-            tracer.emit("sync", "client", "pre-invoke")
         rts.synchronize()
     request_id = runtime.next_request_id()
     ctl = _FtInvocation(
@@ -1039,10 +1001,6 @@ def invoke_begin(
         kind = "transport"
         try:
             if root:
-                if tracer:
-                    tracer.emit(
-                        "net-request", path.mode, spec.name, len(body)
-                    )
                 xfer_span.note(nbytes=len(body))
                 runtime.reply_port.send(
                     ref.request_port,
@@ -1102,10 +1060,6 @@ def invoke_begin(
                         "transport", "COMM_FAILURE", str(exc), rank=0
                     )
                 else:
-                    if tracer:
-                        tracer.emit(
-                            "net-reply", path.mode, len(reply.body)
-                        )
                     # The body rides the vote when every rank needs it:
                     # an exception to raise, or (rank-local receipt) the
                     # plain values, which are all it then holds — a
@@ -1156,8 +1110,6 @@ def invoke_begin(
                             slot, *placed[slot.name], inv
                         )
                 if rts is not None:
-                    if tracer:
-                        tracer.emit("sync", "client", "post-invoke")
                     rts.synchronize()
                 retire()
                 reply_span.end()

@@ -63,30 +63,17 @@ from repro.rts.procs import (
 )
 
 
-def rts_for(comm, style: str = "message-passing") -> RuntimeSystem:
-    """The right :class:`RuntimeSystem` for ``comm``, whatever backend.
-
-    A process-backend communicator gets the shared-memory
-    :class:`~repro.rts.procs.ProcessRTS`; a thread-backend one gets
-    the ``style``-selected realization (``"message-passing"`` or
-    ``"one-sided"``, the same vocabulary as
-    ``ORB.init(rts_style=...)``).
+def rts_for(comm) -> RuntimeSystem:
+    """The :class:`RuntimeSystem` whose data plane follows ``comm``'s
+    kernel: :class:`~repro.rts.procs.ProcessRTS` (shared-memory
+    segments) on process ranks, :class:`MessagePassingRTS` on thread
+    ranks.  Another realization of the contract — say
+    :class:`OneSidedRTS` — is installed by assignment where a caller
+    wants it (``ctx.rts = OneSidedRTS(ctx.comm)`` in a servant
+    factory, ``runtime.rts = OneSidedRTS(runtime.orb_comm)``).
     """
-    if style not in ("message-passing", "one-sided"):
-        raise ValueError(
-            f"unknown RTS style {style!r}; expected 'message-passing' "
-            f"or 'one-sided'"
-        )
     if comm.backend == backends.PROCESS:
-        if style == "one-sided":
-            raise ValueError(
-                "the one-sided RTS is thread-backend only; the process "
-                "backend's shm data plane already provides direct "
-                "memory placement"
-            )
         return ProcessRTS(comm)
-    if style == "one-sided":
-        return OneSidedRTS(comm)
     return MessagePassingRTS(comm)
 
 

@@ -97,3 +97,34 @@ class TestFailedActivation:
             assert proxy.scaled(2, 1) == (2, 2)
         finally:
             runtime.close()
+
+
+class TestShutdownAfterADeadGroup:
+    def test_every_group_and_runtime_is_shut_down_and_the_error_surfaces(
+        self, idl, servant_class
+    ):
+        """A group whose ranks died makes ``shutdown`` raise — after
+        the other groups and the client runtimes were shut down too,
+        not instead of it."""
+        import threading
+
+        from repro import ORB
+        from repro.rts.executor import SpmdError
+
+        class Dying(servant_class):
+            def scaled(self, factor, counter):
+                raise SystemExit("rank died inside an operation")
+
+        orb = ORB(timeout=1.0)
+        threads = threading.active_count()
+        ports = orb.fabric.open_port_count()
+        orb.serve("bad", lambda ctx: Dying(), 2)
+        orb.serve("good", lambda ctx: servant_class(), 1)
+        runtime = orb.client_runtime()
+        with pytest.raises(Exception):
+            idl.diff_object._bind("bad", runtime).scaled(1, 1)
+        assert idl.diff_object._bind("good", runtime).scaled(2, 1) == (2, 2)
+        with pytest.raises(SpmdError, match="rank died inside"):
+            orb.shutdown()
+        assert threading.active_count() == threads
+        assert orb.fabric.open_port_count() == ports

@@ -1,12 +1,17 @@
 """The ORB over both RTS interfaces (§2.3): the implemented
-message-passing interface and the planned one-sided alternative."""
+message-passing interface and the planned one-sided alternative.
+
+The data plane follows the kernel (``rts_for``); another realization
+of the ``RuntimeSystem`` contract is installed through the same seam
+the engines read — ``ctx.rts`` in a servant factory, ``runtime.rts``
+on a client runtime."""
 
 import numpy as np
 import pytest
 
-from repro.rts import process_backend_supported, rts_for, spawn_spmd
+from repro.rts import MessagePassingRTS, OneSidedRTS
 
-STYLES = ["message-passing", "one-sided"]
+STYLES = [MessagePassingRTS, OneSidedRTS]
 
 
 @pytest.mark.parametrize("server_style", STYLES)
@@ -17,82 +22,26 @@ def test_centralized_invocation_under_any_rts_pairing(
     """The transfer engines program against the RuntimeSystem
     contract, so any client/server pairing of RTS styles must yield
     identical results (only the gather/scatter mechanics differ)."""
-    orb.serve(
-        "styled",
-        lambda ctx: servant_class(),
-        3,
-        rts_style=server_style,
-    )
 
-    from repro.core.orb import ClientContext
-    from repro.rts.executor import SpmdExecutor
+    def factory(ctx):
+        ctx.rts = server_style(ctx.comm)
+        return servant_class()
 
-    def body(rank_ctx):
-        runtime = orb.client_runtime(
-            rank_ctx.comm, rts_style=client_style
+    orb.serve("styled", factory, 3)
+
+    def client(c):
+        c.runtime.rts = client_style(c.runtime.orb_comm)
+        proxy = idl.diff_object._spmd_bind(
+            "styled", c.runtime, transfer="centralized"
         )
-        try:
-            c = ClientContext(
-                rank=rank_ctx.rank,
-                size=2,
-                comm=rank_ctx.comm,
-                runtime=runtime,
-            )
-            proxy = idl.diff_object._spmd_bind(
-                "styled", c.runtime, transfer="centralized"
-            )
-            seq = idl.darray.from_global(
-                np.arange(13, dtype=np.float64), comm=c.comm
-            )
-            proxy.diffusion(4, seq)
-            return seq.allgather()
-        finally:
-            runtime.close()
+        seq = idl.darray.from_global(
+            np.arange(13, dtype=np.float64), comm=c.comm
+        )
+        proxy.diffusion(4, seq)
+        return type(proxy._runtime.rts), seq.allgather()
 
-    results = SpmdExecutor(2).run(body)
-    for result in results:
+    for style, result in orb.run_spmd_client(2, client):
+        assert style is client_style
         np.testing.assert_array_equal(
             result, np.arange(13, dtype=np.float64) + 4
-        )
-
-
-def test_unknown_rts_style_rejected(orb):
-    with pytest.raises(ValueError, match="unknown RTS style"):
-        from repro.rts.mpi import create_group
-
-        comms = create_group(1)
-        orb.client_runtime(comms[0], rts_style="telepathic")
-
-
-@pytest.mark.skipif(
-    not process_backend_supported(),
-    reason="process RTS backend needs fork + POSIX shm",
-)
-def test_one_sided_on_the_process_backend_rejected():
-    """One-sided windows presume a thread-shared address space; asking
-    for them on a process-backend communicator is an error, not a
-    silent switch to the shm data plane."""
-
-    def body(ctx):
-        errors = []
-        for style in ("one-sided", "telepathic"):
-            try:
-                rts_for(ctx.comm, style)
-            except ValueError as exc:
-                errors.append(str(exc))
-        return errors
-
-    for errors in spawn_spmd(body, 2, backend="process").join(timeout=30):
-        assert len(errors) == 2
-        assert "thread-backend only" in errors[0]
-        assert "unknown RTS style" in errors[1]
-
-
-def test_unknown_rts_style_rejected_by_serve(orb, servant_class):
-    """Client runtimes and servant groups share one RTS factory, so
-    the server side rejects what the client side rejects."""
-    with pytest.raises(Exception, match="unknown RTS style"):
-        orb.serve(
-            "styled", lambda ctx: servant_class(), 2,
-            rts_style="telepathic",
         )

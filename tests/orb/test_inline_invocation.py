@@ -19,11 +19,8 @@ from repro import ORB, compile_idl
 from repro.san import stats as san_stats
 
 from tests.integration.conftest import TEST_IDL, make_servant_class
-from tests.integration.test_collective_sequence import (
-    EXPECTED,
-    Recording,
-    serve_recording,
-)
+from tests.integration.observing import Recording, names, serve_recording
+from tests.integration.test_collective_sequence import EXPECTED
 
 
 @pytest.fixture(scope="module")
@@ -316,11 +313,11 @@ def test_mixed_blocking_and_nb_keep_the_pinned_collective_lists(
             np.testing.assert_array_equal(
                 seq.allgather(), np.full(12, float(step))
             )
-        return routes, log[: len(expected) * 3]
+        return routes, names(log)[: len(expected) * 3]
 
     results = orb.run_spmd_client(2, client)
     for rank, (routes, log) in enumerate(results):
         assert routes == ["inline", "worker"], rank
         assert log == expected + launch * 2 + complete * 2, rank
     for rank in range(2):
-        assert server_logs[rank] == EXPECTED["server", transfer] * 3, rank
+        assert names(server_logs[rank]) == EXPECTED["server", transfer] * 3
