@@ -70,7 +70,7 @@ def retrying_run(orb):
         for i in range(REQUESTS):
             result = proxy.roundtrip(data)
             assert result.length() == N, f"request {i} came back short"
-        return runtime.ft_stats.snapshot()["retries"]
+        return orb.stats()["ft"]["retries"]
     finally:
         runtime.close()
 

@@ -148,7 +148,7 @@ def _measure(
                 raise RuntimeError("fault echo returned a wrong length")
             completed += 1
         seconds = time.perf_counter() - start
-        retries = runtime.ft_stats.snapshot()["retries"]
+        retries = orb.stats()["ft"]["retries"]
     finally:
         runtime.close()
     moved = 2 * n * 8 * completed

@@ -12,87 +12,61 @@ reports the copy here.  A benchmark then wraps a request in
 ``cdr.copies_per_payload_byte`` rows under ``bench/results/`` and
 budgeted by ``tests/orb/test_socketnet_zero_copy.py``).
 
-Accounting is off by default and costs one truthiness test per
-instrumented site; an active audit costs one lock per event, which is
-negligible next to the copies being measured.
+The tally is one process-wide pair of :class:`~repro.metrics.Counter`
+objects — always on, no lock on the copy path — and describes the
+*process*: a :class:`CopyAccount` reads it as a delta from the moment
+it was opened (``ORB.stats()["cdr_copies"]`` is one opened at ORB
+construction), so every open account sees every copy made anywhere in
+the process, which is what the thread-spanning wire path needs.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Iterator
 
-__all__ = [
-    "CopyAccount",
-    "copied",
-    "copy_audit",
-    "register_account",
-    "unregister_account",
-]
+from repro.metrics import Counter
 
+__all__ = ["CopyAccount", "copied", "copy_audit"]
 
-class CopyAccount:
-    """A running tally of wire-path byte copies.
-
-    ``bytes`` is the total number of bytes physically copied while the
-    account was active; ``events`` the number of distinct copy
-    operations.  Both include every instrumented layer (CDR codecs,
-    fabrics, transfer engines), so nested protocol copies of the same
-    payload are counted each time they happen — that is the point.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.bytes = 0
-        self.events = 0
-
-    def add(self, nbytes: int) -> None:
-        with self._lock:
-            self.bytes += nbytes
-            self.events += 1
-
-    def snapshot(self) -> tuple[int, int]:
-        with self._lock:
-            return self.bytes, self.events
-
-    def __repr__(self) -> str:
-        return f"<CopyAccount {self.bytes} bytes in {self.events} copies>"
-
-
-# Active accounts.  Registration swaps in a fresh tuple so ``copied``
-# can iterate without taking the registry lock (reads see either the
-# old or the new tuple, never a half-built one).
-_registry_lock = threading.Lock()
-_accounts: tuple[CopyAccount, ...] = ()
+_BYTES = Counter("cdr.copied_bytes")
+_EVENTS = Counter("cdr.copy_events")
 
 
 def copied(nbytes: int) -> None:
-    """Report a physical copy of ``nbytes`` payload/protocol bytes.
+    """Report a physical copy of ``nbytes`` payload/protocol bytes
+    (called by the instrumented layers)."""
+    if nbytes:
+        _BYTES.inc(nbytes)
+        _EVENTS.inc()
 
-    Called by the instrumented layers; a no-op (one tuple truthiness
-    test) unless an audit is active.
+
+class CopyAccount:
+    """Wire-path byte copies made in the process since the account
+    was opened, until it is closed.
+
+    :meth:`snapshot` is ``(bytes, events)``: the bytes physically
+    copied and the number of distinct copy operations.  Both include
+    every instrumented layer (CDR codecs, fabrics, transfer engines),
+    so nested protocol copies of the same payload are counted each
+    time they happen — that is the point.
     """
-    accounts = _accounts
-    if accounts and nbytes:
-        for account in accounts:
-            account.add(nbytes)
 
+    def __init__(self) -> None:
+        self._opened = (_BYTES.value, _EVENTS.value)
+        self._closed: tuple[int, int] | None = None
 
-def register_account(account: CopyAccount) -> None:
-    """Activate an account for open-ended accounting (until
-    :func:`unregister_account`) — e.g. the lifetime tally behind
-    ``ORB.stats()``.  Prefer :func:`copy_audit` for scoped audits."""
-    global _accounts
-    with _registry_lock:
-        _accounts = _accounts + (account,)
+    def snapshot(self) -> tuple[int, int]:
+        upto = self._closed or (_BYTES.value, _EVENTS.value)
+        return upto[0] - self._opened[0], upto[1] - self._opened[1]
 
+    def close(self) -> None:
+        """Stop counting: later copies no longer show (idempotent)."""
+        if self._closed is None:
+            self._closed = (_BYTES.value, _EVENTS.value)
 
-def unregister_account(account: CopyAccount) -> None:
-    """Deactivate a registered account (idempotent)."""
-    global _accounts
-    with _registry_lock:
-        _accounts = tuple(a for a in _accounts if a is not account)
+    def __repr__(self) -> str:
+        return "<CopyAccount %d bytes in %d copies>" % self.snapshot()
 
 
 @contextmanager
@@ -100,13 +74,12 @@ def copy_audit() -> Iterator[CopyAccount]:
     """Measure wire-path copies for the duration of the ``with`` body.
 
     Audits nest and may run concurrently from several threads; each
-    sees every copy made anywhere in the process while it is active
+    sees every copy made anywhere in the process while it is open
     (the wire path spans threads — reader loops, servant ranks — so
     per-thread attribution would undercount).
     """
     account = CopyAccount()
-    register_account(account)
     try:
         yield account
     finally:
-        unregister_account(account)
+        account.close()

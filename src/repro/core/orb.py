@@ -14,14 +14,12 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.cdr.accounting import (
-    CopyAccount,
-    register_account,
-    unregister_account,
-)
-import repro.groups.stats as groups_stats
 import repro.san as san
+from repro.cdr.accounting import CopyAccount
 from repro.dist.schedule import schedule_cache_stats
+from repro.ft.policy import FT_COUNTERS
+from repro.groups.failover import GROUP_COUNTERS
+from repro.metrics import MetricsRegistry
 from repro.orb.adapter import Servant, ServantContext, ServantGroup
 from repro.orb.naming import NamingService
 from repro.orb.proxy import ClientRuntime
@@ -73,13 +71,15 @@ class ORB:
         policies override it).  ``trace`` turns on collective-aware
         tracing (:mod:`repro.trace`): pass ``True`` for a fresh
         :class:`~repro.trace.TraceRecorder` (exposed as
-        :attr:`trace`), or an existing recorder to share one across
-        ORBs; ``None`` (the default) keeps tracing off with no
-        per-invocation cost.  ``sanitize`` turns on the runtime
-        sanitizer (:mod:`repro.san`) for every client runtime this
-        ORB mints — collective-alignment checks and future-lifecycle
-        tracking; ``None`` (the default) defers to the ``PARDIS_SAN``
-        environment variable.  See ``docs/sanitizer.md``."""
+        :attr:`trace`), or an existing recorder to share one — and
+        its metrics registry — across ORBs; ``None`` (the default)
+        keeps spans and timings off with no per-invocation cost;
+        tallies are on either way (:attr:`metrics`).  ``sanitize``
+        turns on the runtime sanitizer (:mod:`repro.san`) for every
+        client runtime this ORB mints — collective-alignment checks
+        and future-lifecycle tracking; ``None`` (the default) defers
+        to the ``PARDIS_SAN`` environment variable.  See
+        ``docs/sanitizer.md``."""
         self.name = name
         self.fabric = fabric if fabric is not None else Fabric(name)
         self.naming = naming if naming is not None else NamingService()
@@ -100,19 +100,32 @@ class ORB:
             self.trace = None
         else:
             self.trace = trace
+        #: Where this ORB's tallies are named — always there; the
+        #: recorder's registry when tracing is on, so ORBs that share
+        #: a recorder share one merged ledger and ORBs that do not are
+        #: disjoint.
+        self.metrics: MetricsRegistry = (
+            MetricsRegistry() if self.trace is None else self.trace.metrics
+        )
+        self._ft = {n: self.metrics.counter(f"ft.{n}") for n in FT_COUNTERS}
+        self._group_counters = {
+            n: self.metrics.counter(f"groups.{n}") for n in GROUP_COUNTERS
+        }
         self._groups: list[ServantGroup] = []
+        #: Open client runtimes (a runtime leaves when it closes).
         self._runtimes: list[ClientRuntime] = []
         self._lock = threading.Lock()
         self._shut = False
-        #: Lifetime wire-path copy tally behind :meth:`stats`.
+        #: Wire-path copies made in the process over this ORB's life.
         self._copy_account = CopyAccount()
-        register_account(self._copy_account)
         self._fabric_meter: Any = None
-        if self.trace is not None:
-            governor = self.fabric.governor
-            if governor is not None:
-                governor.attach_metrics(self.trace.metrics)
+        governor = self.fabric.governor
+        if governor is not None:
+            for counter in governor.counters.values():
+                self.metrics.adopt(counter)
+            if self.trace is not None:
                 governor.attach_trace(self.trace)
+        if self.trace is not None:
             # Fold the ORB's own snapshot into the registry so
             # ``orb.trace.metrics.snapshot()`` is the one-stop view;
             # ``stats()`` asks for counters/histograms only
@@ -250,10 +263,18 @@ class ORB:
             pipeline_depth=pipeline_depth,
             ft_policy=ft_policy if ft_policy is not None else self.ft_policy,
             sanitize=self.sanitize,
+            orb=self,
         )
         with self._lock:
             self._runtimes.append(runtime)
         return runtime
+
+    def runtime_closed(self, runtime: ClientRuntime) -> None:
+        """Called by a runtime this ORB minted as it closes: the ORB
+        keeps only the open ones, for :meth:`shutdown` to close."""
+        with self._lock:
+            if runtime in self._runtimes:
+                self._runtimes.remove(runtime)
 
     def run_spmd_client(
         self,
@@ -278,40 +299,42 @@ class ORB:
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """One observability snapshot of the ORB's moving parts.
+        """One observability snapshot of the ORB's moving parts — a
+        projection: every number is read from where it is counted
+        (:attr:`metrics`, or the ``stats()`` the fabric, naming object
+        and reply caches declare), none is kept here.
 
-        Keys: ``fabric`` (the fabric's own :meth:`Fabric.stats
+        Per ORB: ``ft`` (the six client fault-tolerance tallies of
+        :data:`~repro.ft.policy.FT_COUNTERS`, present from
+        construction and still carrying what runtimes since closed
+        counted), ``reply_caches`` (server-side dedup counters per
+        activated group), the binding half of ``groups`` (binds,
+        selections, failovers) and — when tracing is on — ``trace``
+        (recorder occupancy plus the counters/histograms of the
+        registry; ORBs handed one recorder share it).  Per fabric:
+        ``fabric`` (its own :meth:`Fabric.stats
         <repro.orb.transport.Fabric.stats>` section — socket fabrics
         report ``dropped_frames``; a fault-injecting fabric adds its
-        ``faults`` tally), ``transfer_schedule_cache`` (LRU hit/miss
-        for §3.3 chunk schedules), ``cdr_copies`` (lifetime wire-path
-        copy accounting), ``ft`` (client fault-tolerance counters
-        summed over this ORB's runtimes), ``reply_caches``
-        (server-side dedup counters per activated group), ``san``
-        (the :mod:`repro.san` sanitizer's counters and findings —
-        see ``docs/sanitizer.md``), ``rts`` (the RTS execution
-        context — backend name, rank, size — plus shared-memory
-        segment counters from the process backend's pool), ``groups``
-        (replicated-group counters — binds, selections, failovers —
-        plus the per-group membership/epoch board; see
-        :mod:`repro.groups`), ``server`` (socket-fabric servers only:
-        the event loop's admission/backpressure counters; see
-        ``docs/scaling.md``), and — when
-        tracing is on — ``trace`` (recorder occupancy plus the
-        counters/histograms of the :mod:`repro.trace` metrics
-        registry).  See ``docs/observability.md`` for the full schema.
+        ``faults`` tally) and ``server`` (socket fabrics only: the
+        event loop's admission/backpressure counters; see
+        ``docs/scaling.md``).  Per naming object: the directory half
+        of ``groups`` (``marked_down``, ``epoch_bumps``,
+        ``health_reports`` and the per-group membership/epoch board;
+        zeros and an empty board where naming keeps no directory).
+        Per *process*, whichever ORB is asked: ``cdr_copies``
+        (wire-path copies made since this ORB was built),
+        ``transfer_schedule_cache`` (LRU hit/miss for §3.3 chunk
+        schedules), ``san`` (the :mod:`repro.san` sanitizer's counters
+        and findings — see ``docs/sanitizer.md``) and ``rts`` (the RTS
+        execution context plus shared-memory segment counters from the
+        process backend's pool).  See ``docs/observability.md`` for
+        the full schema.
 
         The returned dict is a deep copy taken at the snapshot
         boundary: callers may mutate it (or hold it across later ORB
         activity) without perturbing live state, and live state never
         mutates an already-returned snapshot.
         """
-        ft: dict[str, int] = {}
-        with self._lock:
-            runtimes = list(self._runtimes)
-        for runtime in runtimes:
-            for key, value in runtime.ft_stats.snapshot().items():
-                ft[key] = ft.get(key, 0) + value
         reply_caches = {
             group.name: group.reply_cache.stats()
             for group in self._groups
@@ -322,7 +345,7 @@ class ORB:
             "fabric": self.fabric.stats(),
             "transfer_schedule_cache": schedule_cache_stats(),
             "cdr_copies": {"bytes": copied_bytes, "events": copy_events},
-            "ft": ft,
+            "ft": {n: c.value for n, c in self._ft.items()},
             "reply_caches": reply_caches,
             # Process-wide sanitizer snapshot (detector counters and
             # findings); {"enabled": False, ...} when the sanitizer
@@ -332,9 +355,13 @@ class ORB:
             # shared-memory segment accounting for the process
             # backend's data plane.
             "rts": rts_backends.rts_stats(),
-            # Replicated-group counters (binds, selections, failovers)
-            # and the per-group membership board.
-            "groups": groups_stats.stats(),
+            # Replicated groups: what this ORB's bindings did (binds,
+            # selections, failovers), then what its naming object's
+            # directory saw, with the per-group membership board.
+            "groups": {
+                **{n: c.value for n, c in self._group_counters.items()},
+                **self.naming.stats(),
+            },
         }
         governor = self.fabric.governor
         if governor is not None:
@@ -366,7 +393,7 @@ class ORB:
         if self._shut:
             return
         self._shut = True
-        unregister_account(self._copy_account)
+        self._copy_account.close()
         if self.trace is not None:
             self.trace.metrics.unregister_source(f"orb.{self.name}")
         if self._fabric_meter is not None:

@@ -30,7 +30,6 @@ from repro.ft.policy import (
     DeadlineExceeded,
     Failure,
     FtPolicy,
-    FtStats,
     InvocationRetriesExhausted,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "FaultyFabric",
     "FaultyTransport",
     "FtPolicy",
-    "FtStats",
     "InvocationRetriesExhausted",
     "ReplyCache",
     "agree",

@@ -13,7 +13,6 @@ failure occurred, lives in :mod:`repro.ft.agreement`).
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -117,42 +116,19 @@ class Failure:
     deadline_exhausted: bool = False
 
 
-class FtStats:
-    """Per-runtime fault-tolerance counters (thread-safe).
-
-    Counts are per-rank events: a collective group of N ranks retrying
-    one invocation records N retries (one per rank), mirroring how the
-    work is actually repeated.
-
-    ``on_bump``, when given, observes every bump as ``on_bump(field,
-    by)`` — outside the lock — so the counters can be mirrored into an
-    external sink (the ``repro.trace`` metrics registry uses this to
-    expose ``ft.*`` counters).
-    """
-
-    _FIELDS = (
-        "retries",
-        "deadline_exceeded",
-        "retries_exhausted",
-        "degraded",
-        "agreements",
-        "failovers",
-    )
-
-    def __init__(self, on_bump: Any = None) -> None:
-        self._lock = threading.Lock()
-        self._counts = dict.fromkeys(self._FIELDS, 0)
-        self._on_bump = on_bump
-
-    def bump(self, field_name: str, by: int = 1) -> None:
-        with self._lock:
-            self._counts[field_name] += by
-        if self._on_bump is not None:
-            self._on_bump(field_name, by)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
+#: The client fault-tolerance tallies: ``ft.<name>`` counters in the
+#: minting ORB's registry, held by each client runtime as
+#: ``runtime.ft[name]``.  Counts are per-rank events: a collective
+#: group of N ranks retrying one invocation records N retries (one
+#: per rank), mirroring how the work is actually repeated.
+FT_COUNTERS = (
+    "retries",
+    "deadline_exceeded",
+    "retries_exhausted",
+    "degraded",
+    "agreements",
+    "failovers",
+)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,11 @@ replica selection** with collective failover.
   collective failover vote, and :class:`FailoverExhausted`.
 - :mod:`repro.groups.serve` — :func:`serve_replicated` /
   :class:`ReplicatedGroup`, the server-side activation handle.
-- :mod:`repro.groups.stats` — the ``groups`` section of
-  ``orb.stats()``.
+
+``orb.stats()["groups"]`` is counted where the events happen: the
+binding-side tallies (:data:`~repro.groups.failover.GROUP_COUNTERS`)
+in the binding ORB's registry, the directory's in
+:meth:`ShardedNaming.stats <repro.groups.shard.ShardedNaming.stats>`.
 
 The client half lives in the proxy: binding to a group name yields a
 normal proxy pinned to one replica; when an invocation exhausts its
@@ -51,16 +54,10 @@ from repro.groups.serve import (
 )
 from repro.groups.shard import ShardedNaming
 
-# NOTE: the snapshot *function* lives at ``repro.groups.stats.stats``;
-# re-exporting it here would shadow the ``stats`` submodule on the
-# package object, so only the class is lifted.
-from repro.groups.stats import GroupsStats
-
 __all__ = [
     "FailoverExhausted",
     "GroupBinding",
     "GroupView",
-    "GroupsStats",
     "HashRing",
     "LeastLoaded",
     "ReplicatedGroup",

@@ -25,18 +25,24 @@ from cache instead of re-executing (effectively-once).
 from __future__ import annotations
 
 import threading
-from typing import Any
+from typing import Any, Mapping
 
 from repro.ft.policy import (
     DeadlineExceeded,
     FtPolicy,
     InvocationRetriesExhausted,
 )
-from repro.groups import stats as groups_stats
 from repro.groups.select import GroupView, SelectionError, SelectionPolicy
+from repro.metrics import Counter
 from repro.orb.operation import RemoteError
 from repro.orb.reference import ObjectReference
 from repro.orb.transport import TransportError
+
+#: The binding-side tallies of ``orb.stats()["groups"]``:
+#: ``groups.<name>`` counters in the binding ORB's registry, held by
+#: each client runtime as ``runtime.groups[name]`` and handed to the
+#: bindings made on it.
+GROUP_COUNTERS = ("binds", "selections", "failovers", "failovers_exhausted")
 
 
 class FailoverExhausted(RemoteError):
@@ -128,17 +134,23 @@ class GroupBinding:
         view: GroupView,
         selection: SelectionPolicy,
         bind_token: int,
+        counters: Mapping[str, Counter],
     ) -> None:
         self._lock = threading.Lock()
+        self._counters = counters
         self.view = view
         self.selection = selection
         self.token = bind_token
-        self.replica_id = selection.choose(view, bind_token)
+        self.replica_id = self._choose()
         #: ``(token, failed replica, new replica)`` per flip — ranks of
         #: a collective binding must end up with identical histories
         #: (the acceptance tests assert exactly that).
         self.history: list[tuple[int, int, int]] = []
-        groups_stats.GLOBAL.bump("selections")
+
+    def _choose(self) -> int:
+        replica_id = self.selection.choose(self.view, self.token)
+        self._counters["selections"].inc()
+        return replica_id
 
     @property
     def group_name(self) -> str:
@@ -176,13 +188,12 @@ class GroupBinding:
         with self._lock:
             self.view = self.view.without(failed_replica)
             self.token += 1
-            replacement = self.selection.choose(self.view, self.token)
+            replacement = self._choose()
             self.history.append(
                 (self.token, failed_replica, replacement)
             )
             self.replica_id = replacement
-        groups_stats.GLOBAL.bump("failovers")
-        groups_stats.GLOBAL.bump("selections")
+        self._counters["failovers"].inc()
         return replacement, self.view.ref(replacement)
 
     def exhausted(
@@ -192,7 +203,7 @@ class GroupBinding:
         collective_index: int = 0,
         detail: str = "",
     ) -> FailoverExhausted:
-        groups_stats.GLOBAL.bump("failovers_exhausted")
+        self._counters["failovers_exhausted"].inc()
         return FailoverExhausted(
             operation,
             self.group_name,

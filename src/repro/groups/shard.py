@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import threading
 
-from repro.groups import stats as groups_stats
 from repro.groups.hashring import HashRing
-from repro.orb.naming import NamingError, NamingService
+from repro.metrics import Counter
+from repro.orb.naming import DIRECTORY_COUNTERS, NamingError, NamingService
 from repro.orb.reference import GroupReference, ObjectReference
 
 
@@ -81,6 +81,7 @@ class ShardedNaming:
         self._shard_names = [f"shard-{i}" for i in range(shards)]
         self._ring = HashRing(self._shard_names, vnodes=vnodes)
         self._shards = {name: _Shard() for name in self._shard_names}
+        self._counters = {n: Counter(n) for n in DIRECTORY_COUNTERS}
 
     # -- routing -------------------------------------------------------
 
@@ -141,14 +142,12 @@ class ShardedNaming:
             entry = _GroupEntry(repo_id)
             entry.members = dict(members)
             shard.groups[name] = entry
-        self._note(name)
 
     def unbind_group(self, name: str) -> None:
         shard = self._shard(name)
         with shard.lock:
             if shard.groups.pop(name, None) is None:
                 raise NamingError(f"no group bound as '{name}'")
-        groups_stats.GLOBAL.forget_group(name)
 
     def resolve_group(self, name: str) -> GroupReference:
         """The group's current membership view (live members only),
@@ -185,7 +184,6 @@ class ShardedNaming:
             entry.members[replica_id] = ref
             # A re-added id sheds any stale down mark from a past life.
             entry.down.discard(replica_id)
-        self._note(name)
 
     def remove_member(self, name: str, replica_id: int) -> None:
         entry = self._entry(name)
@@ -197,7 +195,6 @@ class ShardedNaming:
                 )
             entry.down.discard(replica_id)
             entry.loads.pop(replica_id, None)
-        self._note(name)
 
     def mark_down(self, name: str, replica_id: int) -> int:
         """Record a replica failure and bump the health epoch.
@@ -220,9 +217,8 @@ class ShardedNaming:
                 bumped = False
             epoch = entry.epoch
         if bumped:
-            groups_stats.GLOBAL.bump("marked_down")
-            groups_stats.GLOBAL.bump("epoch_bumps")
-        self._note(name)
+            self._counters["marked_down"].inc()
+            self._counters["epoch_bumps"].inc()
         return epoch
 
     def report_health(
@@ -238,7 +234,7 @@ class ShardedNaming:
                     f"group '{name}' has no replica {replica_id}"
                 )
             entry.loads[replica_id] = float(load)
-        groups_stats.GLOBAL.bump("health_reports")
+        self._counters["health_reports"].inc()
 
     def epoch(self, name: str) -> int:
         entry = self._entry(name)
@@ -256,6 +252,22 @@ class ShardedNaming:
             entry.bind_tokens += 1
         return token
 
+    def stats(self) -> dict:
+        """The directory half of ``orb.stats()["groups"]``: this
+        router's tallies plus the per-group membership board, read off
+        the shards."""
+        snap: dict = {n: c.value for n, c in self._counters.items()}
+        board = snap["groups"] = {}
+        for shard in self._shards.values():
+            with shard.lock:
+                for name, entry in shard.groups.items():
+                    board[name] = {
+                        "replicas": len(entry.members),
+                        "down": len(entry.down),
+                        "epoch": entry.epoch,
+                    }
+        return snap
+
     # -- internals -----------------------------------------------------
 
     def _entry(self, name: str) -> _GroupEntry:
@@ -265,16 +277,3 @@ class ShardedNaming:
         if entry is None:
             raise NamingError(f"no group bound as '{name}'")
         return entry
-
-    def _note(self, name: str) -> None:
-        shard = self._shard(name)
-        with shard.lock:
-            entry = shard.groups.get(name)
-            if entry is None:
-                return
-            groups_stats.GLOBAL.note_group(
-                name,
-                replicas=len(entry.members),
-                down=len(entry.down),
-                epoch=entry.epoch,
-            )

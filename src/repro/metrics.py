@@ -1,10 +1,17 @@
 """Counters, histograms, and the metrics registry.
 
-The registry is the aggregation point for everything countable:
-instrumentation sites bump :class:`Counter`\\ s and observe
-:class:`Histogram`\\ s by name; existing snapshot producers (the
-``orb.stats()`` sections, the trace recorder itself) plug in as
+A :class:`Counter` is the one kind of tally in the stack, and a
+:class:`MetricsRegistry` the one place tallies are named: every ORB
+owns a registry from construction (``orb.metrics`` — the trace
+recorder's when it has one), the components it builds take their
+counters from it and hold the objects, and ``orb.stats()`` only reads
+them.  Tallies are always on; what reads a clock or runs per frame
+(:class:`Histogram` observations, the fabric meter) waits for
+``trace=``.  Snapshot producers (``orb.stats`` itself) plug in as
 *sources* and are folded into :meth:`MetricsRegistry.snapshot`.
+
+A leaf: this module imports nothing of ours, so every layer —
+:mod:`repro.cdr` included — can count.
 
 Snapshots are JSON-ready and **deep-copied**: mutating a snapshot
 never perturbs live counters, and later bumps never mutate an
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import threading
+from threading import get_ident
 from typing import Any, Callable, Mapping, Sequence
 
 #: Default histogram bucket upper bounds — decades from 10 µs to 10 s,
@@ -40,23 +48,32 @@ DEFAULT_BOUNDS: tuple[float, ...] = (
 
 
 class Counter:
-    """A monotonically increasing named tally."""
+    """A monotonically increasing named tally.
 
-    __slots__ = ("name", "_lock", "_value")
+    :meth:`inc` takes no lock: every writing thread adds to a cell of
+    its own (keyed by thread ident; only that thread ever stores
+    there, so no update is lost, and an ident reused by a later thread
+    just continues a finished thread's cell), and :attr:`value` sums
+    the cells.  Exact once writers quiesce, never behind by more than
+    the increments in flight.
+    """
+
+    __slots__ = ("name", "_cells")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._lock = threading.Lock()
-        self._value = 0
+        self._cells: dict[int, int] = {}
 
     def inc(self, by: int = 1) -> None:
-        with self._lock:
-            self._value += by
+        cells = self._cells
+        ident = get_ident()
+        cells[ident] = cells.get(ident, 0) + by
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
+        # ``dict.copy`` is one C call: a consistent set of cells even
+        # while another thread inserts its first.
+        return sum(self._cells.copy().values())
 
     def snapshot(self) -> int:
         return self.value
@@ -130,7 +147,10 @@ class MetricsRegistry:
 
     ``counter(name)`` / ``histogram(name)`` create on first use and
     return the same instance thereafter, so hot paths can cache the
-    returned object.  ``register_source(name, fn)`` folds an external
+    returned object.  ``adopt(counter)`` shows, under its own name, a
+    counter its owner made and keeps (a fabric's server governor
+    exists before any ORB does); several owners' counters of one name
+    read as their sum.  ``register_source(name, fn)`` folds an external
     snapshot producer — e.g. ``orb.stats`` — into :meth:`snapshot`
     under ``sources[name]``.
     """
@@ -139,6 +159,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._adopted: list[Counter] = []
         self._sources: dict[str, Callable[[], Mapping[str, Any]]] = {}
 
     def counter(self, name: str) -> Counter:
@@ -147,6 +168,11 @@ class MetricsRegistry:
             if counter is None:
                 counter = self._counters[name] = Counter(name)
             return counter
+
+    def adopt(self, counter: Counter) -> None:
+        with self._lock:
+            if not any(held is counter for held in self._adopted):
+                self._adopted.append(counter)
 
     def histogram(
         self, name: str, bounds: Sequence[float] = DEFAULT_BOUNDS
@@ -171,11 +197,14 @@ class MetricsRegistry:
         """A deep-copied, JSON-ready snapshot of every counter,
         histogram, and (optionally) registered source."""
         with self._lock:
-            counters = dict(self._counters)
+            counters = [*self._counters.values(), *self._adopted]
             histograms = dict(self._histograms)
             sources = dict(self._sources) if include_sources else {}
+        values: dict[str, int] = {}
+        for c in counters:
+            values[c.name] = values.get(c.name, 0) + c.value
         snap: dict[str, Any] = {
-            "counters": {n: c.snapshot() for n, c in sorted(counters.items())},
+            "counters": dict(sorted(values.items())),
             "histograms": {
                 n: h.snapshot() for n, h in sorted(histograms.items())
             },

@@ -41,10 +41,8 @@ from typing import Any
 #: imports here would close that loop.
 _EXPORTS = {
     "BindMode": "repro.orb.proxy",
-    "Channel": "repro.orb.transport",
     "ClientProxy": "repro.orb.proxy",
     "Direction": "repro.orb.operation",
-    "Endpoint": "repro.orb.transport",
     "NamingClient": "repro.orb.nameservice",
     "NamingError": "repro.orb.naming",
     "NamingServant": "repro.orb.nameservice",

@@ -30,7 +30,7 @@ import threading
 from typing import Any
 
 from repro.idl import compile_idl
-from repro.orb.naming import NamingError
+from repro.orb.naming import NamingError, NamingService
 from repro.orb.operation import RemoteError
 from repro.orb.proxy import BindMode, ClientRuntime
 from repro.orb.reference import GroupReference, ObjectReference
@@ -260,6 +260,10 @@ class NamingClient:
     def next_bind_token(self, name: str) -> int:
         """Draw the group's next bind token."""
         return self._call("next_bind_token", name)
+
+    #: The served directory's tallies stay with the ORB that serves
+    #: it; this end of ``orb.stats()["groups"]`` reads zeros.
+    stats = NamingService.stats
 
     def close(self) -> None:
         """Release the runtime's ports (idempotent)."""

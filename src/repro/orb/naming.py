@@ -11,8 +11,9 @@ error if the name is ambiguous across hosts, since the client then has
 to say which object it wants).
 
 The *naming surface* is what the ORB calls on whatever it was given as
-``naming=``: the five flat calls below plus the group-directory calls
-of a :class:`~repro.groups.shard.ShardedNaming` router.  The flat
+``naming=``: the five flat calls below, the group-directory calls of a
+:class:`~repro.groups.shard.ShardedNaming` router, and ``stats()`` —
+the directory half of ``orb.stats()["groups"]``.  The flat
 registry declares the directory calls too and answers them with a
 :class:`NamingError`, so callers invoke the surface instead of probing
 for it; :mod:`repro.orb.nameservice` serves the whole surface as an
@@ -24,6 +25,12 @@ from __future__ import annotations
 import threading
 
 from repro.orb.reference import ObjectReference
+
+
+#: What a group directory tallies: with its membership board, the
+#: naming half of ``orb.stats()["groups"]`` (the ``stats()`` call of
+#: the naming surface).
+DIRECTORY_COUNTERS = ("marked_down", "epoch_bumps", "health_reports")
 
 
 class NamingError(KeyError):
@@ -101,6 +108,11 @@ class NamingService:
         """All (name, host) registrations, sorted."""
         with self._lock:
             return sorted(self._entries)
+
+    def stats(self) -> dict:
+        """The directory half of ``orb.stats()["groups"]``: no
+        directory here, so nothing marked down and an empty board."""
+        return {**dict.fromkeys(DIRECTORY_COUNTERS, 0), "groups": {}}
 
     def _no_directory(self, name: str, *args: object) -> None:
         """The group-directory half of the naming surface: a flat

@@ -26,6 +26,7 @@ on the calling thread (:meth:`_InvocationWorker.run_inline`).
 
 from __future__ import annotations
 
+import copy
 import enum
 import itertools
 import queue
@@ -34,14 +35,15 @@ import threading
 from collections import deque
 from typing import Any, Callable
 
-from repro.ft.policy import FtStats, effective_policy
-from repro.groups import stats as _groups_stats
+from repro.ft.policy import FT_COUNTERS, effective_policy
 from repro.groups.failover import (
+    GROUP_COUNTERS,
     GroupBinding,
     agree_failover,
     failover_worthy,
 )
 from repro.groups.select import GroupView, SelectionError, policy_for
+from repro.metrics import MetricsRegistry
 from repro.orb.operation import OperationSpec, RemoteError
 from repro.orb.reference import GroupReference, ObjectReference
 from repro.orb.datapath import DataPath, path_for
@@ -90,9 +92,16 @@ class ClientRuntime:
         ft_policy: Any = None,
         trace: Any = None,
         sanitize: bool | None = None,
+        orb: Any = None,
     ) -> None:
         if pipeline_depth <= 0:
             raise ValueError("pipeline_depth must be positive")
+        #: The ORB that minted this runtime (``None``: a free-standing
+        #: one, such as a ``NamingClient``'s): its registry names the
+        #: tallies below, and :meth:`close` leaves its open-runtime
+        #: list.
+        self._orb = orb
+        metrics = orb.metrics if orb is not None else MetricsRegistry()
         self.fabric = fabric
         self.naming = naming
         self.app_comm = comm
@@ -104,11 +113,11 @@ class ClientRuntime:
         self.pipeline_depth = pipeline_depth
         #: Runtime-wide fault-tolerance policy (a proxy may override).
         self.ft_policy = ft_policy
-        # With tracing on, ft counter bumps mirror into the metrics
-        # registry (counters ``ft.retries``, ``ft.degraded``, ...).
-        self.ft_stats = FtStats(
-            on_bump=trace.ft_observer() if trace is not None else None
-        )
+        #: The ``ft.*`` and ``groups.*`` tallies, by short name.
+        self.ft = {n: metrics.counter(f"ft.{n}") for n in FT_COUNTERS}
+        self.groups = {
+            n: metrics.counter(f"groups.{n}") for n in GROUP_COUNTERS
+        }
         # The collective-sequence counter: one draw per collective
         # invocation, in launch (= program) order, so an invocation's
         # index is identical on every rank — it names the collective
@@ -167,8 +176,9 @@ class ClientRuntime:
         #: calls on settled state never needs one.
         self.worker = _InvocationWorker(
             f"pardis-worker-{self.rank}",
-            depth=pipeline_depth,
-            metrics=trace.metrics if trace is not None else None,
+            pipeline_depth,
+            metrics,
+            timed=trace is not None,
         )
         self._closed = False
 
@@ -182,44 +192,26 @@ class ClientRuntime:
         """A per-thread (non-collective) view of this runtime.
 
         Used by plain ``_bind``: the thread interacts with objects on
-        its own, so the engines must see a 1-thread client.  Ports,
-        worker and the request-id counter are shared with the parent
-        (replies still arrive on this thread's port; the common worker
-        keeps blocking/non-blocking calls ordered); only the group
-        identity is erased.
+        its own, so the engines must see a 1-thread client.  A copy
+        of this runtime with the group identity erased: ports, worker,
+        tallies and the request-id counter are the parent's (replies
+        still arrive on this thread's port; the common worker keeps
+        blocking/non-blocking calls ordered).
         """
         if self.app_comm is None:
             return self
-        view = object.__new__(ClientRuntime)
-        view.fabric = self.fabric
-        view.naming = self.naming
+        view = copy.copy(self)
         view.app_comm = None
-        view.trace = self.trace
-        view.timeout = self.timeout
-        view.pipeline_depth = self.pipeline_depth
         view.rank = 0
         view.size = 1
         view.orb_comm = None
         view.rts = None
-        view.reply_port = self.reply_port
-        view.data_port = self.data_port
-        view.collector = self.collector
-        view.demux = self.demux
         view.data_port_addresses = (self.data_port.address,)
-        view._request_ids = self._request_ids
-        view.ft_policy = self.ft_policy
-        # Stats are shared (one ledger per thread); the collective
-        # index is not — serial invocations are per-thread and must
-        # not skew the group's collective sequence.
-        view.ft_stats = self.ft_stats
+        # Serial invocations are per-thread and must not skew the
+        # group's collective sequence; a 1-thread client has no group
+        # for the alignment checker to align either.
         view._collective_indexes = itertools.count()
-        view._closed = False
-        # Future tracking survives the serial view; the alignment
-        # checker does not — a 1-thread client has no group to align.
-        view.sanitize = self.sanitize
         view.san = None
-        # Share the worker so invocation order is global per thread.
-        view.worker = self.worker
         return view
 
     def close(self) -> None:
@@ -235,6 +227,8 @@ class ClientRuntime:
         self.worker.stop()
         self.reply_port.close()
         self.data_port.close()
+        if self._orb is not None:
+            self._orb.runtime_closed(self)
 
     def __enter__(self) -> "ClientRuntime":
         return self
@@ -272,14 +266,25 @@ class _InvocationWorker:
     itself starts with the first queued submission.
     """
 
-    def __init__(self, name: str, depth: int = 8, metrics: Any = None) -> None:
+    def __init__(
+        self,
+        name: str,
+        depth: int,
+        metrics: MetricsRegistry,
+        timed: bool = False,
+    ) -> None:
         if depth <= 0:
             raise ValueError("pipeline depth must be positive")
         self.depth = depth
-        #: ``repro.trace`` metrics registry (None = tracing off):
-        #: counts submissions/completions and hands futures their
-        #: wait-time histogram.
-        self._metrics = metrics
+        #: ``invocations.<outcome>`` tallies, by outcome.
+        self._counters = {
+            outcome: metrics.counter(f"invocations.{outcome}")
+            for outcome in ("submitted", "completed", "failed")
+        }
+        #: Where futures time their waits (``future.wait_us``): the
+        #: registry with tracing on, else ``None`` — timings are
+        #: opt-in, tallies are not.
+        self._wait_metrics = metrics if timed else None
         self._queue: queue.Queue = queue.Queue()
         self._stopped = False
         #: Launched-but-uncompleted requests: (complete, future).
@@ -300,8 +305,7 @@ class _InvocationWorker:
         return len(self._pending)
 
     def _count(self, outcome: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(f"invocations.{outcome}").inc()
+        self._counters[outcome].inc()
 
     def _settle(
         self, future: Future, value: Any, exc: BaseException | None
@@ -380,8 +384,7 @@ class _InvocationWorker:
         ``("done", value)`` / ``("pending", complete)`` pair."""
         future = Future(label)
         future._pre_wait = self._request_flush
-        if self._metrics is not None:
-            future._trace_metrics = self._metrics
+        future._trace_metrics = self._wait_metrics
         with self._lock:
             if self._stopped:
                 raise RuntimeError(
@@ -619,9 +622,11 @@ class ClientProxy:
                     f"{gref.repo_id}, proxy expects {cls._repo_id}",
                     category="INV_OBJREF",
                 )
-            binding = GroupBinding(GroupView(gref), policy, token)
+            binding = GroupBinding(
+                GroupView(gref), policy, token, runtime.groups
+            )
             ref = binding.current_ref()
-            _groups_stats.GLOBAL.bump("binds")
+            runtime.groups["binds"].inc()
             return cls(
                 bind_runtime,
                 ref,
@@ -971,11 +976,7 @@ class ClientProxy:
                         )
                     except Exception:
                         pass
-                runtime.ft_stats.bump("failovers")
-                if runtime.trace is not None:
-                    runtime.trace.metrics.counter(
-                        "groups.failovers"
-                    ).inc()
+                runtime.ft["failovers"].inc()
             else:
                 # An earlier completion already flipped past this
                 # attempt's replica — replay on the current target.

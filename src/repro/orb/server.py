@@ -27,8 +27,9 @@ Three mechanisms, all tuned through :class:`ServerConfig`:
   frames keep flowing.  Reading resumes once the queue drains to
   ``resume_at``.
 
-Counters are surfaced through ``orb.stats()["server"]`` and, when
-tracing is on, as ``server.*`` metrics — see ``docs/scaling.md``.
+The governor's tallies are :data:`SERVER_COUNTERS`: read through
+``orb.stats()["server"]`` and, adopted by the ORB's registry, as the
+``server.*`` metrics — see ``docs/scaling.md``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
+from repro.metrics import Counter
 from repro.orb import request as wire
 from repro.orb.request import ReplyMessage
 from repro.orb.transport import KIND_REPLY
@@ -51,6 +53,18 @@ KIND_BUSY = "busy"
 #: in :data:`repro.ft.policy.DEFAULT_RETRYABLE`, so a fault-tolerant
 #: client backs off and retries instead of surfacing an error.
 BUSY_CATEGORY = "TRANSIENT"
+
+#: What a governor counts (its :attr:`ServerGovernor.counters`).
+SERVER_COUNTERS = (
+    "server.connections.accepted",
+    "server.connections.rejected",
+    "server.connections.closed",
+    "server.requests.admitted",
+    "server.requests.rejected",
+    "server.requests.completed",
+    "server.pauses",
+    "server.resumes",
+)
 
 
 @dataclass(frozen=True)
@@ -165,20 +179,15 @@ class ServerGovernor:
         self.name = name
         self._lock = threading.Lock()
         self._loop: Any = None
-        self._metrics: Any = None
         self._trace: Any = None
         self._fabric: Any = None
         self._rejector: _BusyRejector | None = None
+        #: The decisions taken, by metric name, counted under the lock
+        #: with the state they change so a snapshot is coherent; the
+        #: gauges below are state, not tallies.
+        self.counters = {name: Counter(name) for name in SERVER_COUNTERS}
         self._connections = 0
-        self._accepted = 0
-        self._conn_rejected = 0
-        self._closed = 0
         self._inflight = 0
-        self._admitted = 0
-        self._req_rejected = 0
-        self._completed = 0
-        self._pauses = 0
-        self._resumes = 0
         #: identity -> admitted-but-unfinished request count.
         self._pending: dict[int, int] = {}
         self._paused: set[int] = set()
@@ -198,20 +207,10 @@ class ServerGovernor:
         """The fabric whose ports carry BUSY replies (lazily opened)."""
         self._fabric = fabric
 
-    def attach_metrics(self, registry: Any) -> None:
-        """Mirror counters into a :class:`MetricsRegistry` as
-        ``server.*`` (idempotent; last registry wins)."""
-        self._metrics = registry
-
     def attach_trace(self, trace: Any) -> None:
         self._trace = trace
         if self._rejector is not None:
             self._rejector.trace = trace
-
-    def _bump(self, metric: str, by: int = 1) -> None:
-        registry = self._metrics
-        if registry is not None:
-            registry.counter(metric).inc(by)
 
     # -- connection admission (event-loop thread) ---------------------------
 
@@ -219,20 +218,16 @@ class ServerGovernor:
         """Admit or refuse a freshly accepted connection."""
         cfg = self.config
         with self._lock:
-            if cfg.max_connections and (
-                self._connections >= cfg.max_connections
-            ):
-                self._conn_rejected += 1
-                admitted = False
-            else:
+            admitted = not cfg.max_connections or (
+                self._connections < cfg.max_connections
+            )
+            if admitted:
                 self._connections += 1
-                self._accepted += 1
-                admitted = True
-        self._bump(
-            "server.connections.accepted"
-            if admitted
-            else "server.connections.rejected"
-        )
+            self.counters[
+                "server.connections.accepted"
+                if admitted
+                else "server.connections.rejected"
+            ].inc()
         return admitted
 
     def on_disconnect(self, orphaned_identities: Any = ()) -> None:
@@ -242,12 +237,11 @@ class ServerGovernor:
         :meth:`request_done` for a forgotten identity is a no-op)."""
         with self._lock:
             self._connections -= 1
-            self._closed += 1
             for identity in orphaned_identities:
                 pending = self._pending.pop(identity, 0)
                 self._inflight -= pending
                 self._paused.discard(identity)
-        self._bump("server.connections.closed")
+            self.counters["server.connections.closed"].inc()
 
     # -- request admission (event-loop thread) ------------------------------
 
@@ -269,11 +263,11 @@ class ServerGovernor:
         pause = False
         with self._lock:
             if cfg.max_inflight and self._inflight >= cfg.max_inflight:
-                self._req_rejected += 1
+                self.counters["server.requests.rejected"].inc()
                 admitted = False
             else:
                 self._inflight += 1
-                self._admitted += 1
+                self.counters["server.requests.admitted"].inc()
                 pending = self._pending.get(identity, 0) + 1
                 self._pending[identity] = pending
                 if (
@@ -282,19 +276,15 @@ class ServerGovernor:
                     and identity not in self._paused
                 ):
                     self._paused.add(identity)
-                    self._pauses += 1
+                    self.counters["server.pauses"].inc()
                     pause = True
                 admitted = True
         if not admitted:
-            self._bump("server.requests.rejected")
             if reply_port is not None:
                 self._send_busy(reply_port, request_id, trace_id)
             return False
-        self._bump("server.requests.admitted")
-        if pause:
-            self._bump("server.pauses")
-            if self._loop is not None:
-                self._loop.pause(identity)
+        if pause and self._loop is not None:
+            self._loop.pause(identity)
         return True
 
     def _send_busy(
@@ -325,7 +315,7 @@ class ServerGovernor:
                 return
             pending -= 1
             self._inflight -= 1
-            self._completed += 1
+            self.counters["server.requests.completed"].inc()
             if pending <= 0:
                 del self._pending[identity]
                 pending = 0
@@ -336,13 +326,10 @@ class ServerGovernor:
                 and pending <= self.config.resolved_resume_at()
             ):
                 self._paused.discard(identity)
-                self._resumes += 1
+                self.counters["server.resumes"].inc()
                 resume = True
-        self._bump("server.requests.completed")
-        if resume:
-            self._bump("server.resumes")
-            if self._loop is not None:
-                self._loop.request_resume(identity)
+        if resume and self._loop is not None:
+            self._loop.request_resume(identity)
 
     # -- introspection ------------------------------------------------------
 
@@ -351,25 +338,26 @@ class ServerGovernor:
         deep-copy)."""
         cfg = self.config
         with self._lock:
+            count = {name: c.value for name, c in self.counters.items()}
             return {
                 "connections": {
                     "active": self._connections,
-                    "accepted": self._accepted,
-                    "rejected": self._conn_rejected,
-                    "closed": self._closed,
+                    "accepted": count["server.connections.accepted"],
+                    "rejected": count["server.connections.rejected"],
+                    "closed": count["server.connections.closed"],
                     "max": cfg.max_connections,
                 },
                 "requests": {
                     "inflight": self._inflight,
-                    "admitted": self._admitted,
-                    "rejected": self._req_rejected,
-                    "completed": self._completed,
+                    "admitted": count["server.requests.admitted"],
+                    "rejected": count["server.requests.rejected"],
+                    "completed": count["server.requests.completed"],
                     "max_inflight": cfg.max_inflight,
                 },
                 "backpressure": {
                     "paused_clients": len(self._paused),
-                    "pauses": self._pauses,
-                    "resumes": self._resumes,
+                    "pauses": count["server.pauses"],
+                    "resumes": count["server.resumes"],
                     "queue_limit": cfg.client_queue_limit,
                     "resume_at": cfg.resolved_resume_at(),
                 },

@@ -681,7 +681,7 @@ class _FtInvocation:
         # sequence; drawn at launch, in program order, so it is
         # identical on every rank and stable across retries.
         self.collective_index = runtime.next_collective_index()
-        self.stats = runtime.ft_stats
+        self.ft = runtime.ft
 
     # -- local clock (pre-vote only) -------------------------------------
 
@@ -741,7 +741,7 @@ class _FtInvocation:
 
     def before_retry(self) -> None:
         self.attempts += 1
-        self.stats.bump("retries")
+        self.ft["retries"].inc()
         delay = self.policy.backoff_seconds(
             self.attempts, self.request_id
         )
@@ -750,10 +750,10 @@ class _FtInvocation:
 
     def note_agreement(self) -> None:
         if self.runtime.rts is not None:
-            self.stats.bump("agreements")
+            self.ft["agreements"].inc()
 
     def note_degraded(self) -> None:
-        self.stats.bump("degraded")
+        self.ft["degraded"].inc()
 
     def raise_failure(self, failure: Failure) -> None:
         if self.policy is None:
@@ -765,11 +765,11 @@ class _FtInvocation:
             collective_index=self.collective_index,
             attempts=self.attempts,
         )
-        self.stats.bump(
+        self.ft[
             "deadline_exceeded"
             if isinstance(exc, DeadlineExceeded)
             else "retries_exhausted"
-        )
+        ].inc()
         raise exc
 
 

@@ -212,22 +212,6 @@ class Port:
 Meter = Callable[[PortAddress, PortAddress, str, int], None]
 
 
-class Channel:
-    """A convenience pairing of two ports — a bidirectional link.
-
-    The request path of the centralized method is naturally a channel
-    between the two communicating threads; both ends read from their
-    own port and send to the peer's.
-    """
-
-    def __init__(self, a: Port, b: Port) -> None:
-        self.a = a
-        self.b = b
-
-    def ends(self) -> tuple[Port, Port]:
-        return self.a, self.b
-
-
 class Fabric:
     """The in-process network: a registry of ports plus routing.
 
@@ -256,9 +240,6 @@ class Fabric:
             port = Port(self, address)
             self._ports[address.port_id] = port
         return port
-
-    def channel(self, label_a: str = "a", label_b: str = "b") -> Channel:
-        return Channel(self.open_port(label_a), self.open_port(label_b))
 
     def send(
         self,
@@ -298,8 +279,3 @@ class Fabric:
         """This fabric's section of ``orb.stats()["fabric"]`` (the
         in-process network has nothing to lose, so nothing to count)."""
         return {}
-
-
-#: Endpoint is the (fabric, port) pair a thread uses to talk; kept as
-#: a light alias since Port already carries its fabric.
-Endpoint = Port

@@ -10,9 +10,12 @@ package provides:
   id* that is propagated in the request header, so the client- and
   server-side spans of one collective invocation — across every SPMD
   thread on both sides — correlate into a single logical trace.
-- :class:`MetricsRegistry` — named counters and histograms plus
-  pluggable snapshot *sources*, folding in the existing
-  ``orb.stats()`` counters.
+- :class:`MetricsRegistry` (re-exported from :mod:`repro.metrics`) —
+  named counters and histograms plus pluggable snapshot *sources*.
+  The counters are always on — every ORB owns a registry, and uses
+  the recorder's when it has one; what tracing adds to it is the
+  timings: span-duration histograms, ``future.wait_us`` and the
+  per-frame fabric meter.
 - A Chrome-trace/Perfetto JSON exporter (:func:`to_chrome_trace`,
   :func:`write_chrome_trace`, :func:`read_chrome_trace`) and a text
   timeline (:func:`format_timeline`, also ``tools/trace_view.py``).
@@ -36,7 +39,7 @@ from repro.trace.export import (
     to_chrome_trace,
     write_chrome_trace,
 )
-from repro.trace.metrics import Counter, Histogram, MetricsRegistry
+from repro.metrics import Counter, Histogram, MetricsRegistry
 from repro.trace.span import (
     NULL_SPAN,
     Span,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.rts import backends as rts_backends
-from repro.trace.metrics import MetricsRegistry
+from repro.metrics import MetricsRegistry
 
 #: Process-wide monotonic epoch: all recorders measure from here, so
 #: traces gathered from several recorders still share a timeline.
@@ -293,16 +293,6 @@ class TraceRecorder:
             metrics.counter(f"fabric.bytes.{kind}").inc(nbytes)
 
         return meter
-
-    def ft_observer(self):
-        """An ``FtStats(on_bump=...)`` observer mirroring fault-
-        tolerance counters into the metrics registry."""
-        metrics = self.metrics
-
-        def on_bump(name: str, by: int) -> None:
-            metrics.counter(f"ft.{name}").inc(by)
-
-        return on_bump
 
     def stats(self) -> dict[str, Any]:
         with self._lock:

@@ -6,7 +6,6 @@ from repro.ft.policy import (
     DeadlineExceeded,
     Failure,
     FtPolicy,
-    FtStats,
     InvocationRetriesExhausted,
     effective_policy,
     failure_to_exception,
@@ -149,15 +148,3 @@ class TestEffectivePolicy:
 
         assert effective_policy(None, Runtime()).max_retries == 1
         assert effective_policy(None, object()) is None
-
-
-class TestStats:
-    def test_bump_and_snapshot(self):
-        stats = FtStats()
-        stats.bump("retries")
-        stats.bump("retries", 2)
-        stats.bump("degraded")
-        snap = stats.snapshot()
-        assert snap["retries"] == 3
-        assert snap["degraded"] == 1
-        assert snap["deadline_exceeded"] == 0

@@ -17,7 +17,6 @@ from repro.groups import (
     failover_worthy,
     serve_replicated,
 )
-from repro.groups import stats as groups_stats
 from repro.orb.nameservice import NamingClient
 from repro.orb.naming import NamingError
 from repro.orb.operation import RemoteError
@@ -192,7 +191,7 @@ class TestSerialFailover:
             second = proxy._group.current_replica()
             assert second != first
             assert proxy._group.history == [(1, first, second)]
-            assert runtime.ft_stats.snapshot()["failovers"] == 1
+            assert orb.stats()["ft"]["failovers"] == 1
             # Rank 0 reported the failure: the router marked the
             # replica down and bumped the health epoch.
             assert orb.naming.epoch("ctr") == 1
@@ -232,7 +231,7 @@ class TestSerialFailover:
             assert sorted(err.value.replicas_tried) == [0, 1, 2]
             assert err.value.group == "ctr"
             assert (
-                groups_stats.stats()["failovers_exhausted"] == 1
+                orb.stats()["groups"]["failovers_exhausted"] == 1
             )
         finally:
             runtime.close()
@@ -335,6 +334,6 @@ class TestCollectiveFailover:
             assert len(history) == 1
             assert len({row[1] for row in rows}) == 1
             # The router heard about it exactly once.
-            snap = groups_stats.stats()
+            snap = orb.stats()["groups"]
             assert snap["marked_down"] == 1
             assert snap["epoch_bumps"] == 1

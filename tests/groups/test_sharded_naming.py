@@ -6,7 +6,6 @@ façade (``naming``; see ``tests/naming_transports.py``)."""
 import pytest
 
 from repro.groups import ShardedNaming
-from repro.groups import stats as groups_stats
 from repro.orb.naming import NamingError
 from repro.orb.reference import ObjectReference
 from repro.orb.transport import PortAddress
@@ -148,7 +147,7 @@ class TestHealthEpochs:
             {rid: make_ref(f"grp#{rid}") for rid in rids},
         )
 
-    def test_mark_down_bumps_epoch_once(self, naming):
+    def test_mark_down_bumps_epoch_once(self, naming, backing):
         self._bind_group(naming)
         assert naming.epoch("grp") == 0
         assert naming.mark_down("grp", 0) == 1
@@ -156,7 +155,7 @@ class TestHealthEpochs:
         # does not bump again.
         assert naming.mark_down("grp", 0) == 1
         assert naming.mark_down("grp", 1) == 2
-        snap = groups_stats.stats()
+        snap = backing.stats()
         assert snap["marked_down"] == 2
         assert snap["epoch_bumps"] == 2
 
@@ -187,13 +186,13 @@ class TestHealthEpochs:
         with pytest.raises(NamingError, match="no replica 9"):
             naming.report_health("grp", 9, 1.0)
 
-    def test_membership_board_tracks_the_directory(self, naming):
+    def test_membership_board_tracks_the_directory(self, naming, backing):
         self._bind_group(naming)
         naming.mark_down("grp", 2)
-        board = groups_stats.stats()["groups"]["grp"]
+        board = backing.stats()["groups"]["grp"]
         assert board == {"replicas": 3, "down": 1, "epoch": 1}
         naming.unbind_group("grp")
-        assert "grp" not in groups_stats.stats()["groups"]
+        assert "grp" not in backing.stats()["groups"]
 
 
 class TestBindTokens:

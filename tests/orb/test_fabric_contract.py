@@ -2,11 +2,12 @@
 on it.
 
 ``ORB.stats()`` reads a contract — ``fabric.stats()``,
-``fabric.governor``, ``runtime.ft_stats``, ``group.reply_cache`` —
-instead of probing for capabilities, and must keep returning exactly
-the keys and nesting it returned when it probed: ``bench/layers.py``
-reads ``cdr_copies``, ``transfer_schedule_cache`` and
-``server.requests`` / ``server.backpressure`` from outside.
+``fabric.governor``, ``naming.stats()``, ``group.reply_cache``, its
+own ``metrics`` registry — instead of probing for capabilities, and
+must keep returning exactly the keys and nesting it returned when it
+probed: ``bench/layers.py`` reads ``cdr_copies``,
+``transfer_schedule_cache`` and ``server.requests`` /
+``server.backpressure`` from outside.
 """
 
 import contextlib
@@ -14,8 +15,10 @@ import contextlib
 import pytest
 
 from repro import ORB, FaultSchedule, FaultyFabric
+from repro.orb.nameservice import NamingClient
 from repro.orb.socketnet import SocketFabric
 from repro.orb.transport import Fabric
+from tests.naming_transports import served_naming
 
 #: What every fabric declares (``transport.Fabric`` is the reference).
 FABRIC_SURFACE = (
@@ -33,13 +36,30 @@ FABRIC_SURFACE = (
 #: this contract pins (leaves are ``None``).
 COMMON = {
     "cdr_copies": {"bytes": None, "events": None},
-    "ft": {},
+    # From construction, not from the first runtime's first retry.
+    "ft": dict.fromkeys(
+        (
+            "retries", "deadline_exceeded", "retries_exhausted",
+            "degraded", "agreements", "failovers",
+        )
+    ),
+    # Zeros and an empty board where naming keeps no directory.
+    "groups": {
+        **dict.fromkeys(
+            (
+                "binds", "selections", "failovers",
+                "failovers_exhausted", "marked_down", "epoch_bumps",
+                "health_reports",
+            )
+        ),
+        "groups": {},
+    },
     "reply_caches": {},
     "transfer_schedule_cache": {
         "entries": None, "hits": None, "maxsize": None, "misses": None,
     },
 }
-COMMON_KEYS = set(COMMON) | {"fabric", "groups", "rts", "san"}
+COMMON_KEYS = set(COMMON) | {"fabric", "rts", "san"}
 FAULTS = dict.fromkeys(
     ("delay", "disconnect", "drop", "duplicate", "forwarded", "truncate")
 )
@@ -131,6 +151,17 @@ class TestStatsSchema:
             assert stats[section] == expected
         if has_server:
             assert stats["server"] == SERVER
+
+    def test_a_naming_client_reports_the_same_groups_section(self):
+        with served_naming() as (_server, ior), SocketFabric(
+            "remote-naming"
+        ) as fabric:
+            naming = NamingClient(fabric, ior)
+            with ORB("remote-naming", fabric=fabric, naming=naming) as orb:
+                stats = shape(orb.stats())
+            naming.close()
+        for section, expected in COMMON.items():
+            assert stats[section] == expected
 
     def test_tracing_adds_exactly_the_trace_section(self):
         with SocketFabric("traced") as fabric, ORB(

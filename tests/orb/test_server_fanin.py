@@ -494,13 +494,16 @@ def test_orb_stats_server_section_schema():
             assert section["backpressure"]["resume_at"] == 32
 
 
-def test_server_metrics_mirrored_when_tracing(idl):
+@pytest.mark.parametrize("trace", [None, True])
+def test_server_counters_are_in_the_registry_traced_or_not(idl, trace):
+    """The governor's tallies *are* the ``server.*`` metrics: adopted
+    by the ORB's always-on registry, no recorder needed."""
     gate = threading.Event()
     gate.set()
     naming = NamingService()
     with SocketFabric("m-server") as sf, SocketFabric("m-client") as cf:
         server = ORB(
-            "m-server", fabric=sf, naming=naming, timeout=5.0, trace=True
+            "m-server", fabric=sf, naming=naming, timeout=5.0, trace=trace
         )
         client = ORB("m-client", fabric=cf, naming=naming, timeout=5.0)
         with server, client:
@@ -510,7 +513,12 @@ def test_server_metrics_mirrored_when_tracing(idl):
             runtime = client.client_runtime()
             proxy = idl.blocker._bind("blocker", runtime)
             assert proxy.ping(1) == 2
-            counters = server.stats()["trace"]["metrics"]["counters"]
-            assert counters.get("server.connections.accepted", 0) >= 1
-            assert counters.get("server.requests.admitted", 0) >= 1
+            counters = server.metrics.snapshot()["counters"]
+            assert counters["server.connections.accepted"] >= 1
+            assert counters["server.requests.admitted"] == 1
+            section = server.stats()["server"]
+            assert section["requests"]["admitted"] == 1
+            if trace:
+                traced = server.stats()["trace"]["metrics"]["counters"]
+                assert traced["server.requests.admitted"] == 1
             runtime.close()

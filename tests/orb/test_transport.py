@@ -144,9 +144,8 @@ class TestMeter:
         a.send(b.address, b"x")
         assert seen == []
 
-    def test_channel_helper(self):
+    def test_two_ports_make_a_link(self):
         fabric = Fabric()
-        channel = fabric.channel("left", "right")
-        left, right = channel.ends()
+        left, right = fabric.open_port("left"), fabric.open_port("right")
         left.send(right.address, b"ping")
         assert right.recv()[2] == b"ping"

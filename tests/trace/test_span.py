@@ -112,16 +112,6 @@ class TestTraceRecorder:
         snap = trace.metrics.snapshot()
         assert snap["histograms"]["span.server.reply_us"]["count"] == 2
 
-    def test_ft_observer_mirrors_counters(self):
-        trace = TraceRecorder()
-        observe = trace.ft_observer()
-        observe("retries", 1)
-        observe("retries", 2)
-        observe("degraded", 1)
-        counters = trace.metrics.snapshot()["counters"]
-        assert counters["ft.retries"] == 3
-        assert counters["ft.degraded"] == 1
-
     def test_fabric_meter_tallies_frames_and_bytes(self):
         trace = TraceRecorder()
         meter = trace.fabric_meter()
