@@ -4,15 +4,18 @@ Reads the byte-order flag octet first, then honours the sender's
 endianness for every primitive — a little-endian client can talk to a
 big-endian server, which is the heterogeneity CORBA's CDR exists for.
 
-The decoder is *zero-copy*: it walks a read-only :class:`memoryview`
-of the stream, :meth:`CdrDecoder.read_octets` returns sub-views, and
-numeric element runs come back as ``np.frombuffer`` **views** into the
-stream (read-only, so a decoded array can never corrupt a reused
-receive buffer).  Copies happen only on the cross-endian path, or when
-the caller opts into mutable results with ``copy_arrays=True`` (the
-mutable-escape path).  A view pins the underlying buffer alive via the
-buffer protocol, so handing views out is safe even for transient
-receive buffers.
+The decoder is *zero-copy*: it walks a :class:`memoryview` of the
+stream, :meth:`CdrDecoder.read_octets` returns sub-views, and numeric
+element runs come back as ``np.frombuffer`` **views** into the stream.
+Views are read-only — a decoded array can never corrupt a buffer
+someone else still reads or reuses — unless the caller declares the
+stream ``owned``: then a writable buffer stays writable through the
+large runs decoded from it, and whoever receives one may keep it as
+its own (``docs/performance.md``, "Ownership").  A caller that needs a
+private writable array of anything else calls ``.copy()``.  The
+decoder itself copies only on the cross-endian path.  A view pins the
+underlying buffer alive via the buffer protocol, so handing views out
+is safe even for transient receive buffers.
 """
 
 from __future__ import annotations
@@ -44,22 +47,23 @@ _STRUCTS = {
 class CdrDecoder:
     """A read-once CDR stream over ``data`` (bytes-like).
 
-    ``copy_arrays=True`` returns freshly-copied (writable) arrays for
-    numeric element runs instead of read-only views — use it when the
-    decoded value must outlive the stream's buffer or be mutated in
-    place.
+    ``owned=True`` declares that nobody but the caller can reach
+    ``data``'s memory: if the buffer is writable, so is every octet or
+    element run that spans at least half of the stream — the receiver
+    of such a run may adopt it in place, and it pins at most twice its
+    own bytes.  Shorter runs, and everything decoded from a stream not
+    declared owned, are read-only views.
     """
 
-    def __init__(self, data: Any, *, copy_arrays: bool = False) -> None:
+    def __init__(self, data: Any, *, owned: bool = False) -> None:
         view = memoryview(data)
         if view.format != "B" or view.ndim != 1:
             view = view.cast("B")
-        self._data = view.toreadonly()
+        self._data = view if owned else view.toreadonly()
         self._len = len(self._data)
         if self._len == 0:
             raise MarshalError("empty CDR stream")
         self._pos = 1
-        self.copy_arrays = copy_arrays
         self.little_endian = bool(self._data[0])
         self._structs = _STRUCTS[self.little_endian]
         self._unpack_ulong = self._structs["I"].unpack_from
@@ -90,9 +94,22 @@ class CdrDecoder:
         return pos
 
     def read_octets(self, n: int) -> memoryview:
-        """The next ``n`` octets as a read-only view (no copy)."""
+        """The next ``n`` octets as a view (no copy): read-only unless
+        the stream is owned, writable and at most twice the run."""
         pos = self._take(n)
-        return self._data[pos : pos + n]
+        run = self._data[pos : pos + n]
+        if not run.readonly and 2 * n < self._len:
+            return run.toreadonly()
+        return run
+
+    def read_octet_run(self) -> memoryview:
+        """A nested stream or bulk payload: ``ulong`` length, zero pad
+        to an 8-aligned offset, the octets (inverse of
+        :meth:`CdrEncoder.begin_octet_run
+        <repro.cdr.encoder.CdrEncoder.begin_octet_run>`)."""
+        n = self.read_ulong()
+        self.align(8)
+        return self.read_octets(n)
 
     def _unpack(self, fmt: str, size: int) -> Any:
         self._pos += (-self._pos) % size
@@ -204,19 +221,12 @@ class CdrDecoder:
                 # Cross-endian: the one unavoidable copy.
                 arr = arr.byteswap()
                 copied(arr.nbytes)
-            elif self.copy_arrays:
-                # Mutable-escape path: the caller asked for a copy it
-                # may write to and keep past the buffer's lifetime.
-                arr = arr.copy()
-                copied(arr.nbytes)
             if element.kind == "boolean" and arr.dtype != np.bool_:
                 return arr.astype(bool)
             return arr
         return [self.read(element) for _ in range(count)]
 
 
-def decode_value(
-    typecode: TypeCode, data: Any, *, copy_arrays: bool = False
-) -> Any:
+def decode_value(typecode: TypeCode, data: Any) -> Any:
     """One-shot helper matching :func:`repro.cdr.encoder.encode_value`."""
-    return CdrDecoder(data, copy_arrays=copy_arrays).read(typecode)
+    return CdrDecoder(data).read(typecode)

@@ -185,6 +185,21 @@ def _compute_schedule(src: Layout, dst: Layout) -> list[TransferStep]:
     return steps
 
 
+def tiling_fault(
+    ranges: list[tuple[int, int]], lo: int, hi: int
+) -> str | None:
+    """``None`` when the half-open ``ranges`` tile ``[lo, hi)`` exactly
+    — what lets a destination be allocated uninitialised — else the
+    first gap or overlap, in words."""
+    at = lo
+    for r_lo, r_hi in sorted(ranges):
+        if r_lo != at:
+            kind = "gap" if r_lo > at else "overlap"
+            return f"{kind} at [{min(at, r_lo)}, {max(at, r_lo)})"
+        at = r_hi
+    return None if at == hi else f"gap at [{at}, {hi})"
+
+
 def steps_by_src(steps: list[TransferStep]) -> dict[int, list[TransferStep]]:
     """Group a schedule by sending rank (send plans)."""
     plans: dict[int, list[TransferStep]] = {}

@@ -104,6 +104,16 @@ def _element_dtype(slot: Slot) -> np.dtype:
     return slot.typecode.element_dtype  # type: ignore[attr-defined]
 
 
+def _adoptable(block: np.ndarray, dtype: np.dtype) -> bool:
+    """May ``block``, decoded off the wire, *be* the local block?  Yes
+    when it is writable — which only an owned receive buffer (or a
+    private byteswapped copy) decodes to, see
+    :class:`~repro.cdr.decoder.CdrDecoder` — and usable in place."""
+    return (
+        block.flags.writeable and block.flags.aligned and block.dtype == dtype
+    )
+
+
 # ---------------------------------------------------------------------------
 # The RTS legs of the through-root path (either side)
 # ---------------------------------------------------------------------------
@@ -141,12 +151,19 @@ def _scatter(
 ) -> Placed:
     """Spread the communicating thread's ``full`` array over the
     group: its length is broadcast, every rank derives the layout from
-    it, and the blocks travel over the RTS."""
+    it, and the blocks travel over the RTS.  A group of one has
+    nothing to spread: ``full`` is its block, in place when it may be
+    adopted."""
     length = len(full) if rank == 0 else 0
     if rts is not None:
         length = rts.broadcast(length, root=0)
     layout = layout_for(length)
-    local = np.zeros(layout.local_length(rank), dtype=_element_dtype(slot))
+    dtype = _element_dtype(slot)
+    if rts is None and _adoptable(full, dtype):
+        return layout, full
+    # Every element is written below: the whole of ``full``, or the
+    # schedule's steps, which partition the destination layout.
+    local = np.empty(layout.local_length(rank), dtype=dtype)
     if rts is None:
         copied(local.nbytes)
         local[:] = full
@@ -176,14 +193,21 @@ def _collect(
     """Receive this rank's block of one parameter off its data port.
 
     Both ends compute the same schedule from the same two layouts, so
-    the expected chunk count is exact."""
+    the expected chunk count is exact.  A block that arrived as one
+    chunk is that chunk's payload, in place when it may be adopted."""
     steps = transfer_schedule(src_layout, layout)
     expected = sum(1 for s in steps if s.dst_rank == rank)
     dtype = _element_dtype(slot)
-    local = np.zeros(layout.local_length(rank), dtype=dtype)
     chunks = collector.collect(
         request_id, slot.name, phase, expected, timeout=timeout
     )
+    if len(chunks) == 1 and (
+        chunks[0].global_lo, chunks[0].global_hi
+    ) == layout.local_range(rank):
+        block = chunks[0].elements(dtype)
+        if _adoptable(block, dtype):
+            return layout, block
+    local = np.empty(layout.local_length(rank), dtype=dtype)
     assemble_chunks(chunks, layout, rank, dtype, local)
     return layout, local
 

@@ -6,6 +6,12 @@ method the header additionally carries, per distributed parameter, the
 client-side layout (local lengths), from which both sides compute the
 identical transfer schedule — this is the "information contained in
 the transfer header" of §3.3.
+
+Every octet run that can carry bulk data — a request or reply body, a
+chunk payload — starts 8-aligned in its message (GIOP 1.2 aligns the
+request body for the same reason), and the decoders here declare their
+stream *owned*: handed a writable buffer, which a fabric delivers only
+to its new owner, they pass that run on writable.
 """
 
 from __future__ import annotations
@@ -59,9 +65,10 @@ def _read_port(dec: CdrDecoder):
 
 
 def _append_body(enc: CdrEncoder, body: Any) -> None:
-    """Length-prefix ``body`` and append it without copying: encoder
-    bodies contribute their segments, buffers travel by reference."""
-    enc.write_ulong(len(body))
+    """Length-prefix ``body`` and append it 8-aligned, without copying:
+    encoder bodies contribute their segments, buffers travel by
+    reference."""
+    enc.begin_octet_run(len(body))
     if isinstance(body, CdrEncoder):
         enc.append_encoder(body)
     else:
@@ -233,7 +240,7 @@ def decode_request(
     frame (or a byte-for-byte copy of it): the decode then starts
     where the peek stopped.
     """
-    dec = CdrDecoder(data)
+    dec = CdrDecoder(data, owned=True)
     if head is None:
         head = _read_head(dec)
     else:
@@ -263,8 +270,7 @@ def decode_request(
         out_templates.append(
             (name, (kind,) if not weights else (kind, weights))
         )
-    body_len = dec.read_ulong()
-    body = dec.read_octets(body_len)
+    body = dec.read_octet_run()
     return RequestMessage(
         request_id=head.request_id,
         trace_id=head.trace_id,
@@ -326,7 +332,7 @@ class ReplyMessage:
 
 def decode_reply(data: bytes) -> ReplyMessage:
     """Parse a reply message off the wire."""
-    dec = CdrDecoder(data)
+    dec = CdrDecoder(data, owned=True)
     request_id = int(dec.read(_TC_ULONGLONG))
     status = dec.read_ulong()
     if status not in (
@@ -346,8 +352,7 @@ def decode_reply(data: bytes) -> ReplyMessage:
                 tuple(int(dec.read(_TC_ULONGLONG)) for _ in range(count))
             )
         layouts.append((name, pair[0], pair[1]))
-    body_len = dec.read_ulong()
-    body = dec.read_octets(body_len)
+    body = dec.read_octet_run()
     return ReplyMessage(
         request_id=request_id,
         status=status,
@@ -383,8 +388,7 @@ class DataChunk:
         enc.write_ulong(self.dst_rank)
         enc.write(_TC_ULONGLONG, self.global_lo)
         enc.write(_TC_ULONGLONG, self.global_hi)
-        enc.write_ulong(len(self.payload))
-        enc.write_octets_view(self.payload)
+        _append_body(enc, self.payload)
         return enc.segments()
 
     def encode(self) -> bytes:
@@ -394,8 +398,8 @@ class DataChunk:
         """Decode the payload as elements of ``dtype`` (native order;
         chunk payloads are produced by the same CDR element rules).
 
-        Returns a view over the payload buffer — no copy; read-only
-        when the payload is a decoder view."""
+        Returns a view over the payload buffer — no copy; writable
+        only when the payload is (an owned receive buffer)."""
         expected = (self.global_hi - self.global_lo) * dtype.itemsize
         if len(self.payload) != expected:
             raise MarshalError(
@@ -407,7 +411,7 @@ class DataChunk:
 
 def decode_chunk(data: bytes) -> DataChunk:
     """Parse a data-chunk message off the wire."""
-    dec = CdrDecoder(data)
+    dec = CdrDecoder(data, owned=True)
     request_id = int(dec.read(_TC_ULONGLONG))
     param = dec.read_string()
     phase = dec.read_ulong()
@@ -419,8 +423,7 @@ def decode_chunk(data: bytes) -> DataChunk:
     global_hi = int(dec.read(_TC_ULONGLONG))
     if global_hi < global_lo:
         raise MarshalError("chunk range is inverted")
-    payload_len = dec.read_ulong()
-    payload = dec.read_octets(payload_len)
+    payload = dec.read_octet_run()
     return DataChunk(
         request_id=request_id,
         param=param,

@@ -24,9 +24,11 @@ completes a true multi-process deployment — see
 
 Wire framing (per message, after a 4-byte big-endian length prefix) is
 a CDR stream: destination port id, source address (host, tcp port,
-port id, label), kind, payload octets.  Nothing here is pickled off
-the wire, so a hostile peer can at worst produce a
-:class:`~repro.cdr.typecodes.MarshalError`.
+port id, label), kind, payload octets — the payload 8-aligned in the
+stream, so bulk data lands aligned in a frame buffer and can be used
+where it lies (``docs/protocol.md``; both ends of a connection must
+run this framing).  Nothing here is pickled off the wire, so a hostile
+peer can at worst produce a :class:`~repro.cdr.typecodes.MarshalError`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from repro.cdr.accounting import copied
 from repro.cdr.decoder import CdrDecoder
@@ -84,7 +88,7 @@ DROP_ADDRESS = SocketPortAddress("", 0, 0, "dropped-frame")
 
 #: Frames at or below this size are read into pooled buffers and their
 #: payload copied out, so the buffer can be reused immediately; larger
-#: frames get a dedicated buffer owned by the payload views.
+#: frames get a dedicated buffer that the receiver of the payload owns.
 _POOL_BUFFER_SIZE = 1 << 16
 
 
@@ -104,8 +108,9 @@ class _ConnBuffers:
     The 4-byte length prefix always lands in one reusable header
     buffer; small frames reuse a tiny pool of fixed-size buffers
     (payloads are copied out before the buffer is recycled), large
-    frames get an exact-size buffer whose lifetime is handed to the
-    decoded payload views.
+    frames get an exact-size buffer of their own — uninitialised (the
+    frame overwrites every byte) and aligned, and delivered writable:
+    the receiver owns it.
     """
 
     def __init__(self, pool_size: int = 4) -> None:
@@ -123,14 +128,14 @@ class _ConnBuffers:
         else:
             self._guard = None
 
-    def take(self, length: int) -> tuple[bytearray, bool]:
+    def take(self, length: int) -> tuple[Any, bool]:
         """A buffer of at least ``length`` bytes plus whether it is
         pooled (must be released, payload must be copied out)."""
         if length <= _POOL_BUFFER_SIZE:
             if self._free:
                 return self._free.pop(), True
             return bytearray(_POOL_BUFFER_SIZE), True
-        return bytearray(length), False
+        return np.empty(length, np.uint8), False
 
     def give(self, buf: bytearray) -> None:
         if self._guard is not None and not self._guard.check_and_poison(
@@ -260,7 +265,7 @@ class SocketFabric(Fabric):
         enc.write_ulong(src.port_id)
         enc.write_string(src.label)
         enc.write_string(kind)
-        enc.write_ulong(nbytes)
+        enc.begin_octet_run(nbytes)
         if isinstance(payload, (list, tuple)):
             for segment in payload:
                 enc.write_octets_view(segment)
@@ -386,7 +391,7 @@ class _ServerConnection:
         self.phase = "header"
         self.have = 0
         self.length = 0
-        self.body: bytearray | None = None
+        self.body: Any = None
         self.view: memoryview | None = None
         self.pooled = False
         self.drain_left = 0
@@ -676,7 +681,7 @@ class _ServerLoop:
             body = conn.body
             conn.body = None
             assert body is not None
-            frame = memoryview(body)[: conn.length].toreadonly()
+            frame = memoryview(body)[: conn.length]
             try:
                 self._deliver(conn, frame)
             except (MarshalError, TransportError):
@@ -700,7 +705,10 @@ class _ServerLoop:
         governor's request admission spliced between decode and
         delivery."""
         fabric = self._fabric
-        dec = CdrDecoder(frame)
+        # A dedicated buffer was allocated for this frame alone, and
+        # the loop drops it on delivery: its payload is delivered
+        # writable, which tells the receiver it owns the memory.
+        dec = CdrDecoder(frame, owned=not conn.pooled)
         dest_port_id = dec.read_ulong()
         src = SocketPortAddress(
             host=dec.read_string(),
@@ -709,7 +717,7 @@ class _ServerLoop:
             label=dec.read_string(),
         )
         kind = dec.read_string()
-        payload: Any = dec.read_octets(dec.read_ulong())
+        payload: Any = dec.read_octet_run()
         governor = self._governor
         routing = None
         if (
@@ -733,7 +741,16 @@ class _ServerLoop:
             payload = bytes(payload)
         # The peeked head rides along (its resume offset holds for the
         # copy): a receiver that decodes on this thread starts there.
-        fabric._deliver_local(dest_port_id, src, kind, payload, routing)
+        try:
+            fabric._deliver_local(
+                dest_port_id, src, kind, payload, routing
+            )
+        except TransportError:
+            # The port is gone (a killed replica): nothing downstream
+            # will see this frame, so its admission slot ends here.
+            if routing is not None:
+                governor.request_done(routing.request_id)
+            raise
 
     def _note_identity(
         self, conn: _ServerConnection, identity: int

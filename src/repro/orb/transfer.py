@@ -49,7 +49,7 @@ from repro.cdr.decoder import CdrDecoder
 from repro.cdr.encoder import CdrEncoder
 from repro.cdr.typecodes import DSequenceTC, MarshalError
 from repro.dist import BlockTemplate, DistributedSequence, Layout
-from repro.dist.schedule import TransferStep
+from repro.dist.schedule import TransferStep, tiling_fault
 from repro.ft.agreement import agree, agree_failure
 from repro.ft.policy import (
     DeadlineExceeded,
@@ -412,7 +412,11 @@ def assemble_chunks(
     dtype: np.dtype,
     out: np.ndarray,
 ) -> None:
-    """Write received chunks into the local block ``out`` of ``rank``."""
+    """Write received chunks into the local block ``out`` of ``rank``.
+
+    The chunks must tile the block exactly — ``out`` may be
+    uninitialised memory, and no byte of it may reach a servant
+    unwritten."""
     lo, hi = layout.local_range(rank)
     for chunk in chunks:
         if not (lo <= chunk.global_lo <= chunk.global_hi <= hi):
@@ -421,6 +425,15 @@ def assemble_chunks(
                 f"'{chunk.param}' lies outside rank {rank}'s block "
                 f"[{lo}, {hi})"
             )
+    fault = tiling_fault(
+        [(c.global_lo, c.global_hi) for c in chunks], lo, hi
+    )
+    if fault is not None:
+        raise MarshalError(
+            f"chunks do not cover rank {rank}'s block [{lo}, {hi}): "
+            f"{fault}"
+        )
+    for chunk in chunks:
         elements = chunk.elements(dtype)
         # The landing store: straight from the chunk payload view into
         # the destination block, the receive side's one copy.
@@ -511,7 +524,7 @@ def encode_plain_body(
 
 def decode_plain_body(slots: Sequence[Slot], body: Any) -> dict[str, Any]:
     """Inverse of :func:`encode_plain_body`."""
-    dec = CdrDecoder(body)
+    dec = CdrDecoder(body, owned=True)
     values: dict[str, Any] = {}
     for slot in slots:
         if slot.distributed:
@@ -537,8 +550,9 @@ def full_body_encoder(
 
 def decode_full_body(slots: Sequence[Slot], body: Any) -> dict[str, Any]:
     """Inverse of :func:`full_body_encoder`.  Numeric sequences come
-    back as read-only views into ``body``'s buffer."""
-    dec = CdrDecoder(body)
+    back as views into ``body``'s buffer — writable, for whoever
+    adopts it, when ``body`` is a receive buffer this side owns."""
+    dec = CdrDecoder(body, owned=True)
     return {slot.name: dec.read(slot.typecode) for slot in slots}
 
 

@@ -71,15 +71,21 @@ def check_payload(payload: Any) -> int:
 
 def flatten_payload(payload: Any) -> Any:
     """One contiguous buffer for in-process delivery (joins segment
-    lists — the single copy of the in-process path)."""
-    if isinstance(payload, (bytes, bytearray, memoryview)):
+    lists — the single copy of the in-process path).
+
+    Always read-only: a lone buffer travels by reference, so the
+    sender still holds its memory, and a writable delivery would tell
+    the receiver it owns it (see :class:`_Delivery`)."""
+    if isinstance(payload, (list, tuple)):
+        if len(payload) != 1:
+            copied(sum(len(p) for p in payload))
+            return b"".join(
+                p if isinstance(p, bytes) else bytes(p) for p in payload
+            )
+        payload = payload[0]
+    if isinstance(payload, bytes):
         return payload
-    if len(payload) == 1:
-        return payload[0]
-    copied(sum(len(p) for p in payload))
-    return b"".join(
-        p if isinstance(p, bytes) else bytes(p) for p in payload
-    )
+    return memoryview(payload).toreadonly()
 
 
 @dataclass(frozen=True, order=True)
@@ -97,7 +103,10 @@ class PortAddress:
 class _Delivery:
     src: PortAddress
     kind: str
-    payload: Any  # one contiguous bytes-like buffer
+    #: One contiguous bytes-like buffer.  Writable means *the receiver
+    #: owns it*: only a socket fabric's event loop delivers one, for a
+    #: frame it read into a buffer allocated for that frame alone.
+    payload: Any
     #: What the delivering fabric already decoded of the payload (the
     #: event loop's admission peek of a request frame), so the
     #: receiver need not decode it again; ``None`` = nothing.

@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.dist.schedule import TransferStep
+from repro.dist.schedule import TransferStep, tiling_fault
 from repro.rts.mpi import Intracomm
 
 #: Tag namespace for RTS-internal traffic performed on behalf of the
@@ -101,6 +101,16 @@ class RuntimeSystem(ABC):
         ``out`` blocks, following a single-source schedule."""
 
 
+def gather_target(steps: list[TransferStep], dtype: Any) -> np.ndarray:
+    """The landing array of a gather root that was handed none —
+    uninitialised, which is sound because the steps of a gather
+    schedule tile ``[0, total)``: every element gets written."""
+    total = steps[-1].global_hi if steps else 0
+    fault = tiling_fault([(s.global_lo, s.global_hi) for s in steps], 0, total)
+    assert fault is None, fault
+    return np.empty(total, dtype=dtype)
+
+
 class MessagePassingRTS(RuntimeSystem):
     """Message-passing realization over :class:`Intracomm`.
 
@@ -120,9 +130,8 @@ class MessagePassingRTS(RuntimeSystem):
         me = self.rank
         mine = [s for s in steps if s.src_rank == me]
         if me == root:
-            total = steps[-1].global_hi if steps else 0
             if out is None:
-                out = np.zeros(total, dtype=local.dtype)
+                out = gather_target(steps, local.dtype)
             for step in mine:
                 out[step.global_lo : step.global_hi] = local[step.src_slice]
             pending = sorted(

@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from repro.dist.schedule import TransferStep
-from repro.rts.interface import RuntimeSystem
+from repro.rts.interface import RuntimeSystem, gather_target
 from repro.rts.mpi import Intracomm
 
 
@@ -160,11 +160,10 @@ class OneSidedRTS(RuntimeSystem):
         window.fence()  # all buffers attached and filled
         result: np.ndarray | None = None
         if self.rank == root:
-            total = steps[-1].global_hi if steps else 0
             result = (
                 out
                 if out is not None
-                else np.zeros(total, dtype=local.dtype)
+                else gather_target(steps, local.dtype)
             )
             for step in steps:
                 result[step.global_lo : step.global_hi] = window.get(

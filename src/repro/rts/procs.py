@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.rts import backends, shm
 from repro.rts.executor import RankContext, raise_rank_failures
-from repro.rts.interface import RuntimeSystem
+from repro.rts.interface import RuntimeSystem, gather_target
 from repro.rts.mpi import (
     ANY_TAG,
     DEFAULT_TIMEOUT,
@@ -454,7 +454,7 @@ class ProcessRTS(RuntimeSystem):
             if me != root:
                 return None
             if out is None:
-                out = np.zeros(total, dtype=local.dtype)
+                out = gather_target(steps, local.dtype)
             for step in steps:
                 out[step.global_lo : step.global_hi] = local[step.src_slice]
             return out

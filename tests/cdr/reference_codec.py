@@ -1,5 +1,6 @@
 """The CDR codec as it stood before the primitives were compiled
-(ISSUE 15) — kept verbatim as the reference
+(ISSUE 15) — kept as the reference (one contract change mirrored
+since: ``owned=`` replaced ``copy_arrays=``, ISSUE 21)
 ``test_primitive_equivalence.py`` compares the shipped codec against:
 same bytes, same values, same ``MarshalError`` messages, same
 copy-account totals.  Test-only; nothing in ``src/`` imports it.
@@ -267,21 +268,18 @@ class ReferenceEncoder:
 class ReferenceDecoder:
     """A read-once CDR stream over ``data`` (bytes-like).
 
-    ``copy_arrays=True`` returns freshly-copied (writable) arrays for
-    numeric element runs instead of read-only views — use it when the
-    decoded value must outlive the stream's buffer or be mutated in
-    place.
+    ``owned=True`` keeps a writable buffer writable through every run
+    of at least half the stream; everything else is a read-only view.
     """
 
-    def __init__(self, data: Any, *, copy_arrays: bool = False) -> None:
+    def __init__(self, data: Any, *, owned: bool = False) -> None:
         view = memoryview(data)
         if view.format != "B" or view.ndim != 1:
             view = view.cast("B")
-        self._data = view.toreadonly()
+        self._data = view if owned else view.toreadonly()
         if len(self._data) == 0:
             raise MarshalError("empty CDR stream")
         self._pos = 1
-        self.copy_arrays = copy_arrays
         self.little_endian = bool(self._data[0])
         self._endian_char = "<" if self.little_endian else ">"
 
@@ -298,7 +296,7 @@ class ReferenceDecoder:
         self._pos += (-self._pos) % n
 
     def read_octets(self, n: int) -> memoryview:
-        """The next ``n`` octets as a read-only view (no copy)."""
+        """The next ``n`` octets as a view (no copy)."""
         if self._pos + n > len(self._data):
             raise MarshalError(
                 f"CDR stream truncated: need {n} octets at offset "
@@ -306,6 +304,8 @@ class ReferenceDecoder:
             )
         chunk = self._data[self._pos : self._pos + n]
         self._pos += n
+        if not chunk.readonly and 2 * n < len(self._data):
+            chunk = chunk.toreadonly()
         return chunk
 
     def _unpack(self, fmt: str, size: int) -> Any:
@@ -414,11 +414,6 @@ class ReferenceDecoder:
             if self.little_endian != _NATIVE_LITTLE:
                 # Cross-endian: the one unavoidable copy.
                 arr = arr.byteswap()
-                copied(arr.nbytes)
-            elif self.copy_arrays:
-                # Mutable-escape path: the caller asked for a copy it
-                # may write to and keep past the buffer's lifetime.
-                arr = arr.copy()
                 copied(arr.nbytes)
             if element.kind == "boolean" and arr.dtype != np.bool_:
                 return arr.astype(bool)

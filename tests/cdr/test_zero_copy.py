@@ -5,7 +5,9 @@ Three guarantees of the buffer-view pipeline:
 1. cross-endian streams still roundtrip for every numeric typecode
    (the one place a copy is *required*);
 2. decoder views are read-only and cannot corrupt — or be corrupted
-   through — a reused receive buffer (mutation-safety contract);
+   through — a reused receive buffer (mutation-safety contract),
+   unless the caller declares the stream owned: then, and only then,
+   a writable buffer's large runs come back writable;
 3. the copy audit observes exactly the copies the design admits.
 """
 
@@ -31,6 +33,7 @@ from repro.cdr import (
     decode_value,
     encode_value,
 )
+from tests.cdr.reference_codec import ReferenceDecoder
 
 NUMERIC_TCS = [
     TC_OCTET,
@@ -123,11 +126,13 @@ class TestMutationSafety:
             result[:] = 0  # ...but the view can never corrupt it.
         assert not result.flags.writeable
 
-    def test_copy_arrays_escape_hatch_is_writable(self):
+    def test_a_private_writable_array_is_a_copy_away(self):
+        """There is no decoder switch for it: a caller who needs to
+        mutate a decoded array it does not own calls ``.copy()``."""
         seq_tc = SequenceTC(TC_DOUBLE)
         data = np.arange(16.0)
         stream = encode_value(seq_tc, data)
-        result = decode_value(seq_tc, stream, copy_arrays=True)
+        result = decode_value(seq_tc, stream).copy()
         assert result.flags.writeable
         result[0] = -1.0  # must not raise
         # and it is detached from the stream:
@@ -136,7 +141,7 @@ class TestMutationSafety:
 
     def test_cross_endian_arrays_are_fresh(self):
         """The byteswap path materializes; the result must not alias
-        the stream even without copy_arrays."""
+        the stream."""
         seq_tc = SequenceTC(TC_DOUBLE)
         enc = CdrEncoder(little_endian=False)
         enc.write(seq_tc, np.arange(4.0))
@@ -146,6 +151,97 @@ class TestMutationSafety:
             pytest.skip("needs a foreign-endian stream")
         result = dec.read(seq_tc)
         np.testing.assert_array_equal(result, np.arange(4.0))
+
+
+class TestOwnership:
+    """``owned=True`` changes who may write, never what is read."""
+
+    @staticmethod
+    def _stream(little: bool, n: int = 64) -> bytearray:
+        enc = CdrEncoder(little_endian=little)
+        enc.write(SequenceTC(TC_DOUBLE), np.arange(float(n)))
+        return bytearray(enc.getvalue())
+
+    @pytest.mark.parametrize("decoder", [CdrDecoder, ReferenceDecoder])
+    @pytest.mark.parametrize("little", [True, False], ids=["le", "be"])
+    def test_owned_and_borrowed_decodes_differ_only_in_writability(
+        self, little, decoder
+    ):
+        seq_tc = SequenceTC(TC_DOUBLE)
+        stream = self._stream(little)
+        borrowed = decoder(stream).read(seq_tc)
+        owned = decoder(stream, owned=True).read(seq_tc)
+        np.testing.assert_array_equal(owned, borrowed)
+        assert owned.dtype == borrowed.dtype
+        native = little == (np.little_endian)
+        if native:
+            assert owned.flags.writeable and not borrowed.flags.writeable
+            assert np.shares_memory(owned, np.frombuffer(stream, np.uint8))
+        else:
+            # A cross-endian run is a byteswapped copy whoever owns the
+            # stream: never adopted, so writing to it is harmless.
+            for arr in (owned, borrowed):
+                assert not np.shares_memory(
+                    arr, np.frombuffer(stream, np.uint8)
+                )
+
+    def test_owned_means_nothing_on_a_readonly_buffer(self):
+        seq_tc = SequenceTC(TC_DOUBLE)
+        for stream in (
+            bytes(self._stream(True)),
+            memoryview(self._stream(True)).toreadonly(),
+        ):
+            result = CdrDecoder(stream, owned=True).read(seq_tc)
+            assert not result.flags.writeable
+
+    def test_only_runs_of_at_least_half_the_stream_are_writable(self):
+        """An adopted run pins its whole stream: it may pin at most
+        twice its own bytes, and two runs of one stream can never
+        both be handed out writable."""
+        seq_tc = SequenceTC(TC_DOUBLE)
+        enc = CdrEncoder()
+        enc.write(seq_tc, np.arange(32.0))
+        enc.write(seq_tc, np.arange(32.0))
+        enc.write(seq_tc, np.arange(512.0))
+        dec = CdrDecoder(bytearray(enc.getvalue()), owned=True)
+        small_a, small_b, big = (dec.read(seq_tc) for _ in range(3))
+        assert not small_a.flags.writeable
+        assert not small_b.flags.writeable
+        assert big.flags.writeable
+        assert 2 * big.nbytes >= len(enc)
+
+    @pytest.mark.parametrize("lead", range(9))
+    def test_an_octet_run_starts_eight_aligned_whatever_precedes_it(
+        self, lead
+    ):
+        enc = CdrEncoder()
+        enc.write_octets(b"x" * lead)
+        enc.begin_octet_run(5)
+        assert len(enc) % 8 == 0
+        enc.write_octets(b"hello")
+        dec = CdrDecoder(enc.getvalue())
+        dec.read_octets(lead)
+        assert bytes(dec.read_octet_run()) == b"hello"
+        assert dec.at_end()
+        # A stream cut inside the pad or the run is truncated, not
+        # misread.
+        for cut in range(1 + lead, len(enc)):
+            short = CdrDecoder(enc.getvalue()[:cut])
+            short.read_octets(lead)
+            with pytest.raises(MarshalError):
+                short.read_octet_run()
+
+    def test_owned_octet_runs_follow_the_same_rule(self):
+        enc = CdrEncoder()
+        enc.write_octets(b"h" * 7)
+        enc.write_octets(b"p" * 64)
+        dec = CdrDecoder(bytearray(enc.getvalue()), owned=True)
+        assert dec.read_octets(7).readonly
+        body = dec.read_octets(64)
+        assert not body.readonly
+        # Ownership passes down a nesting only by being declared again.
+        assert CdrDecoder(body).read_octets(63).readonly
+        assert not CdrDecoder(body, owned=True).read_octets(63).readonly
 
 
 class TestBooleanValidation:

@@ -8,16 +8,22 @@ must keep returning exactly the keys and nesting it returned when it
 probed: ``bench/layers.py`` reads ``cdr_copies``,
 ``transfer_schedule_cache`` and ``server.requests`` /
 ``server.backpressure`` from outside.
+
+Also the ownership rule every fabric delivers by: a payload is
+writable **iff** it crossed a socket as a frame above the pool size —
+the one delivery whose memory nobody but the receiver can reach.
 """
 
 import contextlib
 
+import numpy as np
 import pytest
 
 from repro import ORB, FaultSchedule, FaultyFabric
 from repro.orb.nameservice import NamingClient
-from repro.orb.socketnet import SocketFabric
-from repro.orb.transport import Fabric
+from repro.orb.request import DataChunk, PHASE_REQUEST, decode_chunk
+from repro.orb.socketnet import _POOL_BUFFER_SIZE, SocketFabric
+from repro.orb.transport import KIND_DATA, Fabric
 from tests.naming_transports import served_naming
 
 #: What every fabric declares (``transport.Fabric`` is the reference).
@@ -83,16 +89,25 @@ def shape(value):
     return None
 
 
+FABRIC_KINDS = ("inproc", "socket", "faulty-inproc", "faulty-socket")
+
+
 @contextlib.contextmanager
-def orb_on(kind):
+def fabric_of(kind, schedule=None):
     with contextlib.ExitStack() as stack:
         if kind.endswith("socket"):
             fabric = stack.enter_context(SocketFabric(kind))
         else:
             fabric = Fabric(kind)
         if kind.startswith("faulty"):
-            fabric = FaultyFabric(fabric, FaultSchedule())
-        yield stack.enter_context(ORB(kind, fabric=fabric))
+            fabric = FaultyFabric(fabric, schedule or FaultSchedule())
+        yield fabric
+
+
+@contextlib.contextmanager
+def orb_on(kind):
+    with fabric_of(kind) as fabric, ORB(kind, fabric=fabric) as orb:
+        yield orb
 
 
 class TestDeclaredSurface:
@@ -170,3 +185,101 @@ class TestStatsSchema:
             stats = shape(orb.stats())
         assert set(stats) == COMMON_KEYS | {"server", "trace"}
         assert set(stats["trace"]) == {"metrics", "recorder"}
+
+
+class TestDeliveredPayloadOwnership:
+    """Writable means "the receiver owns this buffer", so only the
+    event loop's dedicated frames may arrive writable; everything a
+    fabric delivers without a socket in between still belongs to the
+    sender (or to nobody: immutable bytes)."""
+
+    SIZES = (512, _POOL_BUFFER_SIZE, 4 * _POOL_BUFFER_SIZE)
+
+    @staticmethod
+    def _forms(size):
+        """One payload in every shape ``send`` accepts by reference."""
+        raw = bytearray(b"p" * size)
+        return [
+            bytes(raw), raw, memoryview(raw), [raw], (memoryview(raw),),
+            [b"p" * (size // 2), bytearray(b"p" * (size - size // 2))],
+        ]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("kind", FABRIC_KINDS)
+    def test_a_local_delivery_is_never_writable(self, kind, size):
+        """In-process sends and a socket fabric's same-endpoint
+        short-circuit hand the sender's own memory through."""
+        with fabric_of(kind) as fabric:
+            sender, receiver = fabric.open_port("s"), fabric.open_port("r")
+            for payload in self._forms(size):
+                sender.send(receiver.address, payload, KIND_DATA)
+                got = receiver.recv(timeout=5)[2]
+                assert memoryview(got).readonly
+                assert bytes(got) == b"p" * size
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("kind", ["socket", "faulty-socket"])
+    def test_writable_iff_it_crossed_a_socket_as_a_large_frame(
+        self, kind, size
+    ):
+        with fabric_of(kind) as near, SocketFabric("far") as far:
+            sender, receiver = near.open_port("s"), far.open_port("r")
+            for payload in self._forms(size):
+                sender.send(receiver.address, payload, KIND_DATA)
+                got = receiver.recv(timeout=5)[2]
+                # A payload of the pool size is a frame above it.
+                large = size >= _POOL_BUFFER_SIZE
+                assert memoryview(got).readonly != large
+                assert isinstance(got, bytes) != large
+                assert bytes(got) == b"p" * size
+
+    @pytest.mark.parametrize("kind", ["faulty-inproc", "faulty-socket"])
+    def test_a_duplicated_frame_is_two_deliveries_that_share_nothing(
+        self, kind
+    ):
+        """A fault-injected re-send is detached from the sender and
+        each copy is either immutable or in a frame buffer of its
+        own."""
+        schedule = FaultSchedule(seed=1, duplicate=1.0)
+        size = 4 * _POOL_BUFFER_SIZE
+        raw = bytearray(b"p" * size)
+        with fabric_of(kind, schedule) as near, SocketFabric("far") as far:
+            sender = near.open_port("s")
+            receiver = (far if kind.endswith("socket") else near).open_port("r")
+            sender.send(receiver.address, raw, KIND_DATA)
+            first, second = (receiver.recv(timeout=5)[2] for _ in range(2))
+        raw[:] = b"q" * size
+        assert bytes(first) == bytes(second) == b"p" * size
+        writable = kind.endswith("socket")
+        for got in (first, second):
+            assert memoryview(got).readonly != writable
+        if writable:
+            assert first.obj is not second.obj
+            first[:8] = b"scribble"
+            assert bytes(second[:8]) == b"p" * 8
+
+    @pytest.mark.parametrize("kind", FABRIC_KINDS)
+    def test_mutating_a_decoded_local_delivery_cannot_reach_the_sender(
+        self, kind
+    ):
+        """The aliasing hole the ownership rule would open if a local
+        delivery passed a ``bytearray`` through writable: the decoders
+        declare their stream owned, so the decoded block would be the
+        sender's own bytes, writable."""
+        block = np.arange(4096, dtype=np.float64)
+        chunk = DataChunk(
+            7, "x", PHASE_REQUEST, 0, 0, 0, len(block),
+            memoryview(block).cast("B"),
+        )
+        frame = bytearray(chunk.encode())
+        sent = bytes(frame)
+        with fabric_of(kind) as fabric:
+            sender, receiver = fabric.open_port("s"), fabric.open_port("r")
+            sender.send(receiver.address, frame, KIND_DATA)
+            got = receiver.recv(timeout=5)[2]
+        landed = decode_chunk(got).elements(block.dtype)
+        assert not landed.flags.writeable
+        with pytest.raises(ValueError):
+            landed[:] = -1.0
+        assert bytes(frame) == sent
+        np.testing.assert_array_equal(landed, block)

@@ -473,6 +473,62 @@ def test_disconnect_mid_backpressure_frees_slot(idl):
 
 
 # ---------------------------------------------------------------------------
+# A request admitted for a port that is gone frees its slot on the drop
+# ---------------------------------------------------------------------------
+
+
+def test_admitted_request_to_a_dead_port_releases_its_slot(idl):
+    """The loop admits a request before it knows whether the port is
+    still there.  After a replica is killed, calls still addressed to
+    it are dropped frames — and must not keep their admission slots
+    until the client happens to disconnect."""
+    from repro.orb.transport import KIND_REQUEST
+
+    naming = NamingService()
+    config = ServerConfig(max_inflight=2)
+    with SocketFabric("dead-server", server=config) as sf, SocketFabric(
+        "dead-client"
+    ) as cf:
+        server = ORB("dead-server", fabric=sf, naming=naming, timeout=10.0)
+        with server:
+            server.serve("blocker", _servant_factory(idl, threading.Event()))
+            dead = sf.open_port("killed-replica")
+            dead.close()
+            reply_port = cf.open_port("replies")
+            for seq in range(2):
+                request = RequestMessage(
+                    request_id=(9 << 32) | seq,
+                    object_key="blocker",
+                    operation="ping",
+                    reply_port=reply_port.address,
+                )
+                reply_port.send(
+                    dead.address, request.encode_segments(), KIND_REQUEST
+                )
+            assert _wait_for(lambda: sf.dropped_frames == 2)
+            # Released on the drop itself, on the loop thread: nothing
+            # to wait for beyond the drop being visible.
+            requests = sf.governor.snapshot()["requests"]
+            assert requests["admitted"] == 2
+            assert requests["inflight"] == 0
+            assert requests["completed"] == 2
+            # The budget is whole again: the same connection's next
+            # calls to a live object are admitted, not refused BUSY.
+            client = ORB("dead-client", fabric=cf, naming=naming, timeout=10.0)
+            with client:
+                runtime = client.client_runtime()
+                proxy = idl.blocker._bind("blocker", runtime)
+                assert [proxy.ping(i) for i in range(3)] == [1, 2, 3]
+                runtime.close()
+            # (A reply can overtake its own slot's release.)
+            assert _wait_for(
+                lambda: sf.governor.snapshot()["requests"]["inflight"] == 0
+            )
+            assert sf.governor.snapshot()["requests"]["rejected"] == 0
+            assert reply_port.pending() == 0  # dropped, not answered
+
+
+# ---------------------------------------------------------------------------
 # Stats surface
 # ---------------------------------------------------------------------------
 

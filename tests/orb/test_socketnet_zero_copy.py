@@ -123,24 +123,56 @@ class TestReceiveBuffers:
         assert isinstance(payload, bytes)
         assert payload == b"x" * 512
 
-    def test_large_payload_arrives_as_readonly_view(self, fabric):
-        """Above the pool bound the payload keeps its dedicated receive
-        buffer and is delivered as a zero-copy read-only view."""
+    def test_large_payload_arrives_as_an_owned_writable_view(self, fabric):
+        """Above the pool bound the frame is read into a buffer of its
+        own and the payload is delivered as a view of it — writable:
+        the receiver owns that memory, and no later frame shares it."""
         big = np.arange(
             (_POOL_BUFFER_SIZE * 4) // 8, dtype=np.float64
         )
         with SocketFabric("peer") as peer:
             sender = peer.open_port("s")
             receiver = fabric.open_port("r")
-            sender.send(
-                receiver.address, memoryview(big).cast("B"), KIND_DATA
-            )
-            _src, _kind, payload = receiver.recv(timeout=5)
-        assert isinstance(payload, memoryview)
-        assert payload.readonly
-        np.testing.assert_array_equal(
-            np.frombuffer(payload, dtype=np.float64), big
-        )
+            for _ in range(3):
+                sender.send(
+                    receiver.address, memoryview(big).cast("B"), KIND_DATA
+                )
+            payloads = [receiver.recv(timeout=5)[2] for _ in range(3)]
+        arrays = []
+        for payload in payloads:
+            assert isinstance(payload, memoryview)
+            assert not payload.readonly
+            array = np.frombuffer(payload, dtype=np.float64)
+            assert array.flags.aligned and array.flags.writeable
+            np.testing.assert_array_equal(array, big)
+            arrays.append(array)
+        assert len({id(payload.obj) for payload in payloads}) == 3
+        arrays[0][:] = -1.0  # the receiver's to scribble on ...
+        for later in arrays[1:]:  # ... and nobody else's bytes move
+            assert not np.shares_memory(arrays[0], later)
+            np.testing.assert_array_equal(later, big)
+        np.testing.assert_array_equal(big[:3], [0.0, 1.0, 2.0])
+
+    def test_pool_sized_payload_is_never_writable(self, fabric):
+        """The boundary: a frame of exactly the pool size is pooled,
+        so its payload is copied out as immutable bytes."""
+        receiver = fabric.open_port("r")
+        overhead = len(_raw_frame(receiver.address, b"")) - _LENGTH.size
+        at_the_bound = _POOL_BUFFER_SIZE - overhead
+        for size in (at_the_bound, at_the_bound + 1):
+            frame = _raw_frame(receiver.address, b"x" * size)
+            pooled = size == at_the_bound
+            assert (
+                len(frame) - _LENGTH.size <= _POOL_BUFFER_SIZE
+            ) == pooled
+            with socket.create_connection(
+                (fabric.host, fabric.tcp_port), timeout=5
+            ) as raw:
+                raw.sendall(frame)
+                payload = receiver.recv(timeout=5)[2]
+            assert isinstance(payload, bytes) == pooled
+            assert memoryview(payload).readonly == pooled
+            assert bytes(payload) == b"x" * size
 
     def test_pooled_buffer_reuse_does_not_corrupt(self, fabric):
         """Back-to-back small frames on one connection must each come
@@ -222,12 +254,16 @@ class TestCopyBudget:
     copied per payload byte for a serial echo through the whole stack
     (CDR → message → fabric → decode, both directions).  Payload-
     dominated sizes must stay near one copy per direction; below
-    64 KiB the fixed header/pool copies weigh more.  The measured
-    curve is the ``cdr.copies_per_payload_byte`` row of
-    ``bench/results/`` (2.0 at 8 MiB)."""
+    64 KiB the fixed header/pool copies weigh more.  Over sockets a
+    frame above the pool size is received straight into the memory the
+    servant (or the caller) then owns — the receive copy *is* the
+    landing store — so from 128 KiB the budget is 1.5 (measured 1.0,
+    the ``cdr.copies_per_payload_byte`` row of the benchmark); the
+    in-process fabric still joins and lands (2.0)."""
 
     _SMALL_LIMIT = 64 * 1024
-    _BUDGET = {"small": 8.0, "large": 3.0}
+    _OWNED_FROM = 128 * 1024
+    _BUDGET = {"small": 8.0, "large": 3.0, "owned": 1.5}
     _ITERATIONS = 3
 
     @pytest.fixture(scope="class")
@@ -286,9 +322,12 @@ class TestCopyBudget:
         per_payload_byte = copied_bytes / (
             2 * size_bytes * self._ITERATIONS
         )
-        limit = self._BUDGET[
-            "small" if size_bytes < self._SMALL_LIMIT else "large"
-        ]
+        if size_bytes < self._SMALL_LIMIT:
+            limit = self._BUDGET["small"]
+        elif fabric_kind == "socket" and size_bytes >= self._OWNED_FROM:
+            limit = self._BUDGET["owned"]
+        else:
+            limit = self._BUDGET["large"]
         assert per_payload_byte <= limit, (
             f"{fabric_kind} @ {size_bytes}B copies "
             f"{per_payload_byte:.2f} bytes/payload byte, budget {limit}"

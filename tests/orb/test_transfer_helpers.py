@@ -3,6 +3,8 @@ chunk collection, body marshaling)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cdr.typecodes import (
     DSequenceTC,
@@ -12,7 +14,7 @@ from repro.cdr.typecodes import (
     TC_STRING,
     TC_VOID,
 )
-from repro.dist import Layout
+from repro.dist import Layout, transfer_schedule
 from repro.orb.operation import (
     Direction,
     OperationSpec,
@@ -179,12 +181,110 @@ class TestAssembleChunks:
     def test_size_mismatch_rejected(self):
         layout = Layout(((0, 4),))
         chunk = DataChunk(
-            1, "x", PHASE_REQUEST, 0, 0, 0, 3, b"\0" * 10
+            1, "x", PHASE_REQUEST, 0, 0, 0, 4, b"\0" * 10
         )
         with pytest.raises(MarshalError, match="bytes"):
             assemble_chunks(
                 [chunk], layout, 0, np.dtype(np.float64), np.zeros(4)
             )
+
+    @staticmethod
+    def _chunk(lo, hi):
+        return DataChunk(
+            1, "x", PHASE_REQUEST, 0, 1, lo, hi,
+            np.arange(lo, hi, dtype=np.float64).tobytes(),
+        )
+
+    @pytest.mark.parametrize(
+        "ranges, what",
+        [
+            ([(4, 7)], r"gap at \[7, 10\)"),
+            ([(7, 10)], r"gap at \[4, 7\)"),
+            ([(4, 6), (8, 10)], r"gap at \[6, 8\)"),
+            ([(4, 8), (6, 10)], r"overlap at \[6, 8\)"),
+            ([(4, 10), (4, 10)], r"overlap at \[4, 10\)"),
+            ([], r"gap at \[4, 10\)"),
+        ],
+    )
+    def test_a_chunk_set_that_does_not_tile_the_block_is_rejected(
+        self, ranges, what
+    ):
+        """The destination is uninitialised memory: a hole must be an
+        error, never a block with bytes no chunk wrote."""
+        layout = Layout(((0, 4), (4, 10)))
+        out = np.full(6, -1.0)
+        with pytest.raises(MarshalError, match=what):
+            assemble_chunks(
+                [self._chunk(lo, hi) for lo, hi in ranges],
+                layout, 1, np.dtype(np.float64), out,
+            )
+        np.testing.assert_array_equal(out, np.full(6, -1.0))
+
+    def test_empty_chunks_and_an_empty_block_are_fine(self):
+        layout = Layout(((0, 4), (4, 4), (4, 10)))
+        assemble_chunks([], layout, 1, np.dtype(np.float64), np.empty(0))
+        out = np.empty(6)
+        assemble_chunks(
+            [self._chunk(4, 4), self._chunk(4, 10), self._chunk(10, 10)],
+            layout, 2, np.dtype(np.float64), out,
+        )
+        np.testing.assert_array_equal(out, np.arange(4.0, 10.0))
+
+
+@st.composite
+def _chunk_sets(draw):
+    """A destination rank of a random layout pair, and the scheduled
+    chunks for it — as scheduled, or with some dropped, duplicated or
+    shifted."""
+    length = draw(st.integers(0, 60))
+
+    def layout(nranks):
+        cuts = sorted(
+            draw(st.lists(st.integers(0, length), min_size=nranks - 1,
+                          max_size=nranks - 1))
+        )
+        return Layout(tuple(zip([0, *cuts], [*cuts, length])))
+
+    src = layout(draw(st.integers(1, 4)))
+    dst = layout(draw(st.integers(1, 4)))
+    rank = draw(st.integers(0, dst.nranks - 1))
+    ranges = [
+        (s.global_lo, s.global_hi)
+        for s in transfer_schedule(src, dst)
+        if s.dst_rank == rank
+    ]
+    mutated = []
+    for lo, hi in ranges:
+        action = draw(st.sampled_from(["keep"] * 6 + ["drop", "dup", "shift"]))
+        if action == "drop":
+            continue
+        if action == "shift":
+            by = draw(st.integers(-2, 2))
+            lo, hi = max(lo + by, 0), max(hi + by, 0)
+        mutated.extend([(lo, hi)] * (2 if action == "dup" else 1))
+    return dst, rank, draw(st.permutations(mutated))
+
+
+class TestAssembleChunksNeverLeavesAHole:
+    @given(_chunk_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_every_element_lands_or_marshal_error(self, case):
+        layout, rank, ranges = case
+        lo, hi = layout.local_range(rank)
+        source = np.arange(layout.length + 4, dtype=np.float64) + 1.0
+        chunks = [
+            DataChunk(
+                1, "x", PHASE_REQUEST, 0, rank, c_lo, c_hi,
+                source[c_lo:c_hi].tobytes(),
+            )
+            for c_lo, c_hi in ranges
+        ]
+        out = np.full(hi - lo, np.nan)  # stands for uninitialised
+        try:
+            assemble_chunks(chunks, layout, rank, np.dtype(np.float64), out)
+        except MarshalError:
+            return
+        np.testing.assert_array_equal(out, source[lo:hi])
 
 
 class TestChunkCollectorLifecycle:

@@ -1,6 +1,7 @@
 """Tests for the RTS interface gather/scatter used by the ORB."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,21 @@ class TestGatherScatter:
             return result is out if ctx.rank == 0 else True
 
         assert all(spmd_run(2, body))
+
+    def test_a_root_allocates_only_for_a_schedule_that_writes_it_all(self):
+        """Without ``out`` the root lands the gather in uninitialised
+        memory, sound only because the steps tile ``[0, total)``."""
+        from repro.rts.interface import gather_target
+
+        steps = transfer_schedule(
+            BlockTemplate(3).layout(10), Layout(((0, 10),))
+        )
+        assert gather_target(steps, np.float64).shape == (10,)
+        assert gather_target([], np.float64).shape == (0,)
+        with pytest.raises(AssertionError, match="gap"):
+            gather_target(steps[1:], np.float64)
+        with pytest.raises(AssertionError, match="gap"):
+            gather_target([steps[0], steps[2]], np.float64)
 
     def test_scatter_distributes_blocks(self):
         layout = Proportions(1, 3, 2).layout(12)

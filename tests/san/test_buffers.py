@@ -84,3 +84,31 @@ def test_counters_track_poisons():
     guard.check_and_poison(bytearray(4))
     guard.check_and_poison(bytearray(4))
     assert san.stats()["counters"]["buffers_poisoned"] == before + 2
+
+
+def test_owned_frames_stay_disjoint_from_the_poisoned_pool(monkeypatch):
+    """A frame above the pool size is delivered writable — the
+    receiver's to keep — so its buffer must never be one the guard
+    recycles: held across any number of poisoned recycles on the same
+    connection, it keeps its bytes and raises no finding."""
+    monkeypatch.setenv("PARDIS_SAN", "1")
+    import numpy as np
+
+    from repro.orb.socketnet import _POOL_BUFFER_SIZE, SocketFabric
+    from repro.orb.transport import KIND_DATA
+
+    big = np.arange(_POOL_BUFFER_SIZE // 2, dtype=np.float64)
+    before = san.stats()["counters"].get("buffers_poisoned", 0)
+    with SocketFabric("san-a") as near, SocketFabric("san-b") as far:
+        sender, receiver = near.open_port("s"), far.open_port("r")
+        held = []
+        for i in range(8):
+            sender.send(receiver.address, memoryview(big).cast("B"), KIND_DATA)
+            sender.send(receiver.address, bytes([i]) * 1024, KIND_DATA)
+            held.append(receiver.recv(timeout=5)[2])
+            assert receiver.recv(timeout=5)[2] == bytes([i]) * 1024
+    assert san.stats()["counters"]["buffers_poisoned"] >= before + 8
+    for payload in held:
+        assert not payload.readonly
+        np.testing.assert_array_equal(np.frombuffer(payload, np.float64), big)
+    assert _buffer_findings() == []
