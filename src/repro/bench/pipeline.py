@@ -7,8 +7,8 @@ the futures, so up to ``pipeline_depth`` requests are in flight while
 earlier replies are still on the wire.  Depth 1 restores strictly
 serial round-trips (each request waits for the previous reply), which
 makes the depth sweep a direct measurement of what the reply
-demultiplexer, the server's receive/decode prefetch stage and the
-deferred reply path buy.
+demultiplexer and the server's decode-on-delivery (the request port's
+upcall) buy.
 
 Both fabrics (in-process, TCP loopback) and both transfer methods
 (centralized §3.2, multi-port §3.3) are swept over a configurable set

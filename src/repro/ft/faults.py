@@ -222,9 +222,7 @@ class FaultyFabric:
         return getattr(self.inner, name)
 
     def close(self) -> None:
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
+        self.inner.close()
 
     def __enter__(self) -> "FaultyFabric":
         return self

@@ -279,4 +279,4 @@ def effective_policy(explicit: Any, runtime: Any) -> FtPolicy | None:
     back to the runtime's (ORB-wide) policy."""
     if explicit is not None:
         return explicit
-    return getattr(runtime, "ft_policy", None)
+    return runtime.ft_policy

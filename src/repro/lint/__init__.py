@@ -16,7 +16,6 @@ from repro.lint.cli import lint_file, lint_paths, main
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.idl_rules import lint_idl_source
 from repro.lint.rules import RULES, Rule, resolve_rule
-from repro.lint.sarif import render_sarif
 from repro.lint.spmd_rules import lint_python_source
 
 __all__ = [
@@ -28,6 +27,5 @@ __all__ = [
     "lint_paths",
     "lint_python_source",
     "main",
-    "render_sarif",
     "resolve_rule",
 ]

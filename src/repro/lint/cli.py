@@ -116,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     cli.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
@@ -175,10 +175,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.format == "json":
         print(render_json(diagnostics))
-    elif args.format == "sarif":
-        from repro.lint.sarif import render_sarif
-
-        print(render_sarif(diagnostics))
     else:
         print(render_text(diagnostics))
     return 1 if diagnostics else 0

@@ -1,16 +1,18 @@
 """The object adapter: server-side activation and dispatch.
 
 A :class:`ServantGroup` is the server half of an SPMD object: it owns
-one computing thread per rank, each running a servant instance and a
-dispatch loop.  Requests arrive on the group's single request port —
-waited on by the communicating thread (rank 0) — and are delivered "to
-all the computing threads" (the defining property of an SPMD object,
-§2) by an internal broadcast, after which the one server engine runs the
-invocation, moving the distributed arguments in and out along the
-:class:`~repro.orb.datapath.DataPath` the request's mode names.  A
-*serial* group (one thread) has nobody to broadcast to: its request
-port hands each frame, on the thread that delivers it, to a pool of
-dispatch workers.
+one computing thread per rank, each running a servant instance.
+Requests arrive on the group's single request port, whose upcall
+decodes and admits each frame on the thread that delivers it and
+queues what survives — for a pool of dispatch workers when the group
+is *serial* (one thread), for rank 0 when it is collective.  Rank 0 is
+the group's one communicating thread: it takes a request off the
+queue, delivers it "to all the computing threads" (the defining
+property of an SPMD object, §2), runs the one server engine in
+lockstep with its peers — moving the distributed arguments in and out
+along the :class:`~repro.orb.datapath.DataPath` the request's mode
+names — and "informs the client" (§3.2) itself.  No other thread
+receives for the group, and none sends its replies.
 
 The group registers itself with the naming service on activation,
 publishing an object reference that carries the request port, the
@@ -64,23 +66,10 @@ from repro.trace.span import span_or_null
 #: Control payloads on the request port.
 CONTROL_SHUTDOWN = b"shutdown"
 
-#: Tag for pre-read request headers relayed rank 0 → peers (kept far
-#: from application tags, like the RTS chunk tag in
+#: Tag for request headers relayed rank 0 → peers (kept far from
+#: application tags, like the RTS chunk tag in
 #: :mod:`repro.rts.interface`).
 _TAG_HEADER = 1 << 22
-
-#: How many decoded requests rank 0 reads ahead of execution.  Beyond
-#: this, frames back up in the request port undecoded.
-_PREFETCH_DEPTH = 2
-
-#: Reply staging buffers rotated per request on rank 0.  Must exceed
-#: the number of encoded replies alive at once: one being produced,
-#: :data:`_REPLY_QUEUE_DEPTH` queued, one on the wire.
-_STAGING_ROTATION = 4
-
-#: Encoded replies the sender thread may hold before the dispatch
-#: loop blocks handing it more.
-_REPLY_QUEUE_DEPTH = 2
 
 
 @dataclass
@@ -290,14 +279,10 @@ class _ServerEngine:
         #: The group's reply cache (request dedup); ``None`` when the
         #: object was activated without ``reply_cache_bytes``.
         self.cache = cache
-        #: Set on rank 0 of collective groups: replies leave through a
-        #: dedicated sender thread instead of the dispatch loop.
-        self.reply_sender: _ReplySender | None = None
         #: Set on rank 0 (the communicating thread, so each request is
         #: released exactly once): the fabric's server governor, whose
         #: admission slot a request gives back as it leaves here.
         self.governor: Any = None
-        self._staging_seq = 0
 
     # -- shared ----------------------------------------------------------
 
@@ -305,18 +290,6 @@ class _ServerEngine:
         if self.ctx.rts is None:
             return value
         return self.ctx.rts.broadcast(value, root=0)
-
-    def _staging_name(self, name: str) -> str:
-        """The reply staging buffer for parameter ``name``.
-
-        With a reply sender, the encoded body (which references the
-        staging array) outlives this request's dispatch, so buffers
-        rotate: by the time a name repeats, its previous reply is
-        guaranteed off the wire (the sender queue is shorter than the
-        rotation)."""
-        if self.reply_sender is None:
-            return name
-        return f"{name}#{self._staging_seq % _STAGING_ROTATION}"
 
     def _reply(self, request: RequestMessage, reply: ReplyMessage) -> None:
         if self.ctx.rank != 0:
@@ -328,14 +301,13 @@ class _ServerEngine:
                 self.cache.record_reply(request.request_id, None)
             return
         port = self.ctx.request_port or self.ctx.data_port
-        if self.reply_sender is not None:
-            self.reply_sender.submit(
-                port, request.reply_port, reply.encode_segments()
-            )
-        else:
-            port.send(
-                request.reply_port, reply.encode_segments(), KIND_REPLY
-            )
+        segments = reply.encode_segments()
+        try:
+            port.send(request.reply_port, segments, KIND_REPLY)
+        except TransportError:
+            # The client went away; its reply is undeliverable — and
+            # no reason for rank 0 to leave the lockstep of its peers.
+            pass
         if self.cache is not None:
             if reply.status == wire.STATUS_SYSTEM_EXCEPTION:
                 # The request did not run to completion; the correct
@@ -344,13 +316,10 @@ class _ServerEngine:
             else:
                 self.cache.record_reply(
                     request.request_id,
-                    b"".join(
-                        bytes(s) for s in reply.encode_segments()
-                    ),
+                    b"".join(bytes(s) for s in segments),
                 )
 
     def execute(self, request: RequestMessage) -> None:
-        self._staging_seq += 1
         spec = self.servant._operations.get(request.operation)
         try:
             if spec is None:
@@ -490,7 +459,7 @@ class _ServerEngine:
                     category="BAD_PARAM",
                 )
         values, dist_layouts = path.stage_results(
-            ctx, request, spec, results, self._staging_name
+            ctx, request, spec, results
         )
         if root:
             body = path.body_encoder(rep_slots, values)
@@ -517,7 +486,8 @@ class _ServerEngine:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch: request intake, prefetch, deferred replies, serial worker pool
+# Dispatch: request intake, the rank loops of a collective group, the
+# worker pool of a serial one
 # ---------------------------------------------------------------------------
 
 
@@ -527,31 +497,45 @@ class _RequestIntake:
     execution: decode, reply-cache admission, and the release of the
     admission slot of every frame that goes no further.
 
-    Written once for both kinds of group.  A serial group runs it as
-    the request port's upcall — on the delivering thread, the socket
-    fabric's event loop or a local sender — and hands what survives to
-    the dispatch pool; a collective group runs it on its
-    :class:`_RequestPrefetcher` thread.  Nothing here blocks or calls
-    servant code, which is what lets an event loop run it.
+    Written once for both kinds of group and run as the request port's
+    upcall — on the delivering thread, the socket fabric's event loop
+    or a local sender.  What survives is queued on ``sink``, the
+    group's :class:`_DispatchPool` or rank 0's :class:`_LockstepLoop`,
+    and so is the end of service.  Nothing here blocks, sends, calls
+    servant code or touches the group's communicator, which is what
+    lets an event loop run it.
     """
 
     port: Port
     cache: ReplyCache | None
     governor: Any
+    sink: Any
+
+    def upcall(self, delivery: Any) -> bool:
+        """Consume one delivery.  Service ends — the same way for
+        either kind of group — with the shutdown control frame or with
+        the port closing under the group (``delivery is None``): the
+        sink stops once it has run what was queued before that."""
+        if delivery is None or delivery.kind == KIND_CONTROL:
+            if delivery is None or delivery.payload == CONTROL_SHUTDOWN:
+                self.sink.end()
+            return True
+        message = self.admit(delivery.payload, delivery.head)
+        if message is not None:
+            self.sink.dispatch(message)
+        return True
 
     def release(self, request_id: int) -> None:
         if self.governor is not None:
             self.governor.request_done(request_id)
 
     def admit(
-        self, payload: Any, head: Any = None, replay: Any = None
+        self, payload: Any, head: Any = None
     ) -> RequestMessage | None:
         """The request to execute, or ``None`` for a frame that ends
         here: garbage, a duplicate of a request still executing, or a
         retry the cache answers.  ``head`` is the delivering loop's
-        admission peek, when it took one.  ``replay(message)`` answers
-        a retry — :meth:`replay` unless given: a thread that must not
-        block on a send passes what queues it for one that may."""
+        admission peek, when it took one."""
         try:
             message = wire.decode_request(payload, head)
         except Exception:
@@ -567,8 +551,10 @@ class _RequestIntake:
             verdict = self.cache.admit(message.request_id)
             if verdict == "replay":
                 # Already executed: answered from the cache without
-                # touching the servant (effectively-once).
-                (replay or self.replay)(message)
+                # touching the servant (effectively-once).  A replay
+                # sends, so it is queued for a thread that may block —
+                # in its client's turn.
+                self.sink.dispatch(message, run=self.replay)
                 return None
             if verdict == "in-progress":
                 # The original attempt is still executing; its reply
@@ -609,116 +595,103 @@ class _RequestIntake:
             self.release(message.request_id)
 
 
-class _RequestPrefetcher:
-    """A collective group's receive/decode stage on rank 0, overlapped
-    with execution.
-
-    A dedicated thread blocks on the request port, takes each frame
-    through the :class:`_RequestIntake`, relays the header to the peer
-    ranks (buffered point-to-point on the group communicator, so the
-    header of request N+1 is already delivered while every rank still
-    executes N) and queues the full message for the dispatch loop.
-    The queue is bounded: when the group falls behind, frames back up
-    undecoded in the port rather than as decoded messages here — a
-    blocking put, which is why this stage has a thread of its own
-    (the group's data chunks arrive through the same event loop, so
-    the loop must never wait on the group).  Serial groups have
-    neither peers nor a bound to enforce and take no part in this.
-
-    Relay strictly precedes the local enqueue, so whenever rank 0
-    holds a message its header is already buffered at every peer —
-    the invariant :meth:`ServantGroup._next_request` and
-    ``service_pending`` rely on to stay rank-consistent.
+class _LockstepLoop:
+    """Where a collective group's requests execute: on every rank's
+    own thread, in lockstep — the engine runs collectives that need
+    them all.  Each rank has one; rank 0's also holds the queue the
+    request port's upcall fills, and rank 0 — the communicating thread
+    — delivers a request to its peers *when it dequeues it*: the
+    body-less header, buffered point-to-point on the group
+    communicator.  (``service_pending`` cannot wait for a header that
+    may not come, so there the delivery is a broadcast, which is also
+    the ranks' agreement on whether there is a request at all.)
     """
 
-    _STOP = object()
+    def __init__(self, engine: _ServerEngine) -> None:
+        self._engine = engine
+        #: Read at each use, not copied: a servant factory may have
+        #: put an observing delegate in place of ``comm``/``rts``.
+        self._ctx = engine.ctx
+        #: Rank 0: ``(run, request)`` in arrival order — ``run`` is
+        #: ``None`` for a request to execute, else what answers it
+        #: without the peers (a cache replay); a bare ``None`` is the
+        #: end of service.
+        self._pending: queue.SimpleQueue[Any] = queue.SimpleQueue()
 
-    def __init__(
-        self, intake: _RequestIntake, comm: Intracomm, name: str
-    ) -> None:
-        self._intake = intake
-        self._comm = comm
-        self._queue: queue.Queue[Any] = queue.Queue(_PREFETCH_DEPTH)
-        self._thread = threading.Thread(
-            target=self._run, name=f"{name}:prefetch", daemon=True
-        )
-        self._thread.start()
+    def dispatch(self, request: RequestMessage, run: Any = None) -> None:
+        self._pending.put((run, request))
 
-    def _relay(self, header: RequestMessage | None) -> None:
-        try:
-            for peer in range(1, self._comm.size):
-                self._comm.send(header, peer, tag=_TAG_HEADER)
-        except Exception:
-            # Aborted group: the dispatch loops are unwinding anyway.
-            pass
+    def end(self) -> None:
+        self._pending.put(None)
 
-    def _run(self) -> None:
+    def _dequeue(self, block: bool) -> RequestMessage | None:
+        """Rank 0: the next request to execute, having answered the
+        replays queued ahead of it.  ``None`` at the end of service
+        (sticky) or, not blocking, when nothing is queued right now."""
         while True:
             try:
-                _src, kind, payload = self._intake.port.recv(timeout=None)
-            except Exception:
-                break  # port closed: shut the group down
-            if kind == KIND_CONTROL and payload == CONTROL_SHUTDOWN:
-                break
-            message = self._intake.admit(payload)
-            if message is not None:
-                self._relay(message.without_body())
-                self._queue.put(message)
-        self._relay(None)
-        self._queue.put(self._STOP)
-
-    def get(self, block: bool = True) -> RequestMessage | None:
-        """Next pre-read request; ``None`` once shut down (sticky) —
-        or, with ``block=False`` (``service_pending``), when none is
-        queued right now."""
-        try:
-            item = self._queue.get(block)
-        except queue.Empty:
-            return None
-        if item is self._STOP:
-            self._queue.put(self._STOP)
-            return None
-        return item
-
-    def join(self, timeout: float = 1.0) -> None:
-        self._thread.join(timeout)
-
-
-class _ReplySender:
-    """Moves reply transmission off the dispatch critical path.
-
-    Rank 0 of a collective group hands encoded reply segments to this
-    thread and returns to the dispatch loop immediately; the bounded
-    queue keeps only a couple of encoded replies alive at once, which
-    the engine matches with rotated staging buffers
-    (:meth:`_ServerEngine._staging_name`).
-    """
-
-    def __init__(self, name: str, depth: int = _REPLY_QUEUE_DEPTH) -> None:
-        self._queue: queue.Queue[Any] = queue.Queue(maxsize=depth)
-        self._thread = threading.Thread(
-            target=self._run, name=f"{name}:reply", daemon=True
-        )
-        self._thread.start()
-
-    def submit(self, port: Port, destination: Any, segments: list) -> None:
-        self._queue.put((port, destination, segments))
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
+                item = self._pending.get(block)
+            except queue.Empty:
+                return None
             if item is None:
-                return
-            port, destination, segments = item
-            try:
-                port.send(destination, segments, KIND_REPLY)
-            except Exception:
-                # The client went away; its reply is undeliverable.
-                pass
+                self._pending.put(None)
+                return None
+            run, request = item
+            if run is None:
+                return request
+            run(request)
 
-    def stop(self, timeout: float = 10.0) -> None:
-        self._queue.put(None)
-        self._thread.join(timeout)
+    def _next_request(self) -> RequestMessage | None:
+        """"Delivered to all the computing threads" (§2): rank 0 takes
+        the next queued request and sends its header to the peers,
+        which wait for it; ``None`` ends the loop on every rank."""
+        ctx = self._ctx
+        if ctx.rank == 0:
+            request = self._dequeue(block=True)
+            # Peers need the header only; rank 0 keeps the original
+            # (its body may be a buffer view, which does not pickle).
+            header = request.without_body() if request is not None else None
+            try:
+                for peer in range(1, ctx.size):
+                    ctx.comm.send(header, peer, tag=_TAG_HEADER)
+            except GroupAbortedError:
+                # The peers are gone: the engine's first collective
+                # says so, in an error reply to the client.
+                pass
+            return request
+        while True:
+            try:
+                return ctx.comm.recv(source=0, tag=_TAG_HEADER)
+            except DeadlockError:
+                # An idle object, not a deadlock: no request arrived
+                # for a whole timeout window.  Keep waiting — a dying
+                # rank aborts the group and raises GroupAbortedError
+                # here instead.
+                continue
+            except GroupAbortedError:
+                return None
+
+    def run(self) -> None:
+        while (request := self._next_request()) is not None:
+            self._engine.execute(request)
+
+    def service(self, max_requests: int) -> int:
+        """``service_pending`` for a collective object: drain
+        already-queued requests mid-computation (§2.1), the same ones
+        on every rank."""
+        ctx = self._ctx
+        processed = 0
+        while processed < max_requests:
+            request = self._dequeue(block=False) if ctx.rank == 0 else None
+            header = ctx.rts.broadcast(
+                request.without_body() if request is not None else None,
+                root=0,
+            )
+            if header is None:
+                break
+            self._engine.execute(request if ctx.rank == 0 else header)
+            processed += 1
+        return processed
 
 
 class _DispatchPool:
@@ -751,7 +724,8 @@ class _DispatchPool:
     thread's staging buffers) while the others sleep undisturbed.
 
     Collective groups never use the pool; their engine runs
-    collectives that need every rank in lockstep.
+    collectives that need every rank in lockstep
+    (:class:`_LockstepLoop`).
     """
 
     def __init__(
@@ -764,6 +738,7 @@ class _DispatchPool:
         self._engine = engine
         self._lock = threading.Lock()
         self._stopping = False
+        self._ended = threading.Event()
         self._per_client = policy != "concurrent"
         #: key -> queued work; the ring of keys with runnable work
         #: (queued, not on a thread); keys on a thread right now.
@@ -879,6 +854,16 @@ class _DispatchPool:
             processed += 1
         return processed
 
+    def end(self) -> None:
+        self._ended.set()
+
+    def run(self) -> None:
+        """The group's rank thread has nothing to execute — the
+        workers do — so it waits here for the end of service, then
+        drains the pool."""
+        self._ended.wait()
+        self.stop()
+
     def stop(self, timeout: float = 10.0) -> None:
         """Graceful drain: workers finish every queued request, then
         exit."""
@@ -990,18 +975,12 @@ class ServantGroup:
         # Wait for activation, failing fast if the servant factory (or
         # any rank) dies before rank 0 reports ready.
         for _ in range(600):
-            if self._started.wait(timeout=0.05):
+            if self._started.wait(timeout=0.05) or not self._handle.alive():
                 break
-            if not self._handle.alive():
-                handle, self._handle = self._handle, None
-                for port in [self._request_port, *self._data_ports]:
-                    if port is not None and not port.closed:
-                        port.close()
-                handle.join(timeout=5)  # raises the rank's SpmdError
-                raise RuntimeError(
-                    f"servant group '{self.name}' died during activation"
-                )
-        else:
+        if not self._started.is_set():
+            handle, self._handle = self._handle, None
+            self._close_ports()
+            handle.join(timeout=5)  # raises the dead rank's SpmdError
             raise RuntimeError(
                 f"servant group '{self.name}' failed to activate"
             )
@@ -1051,133 +1030,47 @@ class ServantGroup:
                 f"not a Servant"
             )
         servant._pardis_ctx = ctx
+        if self.nthreads > 1:
+            # Activation is all or nothing: a rank whose factory raised
+            # has aborted the group, which fails this barrier on the
+            # others — rank 0 never advertises an object some of whose
+            # computing threads do not exist.
+            comm.barrier()
         engine = _ServerEngine(ctx, servant, cache=self.reply_cache)
-        prefetcher: _RequestPrefetcher | None = None
-        if rank_ctx.rank == 0:
+        # The two kinds of group differ in who drains the queue of
+        # admitted requests, and in nothing before it: the workers of
+        # a pool, or the rank loops in lockstep.
+        drain: Any = (
+            _DispatchPool(
+                engine,
+                self._dispatch_workers,
+                f"server:{self.name}",
+                self._dispatch_policy,
+            )
+            if ctx.rts is None
+            else _LockstepLoop(engine)
+        )
+        ctx.service_fn = drain.service
+        if ctx.rank == 0:
             self._repo_id = servant._repo_id
             engine.governor = self.fabric.governor
-            intake = _RequestIntake(
-                self._request_port, self.reply_cache, engine.governor
-            )
-            if ctx.rts is None:
-                self._serve_serial(engine, intake)
-                return
-            # Collective group: rank 0's prefetcher feeds every rank
-            # the headers, and reply transmission moves off the
-            # dispatch loop's (and thus the servant's) critical path.
-            prefetcher = _RequestPrefetcher(
-                intake, ctx.comm, f"server:{self.name}"
-            )
-            engine.reply_sender = _ReplySender(f"server:{self.name}")
+            # Installed before the object is advertised: a request
+            # that found the port without it would sit in a queue
+            # nobody reads.
+            self._request_port.upcall = _RequestIntake(
+                self._request_port, self.reply_cache, engine.governor, drain
+            ).upcall
             self._started.set()
-
-        def service_pending(max_requests: int) -> int:
-            """Drain already-queued requests mid-computation (§2.1)."""
-            processed = 0
-            while processed < max_requests:
-                message = prefetcher.get(block=False) if prefetcher else None
-                # Peers need the header only; rank 0 keeps the
-                # original (its body may be a buffer view, which the
-                # pickling broadcast cannot carry).
-                received = ctx.rts.broadcast(
-                    message.without_body() if message is not None else None,
-                    root=0,
-                )
-                if ctx.rank != 0:
-                    message = received
-                    if message is not None:
-                        # Pop (and discard) the copy the prefetcher
-                        # relayed for this request, keeping the header
-                        # stream aligned with the dispatch loop.
-                        # Guaranteed buffered: relay precedes rank 0's
-                        # enqueue.
-                        ctx.comm.recv(source=0, tag=_TAG_HEADER)
-                if message is None:
-                    break
-                engine.execute(message)
-                processed += 1
-            return processed
-
-        ctx.service_fn = service_pending
         try:
-            while True:
-                request = self._next_request(ctx, prefetcher)
-                if request is None:
-                    break
-                engine.execute(request)
+            drain.run()
         finally:
-            if prefetcher is not None:
-                engine.reply_sender.stop()
-                prefetcher.join()
+            if ctx.rank == 0:
+                self._request_port.upcall = None
 
-    def _serve_serial(
-        self, engine: _ServerEngine, intake: _RequestIntake
-    ) -> None:
-        """A serial group has no collectives to keep in lockstep, so a
-        request goes from the thread that delivers it straight to the
-        dispatch pool: the request port's upcall decodes and admits it
-        and queues it under its client — all that runs on the
-        delivering thread, never servant code, never a blocking put.
-        This thread only waits for the object's end: the shutdown
-        control frame, or the port closing under it (``kill``)."""
-        port = intake.port
-        pool = _DispatchPool(
-            engine,
-            self._dispatch_workers,
-            f"server:{self.name}",
-            self._dispatch_policy,
-        )
-
-        # A replay sends, so it runs on a worker — in its client's turn.
-        replay = partial(pool.dispatch, run=intake.replay)
-
-        def upcall(delivery: Any) -> bool:
-            if delivery.kind == KIND_CONTROL:
-                return False  # queued: wakes the recv below
-            message = intake.admit(delivery.payload, delivery.head, replay)
-            if message is not None:
-                pool.dispatch(message)
-            return True
-
-        engine.ctx.service_fn = pool.service
-        # Installed before the object is advertised: a request that
-        # found the port without it would sit in a queue nobody reads.
-        port.upcall = upcall
-        self._started.set()
-        try:
-            while True:
-                _src, kind, payload = port.recv(timeout=None)
-                if kind == KIND_CONTROL and payload == CONTROL_SHUTDOWN:
-                    break
-        except TransportError:
-            pass  # port closed: shut the group down
-        finally:
-            port.upcall = None
-            pool.stop()
-
-    def _next_request(
-        self,
-        ctx: ServantContext,
-        prefetcher: _RequestPrefetcher | None,
-    ) -> RequestMessage | None:
-        """Rank 0 takes the next pre-read request from the prefetcher;
-        the peers take the header it already relayed — "delivered to
-        all the computing threads" (§2), with the receive/decode stage
-        of request N+1 overlapped with the execution of N."""
-        if ctx.rank == 0:
-            assert prefetcher is not None
-            return prefetcher.get()
-        while True:
-            try:
-                return ctx.comm.recv(source=0, tag=_TAG_HEADER)
-            except DeadlockError:
-                # An idle object, not a deadlock: no request arrived
-                # for a whole timeout window.  Keep waiting — a dying
-                # rank aborts the group and raises GroupAbortedError
-                # here instead.
-                continue
-            except GroupAbortedError:
-                return None
+    def _close_ports(self) -> None:
+        for port in [self._request_port, *self._data_ports]:
+            if port is not None and not port.closed:
+                port.close()
 
     def kill(self, timeout: float = 30.0) -> None:
         """Crash the object: close its ports abruptly, *without*
@@ -1190,17 +1083,15 @@ class ServantGroup:
         crash — sends to the closed ports raise
         :class:`~repro.orb.transport.TransportError`, pending receives
         never complete.  The dispatch threads themselves wind down
-        (whoever waits on the request port — a serial group's rank
-        thread, a collective group's prefetcher — exits on the close,
-        and what was already queued still runs), so a killed group
-        leaks no threads.  Idempotent; ``shutdown`` afterwards is safe
-        and only removes the naming entry.
+        (the closing request port tells its upcall, which ends the
+        service of either kind of group: what was already queued still
+        runs, then the rank threads exit), so a killed group leaks no
+        threads.  Idempotent; ``shutdown`` afterwards is safe and only
+        removes the naming entry.
         """
         if self._handle is None:
             return
-        for port in [self._request_port, *self._data_ports]:
-            if port is not None and not port.closed:
-                port.close()
+        self._close_ports()
         handle, self._handle = self._handle, None
         try:
             handle.join(timeout)
@@ -1226,9 +1117,7 @@ class ServantGroup:
             self._handle.join(timeout)
         finally:
             self._handle = None
-            for port in [self._request_port, *self._data_ports]:
-                if port is not None and not port.closed:
-                    port.close()
+            self._close_ports()
 
     def shutdown(self, timeout: float = 30.0) -> None:
         """Stop the dispatch loops and unregister."""

@@ -280,7 +280,6 @@ class DataPath:
         request: RequestMessage,
         spec: OperationSpec,
         results: dict[str, Any],
-        staging: Callable[[str], str],
     ) -> tuple[dict[str, Any], tuple]:
         """Before the reply frame: ``(body values, reply dist_layouts)``."""
         raise NotImplementedError
@@ -341,13 +340,12 @@ class ThroughRootPath(DataPath):
             if slot.distributed
         }
 
-    def stage_results(self, ctx, request, spec, results, staging):
+    def stage_results(self, ctx, request, spec, results):
         values = dict(results)
         for slot in spec.reply_slots:
             if slot.distributed:
                 values[slot.name] = _gather(
-                    ctx.rts, ctx.rank, results[slot.name],
-                    staging(slot.name),
+                    ctx.rts, ctx.rank, results[slot.name], slot.name,
                 )
         return values, ()
 
@@ -449,7 +447,7 @@ class DirectPath(DataPath):
             )
         return placed
 
-    def stage_results(self, ctx, request, spec, results, staging):
+    def stage_results(self, ctx, request, spec, results):
         # Worked out deterministically on every rank: where each
         # returned distributed value lives server-side and lands
         # client-side.

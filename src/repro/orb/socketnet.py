@@ -341,16 +341,13 @@ class SocketFabric(Fabric):
             self._closed = True
             connections = list(self._connections.values())
             self._connections.clear()
-            ports = list(self._ports.values())
         self._loop.close()
         self._loop.join()
         self._server.close()
         self.governor.close()
         for sock in connections:
             sock.close()
-        for port in ports:
-            if not port.closed:
-                port.close()
+        super().close()
 
     def __enter__(self) -> "SocketFabric":
         return self

@@ -131,7 +131,10 @@ class Port:
         #: as if no upcall were set.  It must return promptly, never
         #: block and never raise — an event loop's other sockets wait
         #: on it, and the loop does not survive a stray exception.
-        self.upcall: Callable[[_Delivery], bool] | None = None
+        #: :meth:`close` calls it one last time with ``None``, on the
+        #: closing thread: nobody is parked in :meth:`recv` to see the
+        #: port go.
+        self.upcall: Callable[[_Delivery | None], bool] | None = None
 
     def _deposit(self, delivery: _Delivery) -> None:
         upcall = self.upcall
@@ -204,9 +207,13 @@ class Port:
 
     def close(self) -> None:
         with self._cond:
+            first = not self._closed
             self._closed = True
             self._cond.notify_all()
         self._fabric._unregister(self.address)
+        upcall = self.upcall
+        if first and upcall is not None:
+            upcall(None)
 
     @property
     def closed(self) -> bool:
@@ -283,6 +290,14 @@ class Fabric:
     def open_port_count(self) -> int:
         with self._lock:
             return len(self._ports)
+
+    def close(self) -> None:
+        """Close every port still open (a fabric with sockets and
+        threads of its own stops those first)."""
+        with self._lock:
+            ports = list(self._ports.values())
+        for port in ports:
+            port.close()
 
     def stats(self) -> dict[str, Any]:
         """This fabric's section of ``orb.stats()["fabric"]`` (the

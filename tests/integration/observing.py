@@ -4,7 +4,8 @@
   sees ``(src port, dest port, kind, nbytes)`` of every frame sent.
 - :class:`Recording` stands in for the RTS object (or communicator) of
   a ``ServantContext`` / ``ClientRuntime`` and logs the collectives
-  the engines ask of it, with the ``steps`` a gather/scatter moves.
+  the engines ask of it, with the ``steps`` a gather/scatter moves —
+  and, when asked, which thread made each call through it.
 
 Neither needs a line of engine code: what an invocation puts on the
 network and asks of its run-time system is all there is to a message
@@ -40,20 +41,28 @@ class Recording:
     for the collectives named in :data:`RECORDED` — ``steps`` is the
     schedule handed to ``gather_chunks``/``scatter_chunks``, ``None``
     otherwise (calls the wrapped object makes on itself are not seen:
-    one engine call, one entry)."""
+    one engine call, one entry).  With a ``callers`` set, *every*
+    method call through the delegate — point-to-point ones too — adds
+    ``(calling thread's name, method name)`` to it."""
 
-    def __init__(self, inner, log):
+    def __init__(self, inner, log, callers=None):
         self._inner = inner
         self._log = log
+        self._callers = callers
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
-        if name not in RECORDED:
+        if not callable(attr) or (
+            name not in RECORDED and self._callers is None
+        ):
             return attr
 
         def recorded(*args, **kw):
-            steps = args[1] if name.endswith("_chunks") else None
-            self._log.append((name, steps))
+            if self._callers is not None:
+                self._callers.add((threading.current_thread().name, name))
+            if name in RECORDED:
+                steps = args[1] if name.endswith("_chunks") else None
+                self._log.append((name, steps))
             return attr(*args, **kw)
 
         return recorded
@@ -76,7 +85,9 @@ def moves(log, name):
     ]
 
 
-def serve_recording(orb, servant_class, nthreads):
+def serve_recording(
+    orb, servant_class, nthreads, callers=None, **serve_options
+):
     """Activate ``servant_class`` as ``"example"`` with each rank's
     RTS and group communicator (the outcome votes go straight to the
     communicator) wrapped; returns the per-rank logs and the per-rank
@@ -87,9 +98,9 @@ def serve_recording(orb, servant_class, nthreads):
     def factory(ctx):
         contexts[ctx.rank] = ctx
         if ctx.rts is not None:
-            ctx.rts = Recording(ctx.rts, logs[ctx.rank])
-            ctx.comm = Recording(ctx.comm, logs[ctx.rank])
+            ctx.rts = Recording(ctx.rts, logs[ctx.rank], callers)
+            ctx.comm = Recording(ctx.comm, logs[ctx.rank], callers)
         return servant_class()
 
-    orb.serve("example", factory, nthreads)
+    orb.serve("example", factory, nthreads, **serve_options)
     return logs, contexts

@@ -8,10 +8,21 @@ that adds a vote or a barrier to either path fails here, not in a
 latency figure three PRs later.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro import ORB
+from repro.orb import request as wire
+from repro.orb.naming import NamingService
+from repro.orb.request import RequestMessage
+from repro.orb.socketnet import SocketFabric
+from repro.orb.transfer import plain_body_encoder, request_slots
+
 from tests.integration.observing import Recording, names, serve_recording
+from tests.orb.test_serial_upcall import _RawClient, _settled
+from tests.orb.test_server_fanin import _wait_for
 
 #: The pinned call is ``void diffusion(in long, inout darray)``: a plain
 #: argument, and a distributed one that travels in both directions, so
@@ -93,3 +104,83 @@ def test_serial_bind_costs_no_collectives(
     assert orb.run_spmd_client(2, client) == [[], []]
     assert contexts[0].rts is None and contexts[0].comm is None
     assert server_logs == {0: []}
+
+
+def test_a_retry_on_a_collective_group_is_rank_0s_business_alone(
+    idl, servant_class
+):
+    """With a reply cache, a retried request is answered by rank 0
+    from its queue: no peer hears of it, so the per-rank collective
+    lists stay identical — one invocation's worth per *execution* —
+    and a duplicate of a request still executing is dropped with its
+    admission slot given back."""
+    entered = threading.Semaphore(0)
+    gate = threading.Event()
+
+    class Gated(servant_class):
+        def validate(self, step):
+            entered.release()
+            gate.wait(timeout=20)
+
+    def frame(operation, request_id, values, reply_port):
+        slots = request_slots(idl.diff_object._operations[operation])
+        return RequestMessage(
+            request_id=request_id,
+            object_key="example",
+            operation=operation,
+            reply_port=reply_port,
+            body=plain_body_encoder(slots, values),
+        ).encode()
+
+    with SocketFabric("retry-server") as sf, SocketFabric("retry-client") as cf:
+        with ORB("retry", fabric=sf, naming=NamingService(), timeout=10.0) as orb:
+            logs, _ = serve_recording(
+                orb, Gated, 2, reply_cache_bytes=1 << 20
+            )
+            governor = sf.governor
+            raw = _RawClient(
+                cf, orb.naming.resolve("example").request_port
+            )
+
+            def admitted():
+                return governor.snapshot()["requests"]["admitted"]
+
+            def cache():
+                return orb.stats()["reply_caches"]["example"]
+
+            # Executed once...
+            scaled = frame("scaled", raw.request_id(1),
+                           {"factor": 3, "counter": 4}, raw.port.address)
+            raw.send(scaled)
+            first = raw.reply()
+            one_call = names(logs[0])
+            assert one_call and names(logs[1]) == one_call
+            # ...and replayed: same reply, no collective on any rank.
+            raw.send(scaled)
+            again = raw.reply()
+            assert (again.request_id, again.status, bytes(again.body)) == (
+                first.request_id, wire.STATUS_OK, bytes(first.body)
+            )
+            assert _wait_for(lambda: admitted() == 2 and _settled(governor))
+            assert cache()["replays"] == 1
+            assert names(logs[0]) == names(logs[1]) == one_call
+
+            # A duplicate of a request still executing on both ranks.
+            held = frame("validate", raw.request_id(2), {"step": 1},
+                         raw.port.address)
+            raw.send(held)
+            for _ in range(2):
+                assert entered.acquire(timeout=10)
+            raw.send(held)
+            assert _wait_for(lambda: admitted() == 4)
+            assert _wait_for(lambda: cache()["duplicates_dropped"] == 1)
+            assert _wait_for(
+                lambda: governor.snapshot()["requests"]["inflight"] == 1
+            )
+            gate.set()
+            assert raw.reply().request_id == raw.request_id(2)
+            assert _wait_for(lambda: _settled(governor))
+            # Two executions, four frames: the same list on each rank.
+            assert names(logs[0]) == names(logs[1])
+            assert names(logs[0]).count("synchronize") == 2
+            raw.port.close()

@@ -109,21 +109,37 @@ def _spy_decode_threads(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _threads_added_by(action):
+    before = set(threading.enumerate())
+    action()
+    return sorted(t.name for t in set(threading.enumerate()) - before)
+
+
 def test_serial_group_has_no_prefetch_thread(idl):
-    book = _Book()
+    """A group owns its rank threads, a serial one its dispatch
+    workers besides — nothing receives, relays or sends for it on a
+    thread of its own (ISSUE 23: a 4-rank group added 6 threads)."""
     with ORB("shape", timeout=10.0) as orb:
-        orb.serve("ledger", _factory(idl, book), nthreads=1)
-        names = _thread_names()
-        assert not [n for n in names if n.endswith(":prefetch")]
-        assert not [n for n in names if n.endswith(":reply")]
-        assert len([n for n in names if ":dispatch" in n]) == 4
-        # A collective group keeps both (its header relay and bounded
-        # read-ahead need the thread).
-        orb.serve("pair", _factory(idl, _Book()), nthreads=2)
-        names = _thread_names()
-        assert "server:pair:prefetch" in names
-        assert "server:pair:reply" in names
-        assert "server:ledger:prefetch" not in names
+        assert _threads_added_by(
+            lambda: orb.serve("ledger", _factory(idl, _Book()), nthreads=1)
+        ) == ["server:ledger-0"] + [
+            f"server:ledger:dispatch{i}" for i in range(4)
+        ]
+        assert _threads_added_by(
+            lambda: orb.serve("quad", _factory(idl, _Book()), nthreads=4)
+        ) == [f"server:quad-{rank}" for rank in range(4)]
+        # Serving requests starts none either.
+        runtime = orb.client_runtime(label="census")
+        before = set(threading.enumerate())
+        for name in ("ledger", "quad"):
+            proxy = idl.ledger._bind(name, runtime)
+            assert [proxy.post(i) for i in range(3)] == [0, 1, 2]
+        assert set(threading.enumerate()) == before
+        assert not [
+            n for n in _thread_names()
+            if n.endswith(":prefetch") or n.endswith(":reply")
+        ]
+        runtime.close()
 
 
 def test_pool_of_one_is_strictly_serial_and_still_a_pool(idl):
@@ -261,9 +277,7 @@ def test_per_client_fifo_on_every_fabric(
         server.shutdown()
         for fabric in {id(client_fabric): client_fabric,
                        id(server_fabric): server_fabric}.values():
-            close = getattr(fabric, "close", None)
-            if close is not None:
-                close()
+            fabric.close()
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +440,7 @@ def test_kill_makes_senders_see_transport_error(idl, fabric_kind):
             assert book.posted == [1]
             sender.close()
     finally:
-        close = getattr(fabric, "close", None)
-        if close is not None:
-            close()
+        fabric.close()
 
 
 def test_kill_over_tcp_is_a_drop_not_a_dead_loop(idl):

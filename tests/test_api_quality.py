@@ -144,13 +144,14 @@ ALLOWED_NONE_PROBES = {
 
 class TestNoCapabilityProbes:
     def test_core_and_orb_ask_none_default_getattr_only_where_allowed(self):
-        """A capability probe cannot grow back under ``repro.core`` or
-        ``repro.orb`` unnoticed: a new optional feature of a fabric,
-        naming object, runtime or group is a declared attribute with
-        a default, not a ``getattr(..., None)`` at each reader."""
+        """A capability probe cannot grow back under ``repro.core``,
+        ``repro.orb`` or ``repro.ft`` unnoticed: a new optional feature
+        of a fabric, naming object, runtime or group is a declared
+        attribute with a default, not a ``getattr(..., None)`` at each
+        reader."""
         root = pathlib.Path(repro.__path__[0])
         found = set()
-        for package in ("core", "orb"):
+        for package in ("core", "orb", "ft"):
             for path in sorted((root / package).glob("*.py")):
                 for node in ast.walk(ast.parse(path.read_text())):
                     if (
@@ -219,13 +220,23 @@ OPTION_BUDGET = {
 #: Deleted names, each spelled in two pieces so a word grep for it
 #: over the tree stays empty: the second event channel, then the
 #: counter stores and mirror hooks that ``Counter`` objects taken from
-#: the ORB's registry replaced.
+#: the ORB's registry replaced, then the two extra threads of a
+#: collective group (its receive/relay stage and its reply sender) with
+#: the queue bounds and staging rotation that existed for them.
 RETIRED_IDENTIFIERS = {
     "trac" "er",
     "ft_" "stats",
     "on_" "bump",
     "attach_" "metrics",
     "register_" "account",
+    "_Request" "Prefetcher",
+    "_Reply" "Sender",
+    "reply_" "sender",
+    "_staging_" "name",
+    "_staging_" "seq",
+    "_STAGING_" "ROTATION",
+    "_PREFETCH_" "DEPTH",
+    "_REPLY_QUEUE_" "DEPTH",
 }
 
 
