@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.cdr import typecodes as tc
 from repro.cdr.accounting import copied
+from repro.cdr.head import octet_run, octets
 from repro.cdr.typecodes import MarshalError, TypeCode
 
 _NATIVE_LITTLE = sys.byteorder == "little"
@@ -56,9 +57,7 @@ class CdrDecoder:
     """
 
     def __init__(self, data: Any, *, owned: bool = False) -> None:
-        view = memoryview(data)
-        if view.format != "B" or view.ndim != 1:
-            view = view.cast("B")
+        view = octets(data)
         self._data = view if owned else view.toreadonly()
         self._len = len(self._data)
         if self._len == 0:
@@ -96,20 +95,9 @@ class CdrDecoder:
     def read_octets(self, n: int) -> memoryview:
         """The next ``n`` octets as a view (no copy): read-only unless
         the stream is owned, writable and at most twice the run."""
-        pos = self._take(n)
-        run = self._data[pos : pos + n]
-        if not run.readonly and 2 * n < self._len:
-            return run.toreadonly()
+        run = octet_run(self._data, self._pos, n)
+        self._pos += n
         return run
-
-    def read_octet_run(self) -> memoryview:
-        """A nested stream or bulk payload: ``ulong`` length, zero pad
-        to an 8-aligned offset, the octets (inverse of
-        :meth:`CdrEncoder.begin_octet_run
-        <repro.cdr.encoder.CdrEncoder.begin_octet_run>`)."""
-        n = self.read_ulong()
-        self.align(8)
-        return self.read_octets(n)
 
     def _unpack(self, fmt: str, size: int) -> Any:
         self._pos += (-self._pos) % size
@@ -133,7 +121,10 @@ class CdrDecoder:
         if self._data[last] != 0:
             raise MarshalError("string is not NUL-terminated")
         copied(n - 1)
-        return str(self._data[pos:last], "utf-8")
+        try:
+            return str(self._data[pos:last], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise MarshalError(f"string is not UTF-8: {exc}") from None
 
     def read_boolean(self) -> bool:
         return self._data[self._take(1)] != 0

@@ -123,22 +123,6 @@ class CdrEncoder:
         self._segments.append(data)
         self._sealed_len += len(data)
 
-    def begin_octet_run(self, n: int) -> None:
-        """Head of a nested stream or bulk payload of ``n`` octets,
-        which the caller appends next: the ``ulong`` length, then zero
-        pad to an 8-aligned offset — so that, nesting by nesting, bulk
-        data lands aligned in the receiver's buffer and can be used in
-        place (GIOP 1.2 aligns message bodies for the same reason)."""
-        self.write_ulong(n)
-        self.align(8)
-
-    def append_encoder(self, other: "CdrEncoder") -> None:
-        """Append another encoder's whole stream (flag octet included)
-        by reference — the segment-aware replacement for
-        ``write_octets(other.getvalue())``."""
-        for segment in other.segments():
-            self.write_octets_view(segment)
-
     def _pack(self, fmt: str, size: int, value: Any) -> None:
         tail = self._tail  # align(size), inlined
         pad = (-(self._sealed_len + len(tail))) % size

@@ -486,6 +486,11 @@ class ClientProxy:
         #: (operation, slot name) → template spec for out/return
         #: distributed values (§2.2's client-side initialization).
         self._out_templates: dict[tuple[str, str], tuple] = {}
+        #: This binding's request-head templates, one per (object key,
+        #: operation, mode) it has invoked: the engine builds each at
+        #: first use and fills in only what a call varies.  They are
+        #: the proxy's, and go when it goes.
+        self._heads: dict[tuple[str, str, str], Any] = {}
 
     # -- binding -----------------------------------------------------------
 
@@ -811,6 +816,7 @@ class ClientProxy:
                 out_templates=out_map,
                 ft_policy=self._ft_policy,
                 on_degrade=self._on_degrade,
+                heads=self._heads,
             )
         return launch, label, site
 
@@ -876,6 +882,7 @@ class ClientProxy:
                     ft_policy=self._ft_policy,
                     on_degrade=self._on_degrade,
                     trace_id=trace_id,
+                    heads=self._heads,
                 )
             if state == "done":
                 return state, payload
@@ -994,6 +1001,7 @@ class ClientProxy:
                         ft_policy=self._ft_policy,
                         on_degrade=self._on_degrade,
                         trace_id=trace_id,
+                        heads=self._heads,
                     )
             except BaseException as nexc:  # noqa: BLE001 - loop classifies
                 last = nexc

@@ -26,27 +26,7 @@ from dataclasses import dataclass
 from repro.cdr.decoder import CdrDecoder
 from repro.cdr.encoder import CdrEncoder
 from repro.cdr.typecodes import MarshalError
-from repro.orb.transport import PortAddress
-
-
-def _write_address(enc: CdrEncoder, port) -> None:
-    """Shared address codec (see docs/protocol.md, "port encoding")."""
-    enc.write_ulong(port.port_id)
-    enc.write_string(port.label)
-    enc.write_string(getattr(port, "host", "") or "")
-    enc.write_ulong(getattr(port, "tcp_port", 0) or 0)
-
-
-def _read_address(dec: CdrDecoder):
-    port_id = dec.read_ulong()
-    label = dec.read_string()
-    host = dec.read_string()
-    tcp_port = dec.read_ulong()
-    if host:
-        from repro.orb.socketnet import SocketPortAddress
-
-        return SocketPortAddress(host, tcp_port, port_id, label)
-    return PortAddress(port_id, label)
+from repro.orb.transport import PortAddress, read_address, write_address
 
 
 @dataclass(frozen=True)
@@ -87,10 +67,10 @@ class ObjectReference:
         enc = CdrEncoder()
         enc.write_string(self.object_key)
         enc.write_string(self.repo_id)
-        _write_address(enc, self.request_port)
+        write_address(enc, self.request_port)
         enc.write_ulong(len(self.data_ports))
         for port in self.data_ports:
-            _write_address(enc, port)
+            write_address(enc, port)
         enc.write_ulong(len(self.param_templates))
         for (operation, param), spec in self.param_templates:
             enc.write_string(operation)
@@ -111,9 +91,9 @@ class ObjectReference:
             dec = CdrDecoder(binascii.unhexlify(text[4:]))
             object_key = dec.read_string()
             repo_id = dec.read_string()
-            request_port = _read_address(dec)
+            request_port = read_address(dec)
             nports = dec.read_ulong()
-            data_ports = tuple(_read_address(dec) for _ in range(nports))
+            data_ports = tuple(read_address(dec) for _ in range(nports))
             ntemplates = dec.read_ulong()
             templates = []
             for _ in range(ntemplates):

@@ -1,11 +1,14 @@
 """Request, reply and data-chunk wire messages (the GIOP role).
 
-Every message is a CDR stream.  The request header frames the opaque
-argument body produced by the transfer engine; for the multi-port
-method the header additionally carries, per distributed parameter, the
-client-side layout (local lengths), from which both sides compute the
-identical transfer schedule — this is the "information contained in
-the transfer header" of §3.3.
+Every message opens with a fixed-layout head (:mod:`repro.cdr.head`):
+one ``struct`` holding its ids, counts and lengths, its strings, a pad
+to 8.  Generic CDR walking starts only behind the first member whose
+*shape* varies: a request's data ports, layouts and templates — for
+the multi-port method, per distributed parameter, the client-side
+layout (local lengths), from which both sides compute the identical
+transfer schedule, the "information contained in the transfer header"
+of §3.3 — and a reply's layouts travel as a nested CDR stream behind
+the head, present only when one of their counts is non-zero.
 
 Every octet run that can carry bulk data — a request or reply body, a
 chunk payload — starts 8-aligned in its message (GIOP 1.2 aligns the
@@ -16,19 +19,35 @@ to its new owner, they pass that run on writable.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
+from repro.cdr.accounting import copied
 from repro.cdr.decoder import CdrDecoder
 from repro.cdr.encoder import CdrEncoder
+from repro.cdr.head import (
+    NATIVE_LITTLE,
+    HeadLayout,
+    octet_run,
+    octets,
+    padded,
+    text,
+)
 from repro.cdr.typecodes import MarshalError, TC_ULONGLONG as _TC_ULONGLONG
-from repro.orb.transport import PortAddress
+from repro.orb.transport import (
+    PortAddress,
+    address_from_wire,
+    read_address,
+    write_address,
+)
 
-#: Transfer modes on the wire.
+#: Transfer modes, in the order of their octet on the wire.
 MODE_CENTRALIZED = "centralized"
 MODE_MULTIPORT = "multiport"
+_MODES = (MODE_CENTRALIZED, MODE_MULTIPORT)
 
 #: Reply status codes.
 STATUS_OK = 0
@@ -39,40 +58,25 @@ STATUS_SYSTEM_EXCEPTION = 2
 PHASE_REQUEST = 0
 PHASE_REPLY = 1
 
-
-def _write_port(enc: CdrEncoder, port) -> None:
-    """Encode an address: in-process (:class:`PortAddress`) or TCP
-    (:class:`~repro.orb.socketnet.SocketPortAddress`); a null address
-    travels as port id 0."""
-    enc.write_ulong(0 if port is None else port.port_id)
-    enc.write_string("" if port is None else port.label)
-    enc.write_string(getattr(port, "host", "") or "")
-    enc.write_ulong(getattr(port, "tcp_port", 0) or 0)
-
-
-def _read_port(dec: CdrDecoder):
-    port_id = dec.read_ulong()
-    label = dec.read_string()
-    host = dec.read_string()
-    tcp_port = dec.read_ulong()
-    if port_id == 0:
-        return None
-    if host:
-        from repro.orb.socketnet import SocketPortAddress
-
-        return SocketPortAddress(host, tcp_port, port_id, label)
-    return PortAddress(port_id, label)
+# The fixed heads; docs/protocol.md has the offset tables.
+_REQUEST_HEAD = HeadLayout("B?xIQQIIIIII", strings=4)
+#: What one invocation varies of a request head — request id, trace
+#: id, the three counts, the body length — is contiguous, so a
+#: binding's template is completed with one ``pack`` between two
+#: constant runs.
+_REQUEST_VARYING = struct.Struct(("<" if NATIVE_LITTLE else ">") + "QQIIII")
+_REQUEST_VARYING_AT = 8
+_REPLY_HEAD = HeadLayout("3xIQII")
+_CHUNK_HEAD = HeadLayout("B2xIQQQII", strings=1)
 
 
-def _append_body(enc: CdrEncoder, body: Any) -> None:
-    """Length-prefix ``body`` and append it 8-aligned, without copying:
-    encoder bodies contribute their segments, buffers travel by
-    reference."""
-    enc.begin_octet_run(len(body))
+def _frame(head: bytes, body: Any) -> list[Any]:
+    """``head`` (8-aligned at its end) and then ``body`` as a buffer
+    list, nothing copied: an encoder body contributes its segments, a
+    buffer travels by reference."""
     if isinstance(body, CdrEncoder):
-        enc.append_encoder(body)
-    else:
-        enc.write_octets_view(body)
+        return [head, *body.segments()]
+    return [head, body]
 
 
 def _flatten(segments: list[Any]) -> bytes:
@@ -81,6 +85,87 @@ def _flatten(segments: list[Any]) -> bytes:
     return b"".join(
         s if isinstance(s, bytes) else bytes(s) for s in segments
     )
+
+
+class RequestHead:
+    """The head of the requests one binding sends for one operation.
+
+    Object key, operation, mode, reply port and client width are the
+    binding's, not the call's: their octets are built here, once, and
+    :meth:`segments` completes them with what a call varies.  A
+    :class:`RequestMessage` encodes through a head of its own, so there
+    is one request encoder.
+    """
+
+    def __init__(
+        self,
+        object_key: str,
+        operation: str,
+        mode: str = MODE_CENTRALIZED,
+        oneway: bool = False,
+        reply_port: Any = None,
+        client_nthreads: int = 1,
+    ) -> None:
+        if mode not in _MODES:
+            raise MarshalError(f"unknown transfer mode {mode!r}")
+        port_id, tcp_port, host, label = (
+            (0, 0, b"", b"") if reply_port is None else reply_port.wire
+        )
+        head = _REQUEST_HEAD.encode(
+            (
+                _MODES.index(mode), oneway, client_nthreads,
+                0, 0, 0, 0, 0, 0, port_id, tcp_port,
+            ),
+            (
+                object_key.encode("utf-8"), operation.encode("utf-8"),
+                host, label,
+            ),
+        )
+        self._before = head[:_REQUEST_VARYING_AT]
+        self._after = head[_REQUEST_VARYING_AT + _REQUEST_VARYING.size :]
+
+    def segments(
+        self,
+        request_id: int,
+        trace_id: int,
+        body: Any,
+        client_data_ports: tuple = (),
+        dist_layouts: tuple = (),
+        out_templates: tuple = (),
+    ) -> list[Any]:
+        """One request's wire form as a buffer list (no payload
+        flatten); the arguments are :class:`RequestMessage`'s fields
+        of the same names."""
+        try:
+            varying = _REQUEST_VARYING.pack(
+                request_id, trace_id, len(client_data_ports),
+                len(dist_layouts), len(out_templates), len(body),
+            )
+        except struct.error as exc:
+            raise MarshalError(f"cannot marshal head: {exc}") from None
+        copied(len(self._after))
+        head = self._before + varying + self._after
+        if client_data_ports or dist_layouts or out_templates:
+            # A CDR stream nested at an 8-aligned offset aligns as its
+            # message does; its own pad keeps what follows 8-aligned.
+            tail = CdrEncoder()
+            for port in client_data_ports:
+                write_address(tail, port)
+            for name, lengths in dist_layouts:
+                tail.write_string(name)
+                tail.write_ulong(len(lengths))
+                for length in lengths:
+                    tail.write(_TC_ULONGLONG, int(length))
+            for name, spec in out_templates:
+                tail.write_string(name)
+                tail.write_string(spec[0])
+                weights = spec[1] if len(spec) > 1 else ()
+                tail.write_ulong(len(weights))
+                for weight in weights:
+                    tail.write_ulong(int(weight))
+            tail.align(8)
+            head += tail.getvalue()
+        return _frame(head, body)
 
 
 @dataclass(frozen=True)
@@ -115,34 +200,13 @@ class RequestMessage:
 
     def encode_segments(self) -> list[Any]:
         """The wire form as a buffer list (no payload flatten)."""
-        enc = CdrEncoder()
-        enc.write(_TC_ULONGLONG, self.request_id)
-        enc.write(_TC_ULONGLONG, self.trace_id)
-        enc.write_string(self.object_key)
-        enc.write_string(self.operation)
-        enc.write_string(self.mode)
-        enc.write_boolean(self.oneway)
-        _write_port(enc, self.reply_port)
-        enc.write_ulong(self.client_nthreads)
-        enc.write_ulong(len(self.client_data_ports))
-        for port in self.client_data_ports:
-            _write_port(enc, port)
-        enc.write_ulong(len(self.dist_layouts))
-        for name, lengths in self.dist_layouts:
-            enc.write_string(name)
-            enc.write_ulong(len(lengths))
-            for length in lengths:
-                enc.write(_TC_ULONGLONG, int(length))
-        enc.write_ulong(len(self.out_templates))
-        for name, spec in self.out_templates:
-            enc.write_string(name)
-            enc.write_string(spec[0])
-            weights = spec[1] if len(spec) > 1 else ()
-            enc.write_ulong(len(weights))
-            for weight in weights:
-                enc.write_ulong(int(weight))
-        _append_body(enc, self.body)
-        return enc.segments()
+        return RequestHead(
+            self.object_key, self.operation, self.mode, self.oneway,
+            self.reply_port, self.client_nthreads,
+        ).segments(
+            self.request_id, self.trace_id, self.body,
+            self.client_data_ports, self.dist_layouts, self.out_templates,
+        )
 
     def encode(self) -> bytes:
         return _flatten(self.encode_segments())
@@ -166,10 +230,9 @@ class RequestMessage:
         return None
 
 
-@dataclass(frozen=True)
-class RequestRouting:
-    """The head of a request frame — just the fields server-side
-    admission control and backpressure need, decoded without touching
+class RequestRouting(NamedTuple):
+    """The head of a request frame, decoded: what server-side
+    admission control and backpressure need, read without touching
     the data ports, layouts, templates or body."""
 
     request_id: int
@@ -177,11 +240,15 @@ class RequestRouting:
     operation: str
     oneway: bool
     reply_port: PortAddress | None
-    #: The rest of what the head holds, and the stream offset it ends
-    #: at: :func:`decode_request` handed a routing resumes there
-    #: instead of decoding the head a second time.
+    #: The rest of what the head holds, and the offset it ends at:
+    #: :func:`decode_request` handed a routing resumes there instead
+    #: of decoding the head a second time.
     object_key: str = ""
     mode: str = MODE_CENTRALIZED
+    client_nthreads: int = 1
+    #: How much follows the head: data ports, layouts, templates,
+    #: body octets.
+    counts: tuple[int, int, int, int] = (0, 0, 0, 0)
     resume_at: int = 0
 
     @property
@@ -190,44 +257,45 @@ class RequestRouting:
         return self.request_id >> 32
 
 
-def _read_head(dec: CdrDecoder) -> RequestRouting:
-    """Decode a request frame through its reply port (``dec`` fresh:
-    only the flag octet read)."""
-    size = dec.remaining + 1
-    request_id = int(dec.read(_TC_ULONGLONG))
-    trace_id = int(dec.read(_TC_ULONGLONG))
-    object_key = dec.read_string()
-    operation = dec.read_string()
-    mode = dec.read_string()
-    if mode not in (MODE_CENTRALIZED, MODE_MULTIPORT):
-        raise MarshalError(f"unknown transfer mode {mode!r}")
-    oneway = dec.read_boolean()
-    reply_port = _read_port(dec)
+def _read_head(view: memoryview) -> RequestRouting:
+    """Decode the head of a request frame: one ``unpack``, its four
+    strings, and not an octet further."""
+    fields, (key, operation, host, label), end = _REQUEST_HEAD.decode(view)
+    (
+        _flag, mode, oneway, client_nthreads, request_id, trace_id,
+        nports, nlayouts, ntemplates, body_n, port_id, tcp_port,
+    ) = fields
+    if mode >= len(_MODES):
+        raise MarshalError(f"unknown transfer mode {mode}")
     return RequestRouting(
-        request_id=request_id,
-        trace_id=trace_id,
-        operation=operation,
-        oneway=oneway,
-        reply_port=reply_port,
-        object_key=object_key,
-        mode=mode,
-        resume_at=size - dec.remaining,
+        request_id,
+        trace_id,
+        text(operation),
+        oneway,
+        address_from_wire(port_id, tcp_port, host, label)
+        if port_id else None,
+        text(key),
+        _MODES[mode],
+        client_nthreads,
+        (nports, nlayouts, ntemplates, body_n),
+        end,
     )
 
 
 def peek_request(data: Any) -> RequestRouting | None:
     """Partially decode a request frame for admission decisions.
 
-    Reads only through the reply port — a few dozen bytes — so the
-    event loop can attribute a frame to a client identity and decide
-    admission before the full (possibly large) message is decoded by
-    the dispatch layer.  Returns ``None`` for anything that is not a
-    well-formed request head; such frames are delivered unaccounted
-    and dropped downstream like any other garbage.
+    Reads only the fixed head and its strings — one ``unpack`` and a
+    few dozen octets — so the event loop can attribute a frame to a
+    client identity and decide admission before the full (possibly
+    large) message is decoded by the dispatch layer.  Returns ``None``
+    for anything that is not a well-formed request head; such frames
+    are delivered unaccounted and dropped downstream like any other
+    garbage.
     """
     try:
-        return _read_head(CdrDecoder(data))
-    except Exception:
+        return _read_head(octets(data))
+    except MarshalError:
         return None
 
 
@@ -240,37 +308,27 @@ def decode_request(
     frame (or a byte-for-byte copy of it): the decode then starts
     where the peek stopped.
     """
-    dec = CdrDecoder(data, owned=True)
+    view = octets(data)
     if head is None:
-        head = _read_head(dec)
-    else:
-        dec.read_octets(head.resume_at - 1)  # flag octet already read
-    client_nthreads = dec.read_ulong()
-    nports = dec.read_ulong()
-    ports = []
-    for _ in range(nports):
-        port = _read_port(dec)
-        if port is None:
+        head = _read_head(view)
+    nports, nlayouts, ntemplates, body_n = head.counts
+    pos = head.resume_at
+    ports: tuple = ()
+    layouts: tuple = ()
+    out_templates: tuple = ()
+    if nports or nlayouts or ntemplates:
+        dec = CdrDecoder(view[pos:])
+        ports = tuple(read_address(dec) for _ in range(nports))
+        if not all(port.port_id for port in ports):
             raise MarshalError("null client data port")
-        ports.append(port)
-    nlayouts = dec.read_ulong()
-    layouts = []
-    for _ in range(nlayouts):
-        name = dec.read_string()
-        count = dec.read_ulong()
-        lengths = tuple(int(dec.read(_TC_ULONGLONG)) for _ in range(count))
-        layouts.append((name, lengths))
-    ntemplates = dec.read_ulong()
-    out_templates = []
-    for _ in range(ntemplates):
-        name = dec.read_string()
-        kind = dec.read_string()
-        nweights = dec.read_ulong()
-        weights = tuple(dec.read_ulong() for _ in range(nweights))
-        out_templates.append(
-            (name, (kind,) if not weights else (kind, weights))
+        layouts = tuple(
+            (dec.read_string(), _read_lengths(dec))
+            for _ in range(nlayouts)
         )
-    body = dec.read_octet_run()
+        out_templates = tuple(
+            _read_template(dec) for _ in range(ntemplates)
+        )
+        pos = padded(len(view) - dec.remaining)
     return RequestMessage(
         request_id=head.request_id,
         trace_id=head.trace_id,
@@ -279,12 +337,25 @@ def decode_request(
         mode=head.mode,
         oneway=head.oneway,
         reply_port=head.reply_port,
-        client_nthreads=client_nthreads,
-        client_data_ports=tuple(ports),
-        dist_layouts=tuple(layouts),
-        out_templates=tuple(out_templates),
-        body=body,
+        client_nthreads=head.client_nthreads,
+        client_data_ports=ports,
+        dist_layouts=layouts,
+        out_templates=out_templates,
+        body=octet_run(view, pos, body_n),
     )
+
+
+def _read_lengths(dec: CdrDecoder) -> tuple[int, ...]:
+    count = dec.read_ulong()
+    return tuple(int(dec.read(_TC_ULONGLONG)) for _ in range(count))
+
+
+def _read_template(dec: CdrDecoder) -> tuple[str, tuple]:
+    name = dec.read_string()
+    kind = dec.read_string()
+    nweights = dec.read_ulong()
+    weights = tuple(dec.read_ulong() for _ in range(nweights))
+    return name, ((kind,) if not weights else (kind, weights))
 
 
 @dataclass(frozen=True)
@@ -305,18 +376,22 @@ class ReplyMessage:
 
     def encode_segments(self) -> list[Any]:
         """The wire form as a buffer list (no payload flatten)."""
-        enc = CdrEncoder()
-        enc.write(_TC_ULONGLONG, self.request_id)
-        enc.write_ulong(self.status)
-        enc.write_ulong(len(self.dist_layouts))
-        for name, client_lengths, server_lengths in self.dist_layouts:
-            enc.write_string(name)
-            for lengths in (client_lengths, server_lengths):
-                enc.write_ulong(len(lengths))
-                for length in lengths:
-                    enc.write(_TC_ULONGLONG, int(length))
-        _append_body(enc, self.body)
-        return enc.segments()
+        fields = (
+            self.status, self.request_id, len(self.dist_layouts),
+            len(self.body),
+        )
+        head = _REPLY_HEAD.encode(fields)
+        if self.dist_layouts:
+            tail = CdrEncoder()
+            for name, client_lengths, server_lengths in self.dist_layouts:
+                tail.write_string(name)
+                for lengths in (client_lengths, server_lengths):
+                    tail.write_ulong(len(lengths))
+                    for length in lengths:
+                        tail.write(_TC_ULONGLONG, int(length))
+            tail.align(8)
+            head += tail.getvalue()
+        return _frame(head, self.body)
 
     def encode(self) -> bytes:
         return _flatten(self.encode_segments())
@@ -332,32 +407,28 @@ class ReplyMessage:
 
 def decode_reply(data: bytes) -> ReplyMessage:
     """Parse a reply message off the wire."""
-    dec = CdrDecoder(data, owned=True)
-    request_id = int(dec.read(_TC_ULONGLONG))
-    status = dec.read_ulong()
+    view = octets(data)
+    fields, _strings, pos = _REPLY_HEAD.decode(view)
+    _flag, status, request_id, nlayouts, body_n = fields
     if status not in (
         STATUS_OK,
         STATUS_USER_EXCEPTION,
         STATUS_SYSTEM_EXCEPTION,
     ):
         raise MarshalError(f"unknown reply status {status}")
-    nlayouts = dec.read_ulong()
-    layouts = []
-    for _ in range(nlayouts):
-        name = dec.read_string()
-        pair = []
-        for _side in range(2):
-            count = dec.read_ulong()
-            pair.append(
-                tuple(int(dec.read(_TC_ULONGLONG)) for _ in range(count))
-            )
-        layouts.append((name, pair[0], pair[1]))
-    body = dec.read_octet_run()
+    layouts: tuple = ()
+    if nlayouts:
+        dec = CdrDecoder(view[pos:])
+        layouts = tuple(
+            (dec.read_string(), _read_lengths(dec), _read_lengths(dec))
+            for _ in range(nlayouts)
+        )
+        pos = padded(len(view) - dec.remaining)
     return ReplyMessage(
         request_id=request_id,
         status=status,
-        body=body,
-        dist_layouts=tuple(layouts),
+        body=octet_run(view, pos, body_n),
+        dist_layouts=layouts,
     )
 
 
@@ -380,16 +451,12 @@ class DataChunk:
     def encode_segments(self) -> list[Any]:
         """The wire form as a buffer list — the payload view rides
         along by reference, so a chunk send never copies the data."""
-        enc = CdrEncoder()
-        enc.write(_TC_ULONGLONG, self.request_id)
-        enc.write_string(self.param)
-        enc.write_ulong(self.phase)
-        enc.write_ulong(self.src_rank)
-        enc.write_ulong(self.dst_rank)
-        enc.write(_TC_ULONGLONG, self.global_lo)
-        enc.write(_TC_ULONGLONG, self.global_hi)
-        _append_body(enc, self.payload)
-        return enc.segments()
+        fields = (
+            self.phase, len(self.payload), self.request_id,
+            self.global_lo, self.global_hi, self.src_rank, self.dst_rank,
+        )
+        head = _CHUNK_HEAD.encode(fields, (self.param.encode("utf-8"),))
+        return _frame(head, self.payload)
 
     def encode(self) -> bytes:
         return _flatten(self.encode_segments())
@@ -411,26 +478,23 @@ class DataChunk:
 
 def decode_chunk(data: bytes) -> DataChunk:
     """Parse a data-chunk message off the wire."""
-    dec = CdrDecoder(data, owned=True)
-    request_id = int(dec.read(_TC_ULONGLONG))
-    param = dec.read_string()
-    phase = dec.read_ulong()
+    view = octets(data)
+    fields, (param,), end = _CHUNK_HEAD.decode(view)
+    (
+        _flag, phase, payload_n, request_id, global_lo, global_hi,
+        src_rank, dst_rank,
+    ) = fields
     if phase not in (PHASE_REQUEST, PHASE_REPLY):
         raise MarshalError(f"unknown chunk phase {phase}")
-    src_rank = dec.read_ulong()
-    dst_rank = dec.read_ulong()
-    global_lo = int(dec.read(_TC_ULONGLONG))
-    global_hi = int(dec.read(_TC_ULONGLONG))
     if global_hi < global_lo:
         raise MarshalError("chunk range is inverted")
-    payload = dec.read_octet_run()
     return DataChunk(
         request_id=request_id,
-        param=param,
+        param=text(param),
         phase=phase,
         src_rank=src_rank,
         dst_rank=dst_rank,
         global_lo=global_lo,
         global_hi=global_hi,
-        payload=payload,
+        payload=octet_run(view, end, payload_n),
     )

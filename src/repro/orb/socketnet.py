@@ -23,12 +23,14 @@ completes a true multi-process deployment — see
 ``examples/two_process_demo.py``.
 
 Wire framing (per message, after a 4-byte big-endian length prefix) is
-a CDR stream: destination port id, source address (host, tcp port,
-port id, label), kind, payload octets — the payload 8-aligned in the
-stream, so bulk data lands aligned in a frame buffer and can be used
-where it lies (``docs/protocol.md``; both ends of a connection must
-run this framing).  Nothing here is pickled off the wire, so a hostile
-peer can at worst produce a :class:`~repro.cdr.typecodes.MarshalError`.
+one fixed-layout head (:mod:`repro.cdr.head`) — destination port id,
+payload length, source address (tcp port, port id; host, label), kind
+— then the payload octets, 8-aligned in the frame, so bulk data lands
+aligned in a frame buffer and can be used where it lies
+(``docs/protocol.md``; both ends of a connection must run this
+framing).  Nothing here is pickled off the wire, so a hostile peer can
+at worst produce a :class:`~repro.cdr.typecodes.MarshalError`, which
+costs it that frame.
 """
 
 from __future__ import annotations
@@ -39,14 +41,12 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.cdr.accounting import copied
-from repro.cdr.decoder import CdrDecoder
-from repro.cdr.encoder import CdrEncoder
+from repro.cdr.head import HeadLayout, octet_run, text
 from repro.cdr.typecodes import MarshalError
 from repro.orb import request as wire
 from repro.orb.server import KIND_BUSY, ServerConfig, ServerGovernor
@@ -55,8 +55,10 @@ from repro.orb.transport import (
     KIND_REQUEST,
     Fabric,
     Port,
+    SocketPortAddress,
     TransportError,
     _Delivery,
+    address_from_wire,
     check_payload,
     flatten_payload,
 )
@@ -66,21 +68,10 @@ _LENGTH = struct.Struct(">I")
 _MAX_FRAME = 256 * 1024 * 1024
 
 
-@dataclass(frozen=True, order=True)
-class SocketPortAddress:
-    """A routable address: TCP endpoint plus local port id."""
-
-    host: str
-    tcp_port: int
-    port_id: int
-    label: str = field(compare=False, default="")
-
-    def __repr__(self) -> str:
-        return (
-            f"<port {self.host}:{self.tcp_port}/{self.port_id} "
-            f"{self.label!r}>"
-        )
-
+#: The frame envelope: destination port id, payload length, source tcp
+#: port and port id; source host, source label, kind (docs/protocol.md,
+#: "TCP framing").
+_ENVELOPE = HeadLayout("3xIIII", strings=3)
 
 #: Synthetic address meters see for frames dropped before any port is
 #: known (oversized / malformed framing on the reader side).
@@ -258,20 +249,31 @@ class SocketFabric(Fabric):
     ) -> list[Any]:
         """The frame as a buffer list: large payload segments ride
         along by reference for the vectored write."""
-        enc = CdrEncoder()
-        enc.write_ulong(dest.port_id)
-        enc.write_string(src.host)
-        enc.write_ulong(src.tcp_port)
-        enc.write_ulong(src.port_id)
-        enc.write_string(src.label)
-        enc.write_string(kind)
-        enc.begin_octet_run(nbytes)
+        port_id, tcp_port, host, label = src.wire
+        head = _ENVELOPE.encode(
+            (dest.port_id, nbytes, tcp_port, port_id),
+            (host, label, kind.encode("utf-8")),
+        )
         if isinstance(payload, (list, tuple)):
-            for segment in payload:
-                enc.write_octets_view(segment)
-        else:
-            enc.write_octets_view(payload)
-        return enc.segments()
+            return [head, *payload]
+        return [head, payload]
+
+    @staticmethod
+    def _decode_frame(
+        frame: memoryview,
+    ) -> tuple[int, Any, str, Any]:
+        """Inverse of :meth:`_encode_frame`: destination port id,
+        source address, kind, payload — the payload a view of
+        ``frame``, writable by the owned-stream rule
+        (:func:`~repro.cdr.head.octet_run`)."""
+        fields, (host, label, kind), end = _ENVELOPE.decode(frame)
+        _flag, dest_port_id, nbytes, tcp_port, port_id = fields
+        return (
+            dest_port_id,
+            address_from_wire(port_id, tcp_port, host, label),
+            text(kind),
+            octet_run(frame, end, nbytes),
+        )
 
     def _deliver_local(
         self,
@@ -704,17 +706,9 @@ class _ServerLoop:
         fabric = self._fabric
         # A dedicated buffer was allocated for this frame alone, and
         # the loop drops it on delivery: its payload is delivered
-        # writable, which tells the receiver it owns the memory.
-        dec = CdrDecoder(frame, owned=not conn.pooled)
-        dest_port_id = dec.read_ulong()
-        src = SocketPortAddress(
-            host=dec.read_string(),
-            tcp_port=dec.read_ulong(),
-            port_id=dec.read_ulong(),
-            label=dec.read_string(),
-        )
-        kind = dec.read_string()
-        payload: Any = dec.read_octet_run()
+        # writable, which tells the receiver it owns the memory.  A
+        # pooled one is copied out of below.
+        dest_port_id, src, kind, payload = fabric._decode_frame(frame)
         governor = self._governor
         routing = None
         if (

@@ -69,7 +69,7 @@ from repro.orb.operation import (
     find_exception_class,
 )
 from repro.orb.reference import ObjectReference
-from repro.orb.request import DataChunk, ReplyMessage, RequestMessage
+from repro.orb.request import DataChunk, ReplyMessage, RequestHead
 from repro.orb.transport import (
     KIND_DATA,
     KIND_REPLY,
@@ -885,11 +885,13 @@ def invoke(
     ft_policy: Any = None,
     on_degrade: Any = None,
     trace_id: int | None = None,
+    heads: dict | None = None,
 ) -> Any:
     """One complete invocation: send, then wait for the reply."""
     kind, payload = invoke_begin(
         runtime, ref, spec, args, path, out_templates,
         ft_policy=ft_policy, on_degrade=on_degrade, trace_id=trace_id,
+        heads=heads,
     )
     return payload if kind == "done" else payload()
 
@@ -904,6 +906,7 @@ def invoke_begin(
     ft_policy: Any = None,
     on_degrade: Any = None,
     trace_id: int | None = None,
+    heads: dict | None = None,
 ) -> tuple[str, Any]:
     """The client side of an invocation, by either transfer method:
     put the request on the wire; defer the reply.
@@ -925,6 +928,10 @@ def invoke_begin(
     ``ft_policy`` overrides the runtime's fault-tolerance policy for
     this invocation; ``on_degrade(fallback)`` is called (once, on every
     rank) if the invocation falls back to another data path midway.
+    ``heads`` is the calling binding's own store of request-head
+    templates (:class:`~repro.orb.request.RequestHead`), keyed by
+    object, operation and mode: rank 0 builds the one it needs at first
+    use and leaves it there for the binding's next call.
     """
     if path.receipt_is_rank_local and not ref.multiport_capable:
         raise RemoteError(
@@ -943,6 +950,8 @@ def invoke_begin(
         for s in slots
         if s.distributed
     }
+    if heads is None:
+        heads = {}
     rts = runtime.rts
     root = runtime.rank == 0
     # "On invocation, the computing threads of the client first
@@ -993,19 +1002,16 @@ def invoke_begin(
         values, header_fields = path.stage_arguments(inv)
         if root:
             body = path.body_encoder(slots, values)
-            message = RequestMessage(
-                request_id=request_id,
-                trace_id=ctl.trace_id,
-                object_key=ref.object_key,
-                operation=spec.name,
-                mode=path.mode,
-                oneway=spec.oneway,
-                reply_port=(
-                    None if spec.oneway else runtime.reply_port.address
-                ),
-                client_nthreads=runtime.size,
-                body=body,
-                **header_fields,
+            key = (ref.object_key, spec.name, path.mode)
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = RequestHead(
+                    ref.object_key, spec.name, path.mode, spec.oneway,
+                    None if spec.oneway else runtime.reply_port.address,
+                    runtime.size,
+                )
+            segments = head.segments(
+                request_id, ctl.trace_id, body, **header_fields
             )
             enc_span.note(nbytes=len(body))
         enc_span.end()
@@ -1017,9 +1023,7 @@ def invoke_begin(
             if root:
                 xfer_span.note(nbytes=len(body))
                 runtime.reply_port.send(
-                    ref.request_port,
-                    message.encode_segments(),
-                    KIND_REQUEST,
+                    ref.request_port, segments, KIND_REQUEST
                 )
             kind = "unreachable"
             path.ship_arguments(inv)
@@ -1160,7 +1164,7 @@ def invoke_begin(
                     return invoke(
                         runtime, ref, spec, args, path.fallback,
                         out_templates, ft_policy=ctl.policy,
-                        trace_id=ctl.trace_id,
+                        trace_id=ctl.trace_id, heads=heads,
                     )
             ctl.raise_failure(failure)
 

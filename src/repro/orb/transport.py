@@ -23,9 +23,11 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Any, Callable
 
 from repro.cdr.accounting import copied
+from repro.cdr.head import text
 
 #: Message kinds understood by the ORB layers.
 KIND_REQUEST = "request"
@@ -48,25 +50,33 @@ class TransportTimeout(TransportError):
     """
 
 
+def _octets(buffer: Any) -> int:
+    """Length in octets of one buffer of a payload.  A ``memoryview``
+    is sized by ``len`` — its *items* — everywhere downstream, so only
+    a flat view of octets is accepted as one."""
+    if isinstance(buffer, memoryview):
+        if buffer.format == "B" and buffer.ndim == 1 and buffer.contiguous:
+            return len(buffer)
+    elif isinstance(buffer, (bytes, bytearray)):
+        return len(buffer)
+    raise TransportError(
+        "transport carries marshaled bytes only (a memoryview must be "
+        f"flat, contiguous, format 'B'); got {type(buffer).__name__}"
+    )
+
+
 def check_payload(payload: Any) -> int:
     """Validate a send payload and return its total byte length.
 
     Payloads are marshaled bytes: one buffer (bytes / bytearray /
-    memoryview) or a list/tuple of such buffers — the segment form
-    produced by the zero-copy encoders, which vectored transports send
-    without joining.  The sender must not mutate a payload after
-    handing it to the fabric (zero-copy contract).
+    memoryview of octets) or a list/tuple of such buffers — the
+    segment form produced by the zero-copy encoders, which vectored
+    transports send without joining.  The sender must not mutate a
+    payload after handing it to the fabric (zero-copy contract).
     """
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        return len(payload)
-    if isinstance(payload, (list, tuple)) and all(
-        isinstance(p, (bytes, bytearray, memoryview)) for p in payload
-    ):
-        return sum(len(p) for p in payload)
-    raise TransportError(
-        "transport carries marshaled bytes only; got "
-        f"{type(payload).__name__}"
-    )
+    if isinstance(payload, (list, tuple)):
+        return sum(map(_octets, payload))
+    return _octets(payload)
 
 
 def flatten_payload(payload: Any) -> Any:
@@ -88,6 +98,15 @@ def flatten_payload(payload: Any) -> Any:
     return memoryview(payload).toreadonly()
 
 
+def _wire(address: Any) -> tuple[int, int, bytes, bytes]:
+    return (
+        address.port_id,
+        address.tcp_port,
+        address.host.encode("utf-8"),
+        address.label.encode("utf-8"),
+    )
+
+
 @dataclass(frozen=True, order=True)
 class PortAddress:
     """A routable address: fabric-unique id plus a debugging label."""
@@ -95,8 +114,69 @@ class PortAddress:
     port_id: int
     label: str = field(compare=False, default="")
 
+    #: The in-process fabric has no endpoint; on the wire that reads
+    #: as an empty host (see :func:`address_from_wire`).
+    host = ""
+    tcp_port = 0
+
+    #: What a message head carries of an address — ``(port_id,
+    #: tcp_port, host, label)``, the strings as UTF-8 — encoded once
+    #: per address, not once per frame.
+    wire = cached_property(_wire)
+
     def __repr__(self) -> str:
         return f"<port {self.port_id} {self.label!r}>"
+
+
+@dataclass(frozen=True, order=True)
+class SocketPortAddress:
+    """A routable address: TCP endpoint plus local port id
+    (:mod:`repro.orb.socketnet`)."""
+
+    host: str
+    tcp_port: int
+    port_id: int
+    label: str = field(compare=False, default="")
+
+    wire = cached_property(_wire)
+
+    def __repr__(self) -> str:
+        return (
+            f"<port {self.host}:{self.tcp_port}/{self.port_id} "
+            f"{self.label!r}>"
+        )
+
+
+@lru_cache(maxsize=256)
+def address_from_wire(
+    port_id: int, tcp_port: int, host: bytes, label: bytes
+) -> PortAddress | SocketPortAddress:
+    """Inverse of an address's ``wire``: routable over TCP when it has
+    a host, process-local otherwise.  A peer names the same few
+    addresses in every frame, so the decoded objects are interned —
+    behind a bounded table, keyed by what was on the wire."""
+    if host:
+        return SocketPortAddress(text(host), tcp_port, port_id, text(label))
+    return PortAddress(port_id, text(label))
+
+
+def write_address(enc: Any, address: Any) -> None:
+    """An address as CDR, where one travels behind a head or in an
+    IOR (docs/protocol.md, "port encoding")."""
+    enc.write_ulong(address.port_id)
+    enc.write_string(address.label)
+    enc.write_string(address.host)
+    enc.write_ulong(address.tcp_port)
+
+
+def read_address(dec: Any) -> PortAddress | SocketPortAddress:
+    """Inverse of :func:`write_address`."""
+    port_id = dec.read_ulong()
+    label = dec.read_string()
+    host = dec.read_string()
+    return address_from_wire(
+        port_id, dec.read_ulong(), host.encode("utf-8"), label.encode("utf-8")
+    )
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """The CDR codec as it stood before the primitives were compiled
-(ISSUE 15) — kept as the reference (one contract change mirrored
-since: ``owned=`` replaced ``copy_arrays=``, ISSUE 21)
+(ISSUE 15) — kept as the reference (two contract changes mirrored
+since: ``owned=`` replaced ``copy_arrays=``, ISSUE 21; bad UTF-8 in a
+string is a ``MarshalError`` like every other malformed input, ISSUE 24)
 ``test_primitive_equivalence.py`` compares the shipped codec against:
 same bytes, same values, same ``MarshalError`` messages, same
 copy-account totals.  Test-only; nothing in ``src/`` imports it.
@@ -17,6 +18,8 @@ import numpy as np
 from repro.cdr import typecodes as tc
 from repro.cdr.accounting import copied
 from repro.cdr.typecodes import MarshalError, TypeCode
+from repro.orb.request import DataChunk, ReplyMessage, RequestMessage
+from repro.orb.transport import PortAddress, SocketPortAddress
 
 _NATIVE_LITTLE = sys.byteorder == "little"
 
@@ -327,7 +330,10 @@ class ReferenceDecoder:
         if raw[-1] != 0:
             raise MarshalError("string is not NUL-terminated")
         copied(n - 1)
-        return bytes(raw[:-1]).decode("utf-8")
+        try:
+            return bytes(raw[:-1]).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MarshalError(f"string is not UTF-8: {exc}") from None
 
     def read_boolean(self) -> bool:
         return self.read_octets(1) != b"\0"
@@ -419,3 +425,236 @@ class ReferenceDecoder:
                 return arr.astype(bool)
             return arr
         return [self.read(element) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# The message heads as CDR streams, as ``repro.orb.request`` and
+# ``SocketFabric._encode_frame`` / ``_ServerLoop._deliver`` wrote and
+# read them before the fixed-layout heads (ISSUE 24): every field one
+# primitive, every string ``ulong length`` + octets + NUL.  Kept as the
+# reference ``tests/orb/test_fixed_heads.py`` compares the shipped
+# codec against, field for field.
+# ---------------------------------------------------------------------------
+
+_TC_ULONGLONG = tc.TC_ULONGLONG
+_MODES = ("centralized", "multiport")
+
+
+def _begin_octet_run(enc: ReferenceEncoder, n: int) -> None:
+    enc.write_ulong(n)
+    enc.align(8)
+
+
+def _read_octet_run(dec: ReferenceDecoder) -> memoryview:
+    n = dec.read_ulong()
+    dec.align(8)
+    return dec.read_octets(n)
+
+
+def _append_body(enc: ReferenceEncoder, body: Any) -> None:
+    _begin_octet_run(enc, len(body))
+    enc.write_octets_view(bytes(body))
+
+
+def _write_port(enc: ReferenceEncoder, port: Any) -> None:
+    enc.write_ulong(0 if port is None else port.port_id)
+    enc.write_string("" if port is None else port.label)
+    enc.write_string(getattr(port, "host", "") or "")
+    enc.write_ulong(getattr(port, "tcp_port", 0) or 0)
+
+
+def _read_port(dec: ReferenceDecoder) -> Any:
+    port_id = dec.read_ulong()
+    label = dec.read_string()
+    host = dec.read_string()
+    tcp_port = dec.read_ulong()
+    if port_id == 0:
+        return None
+    if host:
+        return SocketPortAddress(host, tcp_port, port_id, label)
+    return PortAddress(port_id, label)
+
+
+def reference_encode_request(message: Any, little_endian: bool) -> bytes:
+    enc = ReferenceEncoder(little_endian)
+    enc.write(_TC_ULONGLONG, message.request_id)
+    enc.write(_TC_ULONGLONG, message.trace_id)
+    enc.write_string(message.object_key)
+    enc.write_string(message.operation)
+    enc.write_string(message.mode)
+    enc.write_boolean(message.oneway)
+    _write_port(enc, message.reply_port)
+    enc.write_ulong(message.client_nthreads)
+    enc.write_ulong(len(message.client_data_ports))
+    for port in message.client_data_ports:
+        _write_port(enc, port)
+    enc.write_ulong(len(message.dist_layouts))
+    for name, lengths in message.dist_layouts:
+        enc.write_string(name)
+        enc.write_ulong(len(lengths))
+        for length in lengths:
+            enc.write(_TC_ULONGLONG, int(length))
+    enc.write_ulong(len(message.out_templates))
+    for name, spec in message.out_templates:
+        enc.write_string(name)
+        enc.write_string(spec[0])
+        weights = spec[1] if len(spec) > 1 else ()
+        enc.write_ulong(len(weights))
+        for weight in weights:
+            enc.write_ulong(int(weight))
+    _append_body(enc, message.body)
+    return enc.getvalue()
+
+
+def reference_decode_request(data: Any) -> Any:
+    dec = ReferenceDecoder(data, owned=True)
+    request_id = int(dec.read(_TC_ULONGLONG))
+    trace_id = int(dec.read(_TC_ULONGLONG))
+    object_key = dec.read_string()
+    operation = dec.read_string()
+    mode = dec.read_string()
+    if mode not in _MODES:
+        raise MarshalError(f"unknown transfer mode {mode!r}")
+    oneway = dec.read_boolean()
+    reply_port = _read_port(dec)
+    client_nthreads = dec.read_ulong()
+    ports = []
+    for _ in range(dec.read_ulong()):
+        port = _read_port(dec)
+        if port is None:
+            raise MarshalError("null client data port")
+        ports.append(port)
+    layouts = []
+    for _ in range(dec.read_ulong()):
+        name = dec.read_string()
+        count = dec.read_ulong()
+        layouts.append(
+            (name, tuple(int(dec.read(_TC_ULONGLONG)) for _ in range(count)))
+        )
+    out_templates = []
+    for _ in range(dec.read_ulong()):
+        name = dec.read_string()
+        kind = dec.read_string()
+        weights = tuple(dec.read_ulong() for _ in range(dec.read_ulong()))
+        out_templates.append(
+            (name, (kind,) if not weights else (kind, weights))
+        )
+    return RequestMessage(
+        request_id=request_id,
+        trace_id=trace_id,
+        object_key=object_key,
+        operation=operation,
+        mode=mode,
+        oneway=oneway,
+        reply_port=reply_port,
+        client_nthreads=client_nthreads,
+        client_data_ports=tuple(ports),
+        dist_layouts=tuple(layouts),
+        out_templates=tuple(out_templates),
+        body=_read_octet_run(dec),
+    )
+
+
+def reference_encode_reply(message: Any, little_endian: bool) -> bytes:
+    enc = ReferenceEncoder(little_endian)
+    enc.write(_TC_ULONGLONG, message.request_id)
+    enc.write_ulong(message.status)
+    enc.write_ulong(len(message.dist_layouts))
+    for name, client_lengths, server_lengths in message.dist_layouts:
+        enc.write_string(name)
+        for lengths in (client_lengths, server_lengths):
+            enc.write_ulong(len(lengths))
+            for length in lengths:
+                enc.write(_TC_ULONGLONG, int(length))
+    _append_body(enc, message.body)
+    return enc.getvalue()
+
+
+def reference_decode_reply(data: Any) -> Any:
+    dec = ReferenceDecoder(data, owned=True)
+    request_id = int(dec.read(_TC_ULONGLONG))
+    status = dec.read_ulong()
+    if status not in (0, 1, 2):
+        raise MarshalError(f"unknown reply status {status}")
+    layouts = []
+    for _ in range(dec.read_ulong()):
+        name = dec.read_string()
+        pair = []
+        for _side in range(2):
+            count = dec.read_ulong()
+            pair.append(
+                tuple(int(dec.read(_TC_ULONGLONG)) for _ in range(count))
+            )
+        layouts.append((name, pair[0], pair[1]))
+    return ReplyMessage(
+        request_id=request_id,
+        status=status,
+        body=_read_octet_run(dec),
+        dist_layouts=tuple(layouts),
+    )
+
+
+def reference_encode_chunk(chunk: Any, little_endian: bool) -> bytes:
+    enc = ReferenceEncoder(little_endian)
+    enc.write(_TC_ULONGLONG, chunk.request_id)
+    enc.write_string(chunk.param)
+    enc.write_ulong(chunk.phase)
+    enc.write_ulong(chunk.src_rank)
+    enc.write_ulong(chunk.dst_rank)
+    enc.write(_TC_ULONGLONG, chunk.global_lo)
+    enc.write(_TC_ULONGLONG, chunk.global_hi)
+    _append_body(enc, chunk.payload)
+    return enc.getvalue()
+
+
+def reference_decode_chunk(data: Any) -> Any:
+    dec = ReferenceDecoder(data, owned=True)
+    request_id = int(dec.read(_TC_ULONGLONG))
+    param = dec.read_string()
+    phase = dec.read_ulong()
+    if phase not in (0, 1):
+        raise MarshalError(f"unknown chunk phase {phase}")
+    src_rank = dec.read_ulong()
+    dst_rank = dec.read_ulong()
+    global_lo = int(dec.read(_TC_ULONGLONG))
+    global_hi = int(dec.read(_TC_ULONGLONG))
+    if global_hi < global_lo:
+        raise MarshalError("chunk range is inverted")
+    return DataChunk(
+        request_id=request_id,
+        param=param,
+        phase=phase,
+        src_rank=src_rank,
+        dst_rank=dst_rank,
+        global_lo=global_lo,
+        global_hi=global_hi,
+        payload=_read_octet_run(dec),
+    )
+
+
+def reference_encode_frame(
+    src: Any, dest_port_id: int, kind: str, payload: Any,
+    little_endian: bool,
+) -> bytes:
+    enc = ReferenceEncoder(little_endian)
+    enc.write_ulong(dest_port_id)
+    enc.write_string(src.host)
+    enc.write_ulong(src.tcp_port)
+    enc.write_ulong(src.port_id)
+    enc.write_string(src.label)
+    enc.write_string(kind)
+    _append_body(enc, payload)
+    return enc.getvalue()
+
+
+def reference_decode_frame(frame: Any) -> tuple[int, Any, str, Any]:
+    dec = ReferenceDecoder(frame, owned=True)
+    dest_port_id = dec.read_ulong()
+    src = SocketPortAddress(
+        host=dec.read_string(),
+        tcp_port=dec.read_ulong(),
+        port_id=dec.read_ulong(),
+        label=dec.read_string(),
+    )
+    kind = dec.read_string()
+    return dest_port_id, src, kind, _read_octet_run(dec)

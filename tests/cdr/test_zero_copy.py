@@ -33,6 +33,7 @@ from repro.cdr import (
     decode_value,
     encode_value,
 )
+from repro.cdr.head import HeadLayout, octet_run, padded
 from tests.cdr.reference_codec import ReferenceDecoder
 
 NUMERIC_TCS = [
@@ -214,22 +215,21 @@ class TestOwnership:
     def test_an_octet_run_starts_eight_aligned_whatever_precedes_it(
         self, lead
     ):
-        enc = CdrEncoder()
-        enc.write_octets(b"x" * lead)
-        enc.begin_octet_run(5)
-        assert len(enc) % 8 == 0
-        enc.write_octets(b"hello")
-        dec = CdrDecoder(enc.getvalue())
-        dec.read_octets(lead)
-        assert bytes(dec.read_octet_run()) == b"hello"
-        assert dec.at_end()
+        """The rule's one home is the fixed-layout head
+        (``repro.cdr.head``): fixed part, strings, pad to 8, run."""
+        layout = HeadLayout("xI", strings=1)
+        head = layout.encode((5,), (b"x" * lead,))
+        assert len(head) == padded(layout.size + lead)
+        stream = head + b"hello"
+        (_flag, n), (string,), end = layout.decode(stream)
+        assert (string, end) == (b"x" * lead, len(head))
+        view = memoryview(stream)
+        assert bytes(octet_run(view, end, n)) == b"hello"
         # A stream cut inside the pad or the run is truncated, not
         # misread.
-        for cut in range(1 + lead, len(enc)):
-            short = CdrDecoder(enc.getvalue()[:cut])
-            short.read_octets(lead)
+        for cut in range(layout.size + lead, len(stream)):
             with pytest.raises(MarshalError):
-                short.read_octet_run()
+                octet_run(view[:cut], len(head), n)
 
     def test_owned_octet_runs_follow_the_same_rule(self):
         enc = CdrEncoder()

@@ -23,7 +23,7 @@ from repro import ORB, FaultSchedule, FaultyFabric
 from repro.orb.nameservice import NamingClient
 from repro.orb.request import DataChunk, PHASE_REQUEST, decode_chunk
 from repro.orb.socketnet import _POOL_BUFFER_SIZE, SocketFabric
-from repro.orb.transport import KIND_DATA, Fabric
+from repro.orb.transport import KIND_DATA, Fabric, TransportError
 from tests.naming_transports import served_naming
 
 #: What every fabric declares (``transport.Fabric`` is the reference).
@@ -185,6 +185,45 @@ class TestStatsSchema:
             stats = shape(orb.stats())
         assert set(stats) == COMMON_KEYS | {"server", "trace"}
         assert set(stats["trace"]) == {"metrics", "recorder"}
+
+
+class TestOnlyOctetsTravel:
+    """A ``memoryview`` is sized by its *items*: one that is not a flat
+    view of octets would be framed short over a socket (the receiver
+    parsing the rest of the array as frames) and metered short in
+    process — so no fabric takes one (ISSUE 24)."""
+
+    @pytest.mark.parametrize("kind", FABRIC_KINDS)
+    def test_a_view_of_wider_items_is_refused_by_every_fabric(self, kind):
+        doubles = np.arange(65536.0)
+        strided = memoryview(bytes(64))[::2]
+        seen = []
+        with fabric_of(kind) as near, SocketFabric("far") as far:
+            near.add_meter(lambda src, dest, k, nbytes: seen.append(nbytes))
+            sender = near.open_port("s")
+            receiver = (far if kind.endswith("socket") else near).open_port("r")
+            for bad in (
+                memoryview(doubles),
+                [b"head", memoryview(doubles)],
+                memoryview(doubles).cast("B").cast("B", (8, 65536)),
+                strided,
+            ):
+                with pytest.raises(TransportError, match="memoryview"):
+                    sender.send(receiver.address, bad, KIND_DATA)
+            assert seen == [] and receiver.pending() == 0
+            # The same memory as octets is carried whole, and the frame
+            # behind it is still a frame.
+            sender.send(
+                receiver.address, memoryview(doubles).cast("B"), KIND_DATA
+            )
+            sender.send(receiver.address, b"next", KIND_DATA)
+            got = receiver.recv(timeout=5)[2]
+            assert len(got) == doubles.nbytes == seen[0]
+            np.testing.assert_array_equal(
+                np.frombuffer(got, np.float64), doubles
+            )
+            assert bytes(receiver.recv(timeout=5)[2]) == b"next"
+            assert far.dropped_frames == 0
 
 
 class TestDeliveredPayloadOwnership:

@@ -30,7 +30,7 @@ from repro.orb.request import (
 )
 from repro.orb.socketnet import _POOL_BUFFER_SIZE, SocketFabric
 from repro.orb.transfer import decode_full_body, full_body_encoder
-from repro.orb.transport import KIND_DATA, KIND_REQUEST
+from repro.orb.transport import KIND_DATA, KIND_REQUEST, SocketPortAddress
 
 BULK = 1 << 20  # doubles: the benchmark's 8 MiB
 
@@ -293,6 +293,58 @@ class TestAlignmentOnTheWire:
         np.testing.assert_array_equal(landed, source)
         for port in (sender, receiver):
             port.close()
+
+    @pytest.mark.parametrize("residue", range(8))
+    @pytest.mark.parametrize(
+        "string", ["object_key", "operation", "host", "label", "kind", "param"]
+    )
+    def test_every_run_starts_eight_aligned_in_the_frame_buffer(
+        self, string, residue
+    ):
+        """One string of a fixed-layout head at a time through every
+        length residue mod 8 (the sweeps around this one move them all
+        together): the pad behind the strings absorbs it, in the
+        envelope and in the message inside it."""
+        lengths = dict.fromkeys(
+            ("object_key", "operation", "host", "label", "kind", "param"), 3
+        )
+        lengths[string] += residue
+        src = SocketPortAddress(
+            "h" * lengths["host"], 40001, 3, "l" * lengths["label"]
+        )
+        request = RequestMessage(
+            1, "k" * lengths["object_key"], "o" * lengths["operation"],
+            reply_port=src, body=bytes(range(16)),
+        )
+        chunk = DataChunk(
+            1, "p" * lengths["param"], PHASE_REQUEST, 0, 1, 0, 2,
+            bytes(range(16)),
+        )
+        for message, decode in (
+            (request, lambda view: decode_request(view).body),
+            (chunk, lambda view: decode_chunk(view).payload),
+        ):
+            segments = message.encode_segments()
+            frame = np.frombuffer(
+                b"".join(
+                    SocketFabric._encode_frame(
+                        src, src, "d" * lengths["kind"], segments,
+                        sum(map(len, segments)),
+                    )
+                ),
+                np.uint8,
+            )
+            _dest, _src, _kind, payload = SocketFabric._decode_frame(
+                memoryview(frame)
+            )
+            run = decode(payload)
+            assert bytes(run) == bytes(range(16))
+            for view in (payload, run):
+                offset = (
+                    np.frombuffer(view, np.uint8).ctypes.data
+                    - frame.ctypes.data
+                )
+                assert offset % 8 == 0
 
     @pytest.mark.parametrize("n", range(10))
     def test_chunk_payload_is_aligned_for_any_label_lengths(self, fabrics, n):

@@ -9,13 +9,13 @@ mid-backpressure frees its admission slot.
 """
 
 import socket
+import struct
 import threading
 import time
 
 import pytest
 
 from repro import ORB, FtPolicy, compile_idl
-from repro.cdr.decoder import CdrDecoder
 from repro.orb.naming import NamingService
 from repro.orb.request import RequestMessage, peek_request
 from repro.orb.server import (
@@ -100,10 +100,9 @@ class TestPeekRequest:
         payload = bytearray(
             b"".join(bytes(s) for s in message.encode_segments())
         )
-        # Corrupt the mode string ("centralized" is in the header).
-        index = payload.find(b"centralized")
-        assert index >= 0
-        payload[index : index + 11] = b"xentralized"
+        # Corrupt the mode octet (offset 1 of the fixed head).
+        assert payload[1] == 0
+        payload[1] = 7
         assert peek_request(bytes(payload)) is None
 
 
@@ -246,13 +245,14 @@ def _read_busy_frame(sock):
         chunk = sock.recv(length - len(body))
         assert chunk, "connection closed mid-frame"
         body += chunk
-    dec = CdrDecoder(body)
-    dec.read_ulong()  # dest port id (0: no real port)
-    dec.read_string()  # src host
-    dec.read_ulong()  # src tcp port
-    dec.read_ulong()  # src port id
-    dec.read_string()  # src label
-    return dec.read_string()  # kind
+    # The envelope head by its offset table (docs/protocol.md, "TCP
+    # framing"), not by the codec under test.
+    dest_port_id, _nbytes, _tcp_port, _port_id, host_n, label_n, kind_n = (
+        struct.unpack_from(("<" if body[0] else ">") + "3xIIIIHHH", body, 1)
+    )
+    assert dest_port_id == 0  # no real port
+    kind_at = 26 + host_n + label_n
+    return body[kind_at : kind_at + kind_n].decode("utf-8")
 
 
 def test_connect_storm_past_max_connections_gets_busy():

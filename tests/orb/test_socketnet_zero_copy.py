@@ -103,6 +103,27 @@ class TestDropPolicy:
         assert bytes(payload) == b"resynced"
         assert fabric.dropped_frames == 1
 
+    def test_a_frame_with_bad_utf8_costs_the_peer_that_frame_only(
+        self, fabric
+    ):
+        """Invalid UTF-8 in the envelope is a ``MarshalError`` like any
+        other garbage — counted, dropped, the event loop alive — not a
+        ``UnicodeDecodeError`` that kills it (ISSUE 24)."""
+        port = fabric.open_port("victim")
+        hostile = _raw_frame(port.address, b"never delivered")
+        assert hostile.count(b"127.0.0.1") == 1
+        hostile = hostile.replace(b"127.0.0.1", b"\xff\xfe7.0.0.1")
+        with socket.create_connection(
+            (fabric.host, fabric.tcp_port), timeout=5
+        ) as raw:
+            raw.sendall(hostile)
+            raw.sendall(_raw_frame(port.address, b"still alive"))
+            _src, _kind, payload = port.recv(timeout=5)
+        assert bytes(payload) == b"still alive"
+        assert fabric.dropped_frames == 1
+        assert fabric._loop._thread.is_alive()
+        assert port.pending() == 0
+
     def test_drops_accumulate(self, fabric):
         with socket.create_connection(
             (fabric.host, fabric.tcp_port), timeout=5

@@ -70,10 +70,12 @@ class TestRequestMessage:
         assert msg.layout_of("zzz") is None
 
     def test_unknown_mode_rejected(self):
-        msg = RequestMessage(1, "o", "f")
-        data = msg.encode().replace(b"centralized", b"centralizzz")
-        with pytest.raises(MarshalError):
+        data = bytearray(RequestMessage(1, "o", "f").encode())
+        data[1] = 2  # the mode octet: 0 centralized, 1 multiport
+        with pytest.raises(MarshalError, match="unknown transfer mode"):
             decode_request(data)
+        with pytest.raises(MarshalError, match="unknown transfer mode"):
+            RequestMessage(1, "o", "f", mode="centralizzz").encode()
 
     @given(
         rid=st.integers(0, 2**32 - 1),
@@ -150,10 +152,8 @@ class TestDataChunk:
 
     def test_bad_phase_rejected(self):
         good = DataChunk(1, "x", PHASE_REQUEST, 0, 0, 0, 0).encode()
-        # Corrupt the phase ulong (after rid ulonglong + string "x").
+        # Corrupt the phase octet (offset 1 of the fixed head).
         bad = bytearray(good)
-        # Find phase by decoding offsets: rid at 8..16, string len at
-        # 16..20, chars 20..22 (+pad), phase aligned at 24.
-        bad[24] = 7
+        bad[1] = 7
         with pytest.raises(MarshalError, match="phase"):
             decode_chunk(bytes(bad))

@@ -171,6 +171,32 @@ class TestNoCapabilityProbes:
                         )
         assert found == set(ALLOWED_NONE_PROBES)
 
+    def test_the_wire_codecs_ask_no_address_what_it_might_have(self):
+        """``getattr(port, "host", "")`` is the same probe with a
+        string default: the two address classes declare ``host``,
+        ``tcp_port`` and ``wire``, so nothing that encodes one asks —
+        and nothing imports the other class at decode time."""
+        root = pathlib.Path(repro.__path__[0]) / "orb"
+        found = []
+        for name in ("request.py", "reference.py", "transport.py"):
+            tree = ast.parse((root / name).read_text())
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr"
+                    and len(node.args) == 3
+                ):
+                    found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+            for function in ast.walk(tree):
+                if isinstance(function, ast.FunctionDef):
+                    found += [
+                        f"{name}:{node.lineno}: function-level import"
+                        for node in ast.walk(function)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                    ]
+        assert found == []
+
 
 #: The options of the constructors and calls a deployment is written
 #: in, and the fields of the two policy records.  Adding one is a
@@ -222,7 +248,11 @@ OPTION_BUDGET = {
 #: counter stores and mirror hooks that ``Counter`` objects taken from
 #: the ORB's registry replaced, then the two extra threads of a
 #: collective group (its receive/relay stage and its reply sender) with
-#: the queue bounds and staging rotation that existed for them.
+#: the queue bounds and staging rotation that existed for them, then
+#: the CDR head codec's helpers — the ``ulong length`` + pad rule moved
+#: into the fixed-layout head (``repro.cdr.head``), and the two copies
+#: of the address codec became ``transport.write_address`` /
+#: ``read_address``.
 RETIRED_IDENTIFIERS = {
     "trac" "er",
     "ft_" "stats",
@@ -237,6 +267,14 @@ RETIRED_IDENTIFIERS = {
     "_STAGING_" "ROTATION",
     "_PREFETCH_" "DEPTH",
     "_REPLY_QUEUE_" "DEPTH",
+    "_append_" "body",
+    "begin_octet_" "run",
+    "read_octet_" "run",
+    "append_" "encoder",
+    "_write_" "port",
+    "_read_" "port",
+    "_write_" "address",
+    "_read_" "address",
 }
 
 
