@@ -59,12 +59,14 @@ from repro.orb.transfer import (
     decode_full_body,
     decode_plain_body,
     detach_plain_values,
+    drop_staging,
     full_body_encoder,
     plain_body_encoder,
     send_chunks,
     server_layout,
     staging_array,
 )
+from repro.rts.interface import adoptable
 
 if TYPE_CHECKING:
     from repro.orb.adapter import ServantContext
@@ -105,13 +107,9 @@ def _element_dtype(slot: Slot) -> np.dtype:
 
 
 def _adoptable(block: np.ndarray, dtype: np.dtype) -> bool:
-    """May ``block``, decoded off the wire, *be* the local block?  Yes
-    when it is writable — which only an owned receive buffer (or a
-    private byteswapped copy) decodes to, see
-    :class:`~repro.cdr.decoder.CdrDecoder` — and usable in place."""
-    return (
-        block.flags.writeable and block.flags.aligned and block.dtype == dtype
-    )
+    """May ``block``, decoded off the wire, *be* the local block of a
+    ``dtype`` slot (:func:`~repro.rts.interface.adoptable`)?"""
+    return adoptable(block) and block.dtype == dtype
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +124,19 @@ def _gather(
     staging: str,
 ) -> np.ndarray | None:
     """Assemble ``seq`` on the communicating thread (``None`` on the
-    others), landing in the reusable ``staging`` buffer."""
+    others), landing in the reusable ``staging`` buffer.  The peers
+    write into that buffer themselves, so a root that leaves by an
+    exception drops it from the pool: a slow peer may still write."""
     if rts is None:
         return seq.local_data()
     steps = transfer_schedule(seq.layout, Layout(((0, seq.length()),)))
-    return rts.gather_chunks(
-        seq.local_data(),
-        steps,
-        root=0,
-        out=(
-            staging_array(staging, seq.length(), seq.dtype)
-            if rank == 0
-            else None
-        ),
-    )
+    out = staging_array(staging, seq.length(), seq.dtype) if rank == 0 else None
+    try:
+        return rts.gather_chunks(seq.local_data(), steps, root=0, out=out)
+    except BaseException:
+        if rank == 0:
+            drop_staging(staging)
+        raise
 
 
 def _scatter(
@@ -151,27 +148,24 @@ def _scatter(
 ) -> Placed:
     """Spread the communicating thread's ``full`` array over the
     group: its length is broadcast, every rank derives the layout from
-    it, and the blocks travel over the RTS.  A group of one has
-    nothing to spread: ``full`` is its block, in place when it may be
-    adopted."""
+    it and asks the RTS for its block — a view of ``full`` where the
+    RTS may adopt it.  A group of one has nothing to spread: ``full``
+    is its block, in place when it may be adopted."""
     length = len(full) if rank == 0 else 0
     if rts is not None:
         length = rts.broadcast(length, root=0)
     layout = layout_for(length)
+    if rts is not None:
+        steps = transfer_schedule(Layout(((0, length),)), layout)
+        return layout, rts.scatter_chunks(
+            np.asarray(full) if rank == 0 else None, steps, root=0
+        )
     dtype = _element_dtype(slot)
-    if rts is None and _adoptable(full, dtype):
+    if _adoptable(full, dtype):
         return layout, full
-    # Every element is written below: the whole of ``full``, or the
-    # schedule's steps, which partition the destination layout.
-    local = np.empty(layout.local_length(rank), dtype=dtype)
-    if rts is None:
-        copied(local.nbytes)
-        local[:] = full
-        return layout, local
-    steps = transfer_schedule(Layout(((0, length),)), layout)
-    rts.scatter_chunks(
-        np.asarray(full) if rank == 0 else None, steps, root=0, out=local
-    )
+    local = np.empty(len(full), dtype=dtype)
+    copied(local.nbytes)
+    local[:] = full
     return layout, local
 
 

@@ -628,7 +628,14 @@ def decode_system_exception(body: bytes) -> RemoteError:
 # Gather staging (centralized method)
 # ---------------------------------------------------------------------------
 
-_staging_pool = threading.local()
+class _StagingPool(threading.local):
+    """One thread's staging buffers, by parameter name."""
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+
+_staging_pool = _StagingPool()
 
 
 def staging_array(name: str, length: int, dtype: np.dtype) -> np.ndarray:
@@ -639,16 +646,22 @@ def staging_array(name: str, length: int, dtype: np.dtype) -> np.ndarray:
     buffer per parameter name, reused across requests, replaces a
     fresh full-sequence allocation per invocation.  Safe because the
     send path finishes with the buffer (vectored write, or the
-    in-process flatten) before ``invoke`` returns to this thread.
+    in-process flatten) before ``invoke`` returns to this thread, and
+    a gather that fails drops it (:func:`drop_staging`).
     """
-    buffers = getattr(_staging_pool, "buffers", None)
-    if buffers is None:
-        buffers = _staging_pool.buffers = {}
+    buffers = _staging_pool.buffers
     nbytes = max(length * dtype.itemsize, 1)
     buf = buffers.get(name)
     if buf is None or buf.nbytes < nbytes:
         buf = buffers[name] = np.empty(nbytes, dtype=np.uint8)
     return buf[: length * dtype.itemsize].view(dtype)
+
+
+def drop_staging(name: str) -> None:
+    """Forget this thread's ``name`` staging buffer instead of reusing
+    it: the gather that exposed it failed, and a peer may still be
+    writing into it."""
+    _staging_pool.buffers.pop(name, None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,15 @@ the ORB and generated stubs need from whatever parallel package the
 application is built on.  The control plane — identity, barrier,
 broadcast, allgather — is the communicator's and is written here once;
 a realization supplies the data plane, ``gather_chunks`` and
-``scatter_chunks``.  :class:`MessagePassingRTS` moves the chunks by
-send and receive (the paper's only specified interface, "tested using
-applications based on MPI and the Tulip run-time system");
+``scatter_chunks``.  Both kernels' data planes have one shape: the
+root exposes a buffer and every rank copies its own pieces.
+:class:`MessagePassingRTS` exposes the root's array itself between
+thread ranks (the paper's interface was "tested using applications
+based on MPI and the Tulip run-time system"; ranks that share a heap
+need no messages to move a chunk); :mod:`repro.rts.procs` exposes a
+pooled shared-memory segment between process ranks, and
 :mod:`repro.rts.onesided` adds the one-sided realization the paper
-lists as future work, :mod:`repro.rts.procs` the shared-memory one.
+lists as future work.
 """
 
 from __future__ import annotations
@@ -25,12 +29,10 @@ from typing import Any
 
 import numpy as np
 
+from repro.cdr.accounting import copied
 from repro.dist.schedule import TransferStep, tiling_fault
+from repro.rts.backends import THREAD
 from repro.rts.mpi import Intracomm
-
-#: Tag namespace for RTS-internal traffic performed on behalf of the
-#: ORB (gathers/scatters of distributed arguments).
-_TAG_RTS = 1 << 21
 
 
 class RuntimeSystem(ABC):
@@ -86,7 +88,8 @@ class RuntimeSystem(ABC):
         ``steps`` is a transfer schedule whose destination is a
         single-rank layout; each source rank contributes the pieces of
         ``local`` the schedule assigns it.  Only ``root`` receives the
-        assembled array (into ``out`` when provided).
+        assembled array (into ``out`` when provided).  ``local`` may be
+        changed again once the call returns.
         """
 
     @abstractmethod
@@ -95,10 +98,13 @@ class RuntimeSystem(ABC):
         full: np.ndarray | None,
         steps: list[TransferStep],
         root: int,
-        out: np.ndarray,
-    ) -> None:
-        """Scatter from an assembled array on ``root`` into per-rank
-        ``out`` blocks, following a single-source schedule."""
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """This rank's block of ``root``'s assembled ``full``,
+        following a single-source schedule: landed in ``out`` when
+        provided, else in memory the realization picks.  The root hands
+        ``full`` over read-only: it may not change until the group's
+        next collective."""
 
 
 def gather_target(steps: list[TransferStep], dtype: Any) -> np.ndarray:
@@ -111,14 +117,50 @@ def gather_target(steps: list[TransferStep], dtype: Any) -> np.ndarray:
     return np.empty(total, dtype=dtype)
 
 
-class MessagePassingRTS(RuntimeSystem):
-    """Message-passing realization over :class:`Intracomm`.
+def land_block(
+    source: np.ndarray, mine: list[TransferStep], out: np.ndarray | None
+) -> np.ndarray:
+    """Copy a rank's scatter steps ``mine`` out of the root's assembled
+    ``source`` into ``out`` — uninitialised when allocated here, which
+    is sound because a rank's steps tile its block."""
+    if out is None:
+        out = np.empty(sum(s.nelems for s in mine), dtype=source.dtype)
+    for step in mine:
+        out[step.dst_slice] = source[step.global_lo : step.global_hi]
+    return out
 
-    This is the reproduction of the paper's MPI-backed RTS interface:
-    the centralized transfer method's gathers and scatters run through
-    these calls, exactly as the paper's communicating thread drives
-    MPICH.
+
+def adoptable(block: np.ndarray) -> bool:
+    """May ``block``, decoded off the wire, *be* a rank's block, in
+    place?  Yes when it is writable — which only an owned receive
+    buffer (or a private byteswapped copy) decodes to, see
+    :class:`~repro.cdr.decoder.CdrDecoder` — and aligned."""
+    return block.flags.writeable and block.flags.aligned
+
+
+class MessagePassingRTS(RuntimeSystem):
+    """The RuntimeSystem contract on thread ranks — the reproduction of
+    the paper's MPI-backed RTS interface, through which the centralized
+    transfer method's gathers and scatters run.
+
+    The ranks share one heap, so nothing travels as a message: one
+    collective hands every rank the root's buffer itself (the thread
+    kernel's ``share``, where only the other ranks wait), and each rank
+    copies only its own pieces.  A gather writes each step straight
+    into the root's ``out``, then meets the group at a barrier; a
+    scatter reads each block straight out of the root's ``full`` and
+    leaves without one.  Every byte is copied once — and not at all by
+    a scatter called without ``out`` whose ``full`` the root owns
+    (:func:`adoptable`): each rank's block is then a view of ``full``,
+    disjoint from every other rank's.
     """
+
+    def __init__(self, comm: Intracomm) -> None:
+        if comm.backend != THREAD:
+            raise TypeError(f"MessagePassingRTS needs thread ranks; rts_for(comm) "
+                            f"picks the data plane of {comm.backend} ranks")
+        super().__init__(comm)
+        self._kernel = comm._kernel
 
     def gather_chunks(
         self,
@@ -128,45 +170,29 @@ class MessagePassingRTS(RuntimeSystem):
         out: np.ndarray | None,
     ) -> np.ndarray | None:
         me = self.rank
-        mine = [s for s in steps if s.src_rank == me]
-        if me == root:
-            if out is None:
-                out = gather_target(steps, local.dtype)
-            for step in mine:
-                out[step.global_lo : step.global_hi] = local[step.src_slice]
-            pending = sorted(
-                (s for s in steps if s.src_rank != me),
-                key=lambda s: s.src_rank,
-            )
-            for step in pending:
-                chunk = self._comm.recv(source=step.src_rank, tag=_TAG_RTS)
-                out[step.global_lo : step.global_hi] = chunk
-            return out
-        for step in mine:
-            self._comm.send(local[step.src_slice], dest=root, tag=_TAG_RTS)
-        return None
+        if me == root and out is None:
+            out = gather_target(steps, local.dtype)
+        target = self._kernel.share(f"rts-gather@{root}", out, root)
+        moved = 0
+        for step in steps:
+            if step.src_rank == me:
+                target[step.global_lo : step.global_hi] = local[step.src_slice]
+                moved += step.nelems
+        copied(moved * local.itemsize)
+        self._comm.barrier()
+        return target if me == root else None
 
     def scatter_chunks(
         self,
         full: np.ndarray | None,
         steps: list[TransferStep],
         root: int,
-        out: np.ndarray,
-    ) -> None:
-        me = self.rank
-        if me == root:
-            assert full is not None
-            for step in steps:
-                chunk = full[step.global_lo : step.global_hi]
-                if step.dst_rank == me:
-                    out[step.dst_slice] = chunk
-                else:
-                    self._comm.send(chunk, dest=step.dst_rank, tag=_TAG_RTS)
-            return
-        mine = sorted(
-            (s for s in steps if s.dst_rank == me),
-            key=lambda s: s.global_lo,
-        )
-        for step in mine:
-            chunk = self._comm.recv(source=root, tag=_TAG_RTS)
-            out[step.dst_slice] = chunk
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        source = self._kernel.share(f"rts-scatter@{root}", full, root)
+        mine = [s for s in steps if s.dst_rank == self.rank]
+        if out is None and len(mine) == 1 and adoptable(source):
+            return source[mine[0].global_lo : mine[0].global_hi]
+        block = land_block(source, mine, out)
+        copied(block.nbytes)
+        return block

@@ -14,7 +14,10 @@ Payloads are isolated by the kernel (here NumPy arrays are copied and
 everything else goes through pickle; between processes the pipe does
 it) so the distributed-memory semantics of real MPI hold — a receiver
 can never observe later mutations by the sender, and unpicklable
-payloads fail loudly exactly as they would under mpi4py.
+payloads fail loudly exactly as they would under mpi4py.  The RTS data
+plane above the communicator is the exception: its gathers and
+scatters expose the root's buffer (:meth:`_ThreadKernel.share`) and
+copy each byte once (:class:`repro.rts.interface.MessagePassingRTS`).
 
 Following the mpi4py convention from the guides, lowercase methods
 (``send``/``recv``/``bcast``/…) accept arbitrary Python objects, while
@@ -31,6 +34,7 @@ from __future__ import annotations
 import pickle
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -154,8 +158,8 @@ class Request:
 
 
 class _Group:
-    """Shared state of one thread group: the locked mailboxes and the
-    board of the phased rendezvous."""
+    """Shared state of one thread group: the locked mailboxes, the
+    queues of shared objects and the board of the phased rendezvous."""
 
     def __init__(self, size: int, name: str) -> None:
         if size <= 0:
@@ -165,6 +169,11 @@ class _Group:
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
         self.mailboxes: list[list[_Message]] = [[] for _ in range(size)]
+        # What roots shared, per receiving rank, as (opname, object) in
+        # program order (see _ThreadKernel.share); under ``cond``.
+        self.shared: list[deque[tuple[str, Any]]] = [
+            deque() for _ in range(size)
+        ]
         self.aborted = False
         self.abort_reason: str | None = None
         # Collective rendezvous state (phased; see _ThreadKernel._exchange).
@@ -204,7 +213,7 @@ class _ThreadKernel:
     rank posts or contributes is copied on deposit, and what it reads
     off the shared board is copied again, so no two ranks ever hold the
     same mutable object.  :meth:`share` is the one deliberate
-    exception.
+    exception, and the RTS data plane's way in.
     """
 
     backend = "thread"
@@ -274,11 +283,42 @@ class _ThreadKernel:
         result = project(self.rank, self._exchange(opname, contribution))
         return result if result is None else _isolate_each(result)
 
-    def share(self, opname: str, obj: Any) -> Any:
-        """Collective.  Rank 0's ``obj`` itself — the same object, not
-        a copy — on every rank: how the threads of a group come to
-        hold one fresh group or one window state."""
-        return self._exchange(opname, obj)[0]
+    def share(self, opname: str, obj: Any, root: int = 0) -> Any:
+        """Collective.  ``root``'s ``obj`` itself — the same object,
+        not a copy — on every rank: how the threads of a group come to
+        hold one fresh group or one window state, and how a gather or
+        scatter root exposes its buffer.
+
+        Only the other ranks wait: the root leaves ``obj`` in each of
+        their queues and goes on.  A root shares only after it has
+        seen every earlier share, so each queue holds them in program
+        order, and the first entry is this collective's."""
+        group = self.group
+        with group.cond:
+            group.check_alive()
+            if self.rank == root:
+                for rank, queue in enumerate(group.shared):
+                    if rank != root:
+                        queue.append((opname, obj))
+                group.cond.notify_all()
+                return obj
+            queue = group.shared[self.rank]
+            deadline = time.monotonic() + DEFAULT_TIMEOUT
+            while not queue:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise DeadlockError(
+                        f"rank {self.rank} of '{group.name}': collective "
+                        f"'{opname}' timed out waiting for rank {root}"
+                    )
+                group.cond.wait(remaining)
+                group.check_alive()
+            entered, shared = queue.popleft()
+        if entered != opname:
+            group.abort(f"rank {self.rank} entered collective '{opname}' "
+                        f"while rank {root} shared for '{entered}'")
+            raise CollectiveMismatchError(group.abort_reason)
+        return shared
 
     def _exchange(self, opname: str, contribute: Any) -> dict[int, Any]:
         """The phased rendezvous.

@@ -143,8 +143,9 @@ class OneSidedRTS(RuntimeSystem):
     """The RuntimeSystem contract realized one-sided.
 
     Gather and scatter become sequences of ``get``/``put`` driven
-    entirely by the root (or by each owner), with fences standing in
-    for the message-passing version's sends and receives.  The ORB can
+    entirely by the root, between fences, where
+    :class:`MessagePassingRTS` has every rank copy its own pieces
+    through the root's exposed buffer.  The ORB can
     swap this in wherever :class:`MessagePassingRTS` is used; both are
     tested against the same contract suite.
     """
@@ -177,8 +178,11 @@ class OneSidedRTS(RuntimeSystem):
         full: np.ndarray | None,
         steps: list[TransferStep],
         root: int,
-        out: np.ndarray,
-    ) -> None:
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        if out is None:  # only the root knows the blocks' element type
+            dtype = self.broadcast(None if full is None else full.dtype, root)
+            out = np.empty(sum(s.nelems for s in steps if s.dst_rank == self.rank), dtype)
         window = Window.create(self._comm, out)
         window.fence()
         if self.rank == root:
@@ -190,6 +194,7 @@ class OneSidedRTS(RuntimeSystem):
                     full[step.global_lo : step.global_hi],
                 )
         window.fence()  # targets may not read `out` before this
+        return out
 
 
 def remote_element(seq: Any, index: int, window: Window) -> float:

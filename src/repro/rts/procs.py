@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.rts import backends, shm
 from repro.rts.executor import RankContext, raise_rank_failures
-from repro.rts.interface import RuntimeSystem, gather_target
+from repro.rts.interface import RuntimeSystem, gather_target, land_block
 from repro.rts.mpi import (
     ANY_TAG,
     DEFAULT_TIMEOUT,
@@ -485,39 +485,31 @@ class ProcessRTS(RuntimeSystem):
         full: np.ndarray | None,
         steps: list,
         root: int,
-        out: np.ndarray,
-    ) -> None:
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         comm, state = self._comm, self._state
-        me = comm.rank
-        total = steps[-1].global_hi if steps else 0
-        if total == 0 or comm.size == 1:
-            if me == root:
-                assert full is not None
-                for step in steps:
-                    if step.dst_rank == me:
-                        out[step.dst_slice] = full[
-                            step.global_lo : step.global_hi
-                        ]
-            return
-        mine = [s for s in steps if s.dst_rank == me]
-        if me == root:
+        mine = [s for s in steps if s.dst_rank == comm.rank]
+        if comm.size == 1:
             assert full is not None
+            return land_block(full, mine, out)
+        if comm.rank == root:
+            assert full is not None
+            total = steps[-1].global_hi if steps else 0
             arr = np.ascontiguousarray(full[:total])
             seg = state.pool.acquire(arr.nbytes)
             view = np.ndarray((total,), arr.dtype, buffer=seg.buf)
             view[:] = arr
             comm.bcast((seg.name, arr.dtype, total), root)
-            for step in mine:
-                out[step.dst_slice] = full[step.global_lo : step.global_hi]
+            block = land_block(full, mine, out)
             comm.barrier()
             state.pool.release(seg)
-            return
+            return block
         name, dtype, total = comm.bcast(None, root)
         seg = state.attach_cached(name)
         view = np.ndarray((total,), dtype, buffer=seg.buf)
-        for step in mine:
-            out[step.dst_slice] = view[step.global_lo : step.global_hi]
+        block = land_block(view, mine, out)
         comm.barrier()
+        return block
 
 
 # ---------------------------------------------------------------------------

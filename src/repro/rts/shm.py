@@ -264,10 +264,13 @@ class ShmPool:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _unlink(self, seg: shared_memory.SharedMemory) -> None:
+    def _unlink(
+        self, seg: shared_memory.SharedMemory, unmap: bool = True
+    ) -> None:
         name = seg.name
         unlink_segment(seg)
-        _close_quietly(seg)
+        if unmap:
+            _close_quietly(seg)
         with self._lock:
             self._owned.pop(name, None)
             self.freed += 1
@@ -279,16 +282,20 @@ class ShmPool:
 
         Called at rank shutdown; outstanding zero-copy views keep
         their mapping (the pages survive until the process exits) but
-        the names disappear from ``/dev/shm`` immediately.
+        the names disappear from ``/dev/shm`` immediately.  (A NumPy
+        view holds no buffer export on the mapping, so a checked-out
+        segment is never unmapped here: a leased gather result
+        returned from a rank body is read after this, when pickled.)
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             owned = list(self._owned.values())
+            free = {id(seg) for bucket in self._free.values() for seg in bucket}
             self._free.clear()
         for seg in owned:
-            self._unlink(seg)
+            self._unlink(seg, unmap=id(seg) in free)
         with _stats_lock:
             if self in _live_pools:
                 _live_pools.remove(self)

@@ -1,12 +1,21 @@
-"""Tests for the RTS interface gather/scatter used by the ORB."""
+"""The RTS interface gather/scatter used by the ORB — run against the
+realization each backend actually gets (``rts_for``): the thread
+kernel's exposed buffer, the process kernel's shared-memory segment."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cdr.accounting import copy_audit
 from repro.dist import BlockTemplate, Layout, Proportions, transfer_schedule
-from repro.rts import MessagePassingRTS, spmd_run
+from repro.rts import (
+    GroupAbortedError,
+    MessagePassingRTS,
+    rts_for,
+    spmd_run,
+)
+from repro.rts.executor import SpmdError
 
 
 def gather_all(nranks, layout, data):
@@ -14,7 +23,7 @@ def gather_all(nranks, layout, data):
     steps = transfer_schedule(layout, Layout(((0, layout.length),)))
 
     def body(ctx):
-        rts = MessagePassingRTS(ctx.comm)
+        rts = rts_for(ctx.comm)
         lo, hi = layout.local_range(ctx.rank)
         local = data[lo:hi].copy()
         return rts.gather_chunks(local, steps, root=0, out=None)
@@ -23,17 +32,22 @@ def gather_all(nranks, layout, data):
 
 
 def scatter_all(nranks, layout, data):
-    """Run scatter_chunks; return the per-rank blocks."""
+    """Run scatter_chunks into caller-provided blocks; return them."""
     steps = transfer_schedule(Layout(((0, layout.length),)), layout)
 
     def body(ctx):
-        rts = MessagePassingRTS(ctx.comm)
+        rts = rts_for(ctx.comm)
         out = np.zeros(layout.local_length(ctx.rank), dtype=data.dtype)
         full = data.copy() if ctx.rank == 0 else None
-        rts.scatter_chunks(full, steps, root=0, out=out)
+        assert rts.scatter_chunks(full, steps, root=0, out=out) is out
         return out
 
     return spmd_run(nranks, body)
+
+
+def thread_ranks_only(rts_backend):
+    if rts_backend == "process":
+        pytest.skip("exposing the root's array itself is between threads")
 
 
 class TestGatherScatter:
@@ -50,7 +64,7 @@ class TestGatherScatter:
         steps = transfer_schedule(layout, Layout(((0, 6),)))
 
         def body(ctx):
-            rts = MessagePassingRTS(ctx.comm)
+            rts = rts_for(ctx.comm)
             lo, hi = layout.local_range(ctx.rank)
             out = np.zeros(6) if ctx.rank == 0 else None
             result = rts.gather_chunks(data[lo:hi].copy(), steps, 0, out)
@@ -83,9 +97,24 @@ class TestGatherScatter:
             np.testing.assert_array_equal(block, data[cursor : cursor + n])
             cursor += n
 
+    def test_scatter_without_out_returns_each_rank_s_block(self):
+        layout = Proportions(2, 0, 1, 3).layout(12)
+        data = np.arange(12, dtype=np.int32)
+        steps = transfer_schedule(Layout(((0, 12),)), layout)
+
+        def body(ctx):
+            full = data.copy() if ctx.rank == 0 else None
+            return rts_for(ctx.comm).scatter_chunks(full, steps, 0)
+
+        blocks = spmd_run(4, body)
+        for r, block in enumerate(blocks):
+            lo, hi = layout.local_range(r)
+            assert block.dtype == np.int32
+            np.testing.assert_array_equal(block, data[lo:hi])
+
     def test_broadcast_and_synchronize(self):
         def body(ctx):
-            rts = MessagePassingRTS(ctx.comm)
+            rts = rts_for(ctx.comm)
             rts.synchronize()
             return rts.broadcast("header" if ctx.rank == 1 else None, root=1)
 
@@ -93,7 +122,7 @@ class TestGatherScatter:
 
     def test_rank_size_passthrough(self):
         def body(ctx):
-            rts = MessagePassingRTS(ctx.comm)
+            rts = rts_for(ctx.comm)
             return (rts.rank, rts.size)
 
         assert spmd_run(2, body) == [(0, 2), (1, 2)]
@@ -120,3 +149,191 @@ class TestGatherScatter:
             np.concatenate(blocks) if blocks else np.zeros(0)
         )
         np.testing.assert_array_equal(reassembled, data)
+
+    def test_the_thread_realization_refuses_a_process_communicator(
+        self, rts_backend
+    ):
+        def body(ctx):
+            try:
+                MessagePassingRTS(ctx.comm)
+            except TypeError as exc:
+                return str(exc)
+            return None
+
+        refusals = spmd_run(2, body)
+        if rts_backend == "process":
+            assert all("rts_for" in str(r) for r in refusals)
+        else:
+            assert refusals == [None, None]
+
+
+class TestIsolation:
+    """Exposing a buffer must not let one rank see another's later
+    writes: a gather copies every piece, a scatter of a read-only
+    ``full`` gives every rank memory of its own."""
+
+    def test_a_peer_mutating_its_local_after_gather_changes_nothing(self):
+        layout = Proportions(1, 2, 1).layout(16)
+        data = np.arange(16, dtype=np.float64)
+        steps = transfer_schedule(layout, Layout(((0, 16),)))
+
+        def body(ctx):
+            rts = rts_for(ctx.comm)
+            lo, hi = layout.local_range(ctx.rank)
+            local = data[lo:hi].copy()
+            result = rts.gather_chunks(local, steps, 0, None)
+            local[:] = -1.0
+            rts.synchronize()
+            return None if result is None else result.copy()
+
+        np.testing.assert_array_equal(spmd_run(3, body)[0], data)
+
+    def test_a_read_only_full_scatters_into_private_memory(self):
+        layout = Proportions(1, 3, 2).layout(12)
+        data = np.arange(12, dtype=np.float64)
+        steps = transfer_schedule(Layout(((0, 12),)), layout)
+
+        def body(ctx):
+            rts = rts_for(ctx.comm)
+            full = None
+            if ctx.rank == 0:
+                full = data.copy()
+                full.flags.writeable = False
+            block = rts.scatter_chunks(full, steps, 0)
+            lo, hi = layout.local_range(ctx.rank)
+            np.testing.assert_array_equal(block, data[lo:hi])
+            assert block.flags.writeable
+            block[:] = -1.0 - ctx.rank
+            rts.synchronize()
+            if ctx.rank == 0:
+                np.testing.assert_array_equal(full, data)
+            return bool((block == -1.0 - ctx.rank).all())
+
+        assert spmd_run(3, body) == [True] * 3
+
+
+class TestAdoption:
+    """Called without ``out``, a scatter of a ``full`` the root owns
+    (writable and aligned) hands each thread rank a view of it."""
+
+    def _scatter(self, layout, full):
+        steps = transfer_schedule(Layout(((0, layout.length),)), layout)
+
+        def body(ctx):
+            rts = rts_for(ctx.comm)
+            return rts.scatter_chunks(
+                full if ctx.rank == 0 else None, steps, 0
+            )
+
+        return spmd_run(layout.nranks, body)
+
+    def test_an_owned_full_becomes_disjoint_views(self, rts_backend):
+        thread_ranks_only(rts_backend)
+        layout = Proportions(2, 0, 3, 1).layout(24)
+        data = np.arange(24, dtype=np.float64)
+        full = data.copy()
+        blocks = self._scatter(layout, full)
+        for r, block in enumerate(blocks):
+            lo, hi = layout.local_range(r)
+            np.testing.assert_array_equal(block, data[lo:hi])
+            assert np.shares_memory(block, full) == (hi > lo)
+        for i, a in enumerate(blocks):
+            for b in blocks[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        assert len(blocks[1]) == 0
+        # A servant's write lands in its own block only.
+        blocks[2][:] = -7.0
+        for r in (0, 3):
+            lo, hi = layout.local_range(r)
+            np.testing.assert_array_equal(blocks[r], data[lo:hi])
+
+    def test_a_read_only_full_is_copied_once(self, rts_backend):
+        thread_ranks_only(rts_backend)
+        layout = BlockTemplate(3).layout(9)
+        full = np.arange(9, dtype=np.float64)
+        full.flags.writeable = False
+        blocks = self._scatter(layout, full)
+        for block in blocks:
+            assert block.flags.writeable
+            assert not np.shares_memory(block, full)
+        np.testing.assert_array_equal(np.concatenate(blocks), full)
+
+
+class TestCopyCount:
+    """The thread RTS reports every copy it makes, and no adoption."""
+
+    N = 1 << 16
+
+    def _scatter_bytes(self, writable):
+        layout = BlockTemplate(4).layout(self.N)
+        steps = transfer_schedule(Layout(((0, self.N),)), layout)
+        full = np.arange(self.N, dtype=np.float64)
+        full.flags.writeable = writable
+
+        def body(ctx):
+            rts_for(ctx.comm).scatter_chunks(
+                full if ctx.rank == 0 else None, steps, 0
+            )
+
+        with copy_audit() as account:
+            spmd_run(4, body)
+        return account.snapshot()[0], full.nbytes
+
+    def test_an_adopting_scatter_counts_nothing(self, rts_backend):
+        thread_ranks_only(rts_backend)
+        assert self._scatter_bytes(writable=True)[0] == 0
+
+    def test_a_read_only_scatter_counts_full_nbytes(self, rts_backend):
+        thread_ranks_only(rts_backend)
+        counted, nbytes = self._scatter_bytes(writable=False)
+        assert counted == nbytes
+
+    def test_a_gather_counts_every_element_once(self, rts_backend):
+        thread_ranks_only(rts_backend)
+        layout = BlockTemplate(2).layout(self.N)
+        steps = transfer_schedule(layout, Layout(((0, self.N),)))
+
+        def body(ctx):
+            lo, hi = layout.local_range(ctx.rank)
+            local = np.arange(lo, hi, dtype=np.float64)
+            rts_for(ctx.comm).gather_chunks(local, steps, 0, None)
+
+        with copy_audit() as account:
+            spmd_run(2, body)
+        assert account.snapshot()[0] == self.N * 8
+
+
+class _FailsWhenRead(np.ndarray):
+    """A block whose pieces cannot be read: the rank holding it raises
+    after the root has exposed its buffer, before the closing
+    barrier."""
+
+    def __getitem__(self, key):
+        raise RuntimeError("peer failed mid-gather")
+
+
+class TestAbort:
+    def test_a_peer_raising_mid_gather_aborts_every_rank(self):
+        layout = BlockTemplate(3).layout(30)
+        steps = transfer_schedule(layout, Layout(((0, 30),)))
+
+        def body(ctx):
+            lo, hi = layout.local_range(ctx.rank)
+            local = np.arange(lo, hi, dtype=np.float64)
+            if ctx.rank == 1:
+                local = local.view(_FailsWhenRead)
+            try:
+                rts_for(ctx.comm).gather_chunks(local, steps, 0, None)
+            except GroupAbortedError:
+                raise RuntimeError("saw GroupAbortedError") from None
+
+        with pytest.raises(SpmdError) as failed:
+            spmd_run(3, body, timeout=30.0)
+        messages = {r: str(e) for r, e in failed.value.failures.items()}
+        assert messages == {
+            0: "saw GroupAbortedError",
+            1: messages[1],
+            2: "saw GroupAbortedError",
+        }
+        assert "mid-gather" in messages[1]
+

@@ -143,6 +143,25 @@ class TestPointToPoint:
             a.send(threading.Lock(), dest=1)
 
 
+class TestShare:
+    def test_every_rank_holds_the_root_s_object_itself(self):
+        """The thread kernel's one by-identity collective, from any
+        root — how the RTS data plane exposes a root's buffer."""
+        comms = create_group(3, "share")
+        objects = [object() for _ in comms]
+        got = [None] * 3
+
+        def rank(r):
+            got[r] = comms[r]._kernel.share("s", objects[r], root=2)
+
+        threads = [threading.Thread(target=rank, args=(r,)) for r in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert all(g is objects[2] for g in got)
+
+
 class TestBufferPath:
     def test_send_recv_buffer(self):
         a, b = create_group(2)

@@ -131,8 +131,6 @@ class TestOneCommunicator:
 #: asks it of something else; each entry is
 #: ``(file under src/repro, receiver, attribute)`` with its reason.
 ALLOWED_NONE_PROBES = {
-    ("orb/transfer.py", "_staging_pool", "'buffers'"):
-        "a threading.local: the attribute exists per thread, on first use",
     ("orb/proxy.py", "value", "'comm'"):
         "a user-supplied argument: distributed sequence or plain value",
     ("orb/proxy.py", "template", "'nranks'"):
