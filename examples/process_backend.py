@@ -43,7 +43,7 @@ def spmd_body(ctx):
     """Each rank: own pid, own GIL; gather lands in shared memory."""
     layout = BlockTemplate(ctx.size).layout(N)
     steps = transfer_schedule(layout, Layout(((0, N),)))
-    rts = rts_for(ctx.comm)  # -> ProcessRTS on a process-backend rank
+    rts = rts_for(ctx.comm)  # its root exposes a pooled shm segment here
     lo, hi = layout.local_range(ctx.rank)
     local = np.arange(lo, hi, dtype=np.float64)
     full = rts.gather_chunks(local, steps, root=0, out=None)

@@ -177,9 +177,10 @@ class ORB:
         dispatched request's server-side waits (chunk collection from
         a client whose data path died); ``None`` inherits the ORB
         timeout, so a short-deadline ORB also fails fast server-side.
-        A collective object's RTS follows its ranks' kernel
-        (:func:`repro.rts.rts_for`); a factory that wants another
-        realization assigns it (``ctx.rts = OneSidedRTS(ctx.comm)``).
+        A collective object's ``ctx.rts`` is the one
+        :class:`~repro.rts.RuntimeSystem` over its ranks' communicator
+        (:func:`repro.rts.rts_for`), a plain attribute a factory may
+        wrap.
         """
         group = ServantGroup(
             self.fabric,
@@ -249,9 +250,9 @@ class ORB:
         this runtime keeps in flight at once (1 restores strictly
         serial round-trips).  ``ft_policy`` overrides the ORB-wide
         fault-tolerance policy for this runtime (``None`` inherits
-        it).  The runtime's RTS follows ``comm``'s kernel
-        (:func:`repro.rts.rts_for`); ``runtime.rts`` is assignable for
-        a caller that wants another realization of the contract.
+        it).  ``runtime.rts`` is the :class:`~repro.rts.RuntimeSystem`
+        over ``comm`` (:func:`repro.rts.rts_for`), whichever kernel
+        carries its ranks; it is assignable, so a caller may wrap it.
         """
         runtime = ClientRuntime(
             self.fabric,

@@ -18,14 +18,13 @@ This subpackage provides:
 - :mod:`repro.rts.futures` — ABC++-style futures returned by the
   non-blocking stub methods.
 - :mod:`repro.rts.interface` — the RTS interface the ORB and generated
-  stubs program against, and its message-passing realization.
-- :mod:`repro.rts.onesided` — the one-sided (put/get window) RTS
-  interface the paper lists as future work.
+  stubs program against, written once over either kernel: the root
+  exposes a buffer and every rank copies its own pieces.
 - :mod:`repro.rts.backends` — backend selection (``PARDIS_RTS``) and
   per-rank execution-context tracking.
 - :mod:`repro.rts.procs` — the true-parallel backend: the process
   kernel (ranks as forked processes over a pipe mesh), large payloads
-  through pooled shared-memory segments.
+  and exposed RTS buffers through pooled shared-memory segments.
 - :mod:`repro.rts.shm` — the pooled, refcounted shared-memory
   segments underneath the process backend's data plane.
 """
@@ -53,28 +52,26 @@ from repro.rts.executor import (
     spmd_run,
 )
 from repro.rts.futures import Future, FutureError
-from repro.rts.interface import MessagePassingRTS, RuntimeSystem
-from repro.rts.onesided import OneSidedRTS, Window, WindowError
+from repro.rts.interface import RuntimeSystem
 from repro.rts.procs import (
-    ProcessRTS,
     ProcHandle,
     process_backend_supported,
     spawn_process_group,
 )
 
+#: The RTS's name before it was written once over both kernels; kept
+#: because ``bench/layers.py`` builds it.
+MessagePassingRTS = RuntimeSystem
+
 
 def rts_for(comm) -> RuntimeSystem:
-    """The :class:`RuntimeSystem` whose data plane follows ``comm``'s
-    kernel: :class:`~repro.rts.procs.ProcessRTS` (shared-memory
-    segments) on process ranks, :class:`MessagePassingRTS` on thread
-    ranks.  Another realization of the contract — say
-    :class:`OneSidedRTS` — is installed by assignment where a caller
-    wants it (``ctx.rts = OneSidedRTS(ctx.comm)`` in a servant
-    factory, ``runtime.rts = OneSidedRTS(runtime.orb_comm)``).
+    """The :class:`RuntimeSystem` over ``comm``, on thread or process
+    ranks alike: its data plane goes through the kernel's ``expose``
+    (the root's array itself between threads, a pooled shared-memory
+    segment between processes).  ``ctx.rts`` and ``runtime.rts`` are
+    plain attributes the ORB fills with it, so a caller may wrap it.
     """
-    if comm.backend == backends.PROCESS:
-        return ProcessRTS(comm)
-    return MessagePassingRTS(comm)
+    return RuntimeSystem(comm)
 
 
 __all__ = [
@@ -89,13 +86,9 @@ __all__ = [
     "MAX",
     "MIN",
     "MessagePassingRTS",
-    "OneSidedRTS",
     "PROD",
     "ProcHandle",
-    "ProcessRTS",
     "RankContext",
-    "Window",
-    "WindowError",
     "Request",
     "RuntimeSystem",
     "SUM",

@@ -8,49 +8,54 @@ be used by the compiler-generated stubs."
 
 :class:`RuntimeSystem` is that interface: the small set of operations
 the ORB and generated stubs need from whatever parallel package the
-application is built on.  The control plane — identity, barrier,
-broadcast, allgather — is the communicator's and is written here once;
-a realization supplies the data plane, ``gather_chunks`` and
-``scatter_chunks``.  Both kernels' data planes have one shape: the
-root exposes a buffer and every rank copies its own pieces.
-:class:`MessagePassingRTS` exposes the root's array itself between
-thread ranks (the paper's interface was "tested using applications
-based on MPI and the Tulip run-time system"; ranks that share a heap
-need no messages to move a chunk); :mod:`repro.rts.procs` exposes a
-pooled shared-memory segment between process ranks, and
-:mod:`repro.rts.onesided` adds the one-sided realization the paper
-lists as future work.
+application is built on.  It is written once, over the communicator
+and its kernel.  The control plane — identity, barrier, broadcast,
+allgather — is the communicator's; the data plane, ``gather_chunks``
+and ``scatter_chunks``, has one shape on both kernels: the root
+exposes a buffer (the kernel's ``expose``) and every rank copies its
+own pieces.  Thread ranks are handed the root's array itself (the
+paper's interface was "tested using applications based on MPI and the
+Tulip run-time system"; ranks that share a heap need no messages to
+move a chunk); process ranks map a pooled shared-memory segment
+(:mod:`repro.rts.procs`).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Any
 
 import numpy as np
 
 from repro.cdr.accounting import copied
 from repro.dist.schedule import TransferStep, tiling_fault
-from repro.rts.backends import THREAD
 from repro.rts.mpi import Intracomm
 
 
-class RuntimeSystem(ABC):
-    """What PARDIS needs from the application's run-time system."""
+class RuntimeSystem:
+    """What PARDIS needs from the application's run-time system — the
+    reproduction of the paper's MPI-backed RTS interface, through which
+    the centralized transfer method's gathers and scatters run, on
+    thread and process ranks alike.
+
+    A gather writes each rank's steps straight into the buffer the root
+    exposed, then meets the group at a barrier; a scatter reads each
+    block straight out of the root's exposed ``full`` and leaves
+    without one.  Every byte is copied once, and each copy is reported
+    to the copy account — except by a scatter called without ``out``
+    whose source the rank may own (:func:`adoptable`): its block is
+    then a view of ``full``, disjoint from every other rank's.  That is
+    the case on every thread rank and on a process root; a process
+    peer's view of the root's segment is read-only, so it copies.
+    """
 
     def __init__(self, comm: Intracomm) -> None:
         self._comm = comm
+        self._kernel = comm._kernel
 
     @property
     def comm(self) -> Intracomm:
         """The application's communicator."""
         return self._comm
-
-    @property
-    def backend(self) -> str:
-        """Which execution substrate carries this RTS's ranks
-        (``"thread"`` or ``"process"``)."""
-        return self._comm.backend
 
     @property
     def rank(self) -> int:
@@ -75,7 +80,6 @@ class RuntimeSystem(ABC):
         fault-tolerance agreement protocol votes through this call."""
         return self._comm.allgather(obj)
 
-    @abstractmethod
     def gather_chunks(
         self,
         local: np.ndarray,
@@ -88,11 +92,33 @@ class RuntimeSystem(ABC):
         ``steps`` is a transfer schedule whose destination is a
         single-rank layout; each source rank contributes the pieces of
         ``local`` the schedule assigns it.  Only ``root`` receives the
-        assembled array (into ``out`` when provided).  ``local`` may be
-        changed again once the call returns.
+        assembled array: ``out`` itself when provided, else memory the
+        kernel picks (on process ranks, a leased view of the segment
+        the ranks wrote).  ``local`` may be changed again once the call
+        returns.
         """
+        me = self.rank
+        landing = out
+        if me == root and out is None:
+            landing = gather_target(steps, local.dtype)
+        target = self._kernel.expose(f"rts-gather@{root}", landing, root, True)
+        moved = 0
+        for step in steps:
+            if step.src_rank == me:
+                target[step.global_lo : step.global_hi] = local[step.src_slice]
+                moved += step.nelems
+        copied(moved * local.itemsize)
+        self._comm.barrier()
+        if me != root:
+            return None
+        if out is None or target is out:
+            return target
+        # The ranks assembled in a buffer the kernel exposed for out.
+        total = steps[-1].global_hi if steps else 0
+        out[:total] = target[:total]
+        copied(total * out.itemsize)
+        return out
 
-    @abstractmethod
     def scatter_chunks(
         self,
         full: np.ndarray | None,
@@ -102,9 +128,16 @@ class RuntimeSystem(ABC):
     ) -> np.ndarray:
         """This rank's block of ``root``'s assembled ``full``,
         following a single-source schedule: landed in ``out`` when
-        provided, else in memory the realization picks.  The root hands
+        provided, else in memory the RTS picks.  The root hands
         ``full`` over read-only: it may not change until the group's
         next collective."""
+        source = self._kernel.expose(f"rts-scatter@{root}", full, root, False)
+        mine = [s for s in steps if s.dst_rank == self.rank]
+        if out is None and len(mine) == 1 and adoptable(source):
+            return source[mine[0].global_lo : mine[0].global_hi]
+        block = land_block(source, mine, out)
+        copied(block.nbytes)
+        return block
 
 
 def gather_target(steps: list[TransferStep], dtype: Any) -> np.ndarray:
@@ -136,63 +169,3 @@ def adoptable(block: np.ndarray) -> bool:
     buffer (or a private byteswapped copy) decodes to, see
     :class:`~repro.cdr.decoder.CdrDecoder` — and aligned."""
     return block.flags.writeable and block.flags.aligned
-
-
-class MessagePassingRTS(RuntimeSystem):
-    """The RuntimeSystem contract on thread ranks — the reproduction of
-    the paper's MPI-backed RTS interface, through which the centralized
-    transfer method's gathers and scatters run.
-
-    The ranks share one heap, so nothing travels as a message: one
-    collective hands every rank the root's buffer itself (the thread
-    kernel's ``share``, where only the other ranks wait), and each rank
-    copies only its own pieces.  A gather writes each step straight
-    into the root's ``out``, then meets the group at a barrier; a
-    scatter reads each block straight out of the root's ``full`` and
-    leaves without one.  Every byte is copied once — and not at all by
-    a scatter called without ``out`` whose ``full`` the root owns
-    (:func:`adoptable`): each rank's block is then a view of ``full``,
-    disjoint from every other rank's.
-    """
-
-    def __init__(self, comm: Intracomm) -> None:
-        if comm.backend != THREAD:
-            raise TypeError(f"MessagePassingRTS needs thread ranks; rts_for(comm) "
-                            f"picks the data plane of {comm.backend} ranks")
-        super().__init__(comm)
-        self._kernel = comm._kernel
-
-    def gather_chunks(
-        self,
-        local: np.ndarray,
-        steps: list[TransferStep],
-        root: int,
-        out: np.ndarray | None,
-    ) -> np.ndarray | None:
-        me = self.rank
-        if me == root and out is None:
-            out = gather_target(steps, local.dtype)
-        target = self._kernel.share(f"rts-gather@{root}", out, root)
-        moved = 0
-        for step in steps:
-            if step.src_rank == me:
-                target[step.global_lo : step.global_hi] = local[step.src_slice]
-                moved += step.nelems
-        copied(moved * local.itemsize)
-        self._comm.barrier()
-        return target if me == root else None
-
-    def scatter_chunks(
-        self,
-        full: np.ndarray | None,
-        steps: list[TransferStep],
-        root: int,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        source = self._kernel.share(f"rts-scatter@{root}", full, root)
-        mine = [s for s in steps if s.dst_rank == self.rank]
-        if out is None and len(mine) == 1 and adoptable(source):
-            return source[mine[0].global_lo : mine[0].global_hi]
-        block = land_block(source, mine, out)
-        copied(block.nbytes)
-        return block

@@ -16,8 +16,9 @@ it) so the distributed-memory semantics of real MPI hold — a receiver
 can never observe later mutations by the sender, and unpicklable
 payloads fail loudly exactly as they would under mpi4py.  The RTS data
 plane above the communicator is the exception: its gathers and
-scatters expose the root's buffer (:meth:`_ThreadKernel.share`) and
-copy each byte once (:class:`repro.rts.interface.MessagePassingRTS`).
+scatters go through a buffer the root exposes (the kernel's
+``expose``; here :meth:`_ThreadKernel.share`, the root's array itself)
+and copy each byte once (:class:`repro.rts.interface.RuntimeSystem`).
 
 Following the mpi4py convention from the guides, lowercase methods
 (``send``/``recv``/``bcast``/…) accept arbitrary Python objects, while
@@ -208,12 +209,12 @@ class _ThreadKernel:
     :class:`Intracomm` when ranks are threads.
 
     A kernel supplies a mailbox (:meth:`post`, :meth:`take`,
-    :meth:`peek`), a :meth:`rendezvous`, :meth:`fork_context` and the
-    ``abort``/``check_alive`` pair, and owns payload isolation: what a
-    rank posts or contributes is copied on deposit, and what it reads
-    off the shared board is copied again, so no two ranks ever hold the
-    same mutable object.  :meth:`share` is the one deliberate
-    exception, and the RTS data plane's way in.
+    :meth:`peek`), a :meth:`rendezvous`, :meth:`fork_context`,
+    :meth:`expose` and the ``abort``/``check_alive`` pair, and owns
+    payload isolation: what a rank posts or contributes is copied on
+    deposit, and what it reads off the shared board is copied again, so
+    no two ranks ever hold the same mutable object.  :meth:`share` is
+    the one deliberate exception, and the RTS data plane's way in.
     """
 
     backend = "thread"
@@ -286,8 +287,8 @@ class _ThreadKernel:
     def share(self, opname: str, obj: Any, root: int = 0) -> Any:
         """Collective.  ``root``'s ``obj`` itself — the same object,
         not a copy — on every rank: how the threads of a group come to
-        hold one fresh group or one window state, and how a gather or
-        scatter root exposes its buffer.
+        hold one fresh group (``dup``), and how a gather or scatter
+        root exposes its buffer (:meth:`expose`).
 
         Only the other ranks wait: the root leaves ``obj`` in each of
         their queues and goes on.  A root shares only after it has
@@ -319,6 +320,12 @@ class _ThreadKernel:
                         f"while rank {root} shared for '{entered}'")
             raise CollectiveMismatchError(group.abort_reason)
         return shared
+
+    def expose(self, opname: str, array: Any, root: int, writable: bool) -> Any:
+        """Collective.  The buffer the RTS data plane copies through:
+        ranks that share a heap read or write ``root``'s ``array``
+        itself (:meth:`share`), whichever way it is ``writable``."""
+        return self.share(opname, array, root)
 
     def _exchange(self, opname: str, contribute: Any) -> dict[int, Any]:
         """The phased rendezvous.

@@ -16,10 +16,11 @@ Three planes:
   names exactly like the thread kernel.
 - **Data** — payloads at or above :data:`repro.rts.shm.SHM_THRESHOLD`
   never cross a pipe: the sender writes them into a shared-memory
-  segment and ships a descriptor; :class:`ProcessRTS` goes further
-  and has every rank write its gather/scatter chunks *directly* into
-  one pooled segment, in parallel, with the root handing out a
-  zero-copy leased view.
+  segment and ships a descriptor.  The kernel's ``expose`` goes
+  further: the RTS data plane has every rank write its gather chunks
+  *directly* into (or read its scatter block out of) one pooled
+  segment, in parallel, with the gather root handing out a zero-copy
+  leased view.
 - **Supervision** — the parent keeps a registry of every segment name
   any rank announces, and sweeps (unlinks) whatever is still
   registered when the group ends, so even a SIGKILLed rank leaks
@@ -44,9 +45,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.cdr.accounting import copied
 from repro.rts import backends, shm
 from repro.rts.executor import RankContext, raise_rank_failures
-from repro.rts.interface import RuntimeSystem, gather_target, land_block
 from repro.rts.mpi import (
     ANY_TAG,
     DEFAULT_TIMEOUT,
@@ -98,13 +99,13 @@ class _RankState:
     under :class:`~repro.rts.mpi.Intracomm` when ranks are processes.
 
     It supplies the same contract as the thread kernel (``post``,
-    ``take``, ``peek``, ``rendezvous``, ``fork_context``, ``abort``,
-    ``check_alive``).  Isolation is the pipe's doing: whatever crosses
-    one arrives as a private copy, so only a rank's deposits to itself
-    are copied by hand.  A duplicated communicator is a shallow copy
-    of this state under a fresh context id ``ctx``, multiplexed onto
-    the same pipe mesh, since new pipes cannot be created between
-    already-running processes.
+    ``take``, ``peek``, ``rendezvous``, ``fork_context``, ``expose``,
+    ``abort``, ``check_alive``).  Isolation is the pipe's doing:
+    whatever crosses one arrives as a private copy, so only a rank's
+    deposits to itself are copied by hand.  A duplicated communicator
+    is a shallow copy of this state under a fresh context id ``ctx``,
+    multiplexed onto the same pipe mesh, since new pipes cannot be
+    created between already-running processes.
     """
 
     backend = backends.PROCESS
@@ -137,6 +138,9 @@ class _RankState:
             on_unregister=lambda n: self._up_send(("unreg", n)),
         )
         self.attach_cache: dict[str, Any] = {}
+        #: Segments this rank exposed read-only, by context id, back to
+        #: the pool at its next collective there (see :meth:`expose`).
+        self.exposed: dict[int, list[Any]] = {}
         self._closed = False
 
     # -- supervisor link ---------------------------------------------------
@@ -146,12 +150,6 @@ class _RankState:
             self.up.send(message)
         except (BrokenPipeError, OSError):
             pass
-
-    def register_oneshot(self, name: str) -> None:
-        self._up_send(("reg", name))
-
-    def unregister_oneshot(self, name: str) -> None:
-        self._up_send(("unreg", name))
 
     # -- payload encode / decode ------------------------------------------
 
@@ -179,14 +177,14 @@ class _RankState:
     def _oneshot_segment(self, nbytes: int) -> Any:
         """A single-message segment; the *receiver* unlinks it."""
         name = f"{shm.NAME_PREFIX}_{os.getpid()}_p2p_{time.monotonic_ns():x}"
-        self.register_oneshot(name)
+        self._up_send(("reg", name))
         try:
             seg = multiprocessing.shared_memory.SharedMemory(  # type: ignore[attr-defined]
                 name=name, create=True, size=max(nbytes, 1)
             )
         except (FileExistsError, AttributeError):
             seg = shm.create_segment(nbytes)
-            self.register_oneshot(seg.name)
+            self._up_send(("reg", seg.name))
         else:
             shm.untrack(seg)
         return seg
@@ -212,11 +210,8 @@ class _RankState:
 
     def _consume_oneshot(self, seg: Any, name: str) -> None:
         shm.unlink_segment(seg)
-        try:
-            seg.close()
-        except BufferError:  # pragma: no cover - defensive
-            pass
-        self.unregister_oneshot(name)
+        shm.close_quietly(seg)
+        self._up_send(("unreg", name))
 
     # -- transport ---------------------------------------------------------
 
@@ -323,8 +318,22 @@ class _RankState:
         *same* collective, and answers each rank with
         ``project(rank, board)``.  Mismatched opnames abort the group
         and raise :class:`CollectiveMismatchError`, mirroring the
-        thread kernel's phased rendezvous.
+        thread kernel's phased rendezvous.  Once it completes, every
+        rank has entered it, so none still reads a segment this rank
+        exposed before: those go back to the pool.
         """
+        released = self.exposed.pop(self.ctx, [])
+        result = self._through_rank0(opname, contribution, project)
+        for seg in released:
+            self.pool.release(seg)
+        return result
+
+    def _through_rank0(
+        self,
+        opname: str,
+        contribution: Any,
+        project: Callable[[int, dict[int, Any]], Any],
+    ) -> Any:
         if self.rank != 0:
             self._ship(0, _CH_COLL, 0, (opname, contribution))
             status, result = self._collect(_CH_COLLRES, 0, opname)
@@ -370,6 +379,41 @@ class _RankState:
             self.attach_cache[name] = seg
         return seg
 
+    def expose(
+        self, opname: str, array: Any, root: int, writable: bool
+    ) -> Any:
+        """Collective.  ``root``'s ``array`` as a buffer every rank
+        maps: the root checks a pooled segment out — copying ``array``
+        in unless it is ``writable``, a landing the ranks fill — and
+        broadcasts its descriptor, and each peer attaches it, writable
+        or read-only as asked.  A writable segment is the root's, as a
+        leased view, until its last reference dies; a read-only one
+        goes back to the pool at the root's next collective, while the
+        root keeps reading ``array`` itself."""
+        if self.size == 1:
+            return array
+        if self.rank != root:
+            name, dtype, shape = self.rendezvous(
+                opname, None, lambda dst, board: board[root]
+            )
+            view = np.ndarray(shape, dtype, buffer=self.attach_cached(name).buf)
+            view.flags.writeable = writable
+            return view
+        seg = self.pool.acquire(array.nbytes)
+        view = np.ndarray(array.shape, array.dtype, buffer=seg.buf)
+        if not writable:
+            view[...] = array
+            copied(array.nbytes)
+        self.rendezvous(
+            opname,
+            (seg.name, array.dtype, array.shape),
+            lambda dst, board: board[root],
+        )
+        if writable:
+            return shm.leased_view(view, self.pool.lease(seg))
+        self.exposed.setdefault(self.ctx, []).append(seg)
+        return array
+
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
@@ -377,139 +421,14 @@ class _RankState:
             return
         self._closed = True
         stats = self.pool.stats()
-        self.pool.close()
+        # A peer may not have mapped the segments this rank exposed
+        # last, since a scatter ends without a barrier: the supervisor
+        # unlinks their names once every rank has exited.
+        self.pool.close(keep=[s for segs in self.exposed.values() for s in segs])
         for seg in self.attach_cache.values():
-            try:
-                seg.close()
-            except BufferError:
-                pass
+            shm.close_quietly(seg)
         self.attach_cache.clear()
         self._up_send(("shmstats", stats))
-
-
-# ---------------------------------------------------------------------------
-# The shared-memory RTS data plane
-# ---------------------------------------------------------------------------
-
-
-class ProcessRTS(RuntimeSystem):
-    """The RuntimeSystem contract over a process group's shm plane.
-
-    Gathers and scatters never serialize payload bytes: the root
-    checks a pooled segment out, broadcasts its name, and every rank
-    moves exactly its schedule slices between its local block and the
-    segment — concurrently, in different processes, on different
-    cores.  With ``out=None`` the root's gather result is a zero-copy
-    leased view of the segment itself.
-    """
-
-    def __init__(self, comm: Intracomm) -> None:
-        if comm.backend != backends.PROCESS:
-            raise TypeError(
-                "ProcessRTS requires a process-backend communicator"
-            )
-        super().__init__(comm)
-        self._state: _RankState = comm._kernel
-
-    def broadcast(self, obj: Any, root: int) -> Any:
-        """Large ndarrays fan out through one segment, read in
-        parallel; everything else rides the control plane."""
-        comm, state = self._comm, self._state
-        if comm.size == 1:
-            return _isolate(obj)
-        if comm.rank == root:
-            if (
-                isinstance(obj, np.ndarray)
-                and obj.nbytes >= shm.SHM_THRESHOLD
-            ):
-                arr = np.ascontiguousarray(obj)
-                seg = state.pool.acquire(arr.nbytes)
-                np.ndarray(arr.shape, arr.dtype, buffer=seg.buf)[...] = arr
-                comm.bcast(("shm", seg.name, arr.dtype, arr.shape), root)
-                comm.barrier()
-                state.pool.release(seg)
-                return obj
-            comm.bcast(("inline", obj), root)
-            return obj
-        desc = comm.bcast(None, root)
-        if desc[0] == "inline":
-            return desc[1]
-        _, name, dtype, shape = desc
-        seg = state.attach_cached(name)
-        arr = np.ndarray(shape, dtype, buffer=seg.buf).copy()
-        comm.barrier()
-        return arr
-
-    def gather_chunks(
-        self,
-        local: np.ndarray,
-        steps: list,
-        root: int,
-        out: np.ndarray | None,
-    ) -> np.ndarray | None:
-        comm, state = self._comm, self._state
-        me = comm.rank
-        total = steps[-1].global_hi if steps else 0
-        if total == 0 or comm.size == 1:
-            if me != root:
-                return None
-            if out is None:
-                out = gather_target(steps, local.dtype)
-            for step in steps:
-                out[step.global_lo : step.global_hi] = local[step.src_slice]
-            return out
-        mine = [s for s in steps if s.src_rank == me]
-        if me == root:
-            dtype = local.dtype
-            seg = state.pool.acquire(total * dtype.itemsize)
-            view = np.ndarray((total,), dtype, buffer=seg.buf)
-            comm.bcast((seg.name, dtype, total), root)
-            for step in mine:
-                view[step.global_lo : step.global_hi] = local[step.src_slice]
-            comm.barrier()
-            if out is not None:
-                out[:total] = view
-                state.pool.release(seg)
-                return out
-            return shm.leased_view(view, state.pool.lease(seg))
-        name, dtype, total = comm.bcast(None, root)
-        seg = state.attach_cached(name)
-        view = np.ndarray((total,), dtype, buffer=seg.buf)
-        for step in mine:
-            view[step.global_lo : step.global_hi] = local[step.src_slice]
-        comm.barrier()
-        return None
-
-    def scatter_chunks(
-        self,
-        full: np.ndarray | None,
-        steps: list,
-        root: int,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        comm, state = self._comm, self._state
-        mine = [s for s in steps if s.dst_rank == comm.rank]
-        if comm.size == 1:
-            assert full is not None
-            return land_block(full, mine, out)
-        if comm.rank == root:
-            assert full is not None
-            total = steps[-1].global_hi if steps else 0
-            arr = np.ascontiguousarray(full[:total])
-            seg = state.pool.acquire(arr.nbytes)
-            view = np.ndarray((total,), arr.dtype, buffer=seg.buf)
-            view[:] = arr
-            comm.bcast((seg.name, arr.dtype, total), root)
-            block = land_block(full, mine, out)
-            comm.barrier()
-            state.pool.release(seg)
-            return block
-        name, dtype, total = comm.bcast(None, root)
-        seg = state.attach_cached(name)
-        view = np.ndarray((total,), dtype, buffer=seg.buf)
-        block = land_block(view, mine, out)
-        comm.barrier()
-        return block
 
 
 # ---------------------------------------------------------------------------

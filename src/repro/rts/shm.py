@@ -35,7 +35,7 @@ import itertools
 import os
 import threading
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -121,11 +121,12 @@ def unlink_quietly(name: str) -> bool:
         return False
     untrack(seg)
     unlink_segment(seg)
-    _close_quietly(seg)
+    close_quietly(seg)
     return True
 
 
-def _close_quietly(seg: shared_memory.SharedMemory) -> None:
+def close_quietly(seg: shared_memory.SharedMemory) -> None:
+    """Unmap ``seg`` unless a buffer export still pins the mapping."""
     try:
         seg.close()
     except BufferError:
@@ -270,15 +271,16 @@ class ShmPool:
         name = seg.name
         unlink_segment(seg)
         if unmap:
-            _close_quietly(seg)
+            close_quietly(seg)
         with self._lock:
             self._owned.pop(name, None)
             self.freed += 1
         if self._on_unregister is not None:
             self._on_unregister(name)
 
-    def close(self) -> None:
-        """Unlink every owned segment (leased ones included).
+    def close(self, keep: Sequence[Any] = ()) -> None:
+        """Unlink every owned segment (leased ones included) but those
+        in ``keep``, which stay registered for the supervisor's sweep.
 
         Called at rank shutdown; outstanding zero-copy views keep
         their mapping (the pages survive until the process exits) but
@@ -291,7 +293,7 @@ class ShmPool:
             if self._closed:
                 return
             self._closed = True
-            owned = list(self._owned.values())
+            owned = [s for s in self._owned.values() if s not in keep]
             free = {id(seg) for bucket in self._free.values() for seg in bucket}
             self._free.clear()
         for seg in owned:

@@ -22,7 +22,7 @@ from repro.dist import BlockTemplate
 from repro.orb.datapath import _gather
 from repro.orb.naming import NamingService
 from repro.orb.socketnet import SocketFabric
-from repro.rts import GroupAbortedError, MessagePassingRTS, create_group
+from repro.rts import GroupAbortedError, RuntimeSystem, create_group
 
 BULK = 1 << 18  # doubles: 2 MiB, well above the pooled-frame size
 
@@ -147,7 +147,7 @@ def test_a_failed_gather_never_lends_its_staging_buffer_again():
 
     def late_peer():
         try:
-            _gather(MessagePassingRTS(first[1]), 1, _seq(layout, late), "data")
+            _gather(RuntimeSystem(first[1]), 1, _seq(layout, late), "data")
         except GroupAbortedError:
             outcome.append("aborted")
 
@@ -160,7 +160,7 @@ def test_a_failed_gather_never_lends_its_staging_buffer_again():
         t.start()
     with pytest.raises(GroupAbortedError):
         _gather(
-            MessagePassingRTS(first[0]), 0,
+            RuntimeSystem(first[0]), 0,
             _seq(layout, expected[:half].copy()), "data",
         )
 
@@ -169,13 +169,13 @@ def test_a_failed_gather_never_lends_its_staging_buffer_again():
     helper = threading.Thread(
         target=_gather,
         args=(
-            MessagePassingRTS(second[1]), 1,
+            RuntimeSystem(second[1]), 1,
             _seq(layout, expected[half:].copy()), "data",
         ),
     )
     helper.start()
     result = _gather(
-        MessagePassingRTS(second[0]), 0,
+        RuntimeSystem(second[0]), 0,
         _seq(layout, expected[:half].copy()), "data",
     )
     helper.join(10)

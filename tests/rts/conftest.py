@@ -7,9 +7,7 @@ variable so the tests themselves stay backend-oblivious (ISSUE 7's
 thread-backend internals directly (``create_group``, futures
 plumbing) keep their single run; ``test_mpi`` opts its launcher-based
 classes into the process run itself, by subclass, so its
-hand-driven thread cases keep one run and their names.  One-sided
-windows exist between threads only, so ``THREAD_MODULES`` pin the
-thread backend whatever the environment says.
+hand-driven thread cases keep one run and their names.
 """
 
 import os
@@ -21,9 +19,6 @@ from repro.rts.backends import ENV_VAR
 
 #: Modules whose tests go through launcher-selected backends.
 PROCESS_MODULES = {"test_executor", "test_interface"}
-
-#: Modules whose subject exists on the thread backend only.
-THREAD_MODULES = {"test_onesided"}
 
 
 def pytest_generate_tests(metafunc):
@@ -42,8 +37,6 @@ def pytest_generate_tests(metafunc):
 @pytest.fixture(scope="module")
 def rts_backend(request):
     backend = getattr(request, "param", None)
-    if request.module.__name__.rpartition(".")[2] in THREAD_MODULES:
-        backend = "thread"
     if backend is None:
         yield os.environ.get(ENV_VAR) or "thread"
         return

@@ -1,6 +1,7 @@
-"""The RTS interface gather/scatter used by the ORB — run against the
-realization each backend actually gets (``rts_for``): the thread
-kernel's exposed buffer, the process kernel's shared-memory segment."""
+"""The RTS interface gather/scatter used by the ORB — one
+``RuntimeSystem`` over each backend's kernel (``rts_for``): the thread
+kernel exposes the root's array itself, the process kernel a
+shared-memory segment."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,7 @@ from hypothesis import strategies as st
 
 from repro.cdr.accounting import copy_audit
 from repro.dist import BlockTemplate, Layout, Proportions, transfer_schedule
-from repro.rts import (
-    GroupAbortedError,
-    MessagePassingRTS,
-    rts_for,
-    spmd_run,
-)
+from repro.rts import GroupAbortedError, RuntimeSystem, rts_for, spmd_run
 from repro.rts.executor import SpmdError
 
 
@@ -72,6 +68,44 @@ class TestGatherScatter:
 
         assert all(spmd_run(2, body))
 
+    def test_a_gather_into_a_longer_out_fills_only_its_prefix(self):
+        layout = Proportions(2, 1).layout(9)
+        data = np.arange(9, dtype=np.float64)
+        steps = transfer_schedule(layout, Layout(((0, 9),)))
+
+        def body(ctx):
+            lo, hi = layout.local_range(ctx.rank)
+            out = np.full(12, -1.0) if ctx.rank == 0 else None
+            result = rts_for(ctx.comm).gather_chunks(
+                data[lo:hi].copy(), steps, 0, out
+            )
+            return None if out is None else (result is out, out.tolist())
+
+        assert spmd_run(2, body) == [
+            (True, data.tolist() + [-1.0] * 3),
+            None,
+        ]
+
+    def test_a_leased_gather_result_outlives_later_collectives(self):
+        """The root keeps the buffer a gather handed it: scatters and
+        gathers after it recycle only buffers no rank holds."""
+        layout = BlockTemplate(2).layout(1 << 13)
+        to_root = transfer_schedule(layout, Layout(((0, layout.length),)))
+        from_root = transfer_schedule(Layout(((0, layout.length),)), layout)
+        data = np.arange(layout.length, dtype=np.float64)
+
+        def body(ctx):
+            rts = rts_for(ctx.comm)
+            lo, hi = layout.local_range(ctx.rank)
+            first = rts.gather_chunks(data[lo:hi].copy(), to_root, 0, None)
+            for k in range(3):
+                full = -data if ctx.rank == 0 else None
+                rts.scatter_chunks(full, from_root, 0)
+                rts.gather_chunks(data[lo:hi] * k, to_root, 0, None)
+            return None if first is None else bool((first == data).all())
+
+        assert spmd_run(2, body) == [True, None]
+
     def test_a_root_allocates_only_for_a_schedule_that_writes_it_all(self):
         """Without ``out`` the root lands the gather in uninitialised
         memory, sound only because the steps tile ``[0, total)``."""
@@ -120,6 +154,41 @@ class TestGatherScatter:
 
         assert spmd_run(3, body) == ["header"] * 3
 
+    def test_a_bulk_broadcast_lands_a_private_copy_on_every_rank(self):
+        """``broadcast`` is the communicator's ``bcast`` on both
+        kernels, for an array above the shared-memory threshold too."""
+        data = np.arange(1 << 13, dtype=np.float64)
+
+        def body(ctx):
+            rts = rts_for(ctx.comm)
+            got = rts.broadcast(data.copy() if ctx.rank == 1 else None, 1)
+            got += ctx.rank
+            rts.synchronize()
+            return bool((got == data + ctx.rank).all())
+
+        assert spmd_run(3, body) == [True] * 3
+
+    def test_a_scatter_leaves_without_a_closing_barrier(self):
+        """Rank 2 lands its block only once rank 1 has come back from
+        the same scatter: a closing barrier would hold rank 1 there."""
+        layout = BlockTemplate(3).layout(30)
+        data = np.arange(30, dtype=np.float64)
+        steps = transfer_schedule(Layout(((0, 30),)), layout)
+
+        def body(ctx):
+            out = np.zeros(layout.local_length(ctx.rank))
+            if ctx.rank == 2:
+                out = out.view(_WaitsForRank1)
+                out.comm = ctx.comm
+            full = data.copy() if ctx.rank == 0 else None
+            rts_for(ctx.comm).scatter_chunks(full, steps, 0, out)
+            if ctx.rank == 1:
+                ctx.comm.send("back", dest=2, tag=7)
+            return np.array(out)
+
+        blocks = spmd_run(3, body, timeout=60.0)
+        np.testing.assert_array_equal(np.concatenate(blocks), data)
+
     def test_rank_size_passthrough(self):
         def body(ctx):
             rts = rts_for(ctx.comm)
@@ -150,21 +219,15 @@ class TestGatherScatter:
         )
         np.testing.assert_array_equal(reassembled, data)
 
-    def test_the_thread_realization_refuses_a_process_communicator(
-        self, rts_backend
-    ):
-        def body(ctx):
-            try:
-                MessagePassingRTS(ctx.comm)
-            except TypeError as exc:
-                return str(exc)
-            return None
+    def test_rts_for_serves_either_kernel(self, rts_backend):
+        """One RuntimeSystem, whichever kernel carries the ranks: only
+        how the root's buffer is exposed differs."""
 
-        refusals = spmd_run(2, body)
-        if rts_backend == "process":
-            assert all("rts_for" in str(r) for r in refusals)
-        else:
-            assert refusals == [None, None]
+        def body(ctx):
+            rts = rts_for(ctx.comm)
+            return type(rts) is RuntimeSystem, rts.comm.backend
+
+        assert spmd_run(2, body) == [(True, rts_backend)] * 2
 
 
 class TestIsolation:
@@ -259,12 +322,30 @@ class TestAdoption:
         np.testing.assert_array_equal(np.concatenate(blocks), full)
 
 
+def copied_bytes(rts_backend, nranks, body):
+    """The bytes the copy account saw while ``body`` ran on every rank.
+    The account counts a whole process, so thread ranks share one
+    audit, and each process rank audits itself and reports its count."""
+
+    def audited(ctx):
+        with copy_audit() as account:
+            body(ctx)
+        return account.snapshot()[0]
+
+    if rts_backend == "process":
+        return sum(spmd_run(nranks, audited))
+    with copy_audit() as account:
+        spmd_run(nranks, body)
+    return account.snapshot()[0]
+
+
 class TestCopyCount:
-    """The thread RTS reports every copy it makes, and no adoption."""
+    """The RTS reports every copy it makes, and no adoption, on either
+    kernel."""
 
     N = 1 << 16
 
-    def _scatter_bytes(self, writable):
+    def _scatter_bytes(self, rts_backend, writable):
         layout = BlockTemplate(4).layout(self.N)
         steps = transfer_schedule(Layout(((0, self.N),)), layout)
         full = np.arange(self.N, dtype=np.float64)
@@ -275,21 +356,30 @@ class TestCopyCount:
                 full if ctx.rank == 0 else None, steps, 0
             )
 
-        with copy_audit() as account:
-            spmd_run(4, body)
-        return account.snapshot()[0], full.nbytes
+        return copied_bytes(rts_backend, 4, body), full.nbytes
 
     def test_an_adopting_scatter_counts_nothing(self, rts_backend):
         thread_ranks_only(rts_backend)
-        assert self._scatter_bytes(writable=True)[0] == 0
+        assert self._scatter_bytes(rts_backend, writable=True)[0] == 0
 
     def test_a_read_only_scatter_counts_full_nbytes(self, rts_backend):
-        thread_ranks_only(rts_backend)
-        counted, nbytes = self._scatter_bytes(writable=False)
-        assert counted == nbytes
+        """Every rank copies its block once; on process ranks the root
+        first copies ``full`` into the segment its peers map."""
+        counted, nbytes = self._scatter_bytes(rts_backend, writable=False)
+        into_segment = nbytes if rts_backend == "process" else 0
+        assert counted == into_segment + nbytes
+
+    def test_an_owned_full_is_copied_by_process_peers_only(
+        self, rts_backend
+    ):
+        """Thread ranks adopt views of the root's writable ``full``.  A
+        process peer maps the root's segment read-only, so it copies its
+        block, after the root copied ``full`` into the segment."""
+        counted, nbytes = self._scatter_bytes(rts_backend, writable=True)
+        peers = nbytes * 3 // 4
+        assert counted == (nbytes + peers if rts_backend == "process" else 0)
 
     def test_a_gather_counts_every_element_once(self, rts_backend):
-        thread_ranks_only(rts_backend)
         layout = BlockTemplate(2).layout(self.N)
         steps = transfer_schedule(layout, Layout(((0, self.N),)))
 
@@ -298,9 +388,7 @@ class TestCopyCount:
             local = np.arange(lo, hi, dtype=np.float64)
             rts_for(ctx.comm).gather_chunks(local, steps, 0, None)
 
-        with copy_audit() as account:
-            spmd_run(2, body)
-        assert account.snapshot()[0] == self.N * 8
+        assert copied_bytes(rts_backend, 2, body) == self.N * 8
 
 
 class _FailsWhenRead(np.ndarray):
@@ -310,6 +398,15 @@ class _FailsWhenRead(np.ndarray):
 
     def __getitem__(self, key):
         raise RuntimeError("peer failed mid-gather")
+
+
+class _WaitsForRank1(np.ndarray):
+    """A landing block that takes a piece only after rank 1 says it is
+    back from the scatter both are in."""
+
+    def __setitem__(self, key, value):
+        self.comm.recv(source=1, tag=7, timeout=30.0)
+        super().__setitem__(key, value)
 
 
 class TestAbort:

@@ -8,7 +8,6 @@ import pytest
 from repro.dist import BlockTemplate, Layout, transfer_schedule
 from repro.rts import (
     DeadlockError,
-    ProcessRTS,
     SpmdExecutor,
     process_backend_supported,
     rts_for,
@@ -197,10 +196,20 @@ class TestProcessKernel:
 
 class TestProcessRTSDataPlane:
     def test_rts_for_selects_shm_plane(self):
-        def body(ctx):
-            return type(rts_for(ctx.comm)).__name__
+        """Behaviour, not a class name: on process ranks the kernel
+        exposes a segment, and the gather root's result is its leased
+        view."""
+        steps = transfer_schedule(
+            BlockTemplate(2).layout(8), Layout(((0, 8),))
+        )
 
-        assert prun(2, body) == ["ProcessRTS", "ProcessRTS"]
+        def body(ctx):
+            full = rts_for(ctx.comm).gather_chunks(
+                np.zeros(4), steps, root=0, out=None
+            )
+            return type(full).__name__
+
+        assert prun(2, body) == ["ShmArray", "NoneType"]
 
     def test_gather_root_gets_zero_copy_view(self):
         layout = BlockTemplate(4).layout(1 << 16)
@@ -272,23 +281,37 @@ class TestProcessRTSDataPlane:
 
     def test_segments_are_pooled_and_reused(self):
         layout = BlockTemplate(2).layout(1 << 15)
-        steps = transfer_schedule(layout, Layout(((0, layout.length),)))
+        to_root = transfer_schedule(layout, Layout(((0, layout.length),)))
+        from_root = transfer_schedule(Layout(((0, layout.length),)), layout)
 
-        def body(ctx):
+        def pool_stats(body):
+            handle = spawn_spmd(body, 2, backend="process")
+            handle.join(60)
+            return handle.shm_stats()
+
+        def gathers(ctx):
             rts = rts_for(ctx.comm)
             lo, hi = layout.local_range(ctx.rank)
             out = np.zeros(layout.length) if ctx.rank == 0 else None
             for _ in range(6):
-                rts.gather_chunks(
-                    np.ones(hi - lo), steps, 0, out
-                )
-            return None
+                rts.gather_chunks(np.ones(hi - lo), to_root, 0, out)
 
-        handle = spawn_spmd(body, 2, backend="process")
-        handle.join(60)
-        stats = handle.shm_stats()
+        stats = pool_stats(gathers)
         assert stats["reused"] >= 4
         assert stats["allocated"] >= 1
+
+        def scatters(ctx):
+            # No other collective between them: a scatter's segment
+            # goes back to the pool when the root's next collective —
+            # the next scatter's exposure — completes.
+            rts = rts_for(ctx.comm)
+            full = np.ones(layout.length) if ctx.rank == 0 else None
+            for _ in range(6):
+                rts.scatter_chunks(full, from_root, 0)
+
+        stats = pool_stats(scatters)
+        assert stats["reused"] >= 4
+        assert stats["allocated"] <= 2
 
 
 class TestBackendIdentity:

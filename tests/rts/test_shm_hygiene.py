@@ -2,9 +2,8 @@
 
 The acceptance bar from ISSUE 7: zero leaked ``/dev/shm`` entries
 after any process-backend run — normal completion, application error,
-abort, and a rank SIGKILLed mid-transfer (driven by the PR 4
-fault-injection schedule, so the kill point is seeded and
-reproducible).
+abort, and a rank SIGKILLed mid-gather or mid-scatter (driven by the
+seeded fault-injection schedule, so the kill point is reproducible).
 """
 
 import os
@@ -88,6 +87,32 @@ class TestHygiene:
         with pytest.raises(SpmdError) as excinfo:
             handle.join(90)
         assert isinstance(excinfo.value.failures[1], RankDiedError)
+        assert _pardis_segments() == []
+
+    def test_root_killed_mid_scatter_swept_by_parent(self):
+        # The scatter root holds the segments it exposed until its next
+        # collective: a seeded kill between scatters leaves one checked
+        # out and one in the pool, both for the parent to sweep.
+        def body(ctx):
+            faults = FaultSchedule(
+                seed=4321, drop=0.4, kinds=("request",), start_after=2
+            )
+            layout = BlockTemplate(ctx.size).layout(1 << 16)
+            steps = transfer_schedule(
+                Layout(((0, layout.length),)), layout
+            )
+            rts = rts_for(ctx.comm)
+            full = np.zeros(layout.length) if ctx.rank == 0 else None
+            for _ in range(16):
+                if ctx.rank == 0 and "drop" in faults.decide("request"):
+                    os.kill(os.getpid(), signal.SIGKILL)
+                rts.scatter_chunks(full, steps, root=0)
+            return True
+
+        handle = spawn_spmd(body, 3, backend="process")
+        with pytest.raises(SpmdError) as excinfo:
+            handle.join(90)
+        assert isinstance(excinfo.value.failures[0], RankDiedError)
         assert _pardis_segments() == []
 
     def test_abort_mid_transfer_leaves_no_segments(self):
