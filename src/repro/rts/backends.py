@@ -92,18 +92,9 @@ def current_context() -> dict[str, Any]:
     return {"backend": resolve_backend(), "rank": 0, "size": 1}
 
 
-def current_backend() -> str:
-    """The backend name of the calling rank (cheap; used by spans)."""
-    ctx = getattr(_thread_context, "ctx", None)
-    if ctx is not None:
-        return ctx["backend"]
-    if _process_context:
-        return PROCESS
-    return THREAD
-
-
 def active_backend() -> str | None:
-    """Like :func:`current_backend`, but None outside any SPMD rank.
+    """The backend name of the calling rank, or None outside any SPMD
+    rank.
 
     Trace spans use this so serial-code spans stay untagged: a tag
     asserts "this measurement ran on rank R of backend B", which is

@@ -40,6 +40,7 @@ import multiprocessing
 import os
 import pickle
 import time
+import weakref
 from multiprocessing import connection as mpconn
 from typing import Any, Callable, Sequence
 
@@ -518,7 +519,7 @@ class ProcHandle:
     :class:`~repro.rts.executor.SpmdError`; ``abort`` releases blocked
     ranks.  Additionally supervises shared memory: every segment name
     a rank announces is swept (unlinked) when the group ends, however
-    it ends — including a rank killed outright.
+    it ends — a rank killed outright, or the handle dropped unjoined.
     """
 
     def __init__(
@@ -537,10 +538,10 @@ class ProcHandle:
         self._segments: set[str] = set()
         self._shm_stats: dict[str, int] = {}
         self._done = False
-        import weakref
-
+        # Holds the live uplink list and segment set, not copies: a
+        # handle dropped unjoined still learns every announced name.
         self._sweeper = weakref.finalize(
-            self, _emergency_cleanup, procs, list(self._segments)
+            self, _sweep, procs, up_conns, self._segments
         )
 
     @property
@@ -566,11 +567,8 @@ class ProcHandle:
 
     def _handle_message(self, rank: int, message: tuple) -> None:
         kind = message[0]
-        if kind == "reg":
-            self._segments.add(message[1])
-        elif kind == "unreg":
-            self._segments.discard(message[1])
-        elif kind == "shmstats":
+        _track(self._segments, message)
+        if kind == "shmstats":
             shm.merge_retired_stats(message[1])
             for key, value in message[1].items():
                 self._shm_stats[key] = (
@@ -594,17 +592,10 @@ class ProcHandle:
             return
         ready = mpconn.wait([conn for _, conn in pending], timeout)
         for rank, conn in pending:
-            if conn not in ready:
-                continue
-            while True:
-                try:
-                    if not conn.poll(0):
-                        break
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    self._up[rank] = None
-                    break
-                self._handle_message(rank, message)
+            if conn in ready and not _read_ready(
+                conn, lambda m, r=rank: self._handle_message(r, m)
+            ):
+                self._up[rank] = None
 
     def _reported(self, rank: int) -> bool:
         return rank in self._results or rank in self._failures
@@ -643,39 +634,49 @@ class ProcHandle:
         self._done = True
         for proc in self._procs:
             proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - last resort
-                proc.kill()
-                proc.join(timeout=5.0)
         # Everything the ranks will ever say is now in the pipes.
         self._drain(0)
-        for conn in self._up:
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        self.sweep_segments()
-        self._sweeper.detach()
-
-    def sweep_segments(self) -> int:
-        """Unlink every registered-but-not-unregistered segment."""
-        swept = 0
-        for name in sorted(self._segments):
-            if shm.unlink_quietly(name):
-                swept += 1
-        self._segments.clear()
-        return swept
+        self._sweeper()
 
     def shm_stats(self) -> dict[str, int]:
         """Aggregated pool counters reported by joined ranks."""
         return dict(self._shm_stats)
 
 
-def _emergency_cleanup(procs: list[Any], segments: list[str]) -> None:
-    """GC/exit fallback when a handle is dropped without join."""
+def _track(segments: set[str], message: tuple) -> None:
+    """Apply one rank's ``reg``/``unreg`` announcement."""
+    if message[0] == "reg":
+        segments.add(message[1])
+    elif message[0] == "unreg":
+        segments.discard(message[1])
+
+
+def _read_ready(conn: Any, handle: Callable[[tuple], None]) -> bool:
+    """Pass every message waiting on one uplink to ``handle``; False
+    once the rank's end has closed."""
+    while True:
+        try:
+            if not conn.poll(0):
+                return True
+            message = conn.recv()
+        except (EOFError, OSError):
+            return False
+        handle(message)
+
+
+def _sweep(procs: list[Any], up: list[Any], segments: set[str]) -> None:
+    """End a group for good: kill any rank still running, read the
+    names announced since the last drain, close the uplinks and unlink
+    every segment still registered.  ``join`` calls it last; the GC or
+    interpreter exit calls it for a handle dropped without ``join``."""
     for proc in procs:
         if proc.is_alive():
             proc.kill()
+        proc.join(timeout=5.0)
+    for conn in up:
+        if conn is not None:
+            _read_ready(conn, lambda m: _track(segments, m))
+            conn.close()
     for name in segments:
         shm.unlink_quietly(name)
 

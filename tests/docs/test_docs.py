@@ -66,6 +66,29 @@ def test_docs_doctest_blocks_run(path):
     assert failures == 0, f"{failures} doctest failure(s) in {path.name}"
 
 
+#: Prose that names measurement artefacts and scripts by path.
+NAMING_FILES = sorted(
+    path
+    for pattern in ("README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/*.md")
+    for path in REPO.glob(pattern)
+)
+
+#: A committed artefact (``BENCH_x.json``) or script (``tools/x.py``).
+_NAMED_PATH = re.compile(r"(?<![\w/.])(BENCH_\w+\.json|tools/\w+\.py)")
+
+
+@pytest.mark.parametrize(
+    "path", NAMING_FILES, ids=lambda p: str(p.relative_to(REPO))
+)
+def test_named_artefacts_and_tools_exist(path):
+    missing = sorted({
+        name
+        for name in _NAMED_PATH.findall(path.read_text(encoding="utf-8"))
+        if not (REPO / name).exists()
+    })
+    assert not missing, f"{path.name} names missing files: {missing}"
+
+
 def test_observability_doc_has_runnable_examples():
     # The observability guide must actually demonstrate the API, not
     # just describe it: at least one ``>>>`` example is required.

@@ -4,7 +4,8 @@ Covers the reply demultiplexer (replies arriving out of launch order
 resolve the right futures), interleaved multi-port chunk streams from
 concurrently in-flight requests, the ``pipeline_depth`` knob, and the
 serial dispatch pool's two ordering policies — over both the
-in-process fabric and real TCP loopback.
+in-process fabric and real TCP loopback, and from a client that is a
+forked process rank.
 """
 
 import contextlib
@@ -15,8 +16,10 @@ import numpy as np
 import pytest
 
 from repro import ORB, compile_idl
+from repro.orb.nameservice import NamingClient, serve_naming
 from repro.orb.naming import NamingService
 from repro.orb.socketnet import SocketFabric
+from repro.rts import process_backend_supported, spawn_spmd
 
 PIPE_IDL = """
 typedef dsequence<double> vec;
@@ -241,3 +244,65 @@ class TestDepthAndDispatch:
         with two_orbs("inproc") as (_server, client):
             with pytest.raises(ValueError, match="depth"):
                 client.client_runtime(label="bad", pipeline_depth=0)
+
+
+@pytest.mark.skipif(
+    not process_backend_supported(),
+    reason="process RTS backend needs the fork start method",
+)
+class TestProcessRankClient:
+    @pytest.mark.parametrize("transfer", ["centralized", "multiport"])
+    def test_forked_rank_keeps_eight_in_flight(self, idl, transfer):
+        """A forked process rank is a serial client over TCP: it finds
+        the server through the parent's served naming object, launches
+        eight futures before touching one, and each resolves to its own
+        reply.  The servant in the parent sees them overlap."""
+        gauge = ConcurrencyGauge()
+        ramp = np.arange(8192, dtype=np.float64)
+
+        class Dwelling(idl.pipe_skel):
+            def echo(self, data):
+                with gauge:
+                    time.sleep(0.02)
+                return data
+
+        def client_body(ctx):
+            with SocketFabric("pipe-client") as cf:
+                naming = NamingClient(cf, naming_ior)
+                with ORB("pipe-client", fabric=cf, naming=naming) as orb:
+                    runtime = orb.client_runtime(
+                        label="forked", pipeline_depth=8
+                    )
+                    try:
+                        proxy = idl.pipe._bind(
+                            "pipe", runtime, transfer=transfer
+                        )
+                        futures = [
+                            proxy.echo_nb(idl.vec.from_global(ramp + 1000 * i))
+                            for i in range(8)
+                        ]
+                        return [
+                            bool(np.array_equal(
+                                f.value(timeout=30).local_data(),
+                                ramp + 1000 * i,
+                            ))
+                            for i, f in enumerate(futures)
+                        ]
+                    finally:
+                        runtime.close()
+
+        with SocketFabric("pipe-server") as sf:
+            with ORB("pipe-server", fabric=sf) as server:
+                naming_ior = serve_naming(server)
+                server.serve(
+                    "pipe",
+                    lambda ctx: Dwelling(),
+                    nthreads=1,
+                    dispatch_policy="concurrent",
+                )
+                handle = spawn_spmd(
+                    client_body, 1, backend="process", name="pipe-client"
+                )
+                (checked,) = handle.join(120)
+        assert checked == [True] * 8
+        assert gauge.peak >= 2

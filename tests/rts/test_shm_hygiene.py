@@ -2,12 +2,16 @@
 
 The acceptance bar from ISSUE 7: zero leaked ``/dev/shm`` entries
 after any process-backend run — normal completion, application error,
-abort, and a rank SIGKILLed mid-gather or mid-scatter (driven by the
-seeded fault-injection schedule, so the kill point is reproducible).
+abort, a rank SIGKILLed mid-gather or mid-scatter (driven by the
+seeded fault-injection schedule, so the kill point is reproducible),
+and a handle dropped without ``join``.
 """
 
+import gc
 import os
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -125,3 +129,30 @@ class TestHygiene:
         with pytest.raises(SpmdError):
             handle.join(60)
         assert _pardis_segments() == []
+
+    def test_dropped_handle_swept_by_finalizer(self):
+        # Every rank registers pooled segments, then blocks for good:
+        # nobody joins, so the names sit unread in the uplinks until
+        # the handle's finalizer runs.
+        def body(ctx):
+            _gather_body(ctx)
+            threading.Event().wait()
+
+        handle = spawn_spmd(body, 2, backend="process")
+        pids = handle.pids
+        deadline = time.monotonic() + 60
+        while not _pardis_segments():
+            assert time.monotonic() < deadline, "no segment registered"
+            time.sleep(0.01)
+        del handle
+        gc.collect()
+        assert _pardis_segments() == []
+        assert [pid for pid in pids if _running(pid)] == []
+
+
+def _running(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True

@@ -267,8 +267,10 @@ OPTION_BUDGET = {
 #: the CDR head codec's helpers — the ``ulong length`` + pad rule moved
 #: into the fixed-layout head (``repro.cdr.head``), and the two copies
 #: of the address codec became ``transport.write_address`` /
-#: ``read_address``.  Last, the RTS realizations that the one
-#: ``RuntimeSystem`` over a kernel's ``expose`` replaced.
+#: ``read_address``.  Then the RTS realizations that the one
+#: ``RuntimeSystem`` over a kernel's ``expose`` replaced.  Last, the
+#: pipeline and thread-vs-process harnesses that ``bench/`` and the
+#: tier-1 pipelining tests replaced, and a backend query with no caller.
 RETIRED_IDENTIFIERS = {
     "trac" "er",
     "ft_" "stats",
@@ -295,6 +297,12 @@ RETIRED_IDENTIFIERS = {
     "Process" "RTS",
     "Window" "Error",
     "remote_" "element",
+    "run_" "pipeline",
+    "throughput_" "ratio",
+    "run_" "procs",
+    "Pipeline" "Point",
+    "Procs" "Point",
+    "current_" "backend",
 }
 
 
