@@ -1,21 +1,25 @@
 """Replicated object groups with client-side failover (repro.groups).
 
 A counter service is served as a 3-replica *object group* behind one
-logical name in a :class:`ShardedNaming` router.  The client binds
-the group — not any one replica — with a retrying :class:`FtPolicy`,
-then keeps invoking while the replica it is bound to is killed
-abruptly (ports closed, no unbind: a crash, not a shutdown).  The
-proxy exhausts its retries against the dead replica, fails over to a
-sibling, and replays the interrupted invocations through the
-sibling's reply cache, so the client sees every result and zero
-errors.
+logical name in the ORB's naming domain.  The client binds the group
+— not any one replica — with a retrying :class:`FtPolicy`, then keeps
+invoking while the replica it is bound to is killed abruptly (ports
+closed, no unbind: a crash, not a shutdown).  The engine exhausts its
+retries against the dead replica, fails the binding over to a
+sibling, and re-issues the interrupted invocations there, so the
+client sees every result and zero errors.
+
+The re-issued calls are new requests to a replica with its own reply
+cache: one the dead replica executed before dying runs again on the
+sibling.  Each replica keeps its own running total here, which is
+fine for a demo; a real replicated service keeps no state of its own.
 
 ``orb.stats()["groups"]`` shows the story afterwards: the bind, the
-selections, the failover, and the router's health epoch bumping when
-the dead replica is reported down.
+selections, the failover, and the directory's health epoch bumping
+when the dead replica is reported down.
 
 With ``--two-process`` the same story runs across two OS processes:
-a child hosts the three replicas and serves its ``ShardedNaming`` —
+a child hosts the three replicas and serves its naming object —
 flat names *and* group directory — as an ordinary object; this
 process bootstraps a :class:`NamingClient` from the printed IOR, binds
 the group through it, and asks the child (through one more ordinary
@@ -29,7 +33,6 @@ import sys
 import threading
 
 from repro import ORB, FtPolicy, compile_idl
-from repro.groups import ShardedNaming
 from repro.orb.nameservice import NamingClient, serve_naming
 from repro.orb.socketnet import SocketFabric
 
@@ -66,8 +69,8 @@ class CounterServant(idl.counter_skel):
 
 def serve_counter(orb):
     # Three replicas behind the logical name 'counter', each with a
-    # reply cache so post-failover replays dedup instead of
-    # re-executing on the new target.
+    # reply cache so a request retried against the same replica
+    # answers from the cache instead of executing twice.
     return orb.serve_replicated(
         "counter",
         lambda ctx: CounterServant(),
@@ -113,20 +116,18 @@ def drive_client(orb, kill):
 
 
 def report_directory(stats):
-    """The router's side of the story (the process that keeps the
-    directory counts the down-marks and epochs)."""
-    print(f"marked_down={stats['marked_down']} router epoch for "
+    """The directory's side of the story (the process that keeps it
+    counts the down-marks and epochs)."""
+    print(f"marked_down={stats['marked_down']} directory epoch for "
           f"'counter': {stats['groups']['counter']['epoch']}")
     assert stats["marked_down"] == 1
     assert stats["groups"]["counter"]["epoch"] == 1
 
 
 def main():
-    # The sharded router partitions plain names *and* group
-    # directories across shards by consistent hashing; clients see
-    # one flat naming surface.
-    naming = ShardedNaming(shards=4)
-    with ORB("groups-demo", naming=naming, timeout=0.3) as orb:
+    # The ORB's one naming domain keeps plain names *and* the group
+    # directory.
+    with ORB("groups-demo", timeout=0.3) as orb:
         group = serve_counter(orb)
         try:
             stats = drive_client(orb, group.kill)
@@ -143,7 +144,7 @@ def run_server():
     and the operator console, until told to quit."""
     done = threading.Event()
     with SocketFabric("groups-server") as fabric, ORB(
-        "groups-server", fabric=fabric, naming=ShardedNaming(shards=4)
+        "groups-server", fabric=fabric
     ) as orb:
         group = serve_counter(orb)
 

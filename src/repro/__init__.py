@@ -38,10 +38,10 @@ importing :mod:`repro` stays cheap.  The subpackages are:
     registry, and a Chrome-trace exporter (see
     ``docs/observability.md``).
 ``repro.groups``
-    Replicated object groups: a consistent-hash sharded naming
-    service with a group directory, deterministic client-side replica
-    selection, and collective failover between replicas (see
-    ``docs/architecture.md``).
+    Replicated object groups: a group directory in the one naming
+    service, deterministic client-side replica selection, and
+    collective failover between replicas as an invocation-engine
+    recovery action (see ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ _EXPORTS = {
     ),
     "TraceRecorder": ("repro.trace", "TraceRecorder"),
     "MetricsRegistry": ("repro.trace", "MetricsRegistry"),
-    "ShardedNaming": ("repro.groups", "ShardedNaming"),
     "ReplicatedGroup": ("repro.groups", "ReplicatedGroup"),
     "FailoverExhausted": ("repro.groups", "FailoverExhausted"),
     "serve_replicated": ("repro.groups", "serve_replicated"),

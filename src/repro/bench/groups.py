@@ -1,13 +1,13 @@
 """Replicated-group benchmark: goodput through a replica kill.
 
 Measures the :mod:`repro.groups` failover path end to end: a client
-binds a replicated echo group through :class:`ShardedNaming`, drives
+binds a replicated echo group through the ORB's naming directory, drives
 pipelined bursts of invocations in fixed-size *windows*, and midway
 through the run the replica it is bound to is killed abruptly (ports
 closed, no unbind — a crash, not a shutdown).  The client's FtPolicy
-exhausts its retries against the dead replica, the proxy fails over
-to a sibling, and the interrupted invocations replay through the
-sibling's reply cache.
+exhausts its retries against the dead replica, the engine fails the
+binding over to a sibling, and the interrupted invocations are
+re-issued there.
 
 The figure of merit is the *recovery curve*: per-window goodput
 (payload megabytes per second, both directions) across the run.  The
@@ -62,8 +62,8 @@ SMOKE_KILL_WINDOW = 2
 SMOKE_REQUESTS = 20
 SMOKE_SIZE = 32 << 10
 
-#: Server-side reply-cache budget per replica, so replayed
-#: invocations dedup instead of re-executing.
+#: Server-side reply-cache budget per replica, so a retried request
+#: to a live replica dedups instead of re-executing.
 REPLY_CACHE_BYTES = 4 << 20
 
 #: Recovery-goodput gate: post-kill windows must average at least
@@ -136,12 +136,11 @@ def run_groups(
     ``kill_window`` the replica the proxy is currently bound to is
     killed *after the burst is in flight*, so the interrupted
     invocations exercise detection, the failover vote, and the
-    reply-cache replay.  With ``drop_rate`` > 0 the client fabric
+    re-issue on the sibling.  With ``drop_rate`` > 0 the client fabric
     additionally drops frames from a :class:`FaultSchedule` seeded
     from ``seed``, layering background loss under the kill.
     """
     from repro import ORB
-    from repro.groups import ShardedNaming
 
     if not 0 < kill_window < windows:
         raise ValueError("kill_window must fall inside the run")
@@ -159,10 +158,8 @@ def run_groups(
             FaultSchedule(seed=seed, drop=drop_rate),
         )
 
-    naming = ShardedNaming(shards=2)
     orb = ORB(
         "groups-bench",
-        naming=naming,
         fabric=fabric,
         timeout=timeout_s,
     )

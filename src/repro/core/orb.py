@@ -215,8 +215,7 @@ class ORB:
         """Activate a *replicated object group*: ``replicas``
         independent activations of one servant behind one group name,
         registered with the group directory of this ORB's naming
-        object (a :class:`~repro.groups.shard.ShardedNaming`, local or
-        served; see
+        object (local or served; see
         :func:`repro.groups.serve.serve_replicated` for details and
         the returned :class:`~repro.groups.serve.ReplicatedGroup`
         handle).  Clients bind with ``Proxy._group_bind`` and fail
@@ -321,7 +320,8 @@ class ORB:
         ``docs/scaling.md``).  Per naming object: the directory half
         of ``groups`` (``marked_down``, ``epoch_bumps``,
         ``health_reports`` and the per-group membership/epoch board;
-        zeros and an empty board where naming keeps no directory).
+        zeros and an empty board on a ``NamingClient``, whose
+        directory is counted by the ORB that serves it).
         Per *process*, whichever ORB is asked: ``cdr_copies``
         (wire-path copies made since this ORB was built),
         ``transfer_schedule_cache`` (LRU hit/miss for §3.3 chunk

@@ -159,9 +159,10 @@ class FtPolicy:
         Replica flips a *group* binding (``repro.groups``) may make
         per invocation after per-replica retries exhaust.  Ignored on
         singleton bindings.  The default covers every sibling of a
-        failed replica once; invocations replayed on the new replica
-        dedup through the server reply cache, so a failover is safe
-        even when the old replica executed before dying.
+        failed replica once.  A failover re-issues the call on the new
+        replica under a fresh request id, and that replica's reply
+        cache has never seen it: a call the old replica executed
+        before dying runs again, so replicas must be stateless.
     """
 
     deadline_ms: float | None = None

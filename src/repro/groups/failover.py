@@ -2,24 +2,29 @@
 
 A :class:`GroupBinding` is the per-proxy (per client binding) record
 of *which replica this binding currently targets* and how it got
-there.  The proxy consults it on every launch and drives it through
-:meth:`GroupBinding.fail_over` when an invocation against the current
-replica dies with a failover-worthy error.
+there.  The invocation engine reads the target at every launch
+(:meth:`GroupBinding.target`); when an invocation against it fails for
+good under a fault-tolerance policy, the engine's fourth recovery
+action — after retry, degrade and raise — is :meth:`GroupBinding.
+fail_over`, and the engine re-issues the call on the new target.
 
 The SPMD discipline carries over from :mod:`repro.ft`: on a collective
 binding every rank holds an identical binding (same view, same bind
-token, same policy), the failing invocation already raised the *same*
-group-agreed exception at the same collective index on every rank
-(that is what the ft agreement vote guarantees), and the failover
-decision itself is re-confirmed with one more collective —
-:func:`agree_failover` — before any rank flips.  After the vote the
+token, same policy), the failing invocation reached its failover
+decision on the *same* group-agreed failure at the same collective
+index on every rank (that is what the ft agreement vote guarantees),
+and the flip itself is re-confirmed with one more collective —
+:func:`agree_failover` — before any rank moves.  After the vote the
 new replica is a pure function of shared state, so all ranks move
 together and the replayed request keeps the collective sequence
 aligned.
 
-Replays are safe because of the PR 4 reply cache: the retried request
-keeps its request id, so a replica that already executed it answers
-from cache instead of re-executing (effectively-once).
+A replay is a new invocation under a fresh request id, sent to a
+replica with a reply cache of its own.  Retries to one replica dedup
+through that replica's cache; a failover replay does not: a call the
+dead replica executed before it died runs again on the sibling.  That
+is why replicas are stateless services (or synchronized outside the
+ORB).
 """
 
 from __future__ import annotations
@@ -27,16 +32,13 @@ from __future__ import annotations
 import threading
 from typing import Any, Mapping
 
-from repro.ft.policy import (
-    DeadlineExceeded,
-    FtPolicy,
-    InvocationRetriesExhausted,
-)
+from repro.ft.policy import FtPolicy
 from repro.groups.select import GroupView, SelectionError, SelectionPolicy
 from repro.metrics import Counter
+from repro.orb.naming import NamingError
 from repro.orb.operation import RemoteError
 from repro.orb.reference import ObjectReference
-from repro.orb.transport import TransportError
+from repro.trace.span import span_or_null
 
 #: The binding-side tallies of ``orb.stats()["groups"]``:
 #: ``groups.<name>`` counters in the binding ORB's registry, held by
@@ -76,28 +78,6 @@ class FailoverExhausted(RemoteError):
         self.collective_index = collective_index
 
 
-def failover_worthy(exc: BaseException, policy: FtPolicy | None) -> bool:
-    """Should a group binding try another replica for this failure?
-
-    Only with a retrying policy in force: failover is a *retry at
-    group scope*, and without a policy the binding fails fast exactly
-    like a singleton one (lint rule PD213 flags that configuration).
-    Worthy failures are the ones that say "this replica, not this
-    request, is the problem": exhausted transport-level retries,
-    deadline expiry, raw transport errors, and retryable remote
-    system exceptions.  User exceptions and non-retryable categories
-    propagate untouched — a servant raising ``ValueError`` on replica
-    1 would raise it on replica 2 too.
-    """
-    if policy is None:
-        return False
-    if isinstance(exc, (InvocationRetriesExhausted, DeadlineExceeded)):
-        return True
-    if isinstance(exc, RemoteError):
-        return exc.category in policy.retryable_categories
-    return isinstance(exc, TransportError)
-
-
 def agree_failover(
     rts: Any, failed_replica: int, token: int
 ) -> tuple[int, int]:
@@ -124,9 +104,10 @@ def agree_failover(
 class GroupBinding:
     """One client binding's replica-targeting state (thread-safe).
 
-    ``token`` seeds the selection policy: the router's bind token
+    ``token`` seeds the selection policy: the directory's bind token
     spreads initial placements across bindings; each failover advances
     it so the walk continues past the dead replica deterministically.
+    ``interface`` names the bound IDL interface in spans and errors.
     """
 
     def __init__(
@@ -135,12 +116,14 @@ class GroupBinding:
         selection: SelectionPolicy,
         bind_token: int,
         counters: Mapping[str, Counter],
+        interface: str = "",
     ) -> None:
         self._lock = threading.Lock()
         self._counters = counters
         self.view = view
         self.selection = selection
         self.token = bind_token
+        self.interface = interface
         self.replica_id = self._choose()
         #: ``(token, failed replica, new replica)`` per flip — ranks of
         #: a collective binding must end up with identical histories
@@ -156,17 +139,14 @@ class GroupBinding:
     def group_name(self) -> str:
         return self.view.name
 
-    def current_ref(self) -> ObjectReference:
+    def target(self) -> tuple[int, ObjectReference]:
+        """The replica an invocation launched now goes to, and its ref."""
         with self._lock:
-            return self.view.ref(self.replica_id)
+            return self.replica_id, self.view.ref(self.replica_id)
 
     def current_replica(self) -> int:
         with self._lock:
             return self.replica_id
-
-    def replicas_tried(self) -> tuple[int, ...]:
-        with self._lock:
-            return tuple(f for _, f, _n in self.history)
 
     def budget(self, policy: FtPolicy) -> int:
         """How many flips this binding may still make under ``policy``
@@ -177,40 +157,69 @@ class GroupBinding:
         with self._lock:
             return max(limit - len(self.history), 0)
 
-    def fail_over(self, failed_replica: int) -> tuple[int, ObjectReference]:
-        """Mark ``failed_replica`` down in the local view and select
-        the replacement: the next live replica at the advanced token.
-
-        Raises :class:`~repro.groups.select.SelectionError` when no
-        live replica remains.  Call only after :func:`agree_failover`
-        confirmed the flip collectively.
-        """
-        with self._lock:
-            self.view = self.view.without(failed_replica)
-            self.token += 1
-            replacement = self._choose()
-            self.history.append(
-                (self.token, failed_replica, replacement)
-            )
-            self.replica_id = replacement
-        self._counters["failovers"].inc()
-        return replacement, self.view.ref(replacement)
-
-    def exhausted(
+    def fail_over(
         self,
-        operation: str,
-        *,
-        collective_index: int = 0,
-        detail: str = "",
-    ) -> FailoverExhausted:
-        self._counters["failovers_exhausted"].inc()
-        return FailoverExhausted(
-            operation,
-            self.group_name,
-            replicas_tried=self.replicas_tried() + (self.current_replica(),),
-            collective_index=collective_index,
-            detail=detail,
-        )
+        runtime: Any,
+        policy: FtPolicy,
+        failed_replica: int,
+        cause: RemoteError,
+        trace_id: int,
+    ) -> None:
+        """Move off ``failed_replica``, on which an invocation failed
+        for good with ``cause`` (every rank, in completion order).
+
+        Votes (:func:`agree_failover`), marks the replica down in the
+        local view, selects the next live replica at the advanced
+        token, counts the flip in ``groups.failovers`` and
+        ``ft.failovers``, and reports the death to the directory from
+        rank 0 (one report per collective binding; best-effort — a
+        vanished directory must not turn a successful failover into a
+        client-visible error).
+
+        Under pipelining several in-flight requests were launched at
+        the same dead replica; only the first failing completion
+        flips.  The rest find the binding already past their replica
+        and just re-target, without burning budget or marking a
+        healthy replica down.
+
+        Raises :class:`FailoverExhausted` from ``cause`` when the
+        budget or the live membership runs out.
+        """
+        if self.current_replica() != failed_replica:
+            return
+        operation = f"{self.interface}.{cause.operation}"
+        view = self.view.without(failed_replica)
+        if self.budget(policy) <= 0 or not view.alive():
+            self._counters["failovers_exhausted"].inc()
+            raise FailoverExhausted(
+                operation,
+                self.group_name,
+                replicas_tried=tuple(f for _t, f, _n in self.history)
+                + (failed_replica,),
+                collective_index=cause.collective_index,
+                detail=str(cause),
+            ) from cause
+        with span_or_null(
+            runtime.trace, "failover", side="client", trace_id=trace_id,
+            rank=runtime.rank, group=self.group_name,
+            failed_replica=failed_replica, operation=operation,
+        ) as flip:
+            agree_failover(runtime.rts, failed_replica, self.token + 1)
+            with self._lock:
+                self.view = view
+                self.token += 1
+                self.replica_id = self._choose()
+                self.history.append(
+                    (self.token, failed_replica, self.replica_id)
+                )
+            flip.note(replica=self.replica_id)
+        self._counters["failovers"].inc()
+        runtime.ft["failovers"].inc()
+        if runtime.rank == 0:
+            try:
+                runtime.naming.mark_down(self.group_name, failed_replica)
+            except NamingError:
+                pass
 
     def __repr__(self) -> str:
         return (
@@ -226,5 +235,4 @@ __all__ = [
     "GroupView",
     "SelectionError",
     "agree_failover",
-    "failover_worthy",
 ]

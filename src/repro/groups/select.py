@@ -6,7 +6,7 @@ group — the :class:`~repro.orb.reference.GroupReference` it resolved
 since marked down.  Selection policies are **pure functions of the
 view and a token**: every rank of a collective binding holds an
 identical view (rank 0 resolves, the group reference rides the bind
-broadcast) and draws identical tokens (bind token from the router,
+broadcast) and draws identical tokens (bind token from the directory,
 failover count per binding), so all ranks select the *same* replica
 without communicating — the same determinism discipline as
 :class:`~repro.ft.policy.FtPolicy` decisions.
@@ -81,7 +81,7 @@ class SelectionPolicy:
 class RoundRobin(SelectionPolicy):
     """Rotate through the live membership by token.
 
-    Bind tokens come from the router's per-group counter, so
+    Bind tokens come from the directory's per-group counter, so
     successive bindings land on successive replicas; failover tokens
     advance per flip, so repeated failovers walk the survivors.
     """
@@ -97,7 +97,7 @@ class LeastLoaded(SelectionPolicy):
     """Pick the live replica with the lowest reported load.
 
     Loads are the ``orb.stats()``-style health readings replicas
-    pushed to the router, carried in the group reference at resolve
+    pushed to the directory, carried in the group reference at resolve
     time.  Replicas that never reported count as load 0 (an idle
     newcomer should attract work); ties break by replica id, then the
     token rotates among the tied set so equally idle replicas still

@@ -5,18 +5,19 @@
 independent servant groups — each a full SPMD object served as
 ``name#<rid>`` — and registers the membership with the group
 directory of the ORB's naming object (a
-:class:`~repro.groups.shard.ShardedNaming`, in this process or served
-from another one).  The
-returned :class:`ReplicatedGroup` is the operator's handle: kill a
-replica (crash semantics, for tests and benchmarks), retire one
-gracefully, push health readings, shut the whole group down.
+:class:`~repro.orb.naming.NamingService`, in this process or served
+from another one).  The returned :class:`ReplicatedGroup` is the
+operator's handle: kill a replica (crash semantics, for tests and
+benchmarks), retire one gracefully, push health readings, shut the
+whole group down.
 
 Replication here is of the *service*, not of state: replicas are
 independent servants (think stateless or externally synchronized
 workers), which is exactly the PARDIS-era object-group model this
 layer reproduces.  What the subsystem adds is availability — clients
-fail over collectively and replay through the reply cache — not state
-machine replication.
+fail over collectively and re-issue the call on a sibling — not state
+machine replication.  The re-issued call is not deduplicated against
+the dead replica: a call it executed before dying runs again.
 """
 
 from __future__ import annotations
@@ -110,18 +111,15 @@ def serve_replicated(
     **serve_kwargs: Any,
 ) -> ReplicatedGroup:
     """Activate ``replicas`` servants of one object behind one group
-    name and register the group with the sharded naming directory.
+    name and register the group with the naming directory.
 
-    ``orb.naming`` must keep a group directory — a
-    :class:`~repro.groups.shard.ShardedNaming`, or a
-    :class:`~repro.orb.nameservice.NamingClient` of one served
-    elsewhere (only the router keeps group membership and health
-    epochs; the flat :class:`~repro.orb.naming.NamingService` answers
-    ``bind_group`` with a :class:`~repro.orb.naming.NamingError`).
-    Each replica is a normal ``orb.serve`` activation
+    ``orb.naming`` is the ORB's :class:`~repro.orb.naming.NamingService`
+    or a :class:`~repro.orb.nameservice.NamingClient` of one served
+    elsewhere.  Each replica is a normal ``orb.serve`` activation
     under ``name#<rid>`` — visible in the flat namespace too — and the
-    reply cache defaults *on* (1 MiB per replica): failover replays
-    requests, and a cache-less replica would re-execute them.
+    reply cache defaults *on* (1 MiB per replica): a retried request
+    to the same replica answers from the cache instead of executing
+    twice.
     """
     naming = orb.naming
     if replicas < 1:

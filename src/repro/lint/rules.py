@@ -233,9 +233,10 @@ _RULES = (
         "failure as retry-worthy — a group binding without a "
         "retrying FtPolicy fails fast on the first dead replica, "
         "exactly like a singleton binding, and the replication "
-        "buys nothing.  Bind with FtPolicy(max_retries > 0) (and "
-        "serve the replicas with a reply cache, so failover "
-        "replays dedup instead of re-executing).",
+        "buys nothing.  Bind with FtPolicy(max_retries > 0), and "
+        "keep the replicas stateless: a failover re-issues the call "
+        "on a sibling, which runs it again if the dead replica "
+        "already had.",
     ),
 )
 

@@ -650,8 +650,8 @@ def _check_group_bind(tree: ast.Module, path: str) -> list[Diagnostic]:
                 f"replica fails the client despite the standbys",
                 "bind with ft_policy=FtPolicy(max_retries > 0) so "
                 "exhausted retries fail over to a sibling replica "
-                "(and serve replicas with reply_cache_bytes > 0 "
-                "so the replay dedups)",
+                "(the sibling runs the call afresh: keep replicas "
+                "stateless)",
             )
         )
     return out

@@ -197,6 +197,8 @@ def _call_servant(
                 ),
             )
         return ("user", exc)
+    except RemoteError as exc:  # a system exception: category intact
+        return ("system", (exc.category, str(exc)))
     except Exception as exc:  # noqa: BLE001 - reported to the client
         return ("system", ("UNKNOWN", f"{type(exc).__name__}: {exc}"))
 

@@ -6,11 +6,10 @@ served like any other object.  This module writes the naming surface
 and supplies the two thin ends of it:
 
 - :class:`NamingServant` serves any object with the naming surface — a
-  :class:`~repro.orb.naming.NamingService` or a
-  :class:`~repro.groups.shard.ShardedNaming`, unchanged — as a serial
-  servant group on the ordinary request path, so admission control,
-  upcall delivery, ``orb.stats()``, tracing and the reply cache reach
-  naming exactly as they reach every other object
+  :class:`~repro.orb.naming.NamingService`, group directory included —
+  as a serial servant group on the ordinary request path, so
+  admission control, upcall delivery, ``orb.stats()``, tracing and the
+  reply cache reach naming exactly as they reach every other object
   (:func:`serve_naming` activates it for an ORB's own naming object);
 - :class:`NamingClient` is the same surface on the client side: a
   façade over the generated stub, bootstrapped from the servant's
@@ -30,7 +29,7 @@ import threading
 from typing import Any
 
 from repro.idl import compile_idl
-from repro.orb.naming import NamingError, NamingService
+from repro.orb.naming import DIRECTORY_COUNTERS, NamingError
 from repro.orb.operation import RemoteError
 from repro.orb.proxy import BindMode, ClientRuntime
 from repro.orb.reference import GroupReference, ObjectReference
@@ -261,9 +260,10 @@ class NamingClient:
         """Draw the group's next bind token."""
         return self._call("next_bind_token", name)
 
-    #: The served directory's tallies stay with the ORB that serves
-    #: it; this end of ``orb.stats()["groups"]`` reads zeros.
-    stats = NamingService.stats
+    def stats(self) -> dict:
+        """The served directory's tallies stay with the ORB that
+        serves it; this end of ``orb.stats()["groups"]`` reads zeros."""
+        return {**dict.fromkeys(DIRECTORY_COUNTERS, 0), "groups": {}}
 
     def close(self) -> None:
         """Release the runtime's ports (idempotent)."""

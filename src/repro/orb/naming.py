@@ -10,24 +10,29 @@ with ``host=None`` returns the sole registration of that name (an
 error if the name is ambiguous across hosts, since the client then has
 to say which object it wants).
 
+The one naming domain also keeps the *group directory* of replicated
+object groups (:mod:`repro.groups`): per group the replica membership,
+a monotonic **health epoch** (bumped every time a replica is marked
+down, so a client can tell whether its view predates a failure), the
+latest per-replica load reports that feed least-loaded selection, and
+the bind-token counter that spreads clients over the replicas.
+
 The *naming surface* is what the ORB calls on whatever it was given as
-``naming=``: the five flat calls below, the group-directory calls of a
-:class:`~repro.groups.shard.ShardedNaming` router, and ``stats()`` —
-the directory half of ``orb.stats()["groups"]``.  The flat
-registry declares the directory calls too and answers them with a
-:class:`NamingError`, so callers invoke the surface instead of probing
-for it; :mod:`repro.orb.nameservice` serves the whole surface as an
-IDL object.
+``naming=``: the flat calls, the directory calls and ``stats()`` — the
+directory half of ``orb.stats()["groups"]``.
+:mod:`repro.orb.nameservice` serves the whole surface as an IDL
+object.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.orb.reference import ObjectReference
+from repro.metrics import Counter
+from repro.orb.reference import GroupReference, ObjectReference
 
 
-#: What a group directory tallies: with its membership board, the
+#: What the group directory tallies: with its membership board, the
 #: naming half of ``orb.stats()["groups"]`` (the ``stats()`` call of
 #: the naming surface).
 DIRECTORY_COUNTERS = ("marked_down", "epoch_bumps", "health_reports")
@@ -40,13 +45,45 @@ class NamingError(KeyError):
         return self.args[0] if self.args else ""
 
 
+class _GroupEntry:
+    """One group's row in the directory (guarded by the service lock)."""
+
+    def __init__(self, repo_id: str, members: dict) -> None:
+        self.repo_id = repo_id
+        self.members: dict[int, ObjectReference] = dict(members)
+        self.down: set[int] = set()
+        self.loads: dict[int, float] = {}
+        self.epoch = 0
+        #: Round-robin spread across *binds* (not invocations): each
+        #: bind draws the next token so successive clients start on
+        #: successive replicas.
+        self.bind_tokens = 0
+
+    def reference(self, name: str) -> GroupReference:
+        live = [rid for rid in sorted(self.members) if rid not in self.down]
+        if not live:
+            raise NamingError(f"group '{name}' has no live replicas")
+        return GroupReference(
+            group_name=name,
+            repo_id=self.repo_id,
+            epoch=self.epoch,
+            members=tuple((rid, self.members[rid]) for rid in live),
+            loads=tuple(
+                (rid, self.loads[rid]) for rid in live if rid in self.loads
+            ),
+        )
+
+
 class NamingService:
-    """A thread-safe name → object-reference registry."""
+    """A thread-safe name → object-reference registry with the group
+    directory.  Every call takes the one lock once."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         #: (name, host) → reference; host '' means "no host given".
         self._entries: dict[tuple[str, str], ObjectReference] = {}
+        self._groups: dict[str, _GroupEntry] = {}
+        self._counters = {n: Counter(n) for n in DIRECTORY_COUNTERS}
 
     def bind(
         self,
@@ -109,20 +146,109 @@ class NamingService:
         with self._lock:
             return sorted(self._entries)
 
+    # -- group directory -----------------------------------------------
+
+    def _entry(self, name: str, replica_id: int | None = None) -> _GroupEntry:
+        """``name``'s row (holding ``replica_id``, if given); call with
+        the lock held."""
+        entry = self._groups.get(name)
+        if entry is None:
+            raise NamingError(f"no group bound as '{name}'")
+        if replica_id is not None and replica_id not in entry.members:
+            raise NamingError(f"group '{name}' has no replica {replica_id}")
+        return entry
+
+    def bind_group(
+        self, name: str, repo_id: str, members: dict[int, ObjectReference]
+    ) -> None:
+        """Register a replicated group; duplicate names are an error."""
+        if not name:
+            raise NamingError("group name cannot be empty")
+        if not members:
+            raise NamingError(f"group '{name}' needs at least one replica")
+        with self._lock:
+            if name in self._groups:
+                raise NamingError(f"a group is already bound as '{name}'")
+            self._groups[name] = _GroupEntry(repo_id, members)
+
+    def unbind_group(self, name: str) -> None:
+        with self._lock:
+            self._entry(name)
+            del self._groups[name]
+
+    def resolve_group(self, name: str) -> GroupReference:
+        """The group's current membership view (live members only),
+        stamped with its health epoch."""
+        with self._lock:
+            return self._entry(name).reference(name)
+
+    def add_member(
+        self, name: str, replica_id: int, ref: ObjectReference
+    ) -> None:
+        with self._lock:
+            entry = self._entry(name)
+            if replica_id in entry.members:
+                raise NamingError(
+                    f"group '{name}' already has replica {replica_id}"
+                )
+            entry.members[replica_id] = ref
+            # A re-added id sheds any stale down mark from a past life.
+            entry.down.discard(replica_id)
+
+    def remove_member(self, name: str, replica_id: int) -> None:
+        with self._lock:
+            entry = self._entry(name, replica_id)
+            del entry.members[replica_id]
+            entry.down.discard(replica_id)
+            entry.loads.pop(replica_id, None)
+
+    def mark_down(self, name: str, replica_id: int) -> int:
+        """Record a replica failure and bump the health epoch.
+
+        Idempotent per replica: concurrent clients agreeing on the
+        same failure bump the epoch once.  Returns the current epoch.
+        """
+        with self._lock:
+            entry = self._entry(name, replica_id)
+            if replica_id not in entry.down:
+                entry.down.add(replica_id)
+                entry.epoch += 1
+                self._counters["marked_down"].inc()
+                self._counters["epoch_bumps"].inc()
+            return entry.epoch
+
+    def report_health(
+        self, name: str, replica_id: int, load: float
+    ) -> None:
+        """A replica's periodic load reading (``orb.stats()``-derived);
+        feeds the least-loaded selection policy at resolve time."""
+        with self._lock:
+            self._entry(name, replica_id).loads[replica_id] = float(load)
+            self._counters["health_reports"].inc()
+
+    def epoch(self, name: str) -> int:
+        with self._lock:
+            return self._entry(name).epoch
+
+    def next_bind_token(self, name: str) -> int:
+        """Draw the group's next bind token (round-robin spread across
+        client bindings)."""
+        with self._lock:
+            entry = self._entry(name)
+            entry.bind_tokens += 1
+            return entry.bind_tokens - 1
+
     def stats(self) -> dict:
-        """The directory half of ``orb.stats()["groups"]``: no
-        directory here, so nothing marked down and an empty board."""
-        return {**dict.fromkeys(DIRECTORY_COUNTERS, 0), "groups": {}}
-
-    def _no_directory(self, name: str, *args: object) -> None:
-        """The group-directory half of the naming surface: a flat
-        registry has nowhere to keep memberships and health epochs."""
-        raise NamingError(
-            f"this naming service keeps no group directory for "
-            f"'{name}'; replicated groups need a "
-            f"repro.groups.ShardedNaming router"
-        )
-
-    bind_group = unbind_group = resolve_group = _no_directory
-    add_member = remove_member = mark_down = _no_directory
-    report_health = epoch = next_bind_token = _no_directory
+        """The directory half of ``orb.stats()["groups"]``: its
+        tallies plus the per-group membership board."""
+        snap: dict = {n: c.value for n, c in self._counters.items()}
+        with self._lock:
+            snap["groups"] = {
+                name: {
+                    "replicas": len(entry.members),
+                    "down": len(entry.down),
+                    "epoch": entry.epoch,
+                }
+                for name, entry in self._groups.items()
+            }
+        return snap

@@ -36,23 +36,13 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.ft.policy import FT_COUNTERS, effective_policy
-from repro.groups.failover import (
-    GROUP_COUNTERS,
-    GroupBinding,
-    agree_failover,
-    failover_worthy,
-)
-from repro.groups.select import GroupView, SelectionError, policy_for
+from repro.groups.failover import GROUP_COUNTERS, GroupBinding
+from repro.groups.select import GroupView, policy_for
 from repro.metrics import MetricsRegistry
 from repro.orb.operation import OperationSpec, RemoteError
 from repro.orb.reference import GroupReference, ObjectReference
 from repro.orb.datapath import DataPath, path_for
-from repro.orb.transfer import (
-    ChunkCollector,
-    ReplyDemux,
-    invoke,
-    invoke_begin,
-)
+from repro.orb.transfer import ChunkCollector, ReplyDemux, invoke_begin
 from repro.orb.transport import Fabric
 from repro.rts import rts_for
 from repro.rts.futures import Future
@@ -60,7 +50,7 @@ from repro.san import call_site as _san_call_site
 from repro.san import enabled as _san_enabled
 from repro.san.collective import CollectiveChecker
 from repro.san.futures import track as _san_track
-from repro.trace.span import replica_scope, span_or_null
+from repro.trace.span import span_or_null
 from repro.rts.interface import RuntimeSystem
 from repro.rts.mpi import Intracomm
 
@@ -578,9 +568,9 @@ class ClientProxy:
     ) -> "ClientProxy":
         """Bind to a *replicated object group* (``repro.groups``).
 
-        Resolves the group through the sharded naming router and pins
-        the proxy to one replica chosen by ``selection`` —
-        ``"round-robin"`` (spread across bindings via the router's
+        Resolves the group through the naming directory and pins the
+        proxy to one replica chosen by ``selection`` —
+        ``"round-robin"`` (spread across bindings via the directory's
         bind token), ``"least-loaded"`` (the replica with the lowest
         reported load), or a
         :class:`~repro.groups.select.SelectionPolicy` instance.
@@ -590,11 +580,11 @@ class ClientProxy:
         selects the same replica), per-thread otherwise — the §2.1
         ``_spmd_bind`` / ``_bind`` split, at group scope.
 
-        With a retrying ``ft_policy`` in force, invocations that
-        exhaust their policy against the pinned replica *fail over*:
-        all ranks vote, flip to the same sibling, and replay.  Without
-        one the binding fails fast exactly like a singleton proxy
-        (lint rule PD213 flags that configuration).
+        With an ``ft_policy`` in force, an invocation the policy gives
+        up on against the pinned replica *fails over*: all ranks vote,
+        flip to the same sibling, and the engine re-issues the call
+        there.  Without one the binding fails fast exactly like a
+        singleton proxy (lint rule PD213 flags that configuration).
         """
         policy = policy_for(selection)
         with span_or_null(
@@ -628,9 +618,10 @@ class ClientProxy:
                     category="INV_OBJREF",
                 )
             binding = GroupBinding(
-                GroupView(gref), policy, token, runtime.groups
+                GroupView(gref), policy, token, runtime.groups,
+                interface=cls._interface,
             )
-            ref = binding.current_ref()
+            _replica, ref = binding.target()
             runtime.groups["binds"].inc()
             return cls(
                 bind_runtime,
@@ -668,6 +659,10 @@ class ClientProxy:
 
     @property
     def reference(self) -> ObjectReference:
+        """The bound object; on a group binding, the replica invocations
+        currently go to."""
+        if self._group is not None:
+            return self._group.target()[1]
         return self._ref
 
     @property
@@ -750,7 +745,7 @@ class ClientProxy:
             # needs a safety margin over the worst-case retry budget.
             timeout = policy.wait_budget(runtime.timeout)
             if timeout is not None and self._group is not None:
-                # Each failover replays the full per-replica budget.
+                # Each failover re-issues with the full per-replica budget.
                 timeout *= 1 + self._group.budget(policy)
         else:
             timeout = (
@@ -804,20 +799,18 @@ class ClientProxy:
             for (op, param), template_spec in self._out_templates.items()
             if op == operation
         }
-        if self._group is not None:
-            launch = self._group_launch_fn(operation, spec, args, out_map)
-        else:
-            launch = lambda: invoke_begin(  # noqa: E731
-                runtime,
-                ref,
-                spec,
-                args,
-                path,
-                out_templates=out_map,
-                ft_policy=self._ft_policy,
-                on_degrade=self._on_degrade,
-                heads=self._heads,
-            )
+        launch = lambda: invoke_begin(  # noqa: E731
+            runtime,
+            ref,
+            spec,
+            args,
+            path,
+            out_templates=out_map,
+            ft_policy=self._ft_policy,
+            on_degrade=self._on_degrade,
+            heads=self._heads,
+            group=self._group,
+        )
         return launch, label, site
 
     def invoke_all(self, operation: str, args: tuple = ()) -> Any:
@@ -836,176 +829,6 @@ class ClientProxy:
     def invoke_all_nb(self, operation: str, args: tuple = ()) -> Future:
         """Non-blocking :meth:`invoke_all`, returning a future."""
         return self._invoke_nb(operation, tuple(args))
-
-    # -- replicated groups -------------------------------------------------
-
-    def _group_launch_fn(
-        self,
-        operation: str,
-        spec: OperationSpec,
-        args: tuple,
-        out_map: dict[str, tuple],
-    ) -> Callable[[], tuple[str, Any]]:
-        """The worker-submitted launch for a group-bound invocation.
-
-        Identical to the singleton launch except that (a) the trace id
-        is pre-drawn from the shared request-id sequence, so the spans
-        of a failed attempt and of its replay on another replica
-        correlate into one trace; (b) engine phases run inside a
-        :class:`~repro.trace.span.replica_scope`, tagging every
-        client-side span with the replica the request actually
-        targeted; and (c) a failure surfacing from the completion is
-        routed through :meth:`_group_replay` instead of the future.
-
-        Launches and completions both run on the rank's worker in
-        queue-determined order, so the pre-draw, the failover vote and
-        the replay's own collectives stay aligned across ranks.
-        """
-        runtime = self._runtime
-        binding = self._group
-
-        def launch() -> tuple[str, Any]:
-            replica_id = binding.current_replica()
-            trace_id = (
-                runtime.next_request_id()
-                if runtime.trace is not None
-                else None
-            )
-            with replica_scope(replica_id):
-                state, payload = invoke_begin(
-                    runtime,
-                    binding.current_ref(),
-                    spec,
-                    args,
-                    self._path,
-                    out_templates=out_map,
-                    ft_policy=self._ft_policy,
-                    on_degrade=self._on_degrade,
-                    trace_id=trace_id,
-                    heads=self._heads,
-                )
-            if state == "done":
-                return state, payload
-
-            def complete() -> Any:
-                try:
-                    with replica_scope(replica_id):
-                        return payload()
-                except BaseException as exc:  # noqa: BLE001 - classified below
-                    return self._group_replay(
-                        operation, spec, args, out_map, exc,
-                        attempt_replica=replica_id,
-                        trace_id=trace_id,
-                    )
-
-            return "pending", complete
-
-        return launch
-
-    def _group_replay(
-        self,
-        operation: str,
-        spec: OperationSpec,
-        args: tuple,
-        out_map: dict[str, tuple],
-        exc: BaseException,
-        *,
-        attempt_replica: int,
-        trace_id: int | None,
-    ) -> Any:
-        """Fail over and replay until a replica answers or the budget
-        is spent (worker thread, completion drain order).
-
-        The failed attempt already raised the *group-agreed* exception
-        at the same collective index on every rank (that is what the
-        ft agreement guarantees), so every rank enters here together.
-        One more collective — :func:`~repro.groups.failover.
-        agree_failover` — confirms all ranks abandon the same replica
-        with the same token, then the replacement is a pure function
-        of shared state and the replay's own collectives realign.
-
-        ``attempt_replica`` is the replica the failed attempt actually
-        targeted.  Under pipelining several in-flight requests were
-        launched at the same (now dead) replica; only the *first*
-        failing completion flips the binding — the rest see the
-        binding already moved past their replica and replay straight
-        against the current one, without burning failover budget or
-        marking healthy replicas down.
-        """
-        runtime = self._runtime
-        binding = self._group
-        policy = effective_policy(self._ft_policy, runtime)
-        last = exc
-        while True:
-            if not failover_worthy(last, policy):
-                raise last
-            collective_index = getattr(last, "collective_index", 0)
-            if binding.current_replica() == attempt_replica:
-                # The failed replica is still this binding's target:
-                # flip (collectively) before replaying.
-                if binding.budget(policy) <= 0:
-                    raise binding.exhausted(
-                        f"{self._interface}.{operation}",
-                        collective_index=collective_index,
-                        detail=str(last),
-                    ) from last
-                with span_or_null(
-                    runtime.trace, "failover", side="client",
-                    trace_id=trace_id or 0, rank=runtime.rank,
-                    group=binding.group_name,
-                    failed_replica=attempt_replica,
-                    operation=f"{self._interface}.{operation}",
-                ) as flip:
-                    agree_failover(
-                        runtime.rts, attempt_replica, binding.token + 1
-                    )
-                    try:
-                        replica_id, ref = binding.fail_over(
-                            attempt_replica
-                        )
-                    except SelectionError:
-                        raise binding.exhausted(
-                            f"{self._interface}.{operation}",
-                            collective_index=collective_index,
-                            detail=str(last),
-                        ) from last
-                    flip.note(replica=replica_id)
-                self._ref = ref
-                if runtime.rank == 0:
-                    # Report the death to the router (rank 0 only: one
-                    # report per collective binding): the health epoch
-                    # bumps and later binds exclude the dead replica.
-                    # Best-effort — a vanished router must not turn a
-                    # successful failover into a client-visible error.
-                    try:
-                        runtime.naming.mark_down(
-                            binding.group_name, attempt_replica
-                        )
-                    except Exception:
-                        pass
-                runtime.ft["failovers"].inc()
-            else:
-                # An earlier completion already flipped past this
-                # attempt's replica — replay on the current target.
-                replica_id = binding.current_replica()
-                ref = binding.current_ref()
-            try:
-                with replica_scope(replica_id):
-                    return invoke(
-                        runtime,
-                        ref,
-                        spec,
-                        args,
-                        self._path,
-                        out_templates=out_map,
-                        ft_policy=self._ft_policy,
-                        on_degrade=self._on_degrade,
-                        trace_id=trace_id,
-                        heads=self._heads,
-                    )
-            except BaseException as nexc:  # noqa: BLE001 - loop classifies
-                last = nexc
-                attempt_replica = replica_id
 
     def _on_degrade(self, fallback: DataPath) -> None:
         """Multi-port graceful degradation (engine callback, every

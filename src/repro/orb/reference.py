@@ -129,11 +129,11 @@ class GroupReference:
 
     Where an :class:`ObjectReference` names one servant, a group
     reference names N interchangeable replicas behind one logical
-    name.  It is what a sharded naming router hands out for a
-    replicated binding: the membership snapshot at one *health epoch*
-    (bumped whenever a replica is marked down, so clients can tell a
-    stale view from a fresh one), plus the per-replica load readings
-    the least-loaded selection policy feeds on.
+    name.  It is what the naming service's group directory hands out
+    for a replicated binding: the membership snapshot at one *health
+    epoch* (bumped whenever a replica is marked down, so clients can
+    tell a stale view from a fresh one), plus the per-replica load
+    readings the least-loaded selection policy feeds on.
 
     Group references stringify to ``GIOR:<hex>`` — pure CDR, like
     :meth:`ObjectReference.ior`, with each member carried as its own
@@ -143,7 +143,7 @@ class GroupReference:
 
     group_name: str
     repo_id: str
-    #: Router health epoch at resolve time (monotonic per group).
+    #: Directory health epoch at resolve time (monotonic per group).
     epoch: int
     #: ``(replica_id, member reference)`` pairs, ascending replica id.
     members: tuple[tuple[int, ObjectReference], ...]

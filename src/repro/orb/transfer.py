@@ -686,17 +686,21 @@ class _FtInvocation:
         policy: Any,
         request_id: int,
         trace_id: int | None = None,
+        group: Any = None,
     ) -> None:
         self.runtime = runtime
         self.spec = spec
         self.policy = policy
         self.request_id = request_id
+        #: The binding's :class:`~repro.groups.failover.GroupBinding`,
+        #: or None for a singleton binding.
+        self.group = group
         #: Trace correlation (``repro.trace``): the recorder, or None
         #: when tracing is off.  The trace id defaults to the *first*
         #: attempt's request id — rank-identical by construction,
         #: since all ranks share one request-id sequence — and is
-        #: passed through explicitly when degradation re-issues the
-        #: invocation under a fresh request id.
+        #: passed through explicitly when degradation or failover
+        #: re-issues the invocation under a fresh request id.
         self.trace = runtime.trace
         if trace_id is None:
             trace_id = request_id if self.trace is not None else 0
@@ -748,22 +752,21 @@ class _FtInvocation:
     # -- post-vote decisions (pure) --------------------------------------
 
     def next_action(self, failure: Failure) -> str:
-        """``"retry"`` / ``"degrade"`` / ``"raise"`` for the canonical
-        failure — identical on every rank by construction."""
+        """``"retry"`` / ``"degrade"`` / ``"failover"`` / ``"raise"``
+        for the canonical failure — identical on every rank by
+        construction.  On a replicated-group binding, a failure the
+        policy gives up on fails over to a sibling replica."""
         policy = self.policy
-        if (
-            failure.kind == "unreachable"
-            and policy is not None
-            and policy.degrade_to_centralized
-        ):
+        if policy is None:
+            return "raise"
+        if failure.kind == "unreachable" and policy.degrade_to_centralized:
             return "degrade"
         if (
-            policy is None
-            or failure.deadline_exhausted
+            failure.deadline_exhausted
             or self.attempts >= policy.max_retries
             or not policy.is_retryable(failure)
         ):
-            return "raise"
+            return "raise" if self.group is None else "failover"
         return "retry"
 
     def before_retry(self) -> None:
@@ -782,9 +785,11 @@ class _FtInvocation:
     def note_degraded(self) -> None:
         self.ft["degraded"].inc()
 
-    def raise_failure(self, failure: Failure) -> None:
+    def failure_exception(self, failure: Failure) -> Exception:
+        """The exception every rank raises for a failure the invocation
+        gives up on, counted here once."""
         if self.policy is None:
-            raise reconstruct_error(failure)
+            return reconstruct_error(failure)
         exc = failure_to_exception(
             failure,
             self.policy,
@@ -797,7 +802,7 @@ class _FtInvocation:
             if isinstance(exc, DeadlineExceeded)
             else "retries_exhausted"
         ].inc()
-        raise exc
+        return exc
 
 
 def _retryable_remote(
@@ -899,12 +904,13 @@ def invoke(
     on_degrade: Any = None,
     trace_id: int | None = None,
     heads: dict | None = None,
+    group: Any = None,
 ) -> Any:
     """One complete invocation: send, then wait for the reply."""
     kind, payload = invoke_begin(
         runtime, ref, spec, args, path, out_templates,
         ft_policy=ft_policy, on_degrade=on_degrade, trace_id=trace_id,
-        heads=heads,
+        heads=heads, group=group,
     )
     return payload if kind == "done" else payload()
 
@@ -920,6 +926,7 @@ def invoke_begin(
     on_degrade: Any = None,
     trace_id: int | None = None,
     heads: dict | None = None,
+    group: Any = None,
 ) -> tuple[str, Any]:
     """The client side of an invocation, by either transfer method:
     put the request on the wire; defer the reply.
@@ -945,7 +952,16 @@ def invoke_begin(
     templates (:class:`~repro.orb.request.RequestHead`), keyed by
     object, operation and mode: rank 0 builds the one it needs at first
     use and leaves it there for the binding's next call.
+
+    ``group`` is the binding's
+    :class:`~repro.groups.failover.GroupBinding` (``None`` for a
+    singleton binding): the invocation then goes to the replica the
+    binding targets at launch — ``ref`` is ignored — its client spans
+    carry ``replica=<id>``, and a failure the policy gives up on fails
+    over to a sibling.
     """
+    if group is not None:
+        replica, ref = group.target()
     if path.receipt_is_rank_local and not ref.multiport_capable:
         raise RemoteError(
             f"object '{ref.object_key}' does not advertise data "
@@ -975,7 +991,7 @@ def invoke_begin(
     request_id = runtime.next_request_id()
     ctl = _FtInvocation(
         runtime, spec, effective_policy(ft_policy, runtime), request_id,
-        trace_id=trace_id,
+        trace_id=trace_id, group=group,
     )
     inv = ClientInvocation(
         runtime, ref, spec, slots, by_name, layouts, out_templates or {},
@@ -983,6 +999,8 @@ def invoke_begin(
     )
     trace = ctl.trace
     span_kw = dict(trace_id=ctl.trace_id, side="client", rank=runtime.rank)
+    if group is not None:
+        span_kw["replica"] = replica
     inv_span = span_or_null(
         trace, "invoke", op=spec.name, engine=path.mode,
         request_id=request_id, **span_kw,
@@ -1177,9 +1195,23 @@ def invoke_begin(
                     return invoke(
                         runtime, ref, spec, args, path.fallback,
                         out_templates, ft_policy=ctl.policy,
-                        trace_id=ctl.trace_id, heads=heads,
+                        trace_id=ctl.trace_id, heads=heads, group=group,
                     )
-            ctl.raise_failure(failure)
+            cause = ctl.failure_exception(failure)
+            if action == "raise":
+                raise cause
+            # The policy gave up on this replica: move the binding to
+            # a sibling (collectively) and re-issue the call there
+            # under a fresh request id, in the same trace.  The
+            # sibling's reply cache has never seen the call, so one
+            # the dead replica executed before dying runs again.
+            retire()
+            group.fail_over(runtime, ctl.policy, replica, cause, ctl.trace_id)
+            return invoke(
+                runtime, ref, spec, args, path, out_templates,
+                ft_policy=ctl.policy, on_degrade=on_degrade,
+                trace_id=ctl.trace_id, heads=heads, group=group,
+            )
 
     def complete() -> Any:
         try:

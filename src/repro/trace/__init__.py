@@ -44,8 +44,6 @@ from repro.trace.span import (
     NULL_SPAN,
     Span,
     TraceRecorder,
-    active_replica,
-    replica_scope,
     span_or_null,
 )
 from repro.trace.view import format_timeline, summarize
@@ -57,11 +55,9 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "TraceRecorder",
-    "active_replica",
     "chrome_trace_events",
     "format_timeline",
     "read_chrome_trace",
-    "replica_scope",
     "span_or_null",
     "spans_from_chrome_trace",
     "summarize",

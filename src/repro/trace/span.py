@@ -32,42 +32,6 @@ def _now_us() -> float:
     return (time.perf_counter_ns() - _EPOCH_NS) / 1_000.0
 
 
-#: Which group replica the current thread is invoking (set by the
-#: proxy's group path around the engine phases).  Mirrors the ``rts``
-#: tag: spans opened inside the scope are tagged ``replica=<id>``;
-#: spans of singleton bindings stay untagged.
-_REPLICA = threading.local()
-
-
-def active_replica() -> int | None:
-    """The replica id the calling thread currently targets, if any."""
-    return getattr(_REPLICA, "replica", None)
-
-
-class replica_scope:
-    """Tag spans opened by this thread with ``replica=<id>``.
-
-    Reentrant-safe via save/restore, so a failover replay nested in an
-    outer scope retags with the *new* replica and restores the old tag
-    on exit.
-    """
-
-    __slots__ = ("_replica", "_prev")
-
-    def __init__(self, replica: int) -> None:
-        self._replica = replica
-        self._prev: int | None = None
-
-    def __enter__(self) -> "replica_scope":
-        self._prev = getattr(_REPLICA, "replica", None)
-        _REPLICA.replica = self._replica
-        return self
-
-    def __exit__(self, *_exc: Any) -> bool:
-        _REPLICA.replica = self._prev
-        return False
-
-
 @dataclass(frozen=True)
 class Span:
     """One completed, immutable timed stage."""
@@ -219,17 +183,11 @@ class TraceRecorder:
         Spans opened inside an SPMD rank are tagged with that rank's
         RTS backend (``rts: thread|process``) unless the caller set
         one explicitly, so traces from mixed-backend runs stay
-        separable; serial-code spans stay untagged.  Spans opened
-        while the thread is invoking a replicated-group member
-        (:class:`replica_scope`) are tagged ``replica=<id>`` the same
-        way; singleton-binding spans stay untagged.
+        separable; serial-code spans stay untagged.
         """
         backend = rts_backends.active_backend()
         if backend is not None:
             attrs.setdefault("rts", backend)
-        replica = active_replica()
-        if replica is not None:
-            attrs.setdefault("replica", replica)
         return SpanHandle(self, name, trace_id, side, rank, attrs)
 
     def record(self, span: Span) -> None:

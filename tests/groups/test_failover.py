@@ -1,24 +1,17 @@
 """End-to-end group failover: the acceptance scenario (collective
-kill mid-burst), serial failover, exhaustion, and the fail-fast
-degeneration without a retrying policy."""
+kill mid-burst), serial failover, which failures fail over, what a
+replay re-executes, exhaustion, and the fail-fast degeneration
+without a retrying policy."""
 
+import collections
 import threading
 
 import pytest
 
 from repro import ORB, FtPolicy, compile_idl
-from repro.ft.policy import (
-    DeadlineExceeded,
-    InvocationRetriesExhausted,
-)
-from repro.groups import (
-    FailoverExhausted,
-    ShardedNaming,
-    failover_worthy,
-    serve_replicated,
-)
+from repro.groups import FailoverExhausted
 from repro.orb.nameservice import NamingClient
-from repro.orb.naming import NamingError
+from repro.orb.naming import NamingService
 from repro.orb.operation import RemoteError
 from repro.orb.socketnet import SocketFabric
 from repro.orb.transport import TransportError
@@ -27,6 +20,12 @@ from tests.naming_transports import served_naming
 GROUP_IDL = """
 interface counter {
     double add(in double x);
+};
+
+exception Refused { string why; };
+
+interface picky {
+    double add(in double x) raises (Refused);
 };
 """
 
@@ -56,26 +55,62 @@ def _factory(idl):
 
 @pytest.fixture
 def orb():
-    with ORB(
-        "groups-test", naming=ShardedNaming(shards=2), timeout=0.3
-    ) as orb:
+    with ORB("groups-test", timeout=0.3) as orb:
         yield orb
+
+
+class PickyGroup:
+    """A served ``picky`` group whose replica ``rid`` answers
+    ``100 * rid + x``, counting its executions in ``executions``; a
+    replica with a hook in ``on_call`` runs it first (it may raise)."""
+
+    def __init__(self, orb, idl, replicas=3):
+        self.executions = collections.Counter()
+        self.on_call = {}
+        rid_of = {}
+        outer = self
+
+        class PickyServant(idl.picky_skel):
+            def __init__(self, port):
+                self.port = port
+
+            def add(self, x):
+                rid = rid_of[self.port]
+                outer.executions[rid] += 1
+                if rid in outer.on_call:
+                    outer.on_call[rid]()
+                return 100.0 * rid + x
+
+        self.group = orb.serve_replicated(
+            "picky",
+            lambda ctx: PickyServant(ctx.request_port.address),
+            replicas=replicas,
+        )
+        rid_of.update(
+            (g.reference.request_port, rid)
+            for rid, g in self.group.members.items()
+        )
+
+
+def _raise(exc):
+    def hook():
+        raise exc
+
+    return hook
 
 
 @pytest.fixture(params=["inproc", "socket"])
 def deployment(request):
     """``(server_orb, client_orb)``: one in-process ORB playing both
     roles, or servers and client on separate ``SocketFabric``s sharing
-    the server's ``ShardedNaming`` through the served naming object."""
+    the server's naming domain through the served naming object."""
     if request.param == "inproc":
-        with ORB(
-            "groups-test", naming=ShardedNaming(shards=2), timeout=0.3
-        ) as orb:
+        with ORB("groups-test", timeout=0.3) as orb:
             yield orb, orb
         return
-    with served_naming(
-        naming=ShardedNaming(shards=2), timeout=0.3
-    ) as (server_orb, ior), SocketFabric("groups-client") as client_fabric:
+    with served_naming(timeout=0.3) as (
+        server_orb, ior
+    ), SocketFabric("groups-client") as client_fabric:
         with ORB(
             "groups-client",
             fabric=client_fabric,
@@ -85,47 +120,118 @@ def deployment(request):
             yield server_orb, client_orb
 
 
-class TestFailoverWorthy:
-    def test_no_policy_means_fail_fast(self):
-        exc = InvocationRetriesExhausted("add", attempts=2)
-        assert not failover_worthy(exc, None)
+class TestWhatFailsOver:
+    """The engine's fourth recovery action, end to end on a group
+    binding with a retrying policy: only a failure the policy gave up
+    on moves the binding."""
 
-    def test_exhausted_retries_and_deadlines_are_worthy(self):
-        policy = FtPolicy(max_retries=1)
-        assert failover_worthy(
-            InvocationRetriesExhausted("add", attempts=2), policy
-        )
-        assert failover_worthy(DeadlineExceeded("add"), policy)
+    @pytest.fixture
+    def picky(self, orb, idl):
+        picky = PickyGroup(orb, idl)
+        runtime = orb.client_runtime()
+        proxy = idl.picky._group_bind("picky", runtime, ft_policy=RETRYING)
+        try:
+            yield picky, proxy, proxy._group.current_replica()
+        finally:
+            runtime.close()
+            picky.group.shutdown()
 
-    def test_remote_errors_follow_the_retryable_categories(self):
-        policy = FtPolicy(max_retries=1)
-        assert failover_worthy(
-            RemoteError("boom", category="COMM_FAILURE"), policy
-        )
-        assert not failover_worthy(
-            RemoteError("boom", category="BAD_PARAM"), policy
-        )
+    def test_a_user_exception_is_raised_as_is(self, orb, idl, picky):
+        picky, proxy, bound = picky
+        picky.on_call[bound] = _raise(idl.Refused(why="no"))
+        with pytest.raises(idl.Refused) as err:
+            proxy.add(1.0)
+        assert err.value.why == "no"
+        assert proxy._group.history == []
+        assert orb.stats()["ft"]["failovers"] == 0
+        assert picky.executions == {bound: 1}
 
-    def test_transport_errors_are_worthy(self):
-        policy = FtPolicy(max_retries=1)
-        assert failover_worthy(TransportError("port closed"), policy)
+    def test_a_non_retryable_system_category_does_not_fail_over(
+        self, orb, picky
+    ):
+        picky, proxy, bound = picky
+        picky.on_call[bound] = _raise(RemoteError("bad", category="BAD_PARAM"))
+        with pytest.raises(RemoteError) as err:
+            proxy.add(1.0)
+        assert err.value.category == "BAD_PARAM"
+        assert not isinstance(err.value, FailoverExhausted)
+        assert proxy._group.history == []
+        assert orb.stats()["ft"]["failovers"] == 0
 
-    def test_user_errors_are_not(self):
-        assert not failover_worthy(
-            ValueError("app bug"), FtPolicy(max_retries=1)
-        )
+    def test_a_transient_replica_fails_over_to_a_sibling(self, orb, picky):
+        picky, proxy, bound = picky
+        picky.on_call[bound] = _raise(RemoteError("busy", category="TRANSIENT"))
+        sibling_answer = proxy.add(1.0)
+        (flip,) = proxy._group.history
+        assert flip[1] == bound and flip[2] != bound
+        assert sibling_answer == 100.0 * flip[2] + 1.0
+        # The first attempt and its one retry both ran on the bound
+        # replica (a system exception is not cached), then the sibling.
+        assert picky.executions == {bound: 2, flip[2]: 1}
+        assert orb.stats()["ft"]["failovers"] == 1
+
+
+class TestReplayIsNotDeduplicated:
+    def test_a_replica_that_died_before_replying_ran_the_call_once_as_did_the_sibling(
+        self, orb, idl
+    ):
+        """Retries to one replica dedup through its reply cache; a
+        failover replay goes to a sibling with a cache of its own, so
+        a call the dead replica already executed runs again there."""
+        picky = PickyGroup(orb, idl, replicas=2)
+        ran, release = threading.Event(), threading.Event()
+        runtime = orb.client_runtime()
+        try:
+            proxy = idl.picky._group_bind(
+                "picky", runtime, ft_policy=RETRYING
+            )
+            bound = proxy._group.current_replica()
+            doomed = picky.group.members[bound]
+
+            def execute_then_wait():
+                ran.set()
+                release.wait(10.0)
+
+            picky.on_call[bound] = execute_then_wait
+            future = proxy.add_nb(1.0)
+            assert ran.wait(10.0)
+            # Crash the replica while its servant is still inside the
+            # call: it never answers while the client waits.
+            killer = threading.Thread(target=picky.group.kill, args=(bound,))
+            killer.start()
+            while not doomed._request_port.closed:
+                killer.join(0.01)
+            answer = future.value(timeout=30.0)
+            release.set()
+            killer.join(30.0)
+            sibling = proxy._group.current_replica()
+            assert sibling != bound
+            assert answer == 100.0 * sibling + 1.0
+            assert picky.executions == {bound: 1, sibling: 1}
+        finally:
+            release.set()
+            runtime.close()
+            picky.group.shutdown()
 
 
 class TestServeReplicated:
-    def test_requires_a_sharded_naming(self, idl):
-        with ORB("flat-naming") as orb:
-            threads = threading.active_count()
-            with pytest.raises(NamingError, match="ShardedNaming"):
-                serve_replicated(orb, "ctr", _factory(idl))
-            # The replicas activated before the directory refused the
-            # group are gone again, names and threads.
-            assert orb.naming.names() == []
-            assert threading.active_count() == threads
+    def test_a_default_orb_serves_a_group_that_fails_over(self, idl):
+        with ORB("default-naming", timeout=0.3) as orb:
+            assert type(orb.naming) is NamingService
+            group = orb.serve_replicated("ctr", _factory(idl), replicas=2)
+            runtime = orb.client_runtime()
+            try:
+                proxy = idl.counter._group_bind(
+                    "ctr", runtime, ft_policy=RETRYING
+                )
+                first = proxy._group.current_replica()
+                group.kill(first)
+                assert proxy.add(1.0) == 1.0
+                assert proxy._group.current_replica() != first
+                assert orb.naming.resolve_group("ctr").epoch == 1
+            finally:
+                runtime.close()
+                group.shutdown()
 
     def test_requires_at_least_one_replica(self, orb, idl):
         with pytest.raises(ValueError, match="at least one replica"):
@@ -137,14 +243,14 @@ class TestServeReplicated:
             assert group.replica_ids == (0, 1, 2)
             flat = [n for n, _h in orb.naming.names()]
             assert {"ctr#0", "ctr#1", "ctr#2"} <= set(flat)
-            assert orb.naming.is_group("ctr")
+            assert "ctr" in orb.naming.stats()["groups"]
         finally:
             group.shutdown()
 
     def test_shutdown_unbinds_everything(self, orb, idl):
         group = orb.serve_replicated("ctr", _factory(idl), replicas=2)
         group.shutdown()
-        assert not orb.naming.is_group("ctr")
+        assert orb.naming.stats()["groups"] == {}
         assert orb.naming.names() == []
         group.shutdown()  # idempotent
 
@@ -283,8 +389,7 @@ class TestCollectiveFailover:
         pipelined client, the bound replica killed while a burst is
         in flight — zero client-visible errors and byte-identical
         failover decisions on every rank."""
-        naming = ShardedNaming(shards=2)
-        with ORB("groups-accept", naming=naming, timeout=0.4) as orb:
+        with ORB("groups-accept", timeout=0.4) as orb:
             group = orb.serve_replicated(
                 "ctr", _factory(idl), replicas=3
             )

@@ -6,7 +6,6 @@ import copy
 import pytest
 
 from repro import ORB, FtPolicy, compile_idl
-from repro.groups import ShardedNaming
 
 STATS_IDL = """
 interface counter {
@@ -37,12 +36,7 @@ def idl():
 def _active_orb(idl):
     """An ORB with live activity behind every stats section: a
     replicated group served, bound, invoked, and failed over."""
-    orb = ORB(
-        "groups-stats",
-        naming=ShardedNaming(shards=2),
-        timeout=0.3,
-        trace=True,
-    )
+    orb = ORB("groups-stats", timeout=0.3, trace=True)
 
     class CounterServant(idl.counter_skel):
         def __init__(self):

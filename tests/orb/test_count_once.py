@@ -13,9 +13,8 @@ import repro
 from repro import ORB, FtPolicy, compile_idl
 from repro.core.orb import SpmdClientGroup
 from repro.ft.policy import FT_COUNTERS
-from repro.groups import ShardedNaming
 from repro.groups.failover import GROUP_COUNTERS
-from repro.orb.naming import DIRECTORY_COUNTERS
+from repro.orb.naming import DIRECTORY_COUNTERS, NamingService
 from repro.orb.server import SERVER_COUNTERS
 from repro.orb.socketnet import SocketFabric
 from repro.trace import TraceRecorder
@@ -68,8 +67,7 @@ def tallies(orb):
 
 class TestOneEventOneCount:
     def test_a_collective_failover_reads_the_same_everywhere(self, idl):
-        naming = ShardedNaming(shards=2)
-        with ORB("count-once", naming=naming, timeout=0.3) as orb:
+        with ORB("count-once", timeout=0.3) as orb:
             group = orb.serve_replicated("ctr", _factory(idl), replicas=2)
             gate = threading.Barrier(2)
 
@@ -94,6 +92,25 @@ class TestOneEventOneCount:
             assert counters["ft.failovers"] == 2
             # The router heard about it once (rank 0 reports).
             assert stats["groups"]["marked_down"] == 1
+
+    def test_a_failover_reads_every_tally_exactly(self, idl):
+        """One retry, then the binding flips: the whole ledger of an
+        in-process run, zeros included."""
+        with ORB("ledger", timeout=0.3) as orb:
+            failover_script(idl, orb, orb)
+            assert tallies(orb) == {
+                **{f"ft.{n}": 0 for n in FT_COUNTERS},
+                "ft.failovers": 1,
+                "ft.retries": 1,
+                "ft.retries_exhausted": 1,
+                "groups.binds": 1,
+                "groups.failovers": 1,
+                "groups.selections": 2,
+                "groups.failovers_exhausted": 0,
+                "invocations.submitted": 2,
+                "invocations.completed": 2,
+                "invocations.failed": 0,
+            }
 
     def test_each_declared_counter_has_exactly_one_inc_site(self):
         """``<holder>[<name>].inc()`` is the one spelling; the holder
@@ -134,7 +151,7 @@ class TestOneEventOneCount:
 
 class TestLookingDoesNotChangeTheNumbers:
     def run(self, idl, trace):
-        naming = ShardedNaming(shards=2)
+        naming = NamingService()
         with SocketFabric("look-server") as sf, SocketFabric(
             "look-client"
         ) as cf:
@@ -177,8 +194,8 @@ class TestLookingDoesNotChangeTheNumbers:
 class TestTwoOrbsTwoLedgers:
     def pair(self, **options):
         return (
-            ORB("left", naming=ShardedNaming(shards=2), timeout=0.3, **options),
-            ORB("right", naming=ShardedNaming(shards=2), timeout=0.3, **options),
+            ORB("left", timeout=0.3, **options),
+            ORB("right", timeout=0.3, **options),
         )
 
     def test_without_a_shared_recorder_they_are_disjoint(self, idl):
@@ -221,8 +238,7 @@ class TestTheOrbLetsGoOfClosedRuntimes:
             assert orb._runtimes == []
 
     def test_counts_outlive_the_runtime_that_made_them(self, idl):
-        naming = ShardedNaming(shards=2)
-        with ORB("outlive", naming=naming, timeout=0.3) as orb:
+        with ORB("outlive", timeout=0.3) as orb:
             failover_script(idl, orb, orb)
             assert orb._runtimes == []
             assert orb.stats()["ft"]["retries"] == 1

@@ -197,25 +197,3 @@ class TestNaming:
         naming.bind("b", make_ref())
         naming.bind("a", make_ref(), host="h")
         assert naming.names() == [("a", "h"), ("b", "")]
-
-    def test_a_flat_registry_answers_group_calls_with_naming_error(
-        self, naming
-    ):
-        """The directory half of the naming surface is declared, not
-        probed for: a registry without one says so."""
-        calls = [
-            ("bind_group", ("grp", "IDL:svc:1.0", {0: make_ref()})),
-            ("unbind_group", ("grp",)),
-            ("resolve_group", ("grp",)),
-            ("add_member", ("grp", 1, make_ref())),
-            ("remove_member", ("grp", 1)),
-            ("mark_down", ("grp", 1)),
-            ("report_health", ("grp", 1, 0.5)),
-            ("epoch", ("grp",)),
-            ("next_bind_token", ("grp",)),
-        ]
-        for op, args in calls:
-            with pytest.raises(
-                NamingError, match="no group directory for 'grp'.*ShardedNaming"
-            ):
-                getattr(naming, op)(*args)

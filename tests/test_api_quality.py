@@ -271,6 +271,10 @@ OPTION_BUDGET = {
 #: ``RuntimeSystem`` over a kernel's ``expose`` replaced.  Last, the
 #: pipeline and thread-vs-process harnesses that ``bench/`` and the
 #: tier-1 pipelining tests replaced, and a backend query with no caller.
+#: Then the second naming class and hash ring the one naming service's
+#: group directory replaced, and the group launch path, recovery loop
+#: and thread-local replica tag that the engine's failover action and
+#: its spans' own ``replica=`` replaced.
 RETIRED_IDENTIFIERS = {
     "trac" "er",
     "ft_" "stats",
@@ -303,6 +307,21 @@ RETIRED_IDENTIFIERS = {
     "Pipeline" "Point",
     "Procs" "Point",
     "current_" "backend",
+    "Sharded" "Naming",
+    "_Sh" "ard",
+    "shard_" "for",
+    "nsh" "ards",
+    "is_" "group",
+    "group_" "names",
+    "Hash" "Ring",
+    "stable_" "hash",
+    "_no_" "directory",
+    "failover_" "worthy",
+    "_group_" "launch_fn",
+    "_group_" "replay",
+    "replica_" "scope",
+    "active_" "replica",
+    "raise_" "failure",
 }
 
 

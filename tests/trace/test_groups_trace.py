@@ -4,7 +4,6 @@ and trace-id continuity across a client-side failover."""
 import pytest
 
 from repro import ORB, FtPolicy, compile_idl
-from repro.groups import ShardedNaming
 
 GROUPS_TRACE_IDL = """
 interface counter {
@@ -38,10 +37,7 @@ def _factory(idl):
 
 class TestReplicaTag:
     def test_group_client_spans_carry_the_replica(self, idl):
-        naming = ShardedNaming(shards=2)
-        with ORB(
-            "groups-tag", naming=naming, timeout=0.3, trace=True
-        ) as orb:
+        with ORB("groups-tag", timeout=0.3, trace=True) as orb:
             group = orb.serve_replicated(
                 "ctr", _factory(idl), replicas=3
             )
@@ -76,10 +72,7 @@ class TestReplicaTag:
 
 class TestFailoverContinuity:
     def test_one_trace_spans_failure_vote_and_replay(self, idl):
-        naming = ShardedNaming(shards=2)
-        with ORB(
-            "groups-cont", naming=naming, timeout=0.3, trace=True
-        ) as orb:
+        with ORB("groups-cont", timeout=0.3, trace=True) as orb:
             group = orb.serve_replicated(
                 "ctr", _factory(idl), replicas=3
             )

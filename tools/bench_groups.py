@@ -9,10 +9,10 @@ Usage::
         --gate 0.7                          # recovery-goodput gate
 
 Drives pipelined invocation windows against a replicated echo group
-bound through :class:`~repro.groups.ShardedNaming`, kills the
-replica the client is bound to while a window is in flight, and
-records the per-window goodput curve through detection, the
-client-side failover, and the reply-cache replay.  ``--gate R``
+bound through the ORB's naming directory, kills the replica the
+client is bound to while a window is in flight, and records the
+per-window goodput curve through detection, the client-side
+failover, and the re-issue on the sibling.  ``--gate R``
 fails (exit 1) when any invocation errors or is left uncompleted,
 when the run does not perform exactly one failover, or when the
 post-kill windows average below ``R`` times the pre-kill steady
