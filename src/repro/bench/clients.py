@@ -37,7 +37,7 @@ from repro.orb.naming import NamingService
 from repro.orb.request import RequestMessage
 from repro.orb.server import ServerConfig
 from repro.orb.socketnet import _LENGTH, SocketFabric, SocketPortAddress
-from repro.orb.transfer import plain_body_encoder, request_slots
+from repro.orb.transfer import plain_body_encoder
 from repro.orb.transport import KIND_REQUEST
 
 CLIENTS_IDL = """
@@ -116,7 +116,7 @@ class _SimulatedClients:
         self._dest = dest
         self._reply_port = reply_port
         self._source = source
-        self._slots = request_slots(idl.fanin._operations["bump"])
+        self._slots = idl.fanin._operations["bump"].request_slots
         self._sent = [0] * n_clients
         self._quota = [0] * n_clients
         self._socks: list[socket.socket] = []

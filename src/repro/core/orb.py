@@ -148,7 +148,6 @@ class ORB:
         dispatch_workers: int = 4,
         dispatch_policy: str = "client-fifo",
         reply_cache_bytes: int = 0,
-        request_timeout: float | None = None,
     ) -> ServantGroup:
         """Activate an SPMD object and register it with naming.
 
@@ -173,11 +172,11 @@ class ORB:
         replies so a retried request whose reply was lost is answered
         from the cache instead of re-executed (see
         :mod:`repro.ft.dedup`; lint rule PD209 flags retrying
-        clients of a cache-less server).  ``request_timeout`` bounds a
-        dispatched request's server-side waits (chunk collection from
-        a client whose data path died); ``None`` inherits the ORB
-        timeout, so a short-deadline ORB also fails fast server-side.
-        A collective object's ``ctx.rts`` is the one
+        clients of a cache-less server).  A dispatched request's
+        server-side waits (chunk collection from a client whose data
+        path died) are bounded by the ORB ``timeout``, so a
+        short-deadline ORB also fails fast server-side.  A collective
+        object's ``ctx.rts`` is the one
         :class:`~repro.rts.RuntimeSystem` over its ranks' communicator
         (:func:`repro.rts.rts_for`), a plain attribute a factory may
         wrap.
@@ -195,9 +194,7 @@ class ORB:
             dispatch_workers=dispatch_workers,
             dispatch_policy=dispatch_policy,
             reply_cache_bytes=reply_cache_bytes,
-            request_timeout=(
-                self.timeout if request_timeout is None else request_timeout
-            ),
+            request_timeout=self.timeout,
         )
         group.start()
         self._groups.append(group)

@@ -33,9 +33,10 @@ class Region:
 
 @dataclass
 class StmtRegion(Region):
-    """A simple (non-control) statement: effects happen here."""
+    """A simple (non-control) statement, or one ``with`` item:
+    effects happen here."""
 
-    stmt: ast.stmt = None  # type: ignore[assignment]
+    stmt: ast.stmt | ast.withitem = None  # type: ignore[assignment]
 
 
 @dataclass
@@ -139,13 +140,14 @@ def _lower(stmt: ast.stmt) -> Region | None:
             final=_seq(stmt.finalbody, stmt.lineno),
         )
     if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        # The context expressions run, then the body: model as the
-        # with-statement's own effects followed by the body's.
-        header = StmtRegion(line=stmt.lineno, stmt=stmt)
+        # The context expressions run, then the body: model as one
+        # region per item followed by the body's own regions.
+        header = [
+            StmtRegion(line=item.context_expr.lineno, stmt=item)
+            for item in stmt.items
+        ]
         inner = _seq(stmt.body, stmt.lineno)
-        return SeqRegion(
-            line=stmt.lineno, parts=[header] + inner.parts
-        )
+        return SeqRegion(line=stmt.lineno, parts=header + inner.parts)
     if isinstance(stmt, ast.Return):
         return ExitRegion(line=stmt.lineno, kind="return", stmt=stmt)
     if isinstance(stmt, ast.Raise):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+from repro.lint.rules import call_name
+
 #: Call targets whose first argument is IDL source text.
 IDL_SINKS = frozenset(
     (
@@ -39,15 +41,6 @@ class EmbeddedIdl:
         return self.lineno - 1
 
 
-def _call_name(node: ast.Call) -> str:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
-
-
 def find_embedded_idl(tree: ast.Module) -> list[EmbeddedIdl]:
     """Every IDL literal in ``tree``, in source order."""
     # Pass 1: string constants bound to simple names.
@@ -69,7 +62,7 @@ def find_embedded_idl(tree: ast.Module) -> list[EmbeddedIdl]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or not node.args:
             continue
-        if _call_name(node) not in IDL_SINKS:
+        if call_name(node) not in IDL_SINKS:
             continue
         arg = node.args[0]
         constant: ast.Constant | None = None

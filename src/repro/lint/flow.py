@@ -58,36 +58,14 @@ from repro.lint.cfg import (
     build_cfg,
 )
 from repro.lint.diagnostics import Diagnostic
-
-# Token sets shared with the intraprocedural family-B rules.  This
-# import is safe — spmd_rules imports this module lazily, inside
-# lint_python_source — and keeps a single source of truth.
-from repro.lint.spmd_rules import (
+from repro.lint.rules import (
     AGREEMENT_CALLS,
     COLLECTIVE_CALLS,
     RANK_TOKENS,
+    call_name,
+    diag,
+    mentions,
 )
-
-
-def _call_name(node: ast.Call) -> str:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
-
-
-def _mentions_rank(tree: ast.AST) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in RANK_TOKENS:
-            return True
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr in RANK_TOKENS
-        ):
-            return True
-    return False
 
 
 def _calls_in(stmt: ast.AST):
@@ -215,7 +193,7 @@ class FlowAnalyzer:
     def _scan_direct(self, info: FuncInfo) -> None:
         """Direct facts: own calls, ignoring nested function bodies."""
         for call in _calls_in_region(info.cfg):
-            name = _call_name(call)
+            name = call_name(call)
             if name in COLLECTIVE_CALLS:
                 info.may_collect = True
             elif name in AGREEMENT_CALLS:
@@ -289,7 +267,7 @@ class FlowAnalyzer:
         """``(events, complete)`` for one simple statement."""
         events: list[Event] = []
         for call in _calls_in(stmt):
-            name = _call_name(call)
+            name = call_name(call)
             if name in AGREEMENT_CALLS:
                 continue
             if name in COLLECTIVE_CALLS:
@@ -365,7 +343,10 @@ class FlowAnalyzer:
     ) -> Sum:
         st = self._seq(region.true.parts, k, info)
         sf = self._seq(region.false.parts, k, info)
-        if _mentions_rank(region.test) and not info.has_agreement:
+        if (
+            mentions(region.test, RANK_TOKENS)
+            and not info.has_agreement
+        ):
             self._check_divergence(region, st, sf)
         if st == sf:
             return st
@@ -381,7 +362,7 @@ class FlowAnalyzer:
             return rest
         if (
             region.control is not None
-            and _mentions_rank(region.control)
+            and mentions(region.control, RANK_TOKENS)
             and not info.has_agreement
         ):
             # Rank-dependent trip count around a call-hidden
@@ -432,7 +413,7 @@ class FlowAnalyzer:
         if info.has_agreement:
             return
         for call in _calls_in_region(handler):
-            if _call_name(call) in AGREEMENT_CALLS:
+            if call_name(call) in AGREEMENT_CALLS:
                 return  # handler reconciles before anything else
         summary = self._seq(handler.parts, EMPTY, info)
         for ev in summary.events:
@@ -456,7 +437,7 @@ class FlowAnalyzer:
         kt, kf = st.keys(), sf.keys()
         if kt == kf:
             return
-        prefix = len(_common_prefix_keys(kt, kf))
+        prefix = len(_common_prefix(st.events, sf.events))
         if prefix == len(kt) or prefix == len(kf):
             # One side is a proper prefix of the other: divergence is
             # provable only when the shorter side truly ends there.
@@ -534,20 +515,7 @@ class FlowAnalyzer:
         if (rule_id, line) in self._reported:
             return
         self._reported.add((rule_id, line))
-        from repro.lint.rules import RULES
-
-        rule = RULES[rule_id]
-        self.out.append(
-            Diagnostic(
-                rule=rule.id,
-                name=rule.name,
-                severity=rule.severity,
-                file=self.path,
-                line=line,
-                message=message,
-                hint=hint,
-            )
-        )
+        self.out.append(diag(rule_id, self.path, line, message, hint))
 
 
 def _common_prefix(
@@ -558,15 +526,6 @@ def _common_prefix(
         if ea.key != eb.key:
             break
         out.append(ea)
-    return tuple(out)
-
-
-def _common_prefix_keys(a: tuple, b: tuple) -> tuple:
-    out = []
-    for ka, kb in zip(a, b):
-        if ka != kb:
-            break
-        out.append(ka)
     return tuple(out)
 
 

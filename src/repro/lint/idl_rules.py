@@ -14,7 +14,7 @@ from typing import Iterator
 from repro.idl import ast, parser, semantics
 from repro.idl.errors import IdlError, IdlSyntaxError
 from repro.lint.diagnostics import Diagnostic, sort_key
-from repro.lint.rules import RULES
+from repro.lint.rules import diag
 from repro.lint.suppress import is_suppressed, suppression_map
 
 #: Element types a dsequence may carry — exactly the fixed-width
@@ -35,21 +35,6 @@ FIXED_WIDTH_NUMERICS = frozenset(
 )
 
 _Scope = tuple[str, ...]
-
-
-def _diag(
-    rule_id: str, path: str, line: int, message: str, hint: str = ""
-) -> Diagnostic:
-    rule = RULES[rule_id]
-    return Diagnostic(
-        rule=rule.id,
-        name=rule.name,
-        severity=rule.severity,
-        file=path,
-        line=line,
-        message=message,
-        hint=hint,
-    )
 
 
 class _Symbols:
@@ -214,7 +199,7 @@ def _check_operations(
             ):
                 element = _type_text(target.element)
                 out.append(
-                    _diag(
+                    diag(
                         "PD101",
                         path,
                         line,
@@ -241,7 +226,7 @@ def _check_operations(
                 p for p in outs if p not in distributed
             )
             out.append(
-                _diag(
+                diag(
                     "PD103",
                     path,
                     op.line,
@@ -258,7 +243,7 @@ def _check_operations(
             hit = symbols.lookup(exc.parts, scope)
             if hit is None:
                 out.append(
-                    _diag(
+                    diag(
                         "PD106",
                         path,
                         exc.line or op.line,
@@ -271,7 +256,7 @@ def _check_operations(
                 )
             elif not isinstance(hit[1], ast.ExceptionDecl):
                 out.append(
-                    _diag(
+                    diag(
                         "PD106",
                         path,
                         exc.line or op.line,
@@ -299,7 +284,7 @@ def _check_operations(
                 problems.append("declares a raises clause")
             if problems:
                 out.append(
-                    _diag(
+                    diag(
                         "PD107",
                         path,
                         op.line,
@@ -344,7 +329,7 @@ def _check_dsequence_elements(
             f"'{element.name}'"
         )
         out.append(
-            _diag(
+            diag(
                 "PD102",
                 path,
                 line,
@@ -411,7 +396,7 @@ def _check_inheritance(
                 "::".join(origin) for origin in sorted(origins)
             )
             out.append(
-                _diag(
+                diag(
                     "PD104",
                     path,
                     node.line,
@@ -460,7 +445,7 @@ def _check_dead_typedefs(
         if context_text and node.name in context_text:
             continue  # referenced from the host python module
         out.append(
-            _diag(
+            diag(
                 "PD105",
                 path,
                 node.line,
@@ -495,14 +480,14 @@ def lint_idl_source(
     try:
         spec = parser.parse(source)
     except IdlSyntaxError as exc:
-        diag = _diag(
+        syntax_error = diag(
             "PD100",
             path,
             exc.line or 1,
             f"IDL syntax error: {exc.args[0]}",
             "fix the syntax; no other checks ran",
         )
-        return [diag.shifted(line_offset)]
+        return [syntax_error.shifted(line_offset)]
 
     symbols = _Symbols(spec)
     diagnostics: list[Diagnostic] = []
@@ -522,7 +507,7 @@ def lint_idl_source(
             semantics.analyze(spec)
         except IdlError as exc:
             diagnostics.append(
-                _diag(
+                diag(
                     "PD100",
                     path,
                     getattr(exc, "line", None) or 1,

@@ -1,14 +1,41 @@
-"""The rule catalogue for ``repro.lint``.
+"""The rule catalogue for ``repro.lint``, and the vocabulary its
+rules share.
 
 Rule ids are stable: ``PD1xx`` lints run on PARDIS IDL (family A),
 ``PD2xx`` lints run on SPMD client/server programs (family B).  Each
 rule carries the paper section that motivates it so diagnostics can
 point back at the source of the constraint.
+
+Everything more than one lint module needs lives here once: the token
+sets naming collectives, ranks and agreement, the python-AST helpers
+that read them, and :func:`diag`, the one builder of a
+:class:`Diagnostic` from a rule id.
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
+
+from repro.lint.diagnostics import Diagnostic
+
+#: Collective entry points: every computing thread must reach these.
+#: Low-level primitives (bcast/barrier/send/recv) are deliberately
+#: excluded — run-time-system internals legitimately branch on rank
+#: around them.
+COLLECTIVE_CALLS = frozenset(
+    ("_spmd_bind", "invoke_all", "redistribute", "synchronize")
+)
+
+#: Names that (almost always) hold a computing-thread rank.
+RANK_TOKENS = frozenset(("rank", "my_rank", "thread_rank"))
+
+#: The collective failure-agreement entry points
+#: (:mod:`repro.ft.agreement`).  Their presence marks a rank-dependent
+#: divergence as deliberate and reconciled.
+AGREEMENT_CALLS = frozenset(
+    ("agree", "agree_failure", "agree_outcome")
+)
 
 
 @dataclass(frozen=True)
@@ -225,18 +252,19 @@ _RULES = (
         "PD213",
         "group-bind-without-retry-policy",
         "warning",
-        "bound to a replicated group without an FtPolicy that "
-        "enables retries, so failover silently degrades to "
-        "fail-fast",
-        "Replicated groups (repro.groups): client-side failover "
-        "only engages when a fault-tolerance policy classifies the "
-        "failure as retry-worthy — a group binding without a "
-        "retrying FtPolicy fails fast on the first dead replica, "
-        "exactly like a singleton binding, and the replication "
-        "buys nothing.  Bind with FtPolicy(max_retries > 0), and "
-        "keep the replicas stateless: a failover re-issues the call "
-        "on a sibling, which runs it again if the dead replica "
-        "already had.",
+        "bound to a replicated group without an ft_policy, so "
+        "failover may never engage",
+        "Replicated groups (repro.groups): client-side failover is "
+        "what the invocation engine does with a failure the "
+        "fault-tolerance policy gives up on, and any FtPolicy — "
+        "whatever its max_retries — engages it.  With no policy at "
+        "all the binding fails fast on the first dead replica, "
+        "exactly like a singleton binding, and the replication buys "
+        "nothing.  A policy set on the ORB or the client runtime "
+        "engages failover too, but the linter cannot see it.  Keep "
+        "the replicas stateless: a failover re-issues the call on a "
+        "sibling, which runs it again if the dead replica already "
+        "had.",
     ),
 )
 
@@ -248,3 +276,48 @@ def resolve_rule(token: str) -> Rule | None:
     """A rule by id (``PD101``) or slug (``unbounded-dsequence``)."""
     token = token.strip()
     return RULES.get(token.upper()) or RULES_BY_NAME.get(token.lower())
+
+
+def diag(
+    rule_id: str, path: str, line: int, message: str, hint: str = ""
+) -> Diagnostic:
+    """A finding of rule ``rule_id``, named and ranked by the
+    catalogue."""
+    rule = RULES[rule_id]
+    return Diagnostic(
+        rule=rule.id,
+        name=rule.name,
+        severity=rule.severity,
+        file=path,
+        line=line,
+        message=message,
+        hint=hint,
+    )
+
+
+def call_name(node: ast.Call) -> str:
+    """The called name: ``f`` for ``f(...)`` and ``x.f(...)``."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return ""
+
+
+def mentions(tree: ast.AST, tokens: frozenset[str]) -> bool:
+    """Does any Name/Attribute in ``tree`` spell one of ``tokens``?"""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in tokens:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr in tokens:
+            return True
+    return False
+
+
+def keyword(node: ast.Call, name: str) -> ast.expr | None:
+    """The value passed as ``name=`` to a call, if any."""
+    for kw in node.keywords:
+        if kw.arg == name:
+            return kw.value
+    return None

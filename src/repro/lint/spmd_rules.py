@@ -1,4 +1,4 @@
-"""Family B: SPMD collective-correctness lints (rules PD200–PD208).
+"""Family B: SPMD collective-correctness lints (rules PD200–PD213).
 
 These analyse client/server *programs* with python's :mod:`ast`
 module.  The paper's SPMD object model makes certain shapes of code
@@ -8,6 +8,12 @@ time must exist on the server side (§3).  Futures (§4) add the usual
 asynchrony lints: results that are never touched, and touches that
 serialise what should overlap.
 
+The rules read one model of the module: :func:`guarded_calls`, the
+one rank-guard walk PD201 and PD208 filter, and :class:`ModuleIndex`,
+the one pass the cross-reference rules (PD204, PD208, PD209, PD213)
+read.  The interprocedural rules PD210–PD212 live in
+:mod:`repro.lint.flow`.
+
 Python modules may also embed IDL (see :mod:`repro.lint.embedded`);
 every embedded literal is linted with family A and the diagnostics
 are mapped back onto the host file's line numbers.
@@ -16,27 +22,24 @@ are mapped back onto the host file's line numbers.
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.core.spmd import TransferMethod
 from repro.lint.diagnostics import Diagnostic, sort_key
-from repro.lint.embedded import (
-    context_without_idl,
-    find_embedded_idl,
-)
+from repro.lint.embedded import context_without_idl, find_embedded_idl
+from repro.lint.flow import analyze_flow
 from repro.lint.idl_rules import lint_idl_source
-from repro.lint.rules import RULES
-from repro.lint.suppress import is_suppressed, suppression_map
-
-#: Collective entry points: every computing thread must reach these.
-#: Low-level primitives (bcast/barrier/send/recv) are deliberately
-#: excluded — run-time-system internals legitimately branch on rank
-#: around them.
-COLLECTIVE_CALLS = frozenset(
-    ("_spmd_bind", "invoke_all", "redistribute", "synchronize")
+from repro.lint.rules import (
+    AGREEMENT_CALLS,
+    COLLECTIVE_CALLS,
+    RANK_TOKENS,
+    call_name,
+    diag,
+    keyword,
+    mentions,
 )
-
-#: Names that (almost always) hold a computing-thread rank.
-RANK_TOKENS = frozenset(("rank", "my_rank", "thread_rank"))
+from repro.lint.suppress import is_suppressed, suppression_map
 
 #: Names that mark a loop as iterating over the thread group.
 RANK_ITER_TOKENS = frozenset(
@@ -47,211 +50,152 @@ RANK_ITER_TOKENS = frozenset(
 #: ``threading.Event.wait`` would alias it).
 TOUCH_METHODS = frozenset(("touch", "value", "result"))
 
-#: The collective failure-agreement entry points
-#: (:mod:`repro.ft.agreement`).  Their presence inside a rank-guarded
-#: region marks the divergence as deliberate and reconciled.
-AGREEMENT_CALLS = frozenset(
-    ("agree", "agree_failure", "agree_outcome")
-)
+
+def _string(node: ast.expr) -> str | None:
+    """The value of a string constant, else ``None``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
 
 
-def _diag(
-    rule_id: str, path: str, line: int, message: str, hint: str = ""
-) -> Diagnostic:
-    rule = RULES[rule_id]
-    return Diagnostic(
-        rule=rule.id,
-        name=rule.name,
-        severity=rule.severity,
-        file=path,
-        line=line,
-        message=message,
-        hint=hint,
-    )
+# ---------------------------------------------------------------------------
+# The module model: one index, one rank-guard walk
+# ---------------------------------------------------------------------------
 
 
-def _call_name(node: ast.Call) -> str:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
+@dataclass
+class ModuleIndex:
+    """What the cross-reference rules know about one module."""
+
+    #: Every call, in ``ast.walk`` order.
+    calls: list[ast.Call] = field(default_factory=list)
+    #: Object name (a string constant) -> its ``serve(...)`` calls.
+    served: dict[str, list[ast.Call]] = field(default_factory=dict)
+    #: Names bound to a ``_spmd_bind(...)`` result.
+    proxies: set[str] = field(default_factory=set)
+    #: Name -> the ``FtPolicy(...)`` calls bound to it.
+    policies: dict[str, list[ast.Call]] = field(default_factory=dict)
 
 
-def _mentions(tree: ast.AST, tokens: frozenset[str]) -> bool:
-    """Does any Name/Attribute in ``tree`` spell one of ``tokens``?"""
+def index_module(tree: ast.Module) -> ModuleIndex:
+    """Record :class:`ModuleIndex` in one pass over ``tree``."""
+    index = ModuleIndex()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in tokens:
-            return True
-        if isinstance(node, ast.Attribute) and node.attr in tokens:
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# PD201: collective invocations under a rank guard
-# ---------------------------------------------------------------------------
-
-
-class _RankGuardVisitor(ast.NodeVisitor):
-    """Find collective calls control-dependent on a rank test.
-
-    A guard stack tracks enclosing ``if``/``while`` tests that
-    mention a rank name.  The stack resets at function boundaries:
-    a nested function body runs in whatever context *calls* it, so
-    the lexical guard does not imply divergent execution.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.out: list[Diagnostic] = []
-        self._guards: list[int] = []  # lines of active rank guards
-
-    def _visit_guarded(self, node: ast.If | ast.While) -> None:
-        guarded = _mentions(node.test, RANK_TOKENS)
-        if guarded:
-            self._guards.append(node.test.lineno)
-        for child in node.body + node.orelse:
-            self.visit(child)
-        if guarded:
-            self._guards.pop()
-
-    visit_If = _visit_guarded
-    visit_While = _visit_guarded
-
-    def _visit_function(self, node: ast.AST) -> None:
-        saved, self._guards = self._guards, []
-        self.generic_visit(node)
-        self._guards = saved
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-    visit_Lambda = _visit_function
-
-    def visit_Call(self, node: ast.Call) -> None:
-        name = _call_name(node)
-        if name in COLLECTIVE_CALLS and self._guards:
-            self.out.append(
-                _diag(
-                    "PD201",
-                    self.path,
-                    node.lineno,
-                    f"collective '{name}' is guarded by a rank "
-                    f"test (line {self._guards[-1]}): threads "
-                    f"that fail the test never join, and every "
-                    f"thread deadlocks",
-                    "hoist the collective out of the rank guard "
-                    "so all computing threads issue it",
-                )
-            )
-        self.generic_visit(node)
-
-
-# ---------------------------------------------------------------------------
-# PD208: guarded proxy invocations without failure agreement
-# ---------------------------------------------------------------------------
-
-
-def _spmd_proxy_names(tree: ast.Module) -> set[str]:
-    """Variable names assigned from a ``_spmd_bind(...)`` call."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Call)
-            and _call_name(node.value) == "_spmd_bind"
+        if isinstance(node, ast.Call):
+            index.calls.append(node)
+            served = _string(node.args[0]) if node.args else None
+            if call_name(node) == "serve" and served is not None:
+                index.served.setdefault(served, []).append(node)
+        elif isinstance(node, ast.Assign) and isinstance(
+            node.value, ast.Call
         ):
+            bound = call_name(node.value)
             for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-    return names
+                if not isinstance(target, ast.Name):
+                    continue
+                if bound == "_spmd_bind":
+                    index.proxies.add(target.id)
+                elif bound == "FtPolicy":
+                    index.policies.setdefault(target.id, []).append(
+                        node.value
+                    )
+    return index
 
 
-def _has_agreement(scope: ast.AST) -> bool:
+def _calls_agreement(scope: ast.AST) -> bool:
     return any(
         isinstance(node, ast.Call)
-        and _call_name(node) in AGREEMENT_CALLS
+        and call_name(node) in AGREEMENT_CALLS
         for node in ast.walk(scope)
     )
 
 
-class _UnagreedInvocationVisitor(ast.NodeVisitor):
-    """Find proxy invocations under a rank guard with no agreement.
+def guarded_calls(
+    tree: ast.Module,
+) -> Iterator[tuple[ast.Call, int, bool]]:
+    """Every call control-dependent on a rank test, as ``(call,
+    guard line, agreed)``.
 
-    PD201 catches the bind-level collective entry points; this rule
-    covers *invocations* on a proxy that was collectively bound.
-    Every method call on such a proxy is a collective request, so a
-    rank-guarded call diverges the group — unless the enclosing
-    function reconciles via the :mod:`repro.ft.agreement` API, in
-    which case the divergence is deliberate (the sanctioned idiom:
-    rank 0 probes a possibly-dead object inside the guard, then every
-    rank votes with ``agree``/``agree_failure`` after it).
+    A guard is an ``if``/``while`` whose test mentions a rank name;
+    the line is the innermost guard's, and ``agreed`` says whether the
+    enclosing function (or the module) calls an agreement entry point
+    anywhere.  Guards reset at ``def``/``lambda``: a nested body runs
+    in whatever context *calls* it, so the lexical guard does not
+    imply divergent execution.  Tests themselves are not walked.
     """
 
-    def __init__(self, path: str, proxies: set[str]):
-        self.path = path
-        self.proxies = proxies
-        self.out: list[Diagnostic] = []
-        self._guards: list[int] = []  # lines of active rank guards
-        #: Does the current function (or module) scope contain an
-        #: agreement call anywhere?
-        self._agreed: list[bool] = []
+    def walk(node: ast.AST, guard: int | None, agreed: bool):
+        if isinstance(node, (ast.If, ast.While)):
+            if mentions(node.test, RANK_TOKENS):
+                guard = node.test.lineno
+            children = node.body + node.orelse
+        else:
+            if isinstance(
+                node,
+                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda),
+            ):
+                guard, agreed = None, _calls_agreement(node)
+            elif isinstance(node, ast.Call) and guard is not None:
+                yield node, guard, agreed
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            yield from walk(child, guard, agreed)
 
-    def visit_Module(self, node: ast.Module) -> None:
-        self._agreed.append(_has_agreement(node))
-        self.generic_visit(node)
-        self._agreed.pop()
+    return walk(tree, None, _calls_agreement(tree))
 
-    def _visit_guarded(self, node: ast.If | ast.While) -> None:
-        guarded = _mentions(node.test, RANK_TOKENS)
-        if guarded:
-            self._guards.append(node.test.lineno)
-        for child in node.body + node.orelse:
-            self.visit(child)
-        if guarded:
-            self._guards.pop()
 
-    visit_If = _visit_guarded
-    visit_While = _visit_guarded
+# ---------------------------------------------------------------------------
+# PD201/PD208: collectives and proxy invocations under a rank guard
+# ---------------------------------------------------------------------------
 
-    def _visit_function(self, node: ast.AST) -> None:
-        saved, self._guards = self._guards, []
-        self._agreed.append(_has_agreement(node))
-        self.generic_visit(node)
-        self._agreed.pop()
-        self._guards = saved
 
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-    visit_Lambda = _visit_function
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
+def _check_rank_guards(
+    tree: ast.Module, index: ModuleIndex, path: str
+) -> list[Diagnostic]:
+    """PD201 keeps the collective entry points; PD208 keeps calls on
+    a ``_spmd_bind`` proxy in a scope with no agreement call (the
+    sanctioned idiom: rank 0 probes a possibly-dead object inside the
+    guard, then every rank votes with ``agree``/``agree_failure``)."""
+    out: list[Diagnostic] = []
+    for call, guard, agreed in guarded_calls(tree):
+        name = call_name(call)
+        if name in COLLECTIVE_CALLS:
+            out.append(
+                diag(
+                    "PD201",
+                    path,
+                    call.lineno,
+                    f"collective '{name}' is guarded by a rank test "
+                    f"(line {guard}): threads that fail the test never "
+                    f"join, and every thread deadlocks",
+                    "hoist the collective out of the rank guard "
+                    "so all computing threads issue it",
+                )
+            )
+        func = call.func
         if (
-            isinstance(func, ast.Attribute)
+            not agreed
+            and isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Name)
-            and func.value.id in self.proxies
-            and self._guards
-            and not (self._agreed and self._agreed[-1])
+            and func.value.id in index.proxies
         ):
-            self.out.append(
-                _diag(
+            out.append(
+                diag(
                     "PD208",
-                    self.path,
-                    node.lineno,
-                    f"invocation '{func.value.id}.{func.attr}' on "
-                    f"a collectively-bound proxy is guarded by a "
-                    f"rank test (line {self._guards[-1]}) with "
-                    f"no failure agreement: the guarded ranks and "
-                    f"the rest diverge in the collective sequence",
+                    path,
+                    call.lineno,
+                    f"invocation '{func.value.id}.{func.attr}' on a "
+                    f"collectively-bound proxy is guarded by a rank "
+                    f"test (line {guard}) with no failure agreement: "
+                    f"the guarded ranks and the rest diverge in the "
+                    f"collective sequence",
                     "issue the invocation from every thread, or "
                     "reconcile the branch with "
                     "repro.ft.agreement.agree/agree_failure so "
                     "all ranks converge on one outcome",
                 )
             )
-        self.generic_visit(node)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +206,8 @@ class _UnagreedInvocationVisitor(ast.NodeVisitor):
 def _is_nb_call(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Call)
-        and _call_name(node).endswith("_nb")
-        and _call_name(node) != "_nb"
+        and call_name(node).endswith("_nb")
+        and call_name(node) != "_nb"
     )
 
 
@@ -278,8 +222,8 @@ def _own_statements(scope: ast.AST):
             node, (ast.FunctionDef, ast.AsyncFunctionDef)
         ):
             continue
-        for field in ("body", "orelse", "finalbody", "handlers"):
-            for child in getattr(node, field, []):
+        for field_name in ("body", "orelse", "finalbody", "handlers"):
+            for child in getattr(node, field_name, []):
                 if isinstance(child, ast.ExceptHandler):
                     stack.extend(child.body)
                 else:
@@ -306,9 +250,9 @@ def _check_futures(
             if isinstance(stmt, ast.Expr) and _is_nb_call(
                 stmt.value
             ):
-                name = _call_name(stmt.value)
+                name = call_name(stmt.value)
                 out.append(
-                    _diag(
+                    diag(
                         "PD202",
                         path,
                         stmt.lineno,
@@ -326,12 +270,12 @@ def _check_futures(
                 and stmt.targets[0].id not in loads
             ):
                 out.append(
-                    _diag(
+                    diag(
                         "PD202",
                         path,
                         stmt.lineno,
                         f"future '{stmt.targets[0].id}' from "
-                        f"'{_call_name(stmt.value)}' is never "
+                        f"'{call_name(stmt.value)}' is never "
                         f"consumed",
                         "touch() the future (or pass it on) so "
                         "completion and errors are observed",
@@ -352,7 +296,7 @@ def _check_touch_loops(
     for node in ast.walk(tree):
         if not isinstance(node, (ast.For, ast.AsyncFor)):
             continue
-        if not _mentions(node.iter, RANK_ITER_TOKENS):
+        if not mentions(node.iter, RANK_ITER_TOKENS):
             continue
         for inner in node.body:
             for call in ast.walk(inner):
@@ -362,7 +306,7 @@ def _check_touch_loops(
                     and call.func.attr in TOUCH_METHODS
                 ):
                     out.append(
-                        _diag(
+                        diag(
                             "PD203",
                             path,
                             call.lineno,
@@ -382,83 +326,57 @@ def _check_touch_loops(
 # ---------------------------------------------------------------------------
 
 
-def _keyword(node: ast.Call, name: str) -> ast.expr | None:
-    for kw in node.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
+def _served_where(
+    index: ModuleIndex, option: str, matches
+) -> dict[str, int]:
+    """Object name -> line of its last ``serve(...)`` whose
+    ``option=`` value satisfies ``matches`` (``None`` when absent)."""
+    found: dict[str, int] = {}
+    for name, serves in index.served.items():
+        for node in serves:
+            if matches(keyword(node, option)):
+                found[name] = node.lineno
+    return found
 
 
 def _check_transfer(
-    tree: ast.Module, path: str
+    index: ModuleIndex, path: str
 ) -> list[Diagnostic]:
     out: list[Diagnostic] = []
-    # Pass 1: servant registrations that opt out of multiport.
-    centralized_only: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if _call_name(node) != "serve" or not node.args:
-            continue
-        target = node.args[0]
-        if not (
-            isinstance(target, ast.Constant)
-            and isinstance(target.value, str)
-        ):
-            continue
-        multiport = _keyword(node, "multiport")
-        if (
-            isinstance(multiport, ast.Constant)
-            and multiport.value is False
-        ):
-            centralized_only[target.value] = node.lineno
-
-    # Pass 2: bind sites.
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        transfer = _keyword(node, "transfer")
-        if transfer is None:
-            continue
-        if not (
-            isinstance(transfer, ast.Constant)
-            and isinstance(transfer.value, str)
-        ):
+    centralized_only = _served_where(
+        index,
+        "multiport",
+        lambda v: isinstance(v, ast.Constant) and v.value is False,
+    )
+    for node in index.calls:
+        transfer = keyword(node, "transfer")
+        method = None if transfer is None else _string(transfer)
+        if method is None:
             continue  # dynamic value: nothing to check statically
-        if transfer.value not in TransferMethod.values():
+        if method not in TransferMethod.values():
             known = ", ".join(sorted(TransferMethod.values()))
             out.append(
-                _diag(
+                diag(
                     "PD205",
                     path,
                     transfer.lineno,
-                    f"unknown transfer method "
-                    f"'{transfer.value}'",
+                    f"unknown transfer method '{method}'",
                     f"valid transfer methods: {known}",
                 )
             )
             continue
-        if _call_name(node) != "_spmd_bind" or not node.args:
+        if call_name(node) != "_spmd_bind" or not node.args:
             continue
-        bound = node.args[0]
-        if not (
-            isinstance(bound, ast.Constant)
-            and isinstance(bound.value, str)
-        ):
-            continue
-        if (
-            transfer.value == "multiport"
-            and bound.value in centralized_only
-        ):
+        bound = _string(node.args[0])
+        if method == "multiport" and bound in centralized_only:
             out.append(
-                _diag(
+                diag(
                     "PD204",
                     path,
                     node.lineno,
-                    f"'{bound.value}' is served with "
-                    f"multiport=False (line "
-                    f"{centralized_only[bound.value]}) but "
-                    f"bound with transfer='multiport'",
+                    f"'{bound}' is served with multiport=False (line "
+                    f"{centralized_only[bound]}) but bound with "
+                    f"transfer='multiport'",
                     "serve with multiport=True, or bind with "
                     "transfer='centralized'",
                 )
@@ -476,10 +394,10 @@ def _retry_policy(node: ast.expr) -> bool:
     retries (``max_retries`` a constant > 0)?"""
     if not (
         isinstance(node, ast.Call)
-        and _call_name(node) == "FtPolicy"
+        and call_name(node) == "FtPolicy"
     ):
         return False
-    retries = _keyword(node, "max_retries")
+    retries = keyword(node, "max_retries")
     return (
         isinstance(retries, ast.Constant)
         and isinstance(retries.value, int)
@@ -489,80 +407,43 @@ def _retry_policy(node: ast.expr) -> bool:
 
 
 def _check_retry_cache(
-    tree: ast.Module, path: str
+    index: ModuleIndex, path: str
 ) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    # Pass 1: served objects, and whether each has a reply cache.
     # A non-constant reply_cache_bytes is assumed to enable the
     # cache: only a provably absent/zero cache is worth reporting.
-    uncached: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
+    uncached = _served_where(
+        index,
+        "reply_cache_bytes",
+        lambda v: v is None
+        or (
+            isinstance(v, ast.Constant)
+            and isinstance(v.value, int)
+            and v.value <= 0
+        ),
+    )
+    out: list[Diagnostic] = []
+    for node in index.calls:
+        if call_name(node) not in ("_bind", "_spmd_bind"):
             continue
-        if _call_name(node) != "serve" or not node.args:
+        bound = _string(node.args[0]) if node.args else None
+        policy = keyword(node, "ft_policy")
+        if bound not in uncached or policy is None:
             continue
-        target = node.args[0]
-        if not (
-            isinstance(target, ast.Constant)
-            and isinstance(target.value, str)
-        ):
-            continue
-        cache = _keyword(node, "reply_cache_bytes")
-        if cache is None or (
-            isinstance(cache, ast.Constant)
-            and isinstance(cache.value, int)
-            and cache.value <= 0
-        ):
-            uncached[target.value] = node.lineno
-
-    if not uncached:
-        return out
-
-    # Pass 2: names bound to retrying FtPolicy instances.
-    retry_names: set[str] = set()
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Assign)
-            and _retry_policy(node.value)
-        ):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    retry_names.add(target.id)
-
-    # Pass 3: bind sites pairing a retry policy with an uncached
-    # server.
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if _call_name(node) not in ("_bind", "_spmd_bind"):
-            continue
-        if not node.args:
-            continue
-        bound = node.args[0]
-        if not (
-            isinstance(bound, ast.Constant)
-            and isinstance(bound.value, str)
-            and bound.value in uncached
-        ):
-            continue
-        policy = _keyword(node, "ft_policy")
-        if policy is None:
-            continue
-        retrying = _retry_policy(policy) or (
-            isinstance(policy, ast.Name)
-            and policy.id in retry_names
+        policies = (
+            index.policies.get(policy.id, ())
+            if isinstance(policy, ast.Name)
+            else (policy,)
         )
-        if retrying:
+        if any(map(_retry_policy, policies)):
             out.append(
-                _diag(
+                diag(
                     "PD209",
                     path,
                     node.lineno,
-                    f"'{bound.value}' is bound with a retrying "
-                    f"FtPolicy but served without a reply cache "
-                    f"(line {uncached[bound.value]}): a retry "
-                    f"after a lost reply re-executes the request "
-                    f"on the servant",
+                    f"'{bound}' is bound with a retrying FtPolicy but "
+                    f"served without a reply cache (line "
+                    f"{uncached[bound]}): a retry after a lost reply "
+                    f"re-executes the request on the servant",
                     "serve with reply_cache_bytes > 0 so "
                     "duplicate requests are answered from the "
                     "cache, or set max_retries=0 for "
@@ -573,56 +454,21 @@ def _check_retry_cache(
 
 
 # ---------------------------------------------------------------------------
-# PD213: group bind without a retrying policy (failover disabled)
+# PD213: group bind without any policy (failover may never engage)
 # ---------------------------------------------------------------------------
 
 
-def _nonretry_policy(node: ast.expr) -> bool:
-    """Is ``node`` an ``FtPolicy(...)`` call that *provably* leaves
-    retries off (``max_retries`` absent — the default is 0 — or a
-    constant <= 0)?"""
-    if not (
-        isinstance(node, ast.Call)
-        and _call_name(node) == "FtPolicy"
-    ):
-        return False
-    retries = _keyword(node, "max_retries")
-    if retries is None:
-        return True
-    return (
-        isinstance(retries, ast.Constant)
-        and isinstance(retries.value, int)
-        and not isinstance(retries.value, bool)
-        and retries.value <= 0
-    )
-
-
-def _check_group_bind(tree: ast.Module, path: str) -> list[Diagnostic]:
-    """Group bindings whose failover is provably disabled.
-
-    Failover only engages under a retrying :class:`FtPolicy`; a
-    ``_group_bind`` with no policy, or with one provably leaving
-    ``max_retries`` at 0, fails fast on the first dead replica.  As
-    with PD209, only provable misconfigurations are reported: a
-    policy of unknown provenance is assumed intentional.
-    """
+def _check_group_bind(
+    index: ModuleIndex, path: str
+) -> list[Diagnostic]:
+    """Group bindings with no ``ft_policy=``.  Any policy engages
+    failover, and so may one set on the ORB or client runtime, which
+    the linter cannot see — so only the bare bind is reported."""
     out: list[Diagnostic] = []
-    retry_names: set[str] = set()
-    nonretry_names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                if _retry_policy(node.value):
-                    retry_names.add(target.id)
-                elif _nonretry_policy(node.value):
-                    nonretry_names.add(target.id)
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
+    for node in index.calls:
+        if call_name(node) != "_group_bind" or not node.args:
             continue
-        if _call_name(node) != "_group_bind" or not node.args:
+        if keyword(node, "ft_policy") is not None:
             continue
         bound = node.args[0]
         name = (
@@ -630,28 +476,19 @@ def _check_group_bind(tree: ast.Module, path: str) -> list[Diagnostic]:
             if isinstance(bound, ast.Constant)
             else "the group"
         )
-        policy = _keyword(node, "ft_policy")
-        if policy is None:
-            detail = "without an ft_policy"
-        elif _nonretry_policy(policy) or (
-            isinstance(policy, ast.Name)
-            and policy.id in nonretry_names
-        ):
-            detail = "with an FtPolicy that leaves max_retries at 0"
-        else:
-            continue
         out.append(
-            _diag(
+            diag(
                 "PD213",
                 path,
                 node.lineno,
-                f"{name} is a replicated-group binding {detail}: "
-                f"failover never engages, so the first dead "
-                f"replica fails the client despite the standbys",
-                "bind with ft_policy=FtPolicy(max_retries > 0) so "
-                "exhausted retries fail over to a sibling replica "
-                "(the sibling runs the call afresh: keep replicas "
-                "stateless)",
+                f"{name} is a replicated-group binding without an "
+                f"ft_policy: unless the ORB or client runtime "
+                f"carries one, failover never engages and the first "
+                f"dead replica fails the client despite the standbys",
+                "bind with ft_policy=FtPolicy(...) — any policy — so "
+                "a failure the policy gives up on can fail over to a "
+                "sibling replica (the sibling runs the call afresh: "
+                "keep replicas stateless)",
             )
         )
     return out
@@ -670,7 +507,7 @@ def lint_python_source(
         tree = ast.parse(source)
     except SyntaxError as exc:
         return [
-            _diag(
+            diag(
                 "PD200",
                 path,
                 exc.lineno or 1,
@@ -679,26 +516,13 @@ def lint_python_source(
             )
         ]
 
-    diagnostics: list[Diagnostic] = []
-    guard = _RankGuardVisitor(path)
-    guard.visit(tree)
-    diagnostics += guard.out
-    proxies = _spmd_proxy_names(tree)
-    if proxies:
-        unagreed = _UnagreedInvocationVisitor(path, proxies)
-        unagreed.visit(tree)
-        diagnostics += unagreed.out
+    index = index_module(tree)
+    diagnostics = _check_rank_guards(tree, index, path)
     diagnostics += _check_futures(tree, path)
     diagnostics += _check_touch_loops(tree, path)
-    diagnostics += _check_transfer(tree, path)
-    diagnostics += _check_retry_cache(tree, path)
-    diagnostics += _check_group_bind(tree, path)
-
-    # The interprocedural collective-flow rules (PD210–PD212).
-    # Imported lazily: repro.lint.flow shares the token sets above,
-    # so a top-level import would be cyclic.
-    from repro.lint.flow import analyze_flow
-
+    diagnostics += _check_transfer(index, path)
+    diagnostics += _check_retry_cache(index, path)
+    diagnostics += _check_group_bind(index, path)
     diagnostics += analyze_flow(tree, path)
 
     literals = find_embedded_idl(tree)

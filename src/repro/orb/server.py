@@ -20,12 +20,12 @@ Three mechanisms, all tuned through :class:`ServerConfig`:
   with a :data:`BUSY_CATEGORY` system-exception reply (retryable under
   a client :class:`~repro.ft.policy.FtPolicy`) without ever touching
   the dispatch queues.
-- **Backpressure** (``client_queue_limit`` / ``resume_at``): when one
+- **Backpressure** (``client_queue_limit``): when one
   client identity accumulates too many admitted-but-unfinished
   requests, the event loop stops reading its socket; TCP flow control
   pushes the stall back to that client while every other client's
   frames keep flowing.  Reading resumes once the queue drains to
-  ``resume_at``.
+  ``resume_at``, half the limit.
 
 The governor's tallies are :data:`SERVER_COUNTERS`: read through
 ``orb.stats()["server"]`` and, adopted by the ORB's registry, as the
@@ -86,13 +86,11 @@ class ServerConfig:
     #: Admitted-but-unfinished requests *per client identity* before
     #: the event loop stops reading that client's socket (0 = off).
     client_queue_limit: int = 64
-    #: Queue depth at which a paused client's socket is read again;
-    #: ``None`` means half of ``client_queue_limit``.
-    resume_at: int | None = None
 
-    def resolved_resume_at(self) -> int:
-        if self.resume_at is not None:
-            return max(0, self.resume_at)
+    @property
+    def resume_at(self) -> int:
+        """Queue depth at which a paused client's socket is read
+        again: half of ``client_queue_limit``, at least 1."""
         return max(1, self.client_queue_limit // 2)
 
 
@@ -323,7 +321,7 @@ class ServerGovernor:
                 self._pending[identity] = pending
             if (
                 identity in self._paused
-                and pending <= self.config.resolved_resume_at()
+                and pending <= self.config.resume_at
             ):
                 self._paused.discard(identity)
                 self.counters["server.resumes"].inc()
@@ -359,7 +357,7 @@ class ServerGovernor:
                     "pauses": count["server.pauses"],
                     "resumes": count["server.resumes"],
                     "queue_limit": cfg.client_queue_limit,
-                    "resume_at": cfg.resolved_resume_at(),
+                    "resume_at": cfg.resume_at,
                 },
             }
 

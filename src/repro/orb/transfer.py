@@ -97,28 +97,9 @@ def server_layout(
 
 
 # ---------------------------------------------------------------------------
-# Argument slots: what travels where
+# Argument slots: what travels where (the slot views themselves are
+# ``OperationSpec.request_slots`` / ``reply_slots`` / ``produced_slots``)
 # ---------------------------------------------------------------------------
-
-
-# The slot views live on the spec, built once; these spellings remain
-# for callers outside the engines.
-
-
-def request_slots(spec: OperationSpec) -> tuple[Slot, ...]:
-    """Client→server values, in declaration order."""
-    return spec.request_slots
-
-
-def reply_slots(spec: OperationSpec) -> tuple[Slot, ...]:
-    """Server→client values: return first, then out/inout params."""
-    return spec.reply_slots
-
-
-def produced_slots(spec: OperationSpec) -> tuple[Slot, ...]:
-    """Reply slots a servant must *produce* (inout distributed
-    sequences are mutated in place instead)."""
-    return spec.produced_slots
 
 
 def compose(values: list[Any]) -> Any:

@@ -1,4 +1,4 @@
-"""Fixture: group bindings whose failover never engages (PD213)."""
+"""Fixture: a bare group bind (PD213); any policy, however set, is clean."""
 
 from repro.ft.policy import FtPolicy
 

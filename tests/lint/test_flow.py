@@ -318,6 +318,36 @@ def test_recursive_function_degrades_to_uncertain():
     assert flow_rules(source) == []
 
 
+def test_collective_inside_a_with_block_counts_once():
+    source = (
+        "def helper_a(p):\n"
+        "    with lock:\n"
+        "        p.invoke_all('step')\n"
+        "\n"
+        "def helper_b(p):\n"
+        "    p.invoke_all('step')\n"
+        "\n"
+        "def main(p, rank):\n"
+        "    if rank == 0:\n"
+        "        helper_a(p)\n"
+        "    else:\n"
+        "        helper_b(p)\n"
+    )
+    assert flow_rules(source) == []
+
+
+def test_collective_in_a_with_item_still_counts():
+    source = (
+        "def helper(p):\n"
+        "    with lock, p.invoke_all('step'):\n"
+        "        pass\n"
+        "def main(p, rank):\n"
+        "    if rank == 0:\n"
+        "        helper(p)\n"
+    )
+    assert flow_rules(source) == [("PD210", 6)]
+
+
 def test_match_statement_is_opaque():
     source = (
         "def helper(rts):\n"

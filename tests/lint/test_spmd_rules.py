@@ -2,12 +2,47 @@
 plus embedded-IDL delegation."""
 
 import pathlib
+import re
 
 import pytest
 
-from repro.lint import lint_file, lint_python_source
+from repro.lint import lint_file, lint_paths, lint_python_source
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+
+#: Every row linting the fixtures directory gives, in output order.
+FIXTURE_ROWS = [
+    ("bad_collision.idl", 9, "PD104"),
+    ("bad_dead_typedef.idl", 1, "PD105"),
+    ("bad_divergent_helper.py", 11, "PD210"),
+    ("bad_early_return.py", 11, "PD212"),
+    ("bad_element.idl", 2, "PD102"),
+    ("bad_embedded.py", 9, "PD101"),
+    ("bad_exception_collective.py", 9, "PD211"),
+    ("bad_group_bind.py", 9, "PD213"),
+    ("bad_mixed_out.idl", 4, "PD103"),
+    ("bad_oneway.idl", 2, "PD107"),
+    ("bad_raises.idl", 2, "PD106"),
+    ("bad_rank_guard.py", 6, "PD201"),
+    ("bad_retries_no_cache.py", 10, "PD209"),
+    ("bad_syntax.idl", 1, "PD100"),
+    ("bad_touch_loop.py", 8, "PD203"),
+    ("bad_transfer_mismatch.py", 6, "PD204"),
+    ("bad_transfer_name.py", 5, "PD205"),
+    ("bad_unagreed_invocation.py", 7, "PD208"),
+    ("bad_unbounded.idl", 4, "PD101"),
+    ("bad_unconsumed.py", 5, "PD202"),
+    ("bad_unconsumed.py", 9, "PD202"),
+]
+
+
+def test_the_fixtures_directory_gives_exactly_these_rows():
+    rows = [
+        (pathlib.Path(d.file).name, d.line, d.rule)
+        for d in lint_paths([str(FIXTURES)])
+    ]
+    assert rows == FIXTURE_ROWS
+
 
 PY_CASES = [
     ("bad_rank_guard.py", "PD201", 6, "hoist the collective"),
@@ -90,31 +125,118 @@ def test_rank_guard_around_noncollective_is_clean():
     assert lint_python_source(source) == []
 
 
-def test_nested_function_resets_rank_guard():
-    source = (
+#: PD201/PD208 edge cases of the one rank-guard walk: source, then
+#: the expected ``(rule, line, guard line)`` rows.
+GUARD_CASES = {
+    "elif-rank-arm-is-its-own-guard": (
+        "def f(obj, rank):\n"
+        "    if rank == 0:\n"
+        "        pass\n"
+        "    elif rank == 1:\n"
+        "        obj.invoke_all('x')\n",
+        [("PD201", 5, 4)],
+    ),
+    "plain-elif-inherits-the-rank-guard": (
+        "def f(obj, rank, flag):\n"
+        "    if rank == 0:\n"
+        "        pass\n"
+        "    elif flag:\n"
+        "        obj.invoke_all('x')\n",
+        [("PD201", 5, 2)],
+    ),
+    "rank-elif-after-a-plain-if": (
+        "def f(obj, rank, flag):\n"
+        "    if flag:\n"
+        "        obj.invoke_all('x')\n"
+        "    elif rank == 0:\n"
+        "        obj.synchronize()\n",
+        [("PD201", 5, 4)],
+    ),
+    "while-rank": (
+        "def spin(obj, rank):\n"
+        "    while rank != 0:\n"
+        "        obj.invoke_all('step')\n",
+        [("PD201", 3, 2)],
+    ),
+    "collective-in-the-guard-test": (
+        "def f(obj, rank):\n"
+        "    if rank == 0 and obj.invoke_all('x'):\n"
+        "        pass\n"
+        "    while obj.synchronize() and rank:\n"
+        "        pass\n",
+        [],
+    ),
+    "nested-def-under-a-guard": (
         "def make(proxy_cls, runtime, rank):\n"
         "    if rank == 0:\n"
         "        def later():\n"
         "            return proxy_cls._spmd_bind('s', runtime)\n"
         "        return later\n"
-        "    return None\n"
-    )
-    assert [
-        d
+        "    return None\n",
+        [],
+    ),
+    "lambda-under-a-guard": (
+        "def f(obj, rank):\n"
+        "    if rank == 0:\n"
+        "        return lambda: obj.invoke_all('x')\n",
+        [],
+    ),
+    "guard-inside-a-nested-def": (
+        "def f(obj, rank):\n"
+        "    def inner():\n"
+        "        if rank == 0:\n"
+        "            obj.synchronize()\n"
+        "    return inner\n",
+        [("PD201", 4, 3)],
+    ),
+    "one-call-both-rules": (
+        "def f(cls, rt, rank):\n"
+        "    p = cls._spmd_bind('s', rt)\n"
+        "    if rank == 0:\n"
+        "        p.synchronize()\n",
+        [("PD201", 4, 3), ("PD208", 4, 3)],
+    ),
+    "agreement-elsewhere-in-the-function": (
+        "def f(cls, rt, rank, rts):\n"
+        "    p = cls._spmd_bind('s', rt)\n"
+        "    if rank == 0:\n"
+        "        p.status()\n"
+        "    agree(rts, None)\n",
+        [],
+    ),
+    "agreement-only-in-another-function": (
+        "def reconcile(rts):\n"
+        "    agree(rts, None)\n"
+        "def f(cls, rt, rank):\n"
+        "    p = cls._spmd_bind('s', rt)\n"
+        "    if rank == 0:\n"
+        "        p.status()\n",
+        [("PD208", 6, 5)],
+    ),
+    "module-scope-counts-agreement-anywhere-in-the-module": (
+        "p = cls._spmd_bind('s', rt)\n"
+        "if rank == 0:\n"
+        "    p.status()\n"
+        "def reconcile(rts):\n"
+        "    agree(rts, None)\n",
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARD_CASES))
+def test_rank_guard_walk(case):
+    source, expected = GUARD_CASES[case]
+    rows = [
+        (
+            d.rule,
+            d.line,
+            int(re.search(r"\(line (\d+)\)", d.message).group(1)),
+        )
         for d in lint_python_source(source)
-        if d.rule == "PD201"
-    ] == []
-
-
-def test_while_rank_guard_is_detected():
-    source = (
-        "def spin(obj, rank):\n"
-        "    while rank != 0:\n"
-        "        obj.invoke_all('step')\n"
-    )
-    assert any(
-        d.rule == "PD201" for d in lint_python_source(source)
-    )
+        if d.rule in ("PD201", "PD208")
+    ]
+    assert rows == expected
 
 
 def test_event_wait_is_not_touch_in_rank_loop():
@@ -184,12 +306,14 @@ def test_guarded_call_on_untracked_object_is_clean():
 
 
 class TestGroupBindPolicy:
-    """PD213: group bindings whose failover provably never engages."""
+    """PD213: group bindings with no policy at all."""
 
-    def test_all_three_fail_fast_shapes_are_reported(self):
+    def test_only_the_bare_bind_is_reported(self):
+        # Any policy engages failover, even one leaving max_retries
+        # at 0: the FAIL_FAST and inline binds are clean.
         diagnostics = lint_file(str(FIXTURES / "bad_group_bind.py"))
         lines = [d.line for d in diagnostics if d.rule == "PD213"]
-        assert lines == [9, 10, 13]
+        assert lines == [9]
 
     def test_retrying_policy_is_clean(self):
         source = (

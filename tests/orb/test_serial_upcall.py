@@ -20,7 +20,7 @@ from repro.orb.naming import NamingService
 from repro.orb.request import RequestMessage
 from repro.orb.server import ServerConfig
 from repro.orb.socketnet import SocketFabric
-from repro.orb.transfer import plain_body_encoder, request_slots
+from repro.orb.transfer import plain_body_encoder
 from repro.orb.transport import (
     KIND_REPLY,
     KIND_REQUEST,
@@ -79,7 +79,7 @@ def _thread_names():
 
 def _frame(idl, operation, request_id, value, reply_port, oneway=False):
     """One request frame for ``ledger``, flattened."""
-    slots = request_slots(idl.ledger._operations[operation])
+    slots = idl.ledger._operations[operation].request_slots
     message = RequestMessage(
         request_id=request_id,
         object_key="ledger",

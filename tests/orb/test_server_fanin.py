@@ -141,9 +141,7 @@ class TestGovernor:
                 self.resumed.append(identity)
 
         loop = Loop()
-        gov = ServerGovernor(
-            ServerConfig(client_queue_limit=3, resume_at=1)
-        )
+        gov = ServerGovernor(ServerConfig(client_queue_limit=3))
         gov.attach_loop(loop)
         for seq in range(3):
             gov.admit_request(5, (5 << 32) | seq, 0, None)

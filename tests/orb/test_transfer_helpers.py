@@ -29,9 +29,6 @@ from repro.orb.transfer import (
     decode_plain_body,
     decompose,
     encode_plain_body,
-    produced_slots,
-    reply_slots,
-    request_slots,
 )
 from repro.orb.transport import Fabric, KIND_DATA
 
@@ -56,24 +53,24 @@ def spec(**kw):
 
 class TestSlots:
     def test_request_slots_are_sent_params(self):
-        names = [s.name for s in request_slots(spec())]
+        names = [s.name for s in spec().request_slots]
         assert names == ["a", "b", "e"]
 
     def test_reply_slots_return_first(self):
-        names = [s.name for s in reply_slots(spec())]
+        names = [s.name for s in spec().reply_slots]
         assert names == ["__return__", "b", "c", "d", "e"]
 
     def test_void_return_omitted(self):
-        names = [s.name for s in reply_slots(spec(return_tc=TC_VOID))]
+        names = [s.name for s in spec(return_tc=TC_VOID).reply_slots]
         assert names == ["b", "c", "d", "e"]
 
     def test_produced_slots_skip_inout_dsequence(self):
         # 'b' (inout dsequence) is mutated in place, not produced.
-        names = [s.name for s in produced_slots(spec())]
+        names = [s.name for s in spec().produced_slots]
         assert names == ["__return__", "c", "d", "e"]
 
     def test_distributed_flag(self):
-        by_name = {s.name: s for s in reply_slots(spec())}
+        by_name = {s.name: s for s in spec().reply_slots}
         assert by_name["b"].distributed and by_name["d"].distributed
         assert not by_name["c"].distributed
 
@@ -100,7 +97,7 @@ class TestComposition:
 
 class TestPlainBody:
     def test_roundtrip_skips_distributed(self):
-        slots = request_slots(spec())
+        slots = spec().request_slots
         body = encode_plain_body(slots, {"a": 5, "e": -1, "b": "IGNORED"})
         values = decode_plain_body(slots, body)
         assert values == {"a": 5, "e": -1}

@@ -225,7 +225,7 @@ OPTION_BUDGET = {
     "repro.core.orb:ORB.serve": (
         "name", "servant_factory", "nthreads", "host", "multiport",
         "templates", "dispatch_workers", "dispatch_policy",
-        "reply_cache_bytes", "request_timeout",
+        "reply_cache_bytes",
     ),
     "repro.core.orb:ORB.client_runtime": (
         "comm", "label", "pipeline_depth", "ft_policy",
@@ -249,7 +249,6 @@ OPTION_BUDGET = {
     ),
     "repro.orb.server:ServerConfig": (
         "max_connections", "max_inflight", "client_queue_limit",
-        "resume_at",
     ),
     "repro.ft.policy:FtPolicy": (
         "deadline_ms", "max_retries", "backoff_base_ms",
@@ -274,7 +273,10 @@ OPTION_BUDGET = {
 #: Then the second naming class and hash ring the one naming service's
 #: group directory replaced, and the group launch path, recovery loop
 #: and thread-local replica tag that the engine's failover action and
-#: its spans' own ``replica=`` replaced.
+#: its spans' own ``replica=`` replaced.  Then the linter's two
+#: rank-guard visitors, and the pre-passes and helper copies that its
+#: one guard walk, module index and rule vocabulary replaced, with
+#: PD213's policy-inspecting branch.
 RETIRED_IDENTIFIERS = {
     "trac" "er",
     "ft_" "stats",
@@ -322,6 +324,12 @@ RETIRED_IDENTIFIERS = {
     "replica_" "scope",
     "active_" "replica",
     "raise_" "failure",
+    "_RankGuard" "Visitor",
+    "_UnagreedInvocation" "Visitor",
+    "_nonretry_" "policy",
+    "_mentions_" "rank",
+    "_common_prefix_" "keys",
+    "_spmd_proxy_" "names",
 }
 
 
@@ -358,3 +366,53 @@ class TestOptionBudget:
                 if RETIRED_IDENTIFIERS & names:
                     found.append(f"{path.relative_to(root)}:{node.lineno}")
         assert found == []
+
+
+def _lint_trees():
+    root = pathlib.Path(repro.__path__[0]) / "lint"
+    for path in sorted(root.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+class TestOneLintModel:
+    """Family B reads one model of the program: one vocabulary in
+    ``repro.lint.rules``, one rank-guard walk, one module index."""
+
+    def test_the_linter_imports_at_module_top(self):
+        found = [
+            f"{name}:{node.lineno}"
+            for name, tree in _lint_trees()
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert found == []
+
+    def test_each_shared_helper_is_written_once(self):
+        visitors, call_names, builders = [], [], []
+        for name, tree in _lint_trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(base).endswith("NodeVisitor")
+                    for base in node.bases
+                ):
+                    visitors.append(f"{name}:{node.name}")
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                if node.name.lstrip("_") == "call_name":
+                    call_names.append(f"{name}:{node.name}")
+                called = {
+                    ast.unparse(call.func)
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                }
+                reads_rules = any(
+                    isinstance(n, ast.Name) and n.id == "RULES"
+                    for n in ast.walk(node)
+                )
+                if "Diagnostic" in called and reads_rules:
+                    builders.append(f"{name}:{node.name}")
+        assert len(visitors) <= 1
+        assert call_names == ["rules.py:call_name"]
+        assert builders == ["rules.py:diag"]
