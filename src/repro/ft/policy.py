@@ -135,6 +135,11 @@ FT_COUNTERS = (
 class FtPolicy:
     """What an invocation is allowed to cost before failing.
 
+    Under any policy, when a multiport data port is unreachable, the
+    invocation collectively falls back to the centralized transfer
+    method (fresh request id; the server never saw the data, so it
+    cannot have executed).
+
     ``deadline_ms``
         End-to-end budget from send to composed result; ``None`` falls
         back to the runtime receive timeout per attempt.
@@ -151,10 +156,6 @@ class FtPolicy:
         Failure categories worth re-sending for.  Everything else —
         user exceptions, marshaling errors, servant bugs — propagates
         on the first occurrence.
-    ``degrade_to_centralized``
-        When a multiport data port is unreachable, collectively fall
-        back to the centralized transfer method (fresh request id; the
-        server never saw the data, so it cannot have executed).
     ``max_failovers``
         Replica flips a *group* binding (``repro.groups``) may make
         per invocation after per-replica retries exhaust.  Ignored on
@@ -172,7 +173,6 @@ class FtPolicy:
     retryable_categories: tuple[str, ...] = field(
         default=DEFAULT_RETRYABLE
     )
-    degrade_to_centralized: bool = True
     max_failovers: int | None = None
 
     def __post_init__(self) -> None:

@@ -7,12 +7,12 @@ specifications into stub code.
 from __future__ import annotations
 
 import argparse
-import sys
-
 import os
+import sys
 
 from repro.idl.compiler import generate_python, preprocess_includes
 from repro.idl.errors import IdlError
+from repro.lint import lint_idl_source
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -52,8 +52,6 @@ def main(argv: list[str] | None = None) -> int:
              *args.include),
         )
         if args.lint:
-            from repro.lint import lint_idl_source
-
             diagnostics = lint_idl_source(source, args.input)
             for diagnostic in diagnostics:
                 print(diagnostic.render(), file=sys.stderr)

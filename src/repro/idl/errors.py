@@ -16,6 +16,7 @@ class IdlError(Exception):
                 location += f", column {column}"
             location = f" ({location})"
         super().__init__(f"{message}{location}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -26,4 +27,22 @@ class IdlSyntaxError(IdlError):
 
 class IdlSemanticError(IdlError):
     """The source parses but violates IDL rules (unknown names,
-    duplicates, bad inheritance, invalid constants, …)."""
+    duplicates, bad inheritance, invalid constants, …).
+
+    ``rule`` is the ``repro.lint`` rule the error belongs to: PD100
+    for plain IDL errors, or the PARDIS/CORBA rule it breaks, with
+    ``hint`` saying how to fix it.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        line: int | None = None,
+        column: int | None = None,
+        *,
+        rule: str = "PD100",
+        hint: str = "",
+    ) -> None:
+        super().__init__(message, line, column)
+        self.rule = rule
+        self.hint = hint

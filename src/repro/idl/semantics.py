@@ -5,14 +5,20 @@ Turns the syntactic AST into *entities* whose types are the runtime
 Performs the IDL rules the parser cannot: declare-before-use name
 resolution with nested scopes, duplicate detection, constant
 evaluation and range checking, interface-inheritance flattening with
-collision checks, ``raises`` validation, and the PARDIS-specific rule
-that a ``dsequence`` element must be a fixed-width numeric type.
+CORBA's collision rule, ``raises`` and ``oneway`` validation, and the
+PARDIS-specific rule that a ``dsequence`` element must be a
+fixed-width numeric type.
+
+This is the one place PARDIS IDL is resolved and judged: the family-A
+lints of :mod:`repro.lint` report the :class:`IdlSemanticError` raised
+here (its ``rule`` names the lint) and read their warnings off the
+resolved unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Union
+from typing import Any, Iterator, Union
 
 from repro.cdr.typecodes import (
     ArrayTC,
@@ -58,6 +64,25 @@ _BASIC_TC = {
     "void": TC_VOID,
 }
 
+#: Element types a dsequence may carry: the basic types with a dtype.
+_FIXED_WIDTH = sorted(
+    name for name, tc in _BASIC_TC.items() if tc.dtype is not None
+)
+
+_COLLISION_HINT = (
+    "rename one of the colliding members, or introduce a shared base "
+    "interface that declares it once"
+)
+
+
+def _describe(tc: TypeCode) -> str:
+    """A type as messages name it: ``long``, ``sequence<string>``,
+    ``struct 's'``."""
+    if isinstance(tc, (SequenceTC, DSequenceTC)):
+        return f"{tc.kind}<{_describe(tc.element)}>"
+    name = getattr(tc, "name", None) or getattr(tc, "interface", None)
+    return f"{tc.kind} '{name}'" if name else tc.kind
+
 
 # ---------------------------------------------------------------------------
 # Entities: the semantic pass's output, consumed by codegen
@@ -77,6 +102,9 @@ class Entity:
 @dataclass
 class TypedefEntity(Entity):
     typecode: TypeCode = None  # type: ignore[assignment]
+    line: int = 0
+    #: Set once any type reference in the unit resolves to it.
+    referenced: bool = False
 
     @property
     def is_dsequence(self) -> bool:
@@ -125,6 +153,12 @@ class InterfaceEntity(Entity):
     attributes: list[AttributeInfo] = field(default_factory=list)
     #: Entities declared inside the interface body, in order.
     nested: list[Entity] = field(default_factory=list)
+    #: Every operation and attribute name, inherited ones included ->
+    #: qualified name of the interface that declares it.
+    declared_in: dict[str, str] = field(default_factory=dict)
+    #: Source lines of each own operation: its declaration, then one
+    #: per parameter.
+    lines: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def typecode(self) -> ObjRefTC:
@@ -154,36 +188,22 @@ class CompilationUnit:
 
     body: list[Entity] = field(default_factory=list)
 
+    def walk(self, entities: list[Entity] | None = None) -> Iterator[Entity]:
+        """Every entity, depth first in declaration order."""
+        for entity in self.body if entities is None else entities:
+            yield entity
+            yield from self.walk(
+                getattr(entity, "body", None)
+                or getattr(entity, "nested", None)
+                or []
+            )
+
     def interfaces(self) -> list[InterfaceEntity]:
-        found: list[InterfaceEntity] = []
-
-        def walk(entities: list[Entity]) -> None:
-            for entity in entities:
-                if isinstance(entity, InterfaceEntity):
-                    found.append(entity)
-                elif isinstance(entity, ModuleEntity):
-                    walk(entity.body)
-
-        walk(self.body)
-        return found
+        return [e for e in self.walk() if isinstance(e, InterfaceEntity)]
 
     def find(self, qualified_text: str) -> Entity | None:
         target = tuple(qualified_text.split("::"))
-
-        def walk(entities: list[Entity]) -> Entity | None:
-            for entity in entities:
-                if entity.qualified == target:
-                    return entity
-                sub = getattr(entity, "body", None) or getattr(
-                    entity, "nested", None
-                )
-                if sub:
-                    hit = walk(sub)
-                    if hit is not None:
-                        return hit
-            return None
-
-        return walk(self.body)
+        return next((e for e in self.walk() if e.qualified == target), None)
 
 
 # ---------------------------------------------------------------------------
@@ -377,25 +397,47 @@ class Analyzer:
                 )
             entity.bases.append(base)
 
-        # Inherited operations, with collision detection across bases.
-        inherited_from: dict[str, InterfaceEntity] = {}
+        # CORBA: an operation or attribute name reaches an interface
+        # from one declaration only (a diamond over it is fine), and
+        # the interface may not redefine it.
+        origins: dict[str, set[str]] = {}
         for base in entity.bases:
-            for opname, spec in base.all_operations.items():
-                prior = inherited_from.get(opname)
-                if prior is not None and prior.all_operations[opname] != spec:
-                    raise IdlSemanticError(
-                        f"interface '{decl.name}' inherits conflicting "
-                        f"definitions of '{opname}' from "
-                        f"'{prior.name}' and '{base.name}'",
-                        decl.line,
-                    )
-                inherited_from[opname] = base
-                entity.all_operations[opname] = spec
+            for name, origin in base.declared_in.items():
+                origins.setdefault(name, set()).add(origin)
+            entity.all_operations.update(base.all_operations)
+        for name in sorted(origins):
+            if len(origins[name]) > 1:
+                raise IdlSemanticError(
+                    f"interface '{entity.qualified_text}' inherits "
+                    f"conflicting definitions of '{name}' (declared in "
+                    f"{', '.join(sorted(origins[name]))})",
+                    decl.line,
+                    rule="PD104",
+                    hint=_COLLISION_HINT,
+                )
+        entity.declared_in = {
+            name: origin for name, (origin,) in origins.items()
+        }
 
         for export in decl.body:
+            if isinstance(export, (ast.Operation, ast.Attribute)):
+                origin = entity.declared_in.setdefault(
+                    export.name, entity.qualified_text
+                )
+                if origin != entity.qualified_text:
+                    raise IdlSemanticError(
+                        f"interface '{entity.qualified_text}' redefines "
+                        f"'{export.name}', declared in {origin}",
+                        decl.line,
+                        rule="PD104",
+                        hint=_COLLISION_HINT,
+                    )
             if isinstance(export, ast.Operation):
                 spec = self._operation(export, subscope)
                 self._declare_operation(entity, spec, export.line)
+                entity.lines[export.name] = (export.line,) + tuple(
+                    param.line or export.line for param in export.params
+                )
             elif isinstance(export, ast.Attribute):
                 self._attribute(entity, export, subscope)
             else:
@@ -405,16 +447,10 @@ class Analyzer:
     def _declare_operation(
         self, entity: InterfaceEntity, spec: OperationSpec, line: int
     ) -> None:
-        if any(op.name == spec.name for op in entity.own_operations):
+        if spec.name in entity.all_operations:
             raise IdlSemanticError(
                 f"operation '{spec.name}' is declared twice in "
                 f"interface '{entity.name}'",
-                line,
-            )
-        if spec.name in entity.all_operations:
-            raise IdlSemanticError(
-                f"operation '{spec.name}' in interface '{entity.name}' "
-                f"redefines an inherited operation",
                 line,
             )
         entity.own_operations.append(spec)
@@ -425,21 +461,55 @@ class Analyzer:
     ) -> OperationSpec:
         params = []
         for param in decl.params:
-            typecode = self._type(param.type, scope, decl.line)
+            typecode = self._type(
+                param.type, scope, param.line or decl.line
+            )
             params.append(
                 ParamSpec(param.name, Direction(param.direction), typecode)
             )
         raises = []
         for exc_ref in decl.raises:
             exc = scope.lookup(exc_ref.parts)
+            if exc is None:
+                raise IdlSemanticError(
+                    f"operation '{decl.name}' raises undeclared "
+                    f"exception '{exc_ref.text}'",
+                    exc_ref.line or decl.line,
+                    rule="PD106",
+                    hint=f"declare 'exception {exc_ref.text} {{ ... }};' "
+                    f"before the interface, or drop it from the raises "
+                    f"clause",
+                )
             if not isinstance(exc, ExceptionEntity):
                 raise IdlSemanticError(
-                    f"'{exc_ref.text}' in raises clause is not an "
-                    f"exception",
-                    exc_ref.line,
+                    f"operation '{decl.name}' raises '{exc_ref.text}', "
+                    f"which is not an exception",
+                    exc_ref.line or decl.line,
+                    rule="PD106",
+                    hint="raises clauses may only name 'exception' "
+                    "declarations",
                 )
             raises.append(exc.typecode)
         return_tc = self._type(decl.return_type, scope, decl.line)
+        if decl.oneway:
+            problems = [
+                f"has {p.direction.value} parameter '{p.name}'"
+                for p in params
+                if p.direction.returns
+            ]
+            if return_tc is not TC_VOID:
+                problems.insert(0, f"returns {_describe(return_tc)}")
+            if raises:
+                problems.append("declares a raises clause")
+            if problems:
+                raise IdlSemanticError(
+                    f"oneway operation '{decl.name}' {'; '.join(problems)}",
+                    decl.line,
+                    rule="PD107",
+                    hint="oneway requests carry no reply: make the "
+                    "operation void with only in parameters, or drop "
+                    "'oneway'",
+                )
         try:
             return OperationSpec(
                 decl.name,
@@ -479,7 +549,10 @@ class Analyzer:
                 typecode, self._positive_int(dim, scope, decl.line)
             )
         entity = TypedefEntity(
-            decl.name, scope.qualified + (decl.name,), typecode=typecode
+            decl.name,
+            scope.qualified + (decl.name,),
+            typecode=typecode,
+            line=decl.line,
         )
         scope.declare(entity, decl.line)
         return entity
@@ -712,6 +785,15 @@ class Analyzer:
             return SequenceTC(element, bound)
         if isinstance(expr, ast.DSequenceType):
             element = self._type(expr.element, scope, line)
+            if element.dtype is None:
+                raise IdlSemanticError(
+                    f"dsequence element type {_describe(element)} is not "
+                    f"a fixed-width numeric",
+                    line,
+                    rule="PD102",
+                    hint=f"use one of: {', '.join(_FIXED_WIDTH)} (the "
+                    f"transfer engine scatters raw fixed-width buffers)",
+                )
             bound = (
                 None
                 if expr.bound is None
@@ -729,22 +811,25 @@ class Analyzer:
                             line,
                         )
                     template = ("proportions", expr.dist.weights)
-            try:
-                return DSequenceTC(element, bound, template)
-            except MarshalError as exc:
-                raise IdlSemanticError(str(exc), line) from None
+            return DSequenceTC(element, bound, template)
         if isinstance(expr, ast.NamedType):
             entity = scope.lookup(expr.parts)
             if entity is None:
                 raise IdlSemanticError(
                     f"unknown type '{expr.text}'", expr.line
                 )
+            if isinstance(entity, TypedefEntity):
+                entity.referenced = True
             if isinstance(
                 entity,
-                (TypedefEntity, StructEntity, EnumEntity, UnionEntity),
+                (
+                    TypedefEntity,
+                    StructEntity,
+                    EnumEntity,
+                    UnionEntity,
+                    InterfaceEntity,
+                ),
             ):
-                return entity.typecode
-            if isinstance(entity, InterfaceEntity):
                 return entity.typecode
             raise IdlSemanticError(
                 f"'{expr.text}' does not name a type", expr.line

@@ -32,6 +32,7 @@ from typing import Any, Callable
 from repro.cdr.typecodes import DSequenceTC
 from repro.dist import DistributedSequence
 from repro.dist.template import DistTemplate
+from repro.idl.runtime import template_to_spec
 from repro.orb import request as wire
 from repro.orb.datapath import DataPath, path_for
 from repro.orb.operation import (
@@ -928,8 +929,6 @@ class ServantGroup:
         self.nthreads = nthreads
         self.multiport = multiport
         self.trace = trace
-        from repro.idl.runtime import template_to_spec
-
         self._servant_factory = servant_factory
         self._templates = {
             key: template_to_spec(value)

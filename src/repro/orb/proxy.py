@@ -38,6 +38,7 @@ from typing import Any, Callable
 from repro.ft.policy import FT_COUNTERS, effective_policy
 from repro.groups.failover import GROUP_COUNTERS, GroupBinding
 from repro.groups.select import GroupView, policy_for
+from repro.idl.runtime import template_to_spec
 from repro.metrics import MetricsRegistry
 from repro.orb.operation import OperationSpec, RemoteError
 from repro.orb.reference import GroupReference, ObjectReference
@@ -703,8 +704,6 @@ class ClientProxy:
         assumed."  Use ``"__return__"`` as ``param`` for a distributed
         return value.
         """
-        from repro.idl.runtime import template_to_spec
-
         spec = self._spec(operation)
         slot = next(
             (s for s in spec.reply_slots if s.name == param), None

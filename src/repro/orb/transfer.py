@@ -740,7 +740,7 @@ class _FtInvocation:
         policy = self.policy
         if policy is None:
             return "raise"
-        if failure.kind == "unreachable" and policy.degrade_to_centralized:
+        if failure.kind == "unreachable":
             return "degrade"
         if (
             failure.deadline_exhausted

@@ -1,5 +1,7 @@
 """Semantic-analysis tests: resolution, validation, diagnostics."""
 
+import pathlib
+
 import pytest
 
 from repro.cdr.typecodes import (
@@ -10,7 +12,7 @@ from repro.cdr.typecodes import (
     TC_DOUBLE,
     TC_LONG,
 )
-from repro.idl.compiler import analyze_idl
+from repro.idl.compiler import analyze_idl, compile_idl
 from repro.idl.errors import IdlSemanticError
 from repro.idl.semantics import (
     ConstEntity,
@@ -119,6 +121,39 @@ class TestInterfaceRules:
                 interface c : a, b {};
                 """
             )
+
+    def test_one_name_from_two_declarations_is_rejected(self):
+        # Identical signatures still collide: CORBA forbids inheriting
+        # one operation name from two distinct interfaces.
+        source = (
+            pathlib.Path(__file__).resolve().parents[1]
+            / "lint" / "fixtures" / "bad_collision.idl"
+        ).read_text()
+        with pytest.raises(IdlSemanticError) as err:
+            compile_idl(source)
+        assert err.value.rule == "PD104"
+        assert err.value.line == 9
+        assert "alpha" in err.value.message
+        assert "beta" in err.value.message
+
+    @pytest.mark.parametrize(
+        "source,rule,line",
+        [
+            ("typedef\ndsequence<char> t;", "PD102", 1),
+            ("interface a { attribute long run; };\n"
+             "interface b { void run(); };\n"
+             "interface c : a, b {};", "PD104", 3),
+            ("interface a { void f(); };\n"
+             "interface b : a {\n readonly attribute long f; };", "PD104", 2),
+            ("interface i { void f()\n raises (::nowhere); };", "PD106", 2),
+            ("interface i {\n oneway void f(inout long x); };", "PD107", 2),
+        ],
+    )
+    def test_errors_carry_their_lint_rule(self, source, rule, line):
+        with pytest.raises(IdlSemanticError) as err:
+            analyze_idl(source)
+        assert (err.value.rule, err.value.line) == (rule, line)
+        assert err.value.hint
 
     def test_redefining_inherited_op(self):
         with pytest.raises(IdlSemanticError, match="redefines"):

@@ -104,3 +104,24 @@ def test_line_offset_shifts_every_diagnostic():
     assert [d.line + 10 for d in plain] == [
         d.line for d in shifted
     ]
+
+
+def test_absolute_names_resolve_like_the_compiler():
+    source = (
+        "exception Oops { string why; };\n"
+        "typedef dsequence<double> Vec;\n"
+        "interface I {\n"
+        "  void f(in ::Vec v) raises (::Oops);\n"
+        "};\n"
+    )
+    [diag] = lint_idl_source(source)
+    assert (diag.rule, diag.line) == ("PD101", 4)
+
+
+def test_an_invalid_unit_gets_one_diagnostic():
+    source = (
+        "typedef dsequence<string> names;\n"
+        "interface ok { oneway long f(); };\n"
+    )
+    [diag] = lint_idl_source(source)
+    assert (diag.rule, diag.line) == ("PD102", 1)

@@ -252,8 +252,7 @@ OPTION_BUDGET = {
     ),
     "repro.ft.policy:FtPolicy": (
         "deadline_ms", "max_retries", "backoff_base_ms",
-        "backoff_cap_ms", "retryable_categories",
-        "degrade_to_centralized", "max_failovers",
+        "backoff_cap_ms", "retryable_categories", "max_failovers",
     ),
 }
 
@@ -276,7 +275,10 @@ OPTION_BUDGET = {
 #: its spans' own ``replica=`` replaced.  Then the linter's two
 #: rank-guard visitors, and the pre-passes and helper copies that its
 #: one guard walk, module index and rule vocabulary replaced, with
-#: PD213's policy-inspecting branch.
+#: PD213's policy-inspecting branch.  Last, the fault-tolerance switch
+#: no caller set, and the linter's second IDL front end (its symbol
+#: table, walks, inheritance flattener and the checks the semantic
+#: analyzer now makes).
 RETIRED_IDENTIFIERS = {
     "trac" "er",
     "ft_" "stats",
@@ -330,6 +332,13 @@ RETIRED_IDENTIFIERS = {
     "_mentions_" "rank",
     "_common_prefix_" "keys",
     "_spmd_proxy_" "names",
+    "degrade_to_" "centralized",
+    "_Sym" "bols",
+    "_iter_" "decls",
+    "_iter_" "types",
+    "_flatten_" "members",
+    "_check_" "inheritance",
+    "_check_dsequence_" "elements",
 }
 
 
@@ -368,20 +377,23 @@ class TestOptionBudget:
         assert found == []
 
 
-def _lint_trees():
-    root = pathlib.Path(repro.__path__[0]) / "lint"
+def _lint_trees(package="lint"):
+    root = pathlib.Path(repro.__path__[0]) / package
     for path in sorted(root.glob("*.py")):
         yield path.name, ast.parse(path.read_text())
 
 
 class TestOneLintModel:
     """Family B reads one model of the program: one vocabulary in
-    ``repro.lint.rules``, one rank-guard walk, one module index."""
+    ``repro.lint.rules``, one rank-guard walk, one module index.
+    Family A reads the semantic analyzer's verdict and resolved unit:
+    the linter has no IDL front end of its own."""
 
     def test_the_linter_imports_at_module_top(self):
         found = [
             f"{name}:{node.lineno}"
-            for name, tree in _lint_trees()
+            for package in ("lint", "idl")
+            for name, tree in _lint_trees(package)
             for function in ast.walk(tree)
             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
             for node in ast.walk(function)
@@ -416,3 +428,24 @@ class TestOneLintModel:
         assert len(visitors) <= 1
         assert call_names == ["rules.py:call_name"]
         assert builders == ["rules.py:diag"]
+
+    def test_the_linter_resolves_no_idl_names(self):
+        found = []
+        for name, tree in _lint_trees():
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.lstrip("_") == "lookup"
+                ):
+                    found.append(f"{name}:{node.lineno}:def {node.name}")
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if "repro.idl.ast" in modules:
+                    found.append(f"{name}:{node.lineno}:imports repro.idl.ast")
+        assert found == []
