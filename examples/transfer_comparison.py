@@ -81,7 +81,7 @@ def run_method(transfer):
         proxy = idl.worker._spmd_bind("worker", c.runtime, transfer=transfer)
         seq = idl.darray.from_global(np.ones(NELEMS), comm=c.comm)
         proxy.process(seq)
-        return seq.allgather(), c.runtime.data_port.address
+        return seq.allgather(), c.runtime.port.address
 
     results = orb.run_spmd_client(NCLIENT, client)
     server_ports = group.reference.data_ports

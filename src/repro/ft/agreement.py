@@ -2,7 +2,7 @@
 
 The SPMD-specific hard part of fault tolerance (ISSUE 4): on a
 collective binding only *some* ranks observe a failure directly —
-rank 0 owns the reply port, each rank owns its own data port — yet
+rank 0 alone receives the reply, each rank its own data chunks — yet
 every rank must raise the identical exception at the identical point
 in the collective sequence, or the group diverges and deadlocks on its
 next collective.

@@ -18,7 +18,7 @@ server" (paper §1).  Layers, bottom-up:
   object: the servant that serves it and the client façade that
   reaches it from another process.
 - :mod:`repro.orb.transfer` — the client invocation engine and the
-  slots, codecs and collectors both transfer methods share.
+  slots, codecs and inbox both transfer methods share.
 - :mod:`repro.orb.datapath` — where argument data flows: the two
   transfer methods evaluated in the paper (§3.2 centralized, §3.3
   multi-port) as two :class:`~repro.orb.datapath.DataPath` objects.

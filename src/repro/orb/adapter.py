@@ -43,7 +43,7 @@ from repro.orb.operation import (
 from repro.orb.reference import ObjectReference
 from repro.orb.request import ReplyMessage, RequestMessage
 from repro.orb.transfer import (
-    ChunkCollector,
+    Inbox,
     decompose,
     detach_plain_values,
     encode_system_exception,
@@ -83,7 +83,8 @@ class ServantContext:
     rts: RuntimeSystem | None
     request_port: Port | None  # rank 0 only
     data_port: Port
-    collector: ChunkCollector
+    #: Files the chunks that arrive on ``data_port``.
+    inbox: Inbox
     fabric: Fabric
     templates: dict[tuple[str, str], tuple]
     #: ``repro.trace`` recorder (None = tracing off): the engine opens
@@ -342,6 +343,10 @@ class _ServerEngine:
                 request, _error_reply(request, _engine_failure(exc))
             )
         finally:
+            # This rank is finished with the request: chunks that no
+            # collect took (an error exit, or chunks landing after the
+            # answer) now age out of the inbox.
+            self.ctx.inbox.done(request.request_id)
             if self.governor is not None:
                 self.governor.request_done(request.request_id)
 
@@ -484,7 +489,7 @@ class _ServerEngine:
             record = partial(self.cache.record_chunks, request.request_id)
         path.ship_results(ctx, request, results, dist_layouts, record)
         if self.cache is not None:
-            ctx.collector.discard(request.request_id)
+            ctx.inbox.discard(request.request_id)
         reply_span.end()
 
 
@@ -1018,7 +1023,7 @@ class ServantGroup:
                 self._request_port if rank_ctx.rank == 0 else None
             ),
             data_port=self._data_ports[rank_ctx.rank],
-            collector=ChunkCollector(self._data_ports[rank_ctx.rank]),
+            inbox=Inbox(self._data_ports[rank_ctx.rank], self.request_timeout),
             fabric=self.fabric,
             templates=self._templates,
             trace=self.trace,

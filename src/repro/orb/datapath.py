@@ -53,7 +53,7 @@ from repro.orb import request as wire
 from repro.orb.operation import OperationSpec, RemoteError
 from repro.orb.request import ReplyMessage, RequestMessage
 from repro.orb.transfer import (
-    ChunkCollector,
+    Inbox,
     Slot,
     assemble_chunks,
     decode_full_body,
@@ -175,7 +175,7 @@ def _scatter(
 
 
 def _collect(
-    collector: ChunkCollector,
+    inbox: Inbox,
     request_id: int,
     slot: Slot,
     phase: int,
@@ -184,7 +184,7 @@ def _collect(
     rank: int,
     timeout: float,
 ) -> Placed:
-    """Receive this rank's block of one parameter off its data port.
+    """Receive this rank's block of one parameter from its inbox.
 
     Both ends compute the same schedule from the same two layouts, so
     the expected chunk count is exact.  A block that arrived as one
@@ -192,7 +192,7 @@ def _collect(
     steps = transfer_schedule(src_layout, layout)
     expected = sum(1 for s in steps if s.dst_rank == rank)
     dtype = _element_dtype(slot)
-    chunks = collector.collect(
+    chunks = inbox.collect(
         request_id, slot.name, phase, expected, timeout=timeout
     )
     if len(chunks) == 1 and (
@@ -407,7 +407,7 @@ class DirectPath(DataPath):
                 ref.nthreads,
             )
             send_chunks(
-                rt.data_port,
+                rt.port,
                 ref.data_ports,
                 transfer_schedule(seq.layout, dst_layout),
                 rt.rank,
@@ -430,7 +430,7 @@ class DirectPath(DataPath):
                 )
             client_layout = Layout.from_local_lengths(lengths)
             placed[slot.name] = _collect(
-                ctx.collector, request.request_id, slot, wire.PHASE_REQUEST,
+                ctx.inbox, request.request_id, slot, wire.PHASE_REQUEST,
                 client_layout,
                 server_layout(
                     ctx.templates.get((spec.name, slot.name)),
@@ -514,7 +514,7 @@ class DirectPath(DataPath):
                     category="MARSHAL",
                 )
             placed[slot.name] = _collect(
-                rt.collector, inv.request_id, slot, wire.PHASE_REPLY,
+                rt.inbox, inv.request_id, slot, wire.PHASE_REPLY,
                 src_layout, layout, rt.rank,
                 inv.ctl.attempt_timeout() or 60.0,
             )

@@ -144,14 +144,6 @@ class OperationSpec:
             )
         )
 
-    @property
-    def distributed_params(self) -> tuple[ParamSpec, ...]:
-        return tuple(p for p in self.params if p.distributed)
-
-    @property
-    def has_distributed(self) -> bool:
-        return bool(self.distributed_params)
-
     def exception_by_id(self, repo_id: str) -> ExceptionTC | None:
         for exc_tc in self.raises:
             if exc_tc.repo_id == repo_id:

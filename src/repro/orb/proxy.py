@@ -12,7 +12,8 @@ Paper §2.1 defines two bindings:
   collective and distributed arguments travel distributed.
 
 Each PARDIS-connected client thread owns a :class:`ClientRuntime`:
-its reply and data ports, the ORB-internal communicator (a private
+its one port and the inbox that files what arrives there (replies
+and result chunks), the ORB-internal communicator (a private
 duplicate of the application's, so ORB traffic can never interleave
 with application messages), and a single-threaded invocation worker.
 The worker gives non-blocking invocations (§2.1's futures) a total
@@ -43,7 +44,7 @@ from repro.metrics import MetricsRegistry
 from repro.orb.operation import OperationSpec, RemoteError
 from repro.orb.reference import GroupReference, ObjectReference
 from repro.orb.datapath import DataPath, path_for
-from repro.orb.transfer import ChunkCollector, ReplyDemux, invoke_begin
+from repro.orb.transfer import Inbox, invoke_begin
 from repro.orb.transport import Fabric
 from repro.rts import rts_for
 from repro.rts.futures import Future
@@ -135,16 +136,17 @@ class ClientRuntime:
         self.san: CollectiveChecker | None = None
         if self.sanitize and comm is not None:
             self.san = CollectiveChecker(comm.dup(f"{label}:san"))
-        self.reply_port = fabric.open_port(f"{label}:{self.rank}:reply")
-        self.data_port = fabric.open_port(f"{label}:{self.rank}:data")
-        self.collector = ChunkCollector(self.data_port)
-        self.demux = ReplyDemux(self.reply_port)
+        # One port takes both this rank's reply (rank 0's) and its
+        # result chunks; the inbox files them as they arrive.  Nothing
+        # here ages: a future's result chunks wait for its ``value``
+        # however long that takes, and ``invoke_begin`` discards every
+        # id it is finished with.
+        self.port = fabric.open_port(f"{label}:{self.rank}")
+        self.inbox = Inbox(self.port)
         if comm is None:
-            self.data_port_addresses = (self.data_port.address,)
+            self.data_port_addresses = (self.port.address,)
         else:
-            self.data_port_addresses = tuple(
-                comm.allgather(self.data_port.address)
-            )
+            self.data_port_addresses = tuple(comm.allgather(self.port.address))
         # Request ids carry a random per-runtime base in the high 32
         # bits: concurrent clients of one object then never collide on
         # the server's demultiplexing keys, and the base doubles as a
@@ -152,15 +154,21 @@ class ClientRuntime:
         # Collective runtimes must share ONE sequence — the multi-port
         # engine tags every rank's chunks with its locally drawn id and
         # the server matches them against the id in rank 0's header —
-        # so rank 0 draws the base and broadcasts it.
+        # so rank 0 draws the base and broadcasts it.  A rank's serial
+        # calls draw from a base of its own: from the shared one, two
+        # ranks' serial calls would reach a server under one id, and
+        # would shift the shared sequence out of step across ranks.
+        self._serial_ids = itertools.count(
+            (random.getrandbits(31) << 32) + 1
+        )
         if comm is None:
-            base = random.getrandbits(31) << 32
+            self._request_ids = self._serial_ids
         else:
             base = comm.bcast(
                 random.getrandbits(31) << 32 if self.rank == 0 else None,
                 root=0,
             )
-        self._request_ids = itertools.count(base + 1)
+            self._request_ids = itertools.count(base + 1)
         #: Shared with this runtime's serial views, so invocation
         #: order is global per thread; its thread starts with the
         #: first submission — a runtime that only ever makes blocking
@@ -184,10 +192,11 @@ class ClientRuntime:
 
         Used by plain ``_bind``: the thread interacts with objects on
         its own, so the engines must see a 1-thread client.  A copy
-        of this runtime with the group identity erased: ports, worker,
-        tallies and the request-id counter are the parent's (replies
-        still arrive on this thread's port; the common worker keeps
-        blocking/non-blocking calls ordered).
+        of this runtime with the group identity erased: port, inbox,
+        worker and tallies are the parent's (replies still arrive on
+        this thread's port; the common worker keeps blocking/non-blocking
+        calls ordered), and request ids come from this rank's serial
+        sequence.
         """
         if self.app_comm is None:
             return self
@@ -197,7 +206,8 @@ class ClientRuntime:
         view.size = 1
         view.orb_comm = None
         view.rts = None
-        view.data_port_addresses = (self.data_port.address,)
+        view.data_port_addresses = (self.port.address,)
+        view._request_ids = self._serial_ids
         # Serial invocations are per-thread and must not skew the
         # group's collective sequence; a 1-thread client has no group
         # for the alignment checker to align either.
@@ -206,18 +216,17 @@ class ClientRuntime:
         return view
 
     def close(self) -> None:
-        """Release ports and stop the worker (idempotent).
+        """Release the port and stop the worker (idempotent).
 
         The worker first drains in-flight completions, so every
-        launched request still resolves its future before the ports
-        disappear under it.
+        launched request still resolves its future before the port
+        disappears under it.
         """
         if self._closed:
             return
         self._closed = True
         self.worker.stop()
-        self.reply_port.close()
-        self.data_port.close()
+        self.port.close()
         if self._orb is not None:
             self._orb.runtime_closed(self)
 
@@ -284,16 +293,12 @@ class _InvocationWorker:
         #: Submissions (queued or inline) not yet resolved.
         self._unsettled = 0
         #: Held by whichever thread is inside the engine — the worker
-        #: per queue item, an inline caller per call — so a runtime
-        #: shared between threads still has one reply-port consumer.
+        #: per queue item, an inline caller per call — so while one
+        #: thread is in the engine, a second thread's call on the same
+        #: runtime is not launched.
         self._turn = threading.Lock()
         self._name = name
         self._thread: threading.Thread | None = None
-
-    def in_flight(self) -> int:
-        """How many launched requests await completion (worker-thread
-        accurate; advisory elsewhere)."""
-        return len(self._pending)
 
     def _count(self, outcome: str) -> None:
         self._counters[outcome].inc()

@@ -42,6 +42,7 @@ from typing import Any
 from repro.metrics import Counter
 from repro.orb import request as wire
 from repro.orb.request import ReplyMessage
+from repro.orb.transfer import encode_system_exception
 from repro.orb.transport import KIND_REPLY
 from repro.trace.span import span_or_null
 
@@ -121,8 +122,6 @@ class _BusyRejector:
             return False
 
     def _run(self) -> None:
-        from repro.orb.transfer import encode_system_exception
-
         while True:
             item = self._queue.get()
             if item is None:

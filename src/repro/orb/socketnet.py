@@ -51,6 +51,7 @@ from repro.cdr.typecodes import MarshalError
 from repro.orb import request as wire
 from repro.orb.server import KIND_BUSY, ServerConfig, ServerGovernor
 from repro.san import enabled as _san_enabled
+from repro.san.buffers import BufferGuard
 from repro.orb.transport import (
     KIND_REQUEST,
     Fabric,
@@ -112,12 +113,7 @@ class _ConnBuffers:
         # refuses buffers with live memoryview exports and poisons
         # clean ones.  Env-gated here — connections outlive any one
         # ORB, so there is no per-ORB switch to consult.
-        if _san_enabled():
-            from repro.san.buffers import BufferGuard
-
-            self._guard: Any = BufferGuard()
-        else:
-            self._guard = None
+        self._guard = BufferGuard() if _san_enabled() else None
 
     def take(self, length: int) -> tuple[Any, bool]:
         """A buffer of at least ``length`` bytes plus whether it is

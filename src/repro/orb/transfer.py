@@ -15,7 +15,7 @@ gathered to rank 0, one network message, scattered) or **multi-port**
 (§3.3, Figure 3: chunks straight between the owning threads' ports).
 
 This module also holds what both paths build on: value slots and the
-body codecs, chunk collection and reply demultiplexing, gather
+body codecs, the :class:`Inbox` that files replies and chunks, gather
 staging, and the per-invocation fault-tolerance control.
 
 Servant/result convention shared by both methods
@@ -77,6 +77,7 @@ from repro.orb.transport import (
     Port,
     TransportError,
     TransportTimeout,
+    _Delivery,
 )
 from repro.trace.span import span_or_null
 
@@ -132,82 +133,151 @@ def decompose(result: Any, nslots: int, where: str) -> list[Any]:
 
 
 # ---------------------------------------------------------------------------
-# Chunk collection (multi-port receive side)
+# The inbox: one consumer for a port that receives replies and chunks
 # ---------------------------------------------------------------------------
 
 
-class ChunkCollector:
-    """Receives data chunks on a port, holding unmatched ones.
+class Inbox:
+    """Files the replies and data chunks a port receives, as they are
+    delivered, for whoever waits on them.
 
-    Chunks for different requests and parameters interleave freely on
-    a port (several clients may be mid-transfer, and a pipelined
-    client has several requests in flight); the collector files each
-    by ``(request id, param, phase)`` so an engine can wait for
-    exactly the set its transfer schedule predicts.
+    Installed as the port's ``upcall``, the inbox decodes and files
+    each frame on the thread that delivers it (a socket fabric's event
+    loop, or the sender itself in-process): replies by request id —
+    a pipelined client has several in flight, answered in any order —
+    and chunks by ``(request id, param, phase)``, so an engine waits
+    for exactly the set its transfer schedule predicts.  Any number of
+    threads may wait at once, on one condition (a server's dispatch
+    pool does; so does a client whose runtime is shared).
 
-    Thread-safe: several threads may collect different keys
-    concurrently (the server's dispatch pool does).  At most one of
-    them receives from the port at a time, filing chunks for every
-    waiter; the others block on the condition until their key fills
-    or the receiver role frees up.
+    Within a chunk entry, chunks are filed by their schedule
+    coordinates ``(src rank, global range)`` — the ranges of one
+    (request, param, phase) partition the destination block, so a
+    re-delivered chunk (a duplicated frame, or a retry re-sending data
+    that already landed) replaces its original instead of inflating
+    the count toward ``expected``.  The upcall never raises: an
+    undecodable frame, or one of another kind, is dropped and counted.
 
-    A failed ``collect`` (timeout, closed port, decode error) evicts
-    its partial entry, and :meth:`discard` retires a request id so
-    late chunks for an abandoned request are dropped on arrival
-    instead of accumulating forever.
-
-    Within an entry, chunks are filed by their schedule coordinates
-    ``(src rank, global range)`` — the ranges of one (request, param,
-    phase) partition the destination block, so the coordinates are
-    unique and a re-delivered chunk (a duplicated frame, or a retry
-    re-sending data that already landed) replaces its original instead
-    of inflating the count toward ``expected``.  Undecodable frames
-    (truncation faults) are dropped and counted, never raised into an
-    innocent collector's ``collect``.
+    Nothing is held forever.  A failed ``collect`` evicts its partial
+    entry; :meth:`discard` evicts a request's reply and chunks and
+    retires its id, so late frames for it are dropped on arrival; and
+    once the owner has marked a request :meth:`done`, its chunk
+    entries — those still filed, and any that arrive later, such as
+    the chunks of a request answered before they landed — are dropped
+    at the next filing after no frame has touched them for
+    ``timeout``.  An id is never retired on ``done``: a retry without
+    a reply cache re-sends its chunks under the same id, and
+    :meth:`collect` takes the id back from aging.  Entries of requests
+    not yet done (queued, or being collected) and every entry of an
+    inbox whose ``timeout`` is ``None`` (a client's) are kept until
+    collected or discarded.
     """
 
-    #: How many discarded request ids to remember.
+    #: How many finished (done or discarded) request ids to remember.
     MAX_RETIRED = 1024
 
-    def __init__(self, port: Port) -> None:
-        self._port = port
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._pending: dict[
+    def __init__(self, port: Port, timeout: float | None = None) -> None:
+        self.port = port
+        self.timeout = timeout
+        self._cond = threading.Condition()
+        self._replies: dict[int, ReplyMessage] = {}
+        #: ``(request id, param, phase) -> chunks by coordinates``.
+        self._chunks: dict[
             tuple[int, str, int], dict[tuple[int, int, int], DataChunk]
         ] = {}
-        self._receiving = False
-        self._retired: OrderedDict[int, None] = OrderedDict()
-        self._counts = {
-            "duplicates_dropped": 0,
-            "late_dropped": 0,
-            "garbage_dropped": 0,
-        }
-
-    @property
-    def port(self) -> Port:
-        return self._port
+        #: The chunk entries of done requests, by when a frame last
+        #: touched them, least recently touched first.
+        self._aging: dict[tuple[int, str, int], float] = {}
+        #: Finished request ids, oldest first: ``True`` once
+        #: discarded (late frames are dropped), ``False`` once done
+        #: (its chunk entries age).
+        self._finished: OrderedDict[int, bool] = OrderedDict()
+        self._counts = dict.fromkeys(
+            ("duplicates_dropped", "late_dropped", "garbage_dropped",
+             "expired"),
+            0,
+        )
+        port.upcall = self._file
 
     def pending_entries(self) -> int:
-        """How many (request, param, phase) entries are held."""
-        with self._lock:
-            return len(self._pending)
+        """How many replies and (request, param, phase) chunk entries
+        are held."""
+        with self._cond:
+            return len(self._replies) + len(self._chunks)
 
     def stats(self) -> dict[str, int]:
-        """Drop counters: duplicate, post-retirement, undecodable."""
-        with self._lock:
+        """Drop counters: duplicate, post-retirement, undecodable and
+        expired."""
+        with self._cond:
             return dict(self._counts)
 
-    def discard(self, request_id: int) -> None:
-        """Evict all chunks of an abandoned request and drop its late
-        arrivals from now on."""
+    def _file(self, delivery: _Delivery | None) -> bool:
+        """The port's upcall."""
+        if delivery is None:
+            # The port is closing: waiters wake and find it closed.
+            with self._cond:
+                self._cond.notify_all()
+            return True
+        try:
+            item = _DECODERS[delivery.kind](delivery.payload)
+        except Exception:  # undecodable, or a kind an inbox never files
+            item = None
         with self._cond:
-            for key in [k for k in self._pending if k[0] == request_id]:
-                del self._pending[key]
-            self._retired[request_id] = None
-            self._retired.move_to_end(request_id)
-            while len(self._retired) > self.MAX_RETIRED:
-                self._retired.popitem(last=False)
+            now = time.monotonic()
+            if item is None:
+                self._counts["garbage_dropped"] += 1
+            elif self._finished.get(item.request_id):
+                self._counts["late_dropped"] += 1
+            elif isinstance(item, ReplyMessage):
+                self._replies[item.request_id] = item
+            else:
+                key = (item.request_id, item.param, item.phase)
+                entry = self._chunks.setdefault(key, {})
+                coord = (item.src_rank, item.global_lo, item.global_hi)
+                if coord in entry:
+                    self._counts["duplicates_dropped"] += 1
+                entry[coord] = item
+                if item.request_id in self._finished:
+                    self._aging.pop(key, None)
+                    self._aging[key] = now
+            # Aging entries are in last-touched order: the sweep stops
+            # at the first one still fresh.
+            while self._aging and self.timeout is not None:
+                key, touched = next(iter(self._aging.items()))
+                if now - touched <= self.timeout:
+                    break
+                del self._aging[key], self._chunks[key]
+                self._counts["expired"] += 1
+            self._cond.notify_all()
+        return True
+
+    def _wait(self, take: Any, timeout: float | None, what: str) -> Any:
+        """``take()``'s first result that is not ``None``, waiting for
+        frames to be filed until the port closes or time runs out."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            while True:
+                got = take()
+                if got is not None:
+                    return got
+                if self.port.closed:
+                    raise TransportError(
+                        f"port {self.port.address} closed while {what}"
+                    )
+                remaining = (
+                    None if deadline is None else deadline - time.monotonic()
+                )
+                if remaining is not None and remaining <= 0:
+                    raise TransportTimeout(f"timed out {what}")
+                self._cond.wait(remaining)
+
+    def reply(self, request_id: int, timeout: float | None) -> ReplyMessage:
+        """Block until the reply for ``request_id`` is filed."""
+        return self._wait(
+            lambda: self._replies.pop(request_id, None),
+            timeout,
+            f"waiting for the reply to request {request_id}",
+        )
 
     def collect(
         self,
@@ -215,175 +285,71 @@ class ChunkCollector:
         param: str,
         phase: int,
         expected: int,
-        timeout: float = 60.0,
+        timeout: float | None = 60.0,
     ) -> list[DataChunk]:
-        """Block until ``expected`` chunks for the key have arrived.
+        """Block until ``expected`` chunks for the key are filed.
 
         On failure the key's partial entry is evicted, so a timed-out
-        request can never strand chunks in the collector."""
+        request never strands chunks here."""
         key = (request_id, param, phase)
-        deadline = time.monotonic() + timeout
+        with self._cond:
+            if self._finished.get(request_id) is False:
+                # A retry of a done request: its entries stop aging.
+                del self._finished[request_id]
+                for k in [k for k in self._aging if k[0] == request_id]:
+                    del self._aging[k]
+
+        def take() -> list[DataChunk] | None:
+            entry = self._chunks.get(key)
+            if entry is not None and len(entry) >= expected:
+                return list(self._evict(key).values())
+            return [] if expected <= 0 else None
+
         try:
-            while True:
-                with self._cond:
-                    have = self._pending.get(key)
-                    if have is not None and len(have) >= expected:
-                        return list(self._pending.pop(key).values())
-                    if expected <= 0:
-                        return []
-                    if self._receiving:
-                        # Someone else is on the port; it will file our
-                        # chunks and notify.
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise TransportTimeout(
-                                f"timed out collecting chunks for "
-                                f"request {request_id} ('{param}')"
-                            )
-                        self._cond.wait(remaining)
-                        continue
-                    self._receiving = True
-                try:
-                    self._receive_one(deadline, request_id, param)
-                finally:
-                    with self._cond:
-                        self._receiving = False
-                        self._cond.notify_all()
+            return self._wait(
+                take,
+                timeout,
+                f"collecting chunks for request {request_id} ('{param}')",
+            )
         except BaseException:
             with self._cond:
-                self._pending.pop(key, None)
+                self._evict(key)
             raise
 
-    def _receive_one(
-        self, deadline: float, request_id: int, param: str
-    ) -> None:
-        """Receive and file the next chunk off the port."""
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise TransportTimeout(
-                f"timed out collecting chunks for request "
-                f"{request_id} ('{param}')"
-            )
-        _src, _kind, payload = self._port.recv(
-            kind=KIND_DATA, timeout=remaining
-        )
-        try:
-            chunk = wire.decode_chunk(payload)
-        except MarshalError:
-            # A corrupt frame (e.g. an injected truncation) belongs to
-            # one sender's request, not to whoever happens to hold the
-            # receiver role — drop it and keep collecting.
-            with self._cond:
-                self._counts["garbage_dropped"] += 1
-                self._cond.notify_all()
-            return
-        with self._cond:
-            if chunk.request_id in self._retired:
-                self._counts["late_dropped"] += 1
-            else:
-                entry = self._pending.setdefault(
-                    (chunk.request_id, chunk.param, chunk.phase), {}
-                )
-                coord = (chunk.src_rank, chunk.global_lo, chunk.global_hi)
-                if coord in entry:
-                    self._counts["duplicates_dropped"] += 1
-                entry[coord] = chunk
-            self._cond.notify_all()
-
-
-class ReplyDemux:
-    """Files replies by request id so several can be in flight (§2.1).
-
-    The pipelined client keeps multiple requests outstanding on one
-    reply port; their replies may come back in any order (different
-    objects answer at different speeds).  ``wait(request_id)``
-    receives from the port, returning the reply for the asked id and
-    filing every other one for its own later ``wait``.
-
-    The invocation worker is the single consumer, so no receiver
-    arbitration is needed; the lock protects ``discard`` calls from
-    other threads (close/error paths).  Discarded ids are remembered
-    so an abandoned request's late reply is dropped, not leaked.
-    """
-
-    #: How many discarded request ids to remember.
-    MAX_RETIRED = 1024
-
-    def __init__(self, port: Port) -> None:
-        self._port = port
-        self._lock = threading.Lock()
-        self._filed: dict[int, ReplyMessage] = {}
-        self._retired: OrderedDict[int, None] = OrderedDict()
-        self._counts = {"late_dropped": 0, "garbage_dropped": 0}
-
-    @property
-    def port(self) -> Port:
-        return self._port
-
-    def outstanding(self) -> int:
-        """How many unclaimed replies are filed."""
-        with self._lock:
-            return len(self._filed)
-
-    def stats(self) -> dict[str, int]:
-        """Drop counters: post-retirement and undecodable replies."""
-        with self._lock:
-            return dict(self._counts)
-
-    def poll(self, request_id: int) -> ReplyMessage | None:
-        """The filed reply for ``request_id``, if it already arrived."""
-        with self._lock:
-            return self._filed.pop(request_id, None)
-
-    def wait(
-        self, request_id: int, timeout: float | None = 60.0
-    ) -> ReplyMessage:
-        """Block until the reply for ``request_id`` arrives, filing
-        replies for other in-flight requests along the way."""
-        with self._lock:
-            reply = self._filed.pop(request_id, None)
-        if reply is not None:
-            return reply
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        while True:
-            remaining = (
-                None if deadline is None
-                else deadline - time.monotonic()
-            )
-            if remaining is not None and remaining <= 0:
-                raise TransportTimeout(
-                    f"timed out waiting for the reply to request "
-                    f"{request_id}"
-                )
-            _src, _kind, payload = self._port.recv(
-                kind=KIND_REPLY, timeout=remaining
-            )
-            try:
-                reply = wire.decode_reply(payload)
-            except MarshalError:
-                # A corrupt frame (injected truncation); drop it — the
-                # retry machinery re-requests, not the demux.
-                with self._lock:
-                    self._counts["garbage_dropped"] += 1
-                continue
-            if reply.request_id == request_id:
-                return reply
-            with self._lock:
-                if reply.request_id not in self._retired:
-                    self._filed[reply.request_id] = reply
-                else:
-                    self._counts["late_dropped"] += 1
+    def done(self, request_id: int) -> None:
+        """The owner is finished with the request: its chunk entries,
+        and any that arrive for it later, age from now on."""
+        self._finish(request_id, False)
 
     def discard(self, request_id: int) -> None:
-        """Forget an abandoned request; drop its late reply."""
-        with self._lock:
-            self._filed.pop(request_id, None)
-            self._retired[request_id] = None
-            self._retired.move_to_end(request_id)
-            while len(self._retired) > self.MAX_RETIRED:
-                self._retired.popitem(last=False)
+        """Evict an abandoned request's reply and chunks, and drop its
+        late arrivals from now on."""
+        self._finish(request_id, True)
+
+    def _finish(self, request_id: int, retired: bool) -> None:
+        with self._cond:
+            if self._finished.get(request_id):
+                return  # discarded: its frames are dropped already
+            self._finished[request_id] = retired
+            self._finished.move_to_end(request_id)
+            while len(self._finished) > self.MAX_RETIRED:
+                self._finished.popitem(last=False)
+            if retired:
+                self._replies.pop(request_id, None)
+            for key in [k for k in self._chunks if k[0] == request_id]:
+                if retired:
+                    self._evict(key)
+                else:
+                    self._aging.pop(key, None)
+                    self._aging[key] = time.monotonic()
+
+    def _evict(self, key: tuple[int, str, int]) -> Any:
+        self._aging.pop(key, None)
+        return self._chunks.pop(key, None)
+
+
+#: What the inbox decodes a frame of each kind it files with.
+_DECODERS = {KIND_REPLY: wire.decode_reply, KIND_DATA: wire.decode_chunk}
 
 
 def assemble_chunks(
@@ -462,18 +428,11 @@ def send_chunks(
             global_hi=step.global_hi,
             payload=payload,
         )
+        frame = chunk.encode_segments()
         if record is not None:
-            frame = b"".join(
-                bytes(s) for s in chunk.encode_segments()
-            )
+            frame = b"".join(bytes(s) for s in frame)
             record(step.dst_rank, frame)
-            port.send(dest_ports[step.dst_rank], frame, KIND_DATA)
-        else:
-            port.send(
-                dest_ports[step.dst_rank],
-                chunk.encode_segments(),
-                KIND_DATA,
-            )
+        port.send(dest_ports[step.dst_rank], frame, KIND_DATA)
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +455,8 @@ def plain_body_encoder(
     return enc
 
 
-def encode_plain_body(
-    slots: Sequence[Slot], values: dict[str, Any]
-) -> bytes:
-    """Flattened form of :func:`plain_body_encoder`."""
-    return plain_body_encoder(slots, values).getvalue()
-
-
 def decode_plain_body(slots: Sequence[Slot], body: Any) -> dict[str, Any]:
-    """Inverse of :func:`encode_plain_body`."""
+    """Inverse of :func:`plain_body_encoder`."""
     dec = CdrDecoder(body, owned=True)
     values: dict[str, Any] = {}
     for slot in slots:
@@ -998,7 +950,7 @@ def invoke_begin(
         moves outside it.
 
         Re-run verbatim on retry, under the same request id (the
-        server's reply cache dedups the header, its collectors dedup
+        server's reply cache dedups the header, its inboxes dedup
         re-delivered chunk ranges).  A send-side transport error is
         *filed*, not raised — it surfaces at the agreement vote in
         ``complete`` so all ranks handle it at the same collective
@@ -1019,7 +971,7 @@ def invoke_begin(
             if head is None:
                 head = heads[key] = RequestHead(
                     ref.object_key, spec.name, path.mode, spec.oneway,
-                    None if spec.oneway else runtime.reply_port.address,
+                    None if spec.oneway else runtime.port.address,
                     runtime.size,
                 )
             segments = head.segments(
@@ -1034,9 +986,7 @@ def invoke_begin(
         try:
             if root:
                 xfer_span.note(nbytes=len(body))
-                runtime.reply_port.send(
-                    ref.request_port, segments, KIND_REQUEST
-                )
+                runtime.port.send(ref.request_port, segments, KIND_REQUEST)
             kind = "unreachable"
             path.ship_arguments(inv)
         except TransportError as exc:
@@ -1059,15 +1009,14 @@ def invoke_begin(
     def retire() -> None:
         """Late or duplicated frames for the id are dropped on arrival
         from now on, instead of piling up."""
-        runtime.demux.discard(request_id)
-        runtime.collector.discard(request_id)
+        runtime.inbox.discard(request_id)
 
     def attempt() -> Any:
         """The retrying reply loop: wait, vote, deliver or re-send.
 
         Stage 1 votes on the reply header (rank 0's receive).  With
         rank-local receipt a stage 2 votes on delivery (every rank
-        received on its own data port); received data is only installed
+        received on its own port); received data is only installed
         into argument sequences after it succeeds, so a failed attempt
         never leaves a rank's ``inout`` arguments half-updated.
         """
@@ -1080,7 +1029,7 @@ def invoke_begin(
             )
             if local is None and root:
                 try:
-                    reply = runtime.demux.wait(
+                    reply = runtime.inbox.reply(
                         request_id, timeout=ctl.attempt_timeout()
                     )
                 except TransportTimeout as exc:

@@ -194,9 +194,11 @@ class _Delivery:
 
 
 class Port:
-    """A receiving endpoint.  Owned (received from) by one thread —
-    or, with an :attr:`upcall` installed, by whichever thread
-    delivers."""
+    """A receiving endpoint.  Every port the ORB opens is read by an
+    :attr:`upcall`, on whichever thread delivers (the request intake
+    on a request port, an :class:`~repro.orb.transfer.Inbox` on any
+    other); :meth:`recv` serves a port without one, owned by one
+    thread."""
 
     def __init__(self, fabric: "Fabric", address: PortAddress) -> None:
         self._fabric = fabric

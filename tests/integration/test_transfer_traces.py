@@ -99,7 +99,7 @@ def run_diffusion(metered, idl, transfer, nclient, nserver, n=120):
         log = []
         c.runtime.rts = Recording(c.runtime.rts, log)
         diff.diffusion(1, seq)
-        return seq.allgather(), log, c.runtime.data_port.address
+        return seq.allgather(), log, c.runtime.port.address
 
     results = client_orb.run_spmd_client(nclient, client)
     np.testing.assert_array_equal(results[0][0], np.ones(n))

@@ -248,7 +248,7 @@ class TestTheOrbLetsGoOfClosedRuntimes:
         orb = ORB("open-at-shutdown")
         runtime = orb.client_runtime()
         orb.shutdown()
-        assert runtime.reply_port.closed and runtime.data_port.closed
+        assert runtime.port.closed
 
 
 class TestSerialView:
@@ -256,6 +256,7 @@ class TestSerialView:
     ERASED = {
         "app_comm", "rank", "size", "orb_comm", "rts",
         "data_port_addresses", "_collective_indexes", "san",
+        "_request_ids",
     }
 
     def test_every_other_attribute_is_the_parents(self):
@@ -269,7 +270,7 @@ class TestSerialView:
             assert (view.app_comm, view.rank, view.size) == (None, 0, 1)
             assert view.orb_comm is None and view.rts is None
             assert view.san is None
-            assert view.data_port_addresses == (runtime.data_port.address,)
+            assert view.data_port_addresses == (runtime.port.address,)
             assert view._collective_indexes is not runtime._collective_indexes
             return sorted(
                 name
@@ -279,3 +280,19 @@ class TestSerialView:
 
         with ORB("views", sanitize=True) as orb:
             assert orb.run_spmd_client(2, client) == [[], []]
+
+    def test_serial_request_ids_are_the_rank_s_own(self):
+        """Two ranks' serial calls never share an id at a server, and
+        serial calls do not move the group's shared sequence."""
+
+        def client(ctx):
+            view = ctx.runtime.serial_view()
+            serial = [view.next_request_id() for _ in range(ctx.rank + 1)]
+            return serial[0], ctx.runtime.next_request_id()
+
+        with ORB("view-ids") as orb:
+            (serial0, shared0), (serial1, shared1) = orb.run_spmd_client(
+                2, client
+            )
+        assert serial0 >> 32 != serial1 >> 32
+        assert shared0 == shared1

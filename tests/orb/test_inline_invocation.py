@@ -188,7 +188,7 @@ class TestBehindOutstandingCallsItUsesTheWorker:
     def test_second_thread_waits_for_an_inline_call_to_leave_the_engine(
         self, orb, idl
     ):
-        """One reply-port consumer at a time: while a thread is inside
+        """One thread in the engine at a time: while a thread is inside
         an inline call, another thread's invocation queues on the
         worker and is not even launched until the first has left."""
         gate = threading.Event()

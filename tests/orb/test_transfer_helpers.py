@@ -1,5 +1,9 @@
 """Unit tests for transfer-engine building blocks (slots, composition,
-chunk collection, body marshaling)."""
+the inbox, body marshaling)."""
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,16 +25,22 @@ from repro.orb.operation import (
     ParamSpec,
     RemoteError,
 )
-from repro.orb.request import DataChunk, PHASE_REQUEST
+from repro.orb.request import DataChunk, PHASE_REQUEST, ReplyMessage
 from repro.orb.transfer import (
-    ChunkCollector,
+    Inbox,
     assemble_chunks,
     compose,
     decode_plain_body,
     decompose,
-    encode_plain_body,
+    plain_body_encoder,
 )
-from repro.orb.transport import Fabric, KIND_DATA
+from repro.orb.transport import (
+    Fabric,
+    KIND_DATA,
+    KIND_REPLY,
+    TransportError,
+    TransportTimeout,
+)
 
 DS = DSequenceTC(TC_DOUBLE)
 
@@ -98,54 +108,45 @@ class TestComposition:
 class TestPlainBody:
     def test_roundtrip_skips_distributed(self):
         slots = spec().request_slots
-        body = encode_plain_body(slots, {"a": 5, "e": -1, "b": "IGNORED"})
+        values = {"a": 5, "e": -1, "b": "IGNORED"}
+        body = plain_body_encoder(slots, values).getvalue()
         values = decode_plain_body(slots, body)
         assert values == {"a": 5, "e": -1}
 
 
-class TestChunkCollector:
-    def make_chunk(self, rid, param, lo, hi, phase=PHASE_REQUEST):
-        data = np.arange(lo, hi, dtype=np.float64)
-        return DataChunk(
-            rid, param, phase, 0, 0, lo, hi, data.tobytes()
-        )
+def make_chunk(rid, param, lo, hi, phase=PHASE_REQUEST):
+    data = np.arange(lo, hi, dtype=np.float64)
+    return DataChunk(rid, param, phase, 0, 0, lo, hi, data.tobytes())
 
+
+def inbox_and_sender(timeout=60.0):
+    fabric = Fabric()
+    port, sender = fabric.open_port(), fabric.open_port()
+    return Inbox(port, timeout), sender
+
+
+class TestInboxChunks:
     def test_collects_expected_count(self):
-        fabric = Fabric()
-        port, sender = fabric.open_port(), fabric.open_port()
-        collector = ChunkCollector(port)
-        for chunk in (
-            self.make_chunk(1, "x", 0, 4),
-            self.make_chunk(1, "x", 4, 8),
-        ):
-            sender.send(port.address, chunk.encode(), KIND_DATA)
-        chunks = collector.collect(1, "x", PHASE_REQUEST, 2, timeout=5)
+        inbox, sender = inbox_and_sender()
+        for chunk in (make_chunk(1, "x", 0, 4), make_chunk(1, "x", 4, 8)):
+            sender.send(inbox.port.address, chunk.encode(), KIND_DATA)
+        chunks = inbox.collect(1, "x", PHASE_REQUEST, 2, timeout=5)
         assert len(chunks) == 2
 
     def test_unrelated_chunks_are_held_not_lost(self):
-        fabric = Fabric()
-        port, sender = fabric.open_port(), fabric.open_port()
-        collector = ChunkCollector(port)
-        sender.send(
-            port.address, self.make_chunk(2, "y", 0, 3).encode(), KIND_DATA
-        )
-        sender.send(
-            port.address, self.make_chunk(1, "x", 0, 3).encode(), KIND_DATA
-        )
-        got = collector.collect(1, "x", PHASE_REQUEST, 1, timeout=5)
+        inbox, sender = inbox_and_sender()
+        for chunk in (make_chunk(2, "y", 0, 3), make_chunk(1, "x", 0, 3)):
+            sender.send(inbox.port.address, chunk.encode(), KIND_DATA)
+        got = inbox.collect(1, "x", PHASE_REQUEST, 1, timeout=5)
         assert got[0].param == "x"
         # The held chunk for request 2 is still retrievable.
-        got2 = collector.collect(2, "y", PHASE_REQUEST, 1, timeout=5)
+        got2 = inbox.collect(2, "y", PHASE_REQUEST, 1, timeout=5)
         assert got2[0].param == "y"
 
     def test_timeout_when_chunks_missing(self):
-        from repro.orb.transport import TransportError
-
-        fabric = Fabric()
-        collector = ChunkCollector(fabric.open_port())
-        with pytest.raises(TransportError):
-            collector.collect(1, "x", PHASE_REQUEST, 1, timeout=0.05)
-
+        inbox, _sender = inbox_and_sender()
+        with pytest.raises(TransportTimeout):
+            inbox.collect(1, "x", PHASE_REQUEST, 1, timeout=0.05)
 
 class TestAssembleChunks:
     def test_places_chunks_at_local_offsets(self):
@@ -284,66 +285,48 @@ class TestAssembleChunksNeverLeavesAHole:
         np.testing.assert_array_equal(out, source[lo:hi])
 
 
-class TestChunkCollectorLifecycle:
-    """Eviction and retirement: abandoned requests must not leak."""
-
-    def make_chunk(self, rid, param, lo, hi, phase=PHASE_REQUEST):
-        data = np.arange(lo, hi, dtype=np.float64)
-        return DataChunk(rid, param, phase, 0, 0, lo, hi, data.tobytes())
+class TestInboxLifecycle:
+    """Eviction, retirement and expiry: abandoned requests must not
+    leak."""
 
     def test_timeout_evicts_partial_entry(self):
-        from repro.orb.transport import TransportError
-
-        fabric = Fabric()
-        port, sender = fabric.open_port(), fabric.open_port()
-        collector = ChunkCollector(port)
+        inbox, sender = inbox_and_sender()
         # One of two expected chunks arrives; the collect times out.
         sender.send(
-            port.address, self.make_chunk(1, "x", 0, 4).encode(), KIND_DATA
+            inbox.port.address, make_chunk(1, "x", 0, 4).encode(), KIND_DATA
         )
-        with pytest.raises(TransportError):
-            collector.collect(1, "x", PHASE_REQUEST, 2, timeout=0.1)
-        assert collector.pending_entries() == 0
+        with pytest.raises(TransportTimeout):
+            inbox.collect(1, "x", PHASE_REQUEST, 2, timeout=0.1)
+        assert inbox.pending_entries() == 0
 
     def test_discard_evicts_and_drops_late_chunks(self):
-        fabric = Fabric()
-        port, sender = fabric.open_port(), fabric.open_port()
-        collector = ChunkCollector(port)
+        inbox, sender = inbox_and_sender()
         sender.send(
-            port.address, self.make_chunk(7, "x", 0, 4).encode(), KIND_DATA
+            inbox.port.address, make_chunk(7, "x", 0, 4).encode(), KIND_DATA
         )
-        # Pull the chunk into the pending table via an unrelated wait.
-        from repro.orb.transport import TransportError
-
-        with pytest.raises(TransportError):
-            collector.collect(8, "y", PHASE_REQUEST, 1, timeout=0.1)
-        assert collector.pending_entries() == 1
-        collector.discard(7)
-        assert collector.pending_entries() == 0
+        # Filed on arrival, with nobody waiting for it.
+        assert inbox.pending_entries() == 1
+        inbox.discard(7)
+        assert inbox.pending_entries() == 0
         # A late chunk for the retired request is dropped on arrival,
         # not held forever.
         sender.send(
-            port.address, self.make_chunk(7, "x", 4, 8).encode(), KIND_DATA
+            inbox.port.address, make_chunk(7, "x", 4, 8).encode(), KIND_DATA
         )
-        with pytest.raises(TransportError):
-            collector.collect(9, "z", PHASE_REQUEST, 1, timeout=0.1)
-        assert collector.pending_entries() == 0
+        assert inbox.pending_entries() == 0
+        assert inbox.stats()["late_dropped"] == 1
 
     def test_concurrent_collects_for_different_requests(self):
-        import threading as _threading
-
-        fabric = Fabric()
-        port, sender = fabric.open_port(), fabric.open_port()
-        collector = ChunkCollector(port)
+        inbox, sender = inbox_and_sender()
         results = {}
 
         def collect(rid):
-            results[rid] = collector.collect(
+            results[rid] = inbox.collect(
                 rid, "x", PHASE_REQUEST, 2, timeout=10
             )
 
         threads = [
-            _threading.Thread(target=collect, args=(rid,))
+            threading.Thread(target=collect, args=(rid,))
             for rid in (1, 2)
         ]
         for t in threads:
@@ -351,8 +334,8 @@ class TestChunkCollectorLifecycle:
         # Interleave the two requests' chunks adversarially.
         for rid, lo, hi in [(2, 4, 8), (1, 0, 4), (2, 0, 4), (1, 4, 8)]:
             sender.send(
-                port.address,
-                self.make_chunk(rid, "x", lo, hi).encode(),
+                inbox.port.address,
+                make_chunk(rid, "x", lo, hi).encode(),
                 KIND_DATA,
             )
         for t in threads:
@@ -361,53 +344,219 @@ class TestChunkCollectorLifecycle:
         for rid in (1, 2):
             assert len(results[rid]) == 2
             assert all(c.request_id == rid for c in results[rid])
-        assert collector.pending_entries() == 0
+        assert inbox.pending_entries() == 0
+
+    def test_a_done_request_s_entries_expire_at_the_next_filing(self):
+        inbox, sender = inbox_and_sender(timeout=0.05)
+        for rid in (1, 2):
+            sender.send(
+                inbox.port.address, make_chunk(rid, "x", 0, 4).encode(),
+                KIND_DATA,
+            )
+        inbox.done(1)
+        # Chunks landing after their request is done age as well.
+        inbox.done(4)
+        sender.send(
+            inbox.port.address, make_chunk(4, "x", 0, 4).encode(), KIND_DATA
+        )
+        time.sleep(0.1)
+        # Nothing is swept until a frame is filed; then every done
+        # entry older than the timeout goes, and request 2 — not done,
+        # however old — stays with the fresh one.
+        assert inbox.pending_entries() == 3
+        sender.send(
+            inbox.port.address, make_chunk(3, "x", 0, 4).encode(), KIND_DATA
+        )
+        assert inbox.pending_entries() == 2
+        assert inbox.stats()["expired"] == 2
+        assert len(inbox.collect(2, "x", PHASE_REQUEST, 1, timeout=1)) == 1
+        assert len(inbox.collect(3, "x", PHASE_REQUEST, 1, timeout=1)) == 1
+
+    def test_without_a_timeout_nothing_expires(self):
+        inbox, sender = inbox_and_sender(timeout=None)
+        sender.send(
+            inbox.port.address, make_chunk(1, "x", 0, 4).encode(), KIND_DATA
+        )
+        inbox.done(1)
+        time.sleep(0.05)
+        sender.send(
+            inbox.port.address, make_chunk(2, "x", 0, 4).encode(), KIND_DATA
+        )
+        assert inbox.pending_entries() == 2
+        assert inbox.stats()["expired"] == 0
+
+    def test_a_retry_s_collect_takes_its_id_back_from_aging(self):
+        """A retry without a reply cache re-sends its chunks under the
+        id of a request already done; the entry it collects is kept
+        however long the chunks take."""
+        inbox, sender = inbox_and_sender(timeout=0.05)
+        inbox.done(5)
+        sender.send(
+            inbox.port.address, make_chunk(5, "x", 0, 4).encode(), KIND_DATA
+        )
+        collected = []
+        waiter = threading.Thread(
+            target=lambda: collected.append(
+                inbox.collect(5, "x", PHASE_REQUEST, 2, timeout=10)
+            )
+        )
+        waiter.start()
+        time.sleep(0.2)
+        for rid, lo, hi in [(9, 0, 4), (5, 4, 8)]:
+            sender.send(
+                inbox.port.address,
+                make_chunk(rid, "x", lo, hi).encode(),
+                KIND_DATA,
+            )
+        waiter.join(timeout=10)
+        assert len(collected[0]) == 2
+        assert inbox.stats()["expired"] == 0
+
+    def test_done_does_not_revive_a_discarded_id(self):
+        inbox, sender = inbox_and_sender(timeout=0.05)
+        inbox.discard(6)
+        inbox.done(6)
+        sender.send(
+            inbox.port.address, make_chunk(6, "x", 0, 4).encode(), KIND_DATA
+        )
+        assert inbox.pending_entries() == 0
+        assert inbox.stats()["late_dropped"] == 1
+
+    def test_closing_the_port_wakes_every_waiter(self):
+        inbox, _sender = inbox_and_sender()
+        raised = {}
+
+        def wait(name, call):
+            try:
+                call()
+            except Exception as exc:  # noqa: BLE001 - recorded
+                raised[name] = exc
+
+        threads = [
+            threading.Thread(
+                target=wait, args=("reply", lambda: inbox.reply(1, 30))
+            ),
+            threading.Thread(
+                target=wait,
+                args=(
+                    "collect",
+                    lambda: inbox.collect(1, "x", PHASE_REQUEST, 1, 30),
+                ),
+            ),
+        ]
+        for t in threads:
+            t.start()
+        time.sleep(0.05)
+        inbox.port.close()
+        for t in threads:
+            t.join(timeout=5)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(raised) == ["collect", "reply"]
+        for exc in raised.values():
+            assert type(exc) is TransportError
+            assert "closed" in str(exc)
 
 
-class TestReplyDemux:
-    def make_reply(self, rid):
-        from repro.orb.request import ReplyMessage
-
+class TestInboxReplies:
+    @staticmethod
+    def make_reply(rid):
         return ReplyMessage(rid).encode()
 
     def test_out_of_order_replies_reach_their_waiters(self):
-        from repro.orb.transfer import ReplyDemux
-        from repro.orb.transport import KIND_REPLY
-
-        fabric = Fabric()
-        port, sender = fabric.open_port(), fabric.open_port()
-        demux = ReplyDemux(port)
+        inbox, sender = inbox_and_sender()
         for rid in (3, 1, 2):  # reverse-ish of the wait order
-            sender.send(port.address, self.make_reply(rid), KIND_REPLY)
+            sender.send(inbox.port.address, self.make_reply(rid), KIND_REPLY)
         for rid in (1, 2, 3):
-            assert demux.wait(rid, timeout=5).request_id == rid
-        assert demux.outstanding() == 0
+            assert inbox.reply(rid, timeout=5).request_id == rid
+        assert inbox.pending_entries() == 0
 
-    def test_poll_returns_filed_reply_once(self):
-        from repro.orb.transfer import ReplyDemux
-        from repro.orb.transport import KIND_REPLY
-
-        fabric = Fabric()
-        port, sender = fabric.open_port(), fabric.open_port()
-        demux = ReplyDemux(port)
-        sender.send(port.address, self.make_reply(9), KIND_REPLY)
-        sender.send(port.address, self.make_reply(5), KIND_REPLY)
-        assert demux.wait(5, timeout=5).request_id == 5
-        assert demux.poll(9).request_id == 9
-        assert demux.poll(9) is None
+    def test_a_filed_reply_is_taken_once(self):
+        inbox, sender = inbox_and_sender()
+        sender.send(inbox.port.address, self.make_reply(9), KIND_REPLY)
+        sender.send(inbox.port.address, self.make_reply(5), KIND_REPLY)
+        assert inbox.reply(5, timeout=5).request_id == 5
+        assert inbox.reply(9, timeout=5).request_id == 9
+        with pytest.raises(TransportTimeout):
+            inbox.reply(9, timeout=0.05)
 
     def test_discarded_request_reply_is_dropped(self):
-        from repro.orb.transfer import ReplyDemux
-        from repro.orb.transport import KIND_REPLY, TransportError
-
-        fabric = Fabric()
-        port, sender = fabric.open_port(), fabric.open_port()
-        demux = ReplyDemux(port)
-        demux.discard(4)
-        sender.send(port.address, self.make_reply(4), KIND_REPLY)
-        sender.send(port.address, self.make_reply(6), KIND_REPLY)
-        assert demux.wait(6, timeout=5).request_id == 6
+        inbox, sender = inbox_and_sender()
+        inbox.discard(4)
+        sender.send(inbox.port.address, self.make_reply(4), KIND_REPLY)
+        sender.send(inbox.port.address, self.make_reply(6), KIND_REPLY)
+        assert inbox.reply(6, timeout=5).request_id == 6
         # The retired reply was dropped on arrival, not filed.
-        assert demux.outstanding() == 0
+        assert inbox.pending_entries() == 0
+        assert inbox.stats()["late_dropped"] == 1
         with pytest.raises(TransportError):
-            demux.wait(4, timeout=0.1)
+            inbox.reply(4, timeout=0.1)
+
+    def test_discard_evicts_a_filed_reply_and_its_chunks(self):
+        inbox, sender = inbox_and_sender()
+        sender.send(inbox.port.address, self.make_reply(4), KIND_REPLY)
+        sender.send(
+            inbox.port.address, make_chunk(4, "x", 0, 4).encode(), KIND_DATA
+        )
+        assert inbox.pending_entries() == 2
+        inbox.discard(4)
+        assert inbox.pending_entries() == 0
+
+
+class TestInboxUnderContention:
+    def test_many_senders_and_waiters_lose_nothing(self):
+        """Eight senders file onto one inbox while eight waiters take
+        replies and chunks off it, switching threads as often as the
+        interpreter allows: every waiter gets exactly its own frames,
+        and nothing is left behind."""
+        inbox, _sender = inbox_and_sender()
+        fabric = inbox.port._fabric
+        nthreads, per_thread = 8, 25
+        results, errors = {}, []
+
+        def send(t):
+            port = fabric.open_port()
+            for i in range(per_thread):
+                rid = t * per_thread + i
+                for lo in (0, 4):
+                    port.send(
+                        inbox.port.address,
+                        make_chunk(rid, "x", lo, lo + 4).encode(),
+                        KIND_DATA,
+                    )
+                port.send(
+                    inbox.port.address, ReplyMessage(rid).encode(), KIND_REPLY
+                )
+
+        def wait(t):
+            try:
+                for i in range(per_thread):
+                    rid = t * per_thread + i
+                    chunks = inbox.collect(rid, "x", PHASE_REQUEST, 2, 10)
+                    reply = inbox.reply(rid, timeout=10)
+                    results[rid] = (
+                        sorted(c.global_lo for c in chunks), reply.request_id
+                    )
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=fn, args=(t,))
+                for t in range(nthreads)
+                for fn in (wait, send)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == {
+            rid: ([0, 4], rid) for rid in range(nthreads * per_thread)
+        }
+        assert inbox.pending_entries() == 0
+        assert inbox.stats()["duplicates_dropped"] == 0

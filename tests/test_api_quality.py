@@ -278,7 +278,9 @@ OPTION_BUDGET = {
 #: PD213's policy-inspecting branch.  Last, the fault-tolerance switch
 #: no caller set, and the linter's second IDL front end (its symbol
 #: table, walks, inheritance flattener and the checks the semantic
-#: analyzer now makes).
+#: analyzer now makes).  Then the two classes that pulled replies and
+#: chunks off their ports, with their receiver role, which the one
+#: ``Inbox`` upcall replaced, and three helpers nothing called.
 RETIRED_IDENTIFIERS = {
     "trac" "er",
     "ft_" "stats",
@@ -339,6 +341,13 @@ RETIRED_IDENTIFIERS = {
     "_flatten_" "members",
     "_check_" "inheritance",
     "_check_dsequence_" "elements",
+    "Chunk" "Collector",
+    "Reply" "Demux",
+    "_receive_" "one",
+    "_rece" "iving",
+    "encode_plain_" "body",
+    "has_" "distributed",
+    "distributed_" "params",
 }
 
 
@@ -383,6 +392,23 @@ def _lint_trees(package="lint"):
         yield path.name, ast.parse(path.read_text())
 
 
+def _function_imports(*packages):
+    """``module:line`` of every import made inside a function."""
+    return [
+        f"{name}:{node.lineno}"
+        for package in packages
+        for name, tree in _lint_trees(package)
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_the_orb_imports_at_module_top():
+    assert _function_imports("orb") == []
+
+
 class TestOneLintModel:
     """Family B reads one model of the program: one vocabulary in
     ``repro.lint.rules``, one rank-guard walk, one module index.
@@ -390,16 +416,7 @@ class TestOneLintModel:
     the linter has no IDL front end of its own."""
 
     def test_the_linter_imports_at_module_top(self):
-        found = [
-            f"{name}:{node.lineno}"
-            for package in ("lint", "idl")
-            for name, tree in _lint_trees(package)
-            for function in ast.walk(tree)
-            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(function)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-        ]
-        assert found == []
+        assert _function_imports("lint", "idl") == []
 
     def test_each_shared_helper_is_written_once(self):
         visitors, call_names, builders = [], [], []
