@@ -306,13 +306,11 @@ class _ServerEngine:
             return
         port = self.ctx.request_port or self.ctx.data_port
         segments = reply.encode_segments()
-        try:
-            port.send(request.reply_port, segments, KIND_REPLY)
-        except TransportError:
-            # The client went away; its reply is undeliverable — and
-            # no reason for rank 0 to leave the lockstep of its peers.
-            pass
         if self.cache is not None:
+            # Settled before the reply leaves: a client that has the
+            # reply may send the same id again at once, and that
+            # retry must find the entry complete, not in progress
+            # (which drops it unanswered).
             if reply.status == wire.STATUS_SYSTEM_EXCEPTION:
                 # The request did not run to completion; the correct
                 # answer to a retry is to re-execute it.
@@ -322,6 +320,12 @@ class _ServerEngine:
                     request.request_id,
                     b"".join(bytes(s) for s in segments),
                 )
+        try:
+            port.send(request.reply_port, segments, KIND_REPLY)
+        except TransportError:
+            # The client went away; its reply is undeliverable — and
+            # no reason for rank 0 to leave the lockstep of its peers.
+            pass
 
     def execute(self, request: RequestMessage) -> None:
         spec = self.servant._operations.get(request.operation)
@@ -728,8 +732,9 @@ class _DispatchPool:
     which may be an event loop; what bounds the queues is the
     governor's backpressure, upstream of it.  Parked workers form a
     stack: new work wakes the *most recently idled* one, and exactly
-    one, so a single client's stream stays on one thread (and on that
-    thread's staging buffers) while the others sleep undisturbed.
+    one, and a worker that finishes a request takes the next one
+    itself, so a single client's stream stays on one thread (and on
+    that thread's staging buffers) while the others sleep undisturbed.
 
     Collective groups never use the pool; their engine runs
     collectives that need every rank in lockstep
@@ -797,7 +802,18 @@ class _DispatchPool:
         self._active.add(key)
         return key, work
 
-    def _execute(self, key: int, work: tuple) -> None:
+    def _done(self, key: int) -> bool:
+        """``key``'s work has run (lock held).  With more queued under
+        it, the key rejoins the *back* of the ready ring (round-robin);
+        returns whether it did."""
+        self._active.discard(key)
+        if key in self._queues:
+            self._ready.append(key)
+            return True
+        return False
+
+    @staticmethod
+    def _execute(work: tuple) -> None:
         run, request = work
         try:
             run(request)
@@ -805,25 +821,22 @@ class _DispatchPool:
             # Even the error reply failed to send (client gone):
             # there is nobody left to report to.
             pass
-        finally:
-            # More queued under this key: it rejoins the *back* of the
-            # ready ring (round-robin), and one parked worker is woken
-            # for it — the thread running this may be a servant in
-            # ``service_pending``, not a worker on its way to the ring.
-            with self._lock:
-                self._active.discard(key)
-                if key in self._queues:
-                    self._ready.append(key)
-                    if self._idle:
-                        self._idle.pop().release()
 
-    def _take(self, wake: Any) -> tuple[int, tuple] | None:
-        """Block until work is runnable; ``None`` once the pool is
-        stopping and drained as far as this worker can tell (what is
-        still queued then belongs to keys running on other workers,
-        which re-ring and run it)."""
+    def _take(
+        self, wake: Any, done: tuple[int, tuple] | None
+    ) -> tuple[int, tuple] | None:
+        """Retire ``done``, the work this worker just ran, and block
+        until work is runnable; ``None`` once the pool is stopping and
+        drained as far as this worker can tell (what is still queued
+        then belongs to keys running on other workers, which re-ring
+        and run it).  Retiring and taking share one critical section,
+        so a re-rung key is this worker's to run: no parked worker is
+        woken for it, only to find nothing and park again."""
         while True:
             with self._lock:
+                if done is not None:
+                    self._done(done[0])
+                    done = None
                 taken = self._next()
                 if taken is not None or self._stopping:
                     return taken
@@ -833,6 +846,7 @@ class _DispatchPool:
     def _run(self) -> None:
         wake = threading.Lock()
         wake.acquire()
+        taken = None
         while True:
             # ``taken`` keeps the last request, and the receive buffer
             # under it, alive while the worker is parked in ``_take``.
@@ -840,10 +854,10 @@ class _DispatchPool:
             # event loop's next allocation, and the process's peak RSS
             # timing-dependent (8 MiB echoes: 98-114 MB run to run
             # instead of a steady 106).
-            taken = self._take(wake)
+            taken = self._take(wake, taken)
             if taken is None:
                 return
-            self._execute(*taken)
+            self._execute(taken[1])
 
     def service(self, max_requests: int) -> int:
         """``service_pending`` for a serial object: run up to
@@ -858,7 +872,13 @@ class _DispatchPool:
                 taken = self._next()
             if taken is None:
                 break
-            self._execute(*taken)
+            key, work = taken
+            self._execute(work)
+            with self._lock:
+                # A servant is not on its way back to the ring: a
+                # re-rung key wakes a parked worker.
+                if self._done(key) and self._idle:
+                    self._idle.pop().release()
             processed += 1
         return processed
 

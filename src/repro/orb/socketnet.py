@@ -15,7 +15,10 @@ clients without a thread per connection.  A
 :class:`~repro.orb.server.ServerGovernor` gates what the loop admits —
 connection and request admission control, and per-client backpressure
 (the loop stops reading a client's socket while its dispatch queue is
-over budget) — see ``docs/scaling.md``.
+over budget) — see ``docs/scaling.md``.  Every frame, whatever its
+size, is read into a buffer allocated for it alone and delivered
+writable: the receiver owns that memory (``docs/performance.md``,
+"Ownership").
 
 That loop is the only server in a process: the naming domain is an
 ordinary object served through it (:mod:`repro.orb.nameservice`), which
@@ -50,8 +53,6 @@ from repro.cdr.head import HeadLayout, octet_run, text
 from repro.cdr.typecodes import MarshalError
 from repro.orb import request as wire
 from repro.orb.server import KIND_BUSY, ServerConfig, ServerGovernor
-from repro.san import enabled as _san_enabled
-from repro.san.buffers import BufferGuard
 from repro.orb.transport import (
     KIND_REQUEST,
     Fabric,
@@ -78,10 +79,9 @@ _ENVELOPE = HeadLayout("3xIIII", strings=3)
 #: known (oversized / malformed framing on the reader side).
 DROP_ADDRESS = SocketPortAddress("", 0, 0, "dropped-frame")
 
-#: Frames at or below this size are read into pooled buffers and their
-#: payload copied out, so the buffer can be reused immediately; larger
-#: frames get a dedicated buffer that the receiver of the payload owns.
-_POOL_BUFFER_SIZE = 1 << 16
+#: The scratch buffer a refused frame's declared bytes are drained
+#: through, at most this many at a time.
+_DRAIN_CHUNK = 1 << 16
 
 
 def _tune_socket(sock: socket.socket) -> None:
@@ -92,45 +92,6 @@ def _tune_socket(sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:
         pass  # not a TCP socket (tests may hand in a pipe/mock)
-
-
-class _ConnBuffers:
-    """Per-connection receive buffers.
-
-    The 4-byte length prefix always lands in one reusable header
-    buffer; small frames reuse a tiny pool of fixed-size buffers
-    (payloads are copied out before the buffer is recycled), large
-    frames get an exact-size buffer of their own — uninitialised (the
-    frame overwrites every byte) and aligned, and delivered writable:
-    the receiver owns it.
-    """
-
-    def __init__(self, pool_size: int = 4) -> None:
-        self.header = bytearray(_LENGTH.size)
-        self._free: list[bytearray] = []
-        self._pool_size = pool_size
-        # repro.san buffer-escape detection (PARDIS_SAN=1): recycle
-        # refuses buffers with live memoryview exports and poisons
-        # clean ones.  Env-gated here — connections outlive any one
-        # ORB, so there is no per-ORB switch to consult.
-        self._guard = BufferGuard() if _san_enabled() else None
-
-    def take(self, length: int) -> tuple[Any, bool]:
-        """A buffer of at least ``length`` bytes plus whether it is
-        pooled (must be released, payload must be copied out)."""
-        if length <= _POOL_BUFFER_SIZE:
-            if self._free:
-                return self._free.pop(), True
-            return bytearray(_POOL_BUFFER_SIZE), True
-        return np.empty(length, np.uint8), False
-
-    def give(self, buf: bytearray) -> None:
-        if self._guard is not None and not self._guard.check_and_poison(
-            buf
-        ):
-            return  # escaped view reported; quarantine the buffer
-        if len(self._free) < self._pool_size:
-            self._free.append(buf)
 
 
 def _write_frame(sock: socket.socket, *buffers: Any) -> None:
@@ -362,18 +323,15 @@ class SocketFabric(Fabric):
 class _ServerConnection:
     """Per-connection receive state for the event loop: the framing
     state machine (header → body → header, with a drain detour for
-    refused frames) plus the pooled buffers and the client identities
-    seen on this connection."""
+    refused frames) plus the client identities seen on this
+    connection."""
 
     __slots__ = (
         "sock",
-        "buffers",
+        "header",
         "phase",
         "have",
-        "length",
-        "body",
         "view",
-        "pooled",
         "drain_left",
         "scratch",
         "identities",
@@ -382,13 +340,13 @@ class _ServerConnection:
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.buffers = _ConnBuffers()
+        #: Every frame's 4-byte length prefix lands here.
+        self.header = bytearray(_LENGTH.size)
         self.phase = "header"
         self.have = 0
-        self.length = 0
-        self.body: Any = None
+        #: The frame being received: a view of the buffer allocated
+        #: for it alone, which its receiver will own.
         self.view: memoryview | None = None
-        self.pooled = False
         self.drain_left = 0
         self.scratch: memoryview | None = None
         #: Client identities (request id high bits) whose requests
@@ -405,9 +363,9 @@ class _ServerLoop:
     Replaces the thread-per-connection reader model: a ``selectors``
     loop owns the listening socket and all accepted connections,
     running the same framing state machine the blocking readers ran —
-    pooled buffers for small frames, dedicated buffers handed to the
-    payload views for large ones, drop accounting for refused frames —
-    but across any number of sockets.  Request frames are peeked
+    each frame read into a buffer of its own that the payload view
+    hands to the receiver, drop accounting for refused frames — but
+    across any number of sockets.  Request frames are peeked
     (:func:`repro.orb.request.peek_request`) so the attached
     :class:`~repro.orb.server.ServerGovernor` can attribute them to a
     client identity, refuse them, or pause the socket.
@@ -608,7 +566,7 @@ class _ServerLoop:
                 if conn.scratch is None:
                     conn.scratch = memoryview(
                         bytearray(
-                            min(conn.drain_left, _POOL_BUFFER_SIZE)
+                            min(conn.drain_left, _DRAIN_CHUNK)
                         )
                     )
                 want = min(conn.drain_left, len(conn.scratch))
@@ -629,7 +587,7 @@ class _ServerLoop:
                     conn.have = 0
                 continue
             if conn.phase == "header":
-                target = memoryview(conn.buffers.header)
+                target = memoryview(conn.header)
             else:
                 assert conn.view is not None
                 target = conn.view
@@ -648,7 +606,7 @@ class _ServerLoop:
             if conn.have < len(target):
                 continue
             if conn.phase == "header":
-                (length,) = _LENGTH.unpack(conn.buffers.header)
+                (length,) = _LENGTH.unpack(conn.header)
                 conn.have = 0
                 if length == 0 or length > _MAX_FRAME:
                     # Malformed or oversized: count the drop, drain
@@ -659,33 +617,22 @@ class _ServerLoop:
                         conn.phase = "drain"
                         conn.drain_left = length
                     continue
-                buf, pooled = conn.buffers.take(length)
-                conn.body = buf
-                conn.pooled = pooled
-                conn.length = length
-                conn.view = memoryview(buf)[:length]
+                # Uninitialised (the frame overwrites every byte) and
+                # aligned, whatever the frame's size.
+                conn.view = memoryview(np.empty(length, np.uint8))
                 conn.phase = "body"
                 continue
-            # Body complete: route the frame, then recycle or hand
-            # over the buffer.  ``target`` still aliases the buffer's
-            # receive view — drop it, or the export outlives the
-            # recycle below.
+            # Body complete: the frame, and the buffer it landed in,
+            # go to its receiver; the loop keeps no reference.
             frames += 1
             conn.view = None
-            del target
-            body = conn.body
-            conn.body = None
-            assert body is not None
-            frame = memoryview(body)[: conn.length]
             try:
-                self._deliver(conn, frame)
+                self._deliver(conn, target)
             except (MarshalError, TransportError):
                 # Drop garbage, keep the connection — but count it so
                 # ``orb.stats()`` surfaces silent frame loss.
-                self._fabric._record_drop(conn.length)
-            del frame
-            if conn.pooled:
-                conn.buffers.give(body)
+                self._fabric._record_drop(len(target))
+            del target
             conn.phase = "header"
             conn.have = 0
             if conn.pause_depth > 0:
@@ -700,10 +647,9 @@ class _ServerLoop:
         governor's request admission spliced between decode and
         delivery."""
         fabric = self._fabric
-        # A dedicated buffer was allocated for this frame alone, and
-        # the loop drops it on delivery: its payload is delivered
-        # writable, which tells the receiver it owns the memory.  A
-        # pooled one is copied out of below.
+        # The frame's buffer was allocated for it alone, and the loop
+        # drops it on delivery: its payload is delivered writable,
+        # which tells the receiver it owns the memory.
         dest_port_id, src, kind, payload = fabric._decode_frame(frame)
         governor = self._governor
         routing = None
@@ -723,11 +669,8 @@ class _ServerLoop:
                     routing.reply_port,
                 ):
                     return  # refused: BUSY reply queued by governor
-        if conn.pooled:
-            copied(len(payload))
-            payload = bytes(payload)
-        # The peeked head rides along (its resume offset holds for the
-        # copy): a receiver that decodes on this thread starts there.
+        # The peeked head rides along: a receiver that decodes on this
+        # thread starts there.
         try:
             fabric._deliver_local(
                 dest_port_id, src, kind, payload, routing

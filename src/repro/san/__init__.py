@@ -3,7 +3,7 @@
 The static lints (:mod:`repro.lint`) prove what they can from the
 source; this package verifies the same SPMD invariants *dynamically*,
 on the paths the analyzer cannot see (data-dependent divergence,
-suppressed diagnostics, code built at run time).  Three detectors:
+suppressed diagnostics, code built at run time).  Two detectors:
 
 * **collective alignment** (:mod:`repro.san.collective`) — before a
   collective invocation enters the engine, the ranks agree a digest
@@ -14,10 +14,6 @@ suppressed diagnostics, code built at run time).  Three detectors:
   counterpart of lint rule PD202: a future finalized with a
   never-retrieved exception, or whose result was never consumed, is
   reported with the call site that created it.
-* **buffer-view escapes** (:mod:`repro.san.buffers`) — pooled receive
-  buffers are poisoned on recycle and a live ``memoryview`` that
-  outlasts its pool epoch (the zero-copy hazard) is flagged instead
-  of silently yielding another frame's bytes.
 
 Everything is opt-in: set ``PARDIS_SAN=1`` in the environment or pass
 ``ORB(sanitize=True)``.  Findings accumulate in a process-wide
@@ -63,7 +59,7 @@ class SanitizerError(RuntimeError):
 class Finding:
     """One detector hit."""
 
-    detector: str  # 'collective' | 'future' | 'buffer'
+    detector: str  # 'collective' | 'future'
     message: str
     site: str = ""  # 'file:line' of the application call site
     extra: dict[str, Any] = field(default_factory=dict)
@@ -122,8 +118,8 @@ def record(finding: Finding) -> Finding:
 
 def bump(counter: str, by: int = 1) -> None:
     """Increment a sanitizer activity counter (checks performed,
-    buffers poisoned, futures tracked — the denominator that makes a
-    zero-finding run meaningful)."""
+    futures tracked — the denominator that makes a zero-finding run
+    meaningful)."""
     with _lock:
         _counters[counter] = _counters.get(counter, 0) + by
 

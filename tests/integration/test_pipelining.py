@@ -8,6 +8,7 @@ in-process fabric and real TCP loopback, and from a client that is a
 forked process rank.
 """
 
+import collections
 import contextlib
 import threading
 import time
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import ORB, compile_idl
+from repro.orb import adapter
 from repro.orb.nameservice import NamingClient, serve_naming
 from repro.orb.naming import NamingService
 from repro.orb.socketnet import SocketFabric
@@ -229,6 +231,51 @@ class TestDepthAndDispatch:
             finally:
                 runtime.close()
         assert record == [float(i) for i in range(8)]
+
+    @pytest.mark.parametrize("fabric", FABRICS)
+    def test_one_clients_stream_parks_one_worker(
+        self, idl, fabric, monkeypatch
+    ):
+        """A pipelined stream stays on the worker serving it: a worker
+        that finishes a request takes the next one itself, so none of
+        the other three is woken only to find nothing and park again."""
+        pools, parks = [], collections.Counter()
+
+        class CountingIdle(list):
+            def append(self, wake):
+                parks[threading.current_thread().name] += 1
+                super().append(wake)
+
+        class CountingPool(adapter._DispatchPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                with self._lock:
+                    self._idle = CountingIdle(self._idle)
+                pools.append(self)
+
+        monkeypatch.setattr(adapter, "_DispatchPool", CountingPool)
+        n = 400
+        with two_orbs(fabric) as (server, client):
+            server.serve(
+                "pipe", lambda ctx: make_tagger(idl, [])(), nthreads=1
+            )
+            runtime = client.client_runtime(label="stream", pipeline_depth=8)
+            try:
+                proxy = idl.pipe._bind("pipe", runtime)
+                assert proxy.tag(-1.0) == -1.0
+                (pool,) = pools
+                deadline = time.monotonic() + 5
+                while len(pool._idle) < 4 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert len(pool._idle) == 4  # the default pool, all parked
+                parks.clear()
+                futures = [proxy.tag_nb(float(i)) for i in range(n)]
+                values = [f.value(timeout=20) for f in futures]
+                stream_parks = dict(parks)
+            finally:
+                runtime.close()
+        assert values == [float(i) for i in range(n)]
+        assert len(stream_parks) <= 1, stream_parks
 
     def test_bad_dispatch_policy_rejected(self, idl):
         with two_orbs("inproc") as (server, _client):

@@ -10,8 +10,8 @@ probed: ``bench/layers.py`` reads ``cdr_copies``,
 ``server.backpressure`` from outside.
 
 Also the ownership rule every fabric delivers by: a payload is
-writable **iff** it crossed a socket as a frame above the pool size —
-the one delivery whose memory nobody but the receiver can reach.
+writable **iff** it crossed a socket — the one delivery whose memory,
+a frame buffer of its own, nobody but the receiver can reach.
 """
 
 import contextlib
@@ -22,7 +22,7 @@ import pytest
 from repro import ORB, FaultSchedule, FaultyFabric
 from repro.orb.nameservice import NamingClient
 from repro.orb.request import DataChunk, PHASE_REQUEST, decode_chunk
-from repro.orb.socketnet import _POOL_BUFFER_SIZE, SocketFabric
+from repro.orb.socketnet import SocketFabric
 from repro.orb.transport import KIND_DATA, Fabric, TransportError
 from tests.naming_transports import served_naming
 
@@ -227,12 +227,12 @@ class TestOnlyOctetsTravel:
 
 
 class TestDeliveredPayloadOwnership:
-    """Writable means "the receiver owns this buffer", so only the
-    event loop's dedicated frames may arrive writable; everything a
-    fabric delivers without a socket in between still belongs to the
-    sender (or to nobody: immutable bytes)."""
+    """Writable means "the receiver owns this buffer", so only what the
+    event loop delivers, each frame in a buffer of its own, may arrive
+    writable; everything a fabric delivers without a socket in between
+    still belongs to the sender (or to nobody: immutable bytes)."""
 
-    SIZES = (512, _POOL_BUFFER_SIZE, 4 * _POOL_BUFFER_SIZE)
+    SIZES = (512, 1 << 16, 1 << 18)
 
     @staticmethod
     def _forms(size):
@@ -258,18 +258,14 @@ class TestDeliveredPayloadOwnership:
 
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("kind", ["socket", "faulty-socket"])
-    def test_writable_iff_it_crossed_a_socket_as_a_large_frame(
-        self, kind, size
-    ):
+    def test_writable_iff_it_crossed_a_socket(self, kind, size):
         with fabric_of(kind) as near, SocketFabric("far") as far:
             sender, receiver = near.open_port("s"), far.open_port("r")
             for payload in self._forms(size):
                 sender.send(receiver.address, payload, KIND_DATA)
                 got = receiver.recv(timeout=5)[2]
-                # A payload of the pool size is a frame above it.
-                large = size >= _POOL_BUFFER_SIZE
-                assert memoryview(got).readonly != large
-                assert isinstance(got, bytes) != large
+                assert not memoryview(got).readonly
+                assert not isinstance(got, bytes)
                 assert bytes(got) == b"p" * size
 
     @pytest.mark.parametrize("kind", ["faulty-inproc", "faulty-socket"])
@@ -280,7 +276,7 @@ class TestDeliveredPayloadOwnership:
         each copy is either immutable or in a frame buffer of its
         own."""
         schedule = FaultSchedule(seed=1, duplicate=1.0)
-        size = 4 * _POOL_BUFFER_SIZE
+        size = 1 << 18
         raw = bytearray(b"p" * size)
         with fabric_of(kind, schedule) as near, SocketFabric("far") as far:
             sender = near.open_port("s")

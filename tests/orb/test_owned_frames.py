@@ -1,7 +1,7 @@
 """A large frame lands where it will live (ISSUE 21).
 
-Over sockets a frame above the pool size is read into a buffer
-allocated for it alone, every nested octet run on the wire is
+Over sockets every frame is read into a buffer allocated for it
+alone, every nested octet run on the wire is
 8-aligned, and the decoders pass the buffer's writability down — so the
 serial ends of the through-root path, and a rank of the direct path
 whose block arrived as one chunk, *adopt* the decoded array instead of
@@ -28,7 +28,7 @@ from repro.orb.request import (
     decode_chunk,
     decode_request,
 )
-from repro.orb.socketnet import _POOL_BUFFER_SIZE, SocketFabric
+from repro.orb.socketnet import SocketFabric
 from repro.orb.transfer import decode_full_body, full_body_encoder
 from repro.orb.transport import KIND_DATA, KIND_REQUEST, SocketPortAddress
 
@@ -166,12 +166,14 @@ class TestSerialEndsAdopt:
         assert not np.shares_memory(before, after)
         assert not np.shares_memory(seen[0], after)
 
-    def test_pool_sized_frames_and_the_in_process_fabric_still_copy(
+    def test_a_small_frame_adopts_and_the_in_process_fabric_copies(
         self, idl
     ):
-        """Both sides of the choice in one place: the same call with a
-        4 KiB argument (pooled frame) or with no socket in between
-        lands by copy — a private, writable block all the same."""
+        """Both sides of the choice in one place: a 4 KiB argument
+        crosses sockets like an 8 MiB one — the socket read is the
+        landing store and both ends adopt — while with no socket in
+        between the same call lands by copy; a private, writable block
+        all the same."""
         small = np.arange(512, dtype=np.float64)
         big = np.arange(1 << 15, dtype=np.float64)
         seen = []
@@ -180,11 +182,16 @@ class TestSerialEndsAdopt:
             runtime = client.client_runtime()
             proxy = idl.owned._bind("owned", runtime)
             proxy.roundtrip(idl.payload.from_global(small))
-            with copy_audit() as pooled:
+            del seen[:]
+            with copy_audit() as owned:
                 reply = proxy.roundtrip(idl.payload.from_global(small))
             runtime.close()
-        assert pooled.snapshot()[0] >= 4 * small.nbytes
+        # One write per received byte and the heads around them: no
+        # copy-out on either side.
+        assert owned.snapshot()[0] < 3 * small.nbytes
         seen.append(reply.local_data())
+        for block in seen:
+            assert block.base is not None  # a frame buffer's payload
         with ORB("owned-inproc") as orb:
             orb.serve("owned", _servant(idl, seen), nthreads=1)
             runtime = orb.client_runtime()
@@ -273,7 +280,7 @@ class TestAlignmentOnTheWire:
         near, far = fabrics
         sender = near.open_port("s" * n)
         receiver = far.open_port("r" * n)
-        source = np.arange(_POOL_BUFFER_SIZE // 4, dtype=np.float64)
+        source = np.arange((1 << 16) // 4, dtype=np.float64)
         slots = self.SPEC.request_slots
         message = RequestMessage(
             request_id=n,
@@ -351,7 +358,7 @@ class TestAlignmentOnTheWire:
         near, far = fabrics
         sender = near.open_port("s" * n)
         receiver = far.open_port("r" * n)
-        source = np.arange(_POOL_BUFFER_SIZE // 4, dtype=np.float64)
+        source = np.arange((1 << 16) // 4, dtype=np.float64)
         chunk = DataChunk(
             n, "p" * n, PHASE_REQUEST, 0, 1, 3, 3 + len(source),
             memoryview(source).cast("B"),
@@ -365,3 +372,23 @@ class TestAlignmentOnTheWire:
         np.testing.assert_array_equal(landed, source)
         for port in (sender, receiver):
             port.close()
+
+
+def test_a_held_frame_keeps_its_bytes_while_later_frames_arrive():
+    """An owned frame is nobody else's: held while later frames, large
+    and small, arrive on the same connection, each keeps its bytes."""
+    big = np.arange((1 << 16) // 2, dtype=np.float64)
+    with SocketFabric("held-a") as near, SocketFabric("held-b") as far:
+        sender, receiver = near.open_port("s"), far.open_port("r")
+        held = []
+        for i in range(8):
+            sender.send(receiver.address, memoryview(big).cast("B"), KIND_DATA)
+            sender.send(receiver.address, bytes([i]) * 1024, KIND_DATA)
+            held.append(receiver.recv(timeout=5)[2])
+            held.append(receiver.recv(timeout=5)[2])
+    for i in range(8):
+        large, small = held[2 * i : 2 * i + 2]
+        for payload in (large, small):
+            assert not payload.readonly
+        np.testing.assert_array_equal(np.frombuffer(large, np.float64), big)
+        assert bytes(small) == bytes([i]) * 1024

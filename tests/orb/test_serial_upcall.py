@@ -398,6 +398,36 @@ def test_garbage_with_an_unsound_head_costs_no_slot(idl):
             raw.port.close()
 
 
+@pytest.mark.parametrize("nthreads", [1, 3])
+def test_a_retry_sent_as_the_reply_lands_is_replayed(idl, nthreads):
+    """The reply cache settles a request before its reply leaves.  A
+    client that sends the same id again the moment the reply lands —
+    here from its port's upcall, on the replying thread itself — gets
+    the recorded reply, not silence, and the servant runs once."""
+    book = _Book()
+    with ORB("settled", timeout=10.0) as orb:
+        group = orb.serve(
+            "ledger", _factory(idl, book), nthreads=nthreads,
+            reply_cache_bytes=1 << 16,
+        )
+        raw = _RawClient(orb.fabric, group.reference.request_port)
+        frame = _frame(idl, "post", raw.request_id(1), 5, raw.port.address)
+        retried = []
+
+        def retry_on_first_reply(delivery):
+            if delivery is not None and not retried:
+                retried.append(delivery)
+                raw.send(frame)
+            return False  # queued for ``reply`` all the same
+
+        raw.port.upcall = retry_on_first_reply
+        raw.send(frame)
+        assert raw.reply().request_id == raw.request_id(1)
+        assert raw.reply().request_id == raw.request_id(1)
+        assert book.posted == [5] * nthreads
+        raw.port.close()
+
+
 # ---------------------------------------------------------------------------
 # kill() and shutdown()
 # ---------------------------------------------------------------------------

@@ -224,6 +224,58 @@ class TestFairPool:
         pool.stop()
         assert [r & 0xFFFFFFFF for r in executed] == list(range(8))
 
+    def test_a_servant_s_service_wakes_a_worker_for_a_rerung_key(self):
+        """``service`` runs on a servant's thread, not on a worker on
+        its way back to the ring: a key it re-rings wakes a parked
+        worker, or that client's next request waits for unrelated
+        work."""
+        from repro.orb.adapter import _DispatchPool
+
+        executed: list = []
+        gate = threading.Event()
+        a0 = self._request(1, 0)
+        b0, b1 = self._request(2, 0), self._request(2, 1)
+
+        class Engine:
+            def execute(self, request):
+                executed.append(request.request_id)
+                if request is a0:
+                    gate.wait(timeout=10.0)
+                elif request is b0:
+                    # On the calling thread: the worker finishes a0
+                    # and parks before this key re-rings.
+                    gate.set()
+                    assert _wait_for(lambda: len(pool._idle) == 1)
+
+        pool = _DispatchPool(Engine(), 1, "test-pool")
+        pool.dispatch(a0)
+        assert _wait_for(lambda: executed == [a0.request_id])
+        pool.dispatch(b0)
+        pool.dispatch(b1)
+        assert pool.service(1) == 1
+        assert _wait_for(lambda: len(executed) == 3)
+        pool.stop()
+        assert executed == [r.request_id for r in (a0, b0, b1)]
+
+    def test_two_clients_streams_overlap_on_two_workers(self):
+        """A worker that keeps its own client's stream leaves the other
+        client's to a second worker: every request meets one of the
+        other client's at a barrier only two threads can pass."""
+        from repro.orb.adapter import _DispatchPool
+
+        barrier = threading.Barrier(2)
+
+        class Engine:
+            def execute(self, request):
+                barrier.wait(timeout=10.0)
+
+        pool = _DispatchPool(Engine(), 2, "test-pool")
+        for seq in range(8):
+            pool.dispatch(self._request(1, seq))
+            pool.dispatch(self._request(2, seq))
+        pool.stop()
+        assert not barrier.broken
+
 
 # ---------------------------------------------------------------------------
 # Connection admission: connect storm gets BUSY, not a hang

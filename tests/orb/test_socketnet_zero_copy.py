@@ -1,9 +1,10 @@
 """Zero-copy transport behaviours of :class:`SocketFabric`.
 
 Covers the reader-side drop policy (malformed/oversized frames are
-counted, metered, and do not kill the connection), the pooled-versus-
-dedicated receive-buffer split, vectored multi-segment writes, and the
-connect-outside-the-lock race in ``_send_remote``.
+counted, metered, and do not kill the connection), the one landing
+rule (every frame in a receive buffer of its own), vectored
+multi-segment writes, and the connect-outside-the-lock race in
+``_send_remote``.
 """
 
 import contextlib
@@ -21,7 +22,6 @@ from repro.orb.naming import NamingService
 from repro.orb.socketnet import (
     DROP_ADDRESS,
     _MAX_FRAME,
-    _POOL_BUFFER_SIZE,
     SocketFabric,
     SocketPortAddress,
 )
@@ -133,24 +133,14 @@ class TestDropPolicy:
 
 
 class TestReceiveBuffers:
-    def test_small_payload_is_detached_bytes(self, fabric):
-        """Pool-sized frames are copied out so the pooled buffer can be
-        recycled immediately."""
-        with SocketFabric("peer") as peer:
-            sender = peer.open_port("s")
-            receiver = fabric.open_port("r")
-            sender.send(receiver.address, b"x" * 512, KIND_DATA)
-            _src, _kind, payload = receiver.recv(timeout=5)
-        assert isinstance(payload, bytes)
-        assert payload == b"x" * 512
+    """Every frame lands in a buffer allocated for it alone, which its
+    receiver owns.  Sizes around 64 KiB are probed because frames up to
+    that bound once shared a recycled pool and were copied out."""
 
     def test_large_payload_arrives_as_an_owned_writable_view(self, fabric):
-        """Above the pool bound the frame is read into a buffer of its
-        own and the payload is delivered as a view of it — writable:
-        the receiver owns that memory, and no later frame shares it."""
-        big = np.arange(
-            (_POOL_BUFFER_SIZE * 4) // 8, dtype=np.float64
-        )
+        """The payload is a view of the frame's buffer — writable: the
+        receiver owns that memory, and no later frame shares it."""
+        big = np.arange((1 << 18) // 8, dtype=np.float64)
         with SocketFabric("peer") as peer:
             sender = peer.open_port("s")
             receiver = fabric.open_port("r")
@@ -174,38 +164,52 @@ class TestReceiveBuffers:
             np.testing.assert_array_equal(later, big)
         np.testing.assert_array_equal(big[:3], [0.0, 1.0, 2.0])
 
-    def test_pool_sized_payload_is_never_writable(self, fabric):
-        """The boundary: a frame of exactly the pool size is pooled,
-        so its payload is copied out as immutable bytes."""
+    @pytest.mark.parametrize(
+        "size", [1, 512, "at-the-old-bound", "above-it", 2 << 20]
+    )
+    def test_every_frame_lands_writable_in_a_buffer_of_its_own(
+        self, fabric, monkeypatch, size
+    ):
+        """Back-to-back frames on one connection, as the event loop
+        hands them on and as their receiver gets them: every frame is
+        writable and shares no memory with another; every payload is a
+        writable view unless it is under half its frame (the
+        half-of-stream rule keeps a 1-byte payload read-only); and
+        scribbling on one payload leaves the next one's bytes intact."""
         receiver = fabric.open_port("r")
         overhead = len(_raw_frame(receiver.address, b"")) - _LENGTH.size
-        at_the_bound = _POOL_BUFFER_SIZE - overhead
-        for size in (at_the_bound, at_the_bound + 1):
-            frame = _raw_frame(receiver.address, b"x" * size)
-            pooled = size == at_the_bound
-            assert (
-                len(frame) - _LENGTH.size <= _POOL_BUFFER_SIZE
-            ) == pooled
-            with socket.create_connection(
-                (fabric.host, fabric.tcp_port), timeout=5
-            ) as raw:
-                raw.sendall(frame)
-                payload = receiver.recv(timeout=5)[2]
-            assert isinstance(payload, bytes) == pooled
-            assert memoryview(payload).readonly == pooled
-            assert bytes(payload) == b"x" * size
+        size = {
+            "at-the-old-bound": (1 << 16) - overhead,
+            "above-it": (1 << 16) - overhead + 1,
+        }.get(size, size)
+        delivered = []
+        deliver = fabric._loop._deliver
 
-    def test_pooled_buffer_reuse_does_not_corrupt(self, fabric):
-        """Back-to-back small frames on one connection must each come
-        out intact even though they share pooled buffers."""
-        with SocketFabric("peer") as peer:
-            sender = peer.open_port("s")
-            receiver = fabric.open_port("r")
-            frames = [bytes([i]) * 1024 for i in range(16)]
-            for frame in frames:
-                sender.send(receiver.address, frame, KIND_DATA)
-            got = [receiver.recv(timeout=5)[2] for _ in frames]
-        assert got == frames
+        def keep(conn, frame):
+            delivered.append(frame)
+            deliver(conn, frame)
+
+        monkeypatch.setattr(fabric._loop, "_deliver", keep)
+        sent = [
+            _raw_frame(receiver.address, bytes([i]) * size) for i in range(4)
+        ]
+        with socket.create_connection(
+            (fabric.host, fabric.tcp_port), timeout=5
+        ) as raw:
+            for frame in sent:
+                raw.sendall(frame)
+            payloads = [receiver.recv(timeout=5)[2] for _ in sent]
+        arrays = [np.frombuffer(frame, np.uint8) for frame in delivered]
+        assert len(arrays) == len(sent)
+        for i, (frame, payload) in enumerate(zip(delivered, payloads)):
+            assert not frame.readonly
+            assert bytes(frame) == sent[i][_LENGTH.size :]
+            for later in arrays[i + 1 :]:
+                assert not np.shares_memory(arrays[i], later)
+            assert payload.readonly == (2 * size < len(frame))
+            assert bytes(payload) == bytes([i]) * size
+            if not payload.readonly:
+                payload[:] = b"\xff" * size
 
 
 class TestVectoredSend:
@@ -275,10 +279,10 @@ class TestCopyBudget:
     copied per payload byte for a serial echo through the whole stack
     (CDR → message → fabric → decode, both directions).  Payload-
     dominated sizes must stay near one copy per direction; below
-    64 KiB the fixed header/pool copies weigh more.  Over sockets a
-    frame above the pool size is received straight into the memory the
-    servant (or the caller) then owns — the receive copy *is* the
-    landing store — so from 128 KiB the budget is 1.5 (measured 1.0,
+    64 KiB the fixed header copies weigh more.  Over sockets a frame
+    is received straight into the memory the servant (or the caller)
+    then owns — the receive copy *is* the landing store — so from
+    128 KiB the budget is 1.5 (measured 1.0,
     the ``cdr.copies_per_payload_byte`` row of the benchmark); the
     in-process fabric still joins and lands (2.0)."""
 

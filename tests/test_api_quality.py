@@ -348,6 +348,10 @@ RETIRED_IDENTIFIERS = {
     "encode_plain_" "body",
     "has_" "distributed",
     "distributed_" "params",
+    "_Conn" "Buffers",
+    "_POOL_BUFFER_" "SIZE",
+    "Buffer" "Guard",
+    "check_and_" "poison",
 }
 
 
