@@ -11,7 +11,7 @@ Two demonstrations:
 1. an SPMD group whose ranks are distinct OS processes, gathering a
    1 MiB distributed array through the shared-memory data plane;
 2. an ORB client running as a forked process rank, invoking a server
-   in the parent process over the TCP fabric.
+   in the parent process over the socket fabric.
 
 Run:  python examples/process_backend.py
 """
@@ -74,7 +74,7 @@ def main():
     print(f"3 ranks on 3 processes: pids {sorted(pids)}")
 
     # 2. An ORB client as a process rank: server in this process,
-    #    client forked, joined by the TCP fabric; the server's naming
+    #    client forked, joined by the socket fabric; the server's naming
     #    domain is itself an object the client reaches by its IOR.
     from repro.orb.nameservice import NamingClient, serve_naming
     from repro.orb.socketnet import SocketFabric

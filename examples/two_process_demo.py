@@ -1,4 +1,4 @@
-"""PARDIS across two OS processes, joined only by TCP.
+"""PARDIS across two OS processes, joined only by the socket fabric.
 
 The in-process examples put client and server in one interpreter; this
 one splits them the way the paper's testbed did (two machines, one
@@ -8,7 +8,10 @@ and the child's naming domain — itself an ordinary object, served on
 the same event loop — introduces them: the child prints that object's
 stringified IOR, the parent bootstraps a :class:`NamingClient` from
 it.  IORs minted in the child resolve and route correctly in the
-parent because socket addresses are fully routable.
+parent because socket addresses are fully routable.  The addresses
+name TCP endpoints; on one host, under one user, the two fabrics
+find each other's local stream from them and skip TCP loopback
+(docs/protocol.md, "Stream framing").
 
 Run:  python examples/two_process_demo.py
 """

@@ -830,10 +830,6 @@ class ClientProxy:
         """
         return self._invoke(operation, tuple(args))
 
-    def invoke_all_nb(self, operation: str, args: tuple = ()) -> Future:
-        """Non-blocking :meth:`invoke_all`, returning a future."""
-        return self._invoke_nb(operation, tuple(args))
-
     def _on_degrade(self, fallback: DataPath) -> None:
         """Multi-port graceful degradation (engine callback, every
         rank): subsequent invocations go centralized directly instead

@@ -1,16 +1,24 @@
-"""TCP transport: the fabric over real sockets.
+"""Socket transport: the fabric over real stream sockets.
 
 The in-process :class:`~repro.orb.transport.Fabric` carries everything
 inside one interpreter.  This module provides the same contract over
-loopback/LAN TCP, so PARDIS components can live in *separate OS
+stream sockets, so PARDIS components can live in *separate OS
 processes* (or machines): a :class:`SocketFabric` listens on one TCP
 endpoint and demultiplexes frames onto its local ports; addresses
 (:class:`SocketPortAddress`) carry the TCP endpoint, so they remain
 routable after travelling inside an IOR.
 
+Like Nexus, the fabric picks the cheapest way to reach each peer.  It
+also listens on an abstract-namespace ``AF_UNIX`` stream named after
+its TCP endpoint (:func:`_local_name`), and a sender reaches a peer
+there first: a fabric on the same host (and network namespace), run
+by the same user, is a local stream away, without the TCP loopback
+path.  Anything else — another host, another user, a platform without
+abstract names — goes over TCP.  Both streams carry identical frames.
+
 The receive side is a single-threaded event loop
-(:class:`_ServerLoop`): one ``selectors`` loop owns the listening
-socket and every accepted connection, multiplexing any number of
+(:class:`_ServerLoop`): one ``selectors`` loop owns both listening
+sockets and every accepted connection, multiplexing any number of
 clients without a thread per connection.  A
 :class:`~repro.orb.server.ServerGovernor` gates what the loop admits —
 connection and request admission control, and per-client backpressure
@@ -38,12 +46,14 @@ costs it that frame.
 
 from __future__ import annotations
 
+import os
 import selectors
 import socket
 import struct
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -72,7 +82,7 @@ _MAX_FRAME = 256 * 1024 * 1024
 
 #: The frame envelope: destination port id, payload length, source tcp
 #: port and port id; source host, source label, kind (docs/protocol.md,
-#: "TCP framing").
+#: "Stream framing").
 _ENVELOPE = HeadLayout("3xIIII", strings=3)
 
 #: Synthetic address meters see for frames dropped before any port is
@@ -91,7 +101,46 @@ def _tune_socket(sock: socket.socket) -> None:
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:
-        pass  # not a TCP socket (tests may hand in a pipe/mock)
+        pass  # not a TCP socket: a local stream, or a test's pipe/mock
+
+
+def _local_name(endpoint: tuple[str, int]) -> bytes:
+    """The abstract ``AF_UNIX`` name of the fabric advertising the TCP
+    ``endpoint`` (docs/protocol.md, "Stream framing")."""
+    return b"\0pardis-fabric/%s:%d" % (endpoint[0].encode(), endpoint[1])
+
+
+def _listen_local(server: socket.socket) -> list[socket.socket]:
+    """The local listener beside the TCP ``server``, or none where the
+    platform cannot bind an abstract name."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        sock.bind(_local_name(server.getsockname()[:2]))
+        sock.listen()
+        return [sock]
+    except OSError:
+        sock.close()
+        return []
+
+
+def _connect(endpoint: tuple[str, int]) -> socket.socket:
+    """The one connect site, 10 s timeout either way: the peer's local
+    stream, kept only if ``SO_PEERCRED`` says its listener runs under
+    our own uid (anyone may bind an abstract name, but the kernel
+    vouches for who did), else TCP."""
+    local = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        local.settimeout(10)
+        local.connect(_local_name(endpoint))
+        creds = local.getsockopt(socket.SOL_SOCKET, socket.SO_PEERCRED, 12)
+        if struct.unpack("3i", creds)[1] == os.getuid():  # pid, uid, gid
+            return local
+    except (AttributeError, OSError):
+        pass  # no such name, or no credentials to check: use TCP
+    local.close()
+    sock = socket.create_connection(endpoint, timeout=10)
+    _tune_socket(sock)
+    return sock
 
 
 def _write_frame(sock: socket.socket, *buffers: Any) -> None:
@@ -119,10 +168,11 @@ def _write_frame(sock: socket.socket, *buffers: Any) -> None:
 
 
 class SocketFabric(Fabric):
-    """The Fabric whose sends travel over TCP.
+    """The Fabric whose sends travel over stream sockets.
 
     One instance per process; ``bind_host``/``bind_port`` choose the
-    listening endpoint (port 0 lets the OS pick).  Ports opened here
+    listening TCP endpoint (port 0 lets the OS pick), which also names
+    the local stream co-located peers connect to.  Ports opened here
     behave exactly like in-process ports — same :class:`Port` class,
     blocking ``recv`` with kind filtering — and their addresses are
     valid on any peer that can reach this endpoint.
@@ -139,8 +189,9 @@ class SocketFabric(Fabric):
         (:class:`~repro.orb.server.ServerConfig`); the default admits
         everything but keeps per-client backpressure on."""
         super().__init__(name)
-        self._connections: dict[tuple[str, int], socket.socket] = {}
-        self._conn_locks: dict[tuple[str, int], threading.Lock] = {}
+        #: One outgoing connection per peer endpoint, with the lock
+        #: that keeps its frames whole.
+        self._links: dict[tuple[str, int], tuple[socket.socket, threading.Lock]] = {}
         #: Incoming frames refused by the receive path (zero-length or
         #: above :data:`_MAX_FRAME`); also reported to meters under the
         #: synthetic :data:`DROP_ADDRESS` with kind ``"drop"``.
@@ -154,7 +205,8 @@ class SocketFabric(Fabric):
             server if server is not None else ServerConfig(), name=name
         )
         self.governor.attach_fabric(self)
-        self._loop = _ServerLoop(self, self._server, self.governor, name)
+        self._listeners = [self._server, *_listen_local(self._server)]
+        self._loop = _ServerLoop(self, self._listeners, self.governor, name)
         self.governor.attach_loop(self._loop)
 
     def stats(self) -> dict[str, Any]:
@@ -252,35 +304,36 @@ class SocketFabric(Fabric):
         self, endpoint: tuple[str, int], buffers: list[Any]
     ) -> None:
         with self._lock:
-            sock = self._connections.get(endpoint)
-            conn_lock = self._conn_locks.get(endpoint)
-        if sock is None:
+            link = self._links.get(endpoint)
+        if link is None:
             # Connect outside the fabric lock — a slow or unreachable
             # peer must not stall every other sender on this fabric.
             try:
-                fresh = socket.create_connection(endpoint, timeout=10)
-                _tune_socket(fresh)
+                fresh = _connect(endpoint)
             except OSError as exc:
                 raise TransportError(
                     f"cannot reach {endpoint[0]}:{endpoint[1]}: {exc}"
                 ) from None
             with self._lock:
-                sock = self._connections.get(endpoint)
-                if sock is None:
-                    self._connections[endpoint] = fresh
-                    self._conn_locks[endpoint] = threading.Lock()
-                    sock = fresh
-                    fresh = None
-                conn_lock = self._conn_locks[endpoint]
-            if fresh is not None:
-                fresh.close()  # lost the insertion race; use the winner
+                if not self._closed:  # a closed fabric keeps no link
+                    link = self._links.setdefault(
+                        endpoint, (fresh, threading.Lock())
+                    )
+            if link is None or link[0] is not fresh:
+                fresh.close()  # closed, or lost the insertion race
+        if link is None:
+            raise TransportError("fabric is closed")
+        sock, conn_lock = link
         with conn_lock:
             try:
                 _write_frame(sock, *buffers)
             except OSError as exc:
+                # Close the broken socket now; forget it only if no
+                # other thread has already replaced it.
+                sock.close()
                 with self._lock:
-                    self._connections.pop(endpoint, None)
-                    self._conn_locks.pop(endpoint, None)
+                    if self._links.get(endpoint) is link:
+                        del self._links[endpoint]
                 raise TransportError(
                     f"send to {endpoint[0]}:{endpoint[1]} failed: {exc}"
                 ) from None
@@ -298,13 +351,14 @@ class SocketFabric(Fabric):
             if self._closed:
                 return
             self._closed = True
-            connections = list(self._connections.values())
-            self._connections.clear()
+            links = list(self._links.values())
+            self._links.clear()
         self._loop.close()
         self._loop.join()
-        self._server.close()
+        for sock in self._listeners:
+            sock.close()
         self.governor.close()
-        for sock in connections:
+        for sock, _lock in links:
             sock.close()
         super().close()
 
@@ -320,48 +374,37 @@ class SocketFabric(Fabric):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False, slots=True)
 class _ServerConnection:
     """Per-connection receive state for the event loop: the framing
     state machine (header → body → header, with a drain detour for
     refused frames) plus the client identities seen on this
     connection."""
 
-    __slots__ = (
-        "sock",
-        "header",
-        "phase",
-        "have",
-        "view",
-        "drain_left",
-        "scratch",
-        "identities",
-        "pause_depth",
-    )
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        #: Every frame's 4-byte length prefix lands here.
-        self.header = bytearray(_LENGTH.size)
-        self.phase = "header"
-        self.have = 0
-        #: The frame being received: a view of the buffer allocated
-        #: for it alone, which its receiver will own.
-        self.view: memoryview | None = None
-        self.drain_left = 0
-        self.scratch: memoryview | None = None
-        #: Client identities (request id high bits) whose requests
-        #: arrived here — the unit backpressure pauses.
-        self.identities: set[int] = set()
-        #: How many of those identities are currently paused; the
-        #: socket leaves the selector while this is non-zero.
-        self.pause_depth = 0
+    sock: socket.socket
+    #: Every frame's 4-byte length prefix lands here.
+    header: bytearray = field(default_factory=lambda: bytearray(_LENGTH.size))
+    phase: str = "header"
+    have: int = 0
+    #: The frame being received: a view of the buffer allocated for it
+    #: alone, which its receiver will own.
+    view: memoryview | None = None
+    drain_left: int = 0
+    scratch: memoryview | None = None
+    #: Client identities (request id high bits) whose requests arrived
+    #: here — the unit backpressure pauses.
+    identities: set[int] = field(default_factory=set)
+    #: How many of those identities are currently paused; the socket
+    #: leaves the selector while this is non-zero.
+    pause_depth: int = 0
 
 
 class _ServerLoop:
     """One thread, every client socket: the fan-in receive path.
 
     Replaces the thread-per-connection reader model: a ``selectors``
-    loop owns the listening socket and all accepted connections,
+    loop owns the listening sockets (TCP and, where there is one, the
+    local stream) and all accepted connections from either,
     running the same framing state machine the blocking readers ran —
     each frame read into a buffer of its own that the payload view
     hands to the receiver, drop accounting for refused frames — but
@@ -387,14 +430,12 @@ class _ServerLoop:
     def __init__(
         self,
         fabric: SocketFabric,
-        server_sock: socket.socket,
+        listeners: list[socket.socket],
         governor: ServerGovernor | None,
         name: str,
     ) -> None:
         self._fabric = fabric
         self._governor = governor
-        self._server = server_sock
-        server_sock.setblocking(False)
         self._selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
@@ -404,9 +445,11 @@ class _ServerLoop:
         self._by_identity: dict[int, set[_ServerConnection]] = {}
         self._closed = False
         self._busy_frame = self._make_busy_frame()
-        self._selector.register(
-            server_sock, selectors.EVENT_READ, ("accept", None)
-        )
+        for listener in listeners:
+            listener.setblocking(False)
+            self._selector.register(
+                listener, selectors.EVENT_READ, ("accept", listener)
+            )
         self._selector.register(
             self._wake_r, selectors.EVENT_READ, ("wake", None)
         )
@@ -430,10 +473,8 @@ class _ServerLoop:
             payload,
             len(payload),
         )
-        total = sum(len(s) for s in segments)
-        return _LENGTH.pack(total) + b"".join(
-            bytes(s) for s in segments
-        )
+        body = b"".join(bytes(s) for s in segments)
+        return _LENGTH.pack(len(body)) + body
 
     # -- cross-thread interface ---------------------------------------------
 
@@ -462,12 +503,17 @@ class _ServerLoop:
         thread only (the governor calls it inside ``admit_request``,
         which the loop itself invoked)."""
         for conn in self._by_identity.get(identity, ()):
-            conn.pause_depth += 1
-            if conn.pause_depth == 1:
-                try:
-                    self._selector.unregister(conn.sock)
-                except (KeyError, ValueError):
-                    pass
+            self._pause(conn)
+
+    def _pause(self, conn: _ServerConnection) -> None:
+        """One more pause on ``conn``; the first takes its socket out
+        of the selector."""
+        conn.pause_depth += 1
+        if conn.pause_depth == 1:
+            try:
+                self._selector.unregister(conn.sock)
+            except (KeyError, ValueError):
+                pass
 
     def _resume(self, identity: int) -> None:
         for conn in self._by_identity.get(identity, ()):
@@ -496,13 +542,13 @@ class _ServerLoop:
             except OSError:
                 break
             for key, _mask in events:
-                tag, conn = key.data
+                tag, data = key.data  # a listener, or a connection
                 if tag == "accept":
-                    self._accept()
+                    self._accept(data)
                 elif tag == "wake":
                     self._drain_wake()
                 else:
-                    self._service(conn)
+                    self._service(data)
             self._run_commands()
             if self._closed:
                 break
@@ -527,10 +573,12 @@ class _ServerLoop:
             elif tag == "close":
                 self._closed = True
 
-    def _accept(self) -> None:
+    def _accept(self, listener: socket.socket) -> None:
+        """Admit what either listener accepted: one connection budget,
+        one framing state machine, whatever the stream family."""
         while True:
             try:
-                sock, _peer = self._server.accept()
+                sock, _peer = listener.accept()
             except (BlockingIOError, InterruptedError):
                 return
             except OSError:
@@ -695,12 +743,7 @@ class _ServerLoop:
             # A paused identity opened another connection: it starts
             # paused too, so backpressure cannot be dodged by
             # reconnecting.
-            conn.pause_depth += 1
-            if conn.pause_depth == 1:
-                try:
-                    self._selector.unregister(conn.sock)
-                except (KeyError, ValueError):
-                    pass
+            self._pause(conn)
 
     def _sweep_paused(self) -> None:
         """Paused sockets are out of the selector, so a client that

@@ -261,17 +261,6 @@ class Port:
                     )
                 self._cond.wait(remaining)
 
-    def try_recv(
-        self, kind: str | None = None
-    ) -> tuple[PortAddress, str, bytes] | None:
-        """Non-blocking variant of :meth:`recv`."""
-        with self._cond:
-            for i, delivery in enumerate(self._queue):
-                if kind is None or delivery.kind == kind:
-                    self._queue.pop(i)
-                    return delivery.src, delivery.kind, delivery.payload
-        return None
-
     def pending(self) -> int:
         with self._cond:
             return len(self._queue)

@@ -13,8 +13,8 @@ system is asked to move, so these tests run a real invocation and read
 exactly those two seams from outside (``tests/integration/observing``):
 a meter on the fabric (``fabric.add_meter``) and a recording delegate
 in place of each rank's RTS object.  Every assertion runs on the
-in-process fabric and across two ``SocketFabric``s joined by TCP
-loopback.  The synchronization points of either method are pinned,
+in-process fabric and across two ``SocketFabric``s (co-located, so
+joined by their local stream).  The synchronization points of either method are pinned,
 with the rest of the collective sequence, by
 ``test_collective_sequence.py::EXPECTED``.
 """

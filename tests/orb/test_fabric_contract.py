@@ -15,11 +15,14 @@ a frame buffer of its own, nobody but the receiver can reach.
 """
 
 import contextlib
+import socket
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import ORB, FaultSchedule, FaultyFabric
+from repro.orb import socketnet
 from repro.orb.nameservice import NamingClient
 from repro.orb.request import DataChunk, PHASE_REQUEST, decode_chunk
 from repro.orb.socketnet import SocketFabric
@@ -89,13 +92,22 @@ def shape(value):
     return None
 
 
-FABRIC_KINDS = ("inproc", "socket", "faulty-inproc", "faulty-socket")
+#: ``socket-tcp`` is a socket fabric that, like every socket fabric
+#: built while it is open, has no local listener: co-located peers
+#: then talk TCP, as peers on two hosts do.
+FABRIC_KINDS = (
+    "inproc", "socket", "socket-tcp", "faulty-inproc", "faulty-socket",
+)
 
 
 @contextlib.contextmanager
 def fabric_of(kind, schedule=None):
     with contextlib.ExitStack() as stack:
-        if kind.endswith("socket"):
+        if kind == "socket-tcp":
+            stack.enter_context(
+                mock.patch.object(socketnet, "_listen_local", lambda server: [])
+            )
+        if "socket" in kind:
             fabric = stack.enter_context(SocketFabric(kind))
         else:
             fabric = Fabric(kind)
@@ -147,6 +159,7 @@ class TestStatsSchema:
         [
             ("inproc", {}, False),
             ("socket", {"dropped_frames": None}, True),
+            ("socket-tcp", {"dropped_frames": None}, True),
             ("faulty-inproc", {"faults": FAULTS}, False),
             (
                 "faulty-socket",
@@ -201,7 +214,7 @@ class TestOnlyOctetsTravel:
         with fabric_of(kind) as near, SocketFabric("far") as far:
             near.add_meter(lambda src, dest, k, nbytes: seen.append(nbytes))
             sender = near.open_port("s")
-            receiver = (far if kind.endswith("socket") else near).open_port("r")
+            receiver = (far if "socket" in kind else near).open_port("r")
             for bad in (
                 memoryview(doubles),
                 [b"head", memoryview(doubles)],
@@ -257,7 +270,9 @@ class TestDeliveredPayloadOwnership:
                 assert bytes(got) == b"p" * size
 
     @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("kind", ["socket", "faulty-socket"])
+    @pytest.mark.parametrize(
+        "kind", ["socket", "socket-tcp", "faulty-socket"]
+    )
     def test_writable_iff_it_crossed_a_socket(self, kind, size):
         with fabric_of(kind) as near, SocketFabric("far") as far:
             sender, receiver = near.open_port("s"), far.open_port("r")
@@ -267,6 +282,12 @@ class TestDeliveredPayloadOwnership:
                 assert not memoryview(got).readonly
                 assert not isinstance(got, bytes)
                 assert bytes(got) == b"p" * size
+            # The stream the frames took: TCP only where the kind took
+            # the local listener away.
+            sock, _lock = near._links[(far.host, far.tcp_port)]
+            assert sock.family == (
+                socket.AF_INET if kind == "socket-tcp" else socket.AF_UNIX
+            )
 
     @pytest.mark.parametrize("kind", ["faulty-inproc", "faulty-socket"])
     def test_a_duplicated_frame_is_two_deliveries_that_share_nothing(
@@ -280,12 +301,12 @@ class TestDeliveredPayloadOwnership:
         raw = bytearray(b"p" * size)
         with fabric_of(kind, schedule) as near, SocketFabric("far") as far:
             sender = near.open_port("s")
-            receiver = (far if kind.endswith("socket") else near).open_port("r")
+            receiver = (far if "socket" in kind else near).open_port("r")
             sender.send(receiver.address, raw, KIND_DATA)
             first, second = (receiver.recv(timeout=5)[2] for _ in range(2))
         raw[:] = b"q" * size
         assert bytes(first) == bytes(second) == b"p" * size
-        writable = kind.endswith("socket")
+        writable = "socket" in kind
         for got in (first, second):
             assert memoryview(got).readonly != writable
         if writable:

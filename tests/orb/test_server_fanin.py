@@ -23,7 +23,7 @@ from repro.orb.server import (
     ServerConfig,
     ServerGovernor,
 )
-from repro.orb.socketnet import SocketFabric
+from repro.orb.socketnet import SocketFabric, _local_name
 
 FANIN_IDL = """
 interface blocker {
@@ -295,7 +295,7 @@ def _read_busy_frame(sock):
         chunk = sock.recv(length - len(body))
         assert chunk, "connection closed mid-frame"
         body += chunk
-    # The envelope head by its offset table (docs/protocol.md, "TCP
+    # The envelope head by its offset table (docs/protocol.md, "Stream
     # framing"), not by the codec under test.
     dest_port_id, _nbytes, _tcp_port, _port_id, host_n, label_n, kind_n = (
         struct.unpack_from(("<" if body[0] else ">") + "3xIIIIHHH", body, 1)
@@ -351,6 +351,50 @@ def test_connect_storm_past_max_connections_gets_busy():
         assert _wait_for(
             lambda: fabric.governor.snapshot()["connections"]["accepted"]
             == 3
+        )
+
+
+def _connect_local(fabric):
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(5)
+    sock.connect(_local_name((fabric.host, fabric.tcp_port)))
+    return sock
+
+
+def test_both_listeners_share_one_connection_budget():
+    """A raw TCP peer and a local-stream peer each take one of the two
+    slots; past them, a connect on either listener gets BUSY."""
+    config = ServerConfig(max_connections=2)
+    with SocketFabric("two-listeners", server=config) as fabric:
+        tcp = socket.create_connection(
+            (fabric.host, fabric.tcp_port), timeout=5
+        )
+        local = _connect_local(fabric)
+        try:
+            assert _wait_for(
+                lambda: fabric.governor.snapshot()["connections"][
+                    "accepted"
+                ]
+                == 2
+            )
+            for extra in (
+                _connect_local(fabric),
+                socket.create_connection(
+                    (fabric.host, fabric.tcp_port), timeout=5
+                ),
+            ):
+                with extra:
+                    extra.settimeout(5)
+                    assert _read_busy_frame(extra) == KIND_BUSY
+                    assert extra.recv(1) == b""
+            stats = fabric.governor.snapshot()["connections"]
+            assert (stats["rejected"], stats["active"]) == (2, 2)
+        finally:
+            tcp.close()
+            local.close()
+        assert _wait_for(
+            lambda: fabric.governor.snapshot()["connections"]["active"]
+            == 0
         )
 
 

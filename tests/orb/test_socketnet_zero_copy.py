@@ -271,7 +271,7 @@ class TestConcurrentConnect:
             )
             assert got == sorted(bytes([i]) * 32 for i in range(8))
             endpoint = (fabric.host, fabric.tcp_port)
-            assert list(peer._connections) == [endpoint]
+            assert list(peer._links) == [endpoint]
 
 
 class TestCopyBudget:

@@ -43,13 +43,6 @@ class TestPorts:
         got = [b.recv(kind=KIND_DATA)[2][0] for _ in range(5)]
         assert got == list(range(5))
 
-    def test_try_recv(self):
-        fabric = Fabric()
-        a, b = fabric.open_port(), fabric.open_port()
-        assert b.try_recv() is None
-        a.send(b.address, b"x")
-        assert b.try_recv()[2] == b"x"
-
     def test_pending_count(self):
         fabric = Fabric()
         a, b = fabric.open_port(), fabric.open_port()

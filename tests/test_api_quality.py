@@ -280,7 +280,10 @@ OPTION_BUDGET = {
 #: table, walks, inheritance flattener and the checks the semantic
 #: analyzer now makes).  Then the two classes that pulled replies and
 #: chunks off their ports, with their receiver role, which the one
-#: ``Inbox`` upcall replaced, and three helpers nothing called.
+#: ``Inbox`` upcall replaced, and three helpers nothing called.  Then
+#: the socket fabric's receive pool and its guard, and last the
+#: non-blocking pull and collective verb nothing called, and the lock
+#: table the socket fabric's one link table replaced.
 RETIRED_IDENTIFIERS = {
     "trac" "er",
     "ft_" "stats",
@@ -352,6 +355,9 @@ RETIRED_IDENTIFIERS = {
     "_POOL_BUFFER_" "SIZE",
     "Buffer" "Guard",
     "check_and_" "poison",
+    "try_" "recv",
+    "invoke_all_" "nb",
+    "_conn_" "locks",
 }
 
 
