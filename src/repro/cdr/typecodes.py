@@ -62,14 +62,13 @@ class BasicTC(TypeCode):
             lo = -(1 << (bits - 1)) if self.signed else 0
             exact = (int, lo, lo + (1 << bits) - 1)
         object.__setattr__(self, "_exact", exact)
+        # Built once: the marshalling paths read it on every value.
+        dtype = np.dtype(self.np_dtype) if self.np_dtype else None
+        object.__setattr__(self, "dtype", dtype)
 
     @property
     def alignment(self) -> int:
         return self.size
-
-    @property
-    def dtype(self) -> np.dtype | None:  # type: ignore[override]
-        return np.dtype(self.np_dtype) if self.np_dtype else None
 
     def accepts(self, value: Any) -> bool:
         """The fast path in front of :meth:`validate`: ``value`` is

@@ -311,7 +311,8 @@ class ORB:
         registry; ORBs handed one recorder share it).  Per fabric:
         ``fabric`` (its own :meth:`Fabric.stats
         <repro.orb.transport.Fabric.stats>` section — socket fabrics
-        report ``dropped_frames``; a fault-injecting fabric adds its
+        report ``dropped_frames`` and ``pulled_frames``; a
+        fault-injecting fabric adds its
         ``faults`` tally) and ``server`` (socket fabrics only: the
         event loop's admission/backpressure counters; see
         ``docs/scaling.md``).  Per naming object: the directory half

@@ -14,7 +14,12 @@ its TCP endpoint (:func:`_local_name`), and a sender reaches a peer
 there first: a fabric on the same host (and network namespace), run
 by the same user, is a local stream away, without the TCP loopback
 path.  Anything else — another host, another user, a platform without
-abstract names — goes over TCP.  Both streams carry identical frames.
+abstract names — goes over TCP.  Both streams carry identical frames,
+except that on a local stream a frame larger than the link's send
+buffer is not streamed at all: the sender offers its addresses and the
+receiver pulls it straight out of the sender's memory with one
+``process_vm_readv`` (:meth:`SocketFabric._pulled`,
+:meth:`_ServerLoop._pull`; ``docs/protocol.md``, "Pull offers").
 
 The receive side is a single-threaded event loop
 (:class:`_ServerLoop`): one ``selectors`` loop owns both listening
@@ -46,7 +51,10 @@ costs it that frame.
 
 from __future__ import annotations
 
+import ctypes
+import errno
 import os
+import select
 import selectors
 import socket
 import struct
@@ -78,6 +86,47 @@ from repro.orb.transport import (
 _LENGTH = struct.Struct(">I")
 #: Refuse frames above this size (sanity bound, 256 MiB).
 _MAX_FRAME = 256 * 1024 * 1024
+
+#: A length prefix with this bit set opens a pull offer: a segment
+#: count, then the frame's segments as an ``iovec`` array
+#: (docs/protocol.md, "Pull offers").
+_PULL_FLAG = 1 << 31
+#: At most this many segments per offer: ``IOV_MAX``, the most one
+#: ``process_vm_readv`` takes.
+_MAX_SEGMENTS = 1024
+#: What the kernel answers when it will not let us read a peer's
+#: memory (Yama ``ptrace_scope``, seccomp): the offer is refused and
+#: the sender streams the frame instead.
+_REFUSALS = (errno.EPERM, errno.EACCES, errno.ENOSYS)
+
+if hasattr(os, "pidfd_open"):  # Linux: elsewhere no pidfd, so no pull
+    #: ``process_vm_readv(pid, local, 1, remote, count, 0)``.
+    _process_vm_readv = ctypes.CDLL(None, use_errno=True).process_vm_readv
+    _process_vm_readv.restype = ctypes.c_ssize_t
+    # pid, (iovec array, count) for us and for the peer, flags
+    _process_vm_readv.argtypes = [ctypes.c_int] + [ctypes.c_void_p, ctypes.c_ulong] * 2 + [ctypes.c_ulong]
+
+
+def _pin(buf: Any) -> tuple[int, int, Any] | None:
+    """Where ``buf``'s octets start, how many there are, and an object
+    that holds them in place while a peer reads them — or ``None`` for
+    a read-only buffer other than ``bytes``.  Taken through the buffer
+    protocol: an ndarray built here would cost peak RSS
+    (docs/performance.md, "One copy between co-located peers")."""
+    if isinstance(buf, bytes):
+        return ctypes.cast(buf, ctypes.c_void_p).value, len(buf), buf
+    if memoryview(buf).readonly:
+        return None
+    pin = ctypes.c_char.from_buffer(buf)
+    return ctypes.addressof(pin), len(buf), pin
+
+
+def _exited(pidfd: int) -> bool:
+    """Has the process behind ``pidfd`` exited (its pid perhaps already
+    someone else's)?"""
+    probe = select.poll()
+    probe.register(pidfd, select.POLLIN)
+    return bool(probe.poll(0))
 
 
 #: The frame envelope: destination port id, payload length, source tcp
@@ -192,10 +241,17 @@ class SocketFabric(Fabric):
         #: One outgoing connection per peer endpoint, with the lock
         #: that keeps its frames whole.
         self._links: dict[tuple[str, int], tuple[socket.socket, threading.Lock]] = {}
+        #: Local-stream links that may offer pulls: the frame size
+        #: above which they do (the link's ``SO_SNDBUF``) and the pid
+        #: that connected them (a forked child must not offer on a
+        #: link whose peer reads its parent).
+        self._pull_above: dict[socket.socket, tuple[int, int]] = {}
         #: Incoming frames refused by the receive path (zero-length or
         #: above :data:`_MAX_FRAME`); also reported to meters under the
         #: synthetic :data:`DROP_ADDRESS` with kind ``"drop"``.
         self.dropped_frames = 0
+        #: Incoming frames pulled from a co-located sender's memory.
+        self.pulled_frames = 0
         self._closed = False
         self._server = socket.create_server(
             (bind_host, bind_port), reuse_port=False
@@ -210,7 +266,7 @@ class SocketFabric(Fabric):
         self.governor.attach_loop(self._loop)
 
     def stats(self) -> dict[str, Any]:
-        return {"dropped_frames": self.dropped_frames}
+        return {"dropped_frames": self.dropped_frames, "pulled_frames": self.pulled_frames}
 
     # -- fabric contract ---------------------------------------------------
 
@@ -319,6 +375,9 @@ class SocketFabric(Fabric):
                     link = self._links.setdefault(
                         endpoint, (fresh, threading.Lock())
                     )
+                    if link[0] is fresh and fresh.family == socket.AF_UNIX:
+                        sndbuf = fresh.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+                        self._pull_above[fresh] = (sndbuf, os.getpid())
             if link is None or link[0] is not fresh:
                 fresh.close()  # closed, or lost the insertion race
         if link is None:
@@ -326,17 +385,40 @@ class SocketFabric(Fabric):
         sock, conn_lock = link
         with conn_lock:
             try:
-                _write_frame(sock, *buffers)
+                if not self._pulled(sock, buffers):
+                    _write_frame(sock, *buffers)
             except OSError as exc:
                 # Close the broken socket now; forget it only if no
                 # other thread has already replaced it.
                 sock.close()
                 with self._lock:
+                    self._pull_above.pop(sock, None)
                     if self._links.get(endpoint) is link:
                         del self._links[endpoint]
                 raise TransportError(
                     f"send to {endpoint[0]}:{endpoint[1]} failed: {exc}"
                 ) from None
+
+    def _pulled(self, sock: socket.socket, buffers: list[Any]) -> bool:
+        """Offer a frame too large for the link's send buffer to be
+        pulled, and wait for the answer (under the link's timeout):
+        ``True`` once the peer has copied it out of our memory,
+        ``False`` to stream it — a small frame, a link that may not
+        offer, or a refusal, after which the link streams for good."""
+        limit, pid = self._pull_above.get(sock, (_MAX_FRAME, -1))
+        if (total := sum(map(len, buffers))) <= limit or pid != os.getpid():
+            return False
+        pins = [_pin(buf) for buf in buffers if len(buf)]
+        if None in pins or len(pins) > _MAX_SEGMENTS:
+            return False
+        iov = struct.pack(f"{2 * len(pins)}Q", *(n for pin in pins for n in pin[:2]))
+        sock.sendall(struct.pack(">II", _PULL_FLAG | total, len(pins)) + iov)
+        answer = sock.recv(1)  # the pins hold the buffers in place until now
+        if answer == b"\x00":
+            self._pull_above.pop(sock, None)
+        elif answer != b"\x01":
+            raise ConnectionError("peer closed the link during a pull")
+        return answer == b"\x01"
 
     def _record_drop(self, length: int) -> None:
         with self._lock:
@@ -378,17 +460,25 @@ class SocketFabric(Fabric):
 class _ServerConnection:
     """Per-connection receive state for the event loop: the framing
     state machine (header → body → header, with a drain detour for
-    refused frames) plus the client identities seen on this
-    connection."""
+    refused frames and an offer detour, header → count → iov, for
+    pulled ones) plus the client identities seen on this connection."""
 
     sock: socket.socket
-    #: Every frame's 4-byte length prefix lands here.
+    #: Every frame's 4-byte length prefix lands here, and so does an
+    #: offer's segment count.
     header: bytearray = field(default_factory=lambda: bytearray(_LENGTH.size))
     phase: str = "header"
     have: int = 0
     #: The frame being received: a view of the buffer allocated for it
-    #: alone, which its receiver will own.
+    #: alone, which its receiver will own — or an offer's ``iovec``s.
     view: memoryview | None = None
+    #: The frame size an open offer declared.
+    offered: int = 0
+    #: Who may be pulled from: the peer's pid as ``SO_PEERCRED``
+    #: reported it at accept (a local stream of our own uid only), and
+    #: a pidfd on that process, opened then, that says if it exited.
+    pid: int | None = None
+    pidfd: int | None = None
     drain_left: int = 0
     scratch: memoryview | None = None
     #: Client identities (request id high bits) whose requests arrived
@@ -397,6 +487,15 @@ class _ServerConnection:
     #: How many of those identities are currently paused; the socket
     #: leaves the selector while this is non-zero.
     pause_depth: int = 0
+
+    def close(self) -> None:
+        try:
+            self.sock.close()
+        except OSError:
+            pass
+        if self.pidfd is not None:
+            os.close(self.pidfd)
+            self.pidfd = None
 
 
 class _ServerLoop:
@@ -599,10 +698,24 @@ class _ServerLoop:
             _tune_socket(sock)
             sock.setblocking(False)
             conn = _ServerConnection(sock)
+            if sock.family == socket.AF_UNIX:
+                self._note_peer(conn)
             self._conns.add(conn)
             self._selector.register(
                 sock, selectors.EVENT_READ, ("conn", conn)
             )
+
+    def _note_peer(self, conn: _ServerConnection) -> None:
+        """Record whom a local stream's offers may be pulled from: the
+        process the kernel says connected, if it runs under our uid."""
+        try:
+            creds = conn.sock.getsockopt(socket.SOL_SOCKET, socket.SO_PEERCRED, 12)
+            pid, uid, _gid = struct.unpack("3i", creds)
+            if uid == os.getuid():
+                conn.pid = pid
+                conn.pidfd = os.pidfd_open(pid)
+        except (AttributeError, OSError):
+            pass  # a peer we cannot watch: its offers are refused
 
     def _service(self, conn: _ServerConnection) -> None:
         """Advance one connection's framing state machine until the
@@ -634,7 +747,7 @@ class _ServerLoop:
                     conn.phase = "header"
                     conn.have = 0
                 continue
-            if conn.phase == "header":
+            if conn.phase in ("header", "count"):
                 target = memoryview(conn.header)
             else:
                 assert conn.view is not None
@@ -653,9 +766,12 @@ class _ServerLoop:
             conn.have += n
             if conn.have < len(target):
                 continue
+            conn.have = 0
             if conn.phase == "header":
                 (length,) = _LENGTH.unpack(conn.header)
-                conn.have = 0
+                if length & _PULL_FLAG:
+                    conn.offered, conn.phase = length ^ _PULL_FLAG, "count"
+                    continue
                 if length == 0 or length > _MAX_FRAME:
                     # Malformed or oversized: count the drop, drain
                     # the declared bytes so the stream stays framed,
@@ -670,10 +786,22 @@ class _ServerLoop:
                 conn.view = memoryview(np.empty(length, np.uint8))
                 conn.phase = "body"
                 continue
+            if conn.phase == "count":
+                (count,) = _LENGTH.unpack(conn.header)
+                if not 0 < count <= _MAX_SEGMENTS:
+                    self._lose_offer(conn)
+                    return
+                conn.view, conn.phase = memoryview(bytearray(16 * count)), "iov"
+                continue
+            phase = conn.phase
+            conn.phase, conn.view = "header", None
+            if phase == "iov" and (target := self._pull(conn, target)) is None:
+                if conn not in self._conns:
+                    return
+                continue  # refused: the sender streams it next
             # Body complete: the frame, and the buffer it landed in,
             # go to its receiver; the loop keeps no reference.
             frames += 1
-            conn.view = None
             try:
                 self._deliver(conn, target)
             except (MarshalError, TransportError):
@@ -681,12 +809,52 @@ class _ServerLoop:
                 # ``orb.stats()`` surfaces silent frame loss.
                 self._fabric._record_drop(len(target))
             del target
-            conn.phase = "header"
-            conn.have = 0
             if conn.pause_depth > 0:
                 # The frame we just admitted paused this connection;
                 # stop reading immediately, not at the budget.
                 return
+
+    def _pull(self, conn: _ServerConnection, iov: memoryview) -> memoryview | None:
+        """Land an offered frame in a buffer of its own by one
+        ``process_vm_readv`` from the peer's kernel-reported pid, and
+        answer the offer.  ``None`` if the kernel refused (answered
+        ``0``: the sender streams the frame next), or if the offer was
+        forged or the pull failed (the connection is closed)."""
+        ours = conn.pid is not None and 0 < conn.offered <= _MAX_FRAME
+        if not ours or sum(iov.cast("Q")[1::2]) != conn.offered:
+            self._lose_offer(conn)  # not ours to pull, too big, or inconsistent
+            return None
+        frame = memoryview(np.empty(conn.offered, np.uint8))
+        into = (ctypes.c_size_t * 2)(ctypes.addressof(ctypes.c_char.from_buffer(frame)), len(frame))
+        got = -1 if conn.pidfd is None else _process_vm_readv(
+            conn.pid, into, 1, ctypes.byref(ctypes.c_char.from_buffer(iov)), len(iov) // 16, 0
+        )
+        if got < 0 and (conn.pidfd is None or ctypes.get_errno() in _REFUSALS):
+            if self._answer(conn, b"\x00"):
+                return None
+        elif got == len(frame) and not _exited(conn.pidfd) and self._answer(conn, b"\x01"):
+            copied(got)
+            self._fabric.pulled_frames += 1
+            return frame
+        # The peer died, or offered memory it does not have.
+        self._lose_offer(conn)
+        return None
+
+    def _answer(self, conn: _ServerConnection, verdict: bytes) -> bool:
+        """Tell the sender what became of its offer.  Only a sender
+        still waiting can take it, so a pull answered is one made while
+        the offered memory was still the sender's to offer."""
+        try:
+            return conn.sock.send(verdict) == 1
+        except OSError:
+            return False
+
+    def _lose_offer(self, conn: _ServerConnection) -> None:
+        """The offered frame is lost, and so is the connection: a pull
+        failed, or the offer is one no sender of this build makes (then
+        nothing was copied)."""
+        self._fabric._record_drop(conn.offered)
+        self._close_conn(conn)
 
     def _deliver(
         self, conn: _ServerConnection, frame: memoryview
@@ -771,10 +939,7 @@ class _ServerLoop:
                 self._selector.unregister(conn.sock)
             except (KeyError, ValueError):
                 pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        conn.close()
         orphaned = []
         for identity in conn.identities:
             peers = self._by_identity.get(identity)
@@ -790,10 +955,7 @@ class _ServerLoop:
     def _teardown(self) -> None:
         for conn in list(self._conns):
             self._conns.discard(conn)
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
+            conn.close()
         self._by_identity.clear()
         try:
             self._selector.close()

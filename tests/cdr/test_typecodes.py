@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cdr import typecodes
 from repro.cdr.typecodes import (
     ArrayTC,
     BasicTC,
@@ -36,6 +37,13 @@ class TestBasicMetadata:
         assert TC_LONG.dtype == np.int32
         assert TC_DOUBLE.dtype == np.float64
         assert TC_CHAR.dtype is None  # no bulk fast path
+
+    def test_the_dtype_is_built_once(self, monkeypatch):
+        """At construction, like ``_exact``: the marshalling paths read
+        it for every value."""
+        assert TC_DOUBLE.dtype is TC_DOUBLE.dtype
+        monkeypatch.setattr(typecodes.np, "dtype", None)  # any call fails
+        assert TC_DOUBLE.dtype == np.float64 and TC_LONG.dtype == np.int32
 
     def test_fixed_width_predicate(self):
         assert fixed_width(TC_DOUBLE)

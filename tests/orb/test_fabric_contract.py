@@ -15,14 +15,18 @@ a frame buffer of its own, nobody but the receiver can reach.
 """
 
 import contextlib
+import ctypes
+import errno
 import socket
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro import ORB, FaultSchedule, FaultyFabric
+from repro import ORB, FaultSchedule, FaultyFabric, compile_idl
 from repro.orb import socketnet
+from repro.orb.naming import NamingService
 from repro.orb.nameservice import NamingClient
 from repro.orb.request import DataChunk, PHASE_REQUEST, decode_chunk
 from repro.orb.socketnet import SocketFabric
@@ -84,6 +88,8 @@ SERVER = {
     ),
 }
 
+SOCKET_STATS = {"dropped_frames": None, "pulled_frames": None}
+
 
 def shape(value):
     """Keys and nesting only: leaves collapse to ``None``."""
@@ -94,10 +100,19 @@ def shape(value):
 
 #: ``socket-tcp`` is a socket fabric that, like every socket fabric
 #: built while it is open, has no local listener: co-located peers
-#: then talk TCP, as peers on two hosts do.
+#: then talk TCP, as peers on two hosts do.  ``socket-stream`` keeps
+#: the local stream but the kernel refuses every pull, as under Yama
+#: or seccomp: a frame too large for the send buffer is offered,
+#: refused, and streamed after all.
 FABRIC_KINDS = (
-    "inproc", "socket", "socket-tcp", "faulty-inproc", "faulty-socket",
+    "inproc", "socket", "socket-tcp", "socket-stream", "faulty-inproc",
+    "faulty-socket",
 )
+
+
+def refuse_pulls(*_args):
+    ctypes.set_errno(errno.EPERM)
+    return -1
 
 
 @contextlib.contextmanager
@@ -106,6 +121,10 @@ def fabric_of(kind, schedule=None):
         if kind == "socket-tcp":
             stack.enter_context(
                 mock.patch.object(socketnet, "_listen_local", lambda server: [])
+            )
+        if kind == "socket-stream":
+            stack.enter_context(
+                mock.patch.object(socketnet, "_process_vm_readv", refuse_pulls)
             )
         if "socket" in kind:
             fabric = stack.enter_context(SocketFabric(kind))
@@ -146,10 +165,11 @@ class TestDeclaredSurface:
     def test_a_fabric_reports_its_own_stats_section(self):
         assert Fabric("plain").stats() == {}
         with SocketFabric("tcp") as fabric:
-            assert fabric.stats() == {"dropped_frames": 0}
+            assert fabric.stats() == {"dropped_frames": 0, "pulled_frames": 0}
             wrapped = FaultyFabric(fabric, FaultSchedule())
             assert shape(wrapped.stats()) == {
-                "dropped_frames": None, "faults": FAULTS,
+                "dropped_frames": None, "pulled_frames": None,
+                "faults": FAULTS,
             }
 
 
@@ -158,14 +178,11 @@ class TestStatsSchema:
         "kind, fabric_section, has_server",
         [
             ("inproc", {}, False),
-            ("socket", {"dropped_frames": None}, True),
-            ("socket-tcp", {"dropped_frames": None}, True),
+            ("socket", SOCKET_STATS, True),
+            ("socket-tcp", SOCKET_STATS, True),
+            ("socket-stream", SOCKET_STATS, True),
             ("faulty-inproc", {"faults": FAULTS}, False),
-            (
-                "faulty-socket",
-                {"dropped_frames": None, "faults": FAULTS},
-                True,
-            ),
+            ("faulty-socket", {**SOCKET_STATS, "faults": FAULTS}, True),
         ],
     )
     def test_keys_and_nesting(self, kind, fabric_section, has_server):
@@ -271,7 +288,7 @@ class TestDeliveredPayloadOwnership:
 
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize(
-        "kind", ["socket", "socket-tcp", "faulty-socket"]
+        "kind", ["socket", "socket-tcp", "socket-stream", "faulty-socket"]
     )
     def test_writable_iff_it_crossed_a_socket(self, kind, size):
         with fabric_of(kind) as near, SocketFabric("far") as far:
@@ -287,6 +304,13 @@ class TestDeliveredPayloadOwnership:
             sock, _lock = near._links[(far.host, far.tcp_port)]
             assert sock.family == (
                 socket.AF_INET if kind == "socket-tcp" else socket.AF_UNIX
+            )
+            # Pulled where the frame outgrew the local stream's send
+            # buffer and the kernel let the receiver read the sender.
+            sndbuf = sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+            pulls = kind in ("socket", "faulty-socket") and size > sndbuf
+            assert far.stats()["pulled_frames"] == (
+                len(self._forms(size)) if pulls else 0
             )
 
     @pytest.mark.parametrize("kind", ["faulty-inproc", "faulty-socket"])
@@ -339,3 +363,64 @@ class TestDeliveredPayloadOwnership:
             landed[:] = -1.0
         assert bytes(frame) == sent
         np.testing.assert_array_equal(landed, block)
+
+
+class TestOnlyCallersOffer:
+    """A thread that offers a frame for a pull waits for the peer's
+    event loop to answer.  An event loop that offered would wait on
+    another loop, and two loops offering to each other would deadlock:
+    loops send only small frames, and this keeps it so."""
+
+    IDL = """
+    typedef dsequence<double, 2097152> payload;
+    interface offers { payload roundtrip(in payload data); };
+    """
+
+    def test_no_event_loop_thread_makes_an_offer(self, monkeypatch):
+        idl = compile_idl(self.IDL, module_name="only_callers_offer_idl")
+        offers = []
+        pulled = SocketFabric._pulled
+
+        def watched(fabric, sock, buffers):
+            above = fabric._pull_above.get(sock)
+            if above is not None and sum(map(len, buffers)) > above[0]:
+                offers.append(threading.current_thread().name)
+            return pulled(fabric, sock, buffers)
+
+        monkeypatch.setattr(SocketFabric, "_pulled", watched)
+        source = np.arange(1 << 20, dtype=np.float64)
+
+        class Echo(idl.offers_skel):
+            def roundtrip(self, data):
+                return data
+
+        naming = NamingService()
+        with contextlib.ExitStack() as stack:
+            server, client = (
+                stack.enter_context(
+                    ORB(
+                        name, naming=naming, timeout=30.0,
+                        fabric=stack.enter_context(SocketFabric(name)),
+                    )
+                )
+                for name in ("offer-server", "offer-client")
+            )
+            server.serve("echo", lambda ctx: Echo(), nthreads=4)
+
+            def body(ctx):
+                got = []
+                for transfer in ("centralized", "multiport"):
+                    proxy = idl.offers._spmd_bind(
+                        "echo", ctx.runtime, transfer=transfer
+                    )
+                    data = idl.payload.from_global(source, comm=ctx.comm)
+                    got.append(proxy.roundtrip(data).local_data().copy())
+                return got
+
+            results = client.run_spmd_client(2, body)
+        for method in range(2):
+            np.testing.assert_array_equal(
+                np.concatenate([r[method] for r in results]), source
+            )
+        assert offers  # the scenario moves frames worth pulling ...
+        assert not [name for name in offers if name.endswith("-loop")]
