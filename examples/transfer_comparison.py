@@ -50,9 +50,9 @@ class CountingRTS:
     def _count(self, kind, steps):
         self._edges[kind] += sum(s.src_rank != s.dst_rank for s in steps)
 
-    def gather_chunks(self, local, steps, **kw):
+    def gather_views(self, local, steps, **kw):
         self._count("gather", steps)
-        return self._inner.gather_chunks(local, steps, **kw)
+        return self._inner.gather_views(local, steps, **kw)
 
     def scatter_chunks(self, full, steps, **kw):
         self._count("scatter", steps)

@@ -234,15 +234,27 @@ class CdrEncoder:
         engines rely on.  Cross-endian streams byteswap (one copy);
         small runs copy into the tail.
         """
+        if element.dtype is not None:
+            self._write_runs(element, [values], count)
+            return
+        for value in values:
+            self.write(element, value)
+
+    def _write_runs(self, element: TypeCode, runs: list, count: int) -> None:
+        """``count`` numeric elements held by ``runs`` back to back:
+        one alignment, then each run (by reference where
+        :meth:`write_octets_view` allows) — the same octets as the
+        runs' concatenation."""
         dtype = element.dtype
-        if dtype is not None:
-            arr = np.asarray(values, dtype=dtype)
-            if arr.shape != (count,):
-                raise MarshalError(
-                    f"expected {count} elements, got shape {arr.shape}"
-                )
-            if element.kind != "boolean":
-                self.align(element.size)  # type: ignore[attr-defined]
+        arrs = [np.asarray(run, dtype=dtype) for run in runs]
+        if any(a.ndim != 1 for a in arrs) or sum(map(len, arrs)) != count:
+            raise MarshalError(
+                f"expected {count} elements, got shapes "
+                f"{[a.shape for a in arrs]}"
+            )
+        if element.kind != "boolean":
+            self.align(element.size)  # type: ignore[attr-defined]
+        for arr in arrs:
             if not self._native_order():
                 arr = arr.byteswap()
                 copied(arr.nbytes)
@@ -250,9 +262,6 @@ class CdrEncoder:
                 arr = np.ascontiguousarray(arr)
                 copied(arr.nbytes)
             self.write_octets_view(memoryview(arr).cast("B"))
-            return
-        for value in values:
-            self.write(element, value)
 
     def _native_order(self) -> bool:
         return self.little_endian == _NATIVE_LITTLE
@@ -267,25 +276,27 @@ class CdrEncoder:
         """Materialized (centralized-method) form: length + all elements.
 
         ``value`` may be a DistributedSequence whose full content is
-        locally available (gathered), or a plain ndarray.
+        locally available, a plain ndarray, or a list of 1-D pieces
+        in global order (a gather's views), written as their
+        concatenation without making it.
         """
-        if isinstance(value, np.ndarray):
-            data = value
-        else:
+        if not isinstance(value, (list, np.ndarray)):
             typecode.validate(value)
             if value.comm is not None:
                 raise MarshalError(
                     "cannot materialize a group-distributed sequence "
                     "inline; the transfer engine must gather it first"
                 )
-            data = value.local_data()
-        if typecode.bound is not None and len(data) > typecode.bound:
+            value = value.local_data()
+        pieces = value if isinstance(value, list) else [value]
+        length = sum(map(len, pieces))
+        if typecode.bound is not None and length > typecode.bound:
             raise MarshalError(
-                f"dsequence of length {len(data)} exceeds bound "
+                f"dsequence of length {length} exceeds bound "
                 f"{typecode.bound}"
             )
-        self.write_ulong(len(data))
-        self._write_elements(typecode.element, data, len(data))
+        self.write_ulong(length)
+        self._write_runs(typecode.element, pieces, length)
 
     def _write_exception(self, typecode: tc.ExceptionTC, value: Any) -> None:
         self.write_string(typecode.repo_id)

@@ -690,20 +690,23 @@ class _LockstepLoop:
     def service(self, max_requests: int) -> int:
         """``service_pending`` for a collective object: drain
         already-queued requests mid-computation (§2.1), the same ones
-        on every rank."""
+        on every rank.  It always ends at a broadcast of no request: a
+        peer leaves only once rank 0 has sent the last reply, which
+        may read result blocks the peer lent it."""
         ctx = self._ctx
         processed = 0
-        while processed < max_requests:
-            request = self._dequeue(block=False) if ctx.rank == 0 else None
+        while True:
+            request = None
+            if ctx.rank == 0 and processed < max_requests:
+                request = self._dequeue(block=False)
             header = ctx.rts.broadcast(
                 request.without_body() if request is not None else None,
                 root=0,
             )
             if header is None:
-                break
+                return processed
             self._engine.execute(request if ctx.rank == 0 else header)
             processed += 1
-        return processed
 
 
 class _DispatchPool:
@@ -733,8 +736,8 @@ class _DispatchPool:
     governor's backpressure, upstream of it.  Parked workers form a
     stack: new work wakes the *most recently idled* one, and exactly
     one, and a worker that finishes a request takes the next one
-    itself, so a single client's stream stays on one thread (and on
-    that thread's staging buffers) while the others sleep undisturbed.
+    itself, so a single client's stream stays on one thread while the
+    others sleep undisturbed.
 
     Collective groups never use the pool; their engine runs
     collectives that need every rank in lockstep

@@ -59,12 +59,10 @@ from repro.orb.transfer import (
     decode_full_body,
     decode_plain_body,
     detach_plain_values,
-    drop_staging,
     full_body_encoder,
     plain_body_encoder,
     send_chunks,
     server_layout,
-    staging_array,
 )
 from repro.rts.interface import adoptable
 
@@ -117,26 +115,16 @@ def _adoptable(block: np.ndarray, dtype: np.dtype) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _gather(
-    rts: Any,
-    rank: int,
-    seq: DistributedSequence,
-    staging: str,
-) -> np.ndarray | None:
-    """Assemble ``seq`` on the communicating thread (``None`` on the
-    others), landing in the reusable ``staging`` buffer.  The peers
-    write into that buffer themselves, so a root that leaves by an
-    exception drops it from the pool: a slow peer may still write."""
+def _gather(rts: Any, seq: DistributedSequence) -> Any:
+    """``seq`` on the communicating thread as views of every rank's
+    pieces (``None`` on the others): what the body encoder writes as
+    one dsequence, each byte copied once, by the send.  Each rank's
+    block stays lent until its next collective with rank 0, which rank
+    0 enters only once the frame is sent (pulled or written)."""
     if rts is None:
         return seq.local_data()
     steps = transfer_schedule(seq.layout, Layout(((0, seq.length()),)))
-    out = staging_array(staging, seq.length(), seq.dtype) if rank == 0 else None
-    try:
-        return rts.gather_chunks(seq.local_data(), steps, root=0, out=out)
-    except BaseException:
-        if rank == 0:
-            drop_staging(staging)
-        raise
+    return rts.gather_views(seq.local_data(), steps, root=0)
 
 
 def _scatter(
@@ -317,9 +305,7 @@ class ThroughRootPath(DataPath):
         values = dict(inv.args)
         for slot in inv.slots:
             if slot.distributed:
-                values[slot.name] = _gather(
-                    rt.rts, rt.rank, inv.args[slot.name], slot.name,
-                )
+                values[slot.name] = _gather(rt.rts, inv.args[slot.name])
         return values, {}
 
     def receive_arguments(self, ctx, request, spec, slots, decoded):
@@ -338,9 +324,7 @@ class ThroughRootPath(DataPath):
         values = dict(results)
         for slot in spec.reply_slots:
             if slot.distributed:
-                values[slot.name] = _gather(
-                    ctx.rts, ctx.rank, results[slot.name], slot.name,
-                )
+                values[slot.name] = _gather(ctx.rts, results[slot.name])
         return values, ()
 
     def receive_results(self, inv, reply, header):

@@ -91,8 +91,8 @@ _MAX_FRAME = 256 * 1024 * 1024
 #: count, then the frame's segments as an ``iovec`` array
 #: (docs/protocol.md, "Pull offers").
 _PULL_FLAG = 1 << 31
-#: At most this many segments per offer: ``IOV_MAX``, the most one
-#: ``process_vm_readv`` takes.
+#: At most this many segments per offer or per ``sendmsg``:
+#: ``IOV_MAX``, the most one ``process_vm_readv`` or ``sendmsg`` takes.
 _MAX_SEGMENTS = 1024
 #: What the kernel answers when it will not let us read a peer's
 #: memory (Yama ``ptrace_scope``, seccomp): the offer is refused and
@@ -194,7 +194,8 @@ def _connect(endpoint: tuple[str, int]) -> socket.socket:
 
 def _write_frame(sock: socket.socket, *buffers: Any) -> None:
     """Vectored frame write: length prefix + buffers via ``sendmsg``,
-    never joined into one allocation."""
+    at most :data:`_MAX_SEGMENTS` a call, never joined into one
+    allocation."""
     total = sum(len(b) for b in buffers)
     views = [memoryview(_LENGTH.pack(total))]
     for buf in buffers:
@@ -203,7 +204,7 @@ def _write_frame(sock: socket.socket, *buffers: Any) -> None:
         view = memoryview(buf)
         views.append(view.cast("B") if view.format != "B" else view)
     while views:
-        sent = sock.sendmsg(views)
+        sent = sock.sendmsg(views[:_MAX_SEGMENTS])
         if sent <= 0:
             raise ConnectionError("peer stopped accepting data")
         while sent:

@@ -15,8 +15,8 @@ gathered to rank 0, one network message, scattered) or **multi-port**
 (§3.3, Figure 3: chunks straight between the owning threads' ports).
 
 This module also holds what both paths build on: value slots and the
-body codecs, the :class:`Inbox` that files replies and chunks, gather
-staging, and the per-invocation fault-tolerance control.
+body codecs, the :class:`Inbox` that files replies and chunks, and
+the per-invocation fault-tolerance control.
 
 Servant/result convention shared by both methods
 ------------------------------------------------
@@ -443,41 +443,28 @@ def send_chunks(
 def plain_body_encoder(
     slots: Sequence[Slot], values: dict[str, Any]
 ) -> CdrEncoder:
-    """Marshal the non-distributed slots of a message body.
-
-    Returns the encoder itself so a message can append its segments by
-    reference (zero-copy send path)."""
-    enc = CdrEncoder()
-    for slot in slots:
-        if slot.distributed:
-            continue
-        enc.write(slot.typecode, values[slot.name])
-    return enc
+    """Marshal the non-distributed slots of a message body: the full
+    body of those slots alone."""
+    return full_body_encoder([s for s in slots if not s.distributed], values)
 
 
 def decode_plain_body(slots: Sequence[Slot], body: Any) -> dict[str, Any]:
     """Inverse of :func:`plain_body_encoder`."""
-    dec = CdrDecoder(body, owned=True)
-    values: dict[str, Any] = {}
-    for slot in slots:
-        if slot.distributed:
-            continue
-        values[slot.name] = dec.read(slot.typecode)
-    return values
+    return decode_full_body([s for s in slots if not s.distributed], body)
 
 
 def full_body_encoder(
     slots: Sequence[Slot], values: dict[str, Any]
 ) -> CdrEncoder:
     """Centralized method: everything inline, distributed sequences as
-    materialized arrays (appended by reference — the encoder borrows
-    them until the message is sent)."""
+    materialized arrays or a gather's pieces (appended by reference —
+    the encoder borrows them until the message is sent).
+
+    Returns the encoder itself so a message can append its segments by
+    reference (zero-copy send path)."""
     enc = CdrEncoder()
     for slot in slots:
-        if slot.distributed:
-            enc.write(slot.typecode, np.asarray(values[slot.name]))
-        else:
-            enc.write(slot.typecode, values[slot.name])
+        enc.write(slot.typecode, values[slot.name])
     return enc
 
 
@@ -555,46 +542,6 @@ def decode_system_exception(body: bytes) -> RemoteError:
     category = dec.read_string()
     message = dec.read_string()
     return RemoteError(message, category=category)
-
-
-# ---------------------------------------------------------------------------
-# Gather staging (centralized method)
-# ---------------------------------------------------------------------------
-
-class _StagingPool(threading.local):
-    """One thread's staging buffers, by parameter name."""
-
-    def __init__(self) -> None:
-        self.buffers: dict[str, np.ndarray] = {}
-
-
-_staging_pool = _StagingPool()
-
-
-def staging_array(name: str, length: int, dtype: np.dtype) -> np.ndarray:
-    """A reusable per-thread landing buffer for the centralized gather.
-
-    The communicating thread gathers every distributed parameter into
-    a full-length staging array before marshaling; one grow-only
-    buffer per parameter name, reused across requests, replaces a
-    fresh full-sequence allocation per invocation.  Safe because the
-    send path finishes with the buffer (vectored write, or the
-    in-process flatten) before ``invoke`` returns to this thread, and
-    a gather that fails drops it (:func:`drop_staging`).
-    """
-    buffers = _staging_pool.buffers
-    nbytes = max(length * dtype.itemsize, 1)
-    buf = buffers.get(name)
-    if buf is None or buf.nbytes < nbytes:
-        buf = buffers[name] = np.empty(nbytes, dtype=np.uint8)
-    return buf[: length * dtype.itemsize].view(dtype)
-
-
-def drop_staging(name: str) -> None:
-    """Forget this thread's ``name`` staging buffer instead of reusing
-    it: the gather that exposed it failed, and a peer may still be
-    writing into it."""
-    _staging_pool.buffers.pop(name, None)
 
 
 # ---------------------------------------------------------------------------

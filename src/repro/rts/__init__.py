@@ -19,12 +19,14 @@ This subpackage provides:
   non-blocking stub methods.
 - :mod:`repro.rts.interface` — the RTS interface the ORB and generated
   stubs program against, written once over either kernel: the root
-  exposes a buffer and every rank copies its own pieces.
+  exposes a buffer and every rank copies its own pieces, or every
+  rank lends the root its pieces in place.
 - :mod:`repro.rts.backends` — backend selection (``PARDIS_RTS``) and
   per-rank execution-context tracking.
 - :mod:`repro.rts.procs` — the true-parallel backend: the process
   kernel (ranks as forked processes over a pipe mesh), large payloads
-  and exposed RTS buffers through pooled shared-memory segments.
+  and exposed or lent RTS buffers through pooled shared-memory
+  segments.
 - :mod:`repro.rts.shm` — the pooled, refcounted shared-memory
   segments underneath the process backend's data plane.
 """
@@ -67,9 +69,10 @@ MessagePassingRTS = RuntimeSystem
 def rts_for(comm) -> RuntimeSystem:
     """The :class:`RuntimeSystem` over ``comm``, on thread or process
     ranks alike: its data plane goes through the kernel's ``expose``
-    (the root's array itself between threads, a pooled shared-memory
-    segment between processes).  ``ctx.rts`` and ``runtime.rts`` are
-    plain attributes the ORB fills with it, so a caller may wrap it.
+    and ``lend`` (the arrays themselves between threads, pooled
+    shared-memory segments between processes).  ``ctx.rts`` and
+    ``runtime.rts`` are plain attributes the ORB fills with it, so a
+    caller may wrap it.
     """
     return RuntimeSystem(comm)
 

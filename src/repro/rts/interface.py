@@ -10,13 +10,15 @@ be used by the compiler-generated stubs."
 the ORB and generated stubs need from whatever parallel package the
 application is built on.  It is written once, over the communicator
 and its kernel.  The control plane — identity, barrier, broadcast,
-allgather — is the communicator's; the data plane, ``gather_chunks``
-and ``scatter_chunks``, has one shape on both kernels: the root
-exposes a buffer (the kernel's ``expose``) and every rank copies its
-own pieces.  Thread ranks are handed the root's array itself (the
-paper's interface was "tested using applications based on MPI and the
-Tulip run-time system"; ranks that share a heap need no messages to
-move a chunk); process ranks map a pooled shared-memory segment
+allgather — is the communicator's; the data plane rests on two kernel
+verbs.  ``expose`` serves ``scatter_chunks`` and ``gather_chunks``:
+the root exposes a buffer and every rank copies its own pieces.
+``lend``, its dual, serves ``gather_views``, the ORB's gather: every
+rank lends its pieces to the root, which reads them where they lie.
+Thread ranks hand over the arrays themselves (the paper's interface
+was "tested using applications based on MPI and the Tulip run-time
+system"; ranks that share a heap need no messages to move a chunk);
+process ranks go through a pooled shared-memory segment
 (:mod:`repro.rts.procs`).
 """
 
@@ -46,6 +48,11 @@ class RuntimeSystem:
     then a view of ``full``, disjoint from every other rank's.  That is
     the case on every thread rank and on a process root; a process
     peer's view of the root's segment is read-only, so it copies.
+
+    :meth:`gather_views` assembles nothing: the root gets every rank's
+    pieces in place (the kernel's ``lend``), for a sender that reads
+    them once.  Thread ranks copy nothing; a process peer copies its
+    pieces once, into a segment of its own.
     """
 
     def __init__(self, comm: Intracomm) -> None:
@@ -118,6 +125,26 @@ class RuntimeSystem:
         out[:total] = target[:total]
         copied(total * out.itemsize)
         return out
+
+    def gather_views(
+        self, local: np.ndarray, steps: list[TransferStep], root: int
+    ) -> list[np.ndarray] | None:
+        """The gathered value on ``root`` as views of every rank's
+        pieces, in global order; ``None`` on the other ranks.
+
+        ``steps`` is a gather schedule in global order, as
+        :func:`~repro.dist.transfer_schedule` gives one.  Nothing is
+        assembled: the root reads the pieces where the kernel's
+        ``lend`` leaves them — in each rank's ``local`` itself between
+        threads.  So a rank's ``local`` is lent, and may not change,
+        until the rank's next collective with ``root``; the root must
+        be done reading before it enters one."""
+        mine = [local[s.src_slice] for s in steps if s.src_rank == self.rank]
+        lent = self._kernel.lend(f"rts-gather@{root}", mine, root)
+        if lent is None:
+            return None
+        pieces = [iter(p) for p in lent]
+        return [next(pieces[s.src_rank]) for s in steps]
 
     def scatter_chunks(
         self,

@@ -18,7 +18,9 @@ payloads fail loudly exactly as they would under mpi4py.  The RTS data
 plane above the communicator is the exception: its gathers and
 scatters go through a buffer the root exposes (the kernel's
 ``expose``; here :meth:`_ThreadKernel.share`, the root's array itself)
-and copy each byte once (:class:`repro.rts.interface.RuntimeSystem`).
+and copy each byte once, and the ORB's gather reads every rank's
+pieces where they lie (the kernel's ``lend``; here the arrays
+themselves) (:class:`repro.rts.interface.RuntimeSystem`).
 
 Following the mpi4py convention from the guides, lowercase methods
 (``send``/``recv``/``bcast``/…) accept arbitrary Python objects, while
@@ -210,11 +212,12 @@ class _ThreadKernel:
 
     A kernel supplies a mailbox (:meth:`post`, :meth:`take`,
     :meth:`peek`), a :meth:`rendezvous`, :meth:`fork_context`,
-    :meth:`expose` and the ``abort``/``check_alive`` pair, and owns
-    payload isolation: what a rank posts or contributes is copied on
-    deposit, and what it reads off the shared board is copied again, so
-    no two ranks ever hold the same mutable object.  :meth:`share` is
-    the one deliberate exception, and the RTS data plane's way in.
+    :meth:`expose`, :meth:`lend` and the ``abort``/``check_alive``
+    pair, and owns payload isolation: what a rank posts or contributes
+    is copied on deposit, and what it reads off the shared board is
+    copied again, so no two ranks ever hold the same mutable object.
+    :meth:`share` and :meth:`lend` are the deliberate exceptions, and
+    the RTS data plane's way in.
     """
 
     backend = "thread"
@@ -326,6 +329,13 @@ class _ThreadKernel:
         ranks that share a heap read or write ``root``'s ``array``
         itself (:meth:`share`), whichever way it is ``writable``."""
         return self.share(opname, array, root)
+
+    def lend(self, opname: str, pieces: list, root: int) -> Any:
+        """Collective.  Every rank's ``pieces`` on ``root``, by rank
+        (``None`` elsewhere): ranks that share a heap lend the arrays
+        themselves, in one rendezvous, and nothing is copied."""
+        board = self._exchange(opname, pieces)
+        return [board[r] for r in range(self.size)] if self.rank == root else None
 
     def _exchange(self, opname: str, contribute: Any) -> dict[int, Any]:
         """The phased rendezvous.

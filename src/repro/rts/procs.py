@@ -20,7 +20,8 @@ Three planes:
   further: the RTS data plane has every rank write its gather chunks
   *directly* into (or read its scatter block out of) one pooled
   segment, in parallel, with the gather root handing out a zero-copy
-  leased view.
+  leased view.  Its ``lend`` is the dual: each peer copies its pieces
+  into a segment of its own, which the root maps read-only.
 - **Supervision** — the parent keeps a registry of every segment name
   any rank announces, and sweeps (unlinks) whatever is still
   registered when the group ends, so even a SIGKILLed rank leaks
@@ -101,7 +102,7 @@ class _RankState:
 
     It supplies the same contract as the thread kernel (``post``,
     ``take``, ``peek``, ``rendezvous``, ``fork_context``, ``expose``,
-    ``abort``, ``check_alive``).  Isolation is the pipe's doing:
+    ``lend``, ``abort``, ``check_alive``).  Isolation is the pipe's doing:
     whatever crosses one arrives as a private copy, so only a rank's
     deposits to itself are copied by hand.  A duplicated communicator
     is a shallow copy of this state under a fresh context id ``ctx``,
@@ -139,8 +140,9 @@ class _RankState:
             on_unregister=lambda n: self._up_send(("unreg", n)),
         )
         self.attach_cache: dict[str, Any] = {}
-        #: Segments this rank exposed read-only, by context id, back to
-        #: the pool at its next collective there (see :meth:`expose`).
+        #: Segments this rank exposed read-only or lent, by context id,
+        #: back to the pool at its next collective there (see
+        #: :meth:`expose`, :meth:`lend`).
         self.exposed: dict[int, list[Any]] = {}
         self._closed = False
 
@@ -414,6 +416,39 @@ class _RankState:
             return shm.leased_view(view, self.pool.lease(seg))
         self.exposed.setdefault(self.ctx, []).append(seg)
         return array
+
+    def lend(self, opname: str, pieces: list, root: int) -> Any:
+        """Collective.  Every rank's ``pieces`` on ``root``, by rank
+        (``None`` elsewhere).  A peer copies its pieces into a pooled
+        segment and ships the descriptor, and the root maps it
+        read-only; the segment goes back to the peer's pool at the
+        peer's next collective, as a read-only :meth:`expose`'s does.
+        The root's own pieces stay where they are."""
+        seg = desc = None
+        if self.rank != root and pieces:
+            seg = self.pool.acquire(sum(p.nbytes for p in pieces))
+            ends = np.cumsum([len(p) for p in pieces])
+            flat = np.ndarray(ends[-1], pieces[0].dtype, buffer=seg.buf)
+            np.concatenate(pieces, out=flat)
+            copied(flat.nbytes)
+            desc = (seg.name, flat.dtype, ends)
+        board = self.rendezvous(
+            opname, desc, lambda dst, board: board if dst == root else None
+        )
+        if seg is not None:
+            self.exposed.setdefault(self.ctx, []).append(seg)
+        if board is None:
+            return None
+        lent = []
+        for rank, entry in sorted(board.items()):
+            if entry is None:  # the root's, or a peer's with no pieces
+                lent.append(pieces if rank == root else [])
+                continue
+            name, dtype, ends = entry
+            flat = np.ndarray(ends[-1], dtype, buffer=self.attach_cached(name).buf)
+            flat.flags.writeable = False
+            lent.append(np.split(flat, ends[:-1]))
+        return lent
 
     # -- lifecycle ---------------------------------------------------------
 

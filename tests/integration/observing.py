@@ -15,7 +15,7 @@ pattern.
 import threading
 
 RECORDED = (
-    "synchronize", "gather_chunks", "scatter_chunks", "broadcast",
+    "synchronize", "gather_views", "scatter_chunks", "broadcast",
     "allgather",
 )
 
@@ -39,7 +39,7 @@ class FrameMeter:
 class Recording:
     """Delegates to an RTS or communicator, logging ``(name, steps)``
     for the collectives named in :data:`RECORDED` — ``steps`` is the
-    schedule handed to ``gather_chunks``/``scatter_chunks``, ``None``
+    schedule handed to ``gather_views``/``scatter_chunks``, ``None``
     otherwise (calls the wrapped object makes on itself are not seen:
     one engine call, one entry).  With a ``callers`` set, *every*
     method call through the delegate — point-to-point ones too — adds
@@ -61,7 +61,7 @@ class Recording:
             if self._callers is not None:
                 self._callers.add((threading.current_thread().name, name))
             if name in RECORDED:
-                steps = args[1] if name.endswith("_chunks") else None
+                steps = args[1] if name.startswith(("gather", "scatter")) else None
                 self._log.append((name, steps))
             return attr(*args, **kw)
 
@@ -75,7 +75,7 @@ def names(log):
 
 def moves(log, name):
     """``(src_rank, dst_rank, nelems)`` of every block a logged
-    ``gather_chunks``/``scatter_chunks`` moved between two ranks."""
+    ``gather_views``/``scatter_chunks`` moved between two ranks."""
     return [
         (step.src_rank, step.dst_rank, step.nelems)
         for entry, steps in log

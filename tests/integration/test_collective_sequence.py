@@ -41,7 +41,7 @@ from tests.orb.test_server_fanin import _wait_for
 #: delivery, [servant], vote on the outcome, synchronize.
 EXPECTED = {
     ("client", "centralized"): [
-        "synchronize", "gather_chunks", "allgather", "broadcast",
+        "synchronize", "gather_views", "allgather", "broadcast",
         "scatter_chunks", "broadcast", "synchronize",
     ],
     ("client", "multiport"): [
@@ -49,7 +49,7 @@ EXPECTED = {
     ],
     ("server", "centralized"): [
         "broadcast", "broadcast", "scatter_chunks", "allgather",
-        "synchronize", "gather_chunks",
+        "synchronize", "gather_views",
     ],
     ("server", "multiport"): [
         "broadcast", "allgather", "allgather", "synchronize",

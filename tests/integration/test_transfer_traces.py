@@ -133,7 +133,7 @@ class TestFigure2Centralized:
         # Client-side gather: every non-communicating client thread
         # contributes its block to thread 0 (the dotted lines of
         # Figure 2, left).
-        client_gathers = moves(client_logs[0], "gather_chunks")
+        client_gathers = moves(client_logs[0], "gather_views")
         assert {src for src, _dst, _n in client_gathers} == set(
             range(1, self.NCLIENT)
         )
@@ -151,7 +151,7 @@ class TestFigure2Centralized:
         assert {dst for _src, dst, _n in server_scatters} == set(
             range(1, self.NSERVER)
         )
-        server_gathers = moves(server_logs[0], "gather_chunks")
+        server_gathers = moves(server_logs[0], "gather_views")
         assert {src for src, _dst, _n in server_gathers} == set(
             range(1, self.NSERVER)
         )
@@ -163,7 +163,7 @@ class TestFigure2Centralized:
         # Every rank was handed the same schedule as rank 0.
         for logs in (client_logs, server_logs):
             for log in logs.values():
-                for op in ("gather_chunks", "scatter_chunks"):
+                for op in ("gather_views", "scatter_chunks"):
                     assert moves(log, op) == moves(logs[0], op)
 
 
@@ -193,7 +193,7 @@ class TestFigure3MultiPort:
         # No run-time-system gather/scatter of argument data at all:
         # "communication is direct, no need for gather and scatter".
         for log in [*client_logs.values(), *server_logs.values()]:
-            assert moves(log, "gather_chunks") == []
+            assert moves(log, "gather_views") == []
             assert moves(log, "scatter_chunks") == []
 
     def test_chunk_volume_matches_argument(self, metered, idl):

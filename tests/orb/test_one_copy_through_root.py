@@ -1,12 +1,12 @@
-"""The centralized method's RTS legs on thread ranks: the root exposes
-its buffer and every rank copies its own pieces — a gather writes
-straight into the communicating thread's staging buffer, a scatter of
-a received frame hands each servant rank a view of it.
+"""The centralized method's RTS legs on thread ranks: a gather lends
+the communicating thread every rank's pieces in place, and the send
+writes them into the frame; a scatter of a received frame hands each
+servant rank a view of it.
 
 Pinned here end to end over sockets (element-exact results, one write
-per received byte plus the gather's), and the one hazard the design
-brings: a peer that writes late into a staging buffer the root has
-already given up on.
+per received byte and none besides), and a gather that fails on the
+root while a slow peer is still lending: the next gather on that
+thread is untouched by it.
 """
 
 import contextlib
@@ -81,7 +81,7 @@ def test_two_to_four_centralized_over_sockets(idl):
                 "root", ctx.runtime, transfer="centralized"
             )
             data = idl.payload.from_global(source, comm=ctx.comm)
-            proxy.ingest(data)  # connections and staging warm
+            proxy.ingest(data)  # connections warm
             with copy_audit() as account:
                 total = proxy.ingest(data)
             ctx.comm.barrier()
@@ -103,17 +103,17 @@ def test_two_to_four_centralized_over_sockets(idl):
         for b in blocks[i + 1 :]:
             assert not np.shares_memory(a, b)
     assert {r[0] for r in results} == {float(seen[0].sum())}
-    # The socket read and the client gather; the scatter adopts.  Both
+    # The socket read alone: the gather lends, the scatter adopts.  Both
     # client ranks see the one process-wide account.
-    assert results[0][1] / source.nbytes == pytest.approx(2.0, abs=0.01)
+    assert results[0][1] / source.nbytes == pytest.approx(1.0, abs=0.01)
     echoed = np.concatenate([r[2] for r in results])
     np.testing.assert_array_equal(echoed, source)
     assert not np.shares_memory(results[0][2], results[1][2])
 
 
 class _Stalls(np.ndarray):
-    """A block whose pieces are read only once ``gate`` opens; reading
-    sets ``entered`` — the rank is past the exposure."""
+    """A block whose pieces are taken only once ``gate`` opens; taking
+    one sets ``entered`` — the rank is inside the gather."""
 
     entered = threading.Event()
     gate = threading.Event()
@@ -133,10 +133,11 @@ def _seq(layout, local):
     )
 
 
-def test_a_failed_gather_never_lends_its_staging_buffer_again():
+def test_a_failed_gather_leaves_nothing_for_the_next_one():
     """A gather root that leaves by ``GroupAbortedError`` while a slow
-    peer has yet to write: the peer's late write must not land in the
-    staging buffer of the next invocation on the root's thread."""
+    peer has yet to lend: the peer's late lend must not reach the next
+    invocation on the root's thread, which gathers exactly its own
+    group's data."""
     n = 4096
     layout = BlockTemplate(2).layout(n)
     expected = np.arange(n, dtype=np.float64)
@@ -147,7 +148,7 @@ def test_a_failed_gather_never_lends_its_staging_buffer_again():
 
     def late_peer():
         try:
-            _gather(RuntimeSystem(first[1]), 1, _seq(layout, late), "data")
+            _gather(RuntimeSystem(first[1]), _seq(layout, late))
         except GroupAbortedError:
             outcome.append("aborted")
 
@@ -159,28 +160,21 @@ def test_a_failed_gather_never_lends_its_staging_buffer_again():
     for t in threads:
         t.start()
     with pytest.raises(GroupAbortedError):
-        _gather(
-            RuntimeSystem(first[0]), 0,
-            _seq(layout, expected[:half].copy()), "data",
-        )
+        _gather(RuntimeSystem(first[0]), _seq(layout, expected[:half].copy()))
 
     # The next invocation on this thread, over a healthy group.
     second = create_group(2, "second")
     helper = threading.Thread(
         target=_gather,
-        args=(
-            RuntimeSystem(second[1]), 1,
-            _seq(layout, expected[half:].copy()), "data",
-        ),
+        args=(RuntimeSystem(second[1]), _seq(layout, expected[half:].copy())),
     )
     helper.start()
     result = _gather(
-        RuntimeSystem(second[0]), 0,
-        _seq(layout, expected[:half].copy()), "data",
+        RuntimeSystem(second[0]), _seq(layout, expected[:half].copy())
     )
     helper.join(10)
-    _Stalls.gate.set()  # the slow peer of the failed gather writes now
+    _Stalls.gate.set()  # the slow peer of the failed gather lends now
     for t in threads:
         t.join(10)
     assert outcome == ["aborted"]
-    np.testing.assert_array_equal(result, expected)
+    np.testing.assert_array_equal(np.concatenate(result), expected)

@@ -22,8 +22,10 @@ from repro.orb.naming import NamingService
 from repro.orb.socketnet import (
     DROP_ADDRESS,
     _MAX_FRAME,
+    _MAX_SEGMENTS,
     SocketFabric,
     SocketPortAddress,
+    _write_frame,
 )
 from repro.orb.transport import KIND_DATA
 
@@ -237,6 +239,26 @@ class TestVectoredSend:
                 receiver.address, [b"", b"payload", b""], KIND_DATA
             )
             assert bytes(receiver.recv(timeout=5)[2]) == b"payload"
+
+    def test_a_frame_of_more_segments_than_one_sendmsg_takes(self):
+        """Linux refuses a ``sendmsg`` of more than ``IOV_MAX`` buffers
+        (``EMSGSIZE``): a longer frame goes out in several calls."""
+        buffers = [bytes([i % 251]) * (1 + i % 7) for i in range(1500)]
+        assert len(buffers) > _MAX_SEGMENTS
+        flat = b"".join(buffers)
+        a, b = socket.socketpair()
+        received = bytearray()
+
+        def drain():
+            while len(received) < _LENGTH.size + len(flat):
+                received.extend(b.recv(1 << 16))
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        with a, b:
+            _write_frame(a, *buffers)
+            reader.join(10)
+        assert bytes(received) == _LENGTH.pack(len(flat)) + flat
 
 
 class TestConcurrentConnect:

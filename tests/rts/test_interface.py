@@ -391,6 +391,127 @@ class TestCopyCount:
         assert copied_bytes(rts_backend, 2, body) == self.N * 8
 
 
+class TestGatherViews:
+    """``gather_views``, the ORB's gather: the root gets every rank's
+    pieces in place, through the kernel's ``lend`` — the peers' arrays
+    themselves between threads, a segment of each peer's between
+    processes."""
+
+    N = 1 << 16
+
+    @pytest.mark.parametrize(
+        "nranks, template, length",
+        [
+            (3, BlockTemplate(3), 10),
+            (4, Proportions(5, 0, 1, 3), 1001),  # an empty block
+            (3, Proportions(0, 2, 1), 7),  # the root's block is empty
+            (2, Proportions(1, 7), 0),  # nothing at all
+            (4, Proportions(1, 1, 1, 1), 3),  # more ranks than elements
+        ],
+    )
+    def test_the_views_tile_the_value_in_global_order(
+        self, rts_backend, nranks, template, length
+    ):
+        layout = template.layout(length)
+        data = np.arange(length, dtype=np.float64) * 1.5
+        steps = transfer_schedule(layout, Layout(((0, length),)))
+
+        def body(ctx):
+            lo, hi = layout.local_range(ctx.rank)
+            views = rts_for(ctx.comm).gather_views(
+                data[lo:hi].copy(), steps, 0
+            )
+            if views is None:
+                return None
+            assert all(v.ndim == 1 for v in views)
+            return len(views), np.concatenate([data[:0], *views])
+
+        results = spmd_run(nranks, body)
+        assert results[1:] == [None] * (nranks - 1)
+        count, gathered = results[0]
+        assert count == len(steps)
+        np.testing.assert_array_equal(gathered, data)
+
+    def test_a_gather_to_another_root(self, rts_backend):
+        layout = Proportions(1, 2, 1).layout(40)
+        data = np.arange(40, dtype=np.int32)
+        steps = transfer_schedule(layout, Layout(((0, 40),)))
+
+        def body(ctx):
+            lo, hi = layout.local_range(ctx.rank)
+            views = rts_for(ctx.comm).gather_views(data[lo:hi].copy(), steps, 2)
+            return None if views is None else np.concatenate(views)
+
+        results = spmd_run(3, body)
+        assert results[0] is None and results[1] is None
+        np.testing.assert_array_equal(results[2], data)
+
+    def test_thread_ranks_lend_the_arrays_themselves(self, rts_backend):
+        thread_ranks_only(rts_backend)
+        layout = BlockTemplate(4).layout(self.N)
+        steps = transfer_schedule(layout, Layout(((0, self.N),)))
+        blocks = {}
+
+        def body(ctx):
+            lo, hi = layout.local_range(ctx.rank)
+            blocks[ctx.rank] = np.arange(lo, hi, dtype=np.float64)
+            views = rts_for(ctx.comm).gather_views(blocks[ctx.rank], steps, 0)
+            ctx.comm.barrier()  # the root reads before any rank leaves
+            if views is not None:
+                return [
+                    np.shares_memory(v, blocks[r]) for r, v in enumerate(views)
+                ]
+
+        with copy_audit() as account:
+            results = spmd_run(4, body)
+        assert results[0] == [True] * 4
+        assert account.snapshot() == (0, 0)
+
+    def test_each_peer_byte_is_copied_once_on_process_ranks(self, rts_backend):
+        """A process peer copies its pieces into a segment of its own;
+        the root copies nothing, and a thread rank nothing at all."""
+        layout = BlockTemplate(4).layout(self.N)
+        steps = transfer_schedule(layout, Layout(((0, self.N),)))
+
+        def body(ctx):
+            lo, hi = layout.local_range(ctx.rank)
+            local = np.arange(lo, hi, dtype=np.float64)
+            rts_for(ctx.comm).gather_views(local, steps, 0)
+            ctx.comm.barrier()
+
+        peers = self.N * 8 * 3 // 4
+        counted = copied_bytes(rts_backend, 4, body)
+        assert counted == (peers if rts_backend == "process" else 0)
+
+    def test_a_peer_may_write_its_block_after_its_next_collective(
+        self, rts_backend
+    ):
+        """The lend lasts until the peer's next collective with the
+        root: the root reads its views before that collective, so a
+        block rewritten after it never shows in an earlier gather,
+        and on process ranks each recycled segment carries its own
+        gather's data."""
+        layout = BlockTemplate(3).layout(3 * 4096)
+        steps = transfer_schedule(layout, Layout(((0, layout.length),)))
+
+        def body(ctx):
+            rts = rts_for(ctx.comm)
+            lo, hi = layout.local_range(ctx.rank)
+            local = np.zeros(hi - lo)
+            sums = []
+            for k in range(4):
+                local[:] = k
+                views = rts.gather_views(local, steps, 0)
+                if views is not None:
+                    sums.append(float(sum(v.sum() for v in views)))
+                rts.synchronize()
+            return sums
+
+        assert spmd_run(3, body)[0] == [
+            float(k * layout.length) for k in range(4)
+        ]
+
+
 class _FailsWhenRead(np.ndarray):
     """A block whose pieces cannot be read: the rank holding it raises
     after the root has exposed its buffer, before the closing

@@ -48,6 +48,17 @@ def _gather_body(ctx):
     return True
 
 
+def _lend_body(ctx):
+    layout = BlockTemplate(ctx.size).layout(1 << 16)
+    steps = transfer_schedule(layout, Layout(((0, layout.length),)))
+    rts = rts_for(ctx.comm)
+    local = np.full(layout.local_length(ctx.rank), float(ctx.rank))
+    for _ in range(3):
+        rts.gather_views(local, steps, root=0)
+        rts.synchronize()
+    return True
+
+
 class TestHygiene:
     def test_clean_run_leaves_no_segments(self):
         handle = spawn_spmd(_gather_body, 3, backend="process")
@@ -85,6 +96,37 @@ class TestHygiene:
                     # Die without any cleanup, segments still live.
                     os.kill(os.getpid(), signal.SIGKILL)
                 rts.gather_chunks(local, steps, root=0, out=None)
+            return True
+
+        handle = spawn_spmd(body, 3, backend="process")
+        with pytest.raises(SpmdError) as excinfo:
+            handle.join(90)
+        assert isinstance(excinfo.value.failures[1], RankDiedError)
+        assert _pardis_segments() == []
+
+    def test_lent_segments_leave_with_the_group(self):
+        handle = spawn_spmd(_lend_body, 3, backend="process")
+        assert all(handle.join(60))
+        assert _pardis_segments() == []
+
+    def test_peer_killed_mid_lend_swept_by_parent(self):
+        # A peer's lent segment stays checked out until its next
+        # collective: a seeded kill between lends leaves one lent and
+        # one back in the pool, both for the parent to sweep.
+        def body(ctx):
+            faults = FaultSchedule(
+                seed=2468, drop=0.4, kinds=("request",), start_after=2
+            )
+            layout = BlockTemplate(ctx.size).layout(1 << 16)
+            steps = transfer_schedule(
+                layout, Layout(((0, layout.length),))
+            )
+            rts = rts_for(ctx.comm)
+            local = np.zeros(layout.local_length(ctx.rank))
+            for _ in range(16):
+                if ctx.rank == 1 and "drop" in faults.decide("request"):
+                    os.kill(os.getpid(), signal.SIGKILL)
+                rts.gather_views(local, steps, root=0)
             return True
 
         handle = spawn_spmd(body, 3, backend="process")

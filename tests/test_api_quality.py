@@ -95,7 +95,7 @@ COMMUNICATOR_METHODS = {
     "reduce", "allreduce", "dup", "_fold", "_check_root",
 }
 #: The RTS data plane and broadcast, written once anywhere in ``repro``.
-RTS_DATA_PLANE = {"gather_chunks", "scatter_chunks", "broadcast"}
+RTS_DATA_PLANE = {"gather_chunks", "gather_views", "scatter_chunks", "broadcast"}
 
 
 def _classes_under(root):
@@ -283,7 +283,9 @@ OPTION_BUDGET = {
 #: ``Inbox`` upcall replaced, and three helpers nothing called.  Then
 #: the socket fabric's receive pool and its guard, and last the
 #: non-blocking pull and collective verb nothing called, and the lock
-#: table the socket fabric's one link table replaced.
+#: table the socket fabric's one link table replaced.  Then the
+#: thread-local gather staging pool, which a gather that lends every
+#: rank's pieces in place replaced.
 RETIRED_IDENTIFIERS = {
     "trac" "er",
     "ft_" "stats",
@@ -358,6 +360,9 @@ RETIRED_IDENTIFIERS = {
     "try_" "recv",
     "invoke_all_" "nb",
     "_conn_" "locks",
+    "_Staging" "Pool",
+    "staging_" "array",
+    "drop_" "staging",
 }
 
 
