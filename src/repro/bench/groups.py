@@ -127,7 +127,6 @@ def run_groups(
     seed: int = 7,
     drop_rate: float = 0.0,
     timeout_s: float = DEFAULT_TIMEOUT_S,
-    selection: str = "round-robin",
 ) -> list[GroupWindow]:
     """Run the recovery curve and return one point per window.
 
@@ -177,7 +176,6 @@ def run_groups(
             proxy = idl.groupecho._group_bind(
                 "groupecho",
                 runtime,
-                selection=selection,
                 ft_policy=_policy(),
             )
             arr = np.arange(n, dtype=np.float64)

@@ -316,10 +316,10 @@ class ORB:
         ``faults`` tally) and ``server`` (socket fabrics only: the
         event loop's admission/backpressure counters; see
         ``docs/scaling.md``).  Per naming object: the directory half
-        of ``groups`` (``marked_down``, ``epoch_bumps``,
-        ``health_reports`` and the per-group membership/epoch board;
-        zeros and an empty board on a ``NamingClient``, whose
-        directory is counted by the ORB that serves it).
+        of ``groups`` (``marked_down``, ``epoch_bumps`` and the
+        per-group membership/epoch board; zeros and an empty board on
+        a ``NamingClient``, whose directory is counted by the ORB that
+        serves it).
         Per *process*, whichever ORB is asked: ``cdr_copies``
         (wire-path copies made since this ORB was built),
         ``transfer_schedule_cache`` (LRU hit/miss for §3.3 chunk

@@ -3,12 +3,12 @@
 The availability layer of the reproduction: N replica servants behind
 one logical name in the one naming domain, whose group directory
 (:class:`~repro.orb.naming.NamingService`) keeps membership, health
-epochs and load reports, and **client-side replica selection** with
+epochs and bind tokens, and **client-side replica selection** with
 collective failover.
 
-- :mod:`repro.groups.select` — :class:`GroupView` and the
-  deterministic selection policies (:class:`RoundRobin`,
-  :class:`LeastLoaded`).
+- :mod:`repro.groups.select` — :class:`GroupView` and the one
+  deterministic replica choice, round-robin over the live members by
+  token (:meth:`GroupView.choose`).
 - :mod:`repro.groups.failover` — per-binding failover state, the
   collective failover vote, and :class:`FailoverExhausted`.
 - :mod:`repro.groups.serve` — :func:`serve_replicated` /
@@ -35,14 +35,7 @@ from repro.groups.failover import (
     GroupBinding,
     agree_failover,
 )
-from repro.groups.select import (
-    GroupView,
-    LeastLoaded,
-    RoundRobin,
-    SelectionError,
-    SelectionPolicy,
-    policy_for,
-)
+from repro.groups.select import GroupView, SelectionError
 from repro.groups.serve import (
     ReplicatedGroup,
     replica_name,
@@ -53,13 +46,9 @@ __all__ = [
     "FailoverExhausted",
     "GroupBinding",
     "GroupView",
-    "LeastLoaded",
     "ReplicatedGroup",
-    "RoundRobin",
     "SelectionError",
-    "SelectionPolicy",
     "agree_failover",
-    "policy_for",
     "replica_name",
     "serve_replicated",
 ]

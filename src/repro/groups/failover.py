@@ -10,9 +10,9 @@ fail_over`, and the engine re-issues the call on the new target.
 
 The SPMD discipline carries over from :mod:`repro.ft`: on a collective
 binding every rank holds an identical binding (same view, same bind
-token, same policy), the failing invocation reached its failover
-decision on the *same* group-agreed failure at the same collective
-index on every rank (that is what the ft agreement vote guarantees),
+token), the failing invocation reached its failover decision on the
+*same* group-agreed failure at the same collective index on every
+rank (that is what the ft agreement vote guarantees),
 and the flip itself is re-confirmed with one more collective —
 :func:`agree_failover` — before any rank moves.  After the vote the
 new replica is a pure function of shared state, so all ranks move
@@ -33,7 +33,7 @@ import threading
 from typing import Any, Mapping
 
 from repro.ft.policy import FtPolicy
-from repro.groups.select import GroupView, SelectionError, SelectionPolicy
+from repro.groups.select import GroupView, SelectionError
 from repro.metrics import Counter
 from repro.orb.naming import NamingError
 from repro.orb.operation import RemoteError
@@ -104,16 +104,16 @@ def agree_failover(
 class GroupBinding:
     """One client binding's replica-targeting state (thread-safe).
 
-    ``token`` seeds the selection policy: the directory's bind token
-    spreads initial placements across bindings; each failover advances
-    it so the walk continues past the dead replica deterministically.
+    ``token`` is where :meth:`GroupView.choose` rotates to: the
+    directory's bind token spreads initial placements across bindings;
+    each failover advances it so the walk continues past the dead
+    replica deterministically.
     ``interface`` names the bound IDL interface in spans and errors.
     """
 
     def __init__(
         self,
         view: GroupView,
-        selection: SelectionPolicy,
         bind_token: int,
         counters: Mapping[str, Counter],
         interface: str = "",
@@ -121,7 +121,6 @@ class GroupBinding:
         self._lock = threading.Lock()
         self._counters = counters
         self.view = view
-        self.selection = selection
         self.token = bind_token
         self.interface = interface
         self.replica_id = self._choose()
@@ -131,7 +130,7 @@ class GroupBinding:
         self.history: list[tuple[int, int, int]] = []
 
     def _choose(self) -> int:
-        replica_id = self.selection.choose(self.view, self.token)
+        replica_id = self.view.choose(self.token)
         self._counters["selections"].inc()
         return replica_id
 

@@ -8,8 +8,7 @@ directory of the ORB's naming object (a
 :class:`~repro.orb.naming.NamingService`, in this process or served
 from another one).  The returned :class:`ReplicatedGroup` is the
 operator's handle: kill a replica (crash semantics, for tests and
-benchmarks), retire one gracefully, push health readings, shut the
-whole group down.
+benchmarks), retire one gracefully, shut the whole group down.
 
 Replication here is of the *service*, not of state: replicas are
 independent servants (think stateless or externally synchronized
@@ -69,22 +68,6 @@ class ReplicatedGroup:
             )
         self.naming.remove_member(self.name, replica_id)
         group.shutdown()
-
-    def report_health(self, loads: dict[int, float] | None = None) -> None:
-        """Push per-replica load readings to the group directory.
-
-        ``loads`` maps replica id to a load figure; ``None`` derives
-        one per live replica from its reply-cache occupancy (a cheap
-        stand-in for queue depth in this in-process reproduction).
-        """
-        if loads is None:
-            loads = {}
-            for rid, group in self.members.items():
-                cache = group.reply_cache
-                stats = cache.stats() if cache is not None else {}
-                loads[rid] = float(stats.get("entries", 0))
-        for rid, load in loads.items():
-            self.naming.report_health(self.name, rid, load)
 
     def shutdown(self) -> None:
         """Shut every replica down and unbind the group."""

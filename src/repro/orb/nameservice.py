@@ -61,14 +61,10 @@ interface NamingContext {
         raises (NamingFailure);
     void unbind_group(in string name) raises (NamingFailure);
     string resolve_group(in string name) raises (NamingFailure);
-    void add_member(in string name, in unsigned long replica_id,
-                    in string ior) raises (NamingFailure);
     void remove_member(in string name, in unsigned long replica_id)
         raises (NamingFailure);
     unsigned long mark_down(in string name, in unsigned long replica_id)
         raises (NamingFailure);
-    void report_health(in string name, in unsigned long replica_id,
-                       in double load) raises (NamingFailure);
     unsigned long epoch(in string name) raises (NamingFailure);
     unsigned long next_bind_token(in string name) raises (NamingFailure);
 };
@@ -83,10 +79,10 @@ NAMING_OBJECT = "NameService"
 #: How long a :class:`NamingClient` waits for one reply, in seconds.
 CALL_TIMEOUT = 10.0
 
-#: The naming object's reply-cache budget.  ``bind``, ``bind_group``,
-#: ``add_member`` and ``next_bind_token`` are not idempotent, so a
-#: request retried by any client's ft policy is replayed from the
-#: cache, never executed twice.
+#: The naming object's reply-cache budget.  ``bind``, ``bind_group``
+#: and ``next_bind_token`` are not idempotent, so a request retried by
+#: any client's ft policy is replayed from the cache, never executed
+#: twice.
 REPLY_CACHE_BYTES = 1 << 20
 
 
@@ -133,11 +129,6 @@ class NamingServant(_idl.NamingContext_skel):
     def resolve_group(self, name: str) -> str:
         return self._answer("resolve_group", name).ior()
 
-    def add_member(self, name: str, replica_id: int, ior: str) -> None:
-        self._answer(
-            "add_member", name, replica_id, ObjectReference.from_ior(ior)
-        )
-
     def unbind_group(self, name: str) -> None:
         self._answer("unbind_group", name)
 
@@ -146,9 +137,6 @@ class NamingServant(_idl.NamingContext_skel):
 
     def mark_down(self, name: str, replica_id: int) -> int:
         return self._answer("mark_down", name, replica_id)
-
-    def report_health(self, name: str, replica_id: int, load: float) -> None:
-        self._answer("report_health", name, replica_id, load)
 
     def epoch(self, name: str) -> int:
         return self._answer("epoch", name)
@@ -164,7 +152,7 @@ class NamingClient:
     One ordinary blocking invocation per call (a reply is waited for
     :data:`CALL_TIMEOUT` seconds, never retried), on a serial client
     runtime of its own; calls from several threads take turns, so
-    each runs inline on its caller.  The runtime's two ports close
+    each runs inline on its caller.  The runtime's one port closes
     with :meth:`close` or with the fabric.
     """
 
@@ -230,12 +218,6 @@ class NamingClient:
         """The group's current membership view."""
         return GroupReference.from_ior(self._call("resolve_group", name))
 
-    def add_member(
-        self, name: str, replica_id: int, ref: ObjectReference
-    ) -> None:
-        """Add one replica to a registered group."""
-        self._call("add_member", name, replica_id, ref.ior())
-
     def unbind_group(self, name: str) -> None:
         """Remove a group from the served directory."""
         self._call("unbind_group", name)
@@ -247,10 +229,6 @@ class NamingClient:
     def mark_down(self, name: str, replica_id: int) -> int:
         """Report a replica failure; returns the group's health epoch."""
         return self._call("mark_down", name, replica_id)
-
-    def report_health(self, name: str, replica_id: int, load: float) -> None:
-        """Push one replica's load reading to the served directory."""
-        self._call("report_health", name, replica_id, float(load))
 
     def epoch(self, name: str) -> int:
         """The group's current health epoch."""
@@ -266,7 +244,7 @@ class NamingClient:
         return {**dict.fromkeys(DIRECTORY_COUNTERS, 0), "groups": {}}
 
     def close(self) -> None:
-        """Release the runtime's ports (idempotent)."""
+        """Release the runtime's port (idempotent)."""
         self._runtime.close()
 
 

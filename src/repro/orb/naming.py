@@ -13,8 +13,7 @@ to say which object it wants).
 The one naming domain also keeps the *group directory* of replicated
 object groups (:mod:`repro.groups`): per group the replica membership,
 a monotonic **health epoch** (bumped every time a replica is marked
-down, so a client can tell whether its view predates a failure), the
-latest per-replica load reports that feed least-loaded selection, and
+down, so a client can tell whether its view predates a failure) and
 the bind-token counter that spreads clients over the replicas.
 
 The *naming surface* is what the ORB calls on whatever it was given as
@@ -35,7 +34,7 @@ from repro.orb.reference import GroupReference, ObjectReference
 #: What the group directory tallies: with its membership board, the
 #: naming half of ``orb.stats()["groups"]`` (the ``stats()`` call of
 #: the naming surface).
-DIRECTORY_COUNTERS = ("marked_down", "epoch_bumps", "health_reports")
+DIRECTORY_COUNTERS = ("marked_down", "epoch_bumps")
 
 
 class NamingError(KeyError):
@@ -52,7 +51,6 @@ class _GroupEntry:
         self.repo_id = repo_id
         self.members: dict[int, ObjectReference] = dict(members)
         self.down: set[int] = set()
-        self.loads: dict[int, float] = {}
         self.epoch = 0
         #: Round-robin spread across *binds* (not invocations): each
         #: bind draws the next token so successive clients start on
@@ -68,9 +66,6 @@ class _GroupEntry:
             repo_id=self.repo_id,
             epoch=self.epoch,
             members=tuple((rid, self.members[rid]) for rid in live),
-            loads=tuple(
-                (rid, self.loads[rid]) for rid in live if rid in self.loads
-            ),
         )
 
 
@@ -182,25 +177,11 @@ class NamingService:
         with self._lock:
             return self._entry(name).reference(name)
 
-    def add_member(
-        self, name: str, replica_id: int, ref: ObjectReference
-    ) -> None:
-        with self._lock:
-            entry = self._entry(name)
-            if replica_id in entry.members:
-                raise NamingError(
-                    f"group '{name}' already has replica {replica_id}"
-                )
-            entry.members[replica_id] = ref
-            # A re-added id sheds any stale down mark from a past life.
-            entry.down.discard(replica_id)
-
     def remove_member(self, name: str, replica_id: int) -> None:
         with self._lock:
             entry = self._entry(name, replica_id)
             del entry.members[replica_id]
             entry.down.discard(replica_id)
-            entry.loads.pop(replica_id, None)
 
     def mark_down(self, name: str, replica_id: int) -> int:
         """Record a replica failure and bump the health epoch.
@@ -216,15 +197,6 @@ class NamingService:
                 self._counters["marked_down"].inc()
                 self._counters["epoch_bumps"].inc()
             return entry.epoch
-
-    def report_health(
-        self, name: str, replica_id: int, load: float
-    ) -> None:
-        """A replica's periodic load reading (``orb.stats()``-derived);
-        feeds the least-loaded selection policy at resolve time."""
-        with self._lock:
-            self._entry(name, replica_id).loads[replica_id] = float(load)
-            self._counters["health_reports"].inc()
 
     def epoch(self, name: str) -> int:
         with self._lock:

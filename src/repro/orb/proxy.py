@@ -38,7 +38,7 @@ from typing import Any, Callable
 
 from repro.ft.policy import FT_COUNTERS, effective_policy
 from repro.groups.failover import GROUP_COUNTERS, GroupBinding
-from repro.groups.select import GroupView, policy_for
+from repro.groups.select import GroupView
 from repro.idl.runtime import template_to_spec
 from repro.metrics import MetricsRegistry
 from repro.orb.operation import OperationSpec, RemoteError
@@ -568,18 +568,15 @@ class ClientProxy:
         group_name: str,
         runtime: ClientRuntime,
         *,
-        selection: Any = "round-robin",
         transfer: str | None = None,
         ft_policy: Any = None,
     ) -> "ClientProxy":
         """Bind to a *replicated object group* (``repro.groups``).
 
         Resolves the group through the naming directory and pins the
-        proxy to one replica chosen by ``selection`` —
-        ``"round-robin"`` (spread across bindings via the directory's
-        bind token), ``"least-loaded"`` (the replica with the lowest
-        reported load), or a
-        :class:`~repro.groups.select.SelectionPolicy` instance.
+        proxy to one replica: round-robin over the live members by the
+        directory's bind token, so successive bindings spread across
+        the replicas (:meth:`~repro.groups.select.GroupView.choose`).
 
         Collective when the runtime is (rank 0 resolves; the group
         reference and bind token ride one broadcast, so every rank
@@ -592,7 +589,6 @@ class ClientProxy:
         there.  Without one the binding fails fast exactly like a
         singleton proxy (lint rule PD213 flags that configuration).
         """
-        policy = policy_for(selection)
         with span_or_null(
             runtime.trace, "bind", side="client", rank=runtime.rank,
             object=group_name, mode="group_bind",
@@ -624,7 +620,7 @@ class ClientProxy:
                     category="INV_OBJREF",
                 )
             binding = GroupBinding(
-                GroupView(gref), policy, token, runtime.groups,
+                GroupView(gref), token, runtime.groups,
                 interface=cls._interface,
             )
             _replica, ref = binding.target()

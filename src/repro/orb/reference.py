@@ -106,6 +106,8 @@ class ObjectReference:
                 )
                 spec = (kind,) if not weights else (kind, weights)
                 templates.append(((operation, param), spec))
+            if dec.remaining:
+                raise ValueError(f"{dec.remaining} trailing octets")
         except (MarshalError, binascii.Error, ValueError) as exc:
             raise ValueError(f"malformed IOR: {exc}") from None
         return ObjectReference(
@@ -132,8 +134,7 @@ class GroupReference:
     name.  It is what the naming service's group directory hands out
     for a replicated binding: the membership snapshot at one *health
     epoch* (bumped whenever a replica is marked down, so clients can
-    tell a stale view from a fresh one), plus the per-replica load
-    readings the least-loaded selection policy feeds on.
+    tell a stale view from a fresh one).
 
     Group references stringify to ``GIOR:<hex>`` — pure CDR, like
     :meth:`ObjectReference.ior`, with each member carried as its own
@@ -147,9 +148,6 @@ class GroupReference:
     epoch: int
     #: ``(replica_id, member reference)`` pairs, ascending replica id.
     members: tuple[tuple[int, ObjectReference], ...]
-    #: ``(replica_id, load)`` health readings known at resolve time;
-    #: replicas that never reported are simply absent.
-    loads: tuple[tuple[int, float], ...] = ()
 
     @property
     def replica_ids(self) -> tuple[int, ...]:
@@ -163,12 +161,6 @@ class GroupReference:
             f"group '{self.group_name}' has no replica {replica_id}"
         )
 
-    def load(self, replica_id: int) -> float | None:
-        for rid, value in self.loads:
-            if rid == replica_id:
-                return value
-        return None
-
     def ior(self) -> str:
         """Stringified form: ``GIOR:`` + hex of a CDR encoding."""
         enc = CdrEncoder()
@@ -179,12 +171,6 @@ class GroupReference:
         for rid, ref in self.members:
             enc.write_ulong(rid)
             enc.write_string(ref.ior())
-        enc.write_ulong(len(self.loads))
-        for rid, value in self.loads:
-            enc.write_ulong(rid)
-            # Milli-units: loads are coarse health readings, not
-            # accounting values, and CDR ulongs keep the stream pure.
-            enc.write_ulong(min(int(value * 1000.0), 0xFFFFFFFF))
         return "GIOR:" + binascii.hexlify(enc.getvalue()).decode("ascii")
 
     @staticmethod
@@ -204,11 +190,8 @@ class GroupReference:
                 (dec.read_ulong(), ObjectReference.from_ior(dec.read_string()))
                 for _ in range(nmembers)
             )
-            nloads = dec.read_ulong()
-            loads = tuple(
-                (dec.read_ulong(), dec.read_ulong() / 1000.0)
-                for _ in range(nloads)
-            )
+            if dec.remaining:
+                raise ValueError(f"{dec.remaining} trailing octets")
         except (MarshalError, binascii.Error, ValueError) as exc:
             raise ValueError(f"malformed GIOR: {exc}") from None
         return GroupReference(
@@ -216,7 +199,6 @@ class GroupReference:
             repo_id=repo_id,
             epoch=epoch,
             members=members,
-            loads=loads,
         )
 
     def __str__(self) -> str:

@@ -12,7 +12,7 @@ from repro.groups.failover import (
     FailoverExhausted,
     GroupBinding,
 )
-from repro.groups.select import GroupView, RoundRobin
+from repro.groups.select import GroupView
 from repro.metrics import Counter
 from repro.orb.naming import NamingService
 from repro.orb.reference import ObjectReference
@@ -46,7 +46,7 @@ def make_runtime(rank=0, rts=None):
 def make_binding(runtime):
     counters = {n: Counter(n) for n in GROUP_COUNTERS}
     view = GroupView(group=runtime.naming.resolve_group("svc"))
-    return GroupBinding(view, RoundRobin(), 0, counters, interface="svc")
+    return GroupBinding(view, 0, counters, interface="svc")
 
 
 def tallies(binding, runtime):
@@ -62,6 +62,27 @@ def cause():
 
 
 POLICY = FtPolicy(max_retries=1)
+
+
+class TestPlacement:
+    def test_a_binding_starts_where_its_bind_token_points(self):
+        runtime = make_runtime()
+        view = GroupView(group=runtime.naming.resolve_group("svc"))
+        starts = []
+        for token in range(5):
+            counters = {n: Counter(n) for n in GROUP_COUNTERS}
+            binding = GroupBinding(view, token, counters, interface="svc")
+            assert counters["selections"].value == 1
+            starts.append(binding.current_replica())
+        assert starts == [0, 1, 2, 0, 1]
+        narrowed = GroupBinding(
+            view.without(0),
+            3,
+            {n: Counter(n) for n in GROUP_COUNTERS},
+            interface="svc",
+        )
+        # Token 3 over the live (1, 2).
+        assert narrowed.target() == (2, make_ref("svc#2"))
 
 
 class TestFlip:

@@ -265,17 +265,6 @@ class TestServeReplicated:
         finally:
             group.shutdown()
 
-    def test_report_health_defaults_to_cache_occupancy(self, orb, idl):
-        group = orb.serve_replicated("ctr", _factory(idl), replicas=2)
-        try:
-            group.report_health()
-            ref = orb.naming.resolve_group("ctr")
-            assert ref.load(0) == 0.0 and ref.load(1) == 0.0
-            group.report_health({1: 7.5})
-            assert orb.naming.resolve_group("ctr").load(1) == 7.5
-        finally:
-            group.shutdown()
-
 
 class TestSerialFailover:
     def test_failover_after_kill_is_transparent(self, deployment, idl):
@@ -365,22 +354,42 @@ class TestSerialFailover:
             runtime.close()
             group.shutdown()
 
-    def test_least_loaded_bind_follows_health_reports(self, orb, idl):
-        group = orb.serve_replicated("ctr", _factory(idl), replicas=3)
+    def test_successive_binds_start_on_successive_replicas(
+        self, deployment, idl
+    ):
+        server_orb, orb = deployment
+        group = server_orb.serve_replicated(
+            "ctr", _factory(idl), replicas=3
+        )
         runtime = orb.client_runtime()
+
+        def starts(n):
+            return [
+                idl.counter._group_bind(
+                    "ctr", runtime
+                )._group.current_replica()
+                for _ in range(n)
+            ]
+
         try:
-            group.report_health({0: 5.0, 1: 0.5, 2: 5.0})
-            proxy = idl.counter._group_bind(
-                "ctr",
-                runtime,
-                selection="least-loaded",
-                ft_policy=RETRYING,
-            )
-            assert proxy._group.current_replica() == 1
-            assert proxy.add(1.0) == 1.0
+            # One bind token per bind, round-robin over the live ids.
+            assert starts(4) == [0, 1, 2, 0]
+            server_orb.naming.mark_down("ctr", 1)
+            # Tokens 4 and 5 rotate through the survivors (0, 2).
+            assert starts(2) == [0, 2]
         finally:
             runtime.close()
             group.shutdown()
+
+    def test_selection_is_not_an_option(self, orb, idl):
+        runtime = orb.client_runtime()
+        try:
+            with pytest.raises(TypeError, match="selection"):
+                idl.counter._group_bind(
+                    "ctr", runtime, selection="round-robin"
+                )
+        finally:
+            runtime.close()
 
 
 class TestCollectiveFailover:

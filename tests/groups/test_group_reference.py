@@ -1,7 +1,11 @@
 """Group references: GIOR stringification, parsing, member lookup."""
 
+import binascii
+
 import pytest
 
+from repro.cdr.decoder import CdrDecoder
+from repro.cdr.encoder import CdrEncoder
 from repro.orb.reference import (
     GroupReference,
     ObjectReference,
@@ -22,7 +26,7 @@ def make_ref(key, nports=0):
     )
 
 
-def make_group(loads=((1, 0.25),)):
+def make_group():
     return GroupReference(
         group_name="svc",
         repo_id="IDL:svc:1.0",
@@ -30,8 +34,25 @@ def make_group(loads=((1, 0.25),)):
         members=tuple(
             (rid, make_ref(f"svc#{rid}", nports=rid)) for rid in (0, 1, 2)
         ),
-        loads=tuple(loads),
     )
+
+
+def pre_change_gior(group, loads):
+    """``group`` as a GIOR carried it while it had a loads section:
+    the same fields, then ``(replica_id, milli-units)`` pairs."""
+    enc = CdrEncoder()
+    enc.write_string(group.group_name)
+    enc.write_string(group.repo_id)
+    enc.write_ulong(group.epoch)
+    enc.write_ulong(len(group.members))
+    for rid, ref in group.members:
+        enc.write_ulong(rid)
+        enc.write_string(ref.ior())
+    enc.write_ulong(len(loads))
+    for rid, value in loads:
+        enc.write_ulong(rid)
+        enc.write_ulong(int(value * 1000.0))
+    return "GIOR:" + binascii.hexlify(enc.getvalue()).decode("ascii")
 
 
 class TestGiorRoundtrip:
@@ -42,11 +63,6 @@ class TestGiorRoundtrip:
         back = GroupReference.from_ior(text)
         assert back == group
 
-    def test_loads_round_to_milli_units(self):
-        group = make_group(loads=((0, 1.2345),))
-        back = GroupReference.from_ior(group.ior())
-        assert back.load(0) == pytest.approx(1.234, abs=1e-9)
-
     def test_nested_member_references_survive(self):
         back = GroupReference.from_ior(make_group().ior())
         assert back.member(2).nthreads == 2
@@ -54,6 +70,18 @@ class TestGiorRoundtrip:
             "proportions",
             (2,),
         )
+
+    def test_the_encoding_is_name_repo_id_epoch_and_members(self):
+        group = make_group()
+        dec = CdrDecoder(binascii.unhexlify(group.ior()[5:]))
+        assert dec.read_string() == "svc"
+        assert dec.read_string() == "IDL:svc:1.0"
+        assert dec.read_ulong() == 4
+        assert dec.read_ulong() == 3
+        for rid, ref in group.members:
+            assert dec.read_ulong() == rid
+            assert dec.read_string() == ref.ior()
+        assert dec.remaining == 0
 
 
 class TestGiorErrors:
@@ -70,6 +98,26 @@ class TestGiorErrors:
         with pytest.raises(ValueError, match="malformed GIOR"):
             GroupReference.from_ior(text[: len(text) // 2])
 
+    def test_trailing_octets(self):
+        with pytest.raises(
+            ValueError, match="malformed GIOR: 1 trailing octets"
+        ):
+            GroupReference.from_ior(make_group().ior() + "00")
+
+    @pytest.mark.parametrize(
+        "loads", [(), ((0, 0.25), (2, 7.5))], ids=["empty", "two-readings"]
+    )
+    def test_a_gior_with_a_loads_section_is_rejected(self, loads):
+        group = make_group()
+        text = pre_change_gior(group, loads)
+        # What follows the members: the section, with its alignment.
+        extra = (len(text) - len(group.ior())) // 2
+        assert text.startswith(group.ior())
+        with pytest.raises(
+            ValueError, match=f"malformed GIOR: {extra} trailing octets"
+        ):
+            GroupReference.from_ior(text)
+
 
 class TestAccessors:
     def test_replica_ids(self):
@@ -78,10 +126,6 @@ class TestAccessors:
     def test_member_lookup_raises_for_unknown(self):
         with pytest.raises(KeyError, match="no replica 9"):
             make_group().member(9)
-
-    def test_load_is_none_when_unreported(self):
-        group = make_group(loads=())
-        assert group.load(0) is None
 
     def test_str_mentions_group_shape(self):
         text = str(make_group())

@@ -1,15 +1,11 @@
-"""Replica selection: views, policies, and the policy registry."""
+"""Replica selection: the group view and its one choice, round-robin
+over the live members by token."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.groups.select import (
-    GroupView,
-    LeastLoaded,
-    RoundRobin,
-    SelectionError,
-    SelectionPolicy,
-    policy_for,
-)
+from repro.groups.select import GroupView, SelectionError
 from repro.orb.reference import GroupReference, ObjectReference
 from repro.orb.transport import PortAddress
 
@@ -24,7 +20,7 @@ def make_ref(key):
     )
 
 
-def make_view(replica_ids=(0, 1, 2), loads=(), down=(), epoch=0):
+def make_view(replica_ids=(0, 1, 2), down=(), epoch=0):
     group = GroupReference(
         group_name="svc",
         repo_id="IDL:svc:1.0",
@@ -32,7 +28,6 @@ def make_view(replica_ids=(0, 1, 2), loads=(), down=(), epoch=0):
         members=tuple(
             (rid, make_ref(f"svc#{rid}")) for rid in replica_ids
         ),
-        loads=tuple(loads),
     )
     return GroupView(group=group, down=frozenset(down))
 
@@ -48,11 +43,8 @@ class TestGroupView:
         assert narrowed.alive() == (1,)
         assert view.alive() == (0, 1, 2)  # original untouched
 
-    def test_ref_and_load(self):
-        view = make_view(loads=((1, 2.5),))
-        assert view.ref(1).object_key == "svc#1"
-        assert view.load(1) == 2.5
-        assert view.load(0) is None
+    def test_ref(self):
+        assert make_view().ref(1).object_key == "svc#1"
 
     def test_name_and_epoch(self):
         view = make_view(epoch=3)
@@ -60,64 +52,84 @@ class TestGroupView:
         assert view.epoch == 3
 
 
-class TestRoundRobin:
+class TestChoose:
     def test_rotates_by_token(self):
         view = make_view()
-        picks = [RoundRobin().choose(view, t) for t in range(6)]
+        picks = [view.choose(t) for t in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_skips_down_replicas(self):
         view = make_view(down=(0,))
-        picks = [RoundRobin().choose(view, t) for t in range(4)]
+        picks = [view.choose(t) for t in range(4)]
         assert picks == [1, 2, 1, 2]
 
     def test_no_live_replica_raises(self):
         view = make_view(down=(0, 1, 2))
         with pytest.raises(SelectionError, match="no live replicas"):
-            RoundRobin().choose(view, 0)
+            view.choose(0)
 
 
-class TestLeastLoaded:
-    def test_picks_lowest_reported_load(self):
-        view = make_view(loads=((0, 5.0), (1, 1.0), (2, 9.0)))
-        assert LeastLoaded().choose(view, 0) == 1
-        assert LeastLoaded().choose(view, 7) == 1  # token-independent
-
-    def test_unreported_counts_as_idle(self):
-        # Replica 1 never reported: an idle newcomer attracts work.
-        view = make_view(loads=((0, 2.0), (2, 3.0)))
-        assert LeastLoaded().choose(view, 0) == 1
-
-    def test_ties_rotate_by_token(self):
-        view = make_view(loads=((0, 1.0), (1, 1.0), (2, 8.0)))
-        picks = [LeastLoaded().choose(view, t) for t in range(4)]
-        assert picks == [0, 1, 0, 1]
-
-    def test_ignores_down_replicas(self):
-        view = make_view(loads=((1, 0.0),), down=(1,))
-        assert LeastLoaded().choose(view, 0) in (0, 2)
+def reference_round_robin(view, token):
+    """The choice as ``RoundRobin.choose`` made it when selection was
+    a pluggable policy: the live ids ascending, indexed by token."""
+    alive = view.alive()
+    if not alive:
+        raise SelectionError(
+            f"group '{view.name}' has no live replicas "
+            f"({len(view.group.members)} members, all marked down)"
+        )
+    return alive[token % len(alive)]
 
 
-class TestPolicyFor:
-    def test_names_resolve(self):
-        assert isinstance(policy_for("round-robin"), RoundRobin)
-        assert isinstance(policy_for("least-loaded"), LeastLoaded)
+@st.composite
+def views(draw):
+    """A live membership of up to 12 ids and a down set drawn from it."""
+    members = draw(st.sets(st.integers(0, 63), min_size=1, max_size=12))
+    down = draw(st.sets(st.sampled_from(sorted(members))))
+    return make_view(tuple(members), down=down)
 
-    def test_instances_pass_through(self):
-        policy = RoundRobin()
-        assert policy_for(policy) is policy
 
-    def test_custom_subclass_passes_through(self):
-        class Pinned(SelectionPolicy):
-            def choose(self, view, token):
-                return self._require_alive(view)[0]
+def decide(choose, token):
+    """A choice or the error text it raised, so failures compare too."""
+    try:
+        return choose(token)
+    except SelectionError as exc:
+        return str(exc)
 
-        pinned = Pinned()
-        assert policy_for(pinned) is pinned
-        assert pinned.choose(make_view(down=(0,)), 5) == 1
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown selection"):
-            policy_for("random")
-        with pytest.raises(ValueError, match="unknown selection"):
-            policy_for(42)
+@settings(max_examples=300, deadline=None)
+@given(view=views(), token=st.integers(0, 2**32 - 1))
+def test_choose_decides_as_the_round_robin_policy_did(view, token):
+    assert decide(view.choose, token) == decide(
+        lambda t: reference_round_robin(view, t), token
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(view=views(), token=st.integers(0, 2**32 - 1))
+def test_choose_never_picks_a_down_replica(view, token):
+    assume(view.alive())
+    pick = view.choose(token)
+    assert pick in view.group.replica_ids
+    assert pick not in view.down
+
+
+@settings(max_examples=200, deadline=None)
+@given(view=views(), start=st.integers(0, 2**32 - 1))
+def test_a_cycle_of_tokens_visits_every_live_replica_once(view, start):
+    alive = view.alive()
+    assume(alive)
+    picks = [view.choose(start + i) for i in range(len(alive))]
+    assert sorted(picks) == list(alive)
+
+
+@settings(max_examples=200, deadline=None)
+@given(view=views(), token=st.integers(0, 2**32 - 1))
+def test_a_view_rebuilt_from_the_gior_decides_alike(view, token):
+    """Peer ranks rebuild the view from the GIOR that rides the bind
+    broadcast; the choice depends on nothing else."""
+    rebuilt = GroupView(
+        group=GroupReference.from_ior(view.group.ior()),
+        down=frozenset(sorted(view.down)),
+    )
+    assert decide(rebuilt.choose, token) == decide(view.choose, token)

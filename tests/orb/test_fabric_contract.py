@@ -62,7 +62,6 @@ COMMON = {
             (
                 "binds", "selections", "failovers",
                 "failovers_exhausted", "marked_down", "epoch_bumps",
-                "health_reports",
             )
         ),
         "groups": {},

@@ -51,6 +51,12 @@ class TestObjectReference:
         with pytest.raises(ValueError, match="malformed"):
             ObjectReference.from_ior("IOR:zzzz")
 
+    def test_trailing_octets_are_malformed(self):
+        with pytest.raises(
+            ValueError, match="malformed IOR: 4 trailing octets"
+        ):
+            ObjectReference.from_ior(make_ref().ior() + "deadbeef")
+
     def test_ior_must_contain_reference(self):
         import binascii
 

@@ -84,11 +84,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-attempt timeout in seconds (bounds detection cost)",
     )
     parser.add_argument(
-        "--selection",
-        choices=["round-robin", "least-loaded"],
-        default="round-robin",
-    )
-    parser.add_argument(
         "--gate",
         type=float,
         nargs="?",
@@ -155,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         drop_rate=args.drop,
         timeout_s=args.timeout,
-        selection=args.selection,
     )
     print(format_groups(points))
 
@@ -189,7 +183,6 @@ def main(argv: list[str] | None = None) -> int:
                 "seed": args.seed,
                 "drop_rate": args.drop,
                 "timeout_s": args.timeout,
-                "selection": args.selection,
             },
             "summary": summarize(points),
             "results": points_as_dicts(points),
