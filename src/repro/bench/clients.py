@@ -37,7 +37,6 @@ from repro.orb.naming import NamingService
 from repro.orb.request import RequestMessage
 from repro.orb.server import ServerConfig
 from repro.orb.socketnet import _LENGTH, SocketFabric, SocketPortAddress
-from repro.orb.transfer import plain_body_encoder
 from repro.orb.transport import KIND_REQUEST
 
 CLIENTS_IDL = """
@@ -116,7 +115,7 @@ class _SimulatedClients:
         self._dest = dest
         self._reply_port = reply_port
         self._source = source
-        self._slots = idl.fanin._operations["bump"].request_slots
+        self._body = idl.fanin._operations["bump"].request[True]
         self._sent = [0] * n_clients
         self._quota = [0] * n_clients
         self._socks: list[socket.socket] = []
@@ -144,7 +143,7 @@ class _SimulatedClients:
             object_key=self._dest_key,
             operation="bump",
             reply_port=self._reply_port.address,
-            body=plain_body_encoder(self._slots, {"x": seq}),
+            body=self._body.encode([seq]),
         )
         payload = b"".join(
             bytes(s) for s in message.encode_segments()

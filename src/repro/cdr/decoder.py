@@ -53,16 +53,20 @@ class CdrDecoder:
     element run that spans at least half of the stream — the receiver
     of such a run may adopt it in place, and it pins at most twice its
     own bytes.  Shorter runs, and everything decoded from a stream not
-    declared owned, are read-only views.
+    declared owned, are read-only views.  ``start`` is the offset the
+    first read begins at: past the flag octet, or past a fixed prefix
+    the caller unpacked itself (:mod:`repro.cdr.body`).
     """
 
-    def __init__(self, data: Any, *, owned: bool = False) -> None:
+    def __init__(
+        self, data: Any, *, owned: bool = False, start: int = 1
+    ) -> None:
         view = octets(data)
         self._data = view if owned else view.toreadonly()
         self._len = len(self._data)
         if self._len == 0:
             raise MarshalError("empty CDR stream")
-        self._pos = 1
+        self._pos = start
         self.little_endian = bool(self._data[0])
         self._structs = _STRUCTS[self.little_endian]
         self._unpack_ulong = self._structs["I"].unpack_from

@@ -52,19 +52,22 @@ class CdrEncoder:
 
     The byte-order flag octet is written by :meth:`__init__`, so
     alignment is computed from stream offset 0 exactly as GIOP does
-    for message bodies.
+    for message bodies.  ``opening``, when given, is the stream's
+    first octets — flag included — already packed by the caller (a
+    compiled body's fixed prefix, :mod:`repro.cdr.body`).
     """
 
-    def __init__(self, little_endian: bool | None = None) -> None:
+    def __init__(
+        self, little_endian: bool | None = None, opening: bytes = b""
+    ) -> None:
         self.little_endian = (
             _NATIVE_LITTLE if little_endian is None else little_endian
         )
         self._packers = _PACKERS[self.little_endian]
         #: Sealed buffers (bytes / memoryview / bytearray) + open tail.
         self._segments: list[Any] = []
-        self._tail = bytearray()
+        self._tail = bytearray(opening or (self.little_endian,))
         self._sealed_len = 0
-        self._tail.append(1 if self.little_endian else 0)
 
     def __len__(self) -> int:
         return self._sealed_len + len(self._tail)

@@ -55,13 +55,15 @@ class BasicTC(TypeCode):
         # The exact Python type and closed range that need neither
         # conversion nor rejection (not fields: the code's identity,
         # repr and constructor are unchanged).
-        if self.signed is None:
+        if self.kind == "boolean":
+            exact = (bool, False, True)
+        elif self.signed is None:
             exact = (float, float("-inf"), float("inf"))
         else:
             bits = self.size * 8
             lo = -(1 << (bits - 1)) if self.signed else 0
             exact = (int, lo, lo + (1 << bits) - 1)
-        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "exact", exact)
         # Built once: the marshalling paths read it on every value.
         dtype = np.dtype(self.np_dtype) if self.np_dtype else None
         object.__setattr__(self, "dtype", dtype)
@@ -76,7 +78,7 @@ class BasicTC(TypeCode):
         ``validate`` would neither reject nor convert it.  ``False``
         decides nothing — ``bool``, NumPy scalars, out-of-range and
         wrong-type values all go to ``validate`` for the verdict."""
-        kind, lo, hi = self._exact  # type: ignore[attr-defined]
+        kind, lo, hi = self.exact  # type: ignore[attr-defined]
         return type(value) is kind and lo <= value <= hi
 
     def validate(self, value: Any) -> None:

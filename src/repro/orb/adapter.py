@@ -29,23 +29,16 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
-from repro.cdr.typecodes import DSequenceTC
 from repro.dist import DistributedSequence
 from repro.dist.template import DistTemplate
 from repro.idl.runtime import template_to_spec
 from repro.orb import request as wire
 from repro.orb.datapath import DataPath, path_for
-from repro.orb.operation import (
-    OperationSpec,
-    RemoteError,
-    UserException,
-)
+from repro.orb.operation import OperationPlan, RemoteError
 from repro.orb.reference import ObjectReference
 from repro.orb.request import ReplyMessage, RequestMessage
 from repro.orb.transfer import (
     Inbox,
-    decompose,
-    detach_plain_values,
     encode_system_exception,
     encode_user_exception,
 )
@@ -109,7 +102,7 @@ class Servant:
 
     _interface: str = ""
     _repo_id: str = ""
-    _operations: dict[str, OperationSpec] = {}
+    _operations: dict[str, OperationPlan] = {}
     _pardis_ctx: ServantContext | None = None
 
     @property
@@ -163,48 +156,6 @@ class Servant:
 # ---------------------------------------------------------------------------
 
 
-def _call_servant(
-    servant: Servant, spec: OperationSpec, args: list[Any]
-) -> tuple[str, Any]:
-    """Invoke the implementation method, classifying the outcome.
-
-    Returns ``('ok', produced)``, ``('user', (tc, members))`` or
-    ``('system', (category, message))`` — all picklable, so ranks can
-    agree on the outcome by allgather.
-    """
-    method = getattr(servant, spec.name, None)
-    if method is None or not callable(method):
-        return (
-            "system",
-            (
-                "NO_IMPLEMENT",
-                f"servant {type(servant).__name__} does not implement "
-                f"'{spec.name}'",
-            ),
-        )
-    try:
-        result = method(*args)
-        produced = decompose(
-            result, len(spec.produced_slots), f"servant '{spec.name}'"
-        )
-        return ("ok", produced)
-    except UserException as exc:
-        if spec.exception_by_id(exc._tc.repo_id if exc._tc else "") is None:
-            return (
-                "system",
-                (
-                    "UNKNOWN",
-                    f"servant raised undeclared exception "
-                    f"{type(exc).__name__}",
-                ),
-            )
-        return ("user", exc)
-    except RemoteError as exc:  # a system exception: category intact
-        return ("system", (exc.category, str(exc)))
-    except Exception as exc:  # noqa: BLE001 - reported to the client
-        return ("system", ("UNKNOWN", f"{type(exc).__name__}: {exc}"))
-
-
 def _agree_outcome(
     ctx: ServantContext, outcome: tuple[str, Any]
 ) -> tuple[str, Any]:
@@ -219,8 +170,6 @@ def _agree_outcome(
     system outcome wins — keeping its category (COMM_FAILURE is
     retryable under a client fault-tolerance policy; INTERNAL is not).
     """
-    if ctx.comm is None:
-        return outcome
     votes = ctx.comm.allgather(
         (outcome[0], outcome[1] if outcome[0] == "system" else None)
     )
@@ -290,11 +239,6 @@ class _ServerEngine:
 
     # -- shared ----------------------------------------------------------
 
-    def _bcast(self, value: Any) -> Any:
-        if self.ctx.rts is None:
-            return value
-        return self.ctx.rts.broadcast(value, root=0)
-
     def _reply(self, request: RequestMessage, reply: ReplyMessage) -> None:
         if self.ctx.rank != 0:
             return
@@ -328,15 +272,15 @@ class _ServerEngine:
             pass
 
     def execute(self, request: RequestMessage) -> None:
-        spec = self.servant._operations.get(request.operation)
+        plan = self.servant._operations.get(request.operation)
         try:
-            if spec is None:
+            if plan is None:
                 raise RemoteError(
                     f"interface {self.servant._interface!r} has no "
                     f"operation {request.operation!r}",
                     category="BAD_OPERATION",
                 )
-            self._invoke(request, spec, path_for(request.mode))
+            self._invoke(request, plan, path_for(request.mode))
         except Exception as exc:  # noqa: BLE001 - reported to the client
             # Engine-level failure: report if this rank owns the reply
             # channel.  Transport trouble is COMM_FAILURE — retryable
@@ -355,7 +299,7 @@ class _ServerEngine:
                 self.governor.request_done(request.request_id)
 
     def _invoke(
-        self, request: RequestMessage, spec: OperationSpec, path: DataPath
+        self, request: RequestMessage, plan: OperationPlan, path: DataPath
     ) -> None:
         """The server side of an invocation, by either transfer method
         — the one place its stage sequence is spelled: arguments in,
@@ -369,37 +313,40 @@ class _ServerEngine:
             trace_id=request.trace_id, side="server", rank=ctx.rank
         )
         xfer_span = span_or_null(
-            ctx.trace, "transfer", op=spec.name, engine=path.mode,
+            ctx.trace, "transfer", op=plan.name, engine=path.mode,
             request_id=request.request_id, **span_kw,
         )
-        slots = spec.request_slots
         # Rank 0 decodes the header body.  Its *outcome* rides the
         # broadcast that carries the plain arguments to the peers, so
         # a malformed body is every rank's error exit at the same
         # collective point — not rank 0's alone, with the peers left
         # waiting to consume the next request's broadcast as this
         # one's arguments.
-        decoded: dict[str, Any] = {}
-        delivery: tuple[str, Any] | None = None
+        decoded = delivery = None
         if root:
             try:
-                decoded = path.decode_body(slots, request.body)
-                # Servants may mutate plain arguments; decoder views
-                # must not alias the receive buffer once they escape.
-                detach_plain_values(slots, decoded)
-                delivery = ("ok", {
-                    s.name: decoded[s.name]
-                    for s in slots
-                    if not s.distributed
-                })
+                # Plain arguments come back detached from the receive
+                # buffer: servants may mutate them.
+                decoded = plan.request[path.receipt_is_rank_local].decode(
+                    request.body
+                )
+                plain = decoded
+                if plan.dist_request:
+                    # Whole arrays (through-root) stay on rank 0.
+                    plain = list(decoded)
+                    for i, *_ in plan.dist_request:
+                        plain[i] = None
+                delivery = ("ok", plain)
             except Exception as exc:  # noqa: BLE001 - voted, sent to client
                 delivery = _engine_failure(exc)
-        delivery = self._bcast(delivery)
+        if ctx.rts is not None:
+            delivery = ctx.rts.broadcast(delivery, root=0)
         if delivery[0] == "ok":
-            plain = delivery[1]
+            args = delivery[1]
             try:
-                placed = path.receive_arguments(
-                    ctx, request, spec, slots, decoded
+                placed = (
+                    path.receive_arguments(ctx, request, plan, decoded)
+                    if plan.dist_request else {}
                 )
             except Exception as exc:  # noqa: BLE001 - voted, sent to client
                 delivery = _engine_failure(exc)
@@ -417,31 +364,24 @@ class _ServerEngine:
             xfer_span.note(outcome=delivery[0]).end()
             self._reply(request, _error_reply(request, delivery))
             return
-        args: list[Any] = []
-        for slot in slots:
-            if not slot.distributed:
-                args.append(plain[slot.name])
-                continue
-            tc: DSequenceTC = slot.typecode  # type: ignore[assignment]
-            layout, local = placed[slot.name]
-            args.append(
-                DistributedSequence(
-                    layout.length,
-                    dtype=tc.element_dtype,
-                    comm=ctx.comm,
-                    bound=tc.bound,
-                    _layout=layout,
-                    _local=local,
-                )
+        for i, _name, tc in plan.dist_request:
+            layout, local = placed[i]
+            args[i] = DistributedSequence(
+                layout.length,
+                dtype=tc.element_dtype,
+                comm=ctx.comm,
+                bound=tc.bound,
+                _layout=layout,
+                _local=local,
             )
         xfer_span.end()
 
         disp_span = span_or_null(
-            ctx.trace, "dispatch", op=spec.name, **span_kw
+            ctx.trace, "dispatch", op=plan.name, **span_kw
         )
-        outcome = _agree_outcome(
-            ctx, _call_servant(self.servant, spec, args)
-        )
+        outcome = plan.dispatch(self.servant, args)
+        if ctx.comm is not None:
+            outcome = _agree_outcome(ctx, outcome)
         # "After the invocation the server's computing threads
         # synchronize and the communicating thread informs the client."
         if ctx.rts is not None:
@@ -453,28 +393,14 @@ class _ServerEngine:
             self._reply(request, _error_reply(request, outcome))
             reply_span.note(status=outcome[0]).end()
             return
-        rep_slots = spec.reply_slots
-        results = dict(
-            zip((s.name for s in spec.produced_slots), outcome[1])
-        )
-        sent = dict(zip((s.name for s in slots), args))
-        for slot in rep_slots:
-            # Not produced = an inout distributed sequence: the
-            # (mutated in place) argument is the result.
-            value = results.setdefault(slot.name, sent.get(slot.name))
-            if slot.distributed and not isinstance(
-                value, DistributedSequence
-            ):
-                raise RemoteError(
-                    f"servant produced {type(value).__name__} for "
-                    f"distributed slot '{slot.name}'",
-                    category="BAD_PARAM",
-                )
-        values, dist_layouts = path.stage_results(
-            ctx, request, spec, results
-        )
+        results = values = outcome[1]
+        dist_layouts: tuple = ()
+        if plan.staged:
+            values, dist_layouts = path.stage_results(
+                ctx, request, plan, results
+            )
         if root:
-            body = path.body_encoder(rep_slots, values)
+            body = plan.reply[path.receipt_is_rank_local].encode(values)
             self._reply(
                 request,
                 ReplyMessage(
@@ -488,10 +414,13 @@ class _ServerEngine:
         # it — and the request is done on this rank: drop any late or
         # re-delivered chunks for its id (a retry is answered from the
         # cache, never re-collected).
-        record = None
-        if self.cache is not None:
-            record = partial(self.cache.record_chunks, request.request_id)
-        path.ship_results(ctx, request, results, dist_layouts, record)
+        if plan.staged:
+            record = None
+            if self.cache is not None:
+                record = partial(self.cache.record_chunks, request.request_id)
+            path.ship_results(
+                ctx, request, plan, results, dist_layouts, record
+            )
         if self.cache is not None:
             ctx.inbox.discard(request.request_id)
         reply_span.end()

@@ -29,15 +29,20 @@ the call, and nothing else:
    :meth:`~DataPath.ship_results`);
 4. how they reach the client ranks (:meth:`~DataPath.receive_results`).
 
-It also supplies the body codec of its header frames and one property,
-:attr:`~DataPath.receipt_is_rank_local`, from which the engines derive
-everything else that differs (the delivery vote, which ranks have work
-in a stage).  Paths are stateless; one shared instance each.
+It also has one property, :attr:`~DataPath.receipt_is_rank_local`,
+from which the engines derive everything else that differs (the
+delivery vote, which ranks have work in a stage, and which of the
+operation plan's body codecs the header frames use).  Paths are
+stateless; one shared instance each.  An operation that moves no
+distributed value is not staged on a path at all.
+
+Values are lists in slot order (:class:`~repro.orb.operation.OperationPlan`);
+a receive returns what it placed by slot position.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -49,18 +54,13 @@ from repro.dist import (
     transfer_schedule,
 )
 from repro.idl.runtime import template_from_spec
+from repro.cdr.typecodes import DSequenceTC
 from repro.orb import request as wire
-from repro.orb.operation import OperationSpec, RemoteError
+from repro.orb.operation import OperationPlan, RemoteError
 from repro.orb.request import ReplyMessage, RequestMessage
 from repro.orb.transfer import (
     Inbox,
-    Slot,
     assemble_chunks,
-    decode_full_body,
-    decode_plain_body,
-    detach_plain_values,
-    full_body_encoder,
-    plain_body_encoder,
     send_chunks,
     server_layout,
 )
@@ -76,7 +76,7 @@ Placed = tuple[Layout, np.ndarray]
 
 
 def reply_layout(
-    slot: Slot,
+    inout: bool,
     length: int,
     sent: Layout | None,
     template_spec: tuple | None,
@@ -94,14 +94,10 @@ def reply_layout(
     Evaluated by whichever side places the reply data: the client on
     the through-root path, the servant ranks on the direct one.
     """
-    if slot.param is not None and slot.param.direction.sends:
+    if inout:
         return sent.resized(length)
     template = template_from_spec(template_spec) or BlockTemplate()
     return template.layout(length, client_nthreads)
-
-
-def _element_dtype(slot: Slot) -> np.dtype:
-    return slot.typecode.element_dtype  # type: ignore[attr-defined]
 
 
 def _adoptable(block: np.ndarray, dtype: np.dtype) -> bool:
@@ -131,7 +127,7 @@ def _scatter(
     rts: Any,
     rank: int,
     full: Any,
-    slot: Slot,
+    tc: DSequenceTC,
     layout_for: Callable[[int], Layout],
 ) -> Placed:
     """Spread the communicating thread's ``full`` array over the
@@ -148,7 +144,7 @@ def _scatter(
         return layout, rts.scatter_chunks(
             np.asarray(full) if rank == 0 else None, steps, root=0
         )
-    dtype = _element_dtype(slot)
+    dtype = tc.element_dtype
     if _adoptable(full, dtype):
         return layout, full
     local = np.empty(len(full), dtype=dtype)
@@ -165,7 +161,8 @@ def _scatter(
 def _collect(
     inbox: Inbox,
     request_id: int,
-    slot: Slot,
+    name: str,
+    tc: DSequenceTC,
     phase: int,
     src_layout: Layout,
     layout: Layout,
@@ -179,10 +176,8 @@ def _collect(
     chunk is that chunk's payload, in place when it may be adopted."""
     steps = transfer_schedule(src_layout, layout)
     expected = sum(1 for s in steps if s.dst_rank == rank)
-    dtype = _element_dtype(slot)
-    chunks = inbox.collect(
-        request_id, slot.name, phase, expected, timeout=timeout
-    )
+    dtype = tc.element_dtype
+    chunks = inbox.collect(request_id, name, phase, expected, timeout=timeout)
     if len(chunks) == 1 and (
         chunks[0].global_lo, chunks[0].global_hi
     ) == layout.local_range(rank):
@@ -221,16 +216,11 @@ class DataPath:
     #: are unreachable.
     fallback: "DataPath | None" = None
 
-    #: Body codec of the header frames (request and reply alike):
-    #: ``body_encoder(slots, values)`` / ``decode_body(slots, body)``.
-    body_encoder: Callable[..., Any]
-    decode_body: Callable[..., dict[str, Any]]
-
     # -- 1. arguments leave the client -----------------------------------
 
     def stage_arguments(
         self, inv: "ClientInvocation"
-    ) -> tuple[dict[str, Any], dict[str, Any]]:
+    ) -> tuple[list[Any], dict[str, Any]]:
         """Before the header frame: ``(body values, header fields)``
         (the body is encoded, and the fields used, on rank 0 only)."""
         raise NotImplementedError
@@ -246,11 +236,10 @@ class DataPath:
         self,
         ctx: "ServantContext",
         request: RequestMessage,
-        spec: OperationSpec,
-        slots: Sequence[Slot],
-        decoded: dict[str, Any],
-    ) -> dict[str, Placed]:
-        """``decoded`` is rank 0's decoded header body (empty on the
+        plan: OperationPlan,
+        decoded: list[Any] | None,
+    ) -> dict[int, Placed]:
+        """``decoded`` is rank 0's decoded header body (``None`` on the
         other ranks)."""
         raise NotImplementedError
 
@@ -260,9 +249,9 @@ class DataPath:
         self,
         ctx: "ServantContext",
         request: RequestMessage,
-        spec: OperationSpec,
-        results: dict[str, Any],
-    ) -> tuple[dict[str, Any], tuple]:
+        plan: OperationPlan,
+        results: list[Any],
+    ) -> tuple[list[Any], tuple]:
         """Before the reply frame: ``(body values, reply dist_layouts)``."""
         raise NotImplementedError
 
@@ -270,7 +259,8 @@ class DataPath:
         self,
         ctx: "ServantContext",
         request: RequestMessage,
-        results: dict[str, Any],
+        plan: OperationPlan,
+        results: list[Any],
         dist_layouts: tuple,
         record: Any,
     ) -> None:
@@ -284,8 +274,8 @@ class DataPath:
         inv: "ClientInvocation",
         reply: ReplyMessage | None,
         header: tuple,
-    ) -> tuple[dict[str, Any], dict[str, Placed]]:
-        """``(plain values, placed distributed values)`` on every
+    ) -> tuple[list[Any], dict[int, Placed]]:
+        """``(reply values, placed distributed values)`` on every
         rank.  ``reply`` is rank 0's reply message, ``header`` the
         voted ``(status, body or None, dist_layouts)``."""
         raise NotImplementedError
@@ -297,61 +287,52 @@ class ThroughRootPath(DataPath):
     mode = wire.MODE_CENTRALIZED
     receipt_is_rank_local = False
 
-    body_encoder = staticmethod(full_body_encoder)
-    decode_body = staticmethod(decode_full_body)
-
     def stage_arguments(self, inv):
-        rt = inv.runtime
-        values = dict(inv.args)
-        for slot in inv.slots:
-            if slot.distributed:
-                values[slot.name] = _gather(rt.rts, inv.args[slot.name])
+        values = list(inv.args)
+        for i, _name, _tc in inv.plan.dist_request:
+            values[i] = _gather(inv.runtime.rts, values[i])
         return values, {}
 
-    def receive_arguments(self, ctx, request, spec, slots, decoded):
-        return {
-            slot.name: _scatter(
-                ctx.rts, ctx.rank, decoded.get(slot.name), slot,
-                lambda length, name=slot.name: server_layout(
-                    ctx.templates.get((spec.name, name)), length, ctx.size
+    def receive_arguments(self, ctx, request, plan, decoded):
+        placed = {}
+        for i, name, tc in plan.dist_request:
+            placed[i] = _scatter(
+                ctx.rts, ctx.rank, None if decoded is None else decoded[i], tc,
+                lambda length, name=name: server_layout(
+                    ctx.templates.get((plan.name, name)), length, ctx.size
                 ),
             )
-            for slot in slots
-            if slot.distributed
-        }
+        return placed
 
-    def stage_results(self, ctx, request, spec, results):
-        values = dict(results)
-        for slot in spec.reply_slots:
-            if slot.distributed:
-                values[slot.name] = _gather(ctx.rts, results[slot.name])
+    def stage_results(self, ctx, request, plan, results):
+        values = list(results)
+        for i, *_ in plan.dist_reply:
+            values[i] = _gather(ctx.rts, values[i])
         return values, ()
 
     def receive_results(self, inv, reply, header):
         # The bulk reply body stays on rank 0 as a view into the
         # receive buffer (views do not survive pickling); distributed
         # values reach the peers by scatter, plain ones by broadcast.
-        rt = inv.runtime
-        slots = inv.spec.reply_slots
-        values: dict[str, Any] = {}
-        if rt.rank == 0:
-            values = decode_full_body(slots, reply.body)
-            detach_plain_values(slots, values)
-        placed = {
-            slot.name: _scatter(
-                rt.rts, rt.rank, values.get(slot.name), slot,
-                lambda length, slot=slot: reply_layout(
-                    slot, length, inv.layouts.get(slot.name),
-                    inv.out_templates.get(slot.name), rt.size,
+        rt, plan = inv.runtime, inv.plan
+        values = plan.reply[False].decode(reply.body) if rt.rank == 0 else None
+        placed = {}
+        for i, name, tc, arg in plan.dist_reply:
+            placed[i] = _scatter(
+                rt.rts, rt.rank, None if values is None else values[i], tc,
+                lambda length, name=name, inout=arg is not None: reply_layout(
+                    inout, length, inv.layouts.get(name),
+                    inv.out_templates.get(name), rt.size,
                 ),
             )
-            for slot in slots
-            if slot.distributed
-        }
-        plain = {s.name: values.get(s.name) for s in slots if not s.distributed}
         if rt.rts is not None:
-            plain = rt.rts.broadcast(plain, root=0)
-        return plain, placed
+            plain = values
+            if plan.dist_reply and rt.rank == 0:
+                plain = list(values)
+                for i, *_ in plan.dist_reply:
+                    plain[i] = None
+            values = rt.rts.broadcast(plain, root=0)
+        return values, placed
 
 
 THROUGH_ROOT = ThroughRootPath()
@@ -363,9 +344,6 @@ class DirectPath(DataPath):
     mode = wire.MODE_MULTIPORT
     receipt_is_rank_local = True
     fallback = THROUGH_ROOT
-
-    body_encoder = staticmethod(plain_body_encoder)
-    decode_body = staticmethod(decode_plain_body)
 
     def stage_arguments(self, inv):
         # The header records the argument layouts and the preset
@@ -381,12 +359,10 @@ class DirectPath(DataPath):
 
     def ship_arguments(self, inv):
         rt, ref = inv.runtime, inv.ref
-        for slot in inv.slots:
-            if not slot.distributed:
-                continue
-            seq: DistributedSequence = inv.args[slot.name]
+        for i, name, _tc in inv.plan.dist_request:
+            seq: DistributedSequence = inv.args[i]
             dst_layout = server_layout(
-                ref.template_spec(inv.spec.name, slot.name),
+                ref.template_spec(inv.plan.name, name),
                 seq.length(),
                 ref.nthreads,
             )
@@ -397,27 +373,25 @@ class DirectPath(DataPath):
                 rt.rank,
                 seq.local_data(),
                 inv.request_id,
-                slot.name,
+                name,
                 wire.PHASE_REQUEST,
             )
 
-    def receive_arguments(self, ctx, request, spec, slots, decoded):
+    def receive_arguments(self, ctx, request, plan, decoded):
         placed = {}
-        for slot in slots:
-            if not slot.distributed:
-                continue
-            lengths = request.layout_of(slot.name)
+        for i, name, tc in plan.dist_request:
+            lengths = request.layout_of(name)
             if lengths is None:
                 raise RemoteError(
-                    f"request is missing the layout of '{slot.name}'",
+                    f"request is missing the layout of '{name}'",
                     category="MARSHAL",
                 )
             client_layout = Layout.from_local_lengths(lengths)
-            placed[slot.name] = _collect(
-                ctx.inbox, request.request_id, slot, wire.PHASE_REQUEST,
+            placed[i] = _collect(
+                ctx.inbox, request.request_id, name, tc, wire.PHASE_REQUEST,
                 client_layout,
                 server_layout(
-                    ctx.templates.get((spec.name, slot.name)),
+                    ctx.templates.get((plan.name, name)),
                     client_layout.length,
                     ctx.size,
                 ),
@@ -425,32 +399,32 @@ class DirectPath(DataPath):
             )
         return placed
 
-    def stage_results(self, ctx, request, spec, results):
+    def stage_results(self, ctx, request, plan, results):
         # Worked out deterministically on every rank: where each
         # returned distributed value lives server-side and lands
         # client-side.
         dist_layouts = []
-        for slot in spec.reply_slots:
-            if not slot.distributed:
-                continue
-            value: DistributedSequence = results[slot.name]
-            sent = request.layout_of(slot.name)
+        for i, name, _tc, arg in plan.dist_reply:
+            value: DistributedSequence = results[i]
+            sent = request.layout_of(name)
             client_layout = reply_layout(
-                slot, value.length(),
+                arg is not None, value.length(),
                 None if sent is None else Layout.from_local_lengths(sent),
-                request.out_template_of(slot.name),
+                request.out_template_of(name),
                 request.client_nthreads,
             )
             dist_layouts.append((
-                slot.name,
+                name,
                 client_layout.local_lengths(),
                 value.layout.local_lengths(),
             ))
         return results, tuple(dist_layouts)
 
-    def ship_results(self, ctx, request, results, dist_layouts, record):
-        for name, client_lengths, _server_lengths in dist_layouts:
-            value: DistributedSequence = results[name]
+    def ship_results(self, ctx, request, plan, results, dist_layouts, record):
+        for (i, name, *_), (_name, client_lengths, _server) in zip(
+            plan.dist_reply, dist_layouts
+        ):
+            value: DistributedSequence = results[i]
             send_chunks(
                 ctx.data_port,
                 request.client_data_ports,
@@ -468,41 +442,37 @@ class DirectPath(DataPath):
     def receive_results(self, inv, reply, header):
         # The reply body holds plain values only and rode the vote, so
         # every rank decodes it; each collects its own chunks.
-        rt = inv.runtime
+        rt, plan = inv.runtime, inv.plan
         _status, body, reply_layouts = header
-        slots = inv.spec.reply_slots
-        plain = decode_plain_body(slots, body)
-        detach_plain_values(slots, plain)
+        values = plan.reply[True].decode(body)
         layouts = {name: pair for name, *pair in reply_layouts}
         placed = {}
-        for slot in slots:
-            if not slot.distributed:
-                continue
-            if slot.name not in layouts:
+        for i, name, tc, _arg in plan.dist_reply:
+            if name not in layouts:
                 raise RemoteError(
-                    f"reply is missing the layout of '{slot.name}'",
+                    f"reply is missing the layout of '{name}'",
                     category="MARSHAL",
                 )
             layout, src_layout = map(
-                Layout.from_local_lengths, layouts[slot.name]
+                Layout.from_local_lengths, layouts[name]
             )
             if layout.nranks != rt.size:
                 raise RemoteError(
-                    f"reply layout of '{slot.name}' spans "
+                    f"reply layout of '{name}' spans "
                     f"{layout.nranks} threads, client has {rt.size}",
                     category="MARSHAL",
                 )
             if src_layout.length != layout.length:
                 raise RemoteError(
-                    f"reply layouts of '{slot.name}' disagree on length",
+                    f"reply layouts of '{name}' disagree on length",
                     category="MARSHAL",
                 )
-            placed[slot.name] = _collect(
-                rt.inbox, inv.request_id, slot, wire.PHASE_REPLY,
+            placed[i] = _collect(
+                rt.inbox, inv.request_id, name, tc, wire.PHASE_REPLY,
                 src_layout, layout, rt.rank,
-                inv.ctl.attempt_timeout() or 60.0,
+                inv.attempt_timeout() or 60.0,
             )
-        return plain, placed
+        return values, placed
 
 
 DIRECT = DirectPath()

@@ -1,8 +1,20 @@
-"""Runtime descriptions of IDL operations.
+"""IDL operations: their descriptions and their compiled plans.
 
-The IDL compiler reduces each operation to an :class:`OperationSpec`;
-proxies marshal requests and skeletons dispatch them entirely from
-these specs, so the generated code stays declarative.
+The IDL compiler reduces each operation to an :class:`OperationSpec`
+and emits an :class:`OperationPlan` of it — the paper's stub and
+skeleton: body codecs, the constants the engines would otherwise
+re-derive from the spec on every call, and the servant entry.
+
+Servant/result convention: a servant method receives one value per
+``in``/``inout`` parameter, in declaration order; distributed
+sequences arrive as :class:`~repro.dist.DistributedSequence` local
+views on every thread.  It *produces*, in order: the return value
+(unless void), then a value for each ``out`` parameter and each
+non-distributed ``inout`` parameter.  ``inout`` distributed sequences
+are mutated in place — on the server by the servant, on the client by
+the engine once the reply arrives.  Zero produced values → return
+``None``; one → return it bare; several → return the tuple.  The
+client-side composed result follows the identical rule.
 """
 
 from __future__ import annotations
@@ -12,12 +24,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
+from repro.cdr.body import BodyCodec
 from repro.cdr.typecodes import (
     DSequenceTC,
     ExceptionTC,
     TypeCode,
     TC_VOID,
 )
+from repro.dist import DistributedSequence
 
 
 class Direction(enum.Enum):
@@ -46,37 +60,17 @@ class ParamSpec:
     direction: Direction
     typecode: TypeCode
 
-    @property
-    def distributed(self) -> bool:
-        """Is this a distributed-sequence parameter?"""
-        return isinstance(self.typecode, DSequenceTC)
-
 
 #: Name used for a distributed return value in layouts and chunks.
 RETURN_SLOT = "__return__"
 
 
 @dataclass(frozen=True)
-class Slot:
-    """One value position in a request or reply."""
-
-    name: str
-    typecode: TypeCode
-    param: ParamSpec | None  # None for the return value
-
-    @property
-    def distributed(self) -> bool:
-        return isinstance(self.typecode, DSequenceTC)
-
-
-@dataclass(frozen=True)
 class OperationSpec:
     """Everything the ORB needs to know about one IDL operation.
 
-    The derived views below are computed once per spec
-    (``cached_property`` stores into the instance ``__dict__``, which
-    a frozen dataclass leaves open) and handed out as tuples: the
-    engines ask for them several times per invocation.
+    The engines do not read it per call: they read its
+    :class:`OperationPlan`.
     """
 
     name: str
@@ -115,40 +109,137 @@ class OperationSpec:
     def returned_params(self) -> tuple[ParamSpec, ...]:
         return tuple(p for p in self.params if p.direction.returns)
 
-    @cached_property
-    def request_slots(self) -> tuple[Slot, ...]:
-        """Client→server values, in declaration order."""
-        return tuple(Slot(p.name, p.typecode, p) for p in self.sent_params)
-
-    @cached_property
-    def reply_slots(self) -> tuple[Slot, ...]:
-        """Server→client values: return first, then out/inout params."""
-        returned = tuple(
-            Slot(p.name, p.typecode, p) for p in self.returned_params
-        )
-        if self.return_tc is TC_VOID:
-            return returned
-        return (Slot(RETURN_SLOT, self.return_tc, None), *returned)
-
-    @cached_property
-    def produced_slots(self) -> tuple[Slot, ...]:
-        """Reply slots a servant must *produce* (inout distributed
-        sequences are mutated in place instead)."""
-        return tuple(
-            slot
-            for slot in self.reply_slots
-            if not (
-                slot.distributed
-                and slot.param is not None
-                and slot.param.direction.sends
-            )
-        )
-
     def exception_by_id(self, repo_id: str) -> ExceptionTC | None:
         for exc_tc in self.raises:
             if exc_tc.repo_id == repo_id:
                 return exc_tc
         return None
+
+
+def _codecs(typecodes: list[TypeCode]) -> tuple[BodyCodec, BodyCodec]:
+    """A body's codecs: every value inline, and the plain values only
+    — one object when nothing is distributed."""
+    inline = BodyCodec(typecodes)
+    plain = [None if isinstance(t, DSequenceTC) else t for t in typecodes]
+    if plain == typecodes:
+        return inline, inline
+    return inline, BodyCodec(plain)
+
+
+class OperationPlan:
+    """One operation, compiled: everything the engines read per call.
+
+    Values travel as lists in slot order.  The request's slots are the
+    ``in`` and ``inout`` parameters; the reply's the return value
+    (unless void), then the ``out`` and ``inout`` parameters.
+    ``request`` and ``reply`` hold each body's codec twice, indexed by
+    the data path's ``receipt_is_rank_local``: ``[False]`` carries the
+    distributed values inline (the through-root path), ``[True]`` skips
+    them (the direct path).
+    """
+
+    def __init__(self, spec: OperationSpec) -> None:
+        self.spec = spec
+        self.name = spec.name
+        self.oneway = spec.oneway
+        sent = spec.sent_params
+        reply = [(p.name, p.typecode) for p in spec.returned_params]
+        if spec.return_tc is not TC_VOID:
+            reply.insert(0, (RETURN_SLOT, spec.return_tc))
+        at = {p.name: i for i, p in enumerate(sent)}
+        self.request_names = tuple(at)
+        self.reply_names = tuple(name for name, _ in reply)
+        #: ``(position, name, typecode)`` per distributed request value.
+        self.dist_request = tuple(
+            (i, p.name, p.typecode)
+            for i, p in enumerate(sent)
+            if isinstance(p.typecode, DSequenceTC)
+        )
+        #: ``(position, name, typecode, request position)`` per
+        #: distributed reply value; the request position is ``None``
+        #: unless it is an inout argument, updated in place.
+        self.dist_reply = tuple(
+            (i, name, tc, at.get(name))
+            for i, (name, tc) in enumerate(reply)
+            if isinstance(tc, DSequenceTC)
+        )
+        inout = {i: a for i, *_, a in self.dist_reply if a is not None}
+        #: ``(reply position, request position)`` of the inout
+        #: distributed values: the servant does not produce them.
+        self.inout = tuple(inout.items())
+        #: The reply positions the servant produces, in order.
+        self.produced = tuple(i for i in range(len(reply)) if i not in inout)
+        #: Does a distributed value move at all?  If not, neither side
+        #: stages anything on a data path.
+        self.staged = bool(self.dist_request or self.dist_reply)
+        self.request = _codecs([p.typecode for p in sent])
+        self.reply = _codecs([tc for _, tc in reply])
+
+    def dispatch(self, servant: Any, args: list[Any]) -> tuple[str, Any]:
+        """The skeleton: call the servant's method on ``args`` and
+        classify the outcome — ``("ok", reply values)``, ``("user",
+        exception)`` or ``("system", (category, message))``."""
+        method = getattr(servant, self.name, None)
+        try:
+            if method is None or not callable(method):
+                raise RemoteError(
+                    f"servant {type(servant).__name__} does not implement "
+                    f"'{self.name}'",
+                    category="NO_IMPLEMENT",
+                )
+            values = decompose(
+                method(*args), len(self.produced), f"servant '{self.name}'"
+            )
+            for i, arg in self.inout:
+                values.insert(i, args[arg])
+            for i, name, _tc, _arg in self.dist_reply:
+                if not isinstance(values[i], DistributedSequence):
+                    raise RemoteError(
+                        f"servant produced {type(values[i]).__name__} for "
+                        f"distributed slot '{name}'",
+                        category="BAD_PARAM",
+                    )
+        except UserException as exc:
+            if self.spec.exception_by_id(exc._tc.repo_id if exc._tc else ""):
+                return ("user", exc)
+            return ("system", (
+                "UNKNOWN",
+                f"servant raised undeclared exception {type(exc).__name__}",
+            ))
+        except RemoteError as exc:  # a system exception: category intact
+            return ("system", (exc.category, str(exc)))
+        except Exception as exc:  # noqa: BLE001 - reported to the client
+            return ("system", ("UNKNOWN", f"{type(exc).__name__}: {exc}"))
+        return ("ok", values)
+
+
+def compose(values: list[Any]) -> Any:
+    """Apply the 0/1/n composition rule."""
+    if not values:
+        return None
+    if len(values) == 1:
+        return values[0]
+    return tuple(values)
+
+
+def decompose(result: Any, nslots: int, where: str) -> list[Any]:
+    """Inverse of :func:`compose`, validating arity."""
+    if nslots == 0:
+        if result is not None:
+            raise RemoteError(
+                f"{where} produced a value but the operation returns "
+                f"nothing",
+                category="BAD_OPERATION",
+            )
+        return []
+    if nslots == 1:
+        return [result]
+    if not isinstance(result, tuple) or len(result) != nslots:
+        raise RemoteError(
+            f"{where} must produce a tuple of {nslots} values",
+            category="BAD_OPERATION",
+        )
+    return list(result)
 
 
 class RemoteError(RuntimeError):

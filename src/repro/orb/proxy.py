@@ -41,7 +41,7 @@ from repro.groups.failover import GROUP_COUNTERS, GroupBinding
 from repro.groups.select import GroupView
 from repro.idl.runtime import template_to_spec
 from repro.metrics import MetricsRegistry
-from repro.orb.operation import OperationSpec, RemoteError
+from repro.orb.operation import OperationPlan, RemoteError
 from repro.orb.reference import GroupReference, ObjectReference
 from repro.orb.datapath import DataPath, path_for
 from repro.orb.transfer import Inbox, invoke_begin
@@ -289,6 +289,8 @@ class _InvocationWorker:
         self._stopped = False
         #: Launched-but-uncompleted requests: (complete, future).
         self._pending: deque[tuple[Callable[[], Any], Future]] = deque()
+        #: Futures with a flush marker queued: one marker each.
+        self._flushing: set[Future] = set()
         self._lock = threading.Lock()
         #: Submissions (queued or inline) not yet resolved.
         self._unsettled = 0
@@ -360,6 +362,8 @@ class _InvocationWorker:
     def _handle(self, item: tuple) -> None:
         if item[0] == "flush":
             self._drain_through(item[1])
+            with self._lock:
+                self._flushing.discard(item[1])
             return
         _kind, fn, future = item
         # Admission: never more than ``depth`` in flight.
@@ -426,9 +430,15 @@ class _InvocationWorker:
                 self._unsettled -= 1
 
     def _request_flush(self, future: Future) -> None:
-        """Demand hook: a reader is about to block on ``future``."""
+        """Demand hook: a reader is about to block on ``future`` (or
+        polls it).  One marker per future: the first drains through
+        it, so a second would find nothing to do."""
         if self._stopped or threading.current_thread() is self._thread:
             return
+        with self._lock:
+            if future in self._flushing:
+                return
+            self._flushing.add(future)
         self._queue.put(("flush", future))
 
     def stop(self, join_timeout: float | None = 10.0) -> None:
@@ -455,7 +465,7 @@ class ClientProxy:
 
     _interface: str = ""
     _repo_id: str = ""
-    _operations: dict[str, OperationSpec] = {}
+    _operations: dict[str, OperationPlan] = {}
 
     def __init__(
         self,
@@ -671,7 +681,7 @@ class ClientProxy:
     def transfer_method(self) -> str:
         return self._path.mode
 
-    def _spec(self, operation: str) -> OperationSpec:
+    def _plan(self, operation: str) -> OperationPlan:
         try:
             return self._operations[operation]
         except KeyError:
@@ -680,19 +690,6 @@ class ClientProxy:
                 f"{operation!r}",
                 category="BAD_OPERATION",
             ) from None
-
-    def _check_serial_args(self, spec: OperationSpec, args: tuple) -> None:
-        """After plain ``_bind``, distributed arguments must be serial:
-        the thread interacts with the object on its own."""
-        if self._mode is not BindMode.SERIAL:
-            return
-        for param, value in zip(spec.sent_params, args):
-            if param.distributed and getattr(value, "comm", None) is not None:
-                raise ValueError(
-                    f"argument '{param.name}' is group-distributed; "
-                    f"after _bind use the non-distributed mapping "
-                    f"(serial sequences), or bind with _spmd_bind"
-                )
 
     def set_out_template(
         self, operation: str, param: str, template: Any
@@ -705,16 +702,13 @@ class ClientProxy:
         assumed."  Use ``"__return__"`` as ``param`` for a distributed
         return value.
         """
-        spec = self._spec(operation)
-        slot = next(
-            (s for s in spec.reply_slots if s.name == param), None
-        )
-        if slot is None or not slot.distributed:
+        dist = {name: arg for _i, name, _tc, arg in self._plan(operation).dist_reply}
+        if param not in dist:
             raise ValueError(
                 f"'{param}' is not a distributed out/return value of "
                 f"operation '{operation}'"
             )
-        if slot.param is not None and slot.param.direction.sends:
+        if dist[param] is not None:
             raise ValueError(
                 f"'{param}' is inout; its distribution follows the "
                 f"argument you pass"
@@ -779,8 +773,18 @@ class ClientProxy:
         program order, before its launch runs anywhere: the argument
         checks, the sanitizer's alignment check, and the launch
         closure itself.  Returns ``(launch, label, call site)``."""
-        spec = self._spec(operation)
-        self._check_serial_args(spec, args)
+        plan = self._operations.get(operation) or self._plan(operation)
+        if self._mode is BindMode.SERIAL:
+            # After plain ``_bind``, distributed arguments must be
+            # serial: the thread interacts with the object on its own.
+            for i, name, _tc in plan.dist_request:
+                value = args[i] if i < len(args) else None
+                if getattr(value, "comm", None) is not None:
+                    raise ValueError(
+                        f"argument '{name}' is group-distributed; "
+                        f"after _bind use the non-distributed mapping "
+                        f"(serial sequences), or bind with _spmd_bind"
+                    )
         runtime = self._runtime
         path = self._path
         ref = self._ref
@@ -794,15 +798,15 @@ class ClientProxy:
                 # rank aborts here with the call site, instead of
                 # cross-matching engine collectives.
                 runtime.san.check(label, site)
-        out_map = {
-            param: template_spec
-            for (op, param), template_spec in self._out_templates.items()
-            if op == operation
-        }
+        out_map = {}
+        if plan.dist_reply:
+            for (op, param), template_spec in self._out_templates.items():
+                if op == operation:
+                    out_map[param] = template_spec
         launch = lambda: invoke_begin(  # noqa: E731
             runtime,
             ref,
-            spec,
+            plan,
             args,
             path,
             out_templates=out_map,

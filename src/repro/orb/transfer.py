@@ -14,32 +14,22 @@ where the argument *data* flows: **centralized** (§3.2, Figure 2:
 gathered to rank 0, one network message, scattered) or **multi-port**
 (§3.3, Figure 3: chunks straight between the owning threads' ports).
 
-This module also holds what both paths build on: value slots and the
-body codecs, the :class:`Inbox` that files replies and chunks, and
-the per-invocation fault-tolerance control.
+This module also holds what both paths build on: the :class:`Inbox`
+that files replies and chunks, the chunk senders, the exception
+codecs, and the per-invocation state with its fault-tolerance
+control.
 
-Servant/result convention shared by both methods
-------------------------------------------------
-
-A servant method receives one value per ``in``/``inout`` parameter, in
-declaration order; distributed sequences arrive as
-:class:`~repro.dist.DistributedSequence` local views on every thread.
-It *produces*, in order: the return value (unless void), then a value
-for each ``out`` parameter and each non-distributed ``inout``
-parameter.  ``inout`` distributed sequences are mutated in place — on
-the server by the servant, on the client by the engine once the reply
-arrives.  Zero produced values → return ``None``; one → return it
-bare; several → return the tuple.  The client-side composed result
-follows the identical rule.
+What travels in the header frames — body codecs, slot positions,
+which values are distributed — is the operation's compiled
+:class:`~repro.orb.operation.OperationPlan`, which also states the
+servant/result convention both methods share.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -61,11 +51,11 @@ from repro.ft.policy import (
 from repro.idl.runtime import template_from_spec
 from repro.orb import request as wire
 from repro.orb.operation import (
-    RETURN_SLOT,
+    OperationPlan,
     OperationSpec,
     RemoteError,
-    Slot,
     UserException,
+    compose,
     find_exception_class,
 )
 from repro.orb.reference import ObjectReference
@@ -85,8 +75,6 @@ if TYPE_CHECKING:
     from repro.orb.datapath import DataPath
     from repro.orb.proxy import ClientRuntime
 
-_NATIVE_LITTLE = sys.byteorder == "little"
-
 
 def server_layout(
     spec_tuple: tuple | None, length: int, nthreads: int
@@ -95,41 +83,6 @@ def server_layout(
     the servant registered, or uniform blockwise (§2.2 default)."""
     template = template_from_spec(spec_tuple) or BlockTemplate()
     return template.layout(length, nthreads)
-
-
-# ---------------------------------------------------------------------------
-# Argument slots: what travels where (the slot views themselves are
-# ``OperationSpec.request_slots`` / ``reply_slots`` / ``produced_slots``)
-# ---------------------------------------------------------------------------
-
-
-def compose(values: list[Any]) -> Any:
-    """Apply the 0/1/n composition rule."""
-    if not values:
-        return None
-    if len(values) == 1:
-        return values[0]
-    return tuple(values)
-
-
-def decompose(result: Any, nslots: int, where: str) -> list[Any]:
-    """Inverse of :func:`compose`, validating arity."""
-    if nslots == 0:
-        if result is not None:
-            raise RemoteError(
-                f"{where} produced a value but the operation returns "
-                f"nothing",
-                category="BAD_OPERATION",
-            )
-        return []
-    if nslots == 1:
-        return [result]
-    if not isinstance(result, tuple) or len(result) != nslots:
-        raise RemoteError(
-            f"{where} must produce a tuple of {nslots} values",
-            category="BAD_OPERATION",
-        )
-    return list(result)
 
 
 # ---------------------------------------------------------------------------
@@ -436,62 +389,8 @@ def send_chunks(
 
 
 # ---------------------------------------------------------------------------
-# Body marshaling
+# Exception bodies
 # ---------------------------------------------------------------------------
-
-
-def plain_body_encoder(
-    slots: Sequence[Slot], values: dict[str, Any]
-) -> CdrEncoder:
-    """Marshal the non-distributed slots of a message body: the full
-    body of those slots alone."""
-    return full_body_encoder([s for s in slots if not s.distributed], values)
-
-
-def decode_plain_body(slots: Sequence[Slot], body: Any) -> dict[str, Any]:
-    """Inverse of :func:`plain_body_encoder`."""
-    return decode_full_body([s for s in slots if not s.distributed], body)
-
-
-def full_body_encoder(
-    slots: Sequence[Slot], values: dict[str, Any]
-) -> CdrEncoder:
-    """Centralized method: everything inline, distributed sequences as
-    materialized arrays or a gather's pieces (appended by reference —
-    the encoder borrows them until the message is sent).
-
-    Returns the encoder itself so a message can append its segments by
-    reference (zero-copy send path)."""
-    enc = CdrEncoder()
-    for slot in slots:
-        enc.write(slot.typecode, values[slot.name])
-    return enc
-
-
-def decode_full_body(slots: Sequence[Slot], body: Any) -> dict[str, Any]:
-    """Inverse of :func:`full_body_encoder`.  Numeric sequences come
-    back as views into ``body``'s buffer — writable, for whoever
-    adopts it, when ``body`` is a receive buffer this side owns."""
-    dec = CdrDecoder(body, owned=True)
-    return {slot.name: dec.read(slot.typecode) for slot in slots}
-
-
-def detach_plain_values(
-    slots: Sequence[Slot], values: dict[str, Any]
-) -> None:
-    """Replace read-only decoder-view arrays in the plain slots with
-    writable copies.
-
-    User code receives (and servants may mutate) these values, so they
-    must not alias a transport buffer; plain slots are small, the copy
-    is part of the accounted budget."""
-    for slot in slots:
-        if slot.distributed:
-            continue
-        value = values.get(slot.name)
-        if isinstance(value, np.ndarray) and not value.flags.writeable:
-            copied(value.nbytes)
-            values[slot.name] = value.copy()
 
 
 def encode_user_exception(exc: UserException) -> bytes:
@@ -545,12 +444,13 @@ def decode_system_exception(body: bytes) -> RemoteError:
 
 
 # ---------------------------------------------------------------------------
-# Fault-tolerant invocation control
+# One invocation: shared state and fault-tolerant control
 # ---------------------------------------------------------------------------
 
 
-class _FtInvocation:
-    """Per-invocation retry/deadline state of the client engine.
+class ClientInvocation:
+    """One invocation on the client: what the engine and its data path
+    share about it, and its retry/deadline control.
 
     Every decision here is a pure function of (canonical failure,
     attempt count, policy) — plus this rank's clock only for *filing*
@@ -562,14 +462,25 @@ class _FtInvocation:
     def __init__(
         self,
         runtime: "ClientRuntime",
-        spec: OperationSpec,
+        ref: ObjectReference,
+        plan: OperationPlan,
+        args: Sequence[Any],
+        layouts: dict[str, Layout],
+        out_templates: dict[str, tuple],
         policy: Any,
         request_id: int,
         trace_id: int | None = None,
         group: Any = None,
     ) -> None:
         self.runtime = runtime
-        self.spec = spec
+        self.ref = ref
+        self.plan = plan
+        #: The caller's arguments, in request slot order.
+        self.args = args
+        #: Layouts the distributed arguments were launched with, by name.
+        self.layouts = layouts
+        #: Preset template specs of out/return values, by slot name.
+        self.out_templates = out_templates
         self.policy = policy
         self.request_id = request_id
         #: The binding's :class:`~repro.groups.failover.GroupBinding`,
@@ -673,7 +584,7 @@ class _FtInvocation:
         exc = failure_to_exception(
             failure,
             self.policy,
-            operation=self.spec.name,
+            operation=self.plan.name,
             collective_index=self.collective_index,
             attempts=self.attempts,
         )
@@ -703,64 +614,46 @@ def _retryable_remote(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClientInvocation:
-    """What the engine and its data path share about one invocation."""
-
-    runtime: "ClientRuntime"
-    ref: ObjectReference
-    spec: OperationSpec
-    #: The request slots, and the caller's arguments by slot name.
-    slots: Sequence[Slot]
-    args: dict[str, Any]
-    #: Layouts the distributed arguments were launched with, by name.
-    layouts: dict[str, Layout]
-    #: Preset template specs of out/return values, by slot name.
-    out_templates: dict[str, tuple]
-    request_id: int
-    ctl: _FtInvocation
-
-
 def _check_dseq_arg(
-    slot: Slot, value: Any, runtime: "ClientRuntime"
+    name: str, tc: DSequenceTC, value: Any, runtime: "ClientRuntime"
 ) -> DistributedSequence:
     if not isinstance(value, DistributedSequence):
         raise TypeError(
-            f"parameter '{slot.name}' is a distributed sequence; "
+            f"parameter '{name}' is a distributed sequence; "
             f"pass a DistributedSequence, not {type(value).__name__}"
         )
     expected = runtime.size
     actual = 1 if value.comm is None else value.comm.size
     if actual != expected:
         raise ValueError(
-            f"argument '{slot.name}' is distributed over {actual} "
+            f"argument '{name}' is distributed over {actual} "
             f"threads but the client group has {expected}"
         )
-    tc: DSequenceTC = slot.typecode  # type: ignore[assignment]
     if tc.bound is not None and value.length() > tc.bound:
         raise MarshalError(
-            f"argument '{slot.name}' has {value.length()} elements, "
+            f"argument '{name}' has {value.length()} elements, "
             f"over the IDL bound {tc.bound}"
         )
     if value.dtype != tc.element_dtype:
         raise MarshalError(
-            f"argument '{slot.name}' has dtype {value.dtype}, the "
+            f"argument '{name}' has dtype {value.dtype}, the "
             f"IDL element type is {tc.element_dtype}"
         )
     return value
 
 
 def _install_reply_sequence(
-    slot: Slot,
+    tc: DSequenceTC,
+    arg: int | None,
     layout: Layout,
     local: np.ndarray,
     inv: ClientInvocation,
 ) -> DistributedSequence | None:
-    """In-place update for inout; fresh sequence for out/return."""
-    tc: DSequenceTC = slot.typecode  # type: ignore[assignment]
+    """In-place update of the inout argument at request position
+    ``arg``; a fresh sequence for an out/return value."""
     local = np.ascontiguousarray(local, dtype=tc.element_dtype)
-    if slot.param is not None and slot.param.direction.sends:
-        seq: DistributedSequence = inv.args[slot.name]
+    if arg is not None:
+        seq: DistributedSequence = inv.args[arg]
         seq._layout = layout
         seq._local = local
         return None
@@ -776,7 +669,7 @@ def _install_reply_sequence(
 def invoke(
     runtime: "ClientRuntime",
     ref: ObjectReference,
-    spec: OperationSpec,
+    plan: OperationPlan,
     args: tuple,
     path: "DataPath",
     out_templates: dict[str, tuple] | None = None,
@@ -788,7 +681,7 @@ def invoke(
 ) -> Any:
     """One complete invocation: send, then wait for the reply."""
     kind, payload = invoke_begin(
-        runtime, ref, spec, args, path, out_templates,
+        runtime, ref, plan, args, path, out_templates,
         ft_policy=ft_policy, on_degrade=on_degrade, trace_id=trace_id,
         heads=heads, group=group,
     )
@@ -798,7 +691,7 @@ def invoke(
 def invoke_begin(
     runtime: "ClientRuntime",
     ref: ObjectReference,
-    spec: OperationSpec,
+    plan: OperationPlan,
     args: tuple,
     path: "DataPath",
     out_templates: dict[str, tuple] | None = None,
@@ -848,17 +741,14 @@ def invoke_begin(
             f"ports; multi-port transfer is unavailable",
             category="NO_RESOURCES",
         )
-    slots = spec.request_slots
-    if len(args) != len(slots):
+    nargs = len(plan.request_names)
+    if len(args) != nargs:
         raise TypeError(
-            f"{spec.name}() takes {len(slots)} arguments, got {len(args)}"
+            f"{plan.name}() takes {nargs} arguments, got {len(args)}"
         )
-    by_name = dict(zip((s.name for s in slots), args))
-    layouts = {
-        s.name: _check_dseq_arg(s, by_name[s.name], runtime).layout
-        for s in slots
-        if s.distributed
-    }
+    layouts = {}
+    for i, name, tc in plan.dist_request:
+        layouts[name] = _check_dseq_arg(name, tc, args[i], runtime).layout
     if heads is None:
         heads = {}
     rts = runtime.rts
@@ -869,20 +759,17 @@ def invoke_begin(
     if rts is not None:
         rts.synchronize()
     request_id = runtime.next_request_id()
-    ctl = _FtInvocation(
-        runtime, spec, effective_policy(ft_policy, runtime), request_id,
+    inv = ClientInvocation(
+        runtime, ref, plan, args, layouts, out_templates or {},
+        effective_policy(ft_policy, runtime), request_id,
         trace_id=trace_id, group=group,
     )
-    inv = ClientInvocation(
-        runtime, ref, spec, slots, by_name, layouts, out_templates or {},
-        request_id, ctl,
-    )
-    trace = ctl.trace
-    span_kw = dict(trace_id=ctl.trace_id, side="client", rank=runtime.rank)
+    trace = inv.trace
+    span_kw = dict(trace_id=inv.trace_id, side="client", rank=runtime.rank)
     if group is not None:
         span_kw["replica"] = replica
     inv_span = span_or_null(
-        trace, "invoke", op=spec.name, engine=path.mode,
+        trace, "invoke", op=plan.name, engine=path.mode,
         request_id=request_id, **span_kw,
     )
     # A rank records a send stage only when it has work in it: every
@@ -891,6 +778,7 @@ def invoke_begin(
     # and sends the header (§3.3: "delivered using the centralized
     # method").
     direct = path.receipt_is_rank_local
+    codec = plan.request[direct]
 
     def send_phase() -> Failure | None:
         """One full send: the header frame plus whatever data the path
@@ -908,21 +796,25 @@ def invoke_begin(
         """
         enc_span = span_or_null(
             trace if root or not direct else None, "encode",
-            op=spec.name, **span_kw,
+            op=plan.name, **span_kw,
         )
-        values, header_fields = path.stage_arguments(inv)
+        values, header_fields = args, {}
+        if plan.staged or direct:
+            # (A direct path's header names the client's data ports
+            # whatever the operation moves.)
+            values, header_fields = path.stage_arguments(inv)
         if root:
-            body = path.body_encoder(slots, values)
-            key = (ref.object_key, spec.name, path.mode)
+            body = codec.encode(values)
+            key = (ref.object_key, plan.name, path.mode)
             head = heads.get(key)
             if head is None:
                 head = heads[key] = RequestHead(
-                    ref.object_key, spec.name, path.mode, spec.oneway,
-                    None if spec.oneway else runtime.port.address,
+                    ref.object_key, plan.name, path.mode, plan.oneway,
+                    None if plan.oneway else runtime.port.address,
                     runtime.size,
                 )
             segments = head.segments(
-                request_id, ctl.trace_id, body, **header_fields
+                request_id, inv.trace_id, body, **header_fields
             )
             enc_span.note(nbytes=len(body))
         enc_span.end()
@@ -935,10 +827,11 @@ def invoke_begin(
                 xfer_span.note(nbytes=len(body))
                 runtime.port.send(ref.request_port, segments, KIND_REQUEST)
             kind = "unreachable"
-            path.ship_arguments(inv)
+            if plan.staged:
+                path.ship_arguments(inv)
         except TransportError as exc:
             xfer_span.note(error=str(exc)).end()
-            if spec.oneway:
+            if plan.oneway:
                 raise
             return Failure(
                 kind, "COMM_FAILURE", str(exc), rank=runtime.rank
@@ -947,7 +840,7 @@ def invoke_begin(
         return None
 
     first_failure = send_phase()
-    if spec.oneway:
+    if plan.oneway:
         if rts is not None:
             rts.synchronize()
         inv_span.end()
@@ -972,15 +865,15 @@ def invoke_begin(
             local, pending = pending, None
             reply = header = None
             reply_span = span_or_null(
-                trace, "reply", attempt=ctl.attempts, **span_kw
+                trace, "reply", attempt=inv.attempts, **span_kw
             )
             if local is None and root:
                 try:
                     reply = runtime.inbox.reply(
-                        request_id, timeout=ctl.attempt_timeout()
+                        request_id, timeout=inv.attempt_timeout()
                     )
                 except TransportTimeout as exc:
-                    local = ctl.timeout_failure(exc)
+                    local = inv.timeout_failure(exc)
                 except TransportError as exc:
                     local = Failure(
                         "transport", "COMM_FAILURE", str(exc), rank=0
@@ -995,7 +888,7 @@ def invoke_begin(
                         body = bytes(reply.body)
                         copied(len(body))
                     local = _retryable_remote(
-                        ctl.policy, reply.status, body
+                        inv.policy, reply.status, body
                     )
                     if local is None:
                         header = (reply.status, body, reply.dist_layouts)
@@ -1003,11 +896,11 @@ def invoke_begin(
             # success, and elects the canonical failure otherwise, so
             # all ranks leave this point with the same next move.
             failure, header = agree(rts, local, header)
-            ctl.note_agreement()
+            inv.note_agreement()
             if failure is None:
                 status, body, _layouts = header
                 if status == wire.STATUS_USER_EXCEPTION:
-                    raise decode_user_exception(spec, body)
+                    raise decode_user_exception(plan.spec, body)
                 if status != wire.STATUS_OK:
                     raise decode_system_exception(body)
                 local = None
@@ -1019,7 +912,7 @@ def invoke_begin(
                     if not direct:
                         raise
                     local = (
-                        ctl.timeout_failure(exc)
+                        inv.timeout_failure(exc)
                         if isinstance(exc, TransportTimeout)
                         else Failure(
                             "transport", "COMM_FAILURE", str(exc),
@@ -1028,28 +921,27 @@ def invoke_begin(
                     )
                 if direct:
                     failure = agree_failure(rts, local)
-                    ctl.note_agreement()
+                    inv.note_agreement()
             if failure is None:
-                for slot in spec.reply_slots:
-                    if slot.distributed:
-                        values[slot.name] = _install_reply_sequence(
-                            slot, *placed[slot.name], inv
-                        )
+                for i, _name, tc, arg in plan.dist_reply:
+                    values[i] = _install_reply_sequence(
+                        tc, arg, *placed[i], inv
+                    )
                 if rts is not None:
                     rts.synchronize()
                 retire()
                 reply_span.end()
-                return compose(
-                    [values[s.name] for s in spec.produced_slots]
-                )
+                if plan.inout:
+                    values = [values[i] for i in plan.produced]
+                return compose(values)
             reply_span.note(failure=failure.kind).end()
-            action = ctl.next_action(failure)
+            action = inv.next_action(failure)
             if action == "retry":
                 with span_or_null(
-                    trace, "retry", attempt=ctl.attempts + 1,
+                    trace, "retry", attempt=inv.attempts + 1,
                     failure=failure.kind, **span_kw,
                 ):
-                    ctl.before_retry()
+                    inv.before_retry()
                     pending = send_phase()
                 continue
             if action == "degrade":
@@ -1061,7 +953,7 @@ def invoke_begin(
                 # invocation is exactly-once safe.  The original trace
                 # id rides along, so the degraded attempt's spans stay
                 # in the same logical trace.
-                ctl.note_degraded()
+                inv.note_degraded()
                 retire()
                 if on_degrade is not None:
                     on_degrade(path.fallback)
@@ -1070,11 +962,11 @@ def invoke_begin(
                     to_engine=path.fallback.mode, **span_kw,
                 ):
                     return invoke(
-                        runtime, ref, spec, args, path.fallback,
-                        out_templates, ft_policy=ctl.policy,
-                        trace_id=ctl.trace_id, heads=heads, group=group,
+                        runtime, ref, plan, args, path.fallback,
+                        out_templates, ft_policy=inv.policy,
+                        trace_id=inv.trace_id, heads=heads, group=group,
                     )
-            cause = ctl.failure_exception(failure)
+            cause = inv.failure_exception(failure)
             if action == "raise":
                 raise cause
             # The policy gave up on this replica: move the binding to
@@ -1083,11 +975,11 @@ def invoke_begin(
             # sibling's reply cache has never seen the call, so one
             # the dead replica executed before dying runs again.
             retire()
-            group.fail_over(runtime, ctl.policy, replica, cause, ctl.trace_id)
+            group.fail_over(runtime, inv.policy, replica, cause, inv.trace_id)
             return invoke(
-                runtime, ref, spec, args, path, out_templates,
-                ft_policy=ctl.policy, on_degrade=on_degrade,
-                trace_id=ctl.trace_id, heads=heads, group=group,
+                runtime, ref, plan, args, path, out_templates,
+                ft_policy=inv.policy, on_degrade=on_degrade,
+                trace_id=inv.trace_id, heads=heads, group=group,
             )
 
     def complete() -> Any:
@@ -1099,7 +991,7 @@ def invoke_begin(
             retire()
             inv_span.note(error=repr(exc)).end()
             raise
-        inv_span.note(attempts=ctl.attempts).end()
+        inv_span.note(attempts=inv.attempts).end()
         return result
 
     return ("pending", complete)

@@ -85,11 +85,20 @@ MAX = _ReduceOp("max", lambda a, b: np.maximum(a, b))
 MIN = _ReduceOp("min", lambda a, b: np.minimum(a, b))
 
 
+def _immutable(payload: Any) -> bool:
+    """Is ``payload`` a scalar, or a tuple holding only scalars and
+    such tuples (checked all the way down)?"""
+    if type(payload) is tuple:
+        return all(map(_immutable, payload))
+    return payload is None or isinstance(payload, (bool, int, float, str, bytes))
+
+
 def _isolate(payload: Any) -> Any:
-    """Copy a payload so sender and receiver share no mutable state."""
+    """Copy a payload so sender and receiver share no mutable state:
+    a deeply immutable one is shared as is."""
     if isinstance(payload, np.ndarray):
         return payload.copy()
-    if payload is None or isinstance(payload, (bool, int, float, str, bytes)):
+    if _immutable(payload):
         return payload
     return pickle.loads(pickle.dumps(payload))
 

@@ -39,7 +39,7 @@ class TestBasicMetadata:
         assert TC_CHAR.dtype is None  # no bulk fast path
 
     def test_the_dtype_is_built_once(self, monkeypatch):
-        """At construction, like ``_exact``: the marshalling paths read
+        """At construction, like ``exact``: the marshalling paths read
         it for every value."""
         assert TC_DOUBLE.dtype is TC_DOUBLE.dtype
         monkeypatch.setattr(typecodes.np, "dtype", None)  # any call fails

@@ -48,8 +48,8 @@ class TestGeneratedModule:
 
     def test_operations_table(self):
         compiled = compile_idl(PAPER_IDL)
-        spec = compiled.diff_object._operations["diffusion"]
-        assert spec.params[1].distributed
+        plan = compiled.diff_object._operations["diffusion"]
+        assert [d[1] for d in plan.dist_request] == ["darray"]
         assert compiled.diff_object._repo_id == "IDL:diff_object:1.0"
 
     def test_skeleton_shares_operation_table(self):
@@ -239,7 +239,7 @@ class TestModulesAndInheritance:
             };
             """
         )
-        spec = compiled.box._operations["query"]
+        spec = compiled.box._operations["query"].spec
         assert spec.return_tc.kind == "enum"
 
     def test_attribute_properties(self):

@@ -18,7 +18,6 @@ from repro.orb import request as wire
 from repro.orb.naming import NamingService
 from repro.orb.request import RequestMessage
 from repro.orb.socketnet import SocketFabric
-from repro.orb.transfer import plain_body_encoder
 
 from tests.integration.observing import Recording, names, serve_recording
 from tests.orb.test_serial_upcall import _RawClient, _settled
@@ -123,13 +122,15 @@ def test_a_retry_on_a_collective_group_is_rank_0s_business_alone(
             gate.wait(timeout=20)
 
     def frame(operation, request_id, values, reply_port):
-        slots = idl.diff_object._operations[operation].request_slots
+        plan = idl.diff_object._operations[operation]
         return RequestMessage(
             request_id=request_id,
             object_key="example",
             operation=operation,
             reply_port=reply_port,
-            body=plain_body_encoder(slots, values),
+            body=plan.request[True].encode(
+                [values.get(name) for name in plan.request_names]
+            ),
         ).encode()
 
     with SocketFabric("retry-server") as sf, SocketFabric("retry-client") as cf:

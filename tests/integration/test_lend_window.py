@@ -24,7 +24,6 @@ from repro.ft.faults import FaultSchedule, FaultyFabric
 from repro.orb.naming import NamingService
 from repro.orb.request import decode_reply, decode_request
 from repro.orb.socketnet import SocketFabric
-from repro.orb.transfer import full_body_encoder
 from repro.orb.transport import Fabric, flatten_payload
 
 N = 1 << 17  # doubles: 1 MiB, a frame the local stream pulls
@@ -263,11 +262,10 @@ def test_the_frames_carry_the_assembled_value_octet_for_octet(idl):
         orb.run_spmd_client(2, body)
     frames = dict(fabric.frames)
     assert [kind for kind, _ in fabric.frames] == ["request", "reply"]
-    spec = idl.lender._operations["roundtrip"]
+    plan = idl.lender._operations["roundtrip"]
     request = decode_request(frames["request"])
-    body = full_body_encoder(spec.request_slots, {"k": 3, "data": expected(3)})
+    body = plan.request[False].encode([3, expected(3)])
     assert dataclasses.replace(request, body=body).encode() == frames["request"]
     reply = decode_reply(frames["reply"])
-    (slot,) = spec.reply_slots
-    body = full_body_encoder(spec.reply_slots, {slot.name: expected(3)})
+    body = plan.reply[False].encode([expected(3)])
     assert dataclasses.replace(reply, body=body).encode() == frames["reply"]

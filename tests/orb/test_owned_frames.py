@@ -20,7 +20,12 @@ from repro import ORB, compile_idl
 from repro.cdr.accounting import copy_audit
 from repro.cdr.typecodes import DSequenceTC, TC_DOUBLE
 from repro.orb.naming import NamingService
-from repro.orb.operation import Direction, OperationSpec, ParamSpec
+from repro.orb.operation import (
+    Direction,
+    OperationPlan,
+    OperationSpec,
+    ParamSpec,
+)
 from repro.orb.request import (
     DataChunk,
     PHASE_REQUEST,
@@ -29,7 +34,6 @@ from repro.orb.request import (
     decode_request,
 )
 from repro.orb.socketnet import SocketFabric
-from repro.orb.transfer import decode_full_body, full_body_encoder
 from repro.orb.transport import KIND_DATA, KIND_REQUEST, SocketPortAddress
 
 BULK = 1 << 20  # doubles: the benchmark's 8 MiB
@@ -265,10 +269,10 @@ class TestAlignmentOnTheWire:
     aligned in memory — whatever the lengths of the strings in front
     of it."""
 
-    SPEC = OperationSpec(
+    BODY = OperationPlan(OperationSpec(
         name="op",
         params=(ParamSpec("data", Direction.IN, DSequenceTC(TC_DOUBLE)),),
-    )
+    )).request[False]
 
     @pytest.fixture(scope="class")
     def fabrics(self):
@@ -281,7 +285,6 @@ class TestAlignmentOnTheWire:
         sender = near.open_port("s" * n)
         receiver = far.open_port("r" * n)
         source = np.arange((1 << 16) // 4, dtype=np.float64)
-        slots = self.SPEC.request_slots
         message = RequestMessage(
             request_id=n,
             object_key="k" * n,
@@ -289,13 +292,13 @@ class TestAlignmentOnTheWire:
             reply_port=sender.address,
             client_data_ports=(sender.address,) * (n % 3),
             dist_layouts=(("d" * n, (1, 2, 3)),),
-            body=full_body_encoder(slots, {"data": source}),
+            body=self.BODY.encode([source]),
         )
         sender.send(receiver.address, message.encode_segments(), KIND_REQUEST)
         _src, _kind, payload = receiver.recv(timeout=5)
         request = decode_request(payload)
         assert (request.object_key, request.operation) == ("k" * n, "o" * n)
-        landed = decode_full_body(slots, request.body)["data"]
+        (landed,) = self.BODY.decode(request.body)
         assert landed.flags.aligned and landed.flags.writeable
         np.testing.assert_array_equal(landed, source)
         for port in (sender, receiver):

@@ -20,7 +20,6 @@ from repro.orb.naming import NamingService
 from repro.orb.request import RequestMessage
 from repro.orb.server import ServerConfig
 from repro.orb.socketnet import SocketFabric
-from repro.orb.transfer import plain_body_encoder
 from repro.orb.transport import (
     KIND_REPLY,
     KIND_REQUEST,
@@ -79,14 +78,14 @@ def _thread_names():
 
 def _frame(idl, operation, request_id, value, reply_port, oneway=False):
     """One request frame for ``ledger``, flattened."""
-    slots = idl.ledger._operations[operation].request_slots
+    codec = idl.ledger._operations[operation].request[True]
     message = RequestMessage(
         request_id=request_id,
         object_key="ledger",
         operation=operation,
         oneway=oneway,
         reply_port=None if oneway else reply_port,
-        body=plain_body_encoder(slots, {"x": value}),
+        body=codec.encode([value]),
     )
     return message.encode()
 

@@ -1,5 +1,5 @@
-"""Unit tests for transfer-engine building blocks (slots, composition,
-the inbox, body marshaling)."""
+"""Unit tests for transfer-engine building blocks (an operation plan's
+slots, composition and body codec, the inbox)."""
 
 import sys
 import threading
@@ -21,18 +21,17 @@ from repro.cdr.typecodes import (
 from repro.dist import Layout, transfer_schedule
 from repro.orb.operation import (
     Direction,
+    OperationPlan,
     OperationSpec,
     ParamSpec,
     RemoteError,
+    compose,
+    decompose,
 )
 from repro.orb.request import DataChunk, PHASE_REQUEST, ReplyMessage
 from repro.orb.transfer import (
     Inbox,
     assemble_chunks,
-    compose,
-    decode_plain_body,
-    decompose,
-    plain_body_encoder,
 )
 from repro.orb.transport import (
     Fabric,
@@ -58,31 +57,32 @@ def spec(**kw):
         return_tc=TC_DOUBLE,
     )
     defaults.update(kw)
-    return OperationSpec(**defaults)
+    return OperationPlan(OperationSpec(**defaults))
 
 
 class TestSlots:
     def test_request_slots_are_sent_params(self):
-        names = [s.name for s in spec().request_slots]
-        assert names == ["a", "b", "e"]
+        assert spec().request_names == ("a", "b", "e")
 
     def test_reply_slots_return_first(self):
-        names = [s.name for s in spec().reply_slots]
-        assert names == ["__return__", "b", "c", "d", "e"]
+        names = spec().reply_names
+        assert names == ("__return__", "b", "c", "d", "e")
 
     def test_void_return_omitted(self):
-        names = [s.name for s in spec(return_tc=TC_VOID).reply_slots]
-        assert names == ["b", "c", "d", "e"]
+        assert spec(return_tc=TC_VOID).reply_names == ("b", "c", "d", "e")
 
     def test_produced_slots_skip_inout_dsequence(self):
         # 'b' (inout dsequence) is mutated in place, not produced.
-        names = [s.name for s in spec().produced_slots]
+        plan = spec()
+        names = [plan.reply_names[i] for i in plan.produced]
         assert names == ["__return__", "c", "d", "e"]
+        assert plan.inout == ((1, 1),)
 
     def test_distributed_flag(self):
-        by_name = {s.name: s for s in spec().reply_slots}
-        assert by_name["b"].distributed and by_name["d"].distributed
-        assert not by_name["c"].distributed
+        plan = spec()
+        assert [d[1] for d in plan.dist_reply] == ["b", "d"]
+        assert [d[1] for d in plan.dist_request] == ["b"]
+        assert plan.staged and not spec(params=()).staged
 
 
 class TestComposition:
@@ -107,11 +107,9 @@ class TestComposition:
 
 class TestPlainBody:
     def test_roundtrip_skips_distributed(self):
-        slots = spec().request_slots
-        values = {"a": 5, "e": -1, "b": "IGNORED"}
-        body = plain_body_encoder(slots, values).getvalue()
-        values = decode_plain_body(slots, body)
-        assert values == {"a": 5, "e": -1}
+        codec = spec().request[True]
+        body = codec.encode([5, "IGNORED", -1]).getvalue()
+        assert codec.decode(body) == [5, None, -1]
 
 
 def make_chunk(rid, param, lo, hi, phase=PHASE_REQUEST):

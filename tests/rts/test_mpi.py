@@ -8,6 +8,7 @@ contract with every rank a process.
 
 import threading
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ from repro.rts import (
 )
 
 
+@dataclass
+class Box:
+    items: list
+
+
 class TestPointToPoint:
     def test_send_recv_same_thread(self):
         a, b = create_group(2)
@@ -39,6 +45,32 @@ class TestPointToPoint:
         a.send(payload, dest=1)
         payload.append(4)
         assert b.recv() == [1, 2, 3]
+
+    def test_deeply_immutable_tuples_are_shared_not_copied(self):
+        """A vote like ``("ok", None)`` or a reply header holds nothing
+        a receiver could mutate: it crosses as the sender's object."""
+        a, b = create_group(2)
+        for payload in (
+            ("ok", None),
+            (None, None),
+            (None, (0, b"body", ())),
+            (1.5, True, "s", (("x", (1, 2)),)),
+        ):
+            a.send(payload, dest=1)
+            assert b.recv() is payload
+
+    def test_tuples_holding_mutables_are_still_copied(self):
+        a, b = create_group(2)
+        inner = [1]
+        box = Box([2])
+        payload = ("ok", (inner,), box, {"k": [3]})
+        a.send(payload, dest=1)
+        got = b.recv()
+        assert got == payload and got is not payload
+        assert got[1][0] is not inner and got[2] is not box
+        inner.append(9)
+        box.items.append(9)
+        assert got[1][0] == [1] and got[2].items == [2]
 
     def test_numpy_payload_is_copied(self):
         a, b = create_group(2)

@@ -152,7 +152,7 @@ ALLOWED_NONE_PROBES = {
         "a user-supplied argument: distributed sequence or plain value",
     ("orb/proxy.py", "template", "'nranks'"):
         "a user-supplied template: spec tuples carry no rank count",
-    ("orb/adapter.py", "servant", "spec.name"):
+    ("orb/operation.py", "servant", "self.name"):
         "dynamic dispatch: the operation named by the request",
 }
 
