@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
+from repro import clock
 from repro.dist import DistributedSequence
 from repro.dist.template import DistTemplate
 from repro.idl.runtime import template_to_spec
@@ -831,8 +832,9 @@ class _DispatchPool:
             self._stopping = True
             while self._idle:
                 self._idle.pop().release()
+        deadline = clock.now() + timeout
         for thread in self._threads:
-            thread.join(timeout)
+            thread.join(deadline - clock.now())
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +911,10 @@ class ServantGroup:
         self._request_port: Port | None = None
         self._data_ports: list[Port] = []
         self._ref: ObjectReference | None = None
-        self._started = threading.Event()
+        self._activation = threading.Condition()
+        #: Rank 0's activation: ``None`` while under way, then whether
+        #: the group started.
+        self._started: bool | None = None
         self._repo_id = ""
 
     @property
@@ -931,11 +936,12 @@ class ServantGroup:
         ]
         self._handle = self._executor.spawn(self._rank_main)
         # Wait for activation, failing fast if the servant factory (or
-        # any rank) dies before rank 0 reports ready.
-        for _ in range(600):
-            if self._started.wait(timeout=0.05) or not self._handle.alive():
-                break
-        if not self._started.is_set():
+        # any rank, which aborts rank 0's barrier) dies first.
+        with self._activation:
+            clock.wait_for(
+                self._activation, lambda: self._started is not None, 30.0
+            )
+        if not self._started:
             handle, self._handle = self._handle, None
             self._close_ports()
             handle.join(timeout=5)  # raises the dead rank's SpmdError
@@ -965,6 +971,20 @@ class ServantGroup:
             raise
 
     def _rank_main(self, rank_ctx: Any) -> None:
+        try:
+            self._serve(rank_ctx)
+        finally:
+            if rank_ctx.rank == 0:
+                self._request_port.upcall = None
+                self._activated(False)  # a no-op once started
+
+    def _activated(self, started: bool) -> None:
+        with self._activation:
+            if self._started is None:
+                self._started = started
+            self._activation.notify_all()
+
+    def _serve(self, rank_ctx: Any) -> None:
         comm = rank_ctx.comm
         ctx = ServantContext(
             rank=rank_ctx.rank,
@@ -1018,12 +1038,8 @@ class ServantGroup:
             self._request_port.upcall = _RequestIntake(
                 self._request_port, self.reply_cache, engine.governor, drain
             ).upcall
-            self._started.set()
-        try:
-            drain.run()
-        finally:
-            if ctx.rank == 0:
-                self._request_port.upcall = None
+            self._activated(True)
+        drain.run()
 
     def _close_ports(self) -> None:
         for port in [self._request_port, *self._data_ports]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Sequence
 
 from repro.cdr.body import BodyCodec
 from repro.cdr.typecodes import (
@@ -109,12 +109,6 @@ class OperationSpec:
     def returned_params(self) -> tuple[ParamSpec, ...]:
         return tuple(p for p in self.params if p.direction.returns)
 
-    def exception_by_id(self, repo_id: str) -> ExceptionTC | None:
-        for exc_tc in self.raises:
-            if exc_tc.repo_id == repo_id:
-                return exc_tc
-        return None
-
 
 def _codecs(typecodes: list[TypeCode]) -> tuple[BodyCodec, BodyCodec]:
     """A body's codecs: every value inline, and the plain values only
@@ -138,8 +132,15 @@ class OperationPlan:
     them (the direct path).
     """
 
-    def __init__(self, spec: OperationSpec) -> None:
+    def __init__(
+        self, spec: OperationSpec, exceptions: Sequence[type] = ()
+    ) -> None:
         self.spec = spec
+        #: The exceptions the operation raises, by repository id: their
+        #: typecodes, and the classes compiled with the plan, which a
+        #: user-exception reply decodes to.
+        self.raises = {tc.repo_id: tc for tc in spec.raises}
+        self.exceptions = {cls._tc.repo_id: cls for cls in exceptions}
         self.name = spec.name
         self.oneway = spec.oneway
         sent = spec.sent_params
@@ -200,7 +201,7 @@ class OperationPlan:
                         category="BAD_PARAM",
                     )
         except UserException as exc:
-            if self.spec.exception_by_id(exc._tc.repo_id if exc._tc else ""):
+            if exc._tc is not None and exc._tc.repo_id in self.raises:
                 return ("user", exc)
             return ("system", (
                 "UNKNOWN",
@@ -252,18 +253,6 @@ class RemoteError(RuntimeError):
         self.category = category
 
 
-#: Repository id → generated exception class, filled as generated
-#: modules are executed, so the client side can re-raise the concrete
-#: class a servant threw.
-_EXCEPTION_REGISTRY: dict[str, type] = {}
-
-
-def find_exception_class(repo_id: str) -> type | None:
-    """The generated class for a repository id, if one was compiled
-    in this process."""
-    return _EXCEPTION_REGISTRY.get(repo_id)
-
-
 class UserException(Exception):
     """Base of IDL-declared exceptions raised by servants.
 
@@ -272,11 +261,6 @@ class UserException(Exception):
     """
 
     _tc: ExceptionTC | None = None
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        if cls._tc is not None:
-            _EXCEPTION_REGISTRY[cls._tc.repo_id] = cls
 
     def __init__(self, **members: Any) -> None:
         self._members = dict(members)

@@ -59,13 +59,13 @@ import selectors
 import socket
 import struct
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
+from repro import clock
 from repro.cdr.accounting import copied
 from repro.cdr.head import HeadLayout, octet_run, text
 from repro.cdr.typecodes import MarshalError
@@ -633,7 +633,7 @@ class _ServerLoop:
     # -- the loop -----------------------------------------------------------
 
     def _run(self) -> None:
-        next_sweep = time.monotonic() + self._SWEEP_INTERVAL
+        next_sweep = clock.now() + self._SWEEP_INTERVAL
         while True:
             try:
                 events = self._selector.select(
@@ -652,7 +652,7 @@ class _ServerLoop:
             self._run_commands()
             if self._closed:
                 break
-            now = time.monotonic()
+            now = clock.now()
             if now >= next_sweep:
                 next_sweep = now + self._SWEEP_INTERVAL
                 self._sweep_paused()

@@ -28,12 +28,12 @@ servant/result convention both methods share.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
+from repro import clock
 from repro.cdr.accounting import copied
 from repro.cdr.decoder import CdrDecoder
 from repro.cdr.encoder import CdrEncoder
@@ -52,11 +52,9 @@ from repro.idl.runtime import template_from_spec
 from repro.orb import request as wire
 from repro.orb.operation import (
     OperationPlan,
-    OperationSpec,
     RemoteError,
     UserException,
     compose,
-    find_exception_class,
 )
 from repro.orb.reference import ObjectReference
 from repro.orb.request import DataChunk, ReplyMessage, RequestHead
@@ -176,7 +174,6 @@ class Inbox:
         except Exception:  # undecodable, or a kind an inbox never files
             item = None
         with self._cond:
-            now = time.monotonic()
             if item is None:
                 self._counts["garbage_dropped"] += 1
             elif self._finished.get(item.request_id):
@@ -192,44 +189,43 @@ class Inbox:
                 entry[coord] = item
                 if item.request_id in self._finished:
                     self._aging.pop(key, None)
-                    self._aging[key] = now
-            # Aging entries are in last-touched order: the sweep stops
-            # at the first one still fresh.
-            while self._aging and self.timeout is not None:
-                key, touched = next(iter(self._aging.items()))
-                if now - touched <= self.timeout:
-                    break
-                del self._aging[key], self._chunks[key]
-                self._counts["expired"] += 1
+                    self._aging[key] = clock.now()
+            if self._aging and self.timeout is not None:
+                # Aging entries are in last-touched order: the sweep
+                # stops at the first one still fresh.
+                fresh = clock.now() - self.timeout
+                while self._aging:
+                    key, touched = next(iter(self._aging.items()))
+                    if touched >= fresh:
+                        break
+                    del self._aging[key], self._chunks[key]
+                    self._counts["expired"] += 1
             self._cond.notify_all()
         return True
 
-    def _wait(self, take: Any, timeout: float | None, what: str) -> Any:
-        """``take()``'s first result that is not ``None``, waiting for
-        frames to be filed until the port closes or time runs out."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def _wait(
+        self, ready: Any, timeout: float | None, what: Callable[[], str]
+    ) -> Any:
+        """``ready()``'s first true result, waiting for frames to be
+        filed until the port closes (``ready()`` is then ``True``) or
+        time runs out."""
         with self._cond:
-            while True:
-                got = take()
-                if got is not None:
-                    return got
-                if self.port.closed:
-                    raise TransportError(
-                        f"port {self.port.address} closed while {what}"
-                    )
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise TransportTimeout(f"timed out {what}")
-                self._cond.wait(remaining)
+            got = clock.wait_for(self._cond, ready, timeout)
+        if got is True:
+            raise TransportError(
+                f"port {self.port.address} closed while {what()}"
+            )
+        if not got:
+            raise TransportTimeout(f"timed out {what()}")
+        return got
 
     def reply(self, request_id: int, timeout: float | None) -> ReplyMessage:
         """Block until the reply for ``request_id`` is filed."""
+        replies, port = self._replies, self.port
         return self._wait(
-            lambda: self._replies.pop(request_id, None),
+            lambda: replies.pop(request_id, None) or port.closed,
             timeout,
-            f"waiting for the reply to request {request_id}",
+            lambda: f"waiting for the reply to request {request_id}",
         )
 
     def collect(
@@ -251,18 +247,21 @@ class Inbox:
                 del self._finished[request_id]
                 for k in [k for k in self._aging if k[0] == request_id]:
                     del self._aging[k]
+        if expected <= 0:
+            return []
 
-        def take() -> list[DataChunk] | None:
+        def ready() -> list[DataChunk] | bool:
             entry = self._chunks.get(key)
             if entry is not None and len(entry) >= expected:
                 return list(self._evict(key).values())
-            return [] if expected <= 0 else None
+            return self.port.closed
 
         try:
             return self._wait(
-                take,
+                ready,
                 timeout,
-                f"collecting chunks for request {request_id} ('{param}')",
+                lambda: f"collecting chunks for request {request_id} "
+                f"('{param}')",
             )
         except BaseException:
             with self._cond:
@@ -294,7 +293,7 @@ class Inbox:
                     self._evict(key)
                 else:
                     self._aging.pop(key, None)
-                    self._aging[key] = time.monotonic()
+                    self._aging[key] = clock.now()
 
     def _evict(self, key: tuple[int, str, int]) -> Any:
         self._aging.pop(key, None)
@@ -406,20 +405,21 @@ def encode_user_exception(exc: UserException) -> bytes:
 
 
 def decode_user_exception(
-    spec: OperationSpec, body: bytes
+    plan: OperationPlan, body: bytes
 ) -> UserException:
     """Rebuild the concrete exception a servant raised, matching the
-    repository id against the operation's raises clause."""
+    repository id against the operation's raises clause: an instance
+    of the class compiled with the operation."""
     probe = CdrDecoder(body)
     repo_id = probe.read_string()
-    exc_tc = spec.exception_by_id(repo_id)
+    exc_tc = plan.raises.get(repo_id)
     if exc_tc is None:
         raise RemoteError(
             f"server raised undeclared exception {repo_id!r}",
             category="UNKNOWN",
         )
     members = CdrDecoder(body).read(exc_tc)
-    cls = find_exception_class(repo_id)
+    cls = plan.exceptions.get(repo_id)
     if cls is not None:
         return cls(**members)
     exc = UserException(**members)
@@ -496,7 +496,7 @@ class ClientInvocation:
         if trace_id is None:
             trace_id = request_id if self.trace is not None else 0
         self.trace_id = trace_id
-        self.start = time.monotonic()
+        self.start = clock.now()
         #: Retries performed so far (0 = still on the first attempt).
         self.attempts = 0
         # The invocation's position in the runtime's collective
@@ -510,9 +510,7 @@ class ClientInvocation:
     def _remaining_deadline(self) -> float | None:
         if self.policy is None or self.policy.deadline_ms is None:
             return None
-        return self.policy.deadline_ms / 1e3 - (
-            time.monotonic() - self.start
-        )
+        return self.policy.deadline_ms / 1e3 - (clock.now() - self.start)
 
     def attempt_timeout(self) -> float | None:
         """The receive window of the current attempt: the runtime
@@ -567,7 +565,7 @@ class ClientInvocation:
             self.attempts, self.request_id
         )
         if delay > 0:
-            time.sleep(delay)
+            clock.sleep(delay)
 
     def note_agreement(self) -> None:
         if self.runtime.rts is not None:
@@ -900,7 +898,7 @@ def invoke_begin(
             if failure is None:
                 status, body, _layouts = header
                 if status == wire.STATUS_USER_EXCEPTION:
-                    raise decode_user_exception(plan.spec, body)
+                    raise decode_user_exception(plan, body)
                 if status != wire.STATUS_OK:
                     raise decode_system_exception(body)
                 local = None

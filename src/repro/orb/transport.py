@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Any, Callable
 
+from repro import clock
 from repro.cdr.accounting import copied
 from repro.cdr.head import text
 
@@ -239,27 +239,22 @@ class Port:
 
         Returns ``(source, kind, payload)``.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
+        def take() -> _Delivery | None:
+            if self._closed:
+                raise TransportError(
+                    f"port {self.address} closed while receiving"
+                )
+            for i, delivery in enumerate(self._queue):
+                if kind is None or delivery.kind == kind:
+                    return self._queue.pop(i)
+
         with self._cond:
-            while True:
-                if self._closed:
-                    raise TransportError(
-                        f"port {self.address} closed while receiving"
-                    )
-                for i, delivery in enumerate(self._queue):
-                    if kind is None or delivery.kind == kind:
-                        self._queue.pop(i)
-                        return delivery.src, delivery.kind, delivery.payload
-                if deadline is None:
-                    self._cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TransportTimeout(
-                        f"recv on port {self.address} timed out "
-                        f"(kind={kind})"
-                    )
-                self._cond.wait(remaining)
+            delivery = clock.wait_for(self._cond, take, timeout)
+        if delivery is None:
+            raise TransportTimeout(
+                f"recv on port {self.address} timed out (kind={kind})"
+            )
+        return delivery.src, delivery.kind, delivery.payload
 
     def pending(self) -> int:
         with self._cond:

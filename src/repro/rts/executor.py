@@ -25,6 +25,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro import clock
 from repro.rts import backends
 from repro.rts.mpi import GroupAbortedError, Intracomm, create_group
 
@@ -100,10 +101,11 @@ class SpmdHandle:
 
         Raises :class:`SpmdError` if any rank raised (peer aborts are
         folded into the primary failure rather than reported alongside
-        it).
+        it).  ``timeout`` bounds the whole group, not each rank.
         """
+        deadline = None if timeout is None else clock.now() + timeout
         for thread in self._threads:
-            thread.join(timeout)
+            thread.join(None if deadline is None else deadline - clock.now())
             if thread.is_alive():
                 raise TimeoutError(
                     f"SPMD group '{self._name}' did not finish within "

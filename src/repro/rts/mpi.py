@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import pickle
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
+
+from repro import clock
 
 #: Wildcards, mirroring MPI_ANY_SOURCE / MPI_ANY_TAG.
 ANY_SOURCE = -1
@@ -255,19 +256,16 @@ class _ThreadKernel:
     def take(self, source: int, tag: int, timeout: float) -> _Message | None:
         """Remove and return the first matching message, waiting up to
         ``timeout`` seconds for one; None when none arrived."""
-        deadline = time.monotonic() + timeout
         group = self.group
         box = group.mailboxes[self.rank]
+
+        def match() -> _Message | None:
+            group.check_alive()
+            index = _first_match(box, source, tag)
+            return None if index is None else box.pop(index)
+
         with group.cond:
-            while True:
-                group.check_alive()
-                index = _first_match(box, source, tag)
-                if index is not None:
-                    return box.pop(index)
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                group.cond.wait(remaining)
+            return clock.wait_for(group.cond, match, timeout)
 
     def peek(self, source: int, tag: int) -> bool:
         """Is a matching message pending?"""
@@ -316,16 +314,15 @@ class _ThreadKernel:
                 group.cond.notify_all()
                 return obj
             queue = group.shared[self.rank]
-            deadline = time.monotonic() + DEFAULT_TIMEOUT
-            while not queue:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlockError(
-                        f"rank {self.rank} of '{group.name}': collective "
-                        f"'{opname}' timed out waiting for rank {root}"
-                    )
-                group.cond.wait(remaining)
-                group.check_alive()
+            if not clock.wait_for(
+                group.cond,
+                lambda: group.check_alive() or queue,
+                DEFAULT_TIMEOUT,
+            ):
+                raise DeadlockError(
+                    f"rank {self.rank} of '{group.name}': collective "
+                    f"'{opname}' timed out waiting for rank {root}"
+                )
             entered, shared = queue.popleft()
         if entered != opname:
             group.abort(f"rank {self.rank} entered collective '{opname}' "
@@ -356,7 +353,6 @@ class _ThreadKernel:
         rank, which is the failure mode the tests inject.
         """
         group = self.group
-        deadline = time.monotonic() + DEFAULT_TIMEOUT
         with group.coll_cond:
             group.check_alive()
             generation = group.coll_generation
@@ -389,15 +385,16 @@ class _ThreadKernel:
                 group.coll_opname = None
                 group.coll_cond.notify_all()
                 return board
-            while group.coll_generation == generation:
-                group.check_alive()
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlockError(
-                        f"rank {self.rank} of '{group.name}': collective "
-                        f"'{opname}' timed out waiting for peers"
-                    )
-                group.coll_cond.wait(remaining)
+            if not clock.wait_for(
+                group.coll_cond,
+                lambda: group.check_alive()
+                or group.coll_generation != generation,
+                DEFAULT_TIMEOUT,
+            ):
+                raise DeadlockError(
+                    f"rank {self.rank} of '{group.name}': collective "
+                    f"'{opname}' timed out waiting for peers"
+                )
             entry = group.coll_published[generation]
             entry[1] -= 1
             if entry[1] == 0:

@@ -40,6 +40,8 @@ import itertools
 import multiprocessing
 import os
 import pickle
+# Real time, not repro.clock: this kernel's waits cross processes, and
+# a clock replaced in one process cannot advance the others.
 import time
 import weakref
 from multiprocessing import connection as mpconn

@@ -94,16 +94,6 @@ class SimConfig:
             scale *= self.multiport_stall_damping
         return base + scale
 
-    def client_stall(self, nthreads: int) -> float:
-        if not self.scheduler_interference:
-            return 0.0
-        return self.client.stall(nthreads)
-
-    def server_stall(self, nthreads: int) -> float:
-        if not self.scheduler_interference:
-            return 0.0
-        return self.server.stall(nthreads)
-
     def without_scheduler(self) -> "SimConfig":
         """Ablation: an ideal scheduler (no rendezvous stalls)."""
         return replace(self, scheduler_interference=False)

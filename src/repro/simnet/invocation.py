@@ -53,11 +53,6 @@ class CentralizedBreakdown:
     t_scatter: float
 
     @property
-    def t_gather_scatter(self) -> float:
-        """The paper's combined gather/scatter component."""
-        return self.t_gather + self.t_scatter
-
-    @property
     def effective_bandwidth(self) -> float:
         """MB/s including all invocation overhead (Figure 4's y-axis)."""
         return (self.nbytes / (1024.0 * 1024.0)) / (self.t_inv / 1e3)

@@ -99,10 +99,6 @@ class SharedLink:
         self.sim._schedule(self.latency + extra_latency, start)
         return event
 
-    @property
-    def active_transfers(self) -> int:
-        return len(self._active)
-
     def _rate(self) -> float:
         if not self._active:
             return 0.0

@@ -9,7 +9,7 @@ from repro.dist import DistributedSequence, Proportions
 from repro.idl import compile_idl, compile_idl_module, generate_python
 from repro.idl.errors import IdlSemanticError
 from repro.orb.adapter import Servant
-from repro.orb.operation import UserException, find_exception_class
+from repro.orb.operation import UserException
 from repro.orb.proxy import ClientProxy
 
 PAPER_IDL = """
@@ -182,9 +182,15 @@ class TestStructsEnumsExceptions:
         assert exc.members() == {"code": 7, "why": "broken"}
         assert "failed" in str(exc)
 
-    def test_exception_registered_by_repo_id(self):
-        compiled = compile_idl("exception lost {};")
-        assert find_exception_class("IDL:lost:1.0") is compiled.lost
+    def test_an_operation_plan_holds_its_exception_classes(self):
+        compiled = compile_idl(
+            "exception lost {}; exception gone {};"
+            "interface finder { void find() raises (lost, gone); };"
+        )
+        assert compiled.finder._operations["find"].exceptions == {
+            "IDL:lost:1.0": compiled.lost,
+            "IDL:gone:1.0": compiled.gone,
+        }
 
     def test_consts(self):
         compiled = compile_idl(

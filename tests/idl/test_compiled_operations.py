@@ -35,7 +35,6 @@ from repro.cdr.typecodes import (
 )
 from repro.idl.errors import IdlError
 from repro.lint.embedded import find_embedded_idl
-from repro.orb import operation
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -84,22 +83,14 @@ def _idl_sources():
 
 def _plans():
     plans = {}
-    # Compiling an exception registers its class by repository id, the
-    # last compile winning: these copies must not displace the classes
-    # of the modules the rest of the suite (and the ORB) compiled.
-    registry = dict(operation._EXCEPTION_REGISTRY)
-    try:
-        for n, (where, text) in enumerate(_idl_sources()):
-            try:
-                compiled = compile_idl(text, module_name=f"compiled_ops_{n}")
-            except IdlError:
-                continue  # a deliberately invalid unit
-            for value in vars(compiled.module).values():
-                for op, plan in getattr(value, "_operations", {}).items():
-                    plans[f"{where}:{op}"] = plan
-    finally:
-        operation._EXCEPTION_REGISTRY.clear()
-        operation._EXCEPTION_REGISTRY.update(registry)
+    for n, (where, text) in enumerate(_idl_sources()):
+        try:
+            compiled = compile_idl(text, module_name=f"compiled_ops_{n}")
+        except IdlError:
+            continue  # a deliberately invalid unit
+        for value in vars(compiled.module).values():
+            for op, plan in getattr(value, "_operations", {}).items():
+                plans[f"{where}:{op}"] = plan
     return plans
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import compile_idl
+from repro.orb.nameservice import NAMING_IDL
 from repro.orb.naming import NamingError, NamingService
 from repro.orb.reference import ObjectReference
 from repro.orb.transport import PortAddress
@@ -100,6 +102,16 @@ class TestNaming:
         assert naming.resolve("example") == newer
 
     def test_unknown_name(self, naming):
+        with pytest.raises(NamingError, match="no object"):
+            naming.resolve("ghost")
+
+    def test_a_second_compile_of_the_naming_idl_keeps_naming_error(self, naming):
+        """A reply's user exception decodes to the class compiled with
+        the client's own operation, so compiling the naming IDL again
+        under another module name leaves the served client's
+        ``NamingFailure`` — and the ``NamingError`` it becomes — as
+        it was."""
+        compile_idl(NAMING_IDL, module_name="naming_idl_compiled_again")
         with pytest.raises(NamingError, match="no object"):
             naming.resolve("ghost")
 

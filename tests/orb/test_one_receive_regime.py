@@ -5,6 +5,7 @@ so nothing pulls from a port, a client rank needs one port, and
 nothing a port delivers is held forever."""
 
 import contextlib
+import threading
 import time
 
 import numpy as np
@@ -42,7 +43,11 @@ def idl():
     return compile_idl(IDL, module_name="receive_regime_idl")
 
 
-def _factory(idl, contexts):
+def _factory(idl, contexts, released=None):
+    """``hold`` returns once ``released`` is set, or after its
+    seconds."""
+    released = released or threading.Event()
+
     class Sink(idl.sink_skel):
         def take(self, tag, data):
             return tag
@@ -54,7 +59,7 @@ def _factory(idl, contexts):
             return data
 
         def hold(self, seconds):
-            time.sleep(seconds)
+            released.wait(seconds)
 
     def factory(ctx):
         contexts.append(ctx)
@@ -72,7 +77,7 @@ def _take(idl, tag, length=2 * HALF):
     return body
 
 
-def test_chunks_no_request_collects_expire(idl):
+def test_chunks_no_request_collects_expire(idl, manual_clock):
     """A request whose body fails to decode is answered MARSHAL before
     its chunks arrive, so no rank ever collects them; the request is
     done on every rank, so once they are older than the ORB timeout,
@@ -122,7 +127,7 @@ def test_chunks_no_request_collects_expire(idl):
         # A later call comes and goes; nothing collects the strays.
         assert orb.run_spmd_client(2, _take(idl, 1)) == [1, 1]
         assert [inbox.pending_entries() for inbox in inboxes] == [1, 1]
-        time.sleep(2.2)
+        manual_clock.advance(2.2)
         assert orb.run_spmd_client(2, _take(idl, 2)) == [2, 2]
         assert [inbox.pending_entries() for inbox in inboxes] == [0, 0]
         assert [inbox.stats()["expired"] for inbox in inboxes] == [1, 1]
@@ -135,7 +140,7 @@ def _wait_for(predicate, seconds=10.0):
         time.sleep(0.01)
 
 
-def test_a_future_s_result_chunks_outlive_the_timeout(idl):
+def test_a_future_s_result_chunks_outlive_the_timeout(idl, manual_clock):
     """Result chunks that land for a non-blocking call wait for its
     ``value`` however long the caller computes meanwhile, even when
     another call's reply is filed on the port after the ORB timeout."""
@@ -148,7 +153,7 @@ def test_a_future_s_result_chunks_outlive_the_timeout(idl):
             echoed = proxy.echo_nb(idl.darray.from_global(ramp))
             # The reply and the result chunks are filed.
             _wait_for(lambda: runtime.inbox.pending_entries() == 2)
-            time.sleep(1.3)  # the section 2.1 futures pattern: compute
+            manual_clock.advance(1.3)  # the section 2.1 futures pattern
             bumped = proxy.bump_nb(1)
             _wait_for(lambda: runtime.inbox.pending_entries() == 3)
             np.testing.assert_array_equal(
@@ -160,7 +165,7 @@ def test_a_future_s_result_chunks_outlive_the_timeout(idl):
             runtime.close()
 
 
-def test_a_queued_request_s_chunks_outlive_the_timeout(idl):
+def test_a_queued_request_s_chunks_outlive_the_timeout(idl, manual_clock):
     """A collective group runs its requests in arrival order, so a
     multi-port request can wait behind a slow call for longer than the
     server's timeout; its chunks, filed on arrival, are kept until it
@@ -172,20 +177,26 @@ def test_a_queued_request_s_chunks_outlive_the_timeout(idl):
             ORB("queued-client", fabric=fabric, naming=naming,
                 timeout=30.0) as client:
         contexts = []
-        server.serve("sink", _factory(idl, contexts), nthreads=2)
+        released = threading.Event()
+        server.serve("sink", _factory(idl, contexts, released), nthreads=2)
         runtime = client.client_runtime(label="queued", pipeline_depth=4)
         try:
             proxy = idl.sink._bind("sink", runtime, transfer="multiport")
             data = idl.darray.from_global(np.ones(4096))
-            held = proxy.hold_nb(2.5)
+            held = proxy.hold_nb(30.0)
             first = proxy.take_nb(1, data)
             _wait_for(
                 lambda: [c.inbox.pending_entries() for c in contexts]
                 == [1, 1]
             )
-            time.sleep(1.3)
+            manual_clock.advance(1.3)
             # Filed while the first take still waits in the queue.
             second = proxy.take_nb(2, data)
+            _wait_for(
+                lambda: [c.inbox.pending_entries() for c in contexts]
+                == [2, 2]
+            )
+            released.set()
             assert held.value(timeout=30) is None
             assert first.value(timeout=30) == 1
             assert second.value(timeout=30) == 2

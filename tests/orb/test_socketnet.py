@@ -316,8 +316,6 @@ class TestNamingOnTheOrdinaryPath:
                     return ("drop",)
                 return ()
 
-        # The module's own compiled stub: compiling NAMING_IDL again
-        # would re-register its exception class process-wide.
         idl = nameservice._idl
         schedule = DropNextReply()
         with SocketFabric("naming-host") as inner, ORB(

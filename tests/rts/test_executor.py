@@ -1,5 +1,6 @@
 """Tests for the SPMD executor."""
 
+import multiprocessing
 import time
 
 import pytest
@@ -73,13 +74,28 @@ class TestSpawn:
         assert not handle.alive()
 
     def test_join_timeout(self):
+        released = multiprocessing.Event()  # reaches forked ranks too
+
         def body(ctx):
             if ctx.rank == 0:
-                time.sleep(2.0)
+                released.wait(10)
 
         handle = SpmdExecutor(2).spawn(body)
         with pytest.raises(TimeoutError):
             handle.join(0.05)
+        released.set()
+        handle.join(10)
+
+    def test_one_join_timeout_bounds_the_whole_group(self):
+        """Rank 0 ends at 0.3 s and rank 1 at 0.6 s: a join of 0.4 s
+        times out, rather than giving each rank its own 0.4 s."""
+
+        def body(ctx):
+            time.sleep(0.3 * (ctx.rank + 1))
+
+        handle = SpmdExecutor(2).spawn(body)
+        with pytest.raises(TimeoutError):
+            handle.join(0.4)
         handle.join(10)
 
     def test_abort_releases_blocked_group(self):

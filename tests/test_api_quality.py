@@ -7,11 +7,16 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
+import threading
+import time
 
 import pytest
 
 import repro
 import repro.rts
+from repro.orb.transfer import Inbox
+from repro.orb.transport import Fabric, TransportTimeout
 
 SUBPACKAGES = [
     "repro.cdr",
@@ -493,3 +498,59 @@ class TestOneLintModel:
                 if "repro.idl.ast" in modules:
                     found.append(f"{name}:{node.lineno}:imports repro.idl.ast")
         assert found == []
+
+
+#: Where every timer reads :mod:`repro.clock`, relative to ``repro``.
+CLOCKED = ("orb", "ft", "groups", "rts/mpi.py", "rts/executor.py")
+
+
+class TestOneClock:
+    def test_the_timers_read_no_clock_of_their_own(self):
+        """No module of the ORB, the ft and groups layers, the thread
+        kernel or the executor imports ``time``, and nothing imports
+        a name out of ``repro.clock``, which would keep the real
+        clock when a test replaces it."""
+        root = pathlib.Path(repro.__path__[0])
+        found = [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for where in CLOCKED
+            for path in (
+                [root / where]
+                if where.endswith(".py")
+                else sorted((root / where).rglob("*.py"))
+            )
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import)
+            and "time" in [alias.name for alias in node.names]
+            or isinstance(node, ast.ImportFrom) and node.module == "time"
+        ]
+        found += [
+            str(path.relative_to(root))
+            for path in sorted(root.rglob("*.py"))
+            if re.search(r"^\s*from repro\.clock import", path.read_text(), re.M)
+        ]
+        assert found == []
+
+    def test_advancing_the_clock_fires_a_pending_reply_timeout(
+        self, manual_clock
+    ):
+        inbox = Inbox(Fabric("clocked").open_port("waiter"))
+        raised = []
+
+        def wait():
+            try:
+                inbox.reply(1, timeout=30.0)
+            except TransportTimeout as exc:
+                raised.append(exc)
+
+        waiter = threading.Thread(target=wait)
+        waiter.start()
+        while not manual_clock.waiting:  # the wait is under way
+            time.sleep(0.001)
+        start = time.monotonic()
+        manual_clock.advance(30.0)
+        waiter.join(5)
+        assert time.monotonic() - start < 0.2
+        assert [str(exc) for exc in raised] == [
+            "timed out waiting for the reply to request 1"
+        ]
