@@ -33,7 +33,7 @@ from repro.cdr import (
     decode_value,
     encode_value,
 )
-from repro.cdr.head import HeadLayout, octet_run, padded
+from repro.cdr.head import HeadLayout, Template, octet_run, padded
 from tests.cdr.reference_codec import ReferenceDecoder
 
 NUMERIC_TCS = [
@@ -217,11 +217,13 @@ class TestOwnership:
     ):
         """The rule's one home is the fixed-layout head
         (``repro.cdr.head``): fixed part, strings, pad to 8, run."""
-        layout = HeadLayout("xI", strings=1)
-        head = layout.encode((5,), (b"x" * lead,))
+        layout = HeadLayout("xI", strings=1, make=bytes)
+        (head,) = Template(*layout.pieces((5,), (), (b"x" * lead,))).frame(
+            b"", b""
+        )
         assert len(head) == padded(layout.size + lead)
         stream = head + b"hello"
-        (_flag, n), (string,), end = layout.decode(stream)
+        (_flag, n, _length), string, end = layout.decode(stream)
         assert (string, end) == (b"x" * lead, len(head))
         view = memoryview(stream)
         assert bytes(octet_run(view, end, n)) == b"hello"

@@ -4,7 +4,7 @@ Covers the reader-side drop policy (malformed/oversized frames are
 counted, metered, and do not kill the connection), the one landing
 rule (every frame in a receive buffer of its own), vectored
 multi-segment writes, and the connect-outside-the-lock race in
-``_send_remote``.
+``_send_framed``.
 """
 
 import contextlib
@@ -242,7 +242,8 @@ class TestVectoredSend:
 
     def test_a_frame_of_more_segments_than_one_sendmsg_takes(self):
         """Linux refuses a ``sendmsg`` of more than ``IOV_MAX`` buffers
-        (``EMSGSIZE``): a longer frame goes out in several calls."""
+        (``EMSGSIZE``): a longer frame goes out in several calls.  The
+        frame comes with its length prefix, as a template builds it."""
         buffers = [bytes([i % 251]) * (1 + i % 7) for i in range(1500)]
         assert len(buffers) > _MAX_SEGMENTS
         flat = b"".join(buffers)
@@ -256,7 +257,7 @@ class TestVectoredSend:
         reader = threading.Thread(target=drain)
         reader.start()
         with a, b:
-            _write_frame(a, *buffers)
+            _write_frame(a, [_LENGTH.pack(len(flat)), *buffers])
             reader.join(10)
         assert bytes(received) == _LENGTH.pack(len(flat)) + flat
 
