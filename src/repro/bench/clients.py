@@ -33,10 +33,11 @@ from typing import Any
 
 from repro import ORB, compile_idl
 from repro.orb import request as wire
+from repro.orb import socketnet
 from repro.orb.naming import NamingService
 from repro.orb.request import RequestMessage
 from repro.orb.server import ServerConfig
-from repro.orb.socketnet import _LENGTH, SocketFabric, SocketPortAddress
+from repro.orb.socketnet import SocketFabric, SocketPortAddress
 from repro.orb.transport import KIND_REQUEST
 
 CLIENTS_IDL = """
@@ -145,17 +146,8 @@ class _SimulatedClients:
             reply_port=self._reply_port.address,
             body=self._body.encode([seq]),
         )
-        payload = b"".join(
-            bytes(s) for s in message.encode_segments()
-        )
-        segments = SocketFabric._encode_frame(
-            self._source, self._dest, KIND_REQUEST, payload,
-            len(payload),
-        )
-        total = sum(len(s) for s in segments)
-        return _LENGTH.pack(total) + b"".join(
-            bytes(s) for s in segments
-        )
+        bare = socketnet._bare(self._source, self._dest, KIND_REQUEST)
+        return b"".join(bare.frame(message.encode_segments(), b""))
 
     _dest_key = "fanin"
 

@@ -492,11 +492,6 @@ class ClientProxy:
         #: (operation, slot name) → template spec for out/return
         #: distributed values (§2.2's client-side initialization).
         self._out_templates: dict[tuple[str, str], tuple] = {}
-        #: This binding's request-head templates, one per (object key,
-        #: operation, mode) it has invoked: the engine builds each at
-        #: first use and fills in only what a call varies.  They are
-        #: the proxy's, and go when it goes.
-        self._heads: dict[tuple[str, str, str], Any] = {}
 
     # -- binding -----------------------------------------------------------
 
@@ -812,7 +807,6 @@ class ClientProxy:
             out_templates=out_map,
             ft_policy=self._ft_policy,
             on_degrade=self._on_degrade,
-            heads=self._heads,
             group=self._group,
         )
         return launch, label, site

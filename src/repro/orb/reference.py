@@ -29,6 +29,24 @@ from repro.cdr.typecodes import MarshalError
 from repro.orb.transport import PortAddress, read_address, write_address
 
 
+def write_spec(enc: CdrEncoder, spec: tuple) -> None:
+    """A distribution template's spec as CDR, where one travels behind
+    a request head or in an IOR: its kind, then its weights (none for a
+    kind without)."""
+    enc.write_string(spec[0])
+    weights = spec[1] if len(spec) > 1 else ()
+    enc.write_ulong(len(weights))
+    for weight in weights:
+        enc.write_ulong(int(weight))
+
+
+def read_spec(dec: CdrDecoder) -> tuple:
+    """Inverse of :func:`write_spec`."""
+    kind = dec.read_string()
+    weights = tuple(dec.read_ulong() for _ in range(dec.read_ulong()))
+    return (kind, weights) if weights else (kind,)
+
+
 @dataclass(frozen=True)
 class ObjectReference:
     """An immutable, stringifiable reference to one (SPMD) object."""
@@ -75,11 +93,7 @@ class ObjectReference:
         for (operation, param), spec in self.param_templates:
             enc.write_string(operation)
             enc.write_string(param)
-            enc.write_string(spec[0])
-            weights = spec[1] if len(spec) > 1 else ()
-            enc.write_ulong(len(weights))
-            for weight in weights:
-                enc.write_ulong(int(weight))
+            write_spec(enc, spec)
         return "IOR:" + binascii.hexlify(enc.getvalue()).decode("ascii")
 
     @staticmethod
@@ -95,17 +109,10 @@ class ObjectReference:
             nports = dec.read_ulong()
             data_ports = tuple(read_address(dec) for _ in range(nports))
             ntemplates = dec.read_ulong()
-            templates = []
-            for _ in range(ntemplates):
-                operation = dec.read_string()
-                param = dec.read_string()
-                kind = dec.read_string()
-                nweights = dec.read_ulong()
-                weights = tuple(
-                    dec.read_ulong() for _ in range(nweights)
-                )
-                spec = (kind,) if not weights else (kind, weights)
-                templates.append(((operation, param), spec))
+            templates = tuple(
+                ((dec.read_string(), dec.read_string()), read_spec(dec))
+                for _ in range(ntemplates)
+            )
             if dec.remaining:
                 raise ValueError(f"{dec.remaining} trailing octets")
         except (MarshalError, binascii.Error, ValueError) as exc:
@@ -115,7 +122,7 @@ class ObjectReference:
             repo_id=repo_id,
             request_port=request_port,
             data_ports=data_ports,
-            param_templates=tuple(templates),
+            param_templates=templates,
         )
 
     def __str__(self) -> str:

@@ -33,7 +33,7 @@ from repro.orb.request import (
     peek_request,
 )
 from repro.orb.socketnet import SocketFabric
-from repro.orb.transport import PortAddress, SocketPortAddress
+from repro.orb.transport import KIND_REQUEST, PortAddress, SocketPortAddress
 from tests.cdr.reference_codec import (
     reference_decode_chunk,
     reference_decode_frame,
@@ -351,7 +351,12 @@ def idl():
 
 
 class TestHeadTemplates:
-    def test_a_template_is_its_binding_s_and_dies_with_it(self, idl):
+    def test_a_template_is_its_sending_port_s_and_goes_with_it(self, idl):
+        """The request templates a runtime's bindings use are kept by
+        the runtime's port (:meth:`~repro.orb.transport.Port.template`),
+        one per object, operation and mode, whichever binding built it,
+        and are dropped when the port closes."""
+
         class Counter(idl.counter_skel):
             def bump(self, x):
                 return x + 1
@@ -366,17 +371,19 @@ class TestHeadTemplates:
             second = idl.counter._bind("counter", runtime)
             assert first.bump(1) == 2 and first.bump(2) == 3
             assert first.other(5) == -5 and second.bump(9) == 10
-            key = ("counter", "bump", first.transfer_method)
-            assert set(first._heads) == {
-                key, ("counter", "other", first.transfer_method)
+            kept = {
+                key: template
+                for (_dest, kind, key), template in runtime.port._templates.items()
+                if kind == KIND_REQUEST
             }
-            assert set(second._heads) == {key}
-            assert first._heads[key] is not second._heads[key]
-            template = weakref.ref(first._heads[key])
-            survivor = weakref.ref(second._heads[key])
+            key = ("counter", "bump", first.transfer_method)
+            assert set(kept) == {key, ("counter", "other", first.transfer_method)}
+            template = weakref.ref(kept.pop(key))
+            kept.clear()
             del first
             gc.collect()
-            assert template() is None
-            assert survivor() is not None
+            assert template() is not None
             assert second.bump(0) == 1
             runtime.close()
+            gc.collect()
+            assert template() is None
