@@ -23,6 +23,7 @@ the process, which is what the thread-spanning wire path needs.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from threading import get_ident
 from typing import Iterator
 
 from repro.metrics import Counter
@@ -31,14 +32,18 @@ __all__ = ["CopyAccount", "copied", "copy_audit"]
 
 _BYTES = Counter("cdr.copied_bytes")
 _EVENTS = Counter("cdr.copy_events")
+_BYTE_CELLS, _EVENT_CELLS = _BYTES._cells, _EVENTS._cells
 
 
 def copied(nbytes: int) -> None:
     """Report a physical copy of ``nbytes`` payload/protocol bytes
-    (called by the instrumented layers)."""
+    (called by the instrumented layers).  One Python call per copy:
+    the two counters' :meth:`~repro.metrics.Counter.inc`, inlined —
+    each thread adds to its own cell of each."""
     if nbytes:
-        _BYTES.inc(nbytes)
-        _EVENTS.inc()
+        ident = get_ident()
+        _BYTE_CELLS[ident] = _BYTE_CELLS.get(ident, 0) + nbytes
+        _EVENT_CELLS[ident] = _EVENT_CELLS.get(ident, 0) + 1
 
 
 class CopyAccount:

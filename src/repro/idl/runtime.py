@@ -16,9 +16,11 @@ from repro.dist.template import DistTemplate
 
 
 def template_to_spec(template: Any) -> tuple:
-    """Normalize a template object to the wire/spec tuple form."""
+    """Normalize a template object to the wire/spec tuple form —
+    hashable, whatever sequence a given spec holds its weights in
+    (layouts are kept per spec)."""
     if isinstance(template, tuple):
-        return template
+        return (template[0], *map(tuple, template[1:]))
     if isinstance(template, BlockTemplate):
         return ("block",)
     weights = getattr(template, "weights", None)

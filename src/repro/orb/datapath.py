@@ -47,13 +47,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.cdr.accounting import copied
-from repro.dist import (
-    BlockTemplate,
-    DistributedSequence,
-    Layout,
-    transfer_schedule,
-)
-from repro.idl.runtime import template_from_spec
+from repro.dist import DistributedSequence, Layout, transfer_schedule
 from repro.cdr.typecodes import DSequenceTC
 from repro.orb import request as wire
 from repro.orb.operation import OperationPlan, RemoteError
@@ -62,7 +56,7 @@ from repro.orb.transfer import (
     Inbox,
     assemble_chunks,
     send_chunks,
-    server_layout,
+    template_layout,
 )
 from repro.rts.interface import adoptable
 
@@ -96,8 +90,7 @@ def reply_layout(
     """
     if inout:
         return sent.resized(length)
-    template = template_from_spec(template_spec) or BlockTemplate()
-    return template.layout(length, client_nthreads)
+    return template_layout(template_spec, length, client_nthreads)
 
 
 def _adoptable(block: np.ndarray, dtype: np.dtype) -> bool:
@@ -298,7 +291,7 @@ class ThroughRootPath(DataPath):
         for i, name, tc in plan.dist_request:
             placed[i] = _scatter(
                 ctx.rts, ctx.rank, None if decoded is None else decoded[i], tc,
-                lambda length, name=name: server_layout(
+                lambda length, name=name: template_layout(
                     ctx.templates.get((plan.name, name)), length, ctx.size
                 ),
             )
@@ -361,7 +354,7 @@ class DirectPath(DataPath):
         rt, ref = inv.runtime, inv.ref
         for i, name, _tc in inv.plan.dist_request:
             seq: DistributedSequence = inv.args[i]
-            dst_layout = server_layout(
+            dst_layout = template_layout(
                 ref.template_spec(inv.plan.name, name),
                 seq.length(),
                 ref.nthreads,
@@ -390,7 +383,7 @@ class DirectPath(DataPath):
             placed[i] = _collect(
                 ctx.inbox, request.request_id, name, tc, wire.PHASE_REQUEST,
                 client_layout,
-                server_layout(
+                template_layout(
                     ctx.templates.get((plan.name, name)),
                     client_layout.length,
                     ctx.size,

@@ -15,14 +15,16 @@ Each PARDIS-connected client thread owns a :class:`ClientRuntime`:
 its one port and the inbox that files what arrives there (replies
 and result chunks), the ORB-internal communicator (a private
 duplicate of the application's, so ORB traffic can never interleave
-with application messages), and a single-threaded invocation worker.
-The worker gives non-blocking invocations (§2.1's futures) a total
-order per rank: because every rank enqueues invocations in the same
-program order, the collective operations inside the invocation engine
-match up across ranks even when the application fires several
-requests before touching any future.  A blocking invocation with
-nothing outstanding to be ordered against skips the worker and runs
-on the calling thread (:meth:`_InvocationWorker.run_inline`).
+with application messages), and an invocation queue.  The queue gives
+non-blocking invocations (§2.1's futures) a total order per rank:
+because every rank enqueues invocations in the same program order,
+and the queue is worked in that order — by its worker thread while
+nobody waits, by a blocked reader on its own thread otherwise — the
+collective operations inside the invocation engine match up across
+ranks even when the application fires several requests before
+touching any future.  A blocking invocation with nothing outstanding
+to be ordered against skips the queue and runs on the calling thread
+(:meth:`_InvocationWorker.run_inline`).
 """
 
 from __future__ import annotations
@@ -178,6 +180,7 @@ class ClientRuntime:
             pipeline_depth,
             metrics,
             timed=trace is not None,
+            reply_timeout=timeout,
         )
         self._closed = False
 
@@ -241,29 +244,38 @@ class _InvocationWorker:
     """A per-rank pipelined executor for invocations.
 
     Non-blocking invocations — and blocking ones issued behind an
-    unsettled submission — are *launched* here in enqueue order, which
-    is program order, which under the SPMD assumption is identical on
+    unsettled submission — are *launched* in enqueue order, which is
+    program order, which under the SPMD assumption is identical on
     every rank.  A launch runs only the engine's send phase
     (``invoke_begin``); up to ``depth`` requests may then be in
     flight, their deferred completions (reply receive, reply-side
     collectives, result composition) queued on a pending deque.
     Completions drain strictly in launch order, triggered by exactly
-    three queue-driven events: the pipeline is full, a reader touched
-    a future (the flush marker the future's demand hook enqueues), or
-    the worker is stopping.
+    three queue-determined events: the pipeline is full, a reader
+    demands a future, or the worker is stopping.
+
+    The queue is worked, in order, by whichever thread holds the
+    runtime's *turn*.  While nobody waits, that is the worker thread,
+    so a non-blocking stub never blocks.  A reader about to block on a
+    pending future (no timeout, or one at least the runtime's reply
+    timeout) takes the turn itself and, on its own thread, works the
+    items queued before its demand and then drains through its
+    future: the engine calls, in the order, that a flush marker queued
+    at that point would have produced.  A poll (``ready()``) or a
+    shorter timeout queues that marker for the worker thread instead,
+    and a reader that already holds the turn — a done-callback waiting
+    on a later future — works through in place.
 
     Both the launch order and the drain policy are functions of the
-    queue contents alone — never of timing — so the per-rank sequence
-    of engine collectives is identical on every rank and collective
-    operations of different outstanding requests can never
-    cross-match.
+    queue contents alone — never of timing or of which thread works
+    the queue — so the per-rank sequence of engine collectives is
+    identical on every rank and collective operations of different
+    outstanding requests can never cross-match.
 
     A blocking invocation that finds every earlier submission settled
     has nothing to be ordered against: :meth:`run_inline` runs its
-    launch and completion back to back on the caller's thread — the
-    same engine calls, in the same order, as the worker would have
-    made — and saves the two thread hand-offs.  The worker thread
-    itself starts with the first queued submission.
+    launch and completion back to back on the caller's thread.  The
+    worker thread itself starts with the first queued submission.
     """
 
     def __init__(
@@ -272,10 +284,14 @@ class _InvocationWorker:
         depth: int,
         metrics: MetricsRegistry,
         timed: bool = False,
+        reply_timeout: float | None = None,
     ) -> None:
         if depth <= 0:
             raise ValueError("pipeline depth must be positive")
         self.depth = depth
+        #: Waits at least this long (``None``: only unbounded ones)
+        #: work the queue on the reader's thread.
+        self._reply_timeout = reply_timeout
         #: ``invocations.<outcome>`` tallies, by outcome.
         self._counters = {
             outcome: metrics.counter(f"invocations.{outcome}")
@@ -285,20 +301,29 @@ class _InvocationWorker:
         #: registry with tracing on, else ``None`` — timings are
         #: opt-in, tallies are not.
         self._wait_metrics = metrics if timed else None
-        self._queue: queue.Queue = queue.Queue()
+        #: Launches ``("invoke", fn, future)`` and flush markers
+        #: ``("flush", future)``, in program order; ``_queued`` and
+        #: ``_taken`` count the items ever put and taken.
+        self._queue: deque[tuple] = deque()
+        self._queued = self._taken = 0
         self._stopped = False
         #: Launched-but-uncompleted requests: (complete, future).
         self._pending: deque[tuple[Callable[[], Any], Future]] = deque()
         #: Futures with a flush marker queued: one marker each.
         self._flushing: set[Future] = set()
         self._lock = threading.Lock()
+        #: Wakes the worker thread, one token per item queued, per
+        #: reader leaving items queued behind it, and for stop.
+        self._wake: queue.SimpleQueue = queue.SimpleQueue()
         #: Submissions (queued or inline) not yet resolved.
         self._unsettled = 0
-        #: Held by whichever thread is inside the engine — the worker
-        #: per queue item, an inline caller per call — so while one
+        #: Held by whichever thread is inside the engine — the thread
+        #: working the queue, an inline caller per call — so while one
         #: thread is in the engine, a second thread's call on the same
-        #: runtime is not launched.
+        #: runtime is not launched.  ``_holder`` is the ident of the
+        #: thread working the queue under it.
         self._turn = threading.Lock()
+        self._holder: int | None = None
         self._name = name
         self._thread: threading.Thread | None = None
 
@@ -334,30 +359,53 @@ class _InvocationWorker:
         A no-op when the target is not pending (already resolved —
         e.g. drained earlier by a full pipeline); completions that
         would then run here already ran at that earlier, equally
-        queue-determined point.
+        queue-determined point.  A done-callback may drain further
+        on its own; the loop stops as soon as ``target`` resolved.
         """
         if not any(fut is target for _, fut in self._pending):
             return
-        while self._pending:
-            _, fut = self._pending[0]
+        while self._pending and not target._done:
             self._drain_one()
-            if fut is target:
-                return
+
+    def _work(self, through: Future | None = None) -> None:
+        """Work the queue under the turn: every item queued by now,
+        then — for a reader — the drain through its future."""
+        mark = self._queued
+        while self._taken < mark:
+            with self._lock:
+                item = self._queue.popleft()
+                self._taken += 1
+            self._handle(item)
+            # A lingering item would pin its future across the next
+            # wait, hiding abandoned futures from the lifecycle
+            # sanitizer until shutdown.
+            del item
+        if through is not None:
+            self._drain_through(through)
 
     def _run(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is None:
-                break
+            with self._lock:
+                if self._stopped and not self._queue:
+                    break
+                # While a reader works the queue it is the reader's,
+                # which wakes this thread for what is left as it leaves.
+                idle = not self._queue or self._holder is not None
+            if idle:
+                self._wake.get()
+                continue
             with self._turn:
-                self._handle(item)
-            # A lingering loop variable would pin the last future
-            # across the blocking get(), hiding abandoned futures
-            # from the lifecycle sanitizer until shutdown.
-            del item
+                self._holder = threading.get_ident()
+                try:
+                    self._work()
+                finally:
+                    self._holder = None
         # Shutdown: every launched request still gets its completion.
-        while self._pending:
-            self._drain_one()
+        with self._turn:
+            self._holder = threading.get_ident()
+            while self._pending:
+                self._drain_one()
+            self._holder = None
 
     def _handle(self, item: tuple) -> None:
         if item[0] == "flush":
@@ -379,11 +427,18 @@ class _InvocationWorker:
         else:
             self._pending.append((payload, future))
 
+    def _put(self, item: tuple) -> None:
+        """Queue ``item`` and wake the worker thread; called under the
+        lock, so that ``stop`` cannot slip in ahead of it."""
+        self._queue.append(item)
+        self._queued += 1
+        self._wake.put(True)
+
     def submit(self, fn: Callable[[], Any], label: str) -> Future:
         """Enqueue a launch; ``fn()`` must return the engine's
         ``("done", value)`` / ``("pending", complete)`` pair."""
         future = Future(label)
-        future._pre_wait = self._request_flush
+        future._pre_wait = self._demand
         future._trace_metrics = self._wait_metrics
         with self._lock:
             if self._stopped:
@@ -396,9 +451,7 @@ class _InvocationWorker:
                     target=self._run, name=self._name, daemon=True
                 )
                 self._thread.start()
-            # Under the lock, so that ``stop``'s sentinel cannot slip
-            # in ahead of an admitted submission.
-            self._queue.put(("invoke", fn, future))
+            self._put(("invoke", fn, future))
         self._count("submitted")
         return future
 
@@ -429,28 +482,51 @@ class _InvocationWorker:
             with self._lock:
                 self._unsettled -= 1
 
-    def _request_flush(self, future: Future) -> None:
-        """Demand hook: a reader is about to block on ``future`` (or
-        polls it).  One marker per future: the first drains through
+    def _demand(self, future: Future, timeout: float | None) -> None:
+        """Demand hook: a reader is about to wait up to ``timeout``
+        seconds for ``future`` (``0``: it polls).  A long wait works
+        the queue on the reader's thread; a poll or a short wait
+        queues one flush marker per future — the first drains through
         it, so a second would find nothing to do."""
-        if self._stopped or threading.current_thread() is self._thread:
+        me = threading.get_ident()
+        if self._holder == me:
+            if timeout != 0:
+                self._work(future)
+            return
+        if self._stopped:
+            return
+        limit = self._reply_timeout
+        if timeout is None or (
+            timeout != 0 and limit is not None and timeout >= limit
+        ):
+            if not self._turn.acquire(timeout=-1 if timeout is None else timeout):
+                return
+            try:
+                self._holder = me
+                self._work(future)
+            finally:
+                with self._lock:
+                    self._holder = None
+                    if self._queue:
+                        self._wake.put(True)
+                self._turn.release()
             return
         with self._lock:
-            if future in self._flushing:
+            if future in self._flushing or self._stopped:
                 return
             self._flushing.add(future)
-        self._queue.put(("flush", future))
+            self._put(("flush", future))
 
     def stop(self, join_timeout: float | None = 10.0) -> None:
         with self._lock:
             self._stopped = True
             thread = self._thread
-            if thread is not None:
-                self._queue.put(None)
+            self._wake.put(True)
         if (
             thread is not None
             and join_timeout is not None
             and threading.current_thread() is not thread
+            and self._holder != threading.get_ident()
         ):
             thread.join(join_timeout)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
@@ -74,11 +75,16 @@ if TYPE_CHECKING:
     from repro.orb.proxy import ClientRuntime
 
 
-def server_layout(
+@lru_cache(maxsize=256)
+def template_layout(
     spec_tuple: tuple | None, length: int, nthreads: int
 ) -> Layout:
-    """The server-side layout of a distributed parameter: the template
-    the servant registered, or uniform blockwise (§2.2 default)."""
+    """Where a distributed value of ``length`` elements lives over
+    ``nthreads`` threads by a template spec: the servant's registered
+    template on the server side, the caller's preset one for a value
+    returned to the client — uniform blockwise without one (§2.2
+    default).  A :class:`~repro.dist.Layout` is frozen, so one is kept
+    per (spec, length, threads) for every call that asks again."""
     template = template_from_spec(spec_tuple) or BlockTemplate()
     return template.layout(length, nthreads)
 

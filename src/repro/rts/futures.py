@@ -37,11 +37,13 @@ class Future:
         self._result: Any = None
         self._exception: BaseException | None = None
         self._callbacks: list[Callable[["Future"], None]] = []
-        #: Demand hook: called (with this future) by readers about to
-        #: block, so a lazy producer — the pipelined invocation worker,
-        #: which defers reply completion — knows to flush.  Never
-        #: called once the future is resolved.
-        self._pre_wait: Callable[["Future"], None] | None = None
+        #: Demand hook: called (with this future and the reader's
+        #: timeout, ``0`` for a poll) by readers about to block, so a
+        #: lazy producer — the pipelined invocation worker, which
+        #: defers reply completion — knows to complete it, possibly on
+        #: the reader's own thread.  Never called once the future is
+        #: resolved.
+        self._pre_wait: Callable[["Future", float | None], None] | None = None
         #: ``repro.trace`` metrics registry (set by the invocation
         #: worker when tracing is on): readers' blocking time lands in
         #: the ``future.wait_us`` histogram.
@@ -62,26 +64,27 @@ class Future:
         to complete the future (the pipelined invocation worker drains
         through it), so on an SPMD client every rank must ask at the
         same program point."""
-        self._announce_demand()
-        with self._cond:
-            return self._done
+        self._announce_demand(0)
+        return self._done
 
-    def _announce_demand(self) -> None:
+    def _announce_demand(self, timeout: float | None) -> None:
+        """Tell the lazy producer that a reader will wait up to
+        ``timeout`` seconds (``None``: for good; ``0``: a poll) —
+        unless there is nothing left to produce."""
         hook = self._pre_wait
-        if hook is None:
-            return
-        with self._cond:
-            if self._done:
-                return
-        hook(self)
+        if hook is not None and not self._done:
+            hook(self, timeout)
 
     def wait(self, timeout: float | None = None) -> None:
         """Block until the future resolves (value or exception)."""
-        self._announce_demand()
         metrics = self._trace_metrics
         start = time.perf_counter_ns() if metrics is not None else 0
-        with self._cond:
-            resolved = self._cond.wait_for(lambda: self._done, timeout)
+        # The producer may resolve the future on this very thread.
+        self._announce_demand(timeout)
+        resolved = self._done
+        if not resolved:
+            with self._cond:
+                resolved = self._cond.wait_for(lambda: self._done, timeout)
         if metrics is not None:
             metrics.histogram("future.wait_us").observe(
                 (time.perf_counter_ns() - start) / 1e3
@@ -160,7 +163,7 @@ class Future:
         chained = Future(label=f"{self._label}.then")
         # Demand on the chained future is demand on this one: a reader
         # blocking on the chain must flush this future's lazy producer.
-        chained._pre_wait = lambda _f: self._announce_demand()
+        chained._pre_wait = lambda _f, timeout: self._announce_demand(timeout)
 
         def complete(parent: "Future") -> None:
             try:

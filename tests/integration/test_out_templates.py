@@ -46,6 +46,22 @@ class TestOutTemplates:
 
         assert orb.run_spmd_client(2, client) == [(3, 9)] * 2
 
+    def test_a_spec_tuple_may_hold_its_weights_in_a_list(
+        self, orb, idl, servant_class, transfer
+    ):
+        serve(orb, servant_class)
+
+        def client(c):
+            proxy = idl.diff_object._spmd_bind(
+                "example", c.runtime, transfer=transfer
+            )
+            proxy.set_out_template(
+                "make_ramp", "__return__", ("proportions", [1, 3])
+            )
+            return proxy.make_ramp(12).layout.local_lengths()
+
+        assert orb.run_spmd_client(2, client) == [(3, 9)] * 2
+
     def test_out_param_template(self, orb, idl, servant_class, transfer):
         serve(orb, servant_class)
 

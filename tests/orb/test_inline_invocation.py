@@ -1,11 +1,14 @@
-"""The inline/worker choice of a blocking invocation (ISSUE 15).
+"""The inline/queued choice of a blocking invocation (ISSUE 15).
 
 A blocking call runs on the caller's thread whenever every earlier
-submission on its runtime has settled, and on the rank's invocation
-worker — ordered behind them — otherwise.  The choice is made from
-runtime state alone; either route makes the same engine calls in the
-same order, so the per-rank collective sequence is the one
-``tests/integration/test_collective_sequence.py`` pins.
+submission on its runtime has settled, and is queued on the rank's
+invocation queue — ordered behind them — otherwise; its caller then
+waits on it for longer than the reply timeout, so it works that queue
+itself, launches included, unless the worker thread got there first.
+The choice is made from runtime state alone; either route makes the
+same engine calls in the same order, so the per-rank collective
+sequence is the one ``tests/integration/test_collective_sequence.py``
+pins.
 """
 
 import sys
@@ -59,7 +62,7 @@ def _spy_routes(runtime):
         except BaseException:
             routes.append("inline")  # only a call it ran can raise
             raise
-        routes.append("inline" if ran else "worker")
+        routes.append("inline" if ran else "queued")
         return ran, result
 
     runtime.worker.run_inline = spy
@@ -161,7 +164,7 @@ class TestBehindOutstandingCallsItUsesTheWorker:
         second = proxy.scaled_nb(1, 1)
         threading.Timer(0.2, gate.set).start()
         assert proxy.scaled(1, 2) == (1, 2)
-        assert routes == ["worker"]
+        assert routes == ["queued"]
         assert _worker_threads() == ["pardis-worker-0"]
         # Completions drain in launch order: by the time the blocking
         # call returned, both earlier futures had resolved.
@@ -171,7 +174,7 @@ class TestBehindOutstandingCallsItUsesTheWorker:
         assert second.value(timeout=1) == (1, 1)
         # Everything settled: the next blocking call is inline again.
         assert proxy.scaled(1, 3) == (1, 3)
-        assert routes == ["worker", "inline"]
+        assert routes == ["queued", "inline"]
         runtime.close()
 
     def test_closed_runtime_refuses_either_route(
@@ -189,8 +192,8 @@ class TestBehindOutstandingCallsItUsesTheWorker:
         self, orb, idl
     ):
         """One thread in the engine at a time: while a thread is inside
-        an inline call, another thread's invocation queues on the
-        worker and is not even launched until the first has left."""
+        an inline call, another thread's invocation queues and is not
+        even launched until the first has left."""
         gate = threading.Event()
         arrived = []
 
@@ -228,7 +231,7 @@ class TestBehindOutstandingCallsItUsesTheWorker:
             assert not thread.is_alive()
         assert results == {"first": (1, 0), "second": (1, 1)}
         assert arrived == [0, 1]
-        assert routes == ["worker", "inline"]  # in order of *return*
+        assert routes == ["queued", "inline"]  # in order of *return*
         runtime.close()
 
     def test_runtime_shared_by_threads_stays_serialized(
@@ -317,7 +320,7 @@ def test_mixed_blocking_and_nb_keep_the_pinned_collective_lists(
 
     results = orb.run_spmd_client(2, client)
     for rank, (routes, log) in enumerate(results):
-        assert routes == ["inline", "worker"], rank
+        assert routes == ["inline", "queued"], rank
         assert log == expected + launch * 2 + complete * 2, rank
     for rank in range(2):
         assert names(server_logs[rank]) == EXPECTED["server", transfer] * 3

@@ -20,7 +20,7 @@ from repro.orb.socketnet import SocketFabric
 from repro.orb.transfer import (
     decode_system_exception,
     send_chunks,
-    server_layout,
+    template_layout,
 )
 from repro.orb.transport import KIND_REPLY, KIND_REQUEST, Fabric, Port
 
@@ -113,7 +113,7 @@ def test_chunks_no_request_collects_expire(idl, manual_clock):
                 raw,
                 ref.data_ports,
                 transfer_schedule(
-                    client_layout, server_layout(None, 2 * HALF, 2)
+                    client_layout, template_layout(None, 2 * HALF, 2)
                 ),
                 0,
                 np.ones(2 * HALF),

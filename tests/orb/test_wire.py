@@ -157,3 +157,33 @@ class TestDataChunk:
         bad[1] = 7
         with pytest.raises(MarshalError, match="phase"):
             decode_chunk(bytes(bad))
+
+
+def test_a_request_with_octets_behind_its_arguments_is_marshal():
+    """A client whose signature has an extra trailing parameter sends
+    a body longer than the servant's operation reads: refused, not
+    served."""
+    from repro import ORB, compile_idl
+    from repro.orb.operation import RemoteError
+
+    served = compile_idl(
+        "interface exact { long bump(in long x); };",
+        module_name="exact_served_idl",
+    )
+    calling = compile_idl(
+        "interface exact { long bump(in long x, in long y); };",
+        module_name="exact_calling_idl",
+    )
+
+    class Servant(served.exact_skel):
+        def bump(self, x):
+            return x + 1
+
+    with ORB(timeout=10.0) as orb:
+        orb.serve("exact", lambda ctx: Servant())
+        runtime = orb.client_runtime()
+        assert served.exact._bind("exact", runtime).bump(1) == 2
+        with pytest.raises(RemoteError, match="4 trailing octets") as caught:
+            calling.exact._bind("exact", runtime).bump(1, 2)
+        assert caught.value.category == "MARSHAL"
+        runtime.close()

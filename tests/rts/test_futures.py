@@ -82,26 +82,28 @@ class TestFuture:
 
 class TestDemandHook:
     """The `_pre_wait` hook lets a lazy producer (the pipelined
-    invocation worker) learn that a reader is about to block."""
+    invocation worker) learn that a reader is about to block, and for
+    how long: ``(future, timeout)``, ``None`` for good, ``0`` for a
+    poll."""
 
     def test_wait_announces_demand(self):
         future = Future(label="lazy")
         calls = []
-        future._pre_wait = lambda f: (calls.append(f), future.set_result(1))
+        future._pre_wait = lambda f, t: (calls.append((f, t)), future.set_result(1))
         assert future.value(timeout=1) == 1
-        assert calls == [future]
+        assert calls == [(future, 1)]
 
     def test_ready_announces_demand(self):
         future = Future(label="lazy")
         calls = []
-        future._pre_wait = calls.append
+        future._pre_wait = lambda f, t: calls.append((f, t))
         assert not future.ready()
-        assert calls == [future]
+        assert calls == [(future, 0)]
 
     def test_no_demand_once_resolved(self):
         future = Future(label="eager")
         calls = []
-        future._pre_wait = calls.append
+        future._pre_wait = lambda f, t: calls.append((f, t))
         future.set_result(42)
         assert future.value(timeout=1) == 42
         assert calls == []
@@ -109,12 +111,12 @@ class TestDemandHook:
     def test_then_propagates_demand_to_parent(self):
         parent = Future(label="parent")
         calls = []
-        parent._pre_wait = lambda f: (
-            calls.append(f),
+        parent._pre_wait = lambda f, t: (
+            calls.append((f, t)),
             parent.set_result(10),
         )
         chained = parent.then(lambda v: v + 1)
         # Touching only the chained future must flush the parent's
         # producer, or the chain would deadlock under pipelining.
-        assert chained.value(timeout=1) == 11
-        assert calls == [parent]
+        assert chained.value() == 11
+        assert calls == [(parent, None)]
