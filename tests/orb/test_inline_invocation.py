@@ -1,4 +1,4 @@
-"""The inline/queued choice of a blocking invocation (ISSUE 15).
+"""The inline/queued choice of a blocking invocation.
 
 A blocking call runs on the caller's thread whenever every earlier
 submission on its runtime has settled, and is queued on the rank's
