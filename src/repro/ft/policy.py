@@ -213,25 +213,6 @@ class FtPolicy:
         ).uniform(0.5, 1.0)
         return capped * jitter / 1e3
 
-    def wait_budget(self, fallback_timeout: float | None) -> float | None:
-        """An upper bound (seconds) on how long a blocking caller may
-        wait for the future of an invocation under this policy."""
-        per_attempt = (
-            self.deadline_ms / 1e3
-            if self.deadline_ms is not None
-            else fallback_timeout
-        )
-        if per_attempt is None:
-            return None
-        backoffs = sum(
-            min(
-                self.backoff_base_ms * (2 ** max(i - 1, 0)),
-                self.backoff_cap_ms,
-            )
-            for i in range(1, self.max_retries + 1)
-        ) / 1e3
-        return per_attempt * (self.max_retries + 1) + backoffs + 5.0
-
 
 def reconstruct_error(failure: Failure) -> Exception:
     """The exception an *unpolicied* invocation raises for a failure:

@@ -22,9 +22,9 @@ and the queue is worked in that order — by its worker thread while
 nobody waits, by a blocked reader on its own thread otherwise — the
 collective operations inside the invocation engine match up across
 ranks even when the application fires several requests before
-touching any future.  A blocking invocation with nothing outstanding
-to be ordered against skips the queue and runs on the calling thread
-(:meth:`_InvocationWorker.run_inline`).
+touching any future.  A blocking invocation never enters the queue:
+it runs on the calling thread under the runtime's turn, after the
+launches queued before it (:meth:`_InvocationWorker.call`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import threading
 from collections import deque
 from typing import Any, Callable
 
-from repro.ft.policy import FT_COUNTERS, effective_policy
+from repro.ft.policy import FT_COUNTERS
 from repro.groups.failover import GROUP_COUNTERS, GroupBinding
 from repro.groups.select import GroupView
 from repro.idl.runtime import template_to_spec
@@ -173,8 +173,8 @@ class ClientRuntime:
             self._request_ids = itertools.count(base + 1)
         #: Shared with this runtime's serial views, so invocation
         #: order is global per thread; its thread starts with the
-        #: first submission — a runtime that only ever makes blocking
-        #: calls on settled state never needs one.
+        #: first ``_nb`` submission — a runtime that only makes
+        #: blocking calls never needs one.
         self.worker = _InvocationWorker(
             f"pardis-worker-{self.rank}",
             pipeline_depth,
@@ -240,42 +240,50 @@ class ClientRuntime:
         self.close()
 
 
+_CLOSED = "client runtime is closed; no further invocations"
+
+
 class _InvocationWorker:
     """A per-rank pipelined executor for invocations.
 
-    Non-blocking invocations — and blocking ones issued behind an
-    unsettled submission — are *launched* in enqueue order, which is
-    program order, which under the SPMD assumption is identical on
-    every rank.  A launch runs only the engine's send phase
-    (``invoke_begin``); up to ``depth`` requests may then be in
-    flight, their deferred completions (reply receive, reply-side
-    collectives, result composition) queued on a pending deque.
-    Completions drain strictly in launch order, triggered by exactly
-    three queue-determined events: the pipeline is full, a reader
-    demands a future, or the worker is stopping.
+    Invocations are *launched* in program order, which under the SPMD
+    assumption is identical on every rank.  A launch runs only the
+    engine's send phase (``invoke_begin``); up to ``depth`` requests
+    may then be in flight, their deferred completions (reply receive,
+    reply-side collectives, result composition) queued on a pending
+    deque.  Completions drain strictly in launch order, triggered by
+    exactly four events, each at a fixed point of program order: the
+    pipeline is full, a reader demands a future, a blocking call
+    completes, or the worker is stopping.
 
-    The queue is worked, in order, by whichever thread holds the
-    runtime's *turn*.  While nobody waits, that is the worker thread,
-    so a non-blocking stub never blocks.  A reader about to block on a
-    pending future (no timeout, or one at least the runtime's reply
-    timeout) takes the turn itself and, on its own thread, works the
-    items queued before its demand and then drains through its
-    future: the engine calls, in the order, that a flush marker queued
-    at that point would have produced.  A poll (``ready()``) or a
-    shorter timeout queues that marker for the worker thread instead,
-    and a reader that already holds the turn — a done-callback waiting
-    on a later future — works through in place.
+    Everything runs under the runtime's *turn*, taken and left by
+    :meth:`_take` and :meth:`_leave` (which wakes the worker thread
+    for whatever is still queued).  A non-blocking invocation queues
+    its launch; while nobody waits, the worker thread works the
+    queue, so a non-blocking stub never blocks.  A reader about to
+    block on a pending future (no timeout, or one at least the
+    runtime's reply timeout) takes the turn itself and, on its own
+    thread, works the items queued before its demand and then drains
+    through its future: the engine calls, in the order, that a flush
+    marker queued at that point would have produced.  A poll
+    (``ready()``) or a shorter timeout queues that marker for the
+    worker thread instead.
 
-    Both the launch order and the drain policy are functions of the
-    queue contents alone — never of timing or of which thread works
-    the queue — so the per-rank sequence of engine collectives is
+    A blocking invocation (:meth:`call`) has one route: on its
+    caller's thread under the turn, it works the launches queued
+    before it, admits, launches, drains the earlier completions and
+    completes — the engine calls a queued launch and a reader's
+    drain through it would make, with no future in between.  A
+    thread that already holds the turn (a done-callback on the
+    draining thread) works through in place, for a blocking call and
+    a long wait alike.
+
+    The launch order and the drain policy are functions of program
+    order alone — never of timing or of which thread works the
+    queue — so the per-rank sequence of engine collectives is
     identical on every rank and collective operations of different
-    outstanding requests can never cross-match.
-
-    A blocking invocation that finds every earlier submission settled
-    has nothing to be ordered against: :meth:`run_inline` runs its
-    launch and completion back to back on the caller's thread.  The
-    worker thread itself starts with the first queued submission.
+    outstanding requests can never cross-match.  The worker thread
+    itself starts with the first queued submission.
     """
 
     def __init__(
@@ -292,11 +300,11 @@ class _InvocationWorker:
         #: Waits at least this long (``None``: only unbounded ones)
         #: work the queue on the reader's thread.
         self._reply_timeout = reply_timeout
-        #: ``invocations.<outcome>`` tallies, by outcome.
-        self._counters = {
-            outcome: metrics.counter(f"invocations.{outcome}")
+        #: The ``invocations.<outcome>`` tallies.
+        self._submitted, self._completed, self._failed = (
+            metrics.counter(f"invocations.{outcome}")
             for outcome in ("submitted", "completed", "failed")
-        }
+        )
         #: Where futures time their waits (``future.wait_us``): the
         #: registry with tracing on, else ``None`` — timings are
         #: opt-in, tallies are not.
@@ -313,45 +321,42 @@ class _InvocationWorker:
         self._flushing: set[Future] = set()
         self._lock = threading.Lock()
         #: Wakes the worker thread, one token per item queued, per
-        #: reader leaving items queued behind it, and for stop.
+        #: turn left with items still queued, and for stop.
         self._wake: queue.SimpleQueue = queue.SimpleQueue()
-        #: Submissions (queued or inline) not yet resolved.
-        self._unsettled = 0
-        #: Held by whichever thread is inside the engine — the thread
-        #: working the queue, an inline caller per call — so while one
-        #: thread is in the engine, a second thread's call on the same
-        #: runtime is not launched.  ``_holder`` is the ident of the
-        #: thread working the queue under it.
+        #: Held by whichever thread is inside the engine, so a second
+        #: thread's call on the same runtime is not launched while one
+        #: is; ``_holder`` is the ident of the thread holding it.
         self._turn = threading.Lock()
         self._holder: int | None = None
         self._name = name
         self._thread: threading.Thread | None = None
 
-    def _count(self, outcome: str) -> None:
-        self._counters[outcome].inc()
+    def _take(self, timeout: float = -1) -> bool:
+        """Take the turn (waiting up to ``timeout`` seconds, ``-1``:
+        for good); ``False`` if it stayed taken."""
+        if not self._turn.acquire(timeout=timeout):
+            return False
+        self._holder = threading.get_ident()
+        return True
 
-    def _settle(
-        self, future: Future, value: Any, exc: BaseException | None
-    ) -> None:
-        # Settled before resolved: a reader woken by the future must
-        # already find the runtime idle.
+    def _leave(self) -> None:
+        """Leave the turn, waking the worker thread for what is left."""
         with self._lock:
-            self._unsettled -= 1
-        if exc is None:
-            future.set_result(value)
-        else:
-            future.set_exception(exc)
+            self._holder = None
+            if self._queue:
+                self._wake.put(True)
+        self._turn.release()
 
     def _drain_one(self) -> None:
         complete, future = self._pending.popleft()
         try:
             value = complete()
         except BaseException as exc:  # noqa: BLE001 - to the future
-            self._settle(future, None, exc)
-            self._count("failed")
+            future.set_exception(exc)
+            self._failed.inc()
         else:
-            self._settle(future, value, None)
-            self._count("completed")
+            future.set_result(value)
+            self._completed.inc()
 
     def _drain_through(self, target: Future) -> None:
         """Complete pending requests up to and including ``target``.
@@ -388,24 +393,24 @@ class _InvocationWorker:
             with self._lock:
                 if self._stopped and not self._queue:
                     break
-                # While a reader works the queue it is the reader's,
-                # which wakes this thread for what is left as it leaves.
+                # While another thread holds the turn the queue is its
+                # to work; it wakes this thread for what is left.
                 idle = not self._queue or self._holder is not None
             if idle:
                 self._wake.get()
                 continue
-            with self._turn:
-                self._holder = threading.get_ident()
-                try:
-                    self._work()
-                finally:
-                    self._holder = None
+            self._take()
+            try:
+                self._work()
+            finally:
+                self._leave()
         # Shutdown: every launched request still gets its completion.
-        with self._turn:
-            self._holder = threading.get_ident()
+        self._take()
+        try:
             while self._pending:
                 self._drain_one()
-            self._holder = None
+        finally:
+            self._leave()
 
     def _handle(self, item: tuple) -> None:
         if item[0] == "flush":
@@ -420,10 +425,10 @@ class _InvocationWorker:
         try:
             state, payload = fn()
         except BaseException as exc:  # noqa: BLE001 - to the future
-            self._settle(future, None, exc)
+            future.set_exception(exc)
             return
         if state == "done":
-            self._settle(future, payload, None)
+            future.set_result(payload)
         else:
             self._pending.append((payload, future))
 
@@ -442,45 +447,49 @@ class _InvocationWorker:
         future._trace_metrics = self._wait_metrics
         with self._lock:
             if self._stopped:
-                raise RuntimeError(
-                    "client runtime is closed; no further invocations"
-                )
-            self._unsettled += 1
+                raise RuntimeError(_CLOSED)
             if self._thread is None:
                 self._thread = threading.Thread(
                     target=self._run, name=self._name, daemon=True
                 )
                 self._thread.start()
             self._put(("invoke", fn, future))
-        self._count("submitted")
+        self._submitted.inc()
         return future
 
-    def run_inline(self, fn: Callable[[], Any]) -> tuple[bool, Any]:
-        """Run a blocking invocation on the calling thread if every
-        earlier submission has settled: ``(True, result)``, or the
-        invocation's own exception.  ``(False, None)`` — something is
-        still queued, launched or pending, so ordering needs the
-        worker — leaves ``fn`` uncalled for :meth:`submit`."""
-        with self._lock:
-            if self._unsettled or self._stopped:
-                return False, None
-            self._unsettled += 1
-        self._count("submitted")
+    def call(self, fn: Callable[[], Any]) -> Any:
+        """Run a blocking invocation on the calling thread and return
+        its result (or raise its exception); ``fn`` is as for
+        :meth:`submit`.  Under the turn — taken here, or already the
+        caller's — it runs the launches queued before it, the
+        admission drain, its own launch, the earlier completions in
+        launch order and its own completion."""
+        if self._stopped:
+            raise RuntimeError(_CLOSED)
+        nested = self._holder == threading.get_ident()
+        if not nested:
+            self._take()
         try:
-            with self._turn:
-                state, payload = fn()
-                if state == "done":
-                    return True, payload
-                try:
-                    result = payload()
-                except BaseException:
-                    self._count("failed")
-                    raise
-            self._count("completed")
-            return True, result
+            if self._queue:
+                self._work()
+            while len(self._pending) >= self.depth:
+                self._drain_one()
+            self._submitted.inc()
+            state, payload = fn()
+            if state == "done":
+                return payload
+            while self._pending:
+                self._drain_one()
+            try:
+                result = payload()
+            except BaseException:
+                self._failed.inc()
+                raise
+            self._completed.inc()
+            return result
         finally:
-            with self._lock:
-                self._unsettled -= 1
+            if not nested:
+                self._leave()
 
     def _demand(self, future: Future, timeout: float | None) -> None:
         """Demand hook: a reader is about to wait up to ``timeout``
@@ -488,8 +497,7 @@ class _InvocationWorker:
         the queue on the reader's thread; a poll or a short wait
         queues one flush marker per future — the first drains through
         it, so a second would find nothing to do."""
-        me = threading.get_ident()
-        if self._holder == me:
+        if self._holder == threading.get_ident():
             if timeout != 0:
                 self._work(future)
             return
@@ -499,17 +507,11 @@ class _InvocationWorker:
         if timeout is None or (
             timeout != 0 and limit is not None and timeout >= limit
         ):
-            if not self._turn.acquire(timeout=-1 if timeout is None else timeout):
-                return
-            try:
-                self._holder = me
-                self._work(future)
-            finally:
-                with self._lock:
-                    self._holder = None
-                    if self._queue:
-                        self._wake.put(True)
-                self._turn.release()
+            if self._take(-1 if timeout is None else timeout):
+                try:
+                    self._work(future)
+                finally:
+                    self._leave()
             return
         with self._lock:
             if future in self._flushing or self._stopped:
@@ -795,28 +797,10 @@ class ClientProxy:
         )
 
     def _invoke(self, operation: str, args: tuple) -> Any:
-        """Blocking invocation: on the caller's thread when every
-        earlier submission on the runtime has settled, else on the
-        rank's worker, ordered behind the outstanding ones.  Either
-        way the same engine calls run in the same order."""
-        launch, label, site = self._prepare(operation, args)
-        runtime = self._runtime
-        ran, result = runtime.worker.run_inline(launch)
-        if ran:
-            return result
-        policy = effective_policy(self._ft_policy, runtime)
-        if policy is not None:
-            # The engine owns the deadline; the blocking caller just
-            # needs a safety margin over the worst-case retry budget.
-            timeout = policy.wait_budget(runtime.timeout)
-            if timeout is not None and self._group is not None:
-                # Each failover re-issues with the full per-replica budget.
-                timeout *= 1 + self._group.budget(policy)
-        else:
-            timeout = (
-                None if runtime.timeout is None else runtime.timeout * 2
-            )
-        return self._submit(launch, label, site).value(timeout=timeout)
+        """Blocking invocation, on the caller's thread: ordered behind
+        the rank's earlier ``_nb`` launches, bounded by the engine's
+        own deadlines (:meth:`_InvocationWorker.call`)."""
+        return self._runtime.worker.call(self._prepare(operation, args)[0])
 
     def _invoke_nb(self, operation: str, args: tuple) -> Future:
         """Non-blocking invocation returning a future (§2.1).
@@ -827,11 +811,7 @@ class ClientProxy:
         completes it when the future is touched, the pipeline fills,
         or the runtime closes.
         """
-        return self._submit(*self._prepare(operation, args))
-
-    def _submit(
-        self, launch: Callable[[], tuple[str, Any]], label: str, site: str
-    ) -> Future:
+        launch, label, site = self._prepare(operation, args)
         future = self._runtime.worker.submit(launch, label=label)
         if self._runtime.sanitize:
             _san_track(future, label, site)

@@ -75,19 +75,6 @@ class TestBackoff:
         assert FtPolicy(backoff_base_ms=0).backoff_seconds(3, 1) == 0.0
 
 
-class TestWaitBudget:
-    def test_no_deadline_no_timeout_is_unbounded(self):
-        assert FtPolicy().wait_budget(None) is None
-
-    def test_budget_covers_all_attempts_and_backoffs(self):
-        policy = FtPolicy(
-            deadline_ms=1000.0, max_retries=2, backoff_base_ms=100.0
-        )
-        budget = policy.wait_budget(None)
-        # 3 attempts x 1s + backoffs (0.1 + 0.2) + 5s slack.
-        assert budget == pytest.approx(3.0 + 0.3 + 5.0)
-
-
 class TestExceptionMapping:
     def test_timeout_with_no_retries_is_deadline_exceeded(self):
         exc = failure_to_exception(

@@ -60,6 +60,33 @@ class TestFuture:
         f.add_done_callback(lambda fut: seen.append(fut.value()))
         assert seen == [9]
 
+    def test_a_raising_callback_is_reported_and_the_rest_still_run(
+        self, capsys
+    ):
+        f = Future("loud")
+        seen = []
+        f.add_done_callback(lambda fut: 1 / 0)
+        f.add_done_callback(lambda fut: seen.append(fut.value()))
+        f.set_result(3)  # does not raise
+        assert seen == [3]
+        # Already resolved: the same guard on the registering thread.
+        f.add_done_callback(lambda fut: {}["missing"])
+        f.add_done_callback(lambda fut: seen.append(fut.value() + 1))
+        assert seen == [3, 4]
+        err = capsys.readouterr().err
+        assert err.count("Traceback") == 2
+        assert "ZeroDivisionError" in err and "KeyError" in err
+
+    def test_a_callback_base_exception_still_propagates(self):
+        def leave(_fut):
+            raise SystemExit(3)
+
+        f = Future()
+        f.add_done_callback(leave)
+        with pytest.raises(SystemExit):
+            f.set_result(1)
+        assert f.value() == 1
+
     def test_then_chains_value(self):
         f = Future()
         g = f.then(lambda v: v * 2)
