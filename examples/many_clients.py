@@ -5,29 +5,29 @@ connection: a single ``selectors`` event loop owns every client
 socket, demultiplexes request frames by the 64-bit client identity in
 their request ids, and feeds the dispatch pool through per-client
 fair queues.  This example points 300 simulated clients — far more
-than you would ever give threads to — at one serial servant and shows
-the admission/backpressure counters that ``orb.stats()["server"]``
-exposes, including a deliberately under-provisioned run where
-admission control answers the overflow with retryable BUSY replies
-instead of queueing without bound.
+than you would ever give threads to — at one serial servant, then
+shows the one valve that keeps a server's memory bounded: a client
+that outruns a slow servant has its socket paused at 64 queued
+requests, while another client's calls keep being answered, and
+``orb.stats()["server"]`` counts the pause and the resume.
 
 Run:  python examples/many_clients.py
 
-See docs/scaling.md for the architecture and the tuning knobs used
-here.
+See docs/scaling.md for the architecture and the backpressure depths.
 """
 
 import threading
+import time
 
-from repro import ORB, FtPolicy, compile_idl
+from repro import ORB, compile_idl
 from repro.bench.clients import run_clients
 from repro.orb.naming import NamingService
-from repro.orb.server import ServerConfig
 from repro.orb.socketnet import SocketFabric
 
 IDL = """
 interface counter {
     long add(in long x);
+    oneway void note(in long x);
 };
 """
 
@@ -35,6 +35,13 @@ idl = compile_idl(IDL, module_name="many_clients_idl")
 
 CLIENTS = 300
 CONNECTIONS = 64  # identities multiplex over a socket budget
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
 
 
 def fan_in_sweep():
@@ -54,53 +61,63 @@ def fan_in_sweep():
     return point
 
 
-def admission_control():
-    """An under-provisioned server rejects the overflow fast."""
+def backpressure():
+    """A hog pauses only itself; a polite client is still answered."""
     gate = threading.Event()
 
     class Counter(idl.counter_skel):
         def add(self, x):
-            gate.wait(timeout=10.0)  # a slow servant piles work up
             return int(x) + 1
 
+        def note(self, x):
+            gate.wait(timeout=10.0)  # a slow servant piles work up
+
     naming = NamingService()
-    config = ServerConfig(max_inflight=4, client_queue_limit=0)
-    with SocketFabric("fanin-server", server=config) as sf, \
-            SocketFabric("fanin-client") as cf:
+    with SocketFabric("fanin-server") as sf, \
+            SocketFabric("fanin-hog") as hf, \
+            SocketFabric("fanin-polite") as pf:
         server = ORB("fanin-server", fabric=sf, naming=naming,
-                     timeout=5.0)
-        client = ORB("fanin-client", fabric=cf, naming=naming,
-                     timeout=5.0)
-        with server, client:
+                     timeout=10.0)
+        hog = ORB("fanin-hog", fabric=hf, naming=naming, timeout=10.0)
+        polite = ORB("fanin-polite", fabric=pf, naming=naming,
+                     timeout=10.0)
+        with server, hog, polite:
             server.serve("counter", lambda ctx: Counter(),
-                         nthreads=1, dispatch_workers=4)
-            # Retryable BUSY replies + a backoff policy turn overload
-            # into delay instead of failure.
-            runtime = client.client_runtime(
-                pipeline_depth=12,
-                ft_policy=FtPolicy(max_retries=60,
-                                   backoff_base_ms=10.0,
-                                   backoff_cap_ms=100.0),
+                         nthreads=1, dispatch_workers=2)
+
+            def section():
+                return server.stats()["server"]
+
+            hog_rt = hog.client_runtime()
+            hog_proxy = idl.counter._bind("counter", hog_rt)
+            for i in range(80):  # one-ways: nothing waits for them
+                hog_proxy.note(i)
+            _wait_for(
+                lambda: section()["backpressure"]["paused_clients"] == 1
             )
-            proxy = idl.counter._bind("counter", runtime)
-            futures = [proxy.add_nb(i) for i in range(12)]
+            limit = section()["backpressure"]["queue_limit"]
+            print(f"hog paused at {limit} queued requests")
+            polite_rt = polite.client_runtime()
+            polite_proxy = idl.counter._bind("counter", polite_rt)
+            answers = [polite_proxy.add(i) for i in range(5)]
+            assert answers == [i + 1 for i in range(5)]
+            print("polite client answered while the hog waits")
             gate.set()
-            results = sorted(f.value(timeout=30) for f in futures)
-            assert results == [i + 1 for i in range(12)]
-            stats = server.stats()["server"]["requests"]
+            _wait_for(lambda: section()["requests"]["inflight"] == 0)
+            bp = section()["backpressure"]
             print(
-                f"max_inflight={stats['max_inflight']}: "
-                f"{stats['admitted']} admitted, "
-                f"{stats['rejected']} rejected busy (and retried), "
-                f"all 12 calls completed"
+                f"{section()['requests']['completed']} requests completed, "
+                f"{bp['pauses']} pause, {bp['resumes']} resume "
+                f"(read again at {bp['resume_at']})"
             )
-            assert stats["rejected"] > 0
-            runtime.close()
+            assert bp["pauses"] >= 1 and bp["resumes"] >= 1
+            hog_rt.close()
+            polite_rt.close()
 
 
 def main():
     fan_in_sweep()
-    admission_control()
+    backpressure()
     print("OK")
 
 

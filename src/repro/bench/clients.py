@@ -7,7 +7,7 @@ real TCP connections into one serial servant, and the sweep reports
 goodput (completed requests per second) per client count.  The claim
 under test is *flatness*: the server's request path costs the same
 per request whether 100 or 10,000 clients are attached, because one
-event loop owns every socket and admission state is per-identity
+event loop owns every socket and backpressure state is per-identity
 dictionaries, not per-connection threads.
 
 The clients are deliberately simulated at the frame level rather than
@@ -36,7 +36,6 @@ from repro.orb import request as wire
 from repro.orb import socketnet
 from repro.orb.naming import NamingService
 from repro.orb.request import RequestMessage
-from repro.orb.server import ServerConfig
 from repro.orb.socketnet import SocketFabric, SocketPortAddress
 from repro.orb.transport import KIND_REQUEST
 
@@ -233,14 +232,11 @@ def _run_point(
     dispatch_workers: int,
     repeats: int,
     timeout_s: float,
-    server_config: ServerConfig,
 ) -> ClientPoint:
     naming = NamingService()
     per_client = max(2, total_requests // n_clients)
     target = per_client * n_clients
-    with SocketFabric(
-        "bench-fanin-server", server=server_config
-    ) as server_fabric, SocketFabric(
+    with SocketFabric("bench-fanin-server") as server_fabric, SocketFabric(
         "bench-fanin-client"
     ) as client_fabric:
         server = ORB(
@@ -274,7 +270,7 @@ def _run_point(
             )
             try:
                 # Untimed warmup: primes the connections, the server's
-                # operation caches, and every identity's admission
+                # operation caches, and every identity's backpressure
                 # entry before the clock starts.
                 sim.run_round(1, timeout_s)
                 best_rps = 0.0
@@ -321,7 +317,6 @@ def run_clients(
     dispatch_workers: int = DEFAULT_DISPATCH_WORKERS,
     repeats: int = DEFAULT_REPEATS,
     timeout_s: float = DEFAULT_TIMEOUT_S,
-    server_config: ServerConfig | None = None,
     verbose: bool = False,
 ) -> list[ClientPoint]:
     """Sweep the client counts; one fresh server per point, one
@@ -337,9 +332,6 @@ def run_clients(
             dispatch_workers,
             repeats,
             timeout_s,
-            server_config
-            if server_config is not None
-            else ServerConfig(),
         )
         points.append(point)
         if verbose:

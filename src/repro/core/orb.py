@@ -123,8 +123,6 @@ class ORB:
         if governor is not None:
             for counter in governor.counters.values():
                 self.metrics.adopt(counter)
-            if self.trace is not None:
-                governor.attach_trace(self.trace)
         if self.trace is not None:
             # Fold the ORB's own snapshot into the registry so
             # ``orb.trace.metrics.snapshot()`` is the one-stop view;
@@ -314,7 +312,7 @@ class ORB:
         report ``dropped_frames`` and ``pulled_frames``; a
         fault-injecting fabric adds its
         ``faults`` tally) and ``server`` (socket fabrics only: the
-        event loop's admission/backpressure counters; see
+        event loop's backpressure counters; see
         ``docs/scaling.md``).  Per naming object: the directory half
         of ``groups`` (``marked_down``, ``epoch_bumps`` and the
         per-group membership/epoch board; zeros and an empty board on
@@ -364,9 +362,9 @@ class ORB:
         }
         governor = self.fabric.governor
         if governor is not None:
-            # Socket-fabric servers: event-loop admission/backpressure
-            # counters (connections, in-flight requests, paused
-            # clients).  See docs/scaling.md.
+            # Socket-fabric servers: event-loop backpressure counters
+            # (connections, in-flight requests, paused clients).  See
+            # docs/scaling.md.
             snapshot["server"] = governor.snapshot()
         if self.trace is not None:
             snapshot["trace"] = {

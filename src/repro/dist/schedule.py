@@ -16,9 +16,8 @@ minimum number of sends in each case)".
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.dist.template import DistributionError, Layout
 
@@ -55,74 +54,33 @@ class TransferStep:
         return slice(self.dst_offset, self.dst_offset + self.nelems)
 
 
-class _ScheduleCache:
-    """A small thread-safe LRU over ``(src, dst)`` layout pairs.
+@lru_cache(maxsize=128)
+def _cached_schedule(src: Layout, dst: Layout) -> tuple[TransferStep, ...]:
+    """The schedule of a layout pair, kept in a small LRU.
 
     Schedules are pure functions of the two layouts, and the hot path
     (every invocation of every distributed parameter) keeps asking for
     the same handful of pairs; :class:`Layout` is frozen and hashable,
-    so the pair is a direct key.  Entries are stored as tuples; callers
-    get a fresh list, so mutating a returned schedule never corrupts
-    the cache.
+    so the pair is a direct key.  Entries are tuples, so no caller can
+    mutate one.
     """
-
-    def __init__(self, maxsize: int = 128) -> None:
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[
-            tuple[Layout, Layout], tuple[TransferStep, ...]
-        ] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(
-        self, key: tuple[Layout, Layout]
-    ) -> tuple[TransferStep, ...] | None:
-        with self._lock:
-            steps = self._entries.get(key)
-            if steps is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return steps
-
-    def store(
-        self, key: tuple[Layout, Layout], steps: tuple[TransferStep, ...]
-    ) -> None:
-        with self._lock:
-            self._entries[key] = steps
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": len(self._entries),
-                "maxsize": self.maxsize,
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-
-_schedule_cache = _ScheduleCache()
+    return tuple(_compute_schedule(src, dst))
 
 
 def schedule_cache_stats() -> dict[str, int]:
     """Hit/miss/occupancy counters of the schedule LRU."""
-    return _schedule_cache.stats()
+    info = _cached_schedule.cache_info()
+    return {
+        "hits": info.hits,
+        "misses": info.misses,
+        "entries": info.currsize,
+        "maxsize": info.maxsize,
+    }
 
 
 def clear_schedule_cache() -> None:
     """Drop all cached schedules and reset the counters (tests)."""
-    _schedule_cache.clear()
+    _cached_schedule.cache_clear()
 
 
 def transfer_schedule(src: Layout, dst: Layout) -> list[TransferStep]:
@@ -136,15 +94,9 @@ def transfer_schedule(src: Layout, dst: Layout) -> list[TransferStep]:
 
     The two layouts must describe index spaces of equal length.
     Results are memoized in a small LRU keyed by the layout pair (see
-    :func:`schedule_cache_stats`).
+    :func:`schedule_cache_stats`); each call returns a fresh list.
     """
-    key = (src, dst)
-    cached = _schedule_cache.lookup(key)
-    if cached is not None:
-        return list(cached)
-    steps = _compute_schedule(src, dst)
-    _schedule_cache.store(key, tuple(steps))
-    return steps
+    return list(_cached_schedule(src, dst))
 
 
 def _compute_schedule(src: Layout, dst: Layout) -> list[TransferStep]:

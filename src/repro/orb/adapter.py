@@ -434,8 +434,8 @@ class _ServerEngine:
 @dataclass
 class _RequestIntake:
     """What a request frame goes through between the request port and
-    execution: decode, reply-cache admission, and the release of the
-    admission slot of every frame that goes no further.
+    execution: the governor's count, decode, reply-cache admission, and
+    the release of the count of every frame that goes no further.
 
     Written once for both kinds of group and run as the request port's
     upcall — on the delivering thread, the socket fabric's event loop
@@ -460,7 +460,13 @@ class _RequestIntake:
             if delivery is None or delivery.payload == CONTROL_SHUTDOWN:
                 self.sink.end()
             return True
-        message = self.admit(delivery.payload, delivery.head)
+        head = delivery.head
+        if head is not None and self.governor is not None:
+            # Only the event loop's peek sets a head: a frame from a
+            # sender on this fabric is not counted, and each exit below
+            # releases what was.
+            self.governor.admit_request(head.request_id >> 32)
+        message = self.admit(delivery.payload, head)
         if message is not None:
             self.sink.dispatch(message)
         return True
@@ -475,15 +481,13 @@ class _RequestIntake:
         """The request to execute, or ``None`` for a frame that ends
         here: garbage, a duplicate of a request still executing, or a
         retry the cache answers.  ``head`` is the delivering loop's
-        admission peek, when it took one."""
+        peek, when it took one (and then the request was counted)."""
         try:
             message = wire.decode_request(payload, head)
         except Exception:
             # Garbage on the wire must not kill the object: drop the
-            # datagram and keep serving — but release its admission
-            # slot if the header was sound enough for the event loop
-            # to have counted it.
-            head = head or wire.peek_request(payload)
+            # datagram and keep serving — but release its count if the
+            # header was sound enough for the event loop to peek.
             if head is not None:
                 self.release(head.request_id)
             return None

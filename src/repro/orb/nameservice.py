@@ -8,7 +8,7 @@ and supplies the two thin ends of it:
 - :class:`NamingServant` serves any object with the naming surface — a
   :class:`~repro.orb.naming.NamingService`, group directory included —
   as a serial servant group on the ordinary request path, so
-  admission control, upcall delivery, ``orb.stats()``, tracing and the
+  backpressure, upcall delivery, ``orb.stats()``, tracing and the
   reply cache reach naming exactly as they reach every other object
   (:func:`serve_naming` activates it for an ORB's own naming object);
 - :class:`NamingClient` is the same surface on the client side: a

@@ -239,12 +239,12 @@ def _read_head(view: memoryview) -> RequestMessage:
 
 
 def peek_request(data: Any) -> RequestMessage | None:
-    """Partially decode a request frame for admission decisions.
+    """Partially decode a request frame for backpressure.
 
     Reads only the fixed head and its strings — one ``unpack`` and a
     few dozen octets — so the event loop can attribute a frame to a
-    client identity and decide admission before the full (possibly
-    large) message is decoded by the dispatch layer: the message
+    client identity before the full (possibly large) message is
+    decoded by the dispatch layer: the message
     returned has no data ports, layouts, templates or body yet.
     Returns ``None`` for anything that is not a well-formed request
     head; such frames are delivered unaccounted and dropped downstream

@@ -25,13 +25,12 @@ The receive side is a single-threaded event loop
 (:class:`_ServerLoop`): one ``selectors`` loop owns both listening
 sockets and every accepted connection, multiplexing any number of
 clients without a thread per connection.  A
-:class:`~repro.orb.server.ServerGovernor` gates what the loop admits —
-connection and request admission control, and per-client backpressure
-(the loop stops reading a client's socket while its dispatch queue is
-over budget) — see ``docs/scaling.md``.  Every frame, whatever its
-size, is read into a buffer allocated for it alone and delivered
-writable: the receiver owns that memory (``docs/performance.md``,
-"Ownership").
+:class:`~repro.orb.server.ServerGovernor` holds per-client
+backpressure: the loop stops reading a client's socket while its
+dispatch queue is over budget — see ``docs/scaling.md``.  Every
+frame, whatever its size, is read into a buffer allocated for it
+alone and delivered writable: the receiver owns that memory
+(``docs/performance.md``, "Ownership").
 
 That loop is the only server in a process: the naming domain is an
 ordinary object served through it (:mod:`repro.orb.nameservice`), which
@@ -75,7 +74,7 @@ from repro.cdr.accounting import copied
 from repro.cdr.head import LENGTH as _LENGTH, HeadLayout, Template, octet_run, text
 from repro.cdr.typecodes import MarshalError
 from repro.orb import request as wire
-from repro.orb.server import KIND_BUSY, ServerConfig, ServerGovernor
+from repro.orb.server import ServerGovernor
 from repro.orb.transport import (
     KIND_DATA,
     KIND_REQUEST,
@@ -159,8 +158,7 @@ def _envelope(src: Any, dest: Any, kind: str) -> tuple[bytes, bytes]:
 def _bare(src: Any, dest: Any, kind: str) -> Template:
     """The envelope-only template: frames from ``src`` to ``dest`` of
     ``kind`` that carry their payload as it is — a bare
-    :meth:`SocketFabric.send`, the busy frame, and
-    :meth:`SocketFabric._encode_frame`."""
+    :meth:`SocketFabric.send` and :meth:`SocketFabric._encode_frame`."""
     return Template(b"", "", b"", Route(dest, _envelope(src, dest, kind), None))
 
 
@@ -260,11 +258,7 @@ class SocketFabric(Fabric):
         name: str = "socket-fabric",
         bind_host: str = "127.0.0.1",
         bind_port: int = 0,
-        server: ServerConfig | None = None,
     ) -> None:
-        """``server`` tunes fan-in admission control and backpressure
-        (:class:`~repro.orb.server.ServerConfig`); the default admits
-        everything but keeps per-client backpressure on."""
         super().__init__(name)
         #: One outgoing connection per peer endpoint, with the lock
         #: that keeps its frames whole.
@@ -285,10 +279,7 @@ class SocketFabric(Fabric):
             (bind_host, bind_port), reuse_port=False
         )
         self.host, self.tcp_port = self._server.getsockname()[:2]
-        self.governor = ServerGovernor(
-            server if server is not None else ServerConfig(), name=name
-        )
-        self.governor.attach_fabric(self)
+        self.governor = ServerGovernor(name)
         self._listeners = [self._server, *_listen_local(self._server)]
         self._loop = _ServerLoop(self, self._listeners, self.governor, name)
         self.governor.attach_loop(self._loop)
@@ -485,7 +476,6 @@ class SocketFabric(Fabric):
         self._loop.join()
         for sock in self._listeners:
             sock.close()
-        self.governor.close()
         for sock, _lock in links:
             sock.close()
         super().close()
@@ -554,9 +544,9 @@ class _ServerLoop:
     each frame read into a buffer of its own that the payload view
     hands to the receiver, drop accounting for refused frames — but
     across any number of sockets.  Request frames are peeked
-    (:func:`repro.orb.request.peek_request`) so the attached
-    :class:`~repro.orb.server.ServerGovernor` can attribute them to a
-    client identity, refuse them, or pause the socket.
+    (:func:`repro.orb.request.peek_request`) so the sockets a client
+    identity sends on are known when the
+    :class:`~repro.orb.server.ServerGovernor` pauses it.
 
     Thread contract: everything touching the selector or connection
     state runs on the loop thread.  Cross-thread requests (resume,
@@ -576,7 +566,7 @@ class _ServerLoop:
         self,
         fabric: SocketFabric,
         listeners: list[socket.socket],
-        governor: ServerGovernor | None,
+        governor: ServerGovernor,
         name: str,
     ) -> None:
         self._fabric = fabric
@@ -589,7 +579,6 @@ class _ServerLoop:
         self._conns: set[_ServerConnection] = set()
         self._by_identity: dict[int, set[_ServerConnection]] = {}
         self._closed = False
-        self._busy_frame = self._make_busy_frame()
         for listener in listeners:
             listener.setblocking(False)
             self._selector.register(
@@ -602,16 +591,6 @@ class _ServerLoop:
             target=self._run, name=f"{name}-loop", daemon=True
         )
         self._thread.start()
-
-    def _make_busy_frame(self) -> bytes:
-        """The one-frame NACK written on a connection refused by
-        admission control (kind :data:`KIND_BUSY`, destination port 0
-        — no real port, protocol-aware clients read it raw)."""
-        src = SocketPortAddress(
-            self._fabric.host, self._fabric.tcp_port, 0, "server-busy"
-        )
-        bare = _bare(src, SocketPortAddress("", 0, 0), KIND_BUSY)
-        return bare.frame(b"server at max connections", b"")[0]
 
     # -- cross-thread interface ---------------------------------------------
 
@@ -638,7 +617,7 @@ class _ServerLoop:
     def pause(self, identity: int) -> None:
         """Stop reading every socket this identity sends on.  Loop
         thread only (the governor calls it inside ``admit_request``,
-        which the loop itself invoked)."""
+        which the request intake runs as the loop delivers)."""
         for conn in self._by_identity.get(identity, ()):
             self._pause(conn)
 
@@ -712,7 +691,7 @@ class _ServerLoop:
                 self._closed = True
 
     def _accept(self, listener: socket.socket) -> None:
-        """Admit what either listener accepted: one connection budget,
+        """Take what either listener accepted: one connection count,
         one framing state machine, whatever the stream family."""
         while True:
             try:
@@ -721,19 +700,7 @@ class _ServerLoop:
                 return
             except OSError:
                 return  # server socket closed
-            if self._governor is not None and (
-                not self._governor.on_connection()
-            ):
-                # Refused: one BUSY frame (fits the empty socket
-                # buffer, so the non-blocking send cannot stall the
-                # loop), then close — a fast NACK, not a hang.
-                try:
-                    sock.setblocking(False)
-                    sock.send(self._busy_frame)
-                except OSError:
-                    pass
-                sock.close()
-                continue
+            self._governor.on_connection()
             _tune_socket(sock)
             sock.setblocking(False)
             conn = _ServerConnection(sock)
@@ -849,7 +816,7 @@ class _ServerLoop:
                 self._fabric._record_drop(len(target))
             del target
             if conn.pause_depth > 0:
-                # The frame we just admitted paused this connection;
+                # The frame we just delivered paused this connection;
                 # stop reading immediately, not at the budget.
                 return
 
@@ -898,54 +865,32 @@ class _ServerLoop:
     def _deliver(
         self, conn: _ServerConnection, frame: memoryview
     ) -> None:
-        """Decode the frame envelope and route it — with the
-        governor's request admission spliced between decode and
-        delivery."""
+        """Decode the frame envelope and route it; a request frame's
+        head is peeked first, so its client identity is tied to this
+        connection before the request intake counts it."""
         fabric = self._fabric
         # The frame's buffer was allocated for it alone, and the loop
         # drops it on delivery: its payload is delivered writable,
         # which tells the receiver it owns the memory.
         dest_port_id, src, kind, payload = fabric._decode_frame(frame)
-        governor = self._governor
         routing = None
-        if (
-            kind == KIND_REQUEST
-            and governor is not None
-            and governor.active
-        ):
+        if kind == KIND_REQUEST:
             routing = wire.peek_request(payload)
             if routing is not None:
                 identity = routing.request_id >> 32  # the client identity
                 if identity not in conn.identities:
                     self._note_identity(conn, identity)
-                if not governor.admit_request(
-                    identity,
-                    routing.request_id,
-                    routing.trace_id,
-                    routing.reply_port,
-                ):
-                    return  # refused: BUSY reply queued by governor
         # The peeked head rides along: a receiver that decodes on this
-        # thread starts there.
-        try:
-            fabric._deliver_local(
-                dest_port_id, src, kind, payload, routing
-            )
-        except TransportError:
-            # The port is gone (a killed replica): nothing downstream
-            # will see this frame, so its admission slot ends here.
-            if routing is not None:
-                governor.request_done(routing.request_id)
-            raise
+        # thread starts there, and the request intake counts only a
+        # frame that carries one.
+        fabric._deliver_local(dest_port_id, src, kind, payload, routing)
 
     def _note_identity(
         self, conn: _ServerConnection, identity: int
     ) -> None:
         conn.identities.add(identity)
         self._by_identity.setdefault(identity, set()).add(conn)
-        if self._governor is not None and self._governor.is_paused(
-            identity
-        ):
+        if self._governor.is_paused(identity):
             # A paused identity opened another connection: it starts
             # paused too, so backpressure cannot be dodged by
             # reconnecting.
@@ -954,7 +899,7 @@ class _ServerLoop:
     def _sweep_paused(self) -> None:
         """Paused sockets are out of the selector, so a client that
         disconnects mid-backpressure would otherwise hold its
-        admission slot forever; probe them for EOF."""
+        queue slots forever; probe them for EOF."""
         for conn in [c for c in self._conns if c.pause_depth > 0]:
             try:
                 data = conn.sock.recv(1, socket.MSG_PEEK)
@@ -987,8 +932,7 @@ class _ServerLoop:
             if not peers:
                 del self._by_identity[identity]
                 orphaned.append(identity)
-        if self._governor is not None:
-            self._governor.on_disconnect(orphaned)
+        self._governor.on_disconnect(orphaned)
 
     def _teardown(self) -> None:
         for conn in list(self._conns):

@@ -188,7 +188,7 @@ class _Delivery:
     #: frame it read into a buffer allocated for that frame alone.
     payload: Any
     #: What the delivering fabric already decoded of the payload (the
-    #: event loop's admission peek of a request frame), so the
+    #: event loop's peek of a request frame), so the
     #: receiver need not decode it again; ``None`` = nothing.
     head: Any = None
 
@@ -342,7 +342,7 @@ class Fabric:
     """
 
     #: Fan-in governance (:class:`~repro.orb.server.ServerGovernor`:
-    #: admission control + backpressure) of a fabric that accepts
+    #: per-client backpressure) of a fabric that accepts
     #: connections; ``None`` on one that does not.
     governor: Any = None
 

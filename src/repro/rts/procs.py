@@ -595,11 +595,6 @@ class ProcHandle:
     def abort(self, reason: str = "aborted by caller") -> None:
         self._abort_event.set()
 
-    def kill_rank(self, rank: int) -> None:
-        """SIGKILL one rank (fault-injection support; no cleanup runs
-        in the child — the parent sweep must cover it)."""
-        self._procs[rank].kill()
-
     # -- supervision -------------------------------------------------------
 
     def _handle_message(self, rank: int, message: tuple) -> None:

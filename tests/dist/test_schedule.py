@@ -223,25 +223,19 @@ class TestScheduleCache:
         assert transfer_schedule(src, dst) == pristine
 
     def test_eviction_is_least_recently_used(self):
-        from repro.dist.schedule import _schedule_cache
-
-        old_size = _schedule_cache.maxsize
-        _schedule_cache.maxsize = 2
-        try:
-            pairs = [
-                (Layout(((0, n),)), BlockTemplate(2).layout(n))
-                for n in (8, 12, 16)
-            ]
-            transfer_schedule(*pairs[0])
-            transfer_schedule(*pairs[1])
-            transfer_schedule(*pairs[0])  # refresh 0: now 1 is LRU
-            transfer_schedule(*pairs[2])  # evicts 1
-            assert schedule_cache_stats()["entries"] == 2
-            before = schedule_cache_stats()["hits"]
-            transfer_schedule(*pairs[0])
-            transfer_schedule(*pairs[2])
-            assert schedule_cache_stats()["hits"] == before + 2
-            transfer_schedule(*pairs[1])  # evicted: must recompute
-            assert schedule_cache_stats()["hits"] == before + 2
-        finally:
-            _schedule_cache.maxsize = old_size
+        maxsize = schedule_cache_stats()["maxsize"]
+        pairs = [
+            (Layout(((0, n),)), BlockTemplate(2).layout(n))
+            for n in range(8, 8 + maxsize + 1)
+        ]
+        for pair in pairs[:maxsize]:
+            transfer_schedule(*pair)
+        transfer_schedule(*pairs[0])  # refresh 0: now 1 is LRU
+        transfer_schedule(*pairs[maxsize])  # evicts 1
+        assert schedule_cache_stats()["entries"] == maxsize
+        before = schedule_cache_stats()["hits"]
+        transfer_schedule(*pairs[0])
+        transfer_schedule(*pairs[maxsize])
+        assert schedule_cache_stats()["hits"] == before + 2
+        transfer_schedule(*pairs[1])  # evicted: must recompute
+        assert schedule_cache_stats()["hits"] == before + 2

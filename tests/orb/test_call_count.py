@@ -38,7 +38,8 @@ interface counted {
 #: Python calls per blocking call, all four threads together: 273
 #: before operations were compiled into plans, 203 after, 165 with the
 #: hop compiled too (frame templates kept by the sending port, heads
-#: interned), 147 with a copy event counted in one call; the bound
+#: interned), 147 with a copy event counted in one call, 146 once the
+#: request intake, not the event loop, counts a request; the bound
 #: keeps 3% over 165 as headroom for the wait loops' re-checks.
 BOUND = 170
 #: Python calls per pipelined 64 KiB roundtrip, every thread and the

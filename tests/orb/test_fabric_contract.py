@@ -79,12 +79,8 @@ SERVER = {
     "backpressure": dict.fromkeys(
         ("paused_clients", "pauses", "queue_limit", "resume_at", "resumes")
     ),
-    "connections": dict.fromkeys(
-        ("accepted", "active", "closed", "max", "rejected")
-    ),
-    "requests": dict.fromkeys(
-        ("admitted", "completed", "inflight", "max_inflight", "rejected")
-    ),
+    "connections": dict.fromkeys(("accepted", "active", "closed")),
+    "requests": dict.fromkeys(("admitted", "completed", "inflight")),
 }
 
 SOCKET_STATS = {"dropped_frames": None, "pulled_frames": None}

@@ -18,7 +18,6 @@ from repro.ft.faults import FaultSchedule, FaultyFabric
 from repro.orb import request as wire
 from repro.orb.naming import NamingService
 from repro.orb.request import RequestMessage
-from repro.orb.server import ServerConfig
 from repro.orb.socketnet import SocketFabric
 from repro.orb.transport import (
     KIND_REPLY,
@@ -316,8 +315,7 @@ def _settled(governor):
 def test_every_admission_slot_is_released_exactly_once(idl):
     book = _Book()
     naming = NamingService()
-    config = ServerConfig(client_queue_limit=64)
-    with SocketFabric("slots-server", server=config) as sf, \
+    with SocketFabric("slots-server") as sf, \
             SocketFabric("slots-client") as cf:
         server = ORB("slots", fabric=sf, naming=naming, timeout=10.0)
         with server:

@@ -236,8 +236,8 @@ class TestRemoteNaming:
 
 
 class TestNamingOnTheOrdinaryPath:
-    """What the second server never had: the event loop's admission
-    control, drop accounting and stats reach naming requests."""
+    """What the second server never had: the event loop's
+    backpressure, drop accounting and stats reach naming requests."""
 
     def test_requests_are_counted_by_the_governor(self, fabric):
         with served_naming() as (orb, ior):

@@ -253,10 +253,7 @@ OPTION_BUDGET = {
         "group_name", "runtime", "transfer", "ft_policy",
     ),
     "repro.orb.socketnet:SocketFabric.__init__": (
-        "name", "bind_host", "bind_port", "server",
-    ),
-    "repro.orb.server:ServerConfig": (
-        "max_connections", "max_inflight", "client_queue_limit",
+        "name", "bind_host", "bind_port",
     ),
     "repro.ft.policy:FtPolicy": (
         "deadline_ms", "max_retries", "backoff_base_ms",
@@ -296,6 +293,9 @@ OPTION_BUDGET = {
 #: rank's pieces in place replaced.  Last, the pluggable replica
 #: selection and its load-report path, which the one round-robin
 #: choice by bind token replaced, and a membership call with no caller.
+#: Then the server's admission limits no caller set, with their BUSY
+#: replies and rejector thread, which left per-client backpressure the
+#: one valve, and the hand-written LRU ``functools.lru_cache`` replaced.
 RETIRED_IDENTIFIERS = {
     "trac" "er",
     "ft_" "stats",
@@ -378,6 +378,12 @@ RETIRED_IDENTIFIERS = {
     "policy_" "for",
     "report_" "health",
     "add_" "member",
+    "Server" "Config",
+    "_Busy" "Rejector",
+    "max_" "inflight",
+    "max_" "connections",
+    "KIND_" "BUSY",
+    "_Schedule" "Cache",
 }
 
 
