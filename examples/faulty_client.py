@@ -103,7 +103,6 @@ def main():
             "echo",
             lambda ctx: EchoServant(),
             nthreads=1,
-            dispatch_policy="concurrent",
             reply_cache_bytes=4 << 20,
         )
         retries = retrying_run(orb)

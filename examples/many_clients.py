@@ -83,7 +83,7 @@ def backpressure():
                      timeout=10.0)
         with server, hog, polite:
             server.serve("counter", lambda ctx: Counter(),
-                         nthreads=1, dispatch_workers=2)
+                         nthreads=1)
 
             def section():
                 return server.stats()["server"]

@@ -65,7 +65,6 @@ _EXPORTS = {
     "SpmdExecutor": ("repro.rts", "SpmdExecutor"),
     "spmd_run": ("repro.rts", "spmd_run"),
     "ORB": ("repro.core", "ORB"),
-    "SpmdClientGroup": ("repro.core", "SpmdClientGroup"),
     "TransferMethod": ("repro.core", "TransferMethod"),
     "compile_idl": ("repro.idl", "compile_idl"),
     "compile_idl_module": ("repro.idl", "compile_idl_module"),

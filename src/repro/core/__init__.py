@@ -30,12 +30,11 @@ Typical use::
     orb.shutdown()
 """
 
-from repro.core.orb import ORB, ClientContext, SpmdClientGroup
+from repro.core.orb import ORB, ClientContext
 from repro.core.spmd import TransferMethod
 
 __all__ = [
     "ClientContext",
     "ORB",
-    "SpmdClientGroup",
     "TransferMethod",
 ]

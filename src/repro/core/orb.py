@@ -143,8 +143,6 @@ class ORB:
         host: str = "",
         multiport: bool = True,
         templates: dict[tuple[str, str], Any] | None = None,
-        dispatch_workers: int = 4,
-        dispatch_policy: str = "client-fifo",
         reply_cache_bytes: int = 0,
     ) -> ServantGroup:
         """Activate an SPMD object and register it with naming.
@@ -155,20 +153,15 @@ class ORB:
         the servant registers for that distributed parameter (§2.2's
         pre-registration assignment); unlisted parameters default to
         uniform blockwise.  ``multiport=False`` activates an object
-        that only advertises the single centralized connection.
-        ``dispatch_workers`` bounds how many requests a *serial*
-        (``nthreads == 1``) object executes concurrently; 1 restores
-        strictly serial dispatch.  ``dispatch_policy`` picks the
-        ordering contract: the default ``"client-fifo"`` runs one
-        client's requests in send order (different clients overlap),
-        ``"concurrent"`` drops cross-request ordering entirely — like
-        a CORBA ORB-controlled-threads POA — so even a single
-        pipelined client's requests overlap (for stateless or
-        internally synchronized servants).  Collective objects ignore
-        both.  ``reply_cache_bytes`` enables server-side request dedup
-        for client retries: a positive byte budget records sent
-        replies so a retried request whose reply was lost is answered
-        from the cache instead of re-executed (see
+        that only advertises the single centralized connection.  A
+        *serial* (``nthreads == 1``) object runs one client's requests
+        in send order, on its rank thread first; different clients
+        overlap on at most :data:`~repro.orb.adapter.DISPATCH_THREADS`
+        threads, started only as they do.  ``reply_cache_bytes``
+        enables server-side request dedup for client retries: a
+        positive byte budget records sent replies so a retried
+        request whose reply was lost is answered from the cache
+        instead of re-executed (see
         :mod:`repro.ft.dedup`; lint rule PD209 flags retrying
         clients of a cache-less server).  A dispatched request's
         server-side waits (chunk collection from a client whose data
@@ -189,8 +182,6 @@ class ORB:
             multiport=multiport,
             templates=templates,
             trace=self.trace,
-            dispatch_workers=dispatch_workers,
-            dispatch_policy=dispatch_policy,
             reply_cache_bytes=reply_cache_bytes,
             request_timeout=self.timeout,
         )
@@ -286,10 +277,25 @@ class ORB:
         example: a parallel application that binds to an SPMD object
         and invokes it collectively.
         """
+        executor = SpmdExecutor(nthreads, name=name, backend="thread")
 
-        return SpmdClientGroup(self, nthreads, name).run(
-            fn, *args, timeout=timeout
-        )
+        def body(rank_ctx: Any) -> Any:
+            comm = rank_ctx.comm if nthreads > 1 else None
+            runtime = self.client_runtime(comm, label=name)
+            try:
+                return fn(
+                    ClientContext(
+                        rank=rank_ctx.rank,
+                        size=nthreads,
+                        comm=comm,
+                        runtime=runtime,
+                    ),
+                    *args,
+                )
+            finally:
+                runtime.close()
+
+        return executor.run(body, timeout=timeout)
 
     # -- introspection -------------------------------------------------------
 
@@ -415,47 +421,3 @@ class ORB:
 
     def __exit__(self, *exc: Any) -> None:
         self.shutdown()
-
-
-class SpmdClientGroup:
-    """A persistent parallel client: the same thread group performing
-    several collective interactions (created once, reused).
-
-    Where :meth:`ORB.run_spmd_client` is fork-join per call, this
-    keeps the group alive so examples/benchmarks can time repeated
-    invocations without thread startup costs.
-    """
-
-    def __init__(self, orb: ORB, nthreads: int, name: str = "client") -> None:
-        if nthreads <= 0:
-            raise ValueError("a client group needs at least one thread")
-        self.orb = orb
-        self.nthreads = nthreads
-        self.name = name
-        self._executor = SpmdExecutor(nthreads, name=name, backend="thread")
-
-    def run(
-        self,
-        fn: Callable[..., Any],
-        *args: Any,
-        timeout: float = 120.0,
-    ) -> list[Any]:
-        """One collective session: ``fn(client_ctx, *args)`` per thread."""
-
-        def body(rank_ctx: Any) -> Any:
-            comm = rank_ctx.comm if self.nthreads > 1 else None
-            runtime = self.orb.client_runtime(comm, label=self.name)
-            try:
-                return fn(
-                    ClientContext(
-                        rank=rank_ctx.rank,
-                        size=self.nthreads,
-                        comm=comm,
-                        runtime=runtime,
-                    ),
-                    *args,
-                )
-            finally:
-                runtime.close()
-
-        return self._executor.run(body, timeout=timeout)

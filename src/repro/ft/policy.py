@@ -13,12 +13,12 @@ failure occurred, lives in :mod:`repro.ft.agreement`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.orb.operation import RemoteError
 
-#: Error categories a policy retries by default: transport failures,
+#: The error categories a policy retries: transport failures,
 #: server-declared transients, and receive timeouts.
 DEFAULT_RETRYABLE = ("COMM_FAILURE", "TRANSIENT", "NO_RESPONSE", "TIMEOUT")
 
@@ -152,28 +152,24 @@ class FtPolicy:
         deterministically from the request id so every rank of a
         collective binding sleeps the same amount without
         communicating.
-    ``retryable_categories``
-        Failure categories worth re-sending for.  Everything else —
-        user exceptions, marshaling errors, servant bugs — propagates
-        on the first occurrence.
-    ``max_failovers``
-        Replica flips a *group* binding (``repro.groups``) may make
-        per invocation after per-replica retries exhaust.  Ignored on
-        singleton bindings.  The default covers every sibling of a
-        failed replica once.  A failover re-issues the call on the new
-        replica under a fresh request id, and that replica's reply
-        cache has never seen it: a call the old replica executed
-        before dying runs again, so replicas must be stateless.
+
+    Timeouts and transport failures are worth re-sending for, and so
+    is a remote failure of a :data:`DEFAULT_RETRYABLE` category.
+    Everything else — user exceptions, marshaling errors, servant
+    bugs — propagates on the first occurrence.
+
+    A *group* binding (``repro.groups``) whose per-replica retries
+    exhaust fails over to each sibling of the failed replica once.
+    A failover re-issues the call on the new replica under a fresh
+    request id, and that replica's reply cache has never seen it: a
+    call the old replica executed before dying runs again, so
+    replicas must be stateless.
     """
 
     deadline_ms: float | None = None
     max_retries: int = 0
     backoff_base_ms: float = 10.0
     backoff_cap_ms: float = 2000.0
-    retryable_categories: tuple[str, ...] = field(
-        default=DEFAULT_RETRYABLE
-    )
-    max_failovers: int | None = None
 
     def __post_init__(self) -> None:
         if self.deadline_ms is not None and self.deadline_ms <= 0:
@@ -182,23 +178,14 @@ class FtPolicy:
             raise ValueError("max_retries cannot be negative")
         if self.backoff_base_ms < 0 or self.backoff_cap_ms < 0:
             raise ValueError("backoff values cannot be negative")
-        if self.max_failovers is not None and self.max_failovers < 0:
-            raise ValueError("max_failovers cannot be negative (or None)")
-        object.__setattr__(
-            self,
-            "retryable_categories",
-            tuple(self.retryable_categories),
-        )
 
     # -- decisions (pure: identical on every rank) -----------------------
 
     def is_retryable(self, failure: Failure) -> bool:
         """Is re-sending worth it for this (canonical) failure?"""
-        if failure.kind == "timeout":
-            return "TIMEOUT" in self.retryable_categories
-        if failure.kind in ("transport", "unreachable"):
-            return "COMM_FAILURE" in self.retryable_categories
-        return failure.category in self.retryable_categories
+        if failure.kind in ("timeout", "transport", "unreachable"):
+            return True
+        return failure.category in DEFAULT_RETRYABLE
 
     def backoff_seconds(self, attempt: int, request_id: int) -> float:
         """Delay before retry ``attempt`` (1-based), capped exponential
@@ -236,11 +223,7 @@ def failure_to_exception(
     """Map the canonical failure of a policied invocation onto the
     public exception all ranks raise."""
     timed_out = failure.kind == "timeout"
-    if timed_out and (
-        attempts == 0
-        or failure.deadline_exhausted
-        or not policy.is_retryable(failure)
-    ):
+    if timed_out and (attempts == 0 or failure.deadline_exhausted):
         return DeadlineExceeded(
             operation,
             collective_index=collective_index,

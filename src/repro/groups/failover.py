@@ -32,7 +32,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Mapping
 
-from repro.ft.policy import FtPolicy
 from repro.groups.select import GroupView, SelectionError
 from repro.metrics import Counter
 from repro.orb.naming import NamingError
@@ -147,19 +146,16 @@ class GroupBinding:
         with self._lock:
             return self.replica_id
 
-    def budget(self, policy: FtPolicy) -> int:
-        """How many flips this binding may still make under ``policy``
-        (default budget: every sibling of the first replica, once)."""
-        limit = policy.max_failovers
-        if limit is None:
-            limit = max(len(self.view.group.members) - 1, 0)
+    def budget(self) -> int:
+        """How many flips this binding may still make: every sibling
+        of the first replica, once."""
+        limit = max(len(self.view.group.members) - 1, 0)
         with self._lock:
             return max(limit - len(self.history), 0)
 
     def fail_over(
         self,
         runtime: Any,
-        policy: FtPolicy,
         failed_replica: int,
         cause: RemoteError,
         trace_id: int,
@@ -188,7 +184,7 @@ class GroupBinding:
             return
         operation = f"{self.interface}.{cause.operation}"
         view = self.view.without(failed_replica)
-        if self.budget(policy) <= 0 or not view.alive():
+        if self.budget() <= 0 or not view.alive():
             self._counters["failovers_exhausted"].inc()
             raise FailoverExhausted(
                 operation,

@@ -257,7 +257,6 @@ def serve_naming(orb: Any) -> str:
         NAMING_OBJECT,
         lambda ctx: NamingServant(naming),
         multiport=False,
-        dispatch_workers=1,
         reply_cache_bytes=REPLY_CACHE_BYTES,
     )
     return group.reference.ior()

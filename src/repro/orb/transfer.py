@@ -943,7 +943,7 @@ def invoke_begin(
             # sibling's reply cache has never seen the call, so one
             # the dead replica executed before dying runs again.
             retire()
-            group.fail_over(runtime, inv.policy, replica, cause, inv.trace_id)
+            group.fail_over(runtime, replica, cause, inv.trace_id)
             return reissue(path, on_degrade)
 
     def reissue(via: "DataPath", on_degrade: Any) -> Any:

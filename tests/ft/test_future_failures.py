@@ -62,7 +62,6 @@ def _serve(orb, idl):
         "worker",
         lambda ctx: Worker(),
         nthreads=1,
-        dispatch_policy="concurrent",
     )
 
 

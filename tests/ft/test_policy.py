@@ -40,14 +40,13 @@ class TestRetryability:
             Failure("timeout", "TIMEOUT", "late")
         )
 
-    def test_transport_and_unreachable_map_to_comm_failure(self):
-        policy = FtPolicy(retryable_categories=("COMM_FAILURE",))
+    def test_transport_and_unreachable_failures_are_retryable(self):
+        policy = FtPolicy()
         assert policy.is_retryable(Failure("transport", "X", ""))
         assert policy.is_retryable(Failure("unreachable", "X", ""))
-        assert not policy.is_retryable(Failure("timeout", "X", ""))
 
     def test_remote_failure_uses_its_category(self):
-        policy = FtPolicy(retryable_categories=("TRANSIENT",))
+        policy = FtPolicy()
         assert policy.is_retryable(
             Failure("remote", "TRANSIENT", "busy")
         )

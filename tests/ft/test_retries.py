@@ -104,7 +104,6 @@ class TestRetries:
                 orb,
                 idl,
                 calls,
-                dispatch_policy="concurrent",
                 reply_cache_bytes=1 << 20,
             )
             runtime = orb.client_runtime(label="dedup")
@@ -129,9 +128,7 @@ class TestRetries:
         valve = Valve("drop", kinds=("reply",), limit=1)
         calls = []
         with _orb_with_valve(valve) as orb:
-            _serve_counting(
-                orb, idl, calls, dispatch_policy="concurrent"
-            )
+            _serve_counting(orb, idl, calls)
             runtime = orb.client_runtime(label="atleastonce")
             try:
                 proxy = idl.flaky._bind(
@@ -175,11 +172,12 @@ class TestDegradation:
         valve = Valve("disconnect", kinds=("data",))
         calls = []
         with _orb_with_valve(valve) as orb:
-            # Concurrent dispatch: the abandoned multiport request
-            # (stuck collecting chunks that will never come, until the
-            # server-side request_timeout clears it) must not order the
-            # centralized fallback behind itself.
-            _serve_counting(orb, idl, calls, dispatch_policy="concurrent")
+            # The abandoned multiport request (stuck collecting chunks
+            # that will never come, until the server-side
+            # request_timeout clears it) holds this client's turn for
+            # up to one timeout: the centralized fallback waits behind
+            # it, and the policy's retries outlast the wait.
+            _serve_counting(orb, idl, calls)
             runtime = orb.client_runtime(label="degrade")
             try:
                 proxy = idl.flaky._bind(
@@ -208,7 +206,6 @@ class TestOrbStats:
                 orb,
                 idl,
                 [],
-                dispatch_policy="concurrent",
                 reply_cache_bytes=1 << 20,
             )
             runtime = orb.client_runtime(label="stats")

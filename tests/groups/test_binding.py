@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.ft.policy import FtPolicy, InvocationRetriesExhausted
+from repro.ft.policy import InvocationRetriesExhausted
 from repro.groups.failover import (
     GROUP_COUNTERS,
     FailoverExhausted,
@@ -61,7 +61,6 @@ def cause():
     )
 
 
-POLICY = FtPolicy(max_retries=1)
 
 
 class TestPlacement:
@@ -90,7 +89,7 @@ class TestFlip:
         runtime = make_runtime()
         binding = make_binding(runtime)
         assert binding.target() == (0, make_ref("svc#0"))
-        binding.fail_over(runtime, POLICY, 0, cause(), trace_id=7)
+        binding.fail_over(runtime, 0, cause(), trace_id=7)
         # Token 1 over the survivors (1, 2).
         assert binding.target() == (2, make_ref("svc#2"))
         assert binding.history == [(1, 0, 2)]
@@ -107,19 +106,19 @@ class TestFlip:
     def test_a_late_completion_on_an_abandoned_replica_only_re_targets(self):
         runtime = make_runtime()
         binding = make_binding(runtime)
-        binding.fail_over(runtime, POLICY, 0, cause(), trace_id=7)
+        binding.fail_over(runtime, 0, cause(), trace_id=7)
         before = tallies(binding, runtime)
-        binding.fail_over(runtime, POLICY, 0, cause(), trace_id=8)
+        binding.fail_over(runtime, 0, cause(), trace_id=8)
         assert binding.current_replica() == 2
         assert binding.history == [(1, 0, 2)]
-        assert binding.budget(POLICY) == 1
+        assert binding.budget() == 1
         assert tallies(binding, runtime) == before
         assert runtime.naming.epoch("svc") == 1
 
     def test_only_rank_zero_reports_the_death(self):
         runtime = make_runtime(rank=1)
         binding = make_binding(runtime)
-        binding.fail_over(runtime, POLICY, 0, cause(), trace_id=7)
+        binding.fail_over(runtime, 0, cause(), trace_id=7)
         assert binding.current_replica() == 2
         assert runtime.naming.epoch("svc") == 0
 
@@ -127,7 +126,7 @@ class TestFlip:
         runtime = make_runtime()
         binding = make_binding(runtime)
         runtime.naming.unbind_group("svc")
-        binding.fail_over(runtime, POLICY, 0, cause(), trace_id=7)
+        binding.fail_over(runtime, 0, cause(), trace_id=7)
         assert binding.current_replica() == 2
         assert runtime.ft["failovers"].value == 1
 
@@ -136,30 +135,31 @@ class TestBudget:
     def test_the_default_budget_is_every_sibling_once(self):
         runtime = make_runtime()
         binding = make_binding(runtime)
-        assert binding.budget(POLICY) == 2
-        binding.fail_over(runtime, POLICY, 0, cause(), trace_id=7)
-        assert binding.budget(POLICY) == 1
+        assert binding.budget() == 2
+        binding.fail_over(runtime, 0, cause(), trace_id=7)
+        assert binding.budget() == 1
 
     def test_an_exhausted_budget_raises_with_the_walk(self):
         runtime = make_runtime()
         binding = make_binding(runtime)
-        capped = FtPolicy(max_retries=1, max_failovers=1)
-        binding.fail_over(runtime, capped, 0, cause(), trace_id=7)
+        binding.fail_over(runtime, 0, cause(), trace_id=7)
+        binding.fail_over(runtime, 2, cause(), trace_id=7)
+        assert binding.budget() == 0
         last = cause()
         with pytest.raises(FailoverExhausted) as info:
-            binding.fail_over(runtime, capped, 2, last, trace_id=7)
+            binding.fail_over(runtime, 1, last, trace_id=7)
         exc = info.value
         assert exc.__cause__ is last
         assert exc.group == "svc"
         assert exc.operation == "svc.add"
-        assert exc.replicas_tried == (0, 2)
+        assert exc.replicas_tried == (0, 2, 1)
         assert exc.collective_index == 4
         assert exc.category == "COMM_FAILURE"
         # Exhaustion neither moves the binding nor reports a death.
-        assert binding.current_replica() == 2
-        assert runtime.naming.epoch("svc") == 1
+        assert binding.current_replica() == 1
+        assert runtime.naming.epoch("svc") == 2
         snap = tallies(binding, runtime)
-        assert snap["failovers"] == 1
+        assert snap["failovers"] == 2
         assert snap["failovers_exhausted"] == 1
 
 
@@ -174,7 +174,7 @@ def test_a_divergent_vote_raises_before_any_rank_moves():
     runtime = make_runtime(rts=_DivergentRTS())
     binding = make_binding(runtime)
     with pytest.raises(RuntimeError, match="group failover diverged"):
-        binding.fail_over(runtime, POLICY, 0, cause(), trace_id=7)
+        binding.fail_over(runtime, 0, cause(), trace_id=7)
     assert binding.target() == (0, make_ref("svc#0"))
     assert binding.history == []
     assert runtime.ft["failovers"].value == 0

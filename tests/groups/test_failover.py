@@ -332,28 +332,6 @@ class TestSerialFailover:
             runtime.close()
             group.shutdown()
 
-    def test_max_failovers_caps_the_walk(self, orb, idl):
-        group = orb.serve_replicated("ctr", _factory(idl), replicas=3)
-        runtime = orb.client_runtime()
-        try:
-            policy = FtPolicy(
-                max_retries=1,
-                backoff_base_ms=1.0,
-                backoff_cap_ms=5.0,
-                max_failovers=0,
-            )
-            proxy = idl.counter._group_bind(
-                "ctr", runtime, ft_policy=policy
-            )
-            group.kill(proxy._group.current_replica())
-            with pytest.raises(FailoverExhausted):
-                proxy.add(1.0)
-            # Budget zero: the binding never flipped.
-            assert proxy._group.history == []
-        finally:
-            runtime.close()
-            group.shutdown()
-
     def test_successive_binds_start_on_successive_replicas(
         self, deployment, idl
     ):

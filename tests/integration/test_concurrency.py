@@ -6,7 +6,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.orb import SpmdClientGroup
 
 
 def serve(orb, servant_class, name="example", nthreads=4, **kw):
@@ -127,16 +126,14 @@ class TestMultipleObjects:
 class TestPersistentClientGroup:
     def test_client_group_reuse(self, orb, idl, servant_class):
         serve(orb, servant_class, nthreads=2)
-        group = SpmdClientGroup(orb, 2)
-
         def session(c, step):
             diff = idl.diff_object._spmd_bind("example", c.runtime)
             seq = idl.darray.from_global(np.zeros(10), comm=c.comm)
             diff.diffusion(step, seq)
             return seq.allgather()[0]
 
-        assert group.run(session, 3) == [3.0, 3.0]
-        assert group.run(session, 4) == [4.0, 4.0]
+        assert orb.run_spmd_client(2, session, 3) == [3.0, 3.0]
+        assert orb.run_spmd_client(2, session, 4) == [4.0, 4.0]
 
 
 class TestLifecycle:

@@ -2,13 +2,13 @@
 
 Covers the reply demultiplexer (replies arriving out of launch order
 resolve the right futures), interleaved multi-port chunk streams from
-concurrently in-flight requests, the ``pipeline_depth`` knob, and the
-serial dispatch pool's two ordering policies — over both the
+concurrently in-flight requests, the ``pipeline_depth`` knob (counted
+as request frames in flight), and the serial dispatch pool's
+per-client order on the object's rank thread — over both the
 in-process fabric and real TCP loopback, and from a client that is a
 forked process rank.
 """
 
-import collections
 import contextlib
 import threading
 import time
@@ -17,11 +17,14 @@ import numpy as np
 import pytest
 
 from repro import ORB, compile_idl
-from repro.orb import adapter
 from repro.orb.nameservice import NamingClient, serve_naming
 from repro.orb.naming import NamingService
 from repro.orb.socketnet import SocketFabric
+from repro.orb.transport import KIND_REPLY, KIND_REQUEST
 from repro.rts import process_backend_supported, spawn_spmd
+
+from tests.integration.observing import FrameMeter
+from tests.orb.test_server_fanin import _wait_for
 
 PIPE_IDL = """
 typedef dsequence<double> vec;
@@ -119,10 +122,7 @@ class TestInterleavedChunks:
         interleave on the wire but land in the right sequences."""
         with two_orbs(fabric) as (server, client):
             server.serve(
-                "pipe",
-                lambda ctx: make_tagger(idl, [])(),
-                nthreads=1,
-                dispatch_policy="concurrent",
+                "pipe", lambda ctx: make_tagger(idl, [])(), nthreads=1
             )
             runtime = client.client_runtime(label="mix", pipeline_depth=4)
             try:
@@ -141,86 +141,56 @@ class TestInterleavedChunks:
                 runtime.close()
 
 
-class ConcurrencyGauge:
-    """Tracks how many servant executions overlap."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.active = 0
-        self.peak = 0
-
-    def __enter__(self):
-        with self._lock:
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self.active -= 1
-
-
 class TestDepthAndDispatch:
-    def make_gauged(self, idl, gauge, dwell=0.05):
-        class Gauged(idl.pipe_skel):
-            def echo(self, data):
-                return data
-
-            def tag(self, x):
-                with gauge:
-                    time.sleep(dwell)
-                return x
-
-        return Gauged
-
-    def test_depth_one_keeps_requests_serial(self, idl):
-        gauge = ConcurrencyGauge()
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_depth_bounds_the_requests_in_flight(self, idl, depth):
+        """Pipelining is requests in flight: with the servant held on
+        its first request, a client at depth ``depth`` has put exactly
+        ``depth`` request frames on the wire before any reply."""
+        gate = threading.Event()
+        record, values = [], []
+        meter = FrameMeter()
         with two_orbs("inproc") as (server, client):
-            server.serve(
+            group = server.serve(
                 "pipe",
-                lambda ctx: self.make_gauged(idl, gauge)(),
+                lambda ctx: make_tagger(idl, record, gate)(),
                 nthreads=1,
-                dispatch_policy="concurrent",
             )
-            runtime = client.client_runtime(label="d1", pipeline_depth=1)
-            try:
-                proxy = idl.pipe._bind("pipe", runtime)
-                futures = [proxy.tag_nb(float(i)) for i in range(5)]
-                assert [f.value(timeout=20) for f in futures] == [
-                    0.0, 1.0, 2.0, 3.0, 4.0,
-                ]
-            finally:
-                runtime.close()
-        # Depth 1 admits one request at a time even though the server
-        # would happily overlap them.
-        assert gauge.peak == 1
+            server.fabric.add_meter(meter)
+            runtime = client.client_runtime(
+                label=f"d{depth}", pipeline_depth=depth
+            )
 
-    def test_deep_pipeline_overlaps_on_concurrent_policy(self, idl):
-        gauge = ConcurrencyGauge()
-        with two_orbs("inproc") as (server, client):
-            server.serve(
-                "pipe",
-                lambda ctx: self.make_gauged(idl, gauge)(),
-                nthreads=1,
-                dispatch_policy="concurrent",
-            )
-            runtime = client.client_runtime(label="d4", pipeline_depth=4)
-            try:
+            def launch():
                 proxy = idl.pipe._bind("pipe", runtime)
                 futures = [proxy.tag_nb(float(i)) for i in range(6)]
-                assert [f.value(timeout=20) for f in futures] == [
-                    0.0, 1.0, 2.0, 3.0, 4.0, 5.0,
-                ]
-            finally:
-                runtime.close()
-        assert gauge.peak >= 2
+                values.extend(f.value(timeout=20) for f in futures)
 
-    def test_client_fifo_policy_preserves_one_clients_order(self, idl):
+            def requests():
+                return [
+                    f for f in meter.of_kind(KIND_REQUEST)
+                    if f[1] == group.reference.request_port
+                ]
+
+            launcher = threading.Thread(target=launch, daemon=True)
+            launcher.start()
+            try:
+                assert _wait_for(lambda: len(requests()) == depth)
+                time.sleep(0.2)  # the window holds: no more go out
+                assert len(requests()) == depth
+                assert meter.of_kind(KIND_REPLY) == []
+            finally:
+                gate.set()
+                launcher.join(timeout=20)
+                runtime.close()
+        assert values == [float(i) for i in range(6)]
+        assert record == [float(i) for i in range(6)]
+
+    def test_one_clients_requests_run_in_send_order(self, idl):
         record = []
         with two_orbs("inproc") as (server, client):
             server.serve(
-                "pipe",
-                lambda ctx: make_tagger(idl, record)(),
-                nthreads=1,  # default dispatch_policy="client-fifo"
+                "pipe", lambda ctx: make_tagger(idl, record)(), nthreads=1
             )
             runtime = client.client_runtime(label="fifo", pipeline_depth=8)
             try:
@@ -233,59 +203,37 @@ class TestDepthAndDispatch:
         assert record == [float(i) for i in range(8)]
 
     @pytest.mark.parametrize("fabric", FABRICS)
-    def test_one_clients_stream_parks_one_worker(
-        self, idl, fabric, monkeypatch
-    ):
-        """A pipelined stream stays on the worker serving it: a worker
-        that finishes a request takes the next one itself, so none of
-        the other three is woken only to find nothing and park again."""
-        pools, parks = [], collections.Counter()
+    def test_one_clients_stream_starts_no_thread(self, idl, fabric):
+        """A pipelined stream stays on the object's rank thread: a
+        thread that finishes a request takes the next one itself, so
+        the pool never finds a client's work runnable with no thread
+        parked, and starts no other."""
+        seen = set()
 
-        class CountingIdle(list):
-            def append(self, wake):
-                parks[threading.current_thread().name] += 1
-                super().append(wake)
+        class Recorder(idl.pipe_skel):
+            def echo(self, data):
+                return data
 
-        class CountingPool(adapter._DispatchPool):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                with self._lock:
-                    self._idle = CountingIdle(self._idle)
-                pools.append(self)
+            def tag(self, x):
+                seen.add(threading.current_thread().name)
+                return x
 
-        monkeypatch.setattr(adapter, "_DispatchPool", CountingPool)
         n = 400
         with two_orbs(fabric) as (server, client):
-            server.serve(
-                "pipe", lambda ctx: make_tagger(idl, [])(), nthreads=1
-            )
+            server.serve("pipe", lambda ctx: Recorder(), nthreads=1)
             runtime = client.client_runtime(label="stream", pipeline_depth=8)
             try:
                 proxy = idl.pipe._bind("pipe", runtime)
-                assert proxy.tag(-1.0) == -1.0
-                (pool,) = pools
-                deadline = time.monotonic() + 5
-                while len(pool._idle) < 4 and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                assert len(pool._idle) == 4  # the default pool, all parked
-                parks.clear()
                 futures = [proxy.tag_nb(float(i)) for i in range(n)]
                 values = [f.value(timeout=20) for f in futures]
-                stream_parks = dict(parks)
+                assert not [
+                    t.name for t in threading.enumerate()
+                    if t.name.startswith("server:pipe:dispatch")
+                ]
             finally:
                 runtime.close()
         assert values == [float(i) for i in range(n)]
-        assert len(stream_parks) <= 1, stream_parks
-
-    def test_bad_dispatch_policy_rejected(self, idl):
-        with two_orbs("inproc") as (server, _client):
-            with pytest.raises(ValueError, match="dispatch_policy"):
-                server.serve(
-                    "pipe",
-                    lambda ctx: make_tagger(idl, [])(),
-                    nthreads=1,
-                    dispatch_policy="chaotic",
-                )
+        assert seen == {"server:pipe-0"}
 
     def test_bad_pipeline_depth_rejected(self, idl):
         with two_orbs("inproc") as (_server, client):
@@ -303,14 +251,14 @@ class TestProcessRankClient:
         """A forked process rank is a serial client over TCP: it finds
         the server through the parent's served naming object, launches
         eight futures before touching one, and each resolves to its own
-        reply.  The servant in the parent sees them overlap."""
-        gauge = ConcurrencyGauge()
+        reply.  With the servant in the parent held on the first, the
+        server has all eight requests in flight at once."""
+        gate = threading.Event()
         ramp = np.arange(8192, dtype=np.float64)
 
         class Dwelling(idl.pipe_skel):
             def echo(self, data):
-                with gauge:
-                    time.sleep(0.02)
+                gate.wait(timeout=30)
                 return data
 
         def client_body(ctx):
@@ -341,15 +289,18 @@ class TestProcessRankClient:
         with SocketFabric("pipe-server") as sf:
             with ORB("pipe-server", fabric=sf) as server:
                 naming_ior = serve_naming(server)
-                server.serve(
-                    "pipe",
-                    lambda ctx: Dwelling(),
-                    nthreads=1,
-                    dispatch_policy="concurrent",
-                )
+                server.serve("pipe", lambda ctx: Dwelling(), nthreads=1)
                 handle = spawn_spmd(
                     client_body, 1, backend="process", name="pipe-client"
                 )
+
+                def inflight():
+                    return server.stats()["server"]["requests"]["inflight"]
+
+                try:
+                    all_in_flight = _wait_for(lambda: inflight() == 8, 30)
+                finally:
+                    gate.set()
                 (checked,) = handle.join(120)
         assert checked == [True] * 8
-        assert gauge.peak >= 2
+        assert all_in_flight

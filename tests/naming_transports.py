@@ -35,7 +35,6 @@ def reach(backing, transport):
             "naming-under-test",
             lambda ctx: NamingServant(backing),
             multiport=False,
-            dispatch_workers=1,
         )
         client = NamingClient(client_fabric, group.reference.ior())
         try:

@@ -6,7 +6,8 @@ servant:
 
 - one blocking ``long bump(long)`` — the ``small_call`` shape — crosses
   four threads: the caller, the client fabric's event loop, the server
-  fabric's event loop and a dispatch worker;
+  fabric's event loop and the servant's dispatch thread — the serial
+  object's rank thread, which serves one client alone;
 - one 64 KiB ``roundtrip`` of eight kept in flight with ``_nb`` stubs —
   the ``pipelined_window`` shape — adds the runtime's invocation worker,
   which launches what the caller queued while the caller does not wait.
@@ -57,7 +58,7 @@ PAYLOAD = np.arange(8192, dtype=np.float64)  # 64 KiB
 def _role(name, caller):
     if name == caller:
         return "caller"
-    if ":dispatch" in name:
+    if name == "server:counted-0":
         return "dispatch worker"
     if name.startswith("count-server"):
         return "server loop"

@@ -11,7 +11,6 @@ import pytest
 
 import repro
 from repro import ORB, FtPolicy, compile_idl
-from repro.core.orb import SpmdClientGroup
 from repro.ft.policy import FT_COUNTERS
 from repro.groups.failover import GROUP_COUNTERS
 from repro.orb.naming import DIRECTORY_COUNTERS, NamingService
@@ -232,9 +231,8 @@ class TestTwoOrbsTwoLedgers:
 class TestTheOrbLetsGoOfClosedRuntimes:
     def test_no_runtime_is_retained_after_fifty_collective_runs(self):
         with ORB("leak") as orb:
-            group = SpmdClientGroup(orb, 2)
             for _ in range(50):
-                assert group.run(lambda ctx: ctx.rank) == [0, 1]
+                assert orb.run_spmd_client(2, lambda ctx: ctx.rank) == [0, 1]
             assert orb._runtimes == []
 
     def test_counts_outlive_the_runtime_that_made_them(self, idl):

@@ -9,12 +9,15 @@ becomes of the frame, ``kill()`` visible to senders, shutdown draining
 what is queued; and it must hold on every fabric.
 """
 
+import contextlib
 import threading
+import time
 
 import pytest
 
 from repro import ORB, compile_idl
 from repro.ft.faults import FaultSchedule, FaultyFabric
+from repro.orb import adapter
 from repro.orb import request as wire
 from repro.orb.naming import NamingService
 from repro.orb.request import RequestMessage
@@ -114,15 +117,13 @@ def _threads_added_by(action):
 
 
 def test_serial_group_has_no_prefetch_thread(idl):
-    """A group owns its rank threads, a serial one its dispatch
-    workers besides — nothing receives, relays or sends for it on a
-    thread of its own (ISSUE 23: a 4-rank group added 6 threads)."""
+    """A group owns its rank threads and nothing else — nothing
+    receives, relays or sends for it on a thread of its own, and a
+    serial one starts no dispatch thread before clients overlap."""
     with ORB("shape", timeout=10.0) as orb:
         assert _threads_added_by(
             lambda: orb.serve("ledger", _factory(idl, _Book()), nthreads=1)
-        ) == ["server:ledger-0"] + [
-            f"server:ledger:dispatch{i}" for i in range(4)
-        ]
+        ) == ["server:ledger-0"]
         assert _threads_added_by(
             lambda: orb.serve("quad", _factory(idl, _Book()), nthreads=4)
         ) == [f"server:quad-{rank}" for rank in range(4)]
@@ -140,21 +141,131 @@ def test_serial_group_has_no_prefetch_thread(idl):
         runtime.close()
 
 
-def test_pool_of_one_is_strictly_serial_and_still_a_pool(idl):
+def test_pool_of_one_is_strictly_serial_and_still_a_pool(idl, monkeypatch):
+    monkeypatch.setattr(adapter, "DISPATCH_THREADS", 1)
     book = _Book()
     with ORB("one", timeout=10.0) as orb:
-        orb.serve(
-            "ledger", _factory(idl, book), nthreads=1, dispatch_workers=1
-        )
+        orb.serve("ledger", _factory(idl, book), nthreads=1)
         runtime = orb.client_runtime(label="one")
         proxy = idl.ledger._bind("ledger", runtime)
         futures = [proxy.post_nb(i) for i in range(20)]
         assert [f.value(timeout=10) for f in futures] == list(range(20))
         assert book.posted == list(range(20))
-        # Servant code ran on the one dispatch worker, not on the
-        # group's rank thread and not on the caller's.
-        assert book.threads == {"server:ledger:dispatch0"}
+        # Servant code ran on the group's rank thread, not on the
+        # caller's.
+        assert book.threads == {"server:ledger-0"}
         runtime.close()
+
+
+@contextlib.contextmanager
+def _server_and_client(fabric):
+    """(server ORB, client ORB): one ORB on the in-process fabric, or
+    a server and a client on a :class:`SocketFabric` each."""
+    if fabric == "inproc":
+        with ORB("shape", timeout=20.0) as orb:
+            yield orb, orb
+        return
+    naming = NamingService()
+    with SocketFabric("shape-server") as sf, \
+            SocketFabric("shape-client") as cf:
+        server = ORB("s", fabric=sf, naming=naming, timeout=20.0)
+        client = ORB("c", fabric=cf, naming=naming, timeout=20.0)
+        with server, client:
+            yield server, client
+
+
+def _dispatch_threads():
+    return [n for n in _thread_names() if n.startswith("server:ledger:")]
+
+
+@pytest.mark.parametrize("fabric", ["inproc", "socket"])
+def test_one_client_runs_only_on_the_rank_thread(idl, fabric):
+    """Blocking or pipelined, one client's requests are served on the
+    object's rank thread, and no other thread is started for them."""
+    book = _Book()
+    with _server_and_client(fabric) as (server, client):
+        server.serve("ledger", _factory(idl, book), nthreads=1)
+        runtime = client.client_runtime(label="one", pipeline_depth=8)
+        proxy = idl.ledger._bind("ledger", runtime)
+        assert [proxy.post(i) for i in range(20)] == list(range(20))
+        futures = [proxy.post_nb(i) for i in range(20, 100)]
+        assert [f.value(timeout=10) for f in futures] == list(range(20, 100))
+        assert book.threads == {"server:ledger-0"}
+        assert _dispatch_threads() == []
+        runtime.close()
+
+
+def _gated(idl, entered, gate):
+    class Held(idl.ledger_skel):
+        def held(self, x):
+            entered.append(threading.current_thread().name)
+            gate.wait(timeout=20)
+            return int(x)
+
+    return lambda ctx: Held()
+
+
+@pytest.mark.parametrize("fabric", ["inproc", "socket"])
+def test_overlapping_clients_get_at_most_dispatch_threads(idl, fabric):
+    """Six clients held in the servant at once: the rank thread and
+    three started beside it take one each, the other two wait their
+    turn; all six are answered, and no thread outlives shutdown."""
+    entered, gate = [], threading.Event()
+    with _server_and_client(fabric) as (server, client):
+        server.serve("ledger", _gated(idl, entered, gate), nthreads=1)
+        runtimes = [client.client_runtime(label=f"c{i}") for i in range(6)]
+        try:
+            futures = [
+                idl.ledger._bind("ledger", runtime).held_nb(i)
+                for i, runtime in enumerate(runtimes)
+            ]
+            assert _wait_for(lambda: len(entered) == adapter.DISPATCH_THREADS)
+            time.sleep(0.2)  # the cap holds: no fifth thread comes
+            assert sorted(entered) == ["server:ledger-0"] + [
+                f"server:ledger:dispatch{i}"
+                for i in range(1, adapter.DISPATCH_THREADS)
+            ]
+        finally:
+            gate.set()
+        assert [f.value(timeout=20) for f in futures] == list(range(6))
+        assert len(entered) == 6
+        for runtime in runtimes:
+            runtime.close()
+    assert not [n for n in _thread_names() if n.startswith("server:ledger")]
+
+
+@pytest.mark.parametrize("fabric", ["inproc", "socket"])
+def test_a_failed_thread_start_still_serves_every_request(
+    idl, fabric, monkeypatch
+):
+    """With no thread to be had, overlapping clients' work stays
+    queued for the rank thread, and the delivering thread — an event
+    loop on a socket fabric — carries on."""
+    start = threading.Thread.start
+
+    def failing_start(thread):
+        if ":dispatch" in thread.name:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    entered, gate = [], threading.Event()
+    with _server_and_client(fabric) as (server, client):
+        server.serve("ledger", _gated(idl, entered, gate), nthreads=1)
+        runtimes = [client.client_runtime(label=f"c{i}") for i in range(6)]
+        try:
+            futures = [
+                idl.ledger._bind("ledger", runtime).held_nb(i)
+                for i, runtime in enumerate(runtimes)
+            ]
+            assert _wait_for(lambda: len(entered) == 1)
+        finally:
+            gate.set()
+        assert [f.value(timeout=20) for f in futures] == list(range(6))
+        assert set(entered) == {"server:ledger-0"}
+        assert _dispatch_threads() == []
+        for runtime in runtimes:
+            runtime.close()
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +285,9 @@ def test_local_sender_runs_the_upcall_on_its_own_thread(idl, monkeypatch):
         # Inline invocation + in-process fabric: the application
         # thread itself decoded and queued its request...
         assert seen == [me]
-        # ...and a dispatch worker, never the sender, ran the servant.
-        assert all(":dispatch" in name for name in book.threads)
+        # ...and the object's rank thread, never the sender, ran the
+        # servant.
+        assert book.threads == {"server:ledger-0"}
         runtime.close()
 
 
@@ -192,7 +304,7 @@ def test_socket_loop_runs_the_upcall(idl, monkeypatch):
             proxy = idl.ledger._bind("ledger", runtime)
             assert [proxy.post(i) for i in range(5)] == list(range(5))
             assert set(seen) == {"upcall-server-loop"}
-            assert all(":dispatch" in name for name in book.threads)
+            assert book.threads == {"server:ledger-0"}
             runtime.close()
 
 
@@ -502,12 +614,10 @@ def test_shutdown_drains_queued_requests(idl):
     book = _Book()
     orb = ORB("drain", timeout=10.0)
     try:
-        group = orb.serve(
-            "ledger", _factory(idl, book), nthreads=1, dispatch_workers=2
-        )
+        group = orb.serve("ledger", _factory(idl, book), nthreads=1)
         sender = orb.fabric.open_port("sender")
-        # One client's stream: the first blocks a worker on the gate,
-        # the rest queue behind it (client-fifo).
+        # One client's stream: the first blocks the rank thread on
+        # the gate, the rest queue behind it (per-client order).
         for seq in range(6):
             sender.send(
                 group.reference.request_port,
@@ -526,9 +636,12 @@ def test_shutdown_drains_queued_requests(idl):
         orb.shutdown()
 
 
-def test_service_pending_serves_other_clients_on_a_serial_object(idl):
+def test_service_pending_serves_other_clients_on_a_serial_object(
+    idl, monkeypatch
+):
     """The §2.1 contract on a serial group: serves what is already
     queued, never blocks, 0 when idle."""
+    monkeypatch.setattr(adapter, "DISPATCH_THREADS", 1)
     served = []
     entered = threading.Event()
     release = threading.Event()
@@ -546,13 +659,11 @@ def test_service_pending_serves_other_clients_on_a_serial_object(idl):
             return int(x)
 
     with ORB("svc", timeout=10.0) as orb:
-        group = orb.serve(
-            "ledger", lambda ctx: Busy(), nthreads=1, dispatch_workers=1
-        )
+        group = orb.serve("ledger", lambda ctx: Busy(), nthreads=1)
         first = orb.client_runtime(label="first")
         long_call = idl.ledger._bind("ledger", first).held_nb(1)
         assert entered.wait(timeout=10)
-        # The one worker is inside ``held``; another client's two
+        # The one thread is inside ``held``; another client's two
         # requests queue behind it (a local send returns once the
         # upcall has queued the request).
         raw = _RawClient(orb.fabric, group.reference.request_port)

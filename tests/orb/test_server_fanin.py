@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro import ORB, compile_idl
+from repro.orb import adapter
 from repro.orb import server as server_module
 from repro.orb.naming import NamingService
 from repro.orb.request import RequestMessage, peek_request
@@ -227,7 +228,22 @@ class TestGovernor:
 
 
 class TestFairPool:
-    def _pool(self, executed, release, nworkers=1):
+    """The pool on its own: ``run()`` is the rank thread's part, driven
+    here on a thread of the test's, and ``end()`` ends service."""
+
+    @staticmethod
+    def _run(pool):
+        thread = threading.Thread(target=pool.run, daemon=True)
+        thread.start()
+        return thread
+
+    @staticmethod
+    def _end(pool, thread):
+        pool.end()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def _pool(self, executed, release):
         from repro.orb.adapter import _DispatchPool
 
         class Engine:
@@ -235,7 +251,7 @@ class TestFairPool:
                 executed.append(request.request_id)
                 release.wait(timeout=10.0)
 
-        return _DispatchPool(Engine(), nworkers, "test-pool")
+        return _DispatchPool(Engine(), "test-pool")
 
     def _request(self, identity, seq):
         return RequestMessage(
@@ -244,12 +260,14 @@ class TestFairPool:
             operation="op",
         )
 
-    def test_round_robin_across_clients_fifo_within(self):
+    def test_round_robin_across_clients_fifo_within(self, monkeypatch):
+        monkeypatch.setattr(adapter, "DISPATCH_THREADS", 1)
         executed: list = []
         release = threading.Event()
         pool = self._pool(executed, release)
-        # Worker grabs A's first request and blocks on the gate;
-        # everything else queues behind it.
+        thread = self._run(pool)
+        # The one thread grabs A's first request and blocks on the
+        # gate; everything else queues behind it.
         pool.dispatch(self._request(1, 0))
         assert _wait_for(lambda: len(executed) == 1)
         for seq in (1, 2):
@@ -257,7 +275,7 @@ class TestFairPool:
         for seq in (0, 1, 2):
             pool.dispatch(self._request(2, seq))
         release.set()
-        pool.stop()
+        self._end(pool, thread)
         ids = [(r >> 32, r & 0xFFFFFFFF) for r in executed]
         # Per-client FIFO...
         assert [s for c, s in ids if c == 1] == [0, 1, 2]
@@ -267,23 +285,29 @@ class TestFairPool:
             (1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (2, 2),
         ]
 
-    def test_stop_drains_queued_requests(self):
+    def test_end_drains_queued_requests(self):
         executed: list = []
         release = threading.Event()
         release.set()
-        pool = self._pool(executed, release, nworkers=2)
+        pool = self._pool(executed, release)
+        # Queued before the rank thread runs: the first request wakes
+        # it all the same.
         for seq in range(8):
             pool.dispatch(self._request(3, seq))
-        pool.stop()
+        pool.end()
+        pool.run()
         assert [r & 0xFFFFFFFF for r in executed] == list(range(8))
 
-    def test_a_servant_s_service_wakes_a_worker_for_a_rerung_key(self):
-        """``service`` runs on a servant's thread, not on a worker on
+    def test_a_servant_s_service_wakes_a_thread_for_a_rerung_key(
+        self, monkeypatch
+    ):
+        """``service`` runs on a servant's thread, not on a thread on
         its way back to the ring: a key it re-rings wakes a parked
-        worker, or that client's next request waits for unrelated
+        thread, or that client's next request waits for unrelated
         work."""
         from repro.orb.adapter import _DispatchPool
 
+        monkeypatch.setattr(adapter, "DISPATCH_THREADS", 1)
         executed: list = []
         gate = threading.Event()
         a0 = self._request(1, 0)
@@ -295,25 +319,27 @@ class TestFairPool:
                 if request is a0:
                     gate.wait(timeout=10.0)
                 elif request is b0:
-                    # On the calling thread: the worker finishes a0
-                    # and parks before this key re-rings.
+                    # On the calling thread: the pool's thread
+                    # finishes a0 and parks before this key re-rings.
                     gate.set()
                     assert _wait_for(lambda: len(pool._idle) == 1)
 
-        pool = _DispatchPool(Engine(), 1, "test-pool")
+        pool = _DispatchPool(Engine(), "test-pool")
+        thread = self._run(pool)
         pool.dispatch(a0)
         assert _wait_for(lambda: executed == [a0.request_id])
         pool.dispatch(b0)
         pool.dispatch(b1)
         assert pool.service(1) == 1
         assert _wait_for(lambda: len(executed) == 3)
-        pool.stop()
+        self._end(pool, thread)
         assert executed == [r.request_id for r in (a0, b0, b1)]
 
-    def test_two_clients_streams_overlap_on_two_workers(self):
-        """A worker that keeps its own client's stream leaves the other
-        client's to a second worker: every request meets one of the
-        other client's at a barrier only two threads can pass."""
+    def test_two_clients_streams_overlap_on_two_threads(self):
+        """A thread that keeps its own client's stream leaves the other
+        client's to a second thread, started for it: every request
+        meets one of the other client's at a barrier only two threads
+        can pass."""
         from repro.orb.adapter import _DispatchPool
 
         barrier = threading.Barrier(2)
@@ -322,12 +348,14 @@ class TestFairPool:
             def execute(self, request):
                 barrier.wait(timeout=10.0)
 
-        pool = _DispatchPool(Engine(), 2, "test-pool")
+        pool = _DispatchPool(Engine(), "test-pool")
+        thread = self._run(pool)
         for seq in range(8):
             pool.dispatch(self._request(1, seq))
             pool.dispatch(self._request(2, seq))
-        pool.stop()
+        self._end(pool, thread)
         assert not barrier.broken
+        assert not [t for t in pool._threads if t.is_alive()]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +417,6 @@ def test_slow_client_stalls_only_its_own_queue(idl, small_queue):
                 "blocker",
                 _servant_factory(idl, gate),
                 nthreads=1,
-                dispatch_workers=2,
             )
             hog_rt = hog.client_runtime()
             hog_proxy = idl.blocker._bind("blocker", hog_rt)
@@ -452,7 +479,6 @@ def test_disconnect_mid_backpressure_frees_slot(idl, small_queue):
                 "blocker",
                 _servant_factory(idl, gate),
                 nthreads=1,
-                dispatch_workers=limit,
             )
             with SocketFabric("dc-client") as cf:
                 client = ORB(
@@ -523,8 +549,7 @@ def test_a_default_fabric_pauses_a_hog_at_the_limit_and_resumes_it(idl):
         )
         with server, hog, polite:
             server.serve(
-                "blocker", lambda ctx: Blocker(), nthreads=1,
-                dispatch_workers=2,
+                "blocker", lambda ctx: Blocker(), nthreads=1
             )
 
             def snap():

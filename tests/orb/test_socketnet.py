@@ -276,14 +276,11 @@ class TestNamingOnTheOrdinaryPath:
             client.resolve("obj")
             names = [t.name for t in threading.enumerate()]
             assert not [n for n in names if n.startswith("naming-server")]
-            # The naming object is a serial group like any other: its
-            # rank thread plus the one dispatch worker asked for.
-            assert sorted(
+            # The naming object is a serial group like any other, and
+            # one client's calls run on its rank thread alone.
+            assert [
                 n for n in names if n.startswith(f"server:{NAMING_OBJECT}")
-            ) == [
-                f"server:{NAMING_OBJECT}-0",
-                f"server:{NAMING_OBJECT}:dispatch0",
-            ]
+            ] == [f"server:{NAMING_OBJECT}-0"]
             client.close()
 
     def test_tracing_reaches_naming(self, fabric):

@@ -229,8 +229,7 @@ OPTION_BUDGET = {
     ),
     "repro.core.orb:ORB.serve": (
         "name", "servant_factory", "nthreads", "host", "multiport",
-        "templates", "dispatch_workers", "dispatch_policy",
-        "reply_cache_bytes",
+        "templates", "reply_cache_bytes",
     ),
     "repro.core.orb:ORB.client_runtime": (
         "comm", "label", "pipeline_depth", "ft_policy",
@@ -245,9 +244,8 @@ OPTION_BUDGET = {
     ),
     "repro.orb.adapter:ServantGroup.__init__": (
         "fabric", "naming", "name", "servant_factory", "nthreads",
-        "host", "multiport", "templates", "dispatch_workers",
-        "dispatch_policy", "reply_cache_bytes", "request_timeout",
-        "trace",
+        "host", "multiport", "templates", "reply_cache_bytes",
+        "request_timeout", "trace",
     ),
     "repro.orb.proxy:ClientProxy._group_bind": (
         "group_name", "runtime", "transfer", "ft_policy",
@@ -257,7 +255,7 @@ OPTION_BUDGET = {
     ),
     "repro.ft.policy:FtPolicy": (
         "deadline_ms", "max_retries", "backoff_base_ms",
-        "backoff_cap_ms", "retryable_categories", "max_failovers",
+        "backoff_cap_ms",
     ),
 }
 
@@ -296,6 +294,10 @@ OPTION_BUDGET = {
 #: Then the server's admission limits no caller set, with their BUSY
 #: replies and rejector thread, which left per-client backpressure the
 #: one valve, and the hand-written LRU ``functools.lru_cache`` replaced.
+#: Then a serial object's two dispatch options, which its one pool
+#: (per-client order, the rank thread first, threads started as
+#: clients overlap) replaced, the fault-tolerance fields only tests
+#: set, and the client group that spawned afresh on every run.
 RETIRED_IDENTIFIERS = {
     "trac" "er",
     "ft_" "stats",
@@ -384,6 +386,12 @@ RETIRED_IDENTIFIERS = {
     "max_" "connections",
     "KIND_" "BUSY",
     "_Schedule" "Cache",
+    "dispatch_" "policy",
+    "dispatch_" "workers",
+    "DEFAULT_DISPATCH_" "WORKERS",
+    "retryable_" "categories",
+    "max_" "failovers",
+    "SpmdClient" "Group",
 }
 
 

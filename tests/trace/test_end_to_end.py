@@ -244,7 +244,6 @@ class TestDegradationTrace:
                 "svc",
                 _servant_factory(idl),
                 nthreads=1,
-                dispatch_policy="concurrent",
             )
             runtime = orb.client_runtime(label="degrade")
             try:

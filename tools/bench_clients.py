@@ -31,7 +31,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.bench.clients import (  # noqa: E402
     DEFAULT_CLIENTS,
     DEFAULT_CONNECTIONS,
-    DEFAULT_DISPATCH_WORKERS,
     DEFAULT_MIN_RATIO,
     DEFAULT_REPEATS,
     DEFAULT_REQUESTS,
@@ -75,15 +74,10 @@ def main(argv: list[str] | None = None) -> int:
         help="TCP connection budget identities multiplex over",
     )
     parser.add_argument(
-        "--dispatch-workers",
-        type=int,
-        default=DEFAULT_DISPATCH_WORKERS,
-    )
-    parser.add_argument(
         "--repeats",
         type=int,
         default=None,
-        help="measured rounds per point (best goodput wins)",
+        help="measured rounds per point (the median round counts)",
     )
     parser.add_argument(
         "--timeout", type=float, default=DEFAULT_TIMEOUT_S
@@ -151,7 +145,6 @@ def main(argv: list[str] | None = None) -> int:
         clients=clients,
         total_requests=requests,
         connections=connections,
-        dispatch_workers=args.dispatch_workers,
         repeats=repeats,
         timeout_s=args.timeout,
         verbose=True,
@@ -174,14 +167,13 @@ def main(argv: list[str] | None = None) -> int:
             "units": {
                 "goodput_rps": (
                     "completed requests per second of wall clock "
-                    "(best of the measured rounds)"
+                    "(the median of the measured rounds)"
                 ),
             },
             "parameters": {
                 "clients": clients,
                 "total_requests": requests,
                 "connections": connections,
-                "dispatch_workers": args.dispatch_workers,
                 "repeats": repeats,
                 "timeout_s": args.timeout,
             },
