@@ -75,23 +75,6 @@ def test_multiport_approaches_link_saturation(paper_config):
     )
 
 
-def test_single_client_matches_solo_model(paper_config):
-    """A burst of one must agree with the standalone invocation model
-    (same phases, same costs)."""
-    from repro.simnet import simulate_centralized, simulate_multiport
-
-    burst = simulate_concurrent(
-        paper_config, "centralized", 1, 4, 8, PAPER_SEQUENCE_BYTES
-    )
-    solo = simulate_centralized(paper_config, 4, 8, PAPER_SEQUENCE_BYTES)
-    assert burst.makespan == pytest.approx(solo.t_inv, rel=0.02)
-    burst_mp = simulate_concurrent(
-        paper_config, "multiport", 1, 4, 8, PAPER_SEQUENCE_BYTES
-    )
-    solo_mp = simulate_multiport(paper_config, 4, 8, PAPER_SEQUENCE_BYTES)
-    assert burst_mp.makespan == pytest.approx(solo_mp.t_inv, rel=0.05)
-
-
 # ---------------------------------------------------------------------------
 # Real fan-in: simulated identities against the event-loop server
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.simnet import (
     SimConfig,
     paper_testbed,
     simulate_centralized,
+    simulate_concurrent,
     simulate_multiport,
 )
 from repro.simnet.calibration import PAPER_SEQUENCE_BYTES
@@ -346,8 +347,6 @@ def ablation_gather(cfg: SimConfig | None = None) -> TableResult:
 
 def concurrent_clients(cfg: SimConfig | None = None) -> TableResult:
     """Several client applications contending for one SPMD object."""
-    from repro.simnet.concurrent import simulate_concurrent
-
     cfg = cfg or paper_testbed()
     rows = []
     for k in (1, 2, 4, 8):

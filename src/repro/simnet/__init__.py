@@ -21,8 +21,13 @@ models:
   unmarshaling and shared-memory gather/scatter rates.
 
 :mod:`calibration` holds the constants fitted to the paper's reported
-numbers; :mod:`invocation` runs one invocation under either transfer
-method and returns the component breakdown the paper's tables report.
+numbers.  :mod:`invocation` writes each transfer method's client,
+server and reply stages once and runs them for a burst of clients
+against one object: a burst of one gives the component breakdown the
+paper's tables report (:func:`simulate_centralized`,
+:func:`simulate_multiport`), a burst of k the contention between
+invoking clients that motivates §3.3's separate header
+(:func:`simulate_concurrent`).
 """
 
 from repro.simnet.engine import (
@@ -38,11 +43,12 @@ from repro.simnet.machine import MachineModel
 from repro.simnet.calibration import SimConfig, paper_testbed
 from repro.simnet.invocation import (
     CentralizedBreakdown,
+    ConcurrentBreakdown,
     MultiPortBreakdown,
     simulate_centralized,
+    simulate_concurrent,
     simulate_multiport,
 )
-from repro.simnet.concurrent import ConcurrentBreakdown, simulate_concurrent
 
 __all__ = [
     "AllOf",

@@ -1,11 +1,24 @@
 """Simulated invocations: the two transfer methods under the testbed.
 
-Each function runs ONE blocking invocation carrying one ``in``
-distributed sequence (the paper's experiment, §3.1: "in order to bring
-out the asymmetry of interaction … we were including one 'in' argument
-sent only from the client to the server") and returns the component
-breakdown the corresponding table reports.  The layouts and chunk
-schedules come from the *real* partitioning code
+Each method's stages are written once, as simulator processes: the
+client's request stages, the object's server stages and the reply.
+They run for a burst of ``k`` client applications that each invoke
+one SPMD object at t=0.  Every client runs on its own machine; the
+shared resources are the one link and the object, which serves one
+request at a time, in the order the clients issued them (client
+``j``'s request is the ``j``-th it serves).  While the object serves
+request ``j``, the arguments of request ``j+1`` already cross the
+link: the ports buffer them.
+
+:func:`simulate_centralized` and :func:`simulate_multiport` run a
+burst of one — the paper's experiment, §3.1: "in order to bring out
+the asymmetry of interaction … we were including one 'in' argument
+sent only from the client to the server" — and return the component
+breakdown the corresponding table reports.  :func:`simulate_concurrent`
+runs a burst of ``k``: the throughput side of §3.3's argument that a
+separate invocation header avoids contention between invoking clients.
+
+The layouts and chunk schedules come from the *real* partitioning code
 (:func:`repro.dist.transfer_schedule`), so who-sends-what-to-whom is
 identical to the functional engines in :mod:`repro.orb.transfer`.
 
@@ -19,7 +32,7 @@ from dataclasses import dataclass
 from repro.dist import BlockTemplate, transfer_schedule
 from repro.dist.template import DistTemplate, Layout
 from repro.simnet.calibration import SimConfig
-from repro.simnet.engine import Simulator
+from repro.simnet.engine import Event, Process, Simulator
 from repro.simnet.network import SharedLink
 
 #: Size of the reply carrying only a completion status (bytes).
@@ -29,14 +42,6 @@ _HEADER_BYTES = 256.0
 
 #: MB/s → bytes per millisecond (simulation time unit).
 _MBPS_TO_BYTES_PER_MS = 1024.0 * 1024.0 / 1e3
-
-
-def _make_link(sim: Simulator, cfg: SimConfig) -> SharedLink:
-    return SharedLink(
-        sim,
-        cfg.link_bandwidth * _MBPS_TO_BYTES_PER_MS,
-        cfg.link_latency,
-    )
 
 
 @dataclass(frozen=True)
@@ -77,20 +82,241 @@ class MultiPortBreakdown:
         return (self.nbytes / (1024.0 * 1024.0)) / (self.t_inv / 1e3)
 
 
-def _segments(nbytes: float, segment: int) -> list[float]:
-    if nbytes <= 0:
-        return []
-    full, rest = divmod(int(nbytes), segment)
-    sizes = [float(segment)] * full
-    if rest:
-        sizes.append(float(rest))
-    return sizes
+@dataclass(frozen=True)
+class ConcurrentBreakdown:
+    """Aggregate results of a k-client burst."""
+
+    method: str
+    nclients: int
+    client_threads: int
+    nserver: int
+    nbytes: int
+    #: Time until the last client's reply (ms).
+    makespan: float
+    #: Mean per-request latency, request send to reply (ms).
+    mean_latency: float
+    #: Aggregate payload rate over the burst (MB/s).
+    aggregate_bandwidth: float
+    link_utilization: float
 
 
-def _layout(
-    template: DistTemplate | None, nelems: int, nranks: int
-) -> Layout:
-    return (template or BlockTemplate()).layout(nelems, nranks)
+class _Burst:
+    """One object, one link, and the stages of each method's requests.
+
+    ``centralized`` and ``multiport`` start one invocation's processes
+    and return them with the event that frees the object for the next
+    request; they fill ``clocks`` with the invocation's component
+    times as its stages run.
+    """
+
+    def __init__(
+        self,
+        cfg: SimConfig,
+        multiport: bool,
+        nclient: int,
+        nserver: int,
+        nbytes: int,
+        element_size: int,
+        client_template: DistTemplate | None = None,
+        server_template: DistTemplate | None = None,
+        reply_bytes: int = 0,
+    ) -> None:
+        nelems = nbytes // element_size
+        self.cfg = cfg
+        self.nbytes = nbytes
+        self.reply_bytes = reply_bytes
+        self.element_size = element_size
+        self.client_layout = (client_template or BlockTemplate()).layout(
+            nelems, nclient
+        )
+        self.server_layout = (server_template or BlockTemplate()).layout(
+            nelems, nserver
+        )
+        self.sim = Simulator()
+        self.link = SharedLink(
+            self.sim,
+            cfg.link_bandwidth * _MBPS_TO_BYTES_PER_MS,
+            cfg.link_latency,
+        )
+        self.stall = cfg.pair_stall(nclient, nserver, multiport=multiport)
+        self.stages = self.multiport if multiport else self.centralized
+
+    def run(self, k: int) -> list[dict]:
+        """Start ``k`` invocations at t=0 and run them to the end.
+
+        Returns each invocation's clocks; ``"end"`` is when its last
+        process finished (the client holds its reply).
+        """
+        served: Event | None = None
+        invocations = []
+        for _ in range(k):
+            clocks: dict = {}
+            procs, served = self.stages(clocks, served)
+            self.sim.process(self._finish(procs, clocks), "finish")
+            invocations.append(clocks)
+        self.sim.run()
+        return invocations
+
+    def _finish(self, procs: list[Process], clocks: dict):
+        yield self.sim.all_of(procs)
+        clocks["end"] = self.sim.now
+
+    def work(self, ms: float):
+        """Keep one thread busy for ``ms``; no cost takes no event."""
+        if ms:
+            yield self.sim.timeout(ms)
+
+    def send(self, nbytes: float):
+        """Ship ``nbytes`` as synchronous segments: each waits out one
+        rendezvous stall, then takes its share of the link."""
+        segment = self.cfg.segment_bytes
+        full, rest = divmod(int(nbytes), segment)
+        for seg in [float(segment)] * full + ([float(rest)] if rest else []):
+            yield from self.work(self.stall)
+            yield self.link.transmit(seg)
+
+    def _bytes(self, layout: Layout, rank: int) -> int:
+        return layout.local_length(rank) * self.element_size
+
+    def _remote(self, layout: Layout) -> list[int]:
+        """The blocks the communicating thread gathers or scatters."""
+        return [
+            self._bytes(layout, r)
+            for r in range(1, layout.nranks)
+            if layout.local_length(r)
+        ]
+
+    def centralized(self, clocks: dict, served: Event | None):
+        """Paper §3.2, Figure 2: fully sequential.
+
+        Synchronize → gather at the client's communicating thread →
+        marshal → one synchronous network message → unmarshal →
+        scatter at the server → execute → status reply.  With reply
+        data (an inout/out argument) the mirror path runs instead of
+        the status reply: server gather + marshal, one message, client
+        unmarshal + scatter.
+        """
+        sim, cfg, nbytes = self.sim, self.cfg, self.nbytes
+        reply = self.reply_bytes
+        client_blocks = self._remote(self.client_layout)
+        server_blocks = self._remote(self.server_layout)
+        freed = sim.event("served")
+
+        def invocation():
+            # Gather: the communicating thread receives every other
+            # thread's block over shared memory (Figure 2's dotted lines).
+            start = sim.now
+            yield from self.work(cfg.client.gather_time(client_blocks))
+            clocks["gather"] = sim.now - start
+            # Marshal + send as one message: "all information
+            # associated with a request is sent in one message".
+            start = sim.now
+            yield from self.work(cfg.client.pack_time(nbytes))
+            yield from self.send(nbytes)
+            clocks["pack_send"] = sim.now - start
+            if served is not None:
+                yield served
+            # The server's communicating thread unmarshals ...
+            start = sim.now
+            yield from self.work(cfg.server.unpack_time(nbytes))
+            clocks["recv"] = sim.now - start
+            # ... and scatters to the computing threads.
+            start = sim.now
+            yield from self.work(cfg.server.scatter_time(server_blocks))
+            clocks["scatter"] = sim.now - start
+            if reply:
+                yield from self.work(cfg.server.gather_time(
+                    [b * reply / nbytes for b in server_blocks]
+                ))
+                yield from self.work(cfg.server.pack_time(reply))
+            yield from self.send(reply or _REPLY_BYTES)
+            freed.succeed()
+            if reply:
+                yield from self.work(cfg.client.unpack_time(reply))
+                yield from self.work(cfg.client.scatter_time(
+                    [b * reply / nbytes for b in client_blocks]
+                ))
+
+        return [sim.process(invocation(), "centralized")], freed
+
+    def multiport(self, clocks: dict, served: Event | None):
+        """Paper §3.3, Figure 3.
+
+        The header travels centralized; every client thread then
+        marshals its own block and ships each overlap chunk straight to
+        the owning server thread.  All transfers share the one link
+        (processor sharing), so while one pair is stalled in a
+        rendezvous another pair's data keeps the wire busy.  With reply
+        data, every server thread ships its share of the result
+        straight back to the owning client threads after the
+        post-invocation barrier.
+        """
+        sim, cfg, size = self.sim, self.cfg, self.element_size
+        clayout, slayout = self.client_layout, self.server_layout
+        schedule = transfer_schedule(clayout, slayout)
+        scale = self.reply_bytes / self.nbytes if self.nbytes else 0.0
+        chunk = {id(step): sim.event("chunk") for step in schedule}
+        back = {id(step): sim.event("reply-chunk") for step in schedule}
+        barrier = sim.gate(slayout.nranks, "post-invoke")
+        clocks.update(pack=[], send=[], unpack=[])
+
+        def client_thread(rank: int):
+            local_bytes = self._bytes(clayout, rank)
+            start = sim.now
+            yield from self.work(cfg.client.pack_time(local_bytes))
+            clocks["pack"].append(sim.now - start)
+            start = sim.now
+            for step in schedule:
+                if step.src_rank == rank:
+                    yield from self.send(step.nelems * size)
+                    chunk[id(step)].succeed()
+            clocks["send"].append(sim.now - start)
+
+        def server_thread(rank: int):
+            waits = [chunk[id(s)] for s in schedule if s.dst_rank == rank]
+            if served is not None:
+                waits.append(served)
+            if waits:
+                yield sim.all_of(waits)
+            local_bytes = self._bytes(slayout, rank)
+            start = sim.now
+            yield from self.work(cfg.server.unpack_time(local_bytes))
+            clocks["unpack"].append(sim.now - start)
+            arrived = sim.now
+            barrier.arrive()
+            if rank == 0:
+                # The communicating thread waits out the barrier, then
+                # replies with the completion status.
+                yield barrier
+                clocks["barrier"] = barrier.arrival_times[-1] - arrived
+                yield from self.send(_REPLY_BYTES)
+
+        def server_reply_thread(rank: int):
+            yield barrier
+            local_bytes = self._bytes(slayout, rank)
+            yield from self.work(cfg.server.pack_time(local_bytes * scale))
+            for step in schedule:
+                if step.dst_rank == rank:  # the reply reverses the schedule
+                    yield from self.send(step.nelems * size * scale)
+                    back[id(step)].succeed()
+
+        def client_reply_thread(rank: int):
+            mine = [back[id(s)] for s in schedule if s.src_rank == rank]
+            if mine:
+                yield sim.all_of(mine)
+            local_bytes = self._bytes(clayout, rank)
+            yield from self.work(cfg.client.unpack_time(local_bytes * scale))
+
+        def spawn(thread, layout: Layout) -> list[Process]:
+            return [sim.process(thread(r)) for r in range(layout.nranks)]
+
+        procs = [sim.process(self.send(_HEADER_BYTES), "header")]
+        procs += spawn(client_thread, clayout)
+        servers = spawn(server_thread, slayout)
+        if self.reply_bytes:
+            servers += spawn(server_reply_thread, slayout)
+            procs += spawn(client_reply_thread, clayout)
+        return procs + servers, sim.all_of(servers)
 
 
 def simulate_centralized(
@@ -106,111 +332,24 @@ def simulate_centralized(
 ) -> CentralizedBreakdown:
     """One centralized-method invocation (paper §3.2, Figure 2).
 
-    Fully sequential: synchronize → gather at the client's
-    communicating thread → marshal → one synchronous network message →
-    unmarshal → scatter at the server → execute → status reply.
-
     ``reply_bytes`` models an inout/out workload: that much argument
-    data returns to the client through the mirror path (server gather
-    → one message → client scatter).  The paper's experiment is
-    ``reply_bytes=0`` (one ``in`` argument, status-only reply).
+    data returns to the client through the mirror path.  The paper's
+    experiment is ``reply_bytes=0`` (one ``in`` argument, status-only
+    reply).
     """
-    nelems = nbytes // element_size
-    client_layout = _layout(client_template, nelems, nclient)
-    server_layout = _layout(server_template, nelems, nserver)
-    sim = Simulator()
-    link = _make_link(sim, cfg)
-    stall = cfg.pair_stall(nclient, nserver, multiport=False)
-    times: dict[str, float] = {}
-
-    def invocation():
-        # Gather: the communicating thread receives every other
-        # thread's block over shared memory (Figure 2's dotted lines).
-        start = sim.now
-        remote_chunks = [
-            client_layout.local_length(r) * element_size
-            for r in range(1, nclient)
-            if client_layout.local_length(r)
-        ]
-        gather = cfg.client.gather_time(remote_chunks)
-        if gather:
-            yield sim.timeout(gather)
-        times["gather"] = sim.now - start
-
-        # Marshal + send as one message: "all information associated
-        # with a request is sent in one message".
-        start = sim.now
-        yield sim.timeout(cfg.client.pack_time(nbytes))
-        for seg in _segments(nbytes, cfg.segment_bytes):
-            if stall:
-                yield sim.timeout(stall)
-            yield link.transmit(seg)
-        times["pack_send"] = sim.now - start
-
-        # The server's communicating thread unmarshals...
-        start = sim.now
-        yield sim.timeout(cfg.server.unpack_time(nbytes))
-        times["recv"] = sim.now - start
-
-        # ... and scatters to the computing threads.
-        start = sim.now
-        out_chunks = [
-            server_layout.local_length(r) * element_size
-            for r in range(1, nserver)
-            if server_layout.local_length(r)
-        ]
-        scatter = cfg.server.scatter_time(out_chunks)
-        if scatter:
-            yield sim.timeout(scatter)
-        times["scatter"] = sim.now - start
-
-        # Post-invocation synchronization + reply.  With reply data
-        # the mirror path runs: server-side gather + marshal, one
-        # message, client-side unmarshal + scatter.
-        if reply_bytes:
-            gather_chunks = [
-                server_layout.local_length(r) * element_size
-                for r in range(1, nserver)
-                if server_layout.local_length(r)
-            ]
-            back_gather = cfg.server.gather_time(
-                [b * reply_bytes / max(1, nbytes) for b in gather_chunks]
-            ) if nbytes else cfg.server.gather_time(gather_chunks)
-            if back_gather:
-                yield sim.timeout(back_gather)
-            yield sim.timeout(cfg.server.pack_time(reply_bytes))
-            for seg in _segments(reply_bytes, cfg.segment_bytes):
-                if stall:
-                    yield sim.timeout(stall)
-                yield link.transmit(seg)
-            yield sim.timeout(cfg.client.unpack_time(reply_bytes))
-            scatter_chunks = [
-                client_layout.local_length(r) * element_size
-                for r in range(1, nclient)
-                if client_layout.local_length(r)
-            ]
-            back_scatter = cfg.client.scatter_time(
-                [b * reply_bytes / max(1, nbytes) for b in scatter_chunks]
-            ) if nbytes else cfg.client.scatter_time(scatter_chunks)
-            if back_scatter:
-                yield sim.timeout(back_scatter)
-        else:
-            if stall:
-                yield sim.timeout(stall)
-            yield link.transmit(_REPLY_BYTES)
-        times["inv"] = sim.now + cfg.request_overhead
-
-    sim.process(invocation(), "centralized")
-    sim.run()
+    (clocks,) = _Burst(
+        cfg, False, nclient, nserver, nbytes, element_size,
+        client_template, server_template, reply_bytes,
+    ).run(1)
     return CentralizedBreakdown(
         nclient=nclient,
         nserver=nserver,
         nbytes=nbytes,
-        t_inv=times["inv"],
-        t_gather=times["gather"],
-        t_pack_send=times["pack_send"],
-        t_recv=times["recv"],
-        t_scatter=times["scatter"],
+        t_inv=clocks["end"] + cfg.request_overhead,
+        t_gather=clocks["gather"],
+        t_pack_send=clocks["pack_send"],
+        t_recv=clocks["recv"],
+        t_scatter=clocks["scatter"],
     )
 
 
@@ -227,146 +366,66 @@ def simulate_multiport(
 ) -> MultiPortBreakdown:
     """One multi-port-method invocation (paper §3.3, Figure 3).
 
-    The header travels centralized; every client thread then marshals
-    its own block and ships each overlap chunk straight to the owning
-    server thread.  All transfers share the one physical link
-    (processor sharing), so while one pair is stalled in a rendezvous
-    another pair's data keeps the wire busy.
-
-    ``reply_bytes`` models an inout/out workload: after the barrier,
-    every server thread ships its share of the result straight back to
-    the owning client threads (reply-phase chunks).  The paper's
-    experiment is ``reply_bytes=0``.
+    ``reply_bytes`` models an inout/out workload: reply-phase chunks
+    from every server thread straight to the owning client threads.
+    The paper's experiment is ``reply_bytes=0``.
     """
-    nelems = nbytes // element_size
-    client_layout = _layout(client_template, nelems, nclient)
-    server_layout = _layout(server_template, nelems, nserver)
-    schedule = transfer_schedule(client_layout, server_layout)
-    sim = Simulator()
-    link = _make_link(sim, cfg)
-    stall = cfg.pair_stall(nclient, nserver, multiport=True)
-
-    pack_times = [0.0] * nclient
-    send_times = [0.0] * nclient
-    unpack_times = [0.0] * nserver
-    barrier_arrivals = [0.0] * nserver
-    chunk_done = {
-        id(step): sim.event(f"chunk{i}") for i, step in enumerate(schedule)
-    }
-    barrier = sim.gate(nserver, "post-invoke")
-    reply_done = sim.event("reply")
-
-    # Header: the communicating thread's request message.
-    def header():
-        if stall:
-            yield sim.timeout(stall)
-        yield link.transmit(_HEADER_BYTES)
-
-    sim.process(header(), "header")
-
-    def client_thread(rank: int):
-        local_bytes = client_layout.local_length(rank) * element_size
-        start = sim.now
-        if local_bytes:
-            yield sim.timeout(cfg.client.pack_time(local_bytes))
-        pack_times[rank] = sim.now - start
-        start = sim.now
-        for step in schedule:
-            if step.src_rank != rank:
-                continue
-            for seg in _segments(step.nelems * element_size,
-                                 cfg.segment_bytes):
-                if stall:
-                    yield sim.timeout(stall)
-                yield link.transmit(seg)
-            chunk_done[id(step)].succeed()
-        send_times[rank] = sim.now - start
-
-    def server_thread(rank: int):
-        mine = [
-            chunk_done[id(step)]
-            for step in schedule
-            if step.dst_rank == rank
-        ]
-        if mine:
-            yield sim.all_of(mine)
-        local_bytes = server_layout.local_length(rank) * element_size
-        start = sim.now
-        if local_bytes:
-            yield sim.timeout(cfg.server.unpack_time(local_bytes))
-        unpack_times[rank] = sim.now - start
-        barrier_arrivals[rank] = sim.now
-        barrier.arrive()
-
-    scale = reply_bytes / nbytes if nbytes else 0.0
-    reply_chunk_done = {
-        id(step): sim.event(f"rchunk{i}")
-        for i, step in enumerate(schedule)
-    }
-    client_done = sim.gate(nclient if reply_bytes else 0, "client-done")
-
-    def replier():
-        yield barrier
-        if stall:
-            yield sim.timeout(stall)
-        yield link.transmit(_REPLY_BYTES)
-        reply_done.succeed()
-
-    def server_reply_thread(rank: int):
-        """Ship this server thread's share of the reply data."""
-        yield barrier
-        local_bytes = server_layout.local_length(rank) * element_size
-        if local_bytes:
-            yield sim.timeout(
-                cfg.server.pack_time(local_bytes * scale)
-            )
-        for step in schedule:
-            if step.dst_rank != rank:  # reply reverses the schedule
-                continue
-            for seg in _segments(
-                step.nelems * element_size * scale, cfg.segment_bytes
-            ):
-                if stall:
-                    yield sim.timeout(stall)
-                yield link.transmit(seg)
-            reply_chunk_done[id(step)].succeed()
-
-    def client_reply_thread(rank: int):
-        mine = [
-            reply_chunk_done[id(step)]
-            for step in schedule
-            if step.src_rank == rank
-        ]
-        if mine:
-            yield sim.all_of(mine)
-        local_bytes = client_layout.local_length(rank) * element_size
-        if local_bytes:
-            yield sim.timeout(
-                cfg.client.unpack_time(local_bytes * scale)
-            )
-        client_done.arrive()
-
-    for rank in range(nclient):
-        sim.process(client_thread(rank), f"client{rank}")
-    for rank in range(nserver):
-        sim.process(server_thread(rank), f"server{rank}")
-    sim.process(replier(), "reply")
-    if reply_bytes:
-        for rank in range(nserver):
-            sim.process(server_reply_thread(rank), f"sreply{rank}")
-        for rank in range(nclient):
-            sim.process(client_reply_thread(rank), f"creply{rank}")
-    sim.run()
-
-    barrier_time = max(barrier_arrivals) if nserver else 0.0
+    burst = _Burst(
+        cfg, True, nclient, nserver, nbytes, element_size,
+        client_template, server_template, reply_bytes,
+    )
+    (clocks,) = burst.run(1)
     return MultiPortBreakdown(
         nclient=nclient,
         nserver=nserver,
         nbytes=nbytes,
-        t_inv=sim.now + cfg.request_overhead,
-        t_send=max(send_times),
-        t_pack=max(pack_times),
-        t_recv_unpack=max(unpack_times),
-        t_barrier=barrier_time - barrier_arrivals[0],
-        link_utilization=link.utilization(),
+        t_inv=clocks["end"] + cfg.request_overhead,
+        t_send=max(clocks["send"]),
+        t_pack=max(clocks["pack"]),
+        t_recv_unpack=max(clocks["unpack"]),
+        t_barrier=clocks["barrier"],
+        link_utilization=burst.link.utilization(),
+    )
+
+
+def simulate_concurrent(
+    cfg: SimConfig,
+    method: str,
+    nclients: int,
+    client_threads: int,
+    nserver: int,
+    nbytes: int,
+    *,
+    element_size: int = 8,
+) -> ConcurrentBreakdown:
+    """``nclients`` independent client apps each invoke once at t=0.
+
+    Every request runs the same stages as a single invocation of
+    ``method``; the burst shares the link and queues at the object.
+    Each client's latency runs from t=0 to its reply.
+    """
+    if method not in ("centralized", "multiport"):
+        raise ValueError(f"unknown method {method!r}")
+    if nclients < 1:
+        raise ValueError("need at least one client")
+    burst = _Burst(
+        cfg, method == "multiport", client_threads, nserver, nbytes,
+        element_size,
+    )
+    finish = [
+        clocks["end"] + cfg.request_overhead
+        for clocks in burst.run(nclients)
+    ]
+    makespan = max(finish)
+    total_mb = nclients * nbytes / (1024.0 * 1024.0)
+    return ConcurrentBreakdown(
+        method=method,
+        nclients=nclients,
+        client_threads=client_threads,
+        nserver=nserver,
+        nbytes=nbytes,
+        makespan=makespan,
+        mean_latency=sum(finish) / nclients,
+        aggregate_bandwidth=total_mb / (makespan / 1e3),
+        link_utilization=burst.link.utilization(),
     )

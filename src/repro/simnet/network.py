@@ -18,7 +18,6 @@ completion re-scheduled.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from repro.simnet.engine import Event, SimulationError, Simulator
@@ -26,10 +25,8 @@ from repro.simnet.engine import Event, SimulationError, Simulator
 
 @dataclass
 class _Transfer:
-    nbytes: float
     remaining: float
     event: Event
-    tag: int
 
 
 class SharedLink:
@@ -45,29 +42,19 @@ class SharedLink:
         sim: Simulator,
         bandwidth: float,
         latency: float = 0.0,
-        fault_schedule: object | None = None,
     ) -> None:
         if bandwidth <= 0:
             raise SimulationError("link bandwidth must be positive")
         self.sim = sim
         self.bandwidth = bandwidth
         self.latency = latency
-        #: Optional :class:`repro.ft.faults.FaultSchedule`.  A
-        #: ``"drop"`` decision models a lost-and-retransmitted
-        #: transfer: the payload crosses the link twice and pays one
-        #: extra latency (the retransmit timeout), so loss shows up as
-        #: goodput degradation rather than a hang.
-        self.fault_schedule = fault_schedule
         self._active: list[_Transfer] = []
         self._last_update = 0.0
         self._wakeup_tag = 0
-        self._tags = itertools.count()
         #: Total bytes carried (for utilization accounting).
         self.bytes_carried = 0.0
         #: Integral of busy time (at least one active transfer).
         self.busy_time = 0.0
-        #: Transfers the fault schedule dropped (then retransmitted).
-        self.faults_injected = 0
 
     def transmit(self, nbytes: float) -> Event:
         """Start a transfer; returns its completion event."""
@@ -77,26 +64,15 @@ class SharedLink:
         if nbytes == 0:
             self.sim._schedule(self.latency, event.succeed)
             return event
-        extra_latency = 0.0
-        if self.fault_schedule is not None and "drop" in (
-            self.fault_schedule.decide("data")
-        ):
-            # Lost on the wire: the sender retransmits after one
-            # extra latency, and the payload is carried twice.
-            self.faults_injected += 1
-            extra_latency = self.latency
-            nbytes *= 2
         self.bytes_carried += nbytes
 
         def start() -> None:
             self._age()
-            self._active.append(
-                _Transfer(nbytes, float(nbytes), event, next(self._tags))
-            )
+            self._active.append(_Transfer(float(nbytes), event))
             self._reschedule()
 
         # Latency first, then the queue.
-        self.sim._schedule(self.latency + extra_latency, start)
+        self.sim._schedule(self.latency, start)
         return event
 
     def _rate(self) -> float:
@@ -132,12 +108,15 @@ class SharedLink:
             if tag != self._wakeup_tag:
                 return  # superseded by a later arrival/departure
             self._age()
-            finished = [
-                t for t in self._active if t.remaining <= 1e-9
-            ]
-            self._active = [
-                t for t in self._active if t.remaining > 1e-9
-            ]
+            now, rate = self.sim.now, self._rate()
+            # A transfer is finished once what it has left cannot
+            # advance the clock: rescheduling it at the same instant
+            # would wake forever without ageing it.
+            def done(t: _Transfer) -> bool:
+                return t.remaining <= 1e-9 or now + t.remaining / rate == now
+
+            finished = [t for t in self._active if done(t)]
+            self._active = [t for t in self._active if not done(t)]
             for transfer in finished:
                 transfer.event.succeed()
             self._reschedule()

@@ -24,16 +24,23 @@ class TestConcurrentModel:
             simulate_concurrent(cfg, "multiport", 0, 1, 1, 800)
 
     def test_single_burst_matches_solo(self, cfg):
-        burst = simulate_concurrent(
-            cfg, "centralized", 1, 4, 8, PAPER_SEQUENCE_BYTES
-        )
-        solo = simulate_centralized(cfg, 4, 8, PAPER_SEQUENCE_BYTES)
-        assert burst.makespan == pytest.approx(solo.t_inv, rel=0.02)
-        mp_burst = simulate_concurrent(
-            cfg, "multiport", 1, 4, 8, PAPER_SEQUENCE_BYTES
-        )
-        mp_solo = simulate_multiport(cfg, 4, 8, PAPER_SEQUENCE_BYTES)
-        assert mp_burst.makespan == pytest.approx(mp_solo.t_inv, rel=0.05)
+        """A burst of one runs the single invocation's stages: the same
+        times to the last bit, the multi-port header included."""
+        solo = {
+            "centralized": simulate_centralized,
+            "multiport": simulate_multiport,
+        }
+        for method, simulate in solo.items():
+            for nbytes in (0, 800, PAPER_SEQUENCE_BYTES):
+                for nclient, nserver in ((1, 1), (4, 8), (3, 5)):
+                    burst = simulate_concurrent(
+                        cfg, method, 1, nclient, nserver, nbytes
+                    )
+                    alone = simulate(cfg, nclient, nserver, nbytes)
+                    assert burst.makespan == alone.t_inv, (
+                        method, nbytes, nclient, nserver
+                    )
+                    assert burst.mean_latency == alone.t_inv
 
     def test_makespan_grows_sublinearly(self, cfg):
         """Pipelining: k requests take far less than k times one."""

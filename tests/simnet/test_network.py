@@ -1,7 +1,10 @@
 """Processor-sharing link tests."""
 
+import signal
+
 import pytest
 
+from repro.simnet import paper_testbed, simulate_multiport
 from repro.simnet.engine import SimulationError, Simulator
 from repro.simnet.network import SharedLink
 
@@ -95,3 +98,50 @@ class TestProcessorSharing:
         done, _ = run_transfers(100.0, jobs)
         for t in done.values():
             assert t == pytest.approx(10.0)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a simulation whose clock stops."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the simulated clock stopped advancing")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestClockResolution:
+    """A transfer whose remaining time is below the clock's resolution
+    at the current instant finishes there; its wake must not reschedule
+    itself at the same instant forever."""
+
+    def test_a_transfer_too_short_to_advance_the_clock_finishes(
+        self, deadline
+    ):
+        sim = Simulator()
+        link = SharedLink(sim, 1e6)
+        done = []
+
+        def proc():
+            yield sim.timeout(1000.0)
+            # 2e-9 bytes take 2e-15 time units: 1000.0 + 2e-15 == 1000.0.
+            yield link.transmit(2e-9)
+            done.append(sim.now)
+
+        sim.process(proc())
+        sim.run()
+        assert done == [1000.0]
+
+    def test_a_round_trip_that_ends_on_a_sub_resolution_remainder(
+        self, deadline
+    ):
+        # At t ~ 541.95 ms one reply chunk has 1.43e-9 bytes left:
+        # above the 1e-9 threshold, and 3.4e-14 ms from done.
+        result = simulate_multiport(
+            paper_testbed(), 1, 5, 8 * 2**20, reply_bytes=8 * 2**20
+        )
+        assert result.t_inv > 0
