@@ -1,21 +1,17 @@
 """Concurrent-client contention bench — the throughput side of §3.3's
-argument for separating the invocation header from data transfer,
-plus the real fan-in sweep: simulated clients against the event-loop
-server (``repro.bench.clients``), scaled 100 → 10k by
-``tools/bench_clients.py`` and smoke-checked here."""
+argument for separating the invocation header from data transfer —
+plus real fan-in at its largest claimed point: 10 000 client
+identities cost the server what 50 do per request, counted by the
+check of ``tests/orb/test_fanin_count.py``."""
 
 import pytest
 
 from repro.bench import concurrent_clients, format_table
-from repro.bench.clients import (
-    gate_failures,
-    run_clients,
-    summarize,
-)
 from repro.simnet import simulate_concurrent
 from repro.simnet.calibration import PAPER_SEQUENCE_BYTES
 
 from conftest import register_table
+from tests.orb.test_fanin_count import assert_flat
 
 BURSTS = [1, 2, 4, 8]
 
@@ -75,48 +71,6 @@ def test_multiport_approaches_link_saturation(paper_config):
     )
 
 
-# ---------------------------------------------------------------------------
-# Real fan-in: simulated identities against the event-loop server
-# ---------------------------------------------------------------------------
 
-
-@pytest.fixture(scope="module")
-def fanin_points():
-    """A scaled-down sweep (the full 100 → 10k curve is
-    ``tools/bench_clients.py``; its committed result is gated in the
-    CI ``clients`` job)."""
-    return run_clients(
-        clients=[20, 100],
-        total_requests=600,
-        connections=32,
-        repeats=2,
-    )
-
-
-def test_fanin_sweep_completes_without_errors(fanin_points):
-    assert [p.clients for p in fanin_points] == [20, 100]
-    for point in fanin_points:
-        assert point.errors == 0
-        assert point.goodput_rps > 0
-        # Every admitted request left the dispatch layer: the
-        # governor's books balance when the point ends.
-        assert (
-            point.server_requests["inflight"] == 0
-        ), point.server_requests
-
-
-def test_fanin_goodput_stays_flat(fanin_points):
-    # Generous in-suite ratio: this tiny sweep exists to catch "5x
-    # collapse under fan-in" regressions quickly, not to measure; the
-    # committed full curve carries the 0.8x acceptance gate.
-    assert gate_failures(fanin_points, min_ratio=0.5) == []
-    assert summarize(fanin_points)["total_errors"] == 0
-
-
-def test_fanin_connection_budget_multiplexes_identities(fanin_points):
-    # 100 identities over a 32-connection budget: the event loop
-    # demuxes by request-id identity, not by socket.
-    peak = fanin_points[-1]
-    assert peak.clients == 100
-    assert peak.connections == 32
-    assert peak.server_requests["completed"] >= peak.requests
+def test_a_request_costs_the_same_at_10000_identities_as_at_50():
+    assert_flat(50, 10_000)

@@ -1,26 +1,27 @@
 """Massive client fan-in: one event loop, hundreds of identities.
 
-The server-side socket fabric no longer spends a thread per
-connection: a single ``selectors`` event loop owns every client
-socket, demultiplexes request frames by the 64-bit client identity in
-their request ids, and feeds the dispatch pool through per-client
-fair queues.  This example points 300 simulated clients — far more
-than you would ever give threads to — at one serial servant, then
-shows the one valve that keeps a server's memory bounded: a client
-that outruns a slow servant has its socket paused at 64 queued
-requests, while another client's calls keep being answered, and
-``orb.stats()["server"]`` counts the pause and the resume.
+The server-side socket fabric does not spend a thread per connection:
+a single ``selectors`` event loop owns every client socket,
+demultiplexes request frames by the 64-bit client identity in their
+request ids, and feeds the dispatch pool through per-client fair
+queues.  This example points 300 client runtimes — each an identity
+of its own, sharing four client fabrics and so four connections — at
+one serial servant, from one thread: a blocking or oneway call starts
+none.  Then it shows the one valve that keeps a server's memory
+bounded: a client that outruns a slow servant has its socket paused at
+64 queued requests, while another client's calls keep being answered,
+and ``orb.stats()["server"]`` counts the pause and the resume.
 
 Run:  python examples/many_clients.py
 
 See docs/scaling.md for the architecture and the backpressure depths.
 """
 
+import contextlib
 import threading
 import time
 
 from repro import ORB, compile_idl
-from repro.bench.clients import run_clients
 from repro.orb.naming import NamingService
 from repro.orb.socketnet import SocketFabric
 
@@ -34,7 +35,7 @@ interface counter {
 idl = compile_idl(IDL, module_name="many_clients_idl")
 
 CLIENTS = 300
-CONNECTIONS = 64  # identities multiplex over a socket budget
+FABRICS = 4  # client fabrics the identities share: one connection each
 
 
 def _wait_for(predicate, timeout=10.0):
@@ -44,21 +45,56 @@ def _wait_for(predicate, timeout=10.0):
         time.sleep(0.01)
 
 
-def fan_in_sweep():
-    """300 window-1 clients over 64 sockets against one servant."""
-    [point] = run_clients(
-        clients=[CLIENTS],
-        total_requests=1500,
-        connections=CONNECTIONS,
-        repeats=1,
-    )
-    print(
-        f"{point.clients} clients over {point.connections} "
-        f"connections: {point.goodput_rps:,.0f} req/s, "
-        f"{point.errors} errors"
-    )
-    assert point.errors == 0
-    return point
+def fan_in():
+    """300 identities over four connections against one servant."""
+
+    class Counter(idl.counter_skel):
+        def add(self, x):
+            return int(x) + 1
+
+        def note(self, x):
+            pass
+
+    naming = NamingService()
+    with contextlib.ExitStack() as stack:
+        fabrics = [
+            stack.enter_context(SocketFabric(name))
+            for name in ["fanin-server"]
+            + [f"fanin-client{k}" for k in range(FABRICS)]
+        ]
+        server, *clients = [
+            stack.enter_context(
+                ORB(f.name, fabric=f, naming=naming, timeout=10.0)
+            )
+            for f in fabrics
+        ]
+        server.serve("counter", lambda ctx: Counter(), nthreads=1)
+        runtimes = [
+            clients[i % FABRICS].client_runtime(label=f"console-{i}")
+            for i in range(CLIENTS)
+        ]
+        proxies = [idl.counter._bind("counter", rt) for rt in runtimes]
+        for i, proxy in enumerate(proxies):
+            proxy.note(i)
+            assert proxy.add(i) == i + 1
+
+        def requests():
+            return server.stats()["server"]["requests"]
+
+        # A blocking call returns when its reply arrives, before the
+        # server counts the request completed: read the books at rest.
+        _wait_for(lambda: requests()["inflight"] == 0)
+        books = requests()
+        connections = server.stats()["server"]["connections"]["active"]
+        print(
+            f"{CLIENTS} identities over {connections} connections: "
+            f"{books['admitted']} requests admitted, "
+            f"{books['completed']} completed"
+        )
+        assert books["admitted"] == books["completed"] == 2 * CLIENTS
+        assert connections < CLIENTS
+        for runtime in runtimes:
+            runtime.close()
 
 
 def backpressure():
@@ -116,7 +152,7 @@ def backpressure():
 
 
 def main():
-    fan_in_sweep()
+    fan_in()
     backpressure()
     print("OK")
 

@@ -48,8 +48,10 @@ LENGTH = struct.Struct(">I")
 #: one send; a larger one keeps its body segments by reference.
 JOIN_LIMIT = 4096
 #: Entries per interning table (one per head kind and byte order, and
-#: the table of decoded addresses): least recently used goes first.
-INTERNED = 256
+#: the table of decoded addresses; least recently used goes first) and
+#: frame templates per port: above the 10 000 client identities one
+#: server is shown to take (docs/scaling.md), which each bring a key.
+INTERNED = 16384
 
 
 def octets(data: Any) -> memoryview:

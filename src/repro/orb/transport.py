@@ -193,10 +193,6 @@ class _Delivery:
     head: Any = None
 
 
-#: Frame templates a port keeps (:meth:`Port.template`).
-COMPILED = 256
-
-
 class Route(NamedTuple):
     """One hop of a fabric — a source port, ``dest`` and a message
     kind — compiled for the frames sent along it.  ``envelope``
@@ -297,12 +293,12 @@ class Port:
         first use and kept, so a sender fills in only what a frame
         varies.  The one store of compiled hops: by ``id(dest)`` (a
         template holds its route, the route its ``dest``, so an id here
-        is never a dead object's), at most :data:`COMPILED`, after which
-        it starts over."""
+        is never a dead object's), at most
+        :data:`~repro.cdr.head.INTERNED`, after which it starts over."""
         made = self._templates.get((id(dest), kind, key))
         if made is None:
             made = build(self._fabric.route(self.address, dest, kind))
-            if len(self._templates) >= COMPILED:
+            if len(self._templates) >= INTERNED:
                 self._templates.clear()
             self._templates[id(dest), kind, key] = made
         return made

@@ -49,7 +49,6 @@ from repro.orb.request import (
 from repro.orb.socketnet import SocketFabric
 from repro.orb.transfer import Inbox
 from repro.orb.transport import (
-    COMPILED,
     KIND_DATA,
     KIND_REPLY,
     KIND_REQUEST,
@@ -343,9 +342,9 @@ def test_a_port_keeps_one_template_per_hop_and_key_up_to_its_bound():
     assert sender.template(a.address, KIND_REPLY, None, ReplyHead) is one
     assert sender.template(b.address, KIND_REPLY, None, ReplyHead) is not one
     assert sender.template(a.address, KIND_DATA, None, ReplyHead) is not one
-    for key in range(2 * COMPILED):
+    for key in range(2 * INTERNED):
         sender.template(a.address, KIND_REPLY, key, ReplyHead)
-        assert len(sender._templates) <= COMPILED
+        assert len(sender._templates) <= INTERNED
     one.route.send(one.reply(ReplyMessage(5, 0, b"kept")))
     assert decode_reply(a.recv(timeout=5)[2]) == ReplyMessage(5, 0, b"kept")
 
@@ -426,7 +425,7 @@ def test_a_flood_of_distinct_labels_leaves_the_table_at_its_bound():
     table.cache_clear()
     peer = b"".join(SocketFabric._encode_frame(SRC, DEST, KIND_DATA, b"x", 1))
     first = _envelope_decode(peer)[1]
-    for i in range(10_000):
+    for i in range(2 * INTERNED):
         _envelope_decode(_from(f"flood-{i}"))
         assert table.cache_info().currsize <= INTERNED
         if i % 100 == 0:

@@ -392,6 +392,13 @@ RETIRED_IDENTIFIERS = {
     "retryable_" "categories",
     "max_" "failovers",
     "SpmdClient" "Group",
+    "run_" "clients",
+    "run_" "groups",
+    "Client" "Point",
+    "Group" "Window",
+    "_Simulated" "Clients",
+    "format_" "clients",
+    "format_" "groups",
 }
 
 
