@@ -399,6 +399,11 @@ RETIRED_IDENTIFIERS = {
     "_Simulated" "Clients",
     "format_" "clients",
     "format_" "groups",
+    "run_" "faults",
+    "Fault" "Point",
+    "gate_" "failures",
+    "format_" "faults",
+    "points_as_" "dicts",
 }
 
 
